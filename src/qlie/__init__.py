@@ -43,7 +43,7 @@ from .manin import (
     triple_to_bialgebra,
 )
 from .mc import GaugePath, MCElement, WeightGradedDGLA, gauge_verify, mc_residual, pol_bg
-from .polyvectors import PolyVectorAlgebra, polyvector_algebra, schouten
+from .polyvectors import PolyVectorAlgebra, schouten
 from .qlb import (
     BigBracketElement,
     QuasiLieBialgebra,

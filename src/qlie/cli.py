@@ -52,13 +52,11 @@ def _check(name: str, ok: bool, detail: Optional[dict] = None) -> Check:
 
 
 def _load_algebra(path: str, inputs: Dict[str, str]) -> LieAlgebra:
-    inputs[path] = formats.file_sha256(path)
-    return formats.load_lie(path)
+    return formats.lie_from_dict(formats.read_json(path, inputs))
 
 
 def _load_tensor(path: str, g: LieAlgebra, expect: str, inputs: Dict[str, str]):
-    inputs[path] = formats.file_sha256(path)
-    return formats.load_tensor(path, g, expect)
+    return formats.tensor_from_dict(formats.read_json(path, inputs), g, expect)
 
 
 def _split_from_labels(g: LieAlgebra, labels_csv: str):
@@ -189,8 +187,7 @@ def cmd_dynamical(args, inputs):
     g = _load_algebra(args.file, inputs)
     split = _split_from_labels(g, args.sub)
     variables = tuple(s for s in args.vars.split(",") if s)
-    inputs[args.r] = formats.file_sha256(args.r)
-    doc = formats._load_json(args.r)
+    doc = formats.read_json(args.r, inputs)
     doc.setdefault("vars", list(variables))
     if tuple(doc["vars"]) != variables:
         raise InputError("--vars disagrees with the tensor file header")
@@ -244,8 +241,7 @@ def cmd_double(args, inputs):
 
 def cmd_triple_check(args, inputs):
     d = _load_algebra(args.file, inputs)
-    inputs[args.pairing] = formats.file_sha256(args.pairing)
-    pairing = formats.load_matrix(args.pairing, d.dim)
+    pairing = formats.matrix_from_dict(formats.read_json(args.pairing, inputs), d.dim)
     g_idx = tuple(d.index(lab) for lab in args.g.split(",") if lab)
     s_idx = tuple(d.index(lab) for lab in args.gstar.split(",") if lab)
     t = ManinTriple(QuadraticLieAlgebra(d, pairing), g_idx, s_idx)

@@ -9,11 +9,11 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .lie import CECochain, LieAlgebra, WEDGE, sym2_signature
-from .manin import ManinTriple, QuadraticLieAlgebra
+from .manin import ManinTriple
 from .mc import WeightGradedDGLA
 from .scalars import Polynomial, RationalFunction, parse_scalar
 from .tensors import Multivector, SparseTensor, plain_signature
@@ -21,22 +21,19 @@ from .tensors import Multivector, SparseTensor, plain_signature
 TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
 
 
-def file_sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def load_json(path: str) -> dict:
+def read_json(path: str, inputs: Dict[str, str]) -> dict:
+    """Read an input file once: record the sha256 of its bytes in
+    inputs[path], then parse the same bytes as UTF-8 JSON."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
         raise InputError(f"cannot read JSON file {path}: {exc}") from None
-
-
-_load_json = load_json
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read JSON file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +85,20 @@ def lie_from_dict(doc: dict) -> LieAlgebra:
 
 def lie_to_dict(g: LieAlgebra) -> dict:
     brackets = []
+    field = {"type": "rational"}
     for (i, j), comps in sorted(g.pairs()):
         brackets.append(
             [g.basis[i], g.basis[j], [[g.basis[k], str(c)] for k, c in sorted(comps.items())]]
         )
+        for c in comps.values():
+            if isinstance(c, RationalFunction):
+                field = {"type": "ratfun", "vars": list(c.vars)}
     return {
         "name": g.name,
-        "field": {"type": "rational"},
+        "field": field,
         "basis": list(g.basis),
         "brackets": brackets,
     }
-
-
-def load_lie(path: str) -> LieAlgebra:
-    return lie_from_dict(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +141,6 @@ def tensor_from_dict(doc: dict, g: LieAlgebra, expect: Optional[str] = None):
     raise InputError(f"unhandled signature {sig!r}")
 
 
-def load_tensor(path: str, g: LieAlgebra, expect: Optional[str] = None):
-    return tensor_from_dict(_load_json(path), g, expect)
-
-
 def multivector_to_entries(mv: Multivector, g: LieAlgebra) -> List[dict]:
     return [
         {"idx": [g.basis[i] for i in key], "coef": str(coef)}
@@ -185,10 +178,6 @@ def matrix_from_dict(doc: dict, dim: int) -> List[List[Fraction]]:
     return out
 
 
-def load_matrix(path: str, dim: int) -> List[List[Fraction]]:
-    return matrix_from_dict(_load_json(path), dim)
-
-
 def polynomials_from_strings(strings: Sequence[str], variables: Tuple[str, ...]) -> List[Polynomial]:
     out = []
     for s in strings:
@@ -215,14 +204,6 @@ def triple_to_dict(t: ManinTriple) -> dict:
     return doc
 
 
-def triple_from_dict(doc: dict) -> ManinTriple:
-    d = lie_from_dict(doc)
-    pairing = matrix_from_dict({"matrix": doc["pairing"]}, d.dim)
-    g_idx = tuple(d.index(lab) for lab in doc["g"])
-    s_idx = tuple(d.index(lab) for lab in doc["gstar"])
-    return ManinTriple(QuadraticLieAlgebra(d, pairing), g_idx, s_idx)
-
-
 # ---------------------------------------------------------------------------
 # dg Lie algebra serialization
 # ---------------------------------------------------------------------------
@@ -237,11 +218,14 @@ def dgla_to_dict(L: WeightGradedDGLA) -> dict:
         for k, cols in sorted(L.diff.items())
     }
     brackets = {}
-    for (k1, k2), struct in sorted(L.brackets.items()):
-        brackets[f"{key_str(k1)}|{key_str(k2)}"] = {
-            f"{i},{j}": sorted([[m, str(c)] for m, c in vec.items()])
-            for (i, j), vec in sorted(struct.items())
-        }
+    for k1 in sorted(L.bases):
+        for k2 in sorted(L.bases):
+            if (k1[0] + k2[0], k1[1] + k2[1] - 1) not in L.bases:
+                continue
+            brackets[f"{key_str(k1)}|{key_str(k2)}"] = {
+                f"{i},{j}": sorted([[m, str(c)] for m, c in vec.items()])
+                for (i, j), vec in sorted(L.bracket_structure(k1, k2).items())
+            }
     return {
         "name": L.name,
         "max_weight": L.max_weight,

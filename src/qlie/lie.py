@@ -33,10 +33,6 @@ def SYM(p: int):
     return ("sym", p)
 
 
-def TENSOR(p: int):
-    return ("tensor", p)
-
-
 class LieAlgebra:
     """Finite-dimensional Lie algebra over an exact scalar field."""
 

@@ -132,7 +132,3 @@ def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
             raise ZeroDivisionError("matrix is singular")
         cols.append(col)
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def determinant_is_zero(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    return rank(matrix) < len(matrix)

@@ -6,7 +6,7 @@ bracket (0, -1).  The gauge ODE is checked in the orientation
 
     d alpha / dt = D lambda + [alpha(t), lambda]
 
-of the stored structure maps, which is the orientation under which the
+of the differential and bracket, which is the orientation under which the
 integrated twist path solves the equation; the opposite orientation is
 the relabeling lambda -> -lambda.
 """
@@ -19,13 +19,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InputError, WindowOverflowError
 from .lie import CECochain, LieAlgebra
-from .polyvectors import Element, Mono, polyvector_algebra
+from .polyvectors import Element, Mono, PolyVectorAlgebra
 from .scalars import Scalar, is_zero
 from .tensors import Multivector, SparseTensor
 
 Vec = Dict[int, Scalar]  # sparse coefficient vector over a slice basis
 SliceKey = Tuple[int, int]  # (shifted degree, weight)
 StructureMap = Dict[Tuple[int, int], Vec]  # (i, j) -> output vector
+BracketFn = Callable[[SliceKey, Vec, SliceKey, Vec], Vec]
 
 
 def _vec_add(a: Vec, b: Vec, scale: Scalar = Fraction(1)) -> Vec:
@@ -53,10 +54,11 @@ class WeightGradedDGLA:
     """Finite presentation of a weight-graded dg Lie algebra.
 
     bases[(d, w)] is an ordered list of opaque basis labels; diff[(d, w)]
-    holds the image of each basis vector in the (d+1, w) slice; bracket
-    structure tensors are resolved per slice pair, lazily when a provider
-    is installed (the polyvector builders use this to stay inside the
-    finite window that is actually exercised).
+    holds the image of each basis vector in the (d+1, w) slice.  The
+    bracket is the callable bracket(k1, v1, k2, v2), which takes two
+    nonzero vectors on the slices k1 and k2 and returns their bracket on
+    the slice (d1 + d2, w1 + w2 - 1).  It is evaluated on the supports of
+    its arguments only; no structure map is built or stored.
     """
 
     def __init__(
@@ -64,17 +66,13 @@ class WeightGradedDGLA:
         name: str,
         bases: Dict[SliceKey, List],
         diff: Dict[SliceKey, List[Vec]],
-        brackets: Optional[Dict[Tuple[SliceKey, SliceKey], StructureMap]] = None,
-        bracket_provider: Optional[Callable[[SliceKey, SliceKey], StructureMap]] = None,
+        bracket: BracketFn,
         max_weight: int = 4,
     ):
         self.name = name
         self.bases = {k: list(v) for k, v in bases.items()}
         self.diff = {k: [dict(col) for col in v] for k, v in diff.items()}
-        self.brackets: Dict[Tuple[SliceKey, SliceKey], StructureMap] = {
-            k: {p: dict(vec) for p, vec in v.items()} for k, v in (brackets or {}).items()
-        }
-        self._provider = bracket_provider
+        self._bracket = bracket
         self.max_weight = max_weight
         for (d, w), cols in self.diff.items():
             if len(cols) != len(self.bases.get((d, w), [])):
@@ -104,32 +102,20 @@ class WeightGradedDGLA:
         return out
 
     def bracket_structure(self, k1: SliceKey, k2: SliceKey) -> StructureMap:
-        key = (k1, k2)
-        if key not in self.brackets:
-            if k1 not in self.bases or k2 not in self.bases:
-                return {}
-            if self._provider is None:
-                raise InputError(f"no bracket data for slices {k1} x {k2}")
-            self.brackets[key] = self._provider(k1, k2)
-        return self.brackets[key]
+        """The nonzero brackets of basis vectors of two slices, computed afresh."""
+        one = Fraction(1)
+        out: StructureMap = {}
+        for i in range(self.dim(k1)):
+            for j in range(self.dim(k2)):
+                img = self.apply_bracket(k1, {i: one}, k2, {j: one})
+                if img:
+                    out[(i, j)] = img
+        return out
 
     def apply_bracket(self, k1: SliceKey, v1: Vec, k2: SliceKey, v2: Vec) -> Vec:
-        if not v1 or not v2:
+        if not v1 or not v2 or k1 not in self.bases or k2 not in self.bases:
             return {}
-        struct = self.bracket_structure(k1, k2)
-        out: Vec = {}
-        for i, c1 in v1.items():
-            for j, c2 in v2.items():
-                img = struct.get((i, j))
-                if not img:
-                    continue
-                for m, cc in img.items():
-                    v = out.get(m, Fraction(0)) + c1 * c2 * cc
-                    if is_zero(v):
-                        out.pop(m, None)
-                    else:
-                        out[m] = v
-        return out
+        return self._bracket(k1, v1, k2, v2)
 
     # -- structural validation ----------------------------------------------
 
@@ -144,10 +130,6 @@ class WeightGradedDGLA:
     def _sum_key(self, k1: SliceKey, k2: SliceKey) -> SliceKey:
         return (k1[0] + k2[0], k1[1] + k2[1] - 1)
 
-    def _computable(self, k1: SliceKey, k2: SliceKey) -> bool:
-        tgt = self._sum_key(k1, k2)
-        return tgt in self.bases or (k1, k2) in self.brackets or self._provider is not None
-
     def check_bracket_laws(self, slices: Optional[List[SliceKey]] = None) -> bool:
         """Graded antisymmetry and Jacobi on basis triples of the slices."""
         if slices is None:
@@ -157,8 +139,6 @@ class WeightGradedDGLA:
         one = Fraction(1)
         for (k1, i1) in pool:
             for (k2, i2) in pool:
-                if not self._computable(k1, k2):
-                    continue
                 lhs = br(k1, {i1: one}, k2, {i2: one})
                 rhs = br(k2, {i2: one}, k1, {i1: one})
                 # law: [a, b] = -(-1)^{d1 d2} [b, a] in shifted degrees
@@ -171,9 +151,6 @@ class WeightGradedDGLA:
                     k23 = self._sum_key(k2, k3)
                     k12 = self._sum_key(k1, k2)
                     k13 = self._sum_key(k1, k3)
-                    needed = [(k2, k3), (k1, k23), (k1, k2), (k12, k3), (k1, k3), (k2, k13)]
-                    if not all(self._computable(a, b) for a, b in needed):
-                        continue
                     lhs = br(k1, {i1: one}, k23, br(k2, {i2: one}, k3, {i3: one}))
                     t1 = br(k12, br(k1, {i1: one}, k2, {i2: one}), k3, {i3: one})
                     sign = (-1) ** (k1[0] * k2[0])
@@ -361,13 +338,12 @@ def gauge_verify(L: WeightGradedDGLA, x: MCElement, y: MCElement, path: GaugePat
 class PolBgCodec:
     """Translation between tensors and coordinates of a polyvector model."""
 
-    def __init__(self, g: LieAlgebra, shift: int, L: WeightGradedDGLA, slices: Dict[SliceKey, List[Mono]]):
-        self.g = g
-        self.shift = shift
-        self.L = L
+    def __init__(self, P: PolyVectorAlgebra, slices: Dict[SliceKey, List[Mono]]):
+        self.P = P
+        self.g = P.g
+        self.shift = P.n
         self.slices = slices
         self._pos = {key: {m: i for i, m in enumerate(monos)} for key, monos in slices.items()}
-        self.P = polyvector_algebra(g, shift)
 
     def encode_element(self, key: SliceKey, el: Element) -> Vec:
         pos = self._pos.get(key)
@@ -459,7 +435,7 @@ def pol_bg(
         raise WindowOverflowError(
             f"dim g = {g.dim} exceeds the supported window (dim <= 8)"
         )
-    P = polyvector_algebra(g, shift)
+    P = PolyVectorAlgebra(g, shift)
     slices: Dict[SliceKey, List[Mono]] = {}
     for d in range(0, 4):
         for w in range(2, max_weight + 1):
@@ -469,44 +445,21 @@ def pol_bg(
             monos = P.slice_basis(k, w)
             if monos:
                 slices[(d, w)] = monos
-    pos = {key: {m: i for i, m in enumerate(monos)} for key, monos in slices.items()}
-
-    def encode(key: SliceKey, el: Element) -> Vec:
-        table = pos[key]
-        return {table[m]: c for m, c in el.items()}
+    codec = PolBgCodec(P, slices)
 
     diff: Dict[SliceKey, List[Vec]] = {}
     for (d, w), monos in slices.items():
-        if (d + 1, w) not in slices:
-            continue
-        cols = []
-        for mono in monos:
-            img = P.d({mono: Fraction(1)})
-            cols.append(encode((d + 1, w), img))
-        diff[(d, w)] = cols
+        if (d + 1, w) in slices:
+            diff[(d, w)] = [codec.encode_element((d + 1, w), P.d({m: Fraction(1)})) for m in monos]
 
-    def provider(k1: SliceKey, k2: SliceKey) -> StructureMap:
+    def bracket(k1: SliceKey, v1: Vec, k2: SliceKey, v2: Vec) -> Vec:
+        img = P.bracket(codec.decode_element(k1, v1), codec.decode_element(k2, v2))
+        if not img:
+            return {}
         tgt = (k1[0] + k2[0], k1[1] + k2[1] - 1)
-        out: StructureMap = {}
-        if k1 not in slices or k2 not in slices:
-            return out
-        for i, m1 in enumerate(slices[k1]):
-            for j, m2 in enumerate(slices[k2]):
-                img = P.bracket_monos(m1, m2)
-                if not img:
-                    continue
-                if tgt not in slices:
-                    # inside the window the target slice may be empty for
-                    # weight/degree reasons, in which case the bracket must
-                    # literally cancel
-                    if img:
-                        raise WindowOverflowError(
-                            f"bracket of {k1} x {k2} escapes the window at {tgt}"
-                        )
-                    continue
-                out[(i, j)] = encode(tgt, img)
-        return out
+        if tgt not in slices:
+            raise WindowOverflowError(f"bracket of {k1} x {k2} escapes the window at {tgt}")
+        return codec.encode_element(tgt, img)
 
     name = f"Pol(B{g.name}, {shift})[>=2]"
-    L = WeightGradedDGLA(name, slices, diff, bracket_provider=provider, max_weight=max_weight)
-    return L, PolBgCodec(g, shift, L, slices)
+    return WeightGradedDGLA(name, slices, diff, bracket, max_weight=max_weight), codec

@@ -9,12 +9,22 @@ structure maps are
 * the differential, the odd derivation with  d e^i = 1/2 f^i_jk e^j e^k
   and  d e_i = f^k_ij e^j e_k;
 * the big bracket, the biderivation of degree -(n+1) generated by the
-  pairing [e^i, e_j] = delta^i_j.
+  pairing <e^i, e_j> = delta^i_j, <e_j, e^i> = +delta^i_j for n = 1 and
+  -delta^i_j for n = 2.  It is first order in each argument, so on
+  monomials m1 = x_1...x_k and m2 = y_1...y_l it is one sum of single
+  contractions,
+
+      [m1, m2] = sum_{p,q} eps_pq <x_p, y_q> x_1..x_{p-1} (m2 without y_q) x_{p+1}..x_k,
+      eps_pq = (-1)^(A_p (|m2| + n + 1) + (|x_p| + n + 1) B_q),
+
+  where A_p is the total degree of the generators after x_p in m1 and
+  B_q the total degree of the generators before y_q in m2.
 
 Monomials are stored canonically: dual generators first, each block
-sorted increasingly.  All Koszul signs are produced by one transposition
-counter, so the graded symmetry and Jacobi identities of the bracket are
-checkable exhaustively (and are, in the tests).
+sorted increasingly.  The Koszul sign of bringing a product into that
+order comes from one transposition counter, so the graded symmetry and
+Jacobi identities of the bracket are checkable exhaustively (and are, in
+the tests).
 """
 
 from __future__ import annotations
@@ -32,8 +42,6 @@ from .tensors import Multivector
 Gen = Tuple[int, int]
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (dual indices, vector indices)
 Element = Dict[Mono, Scalar]
-
-UNIT: Mono = ((), ())
 
 
 def _add_term(acc: Element, mono: Mono, coef: Scalar) -> None:
@@ -53,7 +61,6 @@ class PolyVectorAlgebra:
         self.g = g
         self.n = shift
         self.vec_parity = shift % 2
-        self._bracket_cache: Dict[Tuple[Mono, Mono], Element] = {}
         self._d_cov: List[Element] = []
         self._d_vec: List[Element] = []
         for i in range(g.dim):
@@ -73,25 +80,15 @@ class PolyVectorAlgebra:
 
     # -- monomial bookkeeping ------------------------------------------------
 
-    def gen_degree(self, gen: Gen) -> int:
-        return 1 if gen[0] == 0 else self.n
-
     def gen_parity(self, gen: Gen) -> int:
         return 1 if gen[0] == 0 else self.vec_parity
 
     def mono_degree(self, mono: Mono) -> int:
         return len(mono[0]) + self.n * len(mono[1])
 
-    def mono_weight(self, mono: Mono) -> int:
-        return len(mono[1])
-
     @staticmethod
     def mono_gens(mono: Mono) -> List[Gen]:
         return [(0, i) for i in mono[0]] + [(1, i) for i in mono[1]]
-
-    @staticmethod
-    def gen_mono(gen: Gen) -> Mono:
-        return ((gen[1],), ()) if gen[0] == 0 else ((), (gen[1],))
 
     def canonicalize(self, gens: Sequence[Gen]) -> Optional[Tuple[int, Mono]]:
         items = list(gens)
@@ -142,10 +139,6 @@ class PolyVectorAlgebra:
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.smul(Fraction(-1), b))
 
-    @staticmethod
-    def is_zero_element(a: Element) -> bool:
-        return not a
-
     def apply_odd_derivation(self, images_cov: List[Element], images_vec: List[Element], a: Element) -> Element:
         """Extend generator images (degree odd) as a derivation."""
         out: Element = {}
@@ -172,63 +165,28 @@ class PolyVectorAlgebra:
 
     # -- the big bracket -------------------------------------------------------
 
-    def _base_pair(self, g1: Gen, g2: Gen) -> Scalar:
-        if g1[0] == 0 and g2[0] == 1:
-            return Fraction(1) if g1[1] == g2[1] else Fraction(0)
-        if g1[0] == 1 and g2[0] == 0:
-            if g1[1] != g2[1]:
-                return Fraction(0)
-            return Fraction(1) if self.n == 1 else Fraction(-1)
-        return Fraction(0)
-
     def bracket_monos(self, m1: Mono, m2: Mono) -> Element:
-        key = (m1, m2)
-        cached = self._bracket_cache.get(key)
-        if cached is not None:
-            return cached
-        s = self.n + 1
-        gens1 = self.mono_gens(m1)
-        gens2 = self.mono_gens(m2)
-        out: Element
-        if not gens1 or not gens2:
-            out = {}
-        elif len(gens1) == 1:
-            g = gens1[0]
-            if len(gens2) == 1:
-                c = self._base_pair(g, gens2[0])
-                out = {} if is_zero(c) else {UNIT: c}
-            else:
-                # [g, h . rest] = [g,h] rest + (-1)^{(|g|+s)|h|} h [g, rest]
-                h, rest = gens2[0], gens2[1:]
-                res_rest = self.canonicalize(rest)
-                out = {}
-                c = self._base_pair(g, h)
-                if not is_zero(c) and res_rest is not None:
-                    rsgn, rmono = res_rest
-                    _add_term(out, rmono, rsgn * c)
-                if res_rest is not None:
-                    rsgn, rmono = res_rest
-                    sub = self.bracket_monos(self.gen_mono(g), rmono)
-                    sign = (-1) ** ((self.gen_degree(g) + s) * self.gen_degree(h))
-                    for m, cc in self.mul({self.gen_mono(h): Fraction(1)}, sub).items():
-                        _add_term(out, m, sign * rsgn * cc)
-        else:
-            # [a . restA, B] = a [restA, B] + (-1)^{|restA|(|B|+s)} [a, B] restA
-            a0, restA = gens1[0], gens1[1:]
-            res_rest = self.canonicalize(restA)
-            out = {}
-            if res_rest is not None:
-                rsgn, rmono = res_rest
-                inner = self.bracket_monos(rmono, m2)
-                for m, cc in self.mul({self.gen_mono(a0): Fraction(1)}, inner).items():
-                    _add_term(out, m, rsgn * cc)
-                deg_rest = sum(self.gen_degree(x) for x in restA)
-                deg_b = self.mono_degree(m2)
-                sign = (-1) ** (deg_rest * (deg_b + s))
-                inner2 = self.bracket_monos(self.gen_mono(a0), m2)
-                for m, cc in self.mul(inner2, {rmono: Fraction(1)}).items():
-                    _add_term(out, m, sign * rsgn * cc)
-        self._bracket_cache[key] = out
+        """[m1, m2] as one sum of single contractions (see the module docstring)."""
+        n, s = self.n, self.n + 1
+        gens1, gens2 = self.mono_gens(m1), self.mono_gens(m2)
+        k2 = len(m2[0])
+        deg2 = self.mono_degree(m2)
+        after = self.mono_degree(m1)
+        out: Element = {}
+        for p, (kind, i) in enumerate(gens1):
+            if kind == 0:  # e^i contracts with each e_i of m2
+                dx, pair = 1, 1
+                qs = [k2 + t for t, j in enumerate(m2[1]) if j == i]
+            else:  # e_i contracts with the e^i of m2
+                dx, pair = n, 1 if n == 1 else -1
+                qs = [q for q, j in enumerate(m2[0]) if j == i]
+            after -= dx
+            for q in qs:
+                res = self.canonicalize(gens1[:p] + gens2[:q] + gens2[q + 1 :] + gens1[p + 1 :])
+                if res is not None:
+                    before = q if q < k2 else k2 + n * (q - k2)
+                    sign = -1 if (after * (deg2 + s) + (dx + s) * before) % 2 else 1
+                    _add_term(out, res[1], pair * sign * res[0])
         return out
 
     def bracket(self, a: Element, b: Element) -> Element:
@@ -315,20 +273,6 @@ class PolyVectorAlgebra:
         return [(c, v) for c in covs for v in vecs]
 
 
-_ALGEBRA_CACHE: Dict[Tuple[int, int], PolyVectorAlgebra] = {}
-
-
-def polyvector_algebra(g: LieAlgebra, shift: int) -> PolyVectorAlgebra:
-    """Cached engine per algebra instance (bracket memoization is costly)."""
-    key = (id(g), shift)
-    cached = _ALGEBRA_CACHE.get(key)
-    if cached is not None and cached.g is g:
-        return cached
-    alg = PolyVectorAlgebra(g, shift)
-    _ALGEBRA_CACHE[key] = alg
-    return alg
-
-
 def schouten(g: LieAlgebra, a: Multivector, b: Multivector) -> Multivector:
     """Schouten bracket of polyvectors, extending the Lie bracket.
 
@@ -353,7 +297,7 @@ def schouten(g: LieAlgebra, a: Multivector, b: Multivector) -> Multivector:
 
 def derived_square(g: LieAlgebra, lam: Multivector) -> Multivector:
     """[lambda, d lambda] in the big bracket; the square used by twists."""
-    P = polyvector_algebra(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     el = P.from_multivector(lam)
     res = P.bracket(el, P.d(el))
     return P.to_multivector(res, 2 * lam.p - 1)

@@ -32,7 +32,7 @@ from .lie import (
     multivector_to_cochain,
     sym2_signature,
 )
-from .polyvectors import Element, _add_term, polyvector_algebra, schouten
+from .polyvectors import Element, PolyVectorAlgebra, _add_term, schouten
 from .scalars import Scalar, is_zero
 from .tensors import Multivector, SparseTensor, _sort_with_sign, embed_wedge, plain_signature
 
@@ -95,13 +95,13 @@ class BigBracketElement:
 
     @classmethod
     def from_cochain(cls, x: CECochain, shift: int) -> "BigBracketElement":
-        P = polyvector_algebra(x.g, shift)
+        P = PolyVectorAlgebra(x.g, shift)
         w = x.module[1] if len(x.module) > 1 else 0
         return cls(x.g, shift, x.k, w, P.from_cochain(x))
 
     @classmethod
     def from_multivector(cls, g: LieAlgebra, mv: Multivector) -> "BigBracketElement":
-        P = polyvector_algebra(g, 1)
+        P = PolyVectorAlgebra(g, 1)
         return cls(g, 1, 0, mv.p, P.from_multivector(mv))
 
 
@@ -111,7 +111,7 @@ def big_bracket(a: BigBracketElement, b: BigBracketElement) -> BigBracketElement
         raise InputError("big bracket of elements over different algebras")
     if a.shift != b.shift:
         raise InputError("big bracket shift mismatch")
-    P = polyvector_algebra(a.g, a.shift)
+    P = PolyVectorAlgebra(a.g, a.shift)
     res = P.bracket(a.element, b.element)
     # the generator pairing removes one dual slot and one vector slot
     return BigBracketElement(
@@ -141,7 +141,7 @@ class QLBResiduals:
 
 def check_qlb(q: QuasiLieBialgebra) -> QLBResiduals:
     g = q.g
-    P = polyvector_algebra(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     delta_el = P.from_cochain(q.delta)
     phi_coch = multivector_to_cochain(g, q.phi)
 
@@ -167,7 +167,7 @@ def twist(q: QuasiLieBialgebra, t: Twist, validate: bool = True) -> QuasiLieBial
                 "twist input fails the quasi-Lie bialgebra axioms: "
                 + ", ".join(k for k, v in res.max_support().items() if v)
             )
-    P = polyvector_algebra(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     lam_el = P.from_multivector(t.lam)
     lam_coch = multivector_to_cochain(g, t.lam)
     delta_el = P.from_cochain(q.delta)
@@ -463,8 +463,8 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> Morp
     q = induce_from_coisotropic(split, c, validate=False)
     h = q.g
     nh, nm = split.dim_h, split.dim_m
-    Pg = polyvector_algebra(g, 1)
-    Ph = polyvector_algebra(h, 1)
+    Pg = PolyVectorAlgebra(g, 1)
+    Ph = PolyVectorAlgebra(h, 1)
 
     # target differential twisted by the induced structure:
     #   d e^i += phi^{ijk} e_j e_k - delta^{ij}_k e^k e_j

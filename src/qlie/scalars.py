@@ -366,24 +366,6 @@ def is_zero(s: Scalar) -> bool:
     return s == 0
 
 
-def scalar_eq(a: Scalar, b: Scalar) -> bool:
-    if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
-        if not isinstance(a, RationalFunction):
-            a, b = b, a
-        return a == b
-    return a == b
-
-
-def as_fraction(s: Scalar) -> Fraction:
-    if isinstance(s, RationalFunction):
-        return s.constant_value()
-    return Fraction(s)
-
-
-def scalar_str(s: Scalar) -> str:
-    return str(s)
-
-
 # ---------------------------------------------------------------------------
 # expression parser: +, -, *, /, ^ with integer exponents, parentheses,
 # integer literals and declared variable names; no decimal points

@@ -2,6 +2,8 @@ import json
 
 from conftest import FIXTURES
 from qlie.cli import main, run
+from qlie.formats import lie_from_dict
+from qlie.lie import check_lie
 
 SL2 = str(FIXTURES / "sl2.json")
 SL3 = str(FIXTURES / "sl3.json")
@@ -26,6 +28,20 @@ def test_check_lie_all_factories():
     for name in ("sl2.json", "sl3.json", "heisenberg.json", "abelian4.json"):
         _, code = invoke("check-lie", str(FIXTURES / name))
         assert code == 0, name
+
+
+def test_missing_input_file_exit_2(tmp_path):
+    missing = str(tmp_path / "absent.json")
+    for argv in (
+        ("check-lie", missing),
+        ("check-qlb", SL2, "--delta", missing, "--phi", str(FIXTURES / "phi_zero.json")),
+        ("dynamical", SL2, "--sub", "h", "--r", missing, "--vars", "x"),
+    ):
+        report, code = invoke(*argv)
+        assert code == 2, argv
+        assert report["checks"][0]["name"] == "input"
+        assert missing in report["checks"][0]["detail"]["message"]
+        assert missing not in report["inputs"]
 
 
 def test_malformed_input_exit_2(tmp_path):
@@ -144,6 +160,27 @@ def test_double_command():
     }
     report, code = invoke("double", SL2, "--delta", str(FIXTURES / "delta_bad_sl2.json"))
     assert code == 1
+
+
+def test_double_command_on_rational_function_algebra(tmp_path):
+    # the 2-dimensional algebra [a, b] = x b with delta(a) = a ^ b
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({
+        "name": "b2x",
+        "field": {"type": "ratfun", "vars": ["x"]},
+        "basis": ["a", "b"],
+        "brackets": [["a", "b", [["b", "x"]]]],
+    }))
+    delta = tmp_path / "delta.json"
+    delta.write_text(json.dumps({"signature": "cobracket", "entries": [{"idx": ["a", "a", "b"], "coef": "1"}]}))
+    report, code = invoke("double", str(alg), "--delta", str(delta))
+    assert code == 0
+    triple = report["data"]["triple"]
+    assert triple["field"] == {"type": "ratfun", "vars": ["x"]}
+    assert ["b", "b^", [["a^", "x"]]] in triple["brackets"]
+    d = lie_from_dict(triple)
+    assert d.basis == ("a", "b", "a^", "b^")
+    assert check_lie(d).passed
 
 
 def test_std_triple_and_triple_check(tmp_path):

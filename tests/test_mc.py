@@ -177,11 +177,13 @@ def test_serialization_round_trip_structure():
 
     g = sl2()
     L, _ = pol_bg(g, 1)
-    L.bracket_structure((1, 2), (1, 2))  # materialize one slice pair
     doc = dgla_to_dict(L)
     assert doc["name"].startswith("Pol(B")
     assert "1,2" in doc["bases"]
-    assert any(key.startswith("1,2|") for key in doc["brackets"])
+    # every slice pair whose bracket lands in the window is serialised
+    assert "1,2|1,2" in doc["brackets"] and "0,2|1,2" in doc["brackets"]
+    assert "1,2|1,3" not in doc["brackets"]
+    assert doc == dgla_to_dict(pol_bg(g, 1)[0])
 
 
 def test_gauge_path_is_tied_to_its_twist(rng):

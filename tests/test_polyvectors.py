@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rand_multivector
 from qlie.lie import CECochain, WEDGE, abelian, ce_differential, sl2, sl3
-from qlie.polyvectors import PolyVectorAlgebra, polyvector_algebra, schouten, derived_square
+from qlie.polyvectors import PolyVectorAlgebra, schouten, derived_square
 from qlie.tensors import Multivector
 
 
@@ -24,7 +24,7 @@ def all_monos(P, kmax, wmax):
 @pytest.mark.parametrize("shift", [1, 2])
 def test_bracket_generator_pairing(shift):
     g = sl2()
-    P = polyvector_algebra(g, shift)
+    P = PolyVectorAlgebra(g, shift)
     for i in range(3):
         for j in range(3):
             cov = {((i,), ()): F(1)}
@@ -70,7 +70,7 @@ def test_differential_squares_to_zero(shift, rng):
 
 def test_differential_is_bracket_derivation(rng):
     g = sl2()
-    P = polyvector_algebra(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     monos = all_monos(P, 2, 2)[:16]
     s = 2
     for m1 in monos:
@@ -85,7 +85,7 @@ def test_differential_is_bracket_derivation(rng):
 def test_engine_matches_slot_differential(rng):
     # derivation-generated differential == slot-formula CE differential
     for g in (sl2(), sl3()):
-        P = polyvector_algebra(g, 1)
+        P = PolyVectorAlgebra(g, 1)
         for k in (0, 1, 2):
             for w in (0, 1, 2, 3):
                 entries = {}
@@ -135,7 +135,7 @@ def test_schouten_ef_squared():
 def test_schouten_agrees_with_derived_bracket(rng):
     # polarized relation: schouten(a, b) == -[a, d b] for all bidegrees
     for g in (sl2(), sl3()):
-        P = polyvector_algebra(g, 1)
+        P = PolyVectorAlgebra(g, 1)
         for p in (1, 2, 3):
             for q in (1, 2, 3):
                 if p + q - 1 > g.dim:

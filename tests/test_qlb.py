@@ -262,11 +262,11 @@ def test_verify_morphism_sl3_borel():
 
 
 def test_big_bracket_public_wrapper():
-    from qlie.polyvectors import polyvector_algebra
+    from qlie.polyvectors import PolyVectorAlgebra
     from qlie.qlb import BigBracketElement, big_bracket
 
     g = sl2()
-    P = polyvector_algebra(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     for i in range(3):
         for j in range(3):
             cov = BigBracketElement(g, 1, 1, 0, {((i,), ()): F(1)})
