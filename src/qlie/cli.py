@@ -423,8 +423,10 @@ def render_text(report: dict) -> str:
 
 def run(argv: Optional[List[str]] = None) -> Tuple[dict, int]:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _execute(build_parser().parse_args(argv), argv)
+
+
+def _execute(args: argparse.Namespace, argv: List[str]) -> Tuple[dict, int]:
     t0 = time.perf_counter()
     inputs: Dict[str, str] = {}
     report = {
@@ -450,12 +452,13 @@ def run(argv: Optional[List[str]] = None) -> Tuple[dict, int]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        report, code = run(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse errors
         return 2 if exc.code not in (0, None) else 0
-    args_json = "--json" in (sys.argv[1:] if argv is None else argv)
-    if args_json:
+    report, code = _execute(args, argv)
+    if args.json:
         print(json.dumps(report, sort_keys=True, indent=2, default=str))
     else:
         print(render_text(report))

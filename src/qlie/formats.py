@@ -62,7 +62,16 @@ def lie_from_dict(doc: dict) -> LieAlgebra:
     index = {label: i for i, label in enumerate(basis)}
     brackets = {}
     for item in doc.get("brackets", []):
-        if len(item) != 3:
+        if not (
+            isinstance(item, list)
+            and len(item) == 3
+            and isinstance(item[2], list)
+            and all(isinstance(comp, list) and len(comp) == 2 for comp in item[2])
+            and not any(
+                isinstance(label, (list, dict))
+                for label in [item[0], item[1]] + [comp[0] for comp in item[2]]
+            )
+        ):
             raise InputError("bracket entries are [x, y, [[z, coef], ...]]")
         x, y, comps = item
         if x not in index or y not in index:

@@ -10,13 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
-from .scalars import Scalar, is_zero
-from .tensors import Multivector, SparseTensor, Signature, SlotGroup, UP, DOWN, _sort_with_sign
+from .scalars import Scalar, combine, is_zero
+from .tensors import (
+    Multivector,
+    SparseTensor,
+    SparseVector,
+    Signature,
+    SlotGroup,
+    UP,
+    _sort_with_sign,
+    canonical_terms,
+)
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
 
@@ -99,16 +109,12 @@ class LieAlgebra:
         return self.bracket(i, j).get(k, Fraction(0))
 
     def bracket_vectors(self, x: Dict[int, Scalar], y: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        out: Dict[int, Scalar] = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                for k, c in self.bracket(i, j).items():
-                    v = out.get(k, Fraction(0)) + xi * yj * c
-                    if is_zero(v):
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-        return out
+        return combine(
+            (k, xi * yj * c)
+            for i, xi in x.items()
+            for j, yj in y.items()
+            for k, c in self.bracket(i, j).items()
+        )
 
     def pairs(self):
         return self._table.items()
@@ -128,16 +134,12 @@ class LieCheckReport:
 def check_lie(g: LieAlgebra) -> LieCheckReport:
     """Exact antisymmetry (structural) plus exhaustive Jacobi scan."""
     for i, j, k in combinations(range(g.dim), 3):
-        acc: Dict[int, Scalar] = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = g.bracket(a, b)
-            for m, coef in inner.items():
-                for l, coef2 in g.bracket(m, c).items():
-                    v = acc.get(l, Fraction(0)) + coef * coef2
-                    if is_zero(v):
-                        acc.pop(l, None)
-                    else:
-                        acc[l] = v
+        acc = combine(
+            (l, coef * coef2)
+            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j))
+            for m, coef in g.bracket(a, b).items()
+            for l, coef2 in g.bracket(m, c).items()
+        )
         if acc:
             return LieCheckReport(
                 passed=False,
@@ -159,106 +161,59 @@ def module_basis(g: LieAlgebra, module) -> List[tuple]:
     if kind == "adjoint":
         return [(i,) for i in range(g.dim)]
     if kind == "wedge":
-        return [tuple(c) for c in combinations(range(g.dim), module[1])]
+        return list(combinations(range(g.dim), module[1]))
     if kind == "sym":
-        p = module[1]
-
-        def weak(start, left):
-            if left == 0:
-                yield ()
-                return
-            for i in range(start, g.dim):
-                for rest in weak(i, left - 1):
-                    yield (i,) + rest
-
-        return list(weak(0, p))
+        return list(combinations_with_replacement(range(g.dim), module[1]))
     if kind == "tensor":
-        p = module[1]
-        out = [()]
-        for _ in range(p):
-            out = [t + (i,) for t in out for i in range(g.dim)]
-        return out
+        return list(product(range(g.dim), repeat=module[1]))
     raise InputError(f"unsupported module {module!r}")
 
 
-def module_action(g: LieAlgebra, xi: int, module, key: tuple) -> Dict[tuple, Scalar]:
-    """ad(xi) acting on a module basis element, as a coefficient dict."""
-    kind = module[0]
-    if kind == "triv":
-        return {}
-    out: Dict[tuple, Scalar] = {}
-
-    def add(k: tuple, c: Scalar):
-        v = out.get(k, Fraction(0)) + c
-        if is_zero(v):
-            out.pop(k, None)
-        else:
-            out[k] = v
-
-    if kind == "adjoint":
-        for m, c in g.bracket(xi, key[0]).items():
-            add((m,), c)
-        return out
-    def multiplicity_factorial(t: tuple) -> int:
-        out_ = 1
-        for v in set(t):
-            m_ = t.count(v)
-            for r in range(2, m_ + 1):
-                out_ *= r
-        return out_
-
-    for slot in range(len(key)):
-        for m, c in g.bracket(xi, key[slot]).items():
-            new = list(key)
-            new[slot] = m
-            if kind == "wedge":
-                sign = 1
-                arranged = []
-                ok = True
-                for v in new:
-                    pos = len(arranged)
-                    while pos > 0 and arranged[pos - 1] > v:
-                        pos -= 1
-                        sign = -sign
-                    if pos > 0 and arranged[pos - 1] == v:
-                        ok = False
-                        break
-                    arranged.insert(pos, v)
-                if ok:
-                    add(tuple(arranged), sign * c)
-            elif kind == "sym":
-                # keys are orbit sums over distinct permutations, so slot
-                # replacement carries the multiplicity correction
-                tgt = tuple(sorted(new))
-                factor = Fraction(multiplicity_factorial(tgt), multiplicity_factorial(key))
-                add(tgt, factor * c)
-            elif kind == "tensor":
-                add(tuple(new), c)
-            else:
-                raise InputError(f"unsupported module {module!r}")
-    return out
-
-
-def _module_signature(g: LieAlgebra, module) -> List[SlotGroup]:
-    kind = module[0]
-    if kind == "triv":
-        return []
-    if kind == "adjoint":
-        return [("none", 1)]
-    if kind == "wedge":
-        return [("anti", module[1])]
-    if kind == "sym":
-        return [("sym", module[1])]
-    if kind == "tensor":
-        return [("none", 1)] * module[1]
-    raise InputError(f"unsupported module {module!r}")
+def multiplicity_factorial(key: Sequence[int]) -> int:
+    """Product of the factorials of the multiplicities of the entries of key."""
+    return prod(factorial(key.count(v)) for v in set(key))
 
 
 KNOWN_MODULES = ("triv", "adjoint", "wedge", "sym", "tensor")
 
 
-class CECochain:
+def module_action(g: LieAlgebra, xi: int, module, key: tuple) -> Dict[tuple, Scalar]:
+    """ad(xi) acting on a module basis element, as a coefficient dict."""
+    kind = module[0]
+    if kind not in KNOWN_MODULES:
+        raise InputError(f"unsupported module {module!r}")
+
+    def terms():
+        # ad(xi) replaces one slot at a time (no slots for the trivial module)
+        for slot in range(len(key)):
+            for m, c in g.bracket(xi, key[slot]).items():
+                new = key[:slot] + (m,) + key[slot + 1 :]
+                if kind == "wedge":
+                    res = _sort_with_sign(new)
+                    if res is not None:
+                        yield res[1], res[0] * c
+                elif kind == "sym":
+                    # keys are orbit sums over distinct permutations, so slot
+                    # replacement carries the multiplicity correction
+                    tgt = tuple(sorted(new))
+                    factor = Fraction(multiplicity_factorial(tgt), multiplicity_factorial(key))
+                    yield tgt, factor * c
+                else:
+                    yield new, c
+
+    return combine(terms())
+
+
+def _cochain_canon(key) -> Optional[Tuple[int, Tuple[tuple, tuple]]]:
+    down, up = key
+    res = _sort_with_sign(down)
+    return None if res is None else (res[0], (res[1], tuple(up)))
+
+
+class CECochain(SparseVector):
     """Element of C^k(g, M): k antisymmetric dual slots plus module slots."""
+
+    _mismatch = "cochain shape mismatch"
 
     def __init__(self, g: LieAlgebra, k: int, module, data=None):
         if not module or module[0] not in KNOWN_MODULES:
@@ -278,87 +233,25 @@ class CECochain:
 
     @classmethod
     def build(cls, g, k, module, entries) -> "CECochain":
-        acc: Dict[Tuple[tuple, tuple], Scalar] = {}
-        for (down, up), coef in entries:
-            if is_zero(coef):
-                continue
-            res = _sort_with_sign(down)
-            if res is None:
-                continue
-            sgn, dkey = res
-            key = (dkey, tuple(up))
-            v = acc.get(key, Fraction(0)) + sgn * coef
-            if is_zero(v):
-                acc.pop(key, None)
-            else:
-                acc[key] = v
-        x = cls.__new__(cls)
-        x.g, x.k, x.module, x.data = g, k, module, acc
+        return cls(g, k, module)._from_terms(canonical_terms(_cochain_canon, entries))
+
+    def _from_terms(self, terms) -> "CECochain":
+        x = CECochain.__new__(CECochain)
+        x.g, x.k, x.module, x.data = self.g, self.k, self.module, combine(terms)
         return x
 
-    def shape(self):
-        return (self.g, self.k, tuple(self.module))
-
-    def compatible(self, other: "CECochain") -> bool:
+    def same_shape(self, other: "CECochain") -> bool:
         return (
             self.k == other.k
             and tuple(self.module) == tuple(other.module)
             and self.g.same_structure(other.g)
         )
 
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def support_size(self) -> int:
-        return len(self.data)
-
-    def _binary(self, other: "CECochain", flip: int) -> "CECochain":
-        if not self.compatible(other):
-            raise InputError("cochain shape mismatch")
-        return CECochain.build(
-            self.g,
-            self.k,
-            self.module,
-            list(self.data.items()) + [(k, flip * v) for k, v in other.data.items()],
-        )
-
-    def __add__(self, other):
-        return self._binary(other, 1)
-
-    def __sub__(self, other):
-        return self._binary(other, -1)
-
-    def scale(self, c: Scalar) -> "CECochain":
-        return CECochain.build(self.g, self.k, self.module, [(k, c * v) for k, v in self.data.items()])
-
-    def __neg__(self):
-        return self.scale(Fraction(-1))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CECochain):
-            return NotImplemented
-        return self.compatible(other) and (self - other).is_zero()
-
     def down_index(self) -> Dict[tuple, Dict[tuple, Scalar]]:
         out: Dict[tuple, Dict[tuple, Scalar]] = {}
         for (down, up), coef in self.data.items():
             out.setdefault(down, {})[up] = coef
         return out
-
-    def to_sparse_tensor(self) -> SparseTensor:
-        groups: List[SlotGroup] = []
-        variances = [DOWN] * self.k
-        pos = self.k
-        if self.k:
-            groups.append(SlotGroup("anti", tuple(range(self.k))))
-        for kind, width in _module_signature(self.g, self.module):
-            variances.extend([UP] * width)
-            groups.append(SlotGroup(kind, tuple(range(pos, pos + width))))
-            pos += width
-        sig = Signature(self.g.dim, variances, groups)
-        return SparseTensor.build(
-            sig, [(down + up, coef) for (down, up), coef in self.data.items()]
-        )
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))
@@ -367,12 +260,6 @@ class CECochain:
 
 def multivector_to_cochain(g: LieAlgebra, mv: Multivector) -> CECochain:
     return CECochain(g, 0, WEDGE(mv.p), {((), key): c for key, c in mv.data.items()})
-
-
-def cochain_to_multivector(x: CECochain) -> Multivector:
-    if x.k != 0 or x.module[0] != "wedge":
-        raise InputError("cochain is not a plain multivector")
-    return Multivector(x.g.dim, x.module[1], {up: c for (_, up), c in x.data.items()})
 
 
 def ce_differential(x: CECochain) -> CECochain:
@@ -551,34 +438,20 @@ class SplitSubalgebra:
 
     def reassembled_bracket(self, i: int, j: int) -> Dict[int, Scalar]:
         """Ambient bracket rebuilt from the stored blocks (for validation)."""
-        hset = set(self.h_indices)
-        out: Dict[int, Scalar] = {}
-
-        def emit(local: Dict[int, Scalar], indices: Tuple[int, ...], sign: int):
-            for k, c in local.items():
-                key = indices[k]
-                v = out.get(key, Fraction(0)) + sign * c
-                if is_zero(v):
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-
-        if i in hset and j in hset:
-            a, b = self.h_indices.index(i), self.h_indices.index(j)
-            emit(self.block("f", a, b), self.h_indices, 1)
-        elif i in hset:
-            a, b = self.h_indices.index(i), self.m_indices.index(j)
-            emit(self.block("A", a, b), self.h_indices, 1)
-            emit(self.block("B", a, b), self.m_indices, 1)
-        elif j in hset:
-            a, b = self.h_indices.index(j), self.m_indices.index(i)
-            emit(self.block("A", a, b), self.h_indices, -1)
-            emit(self.block("B", a, b), self.m_indices, -1)
+        h, m = self.h_indices, self.m_indices
+        if i in h and j in h:
+            a, b, blocks = h.index(i), h.index(j), (("f", h, 1),)
+        elif i in h:
+            a, b, blocks = h.index(i), m.index(j), (("A", h, 1), ("B", m, 1))
+        elif j in h:
+            a, b, blocks = h.index(j), m.index(i), (("A", h, -1), ("B", m, -1))
         else:
-            a, b = self.m_indices.index(i), self.m_indices.index(j)
-            emit(self.block("C", a, b), self.h_indices, 1)
-            emit(self.block("D", a, b), self.m_indices, 1)
-        return out
+            a, b, blocks = m.index(i), m.index(j), (("C", h, 1), ("D", m, 1))
+        return combine(
+            (indices[k], sign * c)
+            for name, indices, sign in blocks
+            for k, c in self.block(name, a, b).items()
+        )
 
 
 def split_subalgebra(

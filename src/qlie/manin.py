@@ -16,7 +16,7 @@ from . import linalg
 from .errors import InputError, PreconditionError
 from .lie import CECochain, LieAlgebra, WEDGE, trace_pairing
 from .qlb import QuasiLieBialgebra
-from .scalars import Scalar, is_zero
+from .scalars import Scalar, combine, is_zero
 from .tensors import Multivector
 
 Matrix = List[List[Fraction]]
@@ -36,15 +36,6 @@ class QuadraticLieAlgebra:
             for j in range(n):
                 if self.pairing[i][j] != self.pairing[j][i]:
                     raise InputError("pairing matrix must be symmetric")
-
-    def pair_vectors(self, x: Dict[int, Scalar], y: Dict[int, Scalar]) -> Scalar:
-        total: Scalar = Fraction(0)
-        for i, xi in x.items():
-            for j, yj in y.items():
-                c = self.pairing[i][j]
-                if c:
-                    total = total + xi * yj * c
-        return total
 
 
 @dataclass
@@ -304,17 +295,18 @@ def triple_to_bialgebra(t: ManinTriple) -> QuasiLieBialgebra:
     for i in range(n):
         for j in range(i + 1, n):
             # [xi^i, xi^j] expanded back in the xi basis
-            comps: Dict[int, Fraction] = {}
-            for k in range(n):
-                for l in range(n):
-                    coef = m[i][k] * m[j][l]
-                    if not coef:
-                        continue
-                    for w, c in d.bracket(t.gstar_indices[k], t.gstar_indices[l]).items():
-                        if w not in spos:
-                            raise InputError("dual subalgebra is not closed")
-                        comps[spos[w]] = comps.get(spos[w], Fraction(0)) + coef * c
-            for w_local, c in comps.items():
+            def terms():
+                for k in range(n):
+                    for l in range(n):
+                        coef = m[i][k] * m[j][l]
+                        if not coef:
+                            continue
+                        for w, c in d.bracket(t.gstar_indices[k], t.gstar_indices[l]).items():
+                            if w not in spos:
+                                raise InputError("dual subalgebra is not closed")
+                            yield spos[w], coef * c
+
+            for w_local, c in combine(terms()).items():
                 for p in range(n):
                     v = c * m_inv[w_local][p]
                     if v:
@@ -350,15 +342,11 @@ def drinfeld_double(b: QuasiLieBialgebra) -> ManinTriple:
     for i in range(n):
         for j in range(n):
             # [x_i, xi^j] = delta^{jk}_i x_k - f^j_{ik} xi^k
-            row: Dict[int, Scalar] = {}
-            for k in range(n):
-                c = delta_comp(j, k, i)
-                if not is_zero(c):
-                    row[k] = row.get(k, Fraction(0)) + c
-                s = g.structure_constant(i, k, j)
-                if not is_zero(s):
-                    row[n + k] = row.get(n + k, Fraction(0)) - s
-            row = {k: v for k, v in row.items() if not is_zero(v)}
+            row = combine(
+                term
+                for k in range(n)
+                for term in ((k, delta_comp(j, k, i)), (n + k, -g.structure_constant(i, k, j)))
+            )
             if row:
                 brackets[(i, n + j)] = row
     for i in range(n):

@@ -20,34 +20,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .errors import InputError, WindowOverflowError
 from .lie import CECochain, LieAlgebra
 from .polyvectors import Element, Mono, PolyVectorAlgebra
-from .scalars import Scalar, is_zero
+from .scalars import Scalar, combine, is_zero, vec_add, vec_scale
 from .tensors import Multivector, SparseTensor
 
 Vec = Dict[int, Scalar]  # sparse coefficient vector over a slice basis
 SliceKey = Tuple[int, int]  # (shifted degree, weight)
 StructureMap = Dict[Tuple[int, int], Vec]  # (i, j) -> output vector
 BracketFn = Callable[[SliceKey, Vec, SliceKey, Vec], Vec]
-
-
-def _vec_add(a: Vec, b: Vec, scale: Scalar = Fraction(1)) -> Vec:
-    out = dict(a)
-    for i, c in b.items():
-        v = out.get(i, Fraction(0)) + scale * c
-        if is_zero(v):
-            out.pop(i, None)
-        else:
-            out[i] = v
-    return out
-
-
-def _vec_scale(a: Vec, c: Scalar) -> Vec:
-    if is_zero(c):
-        return {}
-    return {i: c * v for i, v in a.items()}
-
-
-def _vec_is_zero(a: Vec) -> bool:
-    return not a
 
 
 class WeightGradedDGLA:
@@ -91,15 +70,7 @@ class WeightGradedDGLA:
         cols = self.diff.get(key)
         if cols is None:
             return {}
-        out: Vec = {}
-        for i, c in vec.items():
-            for j, cc in cols[i].items():
-                v = out.get(j, Fraction(0)) + c * cc
-                if is_zero(v):
-                    out.pop(j, None)
-                else:
-                    out[j] = v
-        return out
+        return combine((j, c * cc) for i, c in vec.items() for j, cc in cols[i].items())
 
     def bracket_structure(self, k1: SliceKey, k2: SliceKey) -> StructureMap:
         """The nonzero brackets of basis vectors of two slices, computed afresh."""
@@ -123,7 +94,7 @@ class WeightGradedDGLA:
         for (d, w), cols in self.diff.items():
             for i in range(len(cols)):
                 img = self.apply_diff((d, w), {i: Fraction(1)})
-                if not _vec_is_zero(self.apply_diff((d + 1, w), img)):
+                if self.apply_diff((d + 1, w), img):
                     return False
         return True
 
@@ -143,7 +114,7 @@ class WeightGradedDGLA:
                 rhs = br(k2, {i2: one}, k1, {i1: one})
                 # law: [a, b] = -(-1)^{d1 d2} [b, a] in shifted degrees
                 sign = (-1) ** (k1[0] * k2[0])
-                if not _vec_is_zero(_vec_add(lhs, rhs, Fraction(sign))):
+                if vec_add(lhs, rhs, Fraction(sign)):
                     return False
         for (k1, i1) in pool:
             for (k2, i2) in pool:
@@ -154,11 +125,11 @@ class WeightGradedDGLA:
                     lhs = br(k1, {i1: one}, k23, br(k2, {i2: one}, k3, {i3: one}))
                     t1 = br(k12, br(k1, {i1: one}, k2, {i2: one}), k3, {i3: one})
                     sign = (-1) ** (k1[0] * k2[0])
-                    t2 = _vec_scale(
+                    t2 = vec_scale(
                         br(k2, {i2: one}, k13, br(k1, {i1: one}, k3, {i3: one})),
                         Fraction(sign),
                     )
-                    if not _vec_is_zero(_vec_add(lhs, _vec_add(t1, t2), Fraction(-1))):
+                    if vec_add(lhs, vec_add(t1, t2), Fraction(-1)):
                         return False
         return True
 
@@ -176,10 +147,7 @@ class MCElement:
         if not isinstance(other, MCElement):
             return NotImplemented
         weights = set(self.comps) | set(other.comps)
-        return all(
-            _vec_is_zero(_vec_add(self.weight(w), other.weight(w), Fraction(-1)))
-            for w in weights
-        )
+        return not any(vec_add(self.weight(w), other.weight(w), Fraction(-1)) for w in weights)
 
 
 def mc_residual(L: WeightGradedDGLA, x: MCElement) -> Dict[int, Vec]:
@@ -199,14 +167,14 @@ def mc_residual(L: WeightGradedDGLA, x: MCElement) -> Dict[int, Vec]:
             if (1, w2) not in L.bases:
                 continue
             br = L.apply_bracket((1, w1), x.weight(w1), (1, w2), x.weight(w2))
-            acc = _vec_add(acc, br, Fraction(1, 2))
+            acc = vec_add(acc, br, Fraction(1, 2))
         if acc:
             out[w] = acc
     return out
 
 
 def mc_residual_is_zero(res: Dict[int, Vec]) -> bool:
-    return all(_vec_is_zero(v) for v in res.values())
+    return not any(res.values())
 
 
 # polynomial-in-t vectors: list of Vec, index = power of t
@@ -223,19 +191,19 @@ def _poly_add(a: Poly, b: Poly, scale: Scalar = Fraction(1)) -> Poly:
     for i in range(n):
         va = a[i] if i < len(a) else {}
         vb = b[i] if i < len(b) else {}
-        out.append(_vec_add(va, vb, scale))
+        out.append(vec_add(va, vb, scale))
     return out
 
 
 def _poly_is_zero(a: Poly) -> bool:
-    return all(_vec_is_zero(v) for v in a)
+    return not any(a)
 
 
 def _poly_eval(a: Poly, t: Fraction) -> Vec:
     out: Vec = {}
     power = Fraction(1)
     for coef in a:
-        out = _vec_add(out, coef, power)
+        out = vec_add(out, coef, power)
         power *= t
     return out
 
@@ -270,9 +238,9 @@ def gauge_verify(L: WeightGradedDGLA, x: MCElement, y: MCElement, path: GaugePat
         poly = _poly_weight(path.alpha, w)
         a0 = _poly_eval(poly, Fraction(0))
         a1 = _poly_eval(poly, Fraction(1))
-        if not _vec_is_zero(_vec_add(a0, x.weight(w), Fraction(-1))):
+        if vec_add(a0, x.weight(w), Fraction(-1)):
             endpoints = False
-        if not _vec_is_zero(_vec_add(a1, y.weight(w), Fraction(-1))):
+        if vec_add(a1, y.weight(w), Fraction(-1)):
             endpoints = False
 
     # ODE: d alpha/dt - D lambda - [alpha(t), lambda] == 0 per weight and t power
@@ -282,7 +250,7 @@ def gauge_verify(L: WeightGradedDGLA, x: MCElement, y: MCElement, path: GaugePat
             poly = _poly_weight(path.alpha, w)
             ddt: Poly = []
             for k in range(1, len(poly)):
-                ddt.append(_vec_scale(poly[k], Fraction(k)))
+                ddt.append(vec_scale(poly[k], Fraction(k)))
             rhs: Poly = []
             for w2, lam_vec in path.lam.items():
                 if (0, w2) in L.bases:
@@ -320,7 +288,7 @@ def gauge_verify(L: WeightGradedDGLA, x: MCElement, y: MCElement, path: GaugePat
             conv: Poly = [{} for _ in range(max(len(p1) + len(p2) - 1, 0))]
             for a_pow, va in enumerate(p1):
                 for b_pow, vb in enumerate(p2):
-                    conv[a_pow + b_pow] = _vec_add(
+                    conv[a_pow + b_pow] = vec_add(
                         conv[a_pow + b_pow],
                         L.apply_bracket((1, w1), va, (1, w2), vb),
                         Fraction(1, 2),
@@ -410,7 +378,7 @@ class PolBgCodec:
             self.encode_element((1, 2), P.from_cochain(d_lam)) if not d_lam.is_zero() else {},
         ]
         t1 = P.bracket(delta0_el, lam_el)
-        t2 = P.smul(Fraction(1, 2), P.bracket(P.d(lam_el), lam_el))
+        t2 = vec_scale(P.bracket(P.d(lam_el), lam_el), Fraction(1, 2))
         alpha[3] = [
             x.weight(3),
             self.encode_element((1, 3), t1) if t1 else {},

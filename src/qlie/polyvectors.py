@@ -29,27 +29,18 @@ the tests).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .lie import CECochain, LieAlgebra, SYM, WEDGE
-from .scalars import Scalar, is_zero
+from .lie import CECochain, LieAlgebra, SYM, WEDGE, multiplicity_factorial
+from .scalars import Scalar, combine
 from .tensors import Multivector
 
 # generator = (kind, index) with kind 0 for e^i (dual), 1 for e_i (vector)
 Gen = Tuple[int, int]
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (dual indices, vector indices)
 Element = Dict[Mono, Scalar]
-
-
-def _add_term(acc: Element, mono: Mono, coef: Scalar) -> None:
-    v = acc.get(mono, Fraction(0)) + coef
-    if is_zero(v):
-        acc.pop(mono, None)
-    else:
-        acc[mono] = v
 
 
 class PolyVectorAlgebra:
@@ -61,22 +52,17 @@ class PolyVectorAlgebra:
         self.g = g
         self.n = shift
         self.vec_parity = shift % 2
-        self._d_cov: List[Element] = []
-        self._d_vec: List[Element] = []
-        for i in range(g.dim):
-            el: Element = {}
-            for j in range(g.dim):
-                for k in range(j + 1, g.dim):
-                    c = g.structure_constant(j, k, i)
-                    if not is_zero(c):
-                        _add_term(el, ((j, k), ()), c)
-            self._d_cov.append(el)
-        for i in range(g.dim):
-            el = {}
-            for j in range(g.dim):
-                for k, c in g.bracket(i, j).items():
-                    _add_term(el, ((j,), (k,)), c)
-            self._d_vec.append(el)
+        pairs = list(combinations(range(g.dim), 2))
+        self._d_cov: List[Element] = [
+            combine((((j, k), ()), g.structure_constant(j, k, i)) for j, k in pairs)
+            for i in range(g.dim)
+        ]
+        self._d_vec: List[Element] = [
+            combine(
+                (((j,), (k,)), c) for j in range(g.dim) for k, c in g.bracket(i, j).items()
+            )
+            for i in range(g.dim)
+        ]
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -113,52 +99,33 @@ class PolyVectorAlgebra:
         return self.canonicalize(self.mono_gens(m1) + self.mono_gens(m2))
 
     def mul(self, a: Element, b: Element) -> Element:
-        out: Element = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                res = self.mul_monos(m1, m2)
-                if res is None:
-                    continue
-                sgn, mono = res
-                _add_term(out, mono, sgn * c1 * c2)
-        return out
+        def terms():
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    res = self.mul_monos(m1, m2)
+                    if res is not None:
+                        yield res[1], res[0] * c1 * c2
 
-    @staticmethod
-    def add(a: Element, b: Element) -> Element:
-        out = dict(a)
-        for m, c in b.items():
-            _add_term(out, m, c)
-        return out
-
-    @staticmethod
-    def smul(c: Scalar, a: Element) -> Element:
-        if is_zero(c):
-            return {}
-        return {m: c * v for m, v in a.items()}
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.smul(Fraction(-1), b))
+        return combine(terms())
 
     def apply_odd_derivation(self, images_cov: List[Element], images_vec: List[Element], a: Element) -> Element:
         """Extend generator images (degree odd) as a derivation."""
-        out: Element = {}
-        for mono, coef in a.items():
-            gens = self.mono_gens(mono)
-            prefix_parity = 0
-            for pos, gen in enumerate(gens):
-                image = images_cov[gen[1]] if gen[0] == 0 else images_vec[gen[1]]
-                if image:
+
+        def terms():
+            for mono, coef in a.items():
+                gens = self.mono_gens(mono)
+                prefix_parity = 0
+                for pos, gen in enumerate(gens):
+                    image = images_cov[gen[1]] if gen[0] == 0 else images_vec[gen[1]]
                     sign = -1 if prefix_parity else 1
-                    rest = gens[:pos] + gens[pos + 1 :]
                     for imono, icoef in image.items():
                         seq = gens[:pos] + self.mono_gens(imono) + gens[pos + 1 :]
                         res = self.canonicalize(seq)
-                        if res is None:
-                            continue
-                        csgn, cmono = res
-                        _add_term(out, cmono, sign * csgn * coef * icoef)
-                prefix_parity ^= self.gen_parity(gen)
-        return out
+                        if res is not None:
+                            yield res[1], sign * res[0] * coef * icoef
+                    prefix_parity ^= self.gen_parity(gen)
+
+        return combine(terms())
 
     def d(self, a: Element) -> Element:
         return self.apply_odd_derivation(self._d_cov, self._d_vec, a)
@@ -167,35 +134,39 @@ class PolyVectorAlgebra:
 
     def bracket_monos(self, m1: Mono, m2: Mono) -> Element:
         """[m1, m2] as one sum of single contractions (see the module docstring)."""
+        if set(m1[0]).isdisjoint(m2[1]) and set(m1[1]).isdisjoint(m2[0]):
+            return {}  # no generator of m1 pairs with one of m2
         n, s = self.n, self.n + 1
         gens1, gens2 = self.mono_gens(m1), self.mono_gens(m2)
         k2 = len(m2[0])
         deg2 = self.mono_degree(m2)
-        after = self.mono_degree(m1)
-        out: Element = {}
-        for p, (kind, i) in enumerate(gens1):
-            if kind == 0:  # e^i contracts with each e_i of m2
-                dx, pair = 1, 1
-                qs = [k2 + t for t, j in enumerate(m2[1]) if j == i]
-            else:  # e_i contracts with the e^i of m2
-                dx, pair = n, 1 if n == 1 else -1
-                qs = [q for q, j in enumerate(m2[0]) if j == i]
-            after -= dx
-            for q in qs:
-                res = self.canonicalize(gens1[:p] + gens2[:q] + gens2[q + 1 :] + gens1[p + 1 :])
-                if res is not None:
-                    before = q if q < k2 else k2 + n * (q - k2)
-                    sign = -1 if (after * (deg2 + s) + (dx + s) * before) % 2 else 1
-                    _add_term(out, res[1], pair * sign * res[0])
-        return out
+
+        def terms():
+            after = self.mono_degree(m1)
+            for p, (kind, i) in enumerate(gens1):
+                if kind == 0:  # e^i contracts with each e_i of m2
+                    dx, pair = 1, 1
+                    qs = [k2 + t for t, j in enumerate(m2[1]) if j == i]
+                else:  # e_i contracts with the e^i of m2
+                    dx, pair = n, 1 if n == 1 else -1
+                    qs = [q for q, j in enumerate(m2[0]) if j == i]
+                after -= dx
+                for q in qs:
+                    res = self.canonicalize(gens1[:p] + gens2[:q] + gens2[q + 1 :] + gens1[p + 1 :])
+                    if res is not None:
+                        before = q if q < k2 else k2 + n * (q - k2)
+                        sign = -1 if (after * (deg2 + s) + (dx + s) * before) % 2 else 1
+                        yield res[1], pair * sign * res[0]
+
+        return combine(terms())
 
     def bracket(self, a: Element, b: Element) -> Element:
-        out: Element = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                for m, c in self.bracket_monos(m1, m2).items():
-                    _add_term(out, m, c1 * c2 * c)
-        return out
+        return combine(
+            (m, c1 * c2 * c)
+            for m1, c1 in a.items()
+            for m2, c2 in b.items()
+            for m, c in self.bracket_monos(m1, m2).items()
+        )
 
     # -- encodings -------------------------------------------------------------
 
@@ -223,16 +194,9 @@ class PolyVectorAlgebra:
         """
         if self.n != 2:
             raise InputError("symmetric encoding requires shift 2")
-        out: Element = {}
-        for key, coef in t.items():
-            skey = tuple(sorted(key))
-            mult = 1
-            for v in set(skey):
-                m = skey.count(v)
-                for r in range(2, m + 1):
-                    mult *= r
-            _add_term(out, ((), skey), coef / mult)
-        return out
+        return combine(
+            (((), tuple(sorted(key))), coef / multiplicity_factorial(key)) for key, coef in t.items()
+        )
 
     def from_cochain(self, x: CECochain) -> Element:
         want = "wedge" if self.n == 1 else "sym"
@@ -260,16 +224,7 @@ class PolyVectorAlgebra:
                 return []
             vecs = list(combinations(range(self.g.dim), w))
         else:
-
-            def weak(start, left):
-                if left == 0:
-                    yield ()
-                    return
-                for i in range(start, self.g.dim):
-                    for rest in weak(i, left - 1):
-                        yield (i,) + rest
-
-            vecs = list(weak(0, w))
+            vecs = list(combinations_with_replacement(range(self.g.dim), w))
         return [(c, v) for c in covs for v in vecs]
 
 

@@ -32,8 +32,8 @@ from .lie import (
     multivector_to_cochain,
     sym2_signature,
 )
-from .polyvectors import Element, PolyVectorAlgebra, _add_term, schouten
-from .scalars import Scalar, is_zero
+from .polyvectors import Element, PolyVectorAlgebra, schouten
+from .scalars import Scalar, combine, is_zero, vec_add, vec_scale
 from .tensors import Multivector, SparseTensor, _sort_with_sign, embed_wedge, plain_signature
 
 __all__ = [
@@ -147,7 +147,7 @@ def check_qlb(q: QuasiLieBialgebra) -> QLBResiduals:
 
     res1 = ce_differential(q.delta)
 
-    half_dd = P.smul(Fraction(1, 2), P.bracket(delta_el, delta_el))
+    half_dd = vec_scale(P.bracket(delta_el, delta_el), Fraction(1, 2))
     res2 = P.to_cochain(half_dd, 1, 3) + ce_differential(phi_coch)
 
     phi_el = P.from_multivector(q.phi)
@@ -173,9 +173,8 @@ def twist(q: QuasiLieBialgebra, t: Twist, validate: bool = True) -> QuasiLieBial
     delta_el = P.from_cochain(q.delta)
 
     new_delta = q.delta + ce_differential(lam_coch)
-    correction = P.add(
-        P.bracket(delta_el, lam_el),
-        P.smul(Fraction(-1, 2), P.bracket(lam_el, P.d(lam_el))),
+    correction = vec_add(
+        P.bracket(delta_el, lam_el), P.bracket(lam_el, P.d(lam_el)), Fraction(-1, 2)
     )
     new_phi = q.phi + P.to_multivector(correction, 3)
     return QuasiLieBialgebra(g, new_delta, new_phi)
@@ -478,43 +477,31 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> Morp
     def phi_comp(i, j, k):
         return q.phi.get((i, j, k))
 
-    cov_images = []
-    for i in range(nh):
-        img: Element = dict(Ph._d_cov[i])
-        extra: Element = {}
+    def cov_extra(i):
         for j in range(nh):
             for k in range(nh):
                 pc = phi_comp(i, j, k)
                 if not is_zero(pc):
                     res = Ph.canonicalize([(1, j), (1, k)])
                     if res:
-                        sgn, mono = res
-                        v = extra.get(mono, Fraction(0)) + sgn * pc
-                        extra[mono] = v
+                        yield res[1], res[0] * pc
                 dc = delta_comp(i, j, k)
                 if not is_zero(dc):
                     res = Ph.canonicalize([(0, k), (1, j)])
                     if res:
-                        sgn, mono = res
-                        v = extra.get(mono, Fraction(0)) + sgn * (-dc)
-                        extra[mono] = v
-        img = Ph.add(img, {m: v for m, v in extra.items() if not is_zero(v)})
-        cov_images.append(img)
-    vec_images = []
-    for i in range(nh):
-        img = dict(Ph._d_vec[i])
-        extra = {}
+                        yield res[1], res[0] * (-dc)
+
+    def vec_extra(i):
         for j in range(nh):
             for k in range(nh):
                 dc = delta_comp(j, k, i)  # delta_i^{jk}
                 if not is_zero(dc):
                     res = Ph.canonicalize([(1, j), (1, k)])
                     if res:
-                        sgn, mono = res
-                        v = extra.get(mono, Fraction(0)) + sgn * Fraction(1, 2) * dc
-                        extra[mono] = v
-        img = Ph.add(img, {m: v for m, v in extra.items() if not is_zero(v)})
-        vec_images.append(img)
+                        yield res[1], res[0] * Fraction(1, 2) * dc
+
+    cov_images = [vec_add(Ph._d_cov[i], combine(cov_extra(i))) for i in range(nh)]
+    vec_images = [vec_add(Ph._d_vec[i], combine(vec_extra(i))) for i in range(nh)]
 
     def d_target(el: Element) -> Element:
         return Ph.apply_odd_derivation(cov_images, vec_images, el)
@@ -524,21 +511,12 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> Morp
     mpos = {v: i for i, v in enumerate(split.m_indices)}
 
     def F_gen(i_global: int) -> Element:
-        out: Element = {}
         if i_global in hpos:
             i = hpos[i_global]
-            out[((i,), ())] = Fraction(1)
-            for j in range(nh):
-                pc = P.get((i, j), Fraction(0))
-                if not is_zero(pc):
-                    _add_term(out, ((), (j,)), Fraction(1, 2) * pc)
-        else:
-            a = mpos[i_global]
-            for j in range(nh):
-                qc = Q.get((j, a), Fraction(0))
-                if not is_zero(qc):
-                    _add_term(out, ((), (j,)), qc)
-        return out
+            terms = [(((), (j,)), Fraction(1, 2) * P.get((i, j), Fraction(0))) for j in range(nh)]
+            return combine(terms, {((i,), ()): Fraction(1)})
+        a = mpos[i_global]
+        return combine((((), (j,)), Q.get((j, a), Fraction(0))) for j in range(nh))
 
     def F_apply(el: Element) -> Element:
         out: Element = {}
@@ -548,8 +526,7 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> Morp
             term: Element = {((), ()): coef}
             for i_global in cov:
                 term = Ph.mul(term, F_gen(i_global))
-            for m, v in term.items():
-                _add_term(out, m, v)
+            combine(term.items(), out)
         return out
 
     intertwines = {}
@@ -558,6 +535,6 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> Morp
         lhs = F_apply(Pg.d(gen_el))
         rhs = d_target(F_gen(i_global))
         label = ("e^" if i_global in hpos else "et^") + g.basis[i_global]
-        intertwines[label] = not Ph.sub(lhs, rhs)
+        intertwines[label] = not vec_add(lhs, rhs, Fraction(-1))
 
     return MorphismReport(identities, identities_equal, intertwines)

@@ -24,7 +24,7 @@ from .errors import InputError
 from .lie import LieAlgebra, SplitSubalgebra, sym2_signature
 from .polyvectors import schouten
 from .qlb import casimir_invariance_residual, casimir_to_phi
-from .scalars import Polynomial, RationalFunction, Scalar, is_zero
+from .scalars import Polynomial, RationalFunction, Scalar, combine, is_zero
 from .tensors import (
     KAPPA_CYBE,
     LAMBDA_FORM_PHI_COEFF,
@@ -120,12 +120,10 @@ class SplitReport:
 
 
 def _symmetric_part_entries(r_items) -> Dict[Tuple[int, int], Scalar]:
-    acc: Dict[Tuple[int, int], Scalar] = {}
-    for (i, j), coef in r_items:
-        key = (min(i, j), max(i, j))
-        add = coef if i == j else coef * Fraction(1, 2)
-        acc[key] = acc.get(key, Fraction(0)) + add
-    return {k: v for k, v in acc.items() if not is_zero(v)}
+    return combine(
+        ((min(i, j), max(i, j)), coef if i == j else coef * Fraction(1, 2))
+        for (i, j), coef in r_items
+    )
 
 
 def _antisymmetric_half(g_dim: int, r_items) -> Multivector:

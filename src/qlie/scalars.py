@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Tuple, Union
+from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 
 from .errors import InputError
 
@@ -127,11 +127,6 @@ class Polynomial:
         """Leading term in lex order on exponent tuples."""
         exps = max(self.terms)
         return exps, self.terms[exps]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def derivative(self, var_index: int) -> "Polynomial":
         terms: Dict[Exponents, Fraction] = {}
@@ -367,6 +362,38 @@ def is_zero(s: Scalar) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# sparse combinations: dicts from keys to nonzero scalars
+# ---------------------------------------------------------------------------
+
+Sparse = Dict[Hashable, Scalar]
+
+
+def combine(terms: Iterable[Tuple[Hashable, Scalar]], acc: Optional[Sparse] = None) -> Sparse:
+    """Sum (key, coefficient) terms into acc (a new dict by default),
+    dropping every key whose sum is zero; returns acc."""
+    out: Sparse = {} if acc is None else acc
+    for key, coef in terms:
+        value = out.get(key, Fraction(0)) + coef
+        if is_zero(value):
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
+
+
+def vec_add(a: Sparse, b: Sparse, scale: Scalar = Fraction(1)) -> Sparse:
+    """a + scale * b as a new sparse dict."""
+    return combine(((k, scale * c) for k, c in b.items()), dict(a))
+
+
+def vec_scale(a: Sparse, c: Scalar) -> Sparse:
+    """c * a as a new sparse dict."""
+    if is_zero(c):
+        return {}
+    return {k: c * v for k, v in a.items()}
+
+
+# ---------------------------------------------------------------------------
 # expression parser: +, -, *, /, ^ with integer exponents, parentheses,
 # integer literals and declared variable names; no decimal points
 # ---------------------------------------------------------------------------
@@ -477,7 +504,10 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
             v = v + rhs if op == "+" else v - rhs
         return v
 
-    value = expr()
+    try:
+        value = expr()
+    except ZeroDivisionError:
+        raise InputError(f"division by zero in scalar expression {text!r}") from None
     if toks.peek() is not None:
         raise InputError(f"trailing input in scalar expression at token {toks.peek()!r}")
     return value

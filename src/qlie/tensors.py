@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .scalars import Scalar, is_zero
+from .scalars import Scalar, combine, is_zero
 
 UP = "up"
 DOWN = "down"
@@ -87,6 +87,68 @@ def _sort_with_sign(idx: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]]]
         if a == b:
             return None
     return sign, tuple(items)
+
+
+def canonical_terms(
+    canon: Callable[[Sequence[int]], Optional[Tuple[int, tuple]]],
+    entries: Iterable[Tuple[Sequence[int], Scalar]],
+) -> Iterator[Tuple[tuple, Scalar]]:
+    """Signed canonical (key, coefficient) terms of raw entries.
+
+    Zero coefficients are dropped before canon sees their index; entries
+    that canon maps to None (a repeated antisymmetric index) vanish.
+    """
+    for idx, coef in entries:
+        if is_zero(coef):
+            continue
+        res = canon(idx)
+        if res is not None:
+            yield res[1], res[0] * coef
+
+
+class SparseVector:
+    """Linear structure shared by the sparse containers.
+
+    ``data`` maps canonical keys to nonzero coefficients.  Subclasses
+    supply ``same_shape(other)``, ``_from_terms(terms)`` (a vector of the
+    same shape summed from canonical terms) and the ``_mismatch`` message.
+    """
+
+    data: Dict[tuple, Scalar]
+    _mismatch = "shape mismatch"
+
+    def items(self):
+        return self.data.items()
+
+    def is_zero(self) -> bool:
+        return not self.data
+
+    def support_size(self) -> int:
+        return len(self.data)
+
+    def _binary(self, other, flip: int):
+        if not self.same_shape(other):
+            raise InputError(self._mismatch)
+        return self._from_terms(
+            list(self.data.items()) + [(k, flip * v) for k, v in other.data.items()]
+        )
+
+    def __add__(self, other):
+        return self._binary(other, 1)
+
+    def __sub__(self, other):
+        return self._binary(other, -1)
+
+    def scale(self, c: Scalar):
+        return self._from_terms((k, c * v) for k, v in self.data.items())
+
+    def __neg__(self):
+        return self.scale(Fraction(-1))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.same_shape(other) and (self - other).is_zero()
 
 
 @dataclass(frozen=True)
@@ -163,8 +225,10 @@ def plain_signature(dim: int, arity: int, variance: str = UP) -> Signature:
     )
 
 
-class SparseTensor:
+class SparseTensor(SparseVector):
     """Immutable-by-convention sparse tensor with exact coefficients."""
+
+    _mismatch = "tensor signature mismatch"
 
     def __init__(self, sig: Signature, data: Optional[Dict[Tuple[int, ...], Scalar]] = None):
         self.sig = sig
@@ -187,23 +251,15 @@ class SparseTensor:
     @classmethod
     def build(cls, sig: Signature, entries: Iterable[Tuple[Sequence[int], Scalar]]) -> "SparseTensor":
         """Accumulate arbitrary (index, coefficient) contributions."""
-        acc: Dict[Tuple[int, ...], Scalar] = {}
-        for idx, coef in entries:
-            if is_zero(coef):
-                continue
-            res = sig.canonicalize(idx)
-            if res is None:
-                continue
-            sgn, key = res
-            value = acc.get(key, Fraction(0)) + sgn * coef
-            if is_zero(value):
-                acc.pop(key, None)
-            else:
-                acc[key] = value
-        t = cls.__new__(cls)
-        t.sig = sig
-        t.data = acc
+        return cls(sig)._from_terms(canonical_terms(sig.canonicalize, entries))
+
+    def _from_terms(self, terms) -> "SparseTensor":
+        t = SparseTensor.__new__(SparseTensor)
+        t.sig, t.data = self.sig, combine(terms)
         return t
+
+    def same_shape(self, other: "SparseTensor") -> bool:
+        return self.sig == other.sig
 
     def get(self, idx: Sequence[int]) -> Scalar:
         res = self.sig.canonicalize(idx)
@@ -214,9 +270,6 @@ class SparseTensor:
         if coef is None:
             return Fraction(0)
         return sgn * coef
-
-    def items(self):
-        return self.data.items()
 
     def expanded_items(self):
         """Iterate over all distinct index tuples in each symmetry orbit."""
@@ -251,37 +304,6 @@ class SparseTensor:
 
             yield from ((tup, sgn * coef) for tup, sgn in orbits(0, list(key), 1))
 
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def support_size(self) -> int:
-        return len(self.data)
-
-    def _binary(self, other: "SparseTensor", flip: int) -> "SparseTensor":
-        if self.sig != other.sig:
-            raise InputError("tensor signature mismatch")
-        return SparseTensor.build(
-            self.sig,
-            list(self.data.items()) + [(k, flip * v) for k, v in other.data.items()],
-        )
-
-    def __add__(self, other: "SparseTensor") -> "SparseTensor":
-        return self._binary(other, 1)
-
-    def __sub__(self, other: "SparseTensor") -> "SparseTensor":
-        return self._binary(other, -1)
-
-    def scale(self, c: Scalar) -> "SparseTensor":
-        return SparseTensor.build(self.sig, [(k, c * v) for k, v in self.data.items()])
-
-    def __neg__(self) -> "SparseTensor":
-        return self.scale(Fraction(-1))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseTensor):
-            return NotImplemented
-        return self.sig == other.sig and (self - other).is_zero()
-
     def transpose(self, perm: Sequence[int]) -> "SparseTensor":
         """Permute slots; only for tensors without declared symmetry."""
         if any(g.kind != "none" for g in self.sig.groups):
@@ -300,8 +322,10 @@ class SparseTensor:
         return f"SparseTensor({{{inner}}})"
 
 
-class Multivector:
+class Multivector(SparseVector):
     """Element of the p-th exterior power, stored on increasing tuples."""
+
+    _mismatch = "multivector shape mismatch"
 
     def __init__(self, dim: int, p: int, data: Optional[Dict[Tuple[int, ...], Scalar]] = None):
         self.dim = dim
@@ -320,24 +344,15 @@ class Multivector:
 
     @classmethod
     def build(cls, dim: int, p: int, entries: Iterable[Tuple[Sequence[int], Scalar]]) -> "Multivector":
-        acc: Dict[Tuple[int, ...], Scalar] = {}
-        for idx, coef in entries:
-            if is_zero(coef):
-                continue
-            res = _sort_with_sign(idx)
-            if res is None:
-                continue
-            sgn, key = res
-            value = acc.get(key, Fraction(0)) + sgn * coef
-            if is_zero(value):
-                acc.pop(key, None)
-            else:
-                acc[key] = value
-        mv = cls.__new__(cls)
-        mv.dim = dim
-        mv.p = p
-        mv.data = acc
+        return cls(dim, p)._from_terms(canonical_terms(_sort_with_sign, entries))
+
+    def _from_terms(self, terms) -> "Multivector":
+        mv = Multivector.__new__(Multivector)
+        mv.dim, mv.p, mv.data = self.dim, self.p, combine(terms)
         return mv
+
+    def same_shape(self, other: "Multivector") -> bool:
+        return (self.dim, self.p) == (other.dim, other.p)
 
     @classmethod
     def zero(cls, dim: int, p: int) -> "Multivector":
@@ -353,38 +368,6 @@ class Multivector:
             return Fraction(0)
         sgn, key = res
         return sgn * self.data.get(key, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def _binary(self, other: "Multivector", flip: int) -> "Multivector":
-        if (self.dim, self.p) != (other.dim, other.p):
-            raise InputError("multivector shape mismatch")
-        return Multivector.build(
-            self.dim,
-            self.p,
-            list(self.data.items()) + [(k, flip * v) for k, v in other.data.items()],
-        )
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        return self._binary(other, 1)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self._binary(other, -1)
-
-    def scale(self, c: Scalar) -> "Multivector":
-        return Multivector.build(self.dim, self.p, [(k, c * v) for k, v in self.data.items()])
-
-    def __neg__(self) -> "Multivector":
-        return self.scale(Fraction(-1))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return (self.dim, self.p) == (other.dim, other.p) and (self - other).is_zero()
-
-    def items(self):
-        return self.data.items()
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))

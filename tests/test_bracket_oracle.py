@@ -15,10 +15,14 @@ import pytest
 from conftest import rand_multivector, zero_cobracket
 from qlie.lie import casimir_from_pairing, sl2, sl3
 from qlie.mc import mc_residual, pol_bg
-from qlie.polyvectors import PolyVectorAlgebra, _add_term
+from qlie.polyvectors import PolyVectorAlgebra
 from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, twist
-from qlie.scalars import is_zero
+from qlie.scalars import combine, is_zero
 from qlie.tensors import Multivector
+
+
+def _add_term(acc, mono, coef):
+    combine([(mono, coef)], acc)
 
 
 class RecursiveBracket:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import FIXTURES
 from qlie.cli import main, run
 from qlie.formats import lie_from_dict
@@ -60,6 +62,34 @@ def test_malformed_input_exit_2(tmp_path):
         str(FIXTURES / "killing_sl2.json"),  # wrong signature
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "fixture, where, value, argv",
+    [
+        ("sl2.json", ("brackets", 0, 2, 0, 1), "1/0", ("check-lie", "{}")),
+        ("sl2.json", ("brackets", 0, 2), [7], ("check-lie", "{}")),
+        (
+            "dynamical_r_sl2.json",
+            ("entries", 0, "coef"),
+            "1/(x-x)",
+            ("dynamical", SL2, "--sub", "h", "--r", "{}", "--vars", "x"),
+        ),
+    ],
+    ids=["zero-denominator", "non-list-component", "singular-rmatrix"],
+)
+def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    target = doc
+    for step in where[:-1]:
+        target = target[step]
+    target[where[-1]] = value
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    report, code = invoke(*(a.format(path) for a in argv))
+    assert code == 2
+    assert report["checks"][0]["name"] == "input"
+    assert report["checks"][0]["status"] == "error"
 
 
 def test_check_qlb_and_twist():
@@ -268,4 +298,12 @@ def test_main_prints_json(capsys):
     out = capsys.readouterr().out
     assert code == 0
     doc = json.loads(out)
+    assert doc["checks"][0]["name"] == "lie-axioms"
+
+
+def test_main_reads_json_flag_from_parsed_arguments(capsys):
+    # argparse accepts the unambiguous prefix --js for --json
+    code = main(["check-lie", SL2, "--js"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
     assert doc["checks"][0]["name"] == "lie-axioms"

@@ -1,3 +1,6 @@
+import pytest
+
+from qlie.errors import InputError
 from qlie.formats import lie_from_dict, lie_to_dict
 from qlie.lie import sl2
 
@@ -22,3 +25,21 @@ def test_lie_round_trip_rational_functions():
     back = lie_from_dict(out)
     assert back.same_structure(g)
     assert lie_to_dict(back) == out
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        7,
+        ["e", "f"],
+        ["e", "f", 7],
+        ["e", "f", [7]],
+        ["e", "f", [["h"]]],
+        [["e"], "f", [["h", "1"]]],
+        ["e", "f", [[{"h": 1}, "1"]]],
+    ],
+)
+def test_lie_from_dict_rejects_malformed_bracket_entries(entry):
+    doc = {"name": "g", "basis": ["e", "f", "h"], "brackets": [entry]}
+    with pytest.raises(InputError, match=r"bracket entries are \[x, y, \[\[z, coef\], ...\]\]"):
+        lie_from_dict(doc)

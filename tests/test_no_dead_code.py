@@ -1,0 +1,60 @@
+"""Every function, class and method of the library is used somewhere.
+
+A definition in ``src/qlie`` is dead when its name occurs as a Python
+name token nowhere in ``src/``, ``tests/`` or ``perfbench/`` outside the
+definition's own source lines.  Dunder methods are exempt: Python calls
+them.  Name-based matching is deliberately loose (any use of a name
+keeps every definition of that name alive); what it catches is code that
+nothing mentions at all.
+"""
+
+import ast
+import io
+import tokenize
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "qlie"
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def _definitions(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            yield name, node.lineno, node.end_lineno
+
+
+def _name_lines(path: Path):
+    """name -> line numbers on which it occurs as a NAME token."""
+    out = defaultdict(set)
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
+    for tok in tokens:
+        if tok.type == tokenize.NAME:
+            out[tok.string].add(tok.start[0])
+    return out
+
+
+def dead_definitions():
+    files = sorted(p for top in SEARCHED for p in (ROOT / top).rglob("*.py"))
+    uses = {p: _name_lines(p) for p in files}
+    dead = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for name, start, end in _definitions(path):
+            used = any(
+                p != path or not start <= line <= end
+                for p in files
+                for line in uses[p].get(name, ())
+            )
+            if not used:
+                dead.append(f"{path.relative_to(ROOT)}:{start} {name}")
+    return dead
+
+
+def test_library_has_no_dead_definitions():
+    dead = dead_definitions()
+    assert not dead, "defined but never used: " + ", ".join(dead)

@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_multivector
 from qlie.lie import CECochain, WEDGE, abelian, ce_differential, sl2, sl3
 from qlie.polyvectors import PolyVectorAlgebra, schouten, derived_square
+from qlie.scalars import vec_add, vec_scale
 from qlie.tensors import Multivector
 
 
@@ -48,15 +49,15 @@ def test_bracket_graded_laws(shift):
             lhs = P.bracket_monos(m1, m2)
             rhs = P.bracket_monos(m2, m1)
             sign = -((-1) ** ((d1 + s) * (d2 + s)))
-            assert not P.sub(lhs, P.smul(F(sign), rhs))
+            assert not vec_add(lhs, rhs, F(-sign))
     small = monos[:14]
     for m1, m2, m3 in product(small, small, small):
         d1, d2 = P.mono_degree(m1), P.mono_degree(m2)
         lhs = P.bracket({m1: F(1)}, P.bracket_monos(m2, m3))
         t1 = P.bracket(P.bracket_monos(m1, m2), {m3: F(1)})
         sign = (-1) ** ((d1 + s) * (d2 + s))
-        t2 = P.smul(F(sign), P.bracket({m2: F(1)}, P.bracket_monos(m1, m3)))
-        assert not P.sub(lhs, P.add(t1, t2))
+        t2 = vec_scale(P.bracket({m2: F(1)}, P.bracket_monos(m1, m3)), F(sign))
+        assert not vec_add(lhs, vec_add(t1, t2), F(-1))
 
 
 @pytest.mark.parametrize("shift", [1, 2])
@@ -78,8 +79,8 @@ def test_differential_is_bracket_derivation(rng):
             a, b = {m1: F(1)}, {m2: F(1)}
             lhs = P.d(P.bracket(a, b))
             sign = (-1) ** (P.mono_degree(m1) + s)
-            rhs = P.add(P.bracket(P.d(a), b), P.smul(F(sign), P.bracket(a, P.d(b))))
-            assert not P.sub(lhs, rhs)
+            rhs = vec_add(P.bracket(P.d(a), b), P.bracket(a, P.d(b)), F(sign))
+            assert not vec_add(lhs, rhs, F(-1))
 
 
 def test_engine_matches_slot_differential(rng):
@@ -143,7 +144,7 @@ def test_schouten_agrees_with_derived_bracket(rng):
                 a = rand_multivector(g, p, rng)
                 b = rand_multivector(g, q, rng)
                 direct = schouten(g, a, b)
-                el = P.smul(F(-1), P.bracket(P.from_multivector(a), P.d(P.from_multivector(b))))
+                el = vec_scale(P.bracket(P.from_multivector(a), P.d(P.from_multivector(b))), F(-1))
                 assert P.to_multivector(el, p + q - 1) == direct
 
 

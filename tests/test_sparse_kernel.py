@@ -1,0 +1,145 @@
+"""The sparse-combination kernel and the containers built on it.
+
+`combine` sums (key, coefficient) terms and drops zero sums; the
+`SparseVector` containers (`SparseTensor`, `Multivector`, `CECochain`)
+take their linear structure from it.  Each container is checked against
+entrywise arithmetic on seeded data, over Q and over a rational-function
+field.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from qlie.errors import InputError
+from qlie.lie import ADJOINT, CECochain, sl3
+from qlie.scalars import RationalFunction, combine, is_zero, vec_add, vec_scale
+from qlie.tensors import DOWN, UP, Multivector, Signature, SlotGroup, SparseTensor, plain_signature
+
+VARS = ("x", "y")
+
+
+def tensor_case():
+    sig = Signature(4, [UP, UP, DOWN], [SlotGroup("anti", (0, 1)), SlotGroup("none", (2,))])
+    return {
+        "make": lambda data: SparseTensor(sig, data),
+        "build": lambda entries: SparseTensor.build(sig, entries),
+        "keys": [(i, j, k) for i, j in combinations(range(4), 2) for k in range(4)],
+        "other": SparseTensor(plain_signature(4, 3)),
+        "repeated": (1, 1, 2),
+        "swap": lambda key: (key[1], key[0], key[2]),
+    }
+
+
+def multivector_case():
+    return {
+        "make": lambda data: Multivector(6, 2, data),
+        "build": lambda entries: Multivector.build(6, 2, entries),
+        "keys": list(combinations(range(6), 2)),
+        "other": Multivector(5, 2),
+        "repeated": (3, 3),
+        "swap": lambda key: (key[1], key[0]),
+    }
+
+
+def cochain_case():
+    g = sl3()
+    return {
+        "make": lambda data: CECochain(g, 2, ADJOINT, data),
+        "build": lambda entries: CECochain.build(g, 2, ADJOINT, entries),
+        "keys": [(down, (u,)) for down in combinations(range(g.dim), 2) for u in range(g.dim)],
+        "other": CECochain(g, 1, ADJOINT),
+        "repeated": ((2, 2), (0,)),
+        "swap": lambda key: ((key[0][1], key[0][0]), key[1]),
+    }
+
+
+CASES = {"SparseTensor": tensor_case, "Multivector": multivector_case, "CECochain": cochain_case}
+
+
+def rand_scalar(rng, ratfun):
+    c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if not ratfun:
+        return c
+    x, y = (RationalFunction.var(VARS, v) for v in VARS)
+    return c + rng.randint(-1, 1) * x / (y + rng.randint(1, 3))
+
+
+def entrywise(keys, op, *vectors):
+    out = {}
+    for k in keys:
+        v = op(*(d.get(k, Fraction(0)) for d in vectors))
+        if not is_zero(v):
+            out[k] = v
+    return out
+
+
+@pytest.mark.parametrize("ratfun", [False, True], ids=["fraction", "ratfun"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_linear_structure_is_entrywise(case, ratfun):
+    c = CASES[case]()
+    keys, make = c["keys"], c["make"]
+    rng = random.Random(f"{case}/{ratfun}")
+    sx = rng.sample(keys, 12)
+    sy = sx[:4] + rng.sample(keys, 8)  # overlapping supports
+    dx = {k: v for k in sx if not is_zero(v := rand_scalar(rng, ratfun))}
+    dy = {k: v for k in sy if not is_zero(v := rand_scalar(rng, ratfun))}
+    dy[sx[0]] = -dx[sx[0]] if sx[0] in dx else Fraction(1)  # one entry cancels in x + y
+    x, y = make(dx), make(dy)
+    s = rand_scalar(rng, ratfun) or Fraction(2)
+
+    assert (x + y).data == entrywise(keys, lambda a, b: a + b, dx, dy)
+    assert (x - y).data == entrywise(keys, lambda a, b: a - b, dx, dy)
+    assert x.scale(s).data == entrywise(keys, lambda a: s * a, dx)
+    assert (-x).data == entrywise(keys, lambda a: -a, dx)
+    assert dict(x.items()) == dx and x.support_size() == len(dx)
+    assert x + y == y + x and x - y + y == x and -(-x) == x
+    assert x == make(dx) and x != x + make({keys[0]: Fraction(1)})
+    assert (x - x).is_zero() and x.scale(Fraction(0)).is_zero()
+
+    for bad in (lambda: x + c["other"], lambda: x - c["other"]):
+        with pytest.raises(InputError):
+            bad()
+    assert x != c["other"]
+
+
+@pytest.mark.parametrize("ratfun", [False, True], ids=["fraction", "ratfun"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_build_signs_and_cancellation(case, ratfun):
+    c = CASES[case]()
+    build, swap = c["build"], c["swap"]
+    rng = random.Random(f"build/{case}/{ratfun}")
+    zero = RationalFunction.const(VARS, 0) if ratfun else Fraction(0)
+    # a zero coefficient is dropped before its index is canonicalised, and a
+    # nonzero one on a repeated antisymmetric index vanishes
+    assert build([(c["repeated"], zero)]).is_zero()
+    assert build([(c["repeated"], Fraction(1))]).is_zero()
+    key = rng.choice(c["keys"])
+    v = rand_scalar(rng, ratfun) or Fraction(1)
+    assert build([(swap(key), v)]).data == {key: -v}
+    assert build([(key, v), (swap(key), v)]).is_zero()
+    x = build([(k, rand_scalar(rng, ratfun)) for k in rng.sample(c["keys"], 10)])
+    assert build(list(x.items()) + [(swap(k), w) for k, w in x.items()]).is_zero()
+
+
+def test_combine_sums_and_drops_zeros():
+    one, two = Fraction(1), Fraction(2)
+    assert combine([("a", one), ("b", two), ("a", -one)]) == {"b": two}
+    acc = {"a": one}
+    assert combine([("a", one), ("c", Fraction(0))], acc) is acc
+    assert acc == {"a": two}
+    x = RationalFunction.var(VARS, "x")
+    assert combine([("a", x / (x + 1)), ("a", 1 / (x + 1))]) == {"a": Fraction(1)}
+    assert combine([("a", x), ("a", -x)]) == {}
+
+
+def test_vec_add_and_scale_leave_their_arguments():
+    a = {0: Fraction(1), 1: Fraction(2)}
+    b = {1: Fraction(1), 2: Fraction(3)}
+    assert vec_add(a, b, Fraction(-2)) == {0: Fraction(1), 2: Fraction(-6)}
+    assert vec_add(a, b) == {0: Fraction(1), 1: Fraction(3), 2: Fraction(3)}
+    assert a == {0: Fraction(1), 1: Fraction(2)} and b == {1: Fraction(1), 2: Fraction(3)}
+    assert vec_scale(a, Fraction(1, 2)) == {0: Fraction(1, 2), 1: Fraction(1)}
+    assert vec_scale(a, Fraction(0)) == {}
