@@ -31,9 +31,12 @@ def read_json(path: str, inputs: Dict[str, str]) -> dict:
         raise InputError(f"cannot read JSON file {path}: {exc}") from None
     inputs[path] = hashlib.sha256(data).hexdigest()
     try:
-        return json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"JSON file {path} must hold an object, not {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +60,9 @@ def lie_from_dict(doc: dict) -> LieAlgebra:
     for key in ("name", "basis"):
         if key not in doc:
             raise InputError(f"Lie algebra file is missing the {key!r} entry")
-    basis = list(doc["basis"])
+    basis = doc["basis"]
+    if not isinstance(basis, list) or any(isinstance(label, (list, dict)) for label in basis):
+        raise InputError("basis is a list of scalar labels")
     variables = field_variables(doc)
     index = {label: i for i, label in enumerate(basis)}
     brackets = {}
@@ -115,12 +120,15 @@ def lie_to_dict(g: LieAlgebra) -> dict:
 # ---------------------------------------------------------------------------
 
 def _parse_entries(doc: dict, g: LieAlgebra, arity: int, variables: Tuple[str, ...]):
+    records = doc.get("entries", [])
+    if not isinstance(records, list) or not all(
+        isinstance(rec, dict) and isinstance(rec.get("idx"), list) and rec.get("coef") is not None
+        for rec in records
+    ):
+        raise InputError("tensor entries are records {'idx': [...], 'coef': '...'}")
     entries = []
-    for rec in doc.get("entries", []):
-        idx = rec.get("idx")
-        coef = rec.get("coef")
-        if idx is None or coef is None:
-            raise InputError("tensor entries are records {'idx': [...], 'coef': '...'}")
+    for rec in records:
+        idx, coef = rec["idx"], rec["coef"]
         if len(idx) != arity:
             raise InputError(f"tensor entry {idx} has arity {len(idx)}, expected {arity}")
         entries.append((tuple(g.index(lab) for lab in idx), parse_scalar(str(coef), variables)))

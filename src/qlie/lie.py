@@ -302,15 +302,13 @@ def ce_differential(x: CECochain) -> CECochain:
 def invariants(g: LieAlgebra, module) -> List[CECochain]:
     """Exact basis of ker(d restricted to C^0) = module invariants."""
     keys = module_basis(g, module)
-    key_pos = {key: i for i, key in enumerate(keys)}
     rows = []
     for xi in range(g.dim):
-        images: Dict[tuple, Dict[tuple, Scalar]] = {}
-        for key in keys:
-            images[key] = module_action(g, xi, module, key)
-        out_keys = sorted({k for img in images.values() for k in img})
-        for ok in out_keys:
-            rows.append([Fraction(images[key].get(ok, 0)) for key in keys])
+        by_out: Dict[tuple, Dict[int, Scalar]] = {}
+        for j, key in enumerate(keys):
+            for ok, c in module_action(g, xi, module, key).items():
+                by_out.setdefault(ok, {})[j] = c
+        rows.extend(by_out[ok] for ok in sorted(by_out))
     basis = linalg.nullspace(rows, n_cols=len(keys))
     out = []
     for vec in basis:
@@ -337,26 +335,17 @@ def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
         for down, up in src:
             x = CECochain(g, k, module, {(down, up): Fraction(1)})
             dx = ce_differential(x)
-            col: Dict[int, Fraction] = {}
-            for key, coef in dx.data.items():
-                col[dst_pos[key]] = Fraction(coef)
-            cols.append(col)
-        return cols, len(dst)
+            cols.append({dst_pos[key]: coef for key, coef in dx.data.items()})
+        return cols
 
+    # rank(d) = rank(d^T), so the sparse columns of d go in as rows
     n_k = len(cochain_keys(degree))
     if n_k == 0:
         return 0
-    cols_k, rows_k = d_matrix(degree)
-    mat_k = [[cols_k[j].get(i, Fraction(0)) for j in range(n_k)] for i in range(rows_k)]
-    rank_k = linalg.rank(mat_k) if rows_k else 0
-    dim_ker = n_k - rank_k
+    dim_ker = n_k - linalg.rank(d_matrix(degree))
     if degree == 0:
         return dim_ker
-    n_prev = len(cochain_keys(degree - 1))
-    cols_p, rows_p = d_matrix(degree - 1)
-    mat_p = [[cols_p[j].get(i, Fraction(0)) for j in range(n_prev)] for i in range(rows_p)]
-    rank_p = linalg.rank(mat_p) if n_prev and rows_p else 0
-    return dim_ker - rank_p
+    return dim_ker - linalg.rank(d_matrix(degree - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +537,9 @@ def sl3() -> LieAlgebra:
         rhs = []
         for i in range(n):
             for j in range(n):
-                rows.append([basis_mats[b][i][j] for b in range(len(labels))])
+                rows.append(dict(enumerate(basis_mats[b][i][j] for b in range(len(labels)))))
                 rhs.append(m[i][j])
-        sol = linalg.solve(rows, rhs)
+        sol = linalg.solve(rows, rhs, len(labels))
         if sol is None:
             raise InputError("matrix outside sl3 span")
         for b, c in enumerate(sol):

@@ -52,7 +52,7 @@ class QuadraticReport:
 def check_quadratic(d: QuadraticLieAlgebra) -> QuadraticReport:
     """Nondegeneracy by exact rank, invariance by exhaustive scan."""
     g = d.lie
-    nondeg = linalg.rank(d.pairing) == g.dim
+    nondeg = linalg.rank(dict(enumerate(row)) for row in d.pairing) == g.dim
     for i in range(g.dim):
         for j in range(g.dim):
             for k in range(g.dim):
@@ -151,8 +151,7 @@ def _rebase(
 ) -> Tuple[LieAlgebra, Matrix]:
     """Build a Lie algebra on new basis vectors given coordinatewise data."""
     dim = len(vectors)
-    cols = [[vectors[a][i] for a in range(dim)] for i in range(len(vectors[0]))]
-    inv = linalg.invert([[cols[i][a] for a in range(dim)] for i in range(len(vectors[0]))])
+    inv = linalg.invert([[vectors[a][i] for a in range(dim)] for i in range(len(vectors[0]))])
 
     def expand(vec: List[Fraction]) -> Dict[int, Fraction]:
         out = {}
@@ -289,7 +288,6 @@ def triple_to_bialgebra(t: ManinTriple) -> QuasiLieBialgebra:
         [t.quad.pairing[t.gstar_indices[k]][t.g_indices[j]] for j in range(n)] for k in range(n)
     ]
     m = linalg.invert(gram)  # xi^i = sum_k m[i][k] y_k pairs dually with the x_j
-    m_inv = linalg.invert(m)
     spos = {v: k for k, v in enumerate(t.gstar_indices)}
     delta_entries = []
     for i in range(n):
@@ -308,7 +306,7 @@ def triple_to_bialgebra(t: ManinTriple) -> QuasiLieBialgebra:
 
             for w_local, c in combine(terms()).items():
                 for p in range(n):
-                    v = c * m_inv[w_local][p]
+                    v = c * gram[w_local][p]
                     if v:
                         delta_entries.append((((p,), (i, j)), v))
     delta = CECochain.build(g_sub, 1, WEDGE(2), delta_entries)

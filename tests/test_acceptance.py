@@ -312,7 +312,7 @@ def test_criterion_10_manin_suite():
     all_keys = sorted({k for im in images for k in im.data} | set(b.delta.data))
     rows = [[F(im.data.get(key, 0)) for im in images] for key in all_keys]
     rhs = [F(b.delta.data.get(key, 0)) for key in all_keys]
-    sol = solve(rows, rhs)
+    sol = solve([dict(enumerate(row)) for row in rows], rhs, len(keys2))
     assert sol is not None and sol[0] != 0 and sol[1] == 0 and sol[2] == 0
     # double-Jacobi fails precisely on non-cocycle inputs
     n_valid = 0

@@ -92,6 +92,36 @@ def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv):
     assert report["checks"][0]["status"] == "error"
 
 
+@pytest.mark.parametrize("text", ["5", "[]", '"sl2"'], ids=["number", "list", "string"])
+def test_non_object_document_exit_2(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    report, code = invoke("check-lie", str(path))
+    assert code == 2
+    assert report["checks"][0]["name"] == "input"
+    assert "must hold an object" in report["checks"][0]["detail"]["message"]
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        {"signature": "wedge3", "entries": [{"idx": 5, "coef": "1"}]},
+        {"signature": "wedge3", "entries": "x"},
+        {"signature": "wedge3", "entries": [["e", "f", "h"]]},
+    ],
+    ids=["scalar-idx", "string-entries", "list-entry"],
+)
+def test_malformed_tensor_document_exit_2(tmp_path, phi):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(phi))
+    report, code = invoke(
+        "check-qlb", SL2, "--delta", str(FIXTURES / "delta_std_sl2.json"), "--phi", str(path)
+    )
+    assert code == 2
+    assert report["checks"][0]["name"] == "input"
+    assert report["checks"][0]["status"] == "error"
+
+
 def test_check_qlb_and_twist():
     report, code = invoke(
         "check-qlb",

@@ -27,19 +27,31 @@ def test_lie_round_trip_rational_functions():
     assert lie_to_dict(back) == out
 
 
+BRACKET_SHAPE = r"bracket entries are \[x, y, \[\[z, coef\], ...\]\]"
+BASIS_SHAPE = "basis is a list of scalar labels"
+
+
 @pytest.mark.parametrize(
-    "entry",
+    "basis, entry, message",
     [
-        7,
-        ["e", "f"],
-        ["e", "f", 7],
-        ["e", "f", [7]],
-        ["e", "f", [["h"]]],
-        [["e"], "f", [["h", "1"]]],
-        ["e", "f", [[{"h": 1}, "1"]]],
+        (["e", "f", "h"], entry, BRACKET_SHAPE)
+        for entry in [
+            7,
+            ["e", "f"],
+            ["e", "f", 7],
+            ["e", "f", [7]],
+            ["e", "f", [["h"]]],
+            [["e"], "f", [["h", "1"]]],
+            ["e", "f", [[{"h": 1}, "1"]]],
+        ]
+    ]
+    + [
+        (["e", ["f"], "h"], ["e", "h", [["h", "1"]]], BASIS_SHAPE),
+        ("efh", ["e", "h", [["h", "1"]]], BASIS_SHAPE),
     ],
+    ids=["7"] + [f"entry{i}" for i in range(1, 7)] + ["list-basis-label", "string-basis"],
 )
-def test_lie_from_dict_rejects_malformed_bracket_entries(entry):
-    doc = {"name": "g", "basis": ["e", "f", "h"], "brackets": [entry]}
-    with pytest.raises(InputError, match=r"bracket entries are \[x, y, \[\[z, coef\], ...\]\]"):
+def test_lie_from_dict_rejects_malformed_bracket_entries(basis, entry, message):
+    doc = {"name": "g", "basis": basis, "brackets": [entry]}
+    with pytest.raises(InputError, match=message):
         lie_from_dict(doc)

@@ -122,7 +122,7 @@ def test_invariants_match_kernel_of_differential(rng):
                 out_keys.update(dx.data)
             out_keys = sorted(out_keys)
             rows = [[F(img.get(ok, 0)) for img in images] for ok in out_keys]
-            dim_kernel = len(keys) - (linalg.rank(rows) if rows else 0)
+            dim_kernel = len(keys) - linalg.rank(dict(enumerate(row)) for row in rows)
             assert dim_kernel == len(basis)
 
 

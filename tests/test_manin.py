@@ -112,7 +112,7 @@ def test_triple_to_bialgebra_sl2():
     all_keys = sorted({k for im in images for k in im.data} | set(b.delta.data))
     rows = [[F(im.data.get(key, 0)) for im in images] for key in all_keys]
     rhs = [F(b.delta.data.get(key, 0)) for key in all_keys]
-    sol = solve(rows, rhs)
+    sol = solve([dict(enumerate(row)) for row in rows], rhs, len(keys2))
     assert sol is not None
     # lambda proportional to e ^ f: only the (e, f) coordinate is nonzero
     assert sol[0] != 0 and sol[1] == 0 and sol[2] == 0
