@@ -189,7 +189,7 @@ def cmd_dynamical(args, inputs):
     variables = tuple(s for s in args.vars.split(",") if s)
     doc = formats.read_json(args.r, inputs)
     doc.setdefault("vars", list(variables))
-    if tuple(doc["vars"]) != variables:
+    if formats.variable_names(doc["vars"], "a tensor's 'vars'") != variables:
         raise InputError("--vars disagrees with the tensor file header")
     tensor = formats.tensor_from_dict(doc, g, "gg")
     locus = formats.polynomials_from_strings(doc.get("locus", []), variables)

@@ -43,13 +43,22 @@ def read_json(path: str, inputs: Dict[str, str]) -> dict:
 # Lie algebras
 # ---------------------------------------------------------------------------
 
+def variable_names(value, where: str) -> Tuple[str, ...]:
+    """A JSON list of variable names as a tuple; anything else is an InputError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InputError(f"{where} is a list of variable names")
+    return tuple(value)
+
+
 def field_variables(doc: dict) -> Tuple[str, ...]:
     field = doc.get("field", {"type": "rational"})
+    if not isinstance(field, dict):
+        raise InputError("field is an object such as {'type': 'rational'}")
     ftype = field.get("type")
     if ftype == "rational":
         return ()
     if ftype == "ratfun":
-        variables = tuple(field.get("vars", ()))
+        variables = variable_names(field.get("vars", []), "the ratfun field's 'vars'")
         if not variables:
             raise InputError("ratfun field requires a nonempty variable list")
         return variables
@@ -141,7 +150,7 @@ def tensor_from_dict(doc: dict, g: LieAlgebra, expect: Optional[str] = None):
         raise InputError(f"unknown tensor signature {sig!r}; expected one of {TENSOR_SIGNATURES}")
     if expect is not None and sig != expect:
         raise InputError(f"tensor has signature {sig!r}, expected {expect!r}")
-    variables = tuple(doc.get("vars", ()))
+    variables = variable_names(doc.get("vars", []), "a tensor's 'vars'")
     if sig == "wedge2":
         return Multivector.build(g.dim, 2, _parse_entries(doc, g, 2, variables))
     if sig == "wedge3":
@@ -187,7 +196,11 @@ def cochain_to_entries(x: CECochain) -> List[dict]:
 
 def matrix_from_dict(doc: dict, dim: int) -> List[List[Fraction]]:
     rows = doc.get("matrix")
-    if rows is None or len(rows) != dim or any(len(r) != dim for r in rows):
+    if (
+        not isinstance(rows, list)
+        or len(rows) != dim
+        or any(not isinstance(r, list) or len(r) != dim for r in rows)
+    ):
         raise InputError(f"pairing file must hold a {dim} x {dim} 'matrix'")
     out = []
     for row in rows:

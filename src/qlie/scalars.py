@@ -1,13 +1,34 @@
 """Exact scalars: rationals and multivariate rational functions.
 
 Rationals are plain ``fractions.Fraction`` (lowest terms, positive
-denominator, courtesy of the stdlib).  Rational functions are pairs of
-multivariate polynomials with Fraction coefficients over a fixed ordered
-variable tuple.  Equality of rational functions is decided by
-cross-multiplication and polynomial identity, never by sampling.
-Reduction strips rational content and common monomial factors; a full
-multivariate gcd is deliberately not attempted since nothing downstream
-needs it for correctness.
+denominator, courtesy of the stdlib).  Polynomials have Fraction
+coefficients over a fixed ordered variable tuple.
+
+A rational function is a numerator polynomial over a multiset of
+normalised denominator factors, ``num / prod(f ** e)``.  A normalised
+factor is either a single variable or a non-constant polynomial with no
+monomial factor, divided by its rational content and signed so that its
+lex-leading coefficient is positive.  Every polynomial that is divided by
+(by ``/``, by the ``RationalFunction(num, den)`` constructor, hence by
+the parser) is split as ``c * x^m * q``: the constant c goes into the
+numerator, each variable of the monomial x^m becomes a factor and so does
+q.  The factors are not factored further and no multivariate gcd is
+taken.  Instead:
+
+* ``+`` brings both sides over the lcm of their exponent vectors, ``*``
+  adds the exponent vectors, and ``d(f^-e) = -e f' f^-(e+1)`` gives the
+  derivative;
+* the reduction then exact-divides the numerator by each factor for as
+  long as it divides, lowering that factor's exponent.
+
+The poles of the dynamical r-matrices checked here lie on a few root
+hyperplanes, so denominators stay products of powers of a few factors and
+sums do not swell.  The representation is not canonical (the factors x+y
+and x^2+2xy+y^2 are different keys), so equality is decided by bringing
+both sides over the lcm and comparing numerators, never by sampling.  The
+expanded denominator ``den`` is primitive with a positive lex-leading
+coefficient; a value is constant exactly when it has no factors left,
+since the reduction cancels every factor of a constant quotient.
 """
 
 from __future__ import annotations
@@ -19,6 +40,10 @@ from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 from .errors import InputError
 
 Exponents = Tuple[int, ...]
+
+# integer exponent literals in a scalar expression are capped: x^99999999
+# or 2^99999999 would take seconds to expand before anything could check it
+MAX_EXPONENT = 64
 
 
 class Polynomial:
@@ -38,6 +63,15 @@ class Polynomial:
                         raise InputError("exponent tuple does not match variable count")
                     clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, variables: Tuple[str, ...], terms: Dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap terms that are already clean: nonzero Fractions on exponent
+        tuples of the right length."""
+        p = object.__new__(cls)
+        p.vars = variables
+        p.terms = terms
+        return p
 
     @classmethod
     def const(cls, variables: Tuple[str, ...], value) -> "Polynomial":
@@ -71,37 +105,31 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        return Polynomial(self.vars, terms)
+        return Polynomial._of(self.vars, combine(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return Polynomial(self.vars, terms)
+        pairs = other.terms.items()
+        return Polynomial._of(
+            self.vars,
+            combine(
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in pairs
+            ),
+        )
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self.vars, {e: v * c for e, v in self.terms.items()})
+        if not c:
+            return Polynomial._of(self.vars, {})
+        return Polynomial._of(self.vars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -111,8 +139,9 @@ class Polynomial:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -121,7 +150,8 @@ class Polynomial:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # the support alone: cheap, and equal polynomials share it
+        return hash((self.vars, frozenset(self.terms)))
 
     def leading(self) -> Tuple[Exponents, Fraction]:
         """Leading term in lex order on exponent tuples."""
@@ -129,17 +159,17 @@ class Polynomial:
         return exps, self.terms[exps]
 
     def derivative(self, var_index: int) -> "Polynomial":
-        terms: Dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            k = exps[var_index]
-            if k:
-                key = tuple(e - 1 if i == var_index else e for i, e in enumerate(exps))
-                s = terms.get(key, Fraction(0)) + c * k
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return Polynomial(self.vars, terms)
+        return Polynomial._of(
+            self.vars,
+            combine(
+                (
+                    tuple(e - 1 if i == var_index else e for i, e in enumerate(exps)),
+                    c * exps[var_index],
+                )
+                for exps, c in self.terms.items()
+                if exps[var_index]
+            ),
+        )
 
     def evaluate(self, point: Dict[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -156,18 +186,26 @@ class Polynomial:
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = Polynomial(self.vars, dict(self.terms))
+        rem = dict(self.terms)
         quo: Dict[Exponents, Fraction] = {}
         dexp, dcoef = divisor.leading()
-        while rem.terms:
-            rexp, rcoef = rem.leading()
+        while rem:
+            # the lex-leading term of rem falls at every step, so each
+            # quotient exponent is new
+            rexp = max(rem)
             qexp = tuple(a - b for a, b in zip(rexp, dexp))
             if any(e < 0 for e in qexp):
                 return None
-            qc = rcoef / dcoef
-            quo[qexp] = quo.get(qexp, Fraction(0)) + qc
-            rem = rem - divisor * Polynomial(self.vars, {qexp: qc})
-        return Polynomial(self.vars, quo)
+            qc = rem[rexp] / dcoef
+            quo[qexp] = qc
+            combine(
+                (
+                    (tuple(a + b for a, b in zip(e, qexp)), -qc * c)
+                    for e, c in divisor.terms.items()
+                ),
+                rem,
+            )
+        return Polynomial._of(self.vars, quo)
 
     def content_monomial(self) -> Exponents:
         """Largest monomial dividing every term (zero tuple if constant-free)."""
@@ -177,7 +215,7 @@ class Polynomial:
         return tuple(mins)
 
     def shift_down(self, mono: Exponents) -> "Polynomial":
-        return Polynomial(
+        return Polynomial._of(
             self.vars, {tuple(a - b for a, b in zip(e, mono)): c for e, c in self.terms.items()}
         )
 
@@ -218,57 +256,120 @@ class Polynomial:
     __repr__ = __str__
 
 
-class RationalFunction:
-    """Quotient of two polynomials over the same variable tuple."""
+# ---------------------------------------------------------------------------
+# factored denominators: {normalised factor: exponent}
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("vars", "num", "den")
+Factors = Dict[Polynomial, int]
+
+
+def _normalised_factors(p: Polynomial) -> Tuple[Fraction, Factors]:
+    """Split a nonzero p as c * prod(f ** e) over normalised factors f: one
+    per variable of p's content monomial, and the rest of p divided by its
+    signed rational content unless that rest is constant."""
+    n = len(p.vars)
+    mono = p.content_monomial()
+    factors: Factors = {
+        Polynomial._of(p.vars, {tuple(int(j == i) for j in range(n)): Fraction(1)}): e
+        for i, e in enumerate(mono)
+        if e
+    }
+    if any(mono):
+        p = p.shift_down(mono)
+    c = p.rational_content()
+    if p.leading()[1] < 0:
+        c = -c
+    if not p.is_constant():
+        factors[p.scale(1 / c)] = 1
+    return c, factors
+
+
+def _times(p: Polynomial, factors: Factors) -> Polynomial:
+    """p * prod(f ** e)."""
+    for f, e in factors.items():
+        for _ in range(e):
+            p = p * f
+    return p
+
+
+def _reduce(num: Polynomial, factors: Factors) -> Tuple[Polynomial, Factors]:
+    """Exact-divide num by each factor for as long as it divides."""
+    if num.is_zero():
+        return num, {}
+    kept: Factors = {}
+    for f, e in factors.items():
+        while e:
+            q = num.exact_div(f)
+            if q is None:
+                kept[f] = e
+                break
+            num, e = q, e - 1
+    return num, kept
+
+
+def _over_lcm(
+    a: "RationalFunction", b: "RationalFunction"
+) -> Tuple[Polynomial, Polynomial, Factors]:
+    """Numerators of a and b over the lcm of their exponent vectors, and that lcm."""
+    if a.factors == b.factors:
+        return a.num, b.num, a.factors
+    lcm = dict(a.factors)
+    for f, e in b.factors.items():
+        if e > lcm.get(f, 0):
+            lcm[f] = e
+    return (
+        _times(a.num, {f: e - a.factors.get(f, 0) for f, e in lcm.items()}),
+        _times(b.num, {f: e - b.factors.get(f, 0) for f, e in lcm.items()}),
+        lcm,
+    )
+
+
+class RationalFunction:
+    """Numerator polynomial over a multiset of normalised denominator factors."""
+
+    __slots__ = ("vars", "num", "factors")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if num.vars != den.vars:
             raise InputError("numerator and denominator over different variables")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        c, factors = _normalised_factors(den)
         self.vars = num.vars
-        self.num, self.den = self._reduce(num, den)
+        self.num, self.factors = _reduce(num.scale(1 / c), factors)
 
-    @staticmethod
-    def _reduce(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, Polynomial]:
-        if num.is_zero():
-            return num, Polynomial.const(num.vars, 1)
-        m_num = num.content_monomial()
-        m_den = den.content_monomial()
-        common = tuple(min(a, b) for a, b in zip(m_num, m_den))
-        if any(common):
-            num = num.shift_down(common)
-            den = den.shift_down(common)
-        c_den = den.rational_content()
-        _, lead = den.leading()
-        if lead < 0:
-            c_den = -c_den
-        num = num.scale(Fraction(1) / c_den)
-        den = den.scale(Fraction(1) / c_den)
-        # cheap full cancellation when one side literally divides the other
-        q = num.exact_div(den)
-        if q is not None:
-            return q, Polynomial.const(num.vars, 1)
-        return num, den
+    @classmethod
+    def _of(cls, num: Polynomial, factors: Factors) -> "RationalFunction":
+        """num / prod(f ** e) for a reduced pair."""
+        r = object.__new__(cls)
+        r.vars = num.vars
+        r.num = num
+        r.factors = factors
+        return r
 
     @classmethod
     def const(cls, variables: Tuple[str, ...], value) -> "RationalFunction":
-        return cls(Polynomial.const(variables, value), Polynomial.const(variables, 1))
+        return cls._of(Polynomial.const(variables, value), {})
 
     @classmethod
     def var(cls, variables: Tuple[str, ...], name: str) -> "RationalFunction":
-        return cls(Polynomial.var(variables, name), Polynomial.const(variables, 1))
+        return cls._of(Polynomial.var(variables, name), {})
+
+    @property
+    def den(self) -> Polynomial:
+        """The expanded denominator: primitive, positive lex-leading coefficient."""
+        return _times(Polynomial.const(self.vars, 1), self.factors)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
+        return not self.factors and self.num.is_constant()
 
     def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+        if self.factors:
+            raise InputError("rational function is not constant")
+        return self.num.constant_value()
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -281,12 +382,17 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         o = self._coerce(other)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        if o.is_zero():
+            return self
+        if self.is_zero():
+            return o
+        a, b, lcm = _over_lcm(self, o)
+        return RationalFunction._of(*_reduce(a + b, lcm))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._of(-self.num, self.factors)
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
@@ -295,8 +401,16 @@ class RationalFunction:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            # a nonzero constant changes no divisibility
+            if not other:
+                return RationalFunction.const(self.vars, 0)
+            return RationalFunction._of(self.num.scale(other), self.factors)
         o = self._coerce(other)
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        factors = dict(self.factors)
+        for f, e in o.factors.items():
+            factors[f] = factors.get(f, 0) + e
+        return RationalFunction._of(*_reduce(self.num * o.num, factors))
 
     __rmul__ = __mul__
 
@@ -304,17 +418,22 @@ class RationalFunction:
         o = self._coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        c, factors = _normalised_factors(o.num)
+        for f, e in self.factors.items():
+            factors[f] = factors.get(f, 0) + e
+        num = _times(self.num.scale(1 / c), o.factors)
+        return RationalFunction._of(*_reduce(num, factors))
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
 
     def __pow__(self, k: int) -> "RationalFunction":
-        if k >= 0:
-            return RationalFunction(self.num**k, self.den**k)
-        if self.is_zero():
-            raise ZeroDivisionError("negative power of zero")
-        return RationalFunction(self.den ** (-k), self.num ** (-k))
+        if k < 0:
+            if self.is_zero():
+                raise ZeroDivisionError("negative power of zero")
+            return (1 / self) ** (-k)
+        factors = {f: e * k for f, e in self.factors.items()}
+        return RationalFunction._of(*_reduce(self.num**k, factors))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -323,7 +442,8 @@ class RationalFunction:
             return NotImplemented
         if self.vars != other.vars:
             return False
-        return (self.num * other.den - other.num * self.den).is_zero()
+        a, b, _ = _over_lcm(self, other)
+        return a == b
 
     def __hash__(self):
         if self.is_constant():
@@ -331,21 +451,34 @@ class RationalFunction:
         return hash((self.vars, "ratfun"))
 
     def derivative(self, name: str) -> "RationalFunction":
+        """d(num / prod f^e) over prod f^(e+1) for the factors f that move:
+        num' prod f - num sum_k e_k f_k' prod_(j != k) f_j."""
         i = self.vars.index(name)
-        g = self.num.derivative(i) * self.den - self.num * self.den.derivative(i)
-        q = g.exact_div(self.den)
-        if q is not None:
-            return RationalFunction(q, self.den)
-        return RationalFunction(g, self.den * self.den)
+        moving = []
+        for f, e in self.factors.items():
+            df = f.derivative(i)
+            if not df.is_zero():
+                moving.append((f, e, df))
+        total = _times(self.num.derivative(i), {f: 1 for f, _, _ in moving})
+        for k, (_, e, df) in enumerate(moving):
+            others = {g: 1 for j, (g, _, _) in enumerate(moving) if j != k}
+            total = total - _times(self.num * df.scale(e), others)
+        factors = dict(self.factors)
+        for f, _, _ in moving:
+            factors[f] += 1
+        return RationalFunction._of(*_reduce(total, factors))
 
     def evaluate(self, point: Dict[str, Fraction]) -> Fraction:
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise ZeroDivisionError("evaluation at a pole")
+        d = Fraction(1)
+        for f, e in self.factors.items():
+            v = f.evaluate(point)
+            if v == 0:
+                raise ZeroDivisionError("evaluation at a pole")
+            d *= v**e
         return self.num.evaluate(point) / d
 
     def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if not self.factors:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -366,6 +499,7 @@ def is_zero(s: Scalar) -> bool:
 # ---------------------------------------------------------------------------
 
 Sparse = Dict[Hashable, Scalar]
+_ZERO = Fraction(0)
 
 
 def combine(terms: Iterable[Tuple[Hashable, Scalar]], acc: Optional[Sparse] = None) -> Sparse:
@@ -373,7 +507,7 @@ def combine(terms: Iterable[Tuple[Hashable, Scalar]], acc: Optional[Sparse] = No
     dropping every key whose sum is zero; returns acc."""
     out: Sparse = {} if acc is None else acc
     for key, coef in terms:
-        value = out.get(key, Fraction(0)) + coef
+        value = out.get(key, _ZERO) + coef
         if is_zero(value):
             out.pop(key, None)
         else:
@@ -421,7 +555,12 @@ class _Tokens:
                     j += 1
                 if j < len(text) and text[j] == ".":
                     raise InputError("decimal literals are not allowed; use exact rationals")
-                out.append(("int", int(text[i:j])))
+                try:
+                    out.append(("int", int(text[i:j])))
+                except ValueError as exc:  # past the digit limit, or a digit like "²"
+                    raise InputError(
+                        f"integer literal {text[i:j][:12]!r} cannot be read: {exc}"
+                    ) from None
                 i = j
             elif ch.isalpha() or ch == "_":
                 j = i
@@ -485,6 +624,10 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
                 tok = toks.next()
             if not (isinstance(tok, tuple) and tok[0] == "int"):
                 raise InputError("exponent must be an integer literal")
+            if tok[1] > MAX_EXPONENT:
+                raise InputError(
+                    f"exponent {sign * tok[1]} is above {MAX_EXPONENT} in absolute value"
+                )
             return base ** (sign * tok[1])
         return base
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -45,3 +46,26 @@ def coboundary(g, lam: Multivector) -> CECochain:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def ev_rmatrix_sl3(scale: int = 1):
+    """The rational Etingof-Varchenko r-matrix scale * sum_a 2/a(x) (e_a (x) f_a - f_a (x) e_a)
+    on the sl3 fixture, over the coordinates x1, x2 dual to h1, h2: the root
+    hyperplanes are x1, x2 and x1 + x2, which also form the locus."""
+    from qlie.formats import lie_from_dict
+    from qlie.lie import split_subalgebra
+    from qlie.rmatrix import DynamicalRMatrix
+    from qlie.scalars import parse_scalar
+    from qlie.tensors import SparseTensor, plain_signature
+
+    g = lie_from_dict(json.loads((FIXTURES / "sl3.json").read_text()))
+    variables = ("x1", "x2")
+    roots = (("e1", "f1", "x1"), ("e2", "f2", "x2"), ("e12", "f12", "x1+x2"))
+    entries = []
+    for e, f, alpha in roots:
+        coef = parse_scalar(f"{2 * scale}/({alpha})", variables)
+        entries += [((g.index(e), g.index(f)), coef), ((g.index(f), g.index(e)), -coef)]
+    split = split_subalgebra(g, (g.index("h1"), g.index("h2")), tuple(range(2, g.dim)))
+    locus = [parse_scalar(alpha, variables).num for _, _, alpha in roots]
+    tensor = SparseTensor.build(plain_signature(g.dim, 2), entries)
+    return DynamicalRMatrix(split, variables, tensor, locus)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -64,21 +65,44 @@ def test_malformed_input_exit_2(tmp_path):
     assert code == 2
 
 
+LIE = ("check-lie", "{}")
+DYNAMICAL = ("dynamical", SL2, "--sub", "h", "--r", "{}", "--vars", "x")
+QLB_PHI = ("check-qlb", SL2, "--delta", str(FIXTURES / "delta_std_sl2.json"), "--phi", "{}")
+COEF = ("brackets", 0, 2, 0, 1)
+R_COEF = ("entries", 0, "coef")
+
+
 @pytest.mark.parametrize(
-    "fixture, where, value, argv",
+    "fixture, where, value, argv, message",
     [
-        ("sl2.json", ("brackets", 0, 2, 0, 1), "1/0", ("check-lie", "{}")),
-        ("sl2.json", ("brackets", 0, 2), [7], ("check-lie", "{}")),
-        (
-            "dynamical_r_sl2.json",
-            ("entries", 0, "coef"),
-            "1/(x-x)",
-            ("dynamical", SL2, "--sub", "h", "--r", "{}", "--vars", "x"),
-        ),
+        ("sl2.json", COEF, "1/0", LIE, "division by zero"),
+        ("sl2.json", ("brackets", 0, 2), [7], LIE, "bracket entries"),
+        ("dynamical_r_sl2.json", R_COEF, "1/(x-x)", DYNAMICAL, "division by zero"),
+        ("sl2.json", ("field",), "rational", LIE, "field is an object"),
+        ("sl2.json", ("field",), 5, LIE, "field is an object"),
+        # a string is no longer split into one variable per character
+        ("sl2.json", ("field",), {"type": "ratfun", "vars": "xy"}, LIE, "list of variable names"),
+        ("phi_zero.json", ("vars",), 5, QLB_PHI, "list of variable names"),
+        ("phi_zero.json", ("vars",), ["x", 1], QLB_PHI, "list of variable names"),
+        ("dynamical_r_sl2.json", ("vars",), 5, DYNAMICAL, "list of variable names"),
+        ("dynamical_r_sl2.json", ("vars",), "x", DYNAMICAL, "list of variable names"),
+        # exponent literals are capped at 64; these used to expand for seconds
+        ("sl2.json", COEF, "2^99999999", LIE, "above 64"),
+        ("dynamical_r_sl2.json", R_COEF, "x^-99999999", DYNAMICAL, "above 64"),
+        ("dynamical_r_sl2.json", R_COEF, "(x+1)^65", DYNAMICAL, "above 64"),
+        # int() refuses more than 4300 digits, and digits such as "²"
+        ("sl2.json", COEF, "1" * 5000, LIE, "cannot be read"),
+        ("sl2.json", COEF, "2\u00b2", LIE, "cannot be read"),
     ],
-    ids=["zero-denominator", "non-list-component", "singular-rmatrix"],
+    ids=[
+        "zero-denominator", "non-list-component", "singular-rmatrix",
+        "string-field", "number-field", "string-field-vars",
+        "number-tensor-vars", "non-string-tensor-vars", "number-rmatrix-vars",
+        "string-rmatrix-vars", "huge-power", "huge-negative-power", "power-above-cap",
+        "5000-digit-literal", "superscript-digit",
+    ],
 )
-def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv):
+def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):
     doc = json.loads((FIXTURES / fixture).read_text())
     target = doc
     for step in where[:-1]:
@@ -86,10 +110,29 @@ def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv):
     target[where[-1]] = value
     path = tmp_path / fixture
     path.write_text(json.dumps(doc))
+    start = time.perf_counter()
     report, code = invoke(*(a.format(path) for a in argv))
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert report["checks"][0]["name"] == "input"
     assert report["checks"][0]["status"] == "error"
+    assert message in report["checks"][0]["detail"]["message"]
+
+
+@pytest.mark.parametrize(
+    "matrix", [5, "abcd", [5, 5, 5, 5], [[1, 0, 0, 0]] * 3 + ["1000"]],
+    ids=["number", "string", "scalar-rows", "string-row"],
+)
+def test_pairing_matrix_not_a_list_of_lists_exit_2(tmp_path, matrix):
+    pairing = tmp_path / "pairing.json"
+    pairing.write_text(json.dumps({"matrix": matrix}))
+    report, code = invoke(
+        "triple-check", str(FIXTURES / "abelian4.json"), "--g", "x1,x2",
+        "--gstar", "x3,x4", "--pairing", str(pairing),
+    )
+    assert code == 2
+    assert report["checks"][0]["name"] == "input"
+    assert "pairing file must hold" in report["checks"][0]["detail"]["message"]
 
 
 @pytest.mark.parametrize("text", ["5", "[]", '"sl2"'], ids=["number", "list", "string"])

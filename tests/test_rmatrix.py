@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -301,3 +302,26 @@ def test_dynamical_locus_validation():
     # declaring the right locus polynomial makes it acceptable
     ok_locus = [Polynomial(variables, {(1,): F(1), (0,): F(1)})]
     DynamicalRMatrix(split, variables, tensor, ok_locus)
+
+
+def test_ev_rmatrix_on_sl3_passes_and_scaled_residual_is_pinned():
+    # 2/a(x) (e_a (x) f_a - f_a (x) e_a) over the positive roots of sl3 solves
+    # the CDYBE; twice it does not, and its residual is the one recorded
+    # (tests/fixtures/ev_sl3_scaled_residual.json) by the earlier
+    # cross-multiplying rational functions: same keys, equal coefficients
+    from conftest import FIXTURES, ev_rmatrix_sl3
+    from qlie.formats import tensor_to_entries
+
+    rep = dynamical_check(ev_rmatrix_sl3(1))
+    assert rep.passed and rep.lambda_form_holds and rep.criteria_agree
+    dr = ev_rmatrix_sl3(2)
+    rep = dynamical_check(dr)
+    assert not rep.passed and not rep.cdybe_holds
+    assert all(rep.equivariance.values()) and rep.criteria_agree
+    expected = json.loads((FIXTURES / "ev_sl3_scaled_residual.json").read_text())
+    variables = tuple(expected["vars"])
+    assert variables == dr.variables
+    got = tensor_to_entries(rep.cdybe_residual, dr.split.g)
+    assert [e["idx"] for e in got] == [e["idx"] for e in expected["residual"]]
+    for mine, theirs in zip(got, expected["residual"]):
+        assert parse_scalar(mine["coef"], variables) == parse_scalar(theirs["coef"], variables)
