@@ -9,7 +9,7 @@ and Drinfeld doubles.  All sign and normalization choices are recorded
 in the convention ledger and stamped into CLI reports.
 """
 
-from .errors import InputError, PreconditionError, QlieError, WindowOverflowError
+from .errors import InputError, PreconditionError, QlieError
 from .lie import (
     ADJOINT,
     CECochain,
@@ -42,13 +42,22 @@ from .manin import (
     manin_triple_check,
     triple_to_bialgebra,
 )
-from .mc import GaugePath, MCElement, WeightGradedDGLA, gauge_verify, mc_residual, pol_bg
+from .mc import (
+    GaugePath,
+    MCElement,
+    WeightGradedDGLA,
+    decode_residual,
+    encode_casimir,
+    encode_structure,
+    gauge_verify,
+    mc_residual,
+    pol_bg,
+    twist_path,
+)
 from .polyvectors import PolyVectorAlgebra, schouten
 from .qlb import (
-    BigBracketElement,
     QuasiLieBialgebra,
     Twist,
-    big_bracket,
     casimir_to_phi,
     check_qlb,
     coisotropic_casimir_check,

@@ -3,7 +3,8 @@
 Every subcommand loads definitions from JSON files, runs the
 corresponding library checks and emits a self-contained report with the
 convention ledger and input hashes stamped in.  Exit codes: 0 when all
-checks pass, 1 on any check failure, 2 on malformed input.
+checks pass, 1 on any check failure, 2 on malformed input, 3 on an
+internal error (never expected: the report names it, with no traceback).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from . import formats
-from .errors import InputError, QlieError
+from .errors import InputError
 from .lie import LieAlgebra, SYM, WEDGE, check_lie, invariants, split_subalgebra
 from .manin import (
     ManinTriple,
@@ -26,7 +27,14 @@ from .manin import (
     manin_triple_check,
     triple_to_bialgebra,
 )
-from .mc import mc_residual, mc_residual_is_zero, pol_bg
+from .mc import (
+    decode_residual,
+    encode_casimir,
+    encode_structure,
+    mc_residual,
+    mc_residual_is_zero,
+    pol_bg,
+)
 from .qlb import (
     QuasiLieBialgebra,
     Twist,
@@ -288,23 +296,23 @@ def cmd_invariants(args, inputs):
 
 def cmd_mc_residual(args, inputs):
     g = _load_algebra(args.file, inputs)
-    L, codec = pol_bg(g, args.shift)
+    L = pol_bg(g, args.shift)
     if args.shift == 1:
         if not (args.delta and args.phi):
             raise InputError("shift 1 requires --delta and --phi")
         delta = _load_tensor(args.delta, g, "cobracket", inputs)
         phi = _load_tensor(args.phi, g, "wedge3", inputs)
-        x = codec.encode_structure(delta, phi)
+        x = encode_structure(L, delta, phi)
     else:
         if not args.casimir:
             raise InputError("shift 2 requires --casimir")
         c = _load_tensor(args.casimir, g, "sym2", inputs)
-        x = codec.encode_casimir(c)
+        x = encode_casimir(L, c)
     res = mc_residual(L, x)
     ok = mc_residual_is_zero(res)
     detail = None
     if not ok:
-        decoded = codec.decode_residual(res)
+        decoded = decode_residual(L, res)
         detail = {
             f"weight-{w}": formats.cochain_to_entries(coch) for w, coch in sorted(decoded.items())
         }
@@ -444,9 +452,10 @@ def _execute(args: argparse.Namespace, argv: List[str]) -> Tuple[dict, int]:
     except InputError as exc:
         report["checks"] = [{"name": "input", "status": "error", "detail": {"message": str(exc)}}]
         code = 2
-    except QlieError as exc:
-        report["checks"] = [{"name": "internal", "status": "error", "detail": {"message": str(exc)}}]
-        code = 2
+    except Exception as exc:  # a fault of qlie, never of the input: no traceback
+        message = f"{type(exc).__name__}: {exc}"
+        report["checks"] = [{"name": "internal", "status": "error", "detail": {"message": message}}]
+        code = 3
     report["timing_ms"] = (time.perf_counter() - t0) * 1000.0
     return report, code
 

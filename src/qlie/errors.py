@@ -11,7 +11,3 @@ class InputError(QlieError):
 
 class PreconditionError(InputError):
     """An operation was called on data violating its stated precondition."""
-
-
-class WindowOverflowError(QlieError):
-    """A graded computation was requested outside the supported finite window."""

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError
 from .lie import CECochain, LieAlgebra, WEDGE, sym2_signature
 from .manin import ManinTriple
-from .mc import WeightGradedDGLA
+from .mc import MAX_WEIGHT, WeightGradedDGLA, window
 from .scalars import Polynomial, RationalFunction, parse_scalar
 from .tensors import Multivector, SparseTensor, plain_signature
 
@@ -239,27 +239,33 @@ def triple_to_dict(t: ManinTriple) -> dict:
 # ---------------------------------------------------------------------------
 
 def dgla_to_dict(L: WeightGradedDGLA) -> dict:
+    """The finite window of L: slice bases, differentials and brackets of
+    basis monomials, each written as sorted [monomial, coefficient] pairs."""
     def key_str(k):
         return f"{k[0]},{k[1]}"
 
-    bases = {key_str(k): [str(label) for label in v] for k, v in sorted(L.bases.items())}
+    def vec_list(vec):
+        return sorted([str(m), str(c)] for m, c in vec.items())
+
+    one = Fraction(1)
+    bases = window(L)
     diff = {
-        key_str(k): [sorted([[i, str(c)] for i, c in col.items()]) for col in cols]
-        for k, cols in sorted(L.diff.items())
+        key_str((d, w)): [vec_list(L.apply_diff((d, w), {m: one})) for m in monos]
+        for (d, w), monos in bases.items()
+        if (d + 1, w) in bases
     }
     brackets = {}
-    for k1 in sorted(L.bases):
-        for k2 in sorted(L.bases):
-            if (k1[0] + k2[0], k1[1] + k2[1] - 1) not in L.bases:
+    for k1 in bases:
+        for k2 in bases:
+            if (k1[0] + k2[0], k1[1] + k2[1] - 1) not in bases:
                 continue
             brackets[f"{key_str(k1)}|{key_str(k2)}"] = {
-                f"{i},{j}": sorted([[m, str(c)] for m, c in vec.items()])
-                for (i, j), vec in sorted(L.bracket_structure(k1, k2).items())
+                f"{m1}|{m2}": vec_list(vec) for (m1, m2), vec in L.bracket_structure(k1, k2).items()
             }
     return {
         "name": L.name,
-        "max_weight": L.max_weight,
-        "bases": bases,
+        "max_weight": MAX_WEIGHT,
+        "bases": {key_str(k): [str(m) for m in monos] for k, monos in bases.items()},
         "differentials": diff,
         "brackets": brackets,
     }

@@ -330,12 +330,12 @@ def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
     def d_matrix(k):
         src = cochain_keys(k)
         dst = cochain_keys(k + 1)
-        dst_pos = {key: i for i, key in enumerate(dst)}
+        dst_index = {key: i for i, key in enumerate(dst)}
         cols = []
         for down, up in src:
             x = CECochain(g, k, module, {(down, up): Fraction(1)})
             dx = ce_differential(x)
-            cols.append({dst_pos[key]: coef for key, coef in dx.data.items()})
+            cols.append({dst_index[key]: coef for key, coef in dx.data.items()})
         return cols
 
     # rank(d) = rank(d^T), so the sparse columns of d go in as rows

@@ -39,8 +39,6 @@ from .tensors import Multivector, SparseTensor, _sort_with_sign, embed_wedge, pl
 __all__ = [
     "QuasiLieBialgebra",
     "Twist",
-    "BigBracketElement",
-    "big_bracket",
     "schouten",
     "check_qlb",
     "twist",
@@ -81,42 +79,6 @@ class Twist:
     def __post_init__(self):
         if self.lam.p != 2:
             raise InputError("a twist is a 2-multivector")
-
-
-@dataclass
-class BigBracketElement:
-    """Element of the polyvector algebra with its bidegree on record."""
-
-    g: LieAlgebra
-    shift: int
-    ce_degree: int
-    weight: int
-    element: Element
-
-    @classmethod
-    def from_cochain(cls, x: CECochain, shift: int) -> "BigBracketElement":
-        P = PolyVectorAlgebra(x.g, shift)
-        w = x.module[1] if len(x.module) > 1 else 0
-        return cls(x.g, shift, x.k, w, P.from_cochain(x))
-
-    @classmethod
-    def from_multivector(cls, g: LieAlgebra, mv: Multivector) -> "BigBracketElement":
-        P = PolyVectorAlgebra(g, 1)
-        return cls(g, 1, 0, mv.p, P.from_multivector(mv))
-
-
-def big_bracket(a: BigBracketElement, b: BigBracketElement) -> BigBracketElement:
-    """The P_{n+2} bracket; biderivation over the g* / g pairing."""
-    if a.g is not b.g:
-        raise InputError("big bracket of elements over different algebras")
-    if a.shift != b.shift:
-        raise InputError("big bracket shift mismatch")
-    P = PolyVectorAlgebra(a.g, a.shift)
-    res = P.bracket(a.element, b.element)
-    # the generator pairing removes one dual slot and one vector slot
-    return BigBracketElement(
-        a.g, a.shift, a.ce_degree + b.ce_degree - 1, a.weight + b.weight - 1, res
-    )
 
 
 @dataclass

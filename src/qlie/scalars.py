@@ -44,6 +44,10 @@ Exponents = Tuple[int, ...]
 # integer exponent literals in a scalar expression are capped: x^99999999
 # or 2^99999999 would take seconds to expand before anything could check it
 MAX_EXPONENT = 64
+# so is the total degree of a power's result, since nested powers multiply:
+# ((x+y+1)^8)^8 has degree 64, and (x+y+1)^64 takes about ten times as long
+# to expand as (x+y+1)^32
+MAX_POWER_DEGREE = 32
 
 
 class Polynomial:
@@ -583,6 +587,17 @@ class _Tokens:
         return tok
 
 
+def _total_degree(x: Scalar) -> int:
+    """The larger total degree of numerator and denominator; 0 for a Fraction."""
+    if not isinstance(x, RationalFunction):
+        return 0
+
+    def deg(p: Polynomial) -> int:
+        return max((sum(e) for e in p.terms), default=0)
+
+    return max(deg(x.num), sum(deg(f) * e for f, e in x.factors.items()))
+
+
 def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
     """Parse an exact scalar expression.
 
@@ -628,6 +643,9 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
                 raise InputError(
                     f"exponent {sign * tok[1]} is above {MAX_EXPONENT} in absolute value"
                 )
+            degree = tok[1] * _total_degree(base)
+            if degree > MAX_POWER_DEGREE:
+                raise InputError(f"a power of total degree {degree} is above {MAX_POWER_DEGREE}")
             return base ** (sign * tok[1])
         return base
 

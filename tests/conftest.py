@@ -43,9 +43,46 @@ def coboundary(g, lam: Multivector) -> CECochain:
     return ce_differential(multivector_to_cochain(g, lam))
 
 
+def sparse_multivector(g, p: int, rng: random.Random, n: int) -> Multivector:
+    """A p-multivector with n seeded nonzero entries (all of them if there are fewer)."""
+    keys = list(combinations(range(g.dim), p))
+    keys = rng.sample(keys, min(n, len(keys)))
+    coefs = [Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2)) for _ in keys]
+    return Multivector.build(g.dim, p, list(zip(keys, coefs)))
+
+
+def sparse_structures(g, rng: random.Random, n: int, phi_inv: Multivector):
+    """n pairs (delta, phi) with few nonzero entries, alternately passing and failing.
+
+    Even trials twist (0, phi_inv) by a sparse lambda, so they pass when
+    phi_inv is invariant; odd trials take a sparse non-cocycle delta and a
+    sparse phi, so they fail.
+    """
+    from qlie.qlb import QuasiLieBialgebra, Twist, twist
+
+    d = g.dim
+    for trial in range(n):
+        if trial % 2 == 0:
+            base = QuasiLieBialgebra(g, zero_cobracket(g), phi_inv)
+            yield twist(base, Twist(sparse_multivector(g, 2, rng, 3)), validate=False)
+        else:
+            lam = sparse_multivector(g, 2, rng, 2)
+            entries = [(((k,), key), c) for key, c in lam.data.items() for k in rng.sample(range(d), 2)]
+            delta = CECochain.build(g, 1, WEDGE(2), entries)
+            yield QuasiLieBialgebra(g, delta, sparse_multivector(g, 3, rng, 2))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def sl3_plus_sl2():
+    """sl3 (+) sl2 (dim 11) with 2 e^f^h on its sl2 summand, an invariant 3-vector."""
+    from qlie.lie import direct_sum, sl2, sl3
+
+    g = direct_sum(sl3(), sl2())
+    return g, Multivector(g.dim, 3, {(8, 9, 10): Fraction(2)})
 
 
 def ev_rmatrix_sl3(scale: int = 1):

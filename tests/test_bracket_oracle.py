@@ -14,7 +14,7 @@ import pytest
 
 from conftest import rand_multivector, zero_cobracket
 from qlie.lie import casimir_from_pairing, sl2, sl3
-from qlie.mc import mc_residual, pol_bg
+from qlie.mc import encode_casimir, encode_structure, mc_residual, pol_bg, window
 from qlie.polyvectors import PolyVectorAlgebra
 from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, twist
 from qlie.scalars import combine, is_zero
@@ -97,8 +97,8 @@ class RecursiveBracket:
 
 
 def window_monos(g, shift):
-    _, codec = pol_bg(g, shift)
-    return codec.P, [m for key in sorted(codec.slices) for m in codec.slices[key]]
+    L = pol_bg(g, shift)
+    return L.P, [m for monos in window(L).values() for m in monos]
 
 
 @pytest.mark.parametrize("shift", [1, 2])
@@ -133,12 +133,12 @@ def test_algebras_are_not_retained(rng):
     q = QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {(0, 1, 2): Fraction(1)}))
     assert check_qlb(q).passed
     assert check_qlb(twist(q, Twist(rand_multivector(g, 2, rng)))).passed
-    L, codec = pol_bg(g, 1)
-    mc_residual(L, codec.encode_structure(q.delta, q.phi))
-    L2, codec2 = pol_bg(g, 2)
-    mc_residual(L2, codec2.encode_casimir(casimir_from_pairing(g)))
+    L = pol_bg(g, 1)
+    mc_residual(L, encode_structure(L, q.delta, q.phi))
+    L2 = pol_bg(g, 2)
+    mc_residual(L2, encode_casimir(L2, casimir_from_pairing(g)))
     ref = weakref.ref(g)
-    del g, q, L, codec, L2, codec2
+    del g, q, L, L2
     gc.collect()
     assert ref() is None
 

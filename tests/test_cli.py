@@ -93,21 +93,30 @@ R_COEF = ("entries", 0, "coef")
         # int() refuses more than 4300 digits, and digits such as "²"
         ("sl2.json", COEF, "1" * 5000, LIE, "cannot be read"),
         ("sl2.json", COEF, "2\u00b2", LIE, "cannot be read"),
+        # nested powers multiply: the degree of a power's result is capped
+        (
+            "phi_zero.json", (),
+            {"signature": "wedge3", "vars": ["x", "y"], "entries": [{"idx": ["e", "f", "h"], "coef": "((x+y+1)^64)^64"}]},
+            QLB_PHI, "above 32",
+        ),
     ],
     ids=[
         "zero-denominator", "non-list-component", "singular-rmatrix",
         "string-field", "number-field", "string-field-vars",
         "number-tensor-vars", "non-string-tensor-vars", "number-rmatrix-vars",
         "string-rmatrix-vars", "huge-power", "huge-negative-power", "power-above-cap",
-        "5000-digit-literal", "superscript-digit",
+        "5000-digit-literal", "superscript-digit", "nested-power",
     ],
 )
 def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):
     doc = json.loads((FIXTURES / fixture).read_text())
-    target = doc
-    for step in where[:-1]:
-        target = target[step]
-    target[where[-1]] = value
+    if where:
+        target = doc
+        for step in where[:-1]:
+            target = target[step]
+        target[where[-1]] = value
+    else:  # an empty path replaces the whole document
+        doc = value
     path = tmp_path / fixture
     path.write_text(json.dumps(doc))
     start = time.perf_counter()
@@ -346,6 +355,48 @@ def test_mc_residual_command():
         "mc-residual", SL2, "--shift", "2", "--casimir", str(FIXTURES / "killing_sl2.json")
     )
     assert code == 0
+
+
+def test_mc_residual_beyond_dim_8_agrees_with_check_qlb(tmp_path):
+    import random
+
+    from conftest import sl3_plus_sl2, sparse_structures
+    from qlie.formats import cochain_to_entries, lie_to_dict, multivector_to_entries
+
+    g, phi_inv = sl3_plus_sl2()
+    algebra = tmp_path / "sl3+sl2.json"
+    algebra.write_text(json.dumps(lie_to_dict(g)))
+    codes = []
+    for n, q in enumerate(sparse_structures(g, random.Random(20240912), 4, phi_inv)):
+        delta, phi = tmp_path / f"delta{n}.json", tmp_path / f"phi{n}.json"
+        delta.write_text(json.dumps({"signature": "cobracket", "entries": cochain_to_entries(q.delta)}))
+        phi.write_text(json.dumps({"signature": "wedge3", "entries": multivector_to_entries(q.phi, g)}))
+        files = (str(algebra), "--delta", str(delta), "--phi", str(phi))
+        report, code = invoke("mc-residual", *files[:1], "--shift", "1", *files[1:])
+        assert report["checks"][0]["name"] == "maurer-cartan"
+        assert code == invoke("check-qlb", *files)[1]
+        codes.append(code)
+    assert codes == [0, 1, 0, 1]
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    import qlie.cli
+
+    def broken(args, inputs):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(qlie.cli, "cmd_check_lie", broken)
+    report, code = invoke("check-lie", SL2)
+    assert code == 3
+    assert report["checks"] == [
+        {"name": "internal", "status": "error", "detail": {"message": "RuntimeError: handler broke"}}
+    ]
+    assert set(report) == {"command", "ledger", "inputs", "checks", "data", "timing_ms"}
+    capsys.readouterr()
+    assert main(["check-lie", SL2, "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["checks"][0]["name"] == "internal"
+    assert "Traceback" not in out + err
 
 
 def test_reports_are_deterministic():

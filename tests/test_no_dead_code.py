@@ -5,7 +5,9 @@ name token nowhere in ``src/``, ``tests/`` or ``perfbench/`` outside the
 definition's own source lines.  Dunder methods are exempt: Python calls
 them.  Name-based matching is deliberately loose (any use of a name
 keeps every definition of that name alive); what it catches is code that
-nothing mentions at all.
+nothing mentions at all.  An exception class is held to more: it must be
+raised, or subclassed, somewhere in ``src/``, since an error class that
+nothing raises is still mentioned wherever it is caught or exported.
 """
 
 import ast
@@ -58,3 +60,24 @@ def dead_definitions():
 def test_library_has_no_dead_definitions():
     dead = dead_definitions()
     assert not dead, "defined but never used: " + ", ".join(dead)
+
+
+def _raised_or_subclassed():
+    """Names raised (``raise X`` or ``raise X(...)``) or used as a base class in src/."""
+    names = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(getattr(exc, "id", getattr(exc, "attr", None)))
+            elif isinstance(node, ast.ClassDef):
+                names.update(getattr(b, "id", getattr(b, "attr", None)) for b in node.bases)
+    return names
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    tree = ast.parse((LIBRARY / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert classes
+    unused = sorted(set(classes) - _raised_or_subclassed())
+    assert not unused, "error classes never raised or subclassed: " + ", ".join(unused)

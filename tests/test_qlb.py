@@ -261,27 +261,21 @@ def test_verify_morphism_sl3_borel():
     assert rep.passed
 
 
-def test_big_bracket_public_wrapper():
+def test_big_bracket_generator_pairing():
     from qlie.polyvectors import PolyVectorAlgebra
-    from qlie.qlb import BigBracketElement, big_bracket
 
     g = sl2()
     P = PolyVectorAlgebra(g, 1)
     for i in range(3):
         for j in range(3):
-            cov = BigBracketElement(g, 1, 1, 0, {((i,), ()): F(1)})
-            vec = BigBracketElement(g, 1, 0, 1, {((), (j,)): F(1)})
-            out = big_bracket(cov, vec)
-            assert out.element == ({((), ()): F(1)} if i == j else {})
-            assert big_bracket(cov, BigBracketElement(g, 1, 1, 0, {((j,), ()): F(1)})).element == {}
-            assert big_bracket(vec, BigBracketElement(g, 1, 0, 1, {((), (i,)): F(1)})).element == {}
+            cov = {((i,), ()): F(1)}
+            vec = {((), (j,)): F(1)}
+            assert P.bracket(cov, vec) == ({((), ()): F(1)} if i == j else {})
+            assert P.bracket(cov, {((j,), ()): F(1)}) == {}
+            assert P.bracket(vec, {((), (i,)): F(1)}) == {}
     # [delta, phi] = 0 when delta = 0
-    phi = BigBracketElement.from_multivector(g, Multivector(3, 3, {EFH: F(1)}))
-    zero = BigBracketElement(g, 1, 1, 2, {})
-    assert big_bracket(zero, phi).element == {}
-    # shift mismatch is an input error
-    with pytest.raises(InputError):
-        big_bracket(phi, BigBracketElement(g, 2, 0, 1, {((), (0,)): F(1)}))
+    phi = P.from_multivector(Multivector(3, 3, {EFH: F(1)}))
+    assert P.bracket({}, phi) == {}
 
 
 def test_twist_of_zero_by_ef_frozen_values():
