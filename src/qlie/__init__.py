@@ -20,9 +20,7 @@ from .lie import (
     WEDGE,
     abelian,
     casimir_from_pairing,
-    ce_differential,
     check_lie,
-    cohomology_dim,
     direct_sum,
     heisenberg,
     invariants,
@@ -54,7 +52,7 @@ from .mc import (
     pol_bg,
     twist_path,
 )
-from .polyvectors import PolyVectorAlgebra, schouten
+from .polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, schouten
 from .qlb import (
     QuasiLieBialgebra,
     Twist,

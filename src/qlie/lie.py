@@ -1,16 +1,20 @@
-"""Lie algebras by structure constants and their Chevalley-Eilenberg complexes.
+"""Lie algebras by structure constants and their Chevalley-Eilenberg cochains.
 
-The differential follows the convention pinned in the ledger:
-``(d x)(xi) = [x, xi]`` on degree-0 cochains, i.e. the negative of the
-classical alternating-sum formula.  With this choice the kernel of d on
-C^0 is literally the space of invariants.
+A cochain in C^k(g, M) is a `CECochain`: k antisymmetric dual slots plus
+the slots of a module M built from the adjoint action (TRIVIAL, ADJOINT,
+WEDGE(p), SYM(p)).  Its differential is the polyvector one,
+`polyvectors.PolyVectorAlgebra.d`, reached through
+`polyvectors.ce_differential`; with the ledger's convention
+``(d x)(xi) = [x, xi]`` on degree-0 cochains the kernel of d on C^0 is
+literally the space of invariants, which `invariants` computes from the
+module action directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -164,8 +168,6 @@ def module_basis(g: LieAlgebra, module) -> List[tuple]:
         return list(combinations(range(g.dim), module[1]))
     if kind == "sym":
         return list(combinations_with_replacement(range(g.dim), module[1]))
-    if kind == "tensor":
-        return list(product(range(g.dim), repeat=module[1]))
     raise InputError(f"unsupported module {module!r}")
 
 
@@ -174,7 +176,7 @@ def multiplicity_factorial(key: Sequence[int]) -> int:
     return prod(factorial(key.count(v)) for v in set(key))
 
 
-KNOWN_MODULES = ("triv", "adjoint", "wedge", "sym", "tensor")
+KNOWN_MODULES = ("triv", "adjoint", "wedge", "sym")
 
 
 def module_action(g: LieAlgebra, xi: int, module, key: tuple) -> Dict[tuple, Scalar]:
@@ -247,12 +249,6 @@ class CECochain(SparseVector):
             and self.g.same_structure(other.g)
         )
 
-    def down_index(self) -> Dict[tuple, Dict[tuple, Scalar]]:
-        out: Dict[tuple, Dict[tuple, Scalar]] = {}
-        for (down, up), coef in self.data.items():
-            out.setdefault(down, {})[up] = coef
-        return out
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))
         return f"CECochain(k={self.k}, module={self.module}, {{{inner}}})"
@@ -260,43 +256,6 @@ class CECochain(SparseVector):
 
 def multivector_to_cochain(g: LieAlgebra, mv: Multivector) -> CECochain:
     return CECochain(g, 0, WEDGE(mv.p), {((), key): c for key, c in mv.data.items()})
-
-
-def ce_differential(x: CECochain) -> CECochain:
-    """Degree k -> k+1 differential in the ledger sign convention."""
-    g, k, module = x.g, x.k, x.module
-    by_down = x.down_index()
-    entries = []
-    for down in combinations(range(g.dim), k + 1):
-        # action terms: -sum_s (-1)^s xi_s . x(rest)
-        for s in range(k + 1):
-            rest = down[:s] + down[s + 1 :]
-            vals = by_down.get(rest)
-            if not vals:
-                continue
-            sgn = -((-1) ** s)
-            for up, coef in vals.items():
-                for up2, c2 in module_action(g, down[s], module, up).items():
-                    entries.append(((down, up2), sgn * coef * c2))
-        # bracket terms: -sum_{s<t} (-1)^{s+t} x([xi_s, xi_t], rest)
-        for s in range(k + 1):
-            for t in range(s + 1, k + 1):
-                rest = tuple(v for i, v in enumerate(down) if i not in (s, t))
-                sgn = -((-1) ** (s + t))
-                for m, c in g.bracket(down[s], down[t]).items():
-                    if m in rest:
-                        continue
-                    # x(e_m, rest) with e_m inserted in front, then sorted
-                    res = _sort_with_sign((m,) + rest)
-                    if res is None:
-                        continue
-                    psgn, dkey = res
-                    vals = by_down.get(dkey)
-                    if not vals:
-                        continue
-                    for up, coef in vals.items():
-                        entries.append(((down, up), sgn * c * psgn * coef))
-    return CECochain.build(g, k + 1, module, entries)
 
 
 def invariants(g: LieAlgebra, module) -> List[CECochain]:
@@ -315,37 +274,6 @@ def invariants(g: LieAlgebra, module) -> List[CECochain]:
         data = {((), keys[i]): c for i, c in enumerate(vec) if c}
         out.append(CECochain(g, 0, module, data))
     return out
-
-
-def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
-    """dim H^degree via exact ranks of the CE differentials."""
-
-    def cochain_keys(k):
-        return [
-            (down, up)
-            for down in combinations(range(g.dim), k)
-            for up in module_basis(g, module)
-        ]
-
-    def d_matrix(k):
-        src = cochain_keys(k)
-        dst = cochain_keys(k + 1)
-        dst_index = {key: i for i, key in enumerate(dst)}
-        cols = []
-        for down, up in src:
-            x = CECochain(g, k, module, {(down, up): Fraction(1)})
-            dx = ce_differential(x)
-            cols.append({dst_index[key]: coef for key, coef in dx.data.items()})
-        return cols
-
-    # rank(d) = rank(d^T), so the sparse columns of d go in as rows
-    n_k = len(cochain_keys(degree))
-    if n_k == 0:
-        return 0
-    dim_ker = n_k - linalg.rank(d_matrix(degree))
-    if degree == 0:
-        return dim_ker
-    return dim_ker - linalg.rank(d_matrix(degree - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -326,23 +326,22 @@ def decode_residual(L: WeightGradedDGLA, res: Dict[int, Vec]) -> Dict[int, CECoc
 def twist_path(L: WeightGradedDGLA, delta0: CECochain, phi0: Multivector, lam: Multivector):
     """The integrated gauge path of a twist:
     delta(t) = delta0 + t d(lam), phi(t) = phi0 + t [delta0, lam] + t^2/2 [d lam, lam]."""
-    from .lie import ce_differential, multivector_to_cochain
     from .qlb import QuasiLieBialgebra, Twist, twist as twist_op
 
     P = L.P
     lam_el = P.from_multivector(lam)
-    d_lam = ce_differential(multivector_to_cochain(P.g, lam))
+    d_lam = P.d(lam_el)
 
     x = encode_structure(L, delta0, phi0)
     q1 = twist_op(QuasiLieBialgebra(P.g, delta0, phi0), Twist(lam), validate=False)
     y = encode_structure(L, q1.delta, q1.phi)
 
     alpha: Dict[int, Poly] = {
-        2: [x.weight(2), P.from_cochain(d_lam)],
+        2: [x.weight(2), d_lam],
         3: [
             x.weight(3),
             P.bracket(P.from_cochain(delta0), lam_el),
-            vec_scale(P.bracket(P.d(lam_el), lam_el), Fraction(1, 2)),
+            vec_scale(P.bracket(d_lam, lam_el), Fraction(1, 2)),
         ],
     }
     lam_vec = {2: lam_el} if lam_el else {}

@@ -25,13 +25,22 @@ sorted increasingly.  The Koszul sign of bringing a product into that
 order comes from one transposition counter, so the graded symmetry and
 Jacobi identities of the bracket are checkable exhaustively (and are, in
 the tests).
+
+The differential d is the library's one Chevalley-Eilenberg differential.
+A cochain valued in TRIVIAL, ADJOINT or WEDGE(p) is the slice of
+polyvector weight 0, 1 or p at shift 1; one valued in SYM(p) is the
+weight-p slice at shift 2.  `ce_differential` and `cohomology_dim` work
+through that embedding: the first encodes, applies d and decodes, the
+second takes the rank of d on the unit monomials of a slice.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .errors import InputError
 from .lie import CECochain, LieAlgebra, SYM, WEDGE, multiplicity_factorial
 from .scalars import Scalar, combine
@@ -52,17 +61,15 @@ class PolyVectorAlgebra:
         self.g = g
         self.n = shift
         self.vec_parity = shift % 2
-        pairs = list(combinations(range(g.dim), 2))
-        self._d_cov: List[Element] = [
-            combine((((j, k), ()), g.structure_constant(j, k, i)) for j, k in pairs)
-            for i in range(g.dim)
-        ]
-        self._d_vec: List[Element] = [
-            combine(
-                (((j,), (k,)), c) for j in range(g.dim) for k, c in g.bracket(i, j).items()
-            )
-            for i in range(g.dim)
-        ]
+        # generator images from the nonzero brackets [e_j, e_k] = c e_i, j < k;
+        # in sorted pair order each _d_vec row comes out sorted by j
+        self._d_cov: List[Element] = [{} for _ in range(g.dim)]
+        self._d_vec: List[Element] = [{} for _ in range(g.dim)]
+        for (j, k), comps in sorted(g.pairs()):
+            for i, c in comps.items():
+                self._d_cov[i][((j, k), ())] = c
+                self._d_vec[j][((k,), (i,))] = c
+                self._d_vec[k][((j,), (i,))] = -c
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -186,31 +193,39 @@ class PolyVectorAlgebra:
         return Multivector(self.g.dim, p, data)
 
     def from_sym_tensor(self, t) -> Element:
-        """Orbit-basis symmetric tensor entries into polynomial monomials.
-
-        Vector monomials multiply like polynomial generators, so an entry
-        on a key with repeated indices divides by the multiplicity
-        factorial (e.g. 1/2 h (x) h encodes as 1/4 e_h e_h).
-        """
+        """Orbit-basis symmetric tensor entries into polynomial monomials,
+        as the degree-0 SYM(p) cochain they form (see from_cochain)."""
         if self.n != 2:
             raise InputError("symmetric encoding requires shift 2")
-        return combine(
-            (((), tuple(sorted(key))), coef / multiplicity_factorial(key)) for key, coef in t.items()
-        )
+        entries = [(((), tuple(sorted(key))), coef) for key, coef in t.items()]
+        return self.from_cochain(CECochain.build(self.g, 0, SYM(len(t.sig.variances)), entries))
 
     def from_cochain(self, x: CECochain) -> Element:
-        want = "wedge" if self.n == 1 else "sym"
-        if x.module[0] not in (want, "triv"):
+        """A cochain as an element on its (degree, weight) slice.
+
+        SYM(p) keys are orbit sums over distinct permutations while vector
+        monomials multiply like polynomial generators, so at shift 2 an
+        entry on a key with repeated indices divides by the multiplicity
+        factorial (e.g. 1/2 h (x) h encodes as 1/4 e_h e_h); to_cochain
+        multiplies it back.
+        """
+        if x.module[0] != "triv" and _module_slice(x.module)[0] != self.n:
             raise InputError(f"cochain module {x.module} does not embed at shift {self.n}")
-        return {(down, up): coef for (down, up), coef in x.data.items()}
+        if self.n == 1:
+            return dict(x.data)
+        return {(down, up): coef / multiplicity_factorial(up) for (down, up), coef in x.data.items()}
 
     def to_cochain(self, a: Element, k: int, w: int) -> CECochain:
-        module = WEDGE(w) if self.n == 1 else SYM(w)
+        return self._to_cochain(a, k, WEDGE(w) if self.n == 1 else SYM(w))
+
+    def _to_cochain(self, a: Element, k: int, module) -> CECochain:
+        """Inverse of from_cochain on the slice of CE degree k holding module."""
+        w = _module_slice(module)[1]
         entries = []
         for (cov, vec), coef in a.items():
             if len(cov) != k or len(vec) != w:
                 raise InputError("element is not a pure (degree, weight) slice")
-            entries.append(((cov, vec), coef))
+            entries.append(((cov, vec), coef if self.n == 1 else coef * multiplicity_factorial(vec)))
         return CECochain.build(self.g, k, module, entries)
 
     def slice_basis(self, k: int, w: int) -> List[Mono]:
@@ -250,9 +265,40 @@ def schouten(g: LieAlgebra, a: Multivector, b: Multivector) -> Multivector:
     return Multivector.build(g.dim, p + q - 1, entries)
 
 
-def derived_square(g: LieAlgebra, lam: Multivector) -> Multivector:
-    """[lambda, d lambda] in the big bracket; the square used by twists."""
-    P = PolyVectorAlgebra(g, 1)
-    el = P.from_multivector(lam)
-    res = P.bracket(el, P.d(el))
-    return P.to_multivector(res, 2 * lam.p - 1)
+def _module_slice(module) -> Tuple[int, int]:
+    """(shift, weight) of the polyvector slice that holds cochains valued in module."""
+    kind = module[0]
+    if kind == "triv":
+        return 1, 0
+    if kind == "adjoint":
+        return 1, 1
+    if kind == "wedge":
+        return 1, module[1]
+    if kind == "sym":
+        return 2, module[1]
+    raise InputError(f"unsupported module {module!r}")
+
+
+def ce_differential(x: CECochain) -> CECochain:
+    """Degree k -> k+1 Chevalley-Eilenberg differential in the ledger sign
+    convention: d of x's slice, decoded with x's module."""
+    P = PolyVectorAlgebra(x.g, _module_slice(x.module)[0])
+    return P._to_cochain(P.d(P.from_cochain(x)), x.k + 1, x.module)
+
+
+def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
+    """dim H^degree(g, module) via exact ranks of the CE differentials."""
+    shift, w = _module_slice(module)
+    P = PolyVectorAlgebra(g, shift)
+
+    def d_rank(k: int) -> int:
+        # d is linear, so its columns are d of the unit monomials of C^k;
+        # rank(d) = rank(d^T), so they go in as sparse rows
+        dst_index = {m: i for i, m in enumerate(P.slice_basis(k + 1, w))}
+        return linalg.rank(
+            {dst_index[m]: c for m, c in P.d({mono: Fraction(1)}).items()}
+            for mono in P.slice_basis(k, w)
+        )
+
+    dim_ker = len(P.slice_basis(degree, w)) - d_rank(degree)
+    return dim_ker - d_rank(degree - 1) if degree > 0 else dim_ker

@@ -33,8 +33,9 @@ since the reduction cancels every factor of a constant quotient.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 
 from .errors import InputError
@@ -48,6 +49,10 @@ MAX_EXPONENT = 64
 # ((x+y+1)^8)^8 has degree 64, and (x+y+1)^64 takes about ten times as long
 # to expand as (x+y+1)^32
 MAX_POWER_DEGREE = 32
+# and, for degree-0 bases such as ((2^64)^64)^64, the size of its
+# coefficients: at most the digits of the longest integer literal int()
+# reads (Python's default of 4300 where no limit is set)
+_DEFAULT_LITERAL_DIGITS = 4300
 
 
 class Polynomial:
@@ -598,6 +603,15 @@ def _total_degree(x: Scalar) -> int:
     return max(deg(x.num), sum(deg(f) * e for f, e in x.factors.items()))
 
 
+def _coefficient_bits(x: Scalar) -> int:
+    """The largest bit length of a numerator or denominator among x's rational coefficients."""
+    if isinstance(x, RationalFunction):
+        coefs = [c for p in (x.num, *x.factors) for c in p.terms.values()]
+    else:
+        coefs = [x]
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coefs), default=0)
+
+
 def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
     """Parse an exact scalar expression.
 
@@ -646,6 +660,13 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
             degree = tok[1] * _total_degree(base)
             if degree > MAX_POWER_DEGREE:
                 raise InputError(f"a power of total degree {degree} is above {MAX_POWER_DEGREE}")
+            digits = int(tok[1] * _coefficient_bits(base) * log10(2)) + 1
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_LITERAL_DIGITS
+            if digits > limit:
+                raise InputError(
+                    f"a power with coefficients of about {digits} digits is above the "
+                    f"{limit}-digit limit for integer literals"
+                )
             return base ** (sign * tok[1])
         return base
 

@@ -16,7 +16,6 @@ from qlie.lie import (
     WEDGE,
     abelian,
     casimir_from_pairing,
-    ce_differential,
     check_lie,
     heisenberg,
     invariants,
@@ -44,7 +43,7 @@ from qlie.mc import (
     pol_bg,
     twist_path,
 )
-from qlie.polyvectors import schouten
+from qlie.polyvectors import ce_differential, schouten
 from qlie.qlb import (
     QuasiLieBialgebra,
     Twist,

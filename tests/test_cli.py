@@ -99,6 +99,8 @@ R_COEF = ("entries", 0, "coef")
             {"signature": "wedge3", "vars": ["x", "y"], "entries": [{"idx": ["e", "f", "h"], "coef": "((x+y+1)^64)^64"}]},
             QLB_PHI, "above 32",
         ),
+        # and so is the size of its coefficients on degree-0 bases
+        ("sl2.json", COEF, "((2^64)^64)^64", LIE, "digit limit"),
     ],
     ids=[
         "zero-denominator", "non-list-component", "singular-rmatrix",
@@ -106,6 +108,7 @@ R_COEF = ("entries", 0, "coef")
         "number-tensor-vars", "non-string-tensor-vars", "number-rmatrix-vars",
         "string-rmatrix-vars", "huge-power", "huge-negative-power", "power-above-cap",
         "5000-digit-literal", "superscript-digit", "nested-power",
+        "nested-rational-power",
     ],
 )
 def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):

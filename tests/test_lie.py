@@ -12,9 +12,7 @@ from qlie.lie import (
     WEDGE,
     abelian,
     casimir_from_pairing,
-    ce_differential,
     check_lie,
-    cohomology_dim,
     direct_sum,
     heisenberg,
     invariants,
@@ -22,6 +20,7 @@ from qlie.lie import (
     sl3,
     split_subalgebra,
 )
+from qlie.polyvectors import ce_differential, cohomology_dim
 
 
 def F(a, b=1):

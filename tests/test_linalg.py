@@ -16,13 +16,13 @@ from qlie.lie import (
     SYM,
     TRIVIAL,
     WEDGE,
-    cohomology_dim,
     invariants,
     module_action,
     module_basis,
     sl2,
     sl3,
 )
+from qlie.polyvectors import cohomology_dim
 
 
 def F(a, b=1):

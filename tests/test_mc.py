@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from conftest import rand_cobracket, rand_multivector, sl3_plus_sl2, sparse_structures, zero_cobracket
+from conftest import rand_cobracket, rand_fraction, rand_multivector, sl3_plus_sl2, sparse_structures, zero_cobracket
 from qlie.lie import abelian, casimir_from_pairing, sl2, sl3
 from qlie.mc import (
     GaugePath,
@@ -80,7 +81,7 @@ def test_mc_residual_matches_check_qlb(rng):
 
 
 def test_mc_residual_nonzero_weight2_equals_ce_of_delta(rng):
-    from qlie.lie import ce_differential
+    from qlie.polyvectors import ce_differential
 
     g = sl2()
     L = pol_bg(g, 1)
@@ -113,6 +114,31 @@ def test_mc_residual_shift2_non_invariant_fails():
     c_bad = SparseTensor.build(sym2_signature(3), [((0, 0), F(1))])
     x = encode_casimir(L, c_bad)
     assert not mc_residual_is_zero(mc_residual(L, x))
+
+
+def test_mc_residual_shift2_decodes_like_casimir_invariance_residual(rng):
+    # decoded residuals use the SYM(2) orbit basis of the CE residual d c,
+    # repeated-index entries included: on sl2 with c = e.h the (e; e, e)
+    # entry is 4, not the monomial coefficient 2
+    from qlie.lie import sym2_signature
+    from qlie.qlb import casimir_invariance_residual
+    from qlie.tensors import SparseTensor
+
+    g = sl2()
+    L = pol_bg(g, 2)
+    c = SparseTensor.build(sym2_signature(3), [((0, 2), F(1))])
+    decoded = decode_residual(L, mc_residual(L, encode_casimir(L, c)))
+    assert decoded[2].data[((0,), (0, 0))] == 4
+    assert decoded == {2: casimir_invariance_residual(g, c)}
+    for g in (sl2(), sl3()):
+        L = pol_bg(g, 2)
+        keys = list(combinations_with_replacement(range(g.dim), 2))
+        for _ in range(6):
+            picked = rng.sample(keys, 4) + [(rng.randrange(g.dim),) * 2]
+            c = SparseTensor.build(sym2_signature(g.dim), [(key, rand_fraction(rng)) for key in picked])
+            residual = casimir_invariance_residual(g, c)
+            assert not residual.is_zero()
+            assert decode_residual(L, mc_residual(L, encode_casimir(L, c))) == {2: residual}
 
 
 def test_gauge_constant_path_iff_mc():

@@ -4,8 +4,9 @@ from itertools import combinations, product
 import pytest
 
 from conftest import rand_multivector
-from qlie.lie import CECochain, WEDGE, abelian, ce_differential, sl2, sl3
-from qlie.polyvectors import PolyVectorAlgebra, schouten, derived_square
+from test_ce_reference import ref_ce_differential as ce_differential  # the slot formula
+from qlie.lie import CECochain, WEDGE, abelian, sl2, sl3
+from qlie.polyvectors import PolyVectorAlgebra, schouten
 from qlie.scalars import vec_add, vec_scale
 from qlie.tensors import Multivector
 
@@ -129,8 +130,10 @@ def test_schouten_ef_squared():
     g = sl2()
     ef = Multivector.basis(3, (0, 1))
     assert schouten(g, ef, ef) == Multivector(3, 3, {(0, 1, 2): F(2)})
-    # and the big-bracket square has the opposite sign (ledger relation)
-    assert derived_square(g, ef) == Multivector(3, 3, {(0, 1, 2): F(-2)})
+    # and the big-bracket square [el, d el] has the opposite sign (ledger relation)
+    P = PolyVectorAlgebra(g, 1)
+    el = P.from_multivector(ef)
+    assert P.to_multivector(P.bracket(el, P.d(el)), 3) == Multivector(3, 3, {(0, 1, 2): F(-2)})
 
 
 def test_schouten_agrees_with_derived_bracket(rng):

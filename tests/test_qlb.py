@@ -9,7 +9,6 @@ from qlie.lie import (
     WEDGE,
     abelian,
     casimir_from_pairing,
-    ce_differential,
     invariants,
     multivector_to_cochain,
     sl2,
@@ -17,6 +16,7 @@ from qlie.lie import (
     split_subalgebra,
     sym2_signature,
 )
+from qlie.polyvectors import ce_differential
 from qlie.qlb import (
     QuasiLieBialgebra,
     Twist,

@@ -23,6 +23,16 @@ def test_parse_rejects_decimals_and_unknowns():
         parse_scalar("1 +")
 
 
+def test_power_coefficient_size_cap():
+    # the digit limit of integer literals bounds a power's coefficients too
+    assert parse_scalar("(2^64)^64") == Fraction(2) ** 4096
+    assert parse_scalar("(2^64)^-64", ("x",)) == RationalFunction.const(("x",), Fraction(1, 2**4096))
+    for text in ("((2^64)^64)^64", "(((2^64)^64)^64)^64", "((1/3^64)^64)^64"):
+        for variables in ((), ("x",)):
+            with pytest.raises(InputError, match="digit limit"):
+                parse_scalar(text, variables)
+
+
 def test_parse_rational_functions():
     x = parse_scalar("1/x", ("x",))
     assert isinstance(x, RationalFunction)
