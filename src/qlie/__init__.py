@@ -23,7 +23,6 @@ from .lie import (
     check_lie,
     direct_sum,
     heisenberg,
-    invariants,
     sl2,
     sl3,
     split_subalgebra,
@@ -52,7 +51,7 @@ from .mc import (
     pol_bg,
     twist_path,
 )
-from .polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, schouten
+from .polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, invariants, schouten
 from .qlb import (
     QuasiLieBialgebra,
     Twist,

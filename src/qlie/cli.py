@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import formats
 from .errors import InputError
-from .lie import LieAlgebra, SYM, WEDGE, check_lie, invariants, split_subalgebra
+from .lie import LieAlgebra, SYM, WEDGE, check_lie, split_subalgebra
 from .manin import (
     ManinTriple,
     QuadraticLieAlgebra,
@@ -35,6 +35,7 @@ from .mc import (
     mc_residual_is_zero,
     pol_bg,
 )
+from .polyvectors import invariants
 from .qlb import (
     QuasiLieBialgebra,
     Twist,
@@ -92,7 +93,7 @@ def _qlb_data(q: QuasiLieBialgebra) -> dict:
     return {
         "basis": list(q.g.basis),
         "delta": formats.cochain_to_entries(q.delta),
-        "phi": formats.multivector_to_entries(q.phi, q.g),
+        "phi": formats.tensor_to_entries(q.phi, q.g),
     }
 
 
@@ -138,7 +139,7 @@ def cmd_casimir_phi(args, inputs):
 
     q = QuasiLieBialgebra(g, CECochain(g, 1, WEDGE(2), {}), phi)
     checks = _residual_checks(q)
-    return checks, {"phi": formats.multivector_to_entries(phi, g)}
+    return checks, {"phi": formats.tensor_to_entries(phi, g)}
 
 
 def cmd_induce(args, inputs):
@@ -182,7 +183,7 @@ def cmd_cybe(args, inputs):
         _check("symmetric-part-invariant", rep.split.symmetric_part_invariant),
     ]
     data = {
-        "lambda": formats.multivector_to_entries(rep.split.lam, g),
+        "lambda": formats.tensor_to_entries(rep.split.lam, g),
         "c": formats.tensor_to_entries(rep.split.c, g),
     }
     if rep.lambda_form_holds is not None:

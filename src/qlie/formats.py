@@ -16,7 +16,7 @@ from .lie import CECochain, LieAlgebra, WEDGE, sym2_signature
 from .manin import ManinTriple
 from .mc import MAX_WEIGHT, WeightGradedDGLA, window
 from .scalars import Polynomial, RationalFunction, parse_scalar
-from .tensors import Multivector, SparseTensor, plain_signature
+from .tensors import Multivector, SparseTensor, SparseVector, plain_signature
 
 TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
 
@@ -167,14 +167,8 @@ def tensor_from_dict(doc: dict, g: LieAlgebra, expect: Optional[str] = None):
     raise InputError(f"unhandled signature {sig!r}")
 
 
-def multivector_to_entries(mv: Multivector, g: LieAlgebra) -> List[dict]:
-    return [
-        {"idx": [g.basis[i] for i in key], "coef": str(coef)}
-        for key, coef in sorted(mv.data.items(), key=lambda kv: kv[0])
-    ]
-
-
-def tensor_to_entries(t: SparseTensor, g: LieAlgebra) -> List[dict]:
+def tensor_to_entries(t: SparseVector, g: LieAlgebra) -> List[dict]:
+    """Entries of a multivector or a sparse tensor, both keyed by index tuples."""
     return [
         {"idx": [g.basis[i] for i in key], "coef": str(coef)}
         for key, coef in sorted(t.data.items(), key=lambda kv: kv[0])

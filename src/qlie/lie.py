@@ -2,19 +2,19 @@
 
 A cochain in C^k(g, M) is a `CECochain`: k antisymmetric dual slots plus
 the slots of a module M built from the adjoint action (TRIVIAL, ADJOINT,
-WEDGE(p), SYM(p)).  Its differential is the polyvector one,
-`polyvectors.PolyVectorAlgebra.d`, reached through
-`polyvectors.ce_differential`; with the ledger's convention
-``(d x)(xi) = [x, xi]`` on degree-0 cochains the kernel of d on C^0 is
-literally the space of invariants, which `invariants` computes from the
-module action directly.
+WEDGE(p), SYM(p)).  This module only stores cochains; everything that
+applies the differential lives in `polyvectors`, where d is
+`PolyVectorAlgebra.d` on the slice that holds the cochain:
+`ce_differential`, `cohomology_dim` and `invariants`, the kernel of d on
+C^0 (with the ledger's convention ``(d x)(xi) = [x, xi]`` on degree 0 it
+is literally the space of invariants).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -158,52 +158,12 @@ def check_lie(g: LieAlgebra) -> LieCheckReport:
 # coefficient modules
 # ---------------------------------------------------------------------------
 
-def module_basis(g: LieAlgebra, module) -> List[tuple]:
-    kind = module[0]
-    if kind == "triv":
-        return [()]
-    if kind == "adjoint":
-        return [(i,) for i in range(g.dim)]
-    if kind == "wedge":
-        return list(combinations(range(g.dim), module[1]))
-    if kind == "sym":
-        return list(combinations_with_replacement(range(g.dim), module[1]))
-    raise InputError(f"unsupported module {module!r}")
-
-
 def multiplicity_factorial(key: Sequence[int]) -> int:
     """Product of the factorials of the multiplicities of the entries of key."""
     return prod(factorial(key.count(v)) for v in set(key))
 
 
 KNOWN_MODULES = ("triv", "adjoint", "wedge", "sym")
-
-
-def module_action(g: LieAlgebra, xi: int, module, key: tuple) -> Dict[tuple, Scalar]:
-    """ad(xi) acting on a module basis element, as a coefficient dict."""
-    kind = module[0]
-    if kind not in KNOWN_MODULES:
-        raise InputError(f"unsupported module {module!r}")
-
-    def terms():
-        # ad(xi) replaces one slot at a time (no slots for the trivial module)
-        for slot in range(len(key)):
-            for m, c in g.bracket(xi, key[slot]).items():
-                new = key[:slot] + (m,) + key[slot + 1 :]
-                if kind == "wedge":
-                    res = _sort_with_sign(new)
-                    if res is not None:
-                        yield res[1], res[0] * c
-                elif kind == "sym":
-                    # keys are orbit sums over distinct permutations, so slot
-                    # replacement carries the multiplicity correction
-                    tgt = tuple(sorted(new))
-                    factor = Fraction(multiplicity_factorial(tgt), multiplicity_factorial(key))
-                    yield tgt, factor * c
-                else:
-                    yield new, c
-
-    return combine(terms())
 
 
 def _cochain_canon(key) -> Optional[Tuple[int, Tuple[tuple, tuple]]]:
@@ -256,24 +216,6 @@ class CECochain(SparseVector):
 
 def multivector_to_cochain(g: LieAlgebra, mv: Multivector) -> CECochain:
     return CECochain(g, 0, WEDGE(mv.p), {((), key): c for key, c in mv.data.items()})
-
-
-def invariants(g: LieAlgebra, module) -> List[CECochain]:
-    """Exact basis of ker(d restricted to C^0) = module invariants."""
-    keys = module_basis(g, module)
-    rows = []
-    for xi in range(g.dim):
-        by_out: Dict[tuple, Dict[int, Scalar]] = {}
-        for j, key in enumerate(keys):
-            for ok, c in module_action(g, xi, module, key).items():
-                by_out.setdefault(ok, {})[j] = c
-        rows.extend(by_out[ok] for ok in sorted(by_out))
-    basis = linalg.nullspace(rows, n_cols=len(keys))
-    out = []
-    for vec in basis:
-        data = {((), keys[i]): c for i, c in enumerate(vec) if c}
-        out.append(CECochain(g, 0, module, data))
-    return out
 
 
 # ---------------------------------------------------------------------------

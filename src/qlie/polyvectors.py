@@ -29,9 +29,10 @@ the tests).
 The differential d is the library's one Chevalley-Eilenberg differential.
 A cochain valued in TRIVIAL, ADJOINT or WEDGE(p) is the slice of
 polyvector weight 0, 1 or p at shift 1; one valued in SYM(p) is the
-weight-p slice at shift 2.  `ce_differential` and `cohomology_dim` work
-through that embedding: the first encodes, applies d and decodes, the
-second takes the rank of d on the unit monomials of a slice.
+weight-p slice at shift 2.  `ce_differential`, `cohomology_dim` and
+`invariants` work through that embedding: the first encodes, applies d
+and decodes; the other two take d of each unit cochain of a slice as one
+column, and read off its rank or, on C^0, its kernel.
 """
 
 from __future__ import annotations
@@ -115,27 +116,26 @@ class PolyVectorAlgebra:
 
         return combine(terms())
 
-    def apply_odd_derivation(self, images_cov: List[Element], images_vec: List[Element], a: Element) -> Element:
-        """Extend generator images (degree odd) as a derivation."""
+    def d(self, a: Element) -> Element:
+        """The differential: the generator images _d_cov/_d_vec extended as an
+        odd derivation."""
 
         def terms():
             for mono, coef in a.items():
                 gens = self.mono_gens(mono)
                 prefix_parity = 0
                 for pos, gen in enumerate(gens):
-                    image = images_cov[gen[1]] if gen[0] == 0 else images_vec[gen[1]]
+                    image = self._d_cov[gen[1]] if gen[0] == 0 else self._d_vec[gen[1]]
                     sign = -1 if prefix_parity else 1
                     for imono, icoef in image.items():
                         seq = gens[:pos] + self.mono_gens(imono) + gens[pos + 1 :]
                         res = self.canonicalize(seq)
                         if res is not None:
-                            yield res[1], sign * res[0] * coef * icoef
+                            c = coef * icoef
+                            yield res[1], c if res[0] == sign else -c
                     prefix_parity ^= self.gen_parity(gen)
 
         return combine(terms())
-
-    def d(self, a: Element) -> Element:
-        return self.apply_odd_derivation(self._d_cov, self._d_vec, a)
 
     # -- the big bracket -------------------------------------------------------
 
@@ -286,19 +286,38 @@ def ce_differential(x: CECochain) -> CECochain:
     return P._to_cochain(P.d(P.from_cochain(x)), x.k + 1, x.module)
 
 
+def _unit_differentials(P: PolyVectorAlgebra, module, k: int) -> Tuple[List[Mono], List[Element]]:
+    """The keys of C^k(g, module) and the columns of d on it: d of the unit
+    orbit-basis cochain on each key, in key order."""
+    keys = P.slice_basis(k, _module_slice(module)[1])
+    return keys, [P.d(P.from_cochain(CECochain(P.g, k, module, {key: Fraction(1)}))) for key in keys]
+
+
 def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
     """dim H^degree(g, module) via exact ranks of the CE differentials."""
     shift, w = _module_slice(module)
     P = PolyVectorAlgebra(g, shift)
 
     def d_rank(k: int) -> int:
-        # d is linear, so its columns are d of the unit monomials of C^k;
-        # rank(d) = rank(d^T), so they go in as sparse rows
+        # rank(d) = rank(d^T), so the columns go in as sparse rows
         dst_index = {m: i for i, m in enumerate(P.slice_basis(k + 1, w))}
-        return linalg.rank(
-            {dst_index[m]: c for m, c in P.d({mono: Fraction(1)}).items()}
-            for mono in P.slice_basis(k, w)
-        )
+        _, columns = _unit_differentials(P, module, k)
+        return linalg.rank({dst_index[m]: c for m, c in col.items()} for col in columns)
 
     dim_ker = len(P.slice_basis(degree, w)) - d_rank(degree)
     return dim_ker - d_rank(degree - 1) if degree > 0 else dim_ker
+
+
+def invariants(g: LieAlgebra, module) -> List[CECochain]:
+    """Exact basis of the module invariants: the kernel of d on C^0(g, module)
+    (with the ledger's sign, (d x)(xi) = [x, xi] on degree 0)."""
+    P = PolyVectorAlgebra(g, _module_slice(module)[0])
+    keys, columns = _unit_differentials(P, module, 0)
+    rows: Dict[Mono, Dict[int, Scalar]] = {}
+    for j, col in enumerate(columns):
+        for m, c in col.items():
+            rows.setdefault(m, {})[j] = c
+    return [
+        CECochain(g, 0, module, {keys[i]: c for i, c in enumerate(vec) if c})
+        for vec in linalg.nullspace([rows[m] for m in sorted(rows)], n_cols=len(keys))
+    ]

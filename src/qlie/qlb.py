@@ -15,6 +15,11 @@ and `mc.mc_residual` do not check each other's maps.  The independent
 checks live in the tests: the slot-wise Chevalley-Eilenberg formula in
 tests/test_ce_reference.py and the generator recursion of the bracket in
 tests/test_bracket_oracle.py.
+
+The coisotropic morphism verifier uses the same two maps: its target
+differential is d + [delta + phi, -] on the polyvector algebra of the
+subalgebra, twisted by the structure that `induce_from_coisotropic`
+returns, so the verifier and `check_qlb` judge the same (delta, phi).
 """
 
 from __future__ import annotations
@@ -206,13 +211,16 @@ def induce_from_coisotropic(
     """Quasi-Lie bialgebra on h from a coisotropic Casimir element.
 
     delta^{ij}_k = 1/2 (A^j_{ka} Q^{ia} - A^i_{ka} Q^{ja})
-    phi^{ijk}    = 1/8 f^i_{ab} P^{aj} P^{bk}
-                 + 1/4 Q^{ia} (C^k_{ab} Q^{jb} - C^j_{ab} Q^{kb})
-                 + 1/8 P^{ia} (A^k_{ab} Q^{jb} - A^j_{ab} Q^{kb})
+    phi^{ijk}    = 1/4 f^i_{ab} P^{aj} P^{bk}
+                 + 1/2 Q^{ia} (C^k_{ab} Q^{jb} - C^j_{ab} Q^{kb})
+                 + 1/4 P^{ia} (A^k_{ab} Q^{jb} - A^j_{ab} Q^{kb})
 
     The undefined block symbols of the source formulas are instantiated as
     gamma := C and alpha := A (the only index-shape-consistent choice);
     the instantiation is validated by check_qlb and the morphism verifier.
+    The overall scale of phi is fixed where delta != 0: at h = g the
+    quotient is trivial, delta = 0 and any multiple of phi passes, but on
+    the coisotropic subalgebras with delta != 0 only this one does.
     """
     if validate and not coisotropic_casimir_check(split, c):
         raise PreconditionError("Casimir element does not vanish on Sym^2(g/h)")
@@ -250,13 +258,13 @@ def induce_from_coisotropic(
         total = Fraction(0)
         for a in range(nh):
             for b in range(nh):
-                total += Fraction(1, 8) * f(i, a, b) * Pc(a, j) * Pc(b, k)
+                total += Fraction(1, 4) * f(i, a, b) * Pc(a, j) * Pc(b, k)
         for a in range(nm):
             for b in range(nm):
-                total += Fraction(1, 4) * Qc(i, a) * (C(k, a, b) * Qc(j, b) - C(j, a, b) * Qc(k, b))
+                total += Fraction(1, 2) * Qc(i, a) * (C(k, a, b) * Qc(j, b) - C(j, a, b) * Qc(k, b))
         for a in range(nh):
             for b in range(nm):
-                total += Fraction(1, 8) * Pc(i, a) * (A(k, a, b) * Qc(j, b) - A(j, a, b) * Qc(k, b))
+                total += Fraction(1, 4) * Pc(i, a) * (A(k, a, b) * Qc(j, b) - A(j, a, b) * Qc(k, b))
         return total
 
     phi_entries = {}
@@ -399,7 +407,10 @@ def _invariance_identities(split: SplitSubalgebra, P, Q) -> Dict[str, bool]:
 
 def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> MorphismReport:
     """Three checks: the five invariance identities, their equivalence to
-    d c = 0, and that the generator map F intertwines the differentials."""
+    d c = 0, and that the generator map F intertwines the differentials,
+    F(d_g x) = (d_h + [mu, -]) F(x) on every generator x, where mu is the
+    induced structure delta + phi as a Maurer-Cartan element of the shift-1
+    polyvector algebra of h."""
     g = split.g
     P, Q, _ = split_casimir(split, c)
     identities = _invariance_identities(split, P, Q)
@@ -409,50 +420,15 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> Morp
 
     q = induce_from_coisotropic(split, c, validate=False)
     h = q.g
-    nh, nm = split.dim_h, split.dim_m
+    nh = split.dim_h
     Pg = PolyVectorAlgebra(g, 1)
     Ph = PolyVectorAlgebra(h, 1)
-
-    # target differential twisted by the induced structure:
-    #   d e^i += phi^{ijk} e_j e_k - delta^{ij}_k e^k e_j
-    #   d e_i += 1/2 delta_i^{jk} e_j e_k
-    def delta_comp(i, j, k):
-        # coefficient of e_i wedge e_j in delta(e_k) is stored on (i < j)
-        down_up = ((k,), tuple(sorted((i, j))))
-        v = q.delta.data.get(down_up, Fraction(0))
-        return v if i < j else -v if i > j else Fraction(0)
-
-    def phi_comp(i, j, k):
-        return q.phi.get((i, j, k))
-
-    def cov_extra(i):
-        for j in range(nh):
-            for k in range(nh):
-                pc = phi_comp(i, j, k)
-                if not is_zero(pc):
-                    res = Ph.canonicalize([(1, j), (1, k)])
-                    if res:
-                        yield res[1], res[0] * pc
-                dc = delta_comp(i, j, k)
-                if not is_zero(dc):
-                    res = Ph.canonicalize([(0, k), (1, j)])
-                    if res:
-                        yield res[1], res[0] * (-dc)
-
-    def vec_extra(i):
-        for j in range(nh):
-            for k in range(nh):
-                dc = delta_comp(j, k, i)  # delta_i^{jk}
-                if not is_zero(dc):
-                    res = Ph.canonicalize([(1, j), (1, k)])
-                    if res:
-                        yield res[1], res[0] * Fraction(1, 2) * dc
-
-    cov_images = [vec_add(Ph._d_cov[i], combine(cov_extra(i))) for i in range(nh)]
-    vec_images = [vec_add(Ph._d_vec[i], combine(vec_extra(i))) for i in range(nh)]
+    # the target differential d + [mu, -], twisted by the induced
+    # Maurer-Cartan element mu = delta + phi
+    mu = vec_add(Ph.from_cochain(q.delta), Ph.from_multivector(q.phi))
 
     def d_target(el: Element) -> Element:
-        return Ph.apply_odd_derivation(cov_images, vec_images, el)
+        return vec_add(Ph.d(el), Ph.bracket(mu, el))
 
     # F on generators of the source cochain algebra
     hpos = {v: i for i, v in enumerate(split.h_indices)}

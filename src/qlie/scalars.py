@@ -51,7 +51,9 @@ MAX_EXPONENT = 64
 MAX_POWER_DEGREE = 32
 # and, for degree-0 bases such as ((2^64)^64)^64, the size of its
 # coefficients: at most the digits of the longest integer literal int()
-# reads (Python's default of 4300 where no limit is set)
+# reads (Python's default of 4300 where no limit is set); products and
+# quotients are held to the same estimate, since (10^64)^64*(10^64)^64
+# multiplies two accepted powers past it
 _DEFAULT_LITERAL_DIGITS = 4300
 
 
@@ -612,6 +614,18 @@ def _coefficient_bits(x: Scalar) -> int:
     return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coefs), default=0)
 
 
+def _check_digits(what: str, bits: int) -> None:
+    """Reject a result whose coefficients are estimated at `bits` bits when that
+    is more digits than the longest integer literal int() reads."""
+    digits = int(bits * log10(2)) + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_LITERAL_DIGITS
+    if digits > limit:
+        raise InputError(
+            f"{what} with coefficients of about {digits} digits is above the "
+            f"{limit}-digit limit for integer literals"
+        )
+
+
 def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
     """Parse an exact scalar expression.
 
@@ -660,13 +674,7 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
             degree = tok[1] * _total_degree(base)
             if degree > MAX_POWER_DEGREE:
                 raise InputError(f"a power of total degree {degree} is above {MAX_POWER_DEGREE}")
-            digits = int(tok[1] * _coefficient_bits(base) * log10(2)) + 1
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_LITERAL_DIGITS
-            if digits > limit:
-                raise InputError(
-                    f"a power with coefficients of about {digits} digits is above the "
-                    f"{limit}-digit limit for integer literals"
-                )
+            _check_digits("a power", tok[1] * _coefficient_bits(base))
             return base ** (sign * tok[1])
         return base
 
@@ -675,6 +683,8 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
         while toks.peek() in ("*", "/"):
             op = toks.next()
             rhs = power()
+            bits = _coefficient_bits(v) + _coefficient_bits(rhs)
+            _check_digits("a product" if op == "*" else "a quotient", bits)
             v = v * rhs if op == "*" else v / rhs
         return v
 

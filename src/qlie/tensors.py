@@ -31,7 +31,10 @@ class ConventionLedger:
     """Fixed record of embedding, sign and normalization choices.
 
     All numeric calibration constants below were determined once on sl2
-    by exact computation and are re-verified on sl3 by the test suite.
+    by exact computation and are re-verified on sl3 by the test suite;
+    casimir_vs_induced also carries the scale of the coisotropic induction
+    formula, which the tests pin on every basis-aligned coisotropic
+    subalgebra of sl3, of the double of sl2 and of sl2 (+) sl2.
     """
 
     wedge_embedding: str = "signed permutation sum, no 1/p! factor"
@@ -48,7 +51,7 @@ class ConventionLedger:
     kappa_cybe: str = "4"
     lambda_form_phi_coeff: str = "3/2"
     # casimir_to_phi output = casimir_vs_induced * (induced phi at h = g)
-    casimir_vs_induced: str = "4/3"
+    casimir_vs_induced: str = "2/3"
 
     def to_dict(self) -> Dict[str, str]:
         return {
@@ -68,9 +71,10 @@ class ConventionLedger:
 
 LEDGER = ConventionLedger()
 
-KAPPA_CYBE = Fraction(4)
-LAMBDA_FORM_PHI_COEFF = Fraction(3, 2)
-CASIMIR_VS_INDUCED = Fraction(4, 3)
+# the calibration constants as numbers, read from the stamped strings
+KAPPA_CYBE = Fraction(LEDGER.kappa_cybe)
+LAMBDA_FORM_PHI_COEFF = Fraction(LEDGER.lambda_form_phi_coeff)
+CASIMIR_VS_INDUCED = Fraction(LEDGER.casimir_vs_induced)
 
 
 def _sort_with_sign(idx: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]]]:

@@ -18,7 +18,6 @@ from qlie.lie import (
     casimir_from_pairing,
     check_lie,
     heisenberg,
-    invariants,
     multivector_to_cochain,
     sl2,
     sl3,
@@ -43,7 +42,7 @@ from qlie.mc import (
     pol_bg,
     twist_path,
 )
-from qlie.polyvectors import ce_differential, schouten
+from qlie.polyvectors import ce_differential, invariants, schouten
 from qlie.qlb import (
     QuasiLieBialgebra,
     Twist,

@@ -3,34 +3,38 @@
 `ref_ce_differential` is the slot-wise formula `qlie.lie.ce_differential`
 used before the differential became `PolyVectorAlgebra.d`: for every
 (k+1)-subset of basis indices it sums the module-action terms and the
-bracket terms of the cochain.  `dense_generator_images` is the dense
-construction of the generator images `_d_cov`/`_d_vec`, one structure
-constant per (pair, index).  Both are kept here as independent oracles
-only.
+bracket terms of the cochain.  `module_basis` and `module_action` are the
+coefficient-module bases and the adjoint action it is built on, which
+`qlie.lie.invariants` reduced before the invariants became the kernel of
+d on C^0; `ref_invariants` is that reduction.  `dense_generator_images`
+is the dense construction of the generator images `_d_cov`/`_d_vec`, one
+structure constant per (pair, index).  All are kept here as independent
+oracles only.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from conftest import sl_n
 from qlie import linalg
+from qlie.errors import InputError
 from qlie.lie import (
     ADJOINT,
     CECochain,
     SYM,
     TRIVIAL,
     WEDGE,
+    abelian,
     direct_sum,
     heisenberg,
-    module_action,
-    module_basis,
+    multiplicity_factorial,
     sl2,
     sl3,
 )
-from qlie.polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim
+from qlie.polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, invariants
 from qlie.scalars import combine
 from qlie.tensors import _sort_with_sign
 
@@ -41,6 +45,60 @@ ALGEBRAS = {
     "heisenberg5": lambda: heisenberg(5),
     "sl2+sl2": lambda: direct_sum(sl2(), sl2()),
 }
+
+
+def module_basis(g, module):
+    kind = module[0]
+    if kind == "triv":
+        return [()]
+    if kind == "adjoint":
+        return [(i,) for i in range(g.dim)]
+    if kind == "wedge":
+        return list(combinations(range(g.dim), module[1]))
+    if kind == "sym":
+        return list(combinations_with_replacement(range(g.dim), module[1]))
+    raise InputError(f"unsupported module {module!r}")
+
+
+def module_action(g, xi, module, key):
+    """ad(xi) acting on a module basis element, as a coefficient dict."""
+    kind = module[0]
+
+    def terms():
+        # ad(xi) replaces one slot at a time (no slots for the trivial module)
+        for slot in range(len(key)):
+            for m, c in g.bracket(xi, key[slot]).items():
+                new = key[:slot] + (m,) + key[slot + 1 :]
+                if kind == "wedge":
+                    res = _sort_with_sign(new)
+                    if res is not None:
+                        yield res[1], res[0] * c
+                elif kind == "sym":
+                    # keys are orbit sums over distinct permutations, so slot
+                    # replacement carries the multiplicity correction
+                    tgt = tuple(sorted(new))
+                    factor = Fraction(multiplicity_factorial(tgt), multiplicity_factorial(key))
+                    yield tgt, factor * c
+                else:
+                    yield new, c
+
+    return combine(terms())
+
+
+def ref_invariants(g, module):
+    """Kernel of the action rows of every ad(xi), in the module's orbit basis."""
+    keys = module_basis(g, module)
+    rows = []
+    for xi in range(g.dim):
+        by_out = {}
+        for j, key in enumerate(keys):
+            for ok, c in module_action(g, xi, module, key).items():
+                by_out.setdefault(ok, {})[j] = c
+        rows.extend(by_out[ok] for ok in sorted(by_out))
+    return [
+        CECochain(g, 0, module, {((), keys[i]): c for i, c in enumerate(vec) if c})
+        for vec in linalg.nullspace(rows, n_cols=len(keys))
+    ]
 
 
 def ref_ce_differential(x: CECochain) -> CECochain:
@@ -153,6 +211,22 @@ def test_cohomology_dim_matches_reference_rank(name, modules):
     for module in modules:
         for degree in range(4):
             assert cohomology_dim(g, module, degree) == ref_cohomology_dim(g, module, degree)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["abelian4"])
+@pytest.mark.parametrize("module", MODULES, ids=["triv", "adjoint", "wedge2", "wedge3", "sym2", "sym3"])
+def test_invariants_match_module_action_reference(name, module):
+    # the same basis, normalization included: the kernel of d on C^0 and
+    # the kernel of the action rows have one reduced row echelon form
+    g = abelian(4) if name == "abelian4" else ALGEBRAS[name]()
+    got = invariants(g, module)
+    assert [x.data for x in got] == [x.data for x in ref_invariants(g, module)]
+    assert all(x.module == module and x.k == 0 for x in got)
+
+
+def test_unknown_module_is_input_error():
+    with pytest.raises(InputError, match="unsupported module"):
+        invariants(sl2(), ("tensor", 2))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["sl4"])

@@ -101,6 +101,12 @@ R_COEF = ("entries", 0, "coef")
         ),
         # and so is the size of its coefficients on degree-0 bases
         ("sl2.json", COEF, "((2^64)^64)^64", LIE, "digit limit"),
+        # and a product of accepted powers, which used to exit 3
+        (
+            "phi_zero.json", (),
+            {"signature": "wedge3", "entries": [{"idx": ["e", "f", "h"], "coef": "(10^64)^64*(10^64)^64"}]},
+            QLB_PHI, "digit limit",
+        ),
     ],
     ids=[
         "zero-denominator", "non-list-component", "singular-rmatrix",
@@ -108,7 +114,7 @@ R_COEF = ("entries", 0, "coef")
         "number-tensor-vars", "non-string-tensor-vars", "number-rmatrix-vars",
         "string-rmatrix-vars", "huge-power", "huge-negative-power", "power-above-cap",
         "5000-digit-literal", "superscript-digit", "nested-power",
-        "nested-rational-power",
+        "nested-rational-power", "product-of-powers",
     ],
 )
 def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):
@@ -364,7 +370,8 @@ def test_mc_residual_beyond_dim_8_agrees_with_check_qlb(tmp_path):
     import random
 
     from conftest import sl3_plus_sl2, sparse_structures
-    from qlie.formats import cochain_to_entries, lie_to_dict, multivector_to_entries
+    from qlie.formats import cochain_to_entries, lie_to_dict
+    from qlie.formats import tensor_to_entries as multivector_to_entries
 
     g, phi_inv = sl3_plus_sl2()
     algebra = tmp_path / "sl3+sl2.json"

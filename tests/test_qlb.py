@@ -9,14 +9,13 @@ from qlie.lie import (
     WEDGE,
     abelian,
     casimir_from_pairing,
-    invariants,
     multivector_to_cochain,
     sl2,
     sl3,
     split_subalgebra,
     sym2_signature,
 )
-from qlie.polyvectors import ce_differential
+from qlie.polyvectors import ce_differential, invariants
 from qlie.qlb import (
     QuasiLieBialgebra,
     Twist,

@@ -33,6 +33,15 @@ def test_power_coefficient_size_cap():
                 parse_scalar(text, variables)
 
 
+def test_product_coefficient_size_cap():
+    # products and quotients of accepted powers are held to the same limit
+    assert parse_scalar("(10^64)^64*10^64") == Fraction(10) ** 4160
+    assert parse_scalar("1/(10^64)^64/10^64") == Fraction(1, 10**4160)
+    for text in ("(10^64)^64*(10^64)^64", "(10^64)^64/(10^64)^64", "(10^64)^64*x*(10^64)^64"):
+        with pytest.raises(InputError, match="digit limit"):
+            parse_scalar(text, ("x",) if "x" in text else ())
+
+
 def test_parse_rational_functions():
     x = parse_scalar("1/x", ("x",))
     assert isinstance(x, RationalFunction)
