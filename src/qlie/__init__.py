@@ -23,6 +23,7 @@ from .lie import (
     check_lie,
     direct_sum,
     heisenberg,
+    sl,
     sl2,
     sl3,
     split_subalgebra,

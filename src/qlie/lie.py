@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
-from .scalars import Scalar, combine, is_zero
+from .scalars import Scalar, combine, is_zero, vec_add
 from .tensors import (
     Multivector,
     SparseTensor,
@@ -343,106 +343,82 @@ def heisenberg(dim: int = 3) -> LieAlgebra:
     return LieAlgebra(f"heisenberg{dim}", labels, brackets)
 
 
-def sl2() -> LieAlgebra:
-    # basis (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f
-    brackets = {
-        (0, 1): {2: Fraction(1)},
-        (0, 2): {0: Fraction(-2)},
-        (1, 2): {1: Fraction(2)},
-    }
-    g = LieAlgebra("sl2", ["e", "f", "h"], brackets)
-    g.extra.update(
-        {
-            "type": "sl",
-            "rank": 1,
-            "pairing": [
-                [Fraction(0), Fraction(1), Fraction(0)],
-                [Fraction(1), Fraction(0), Fraction(0)],
-                [Fraction(0), Fraction(0), Fraction(2)],
-            ],
-            "cartan": [2],
-            "positive": [0],
-            "negative": [1],
-        }
-    )
-    return g
+def sl(n: int) -> LieAlgebra:
+    """sl(n) on its Chevalley basis of matrix units.
 
+    The basis is h_i = E_ii - E_(i+1)(i+1) for i < n, then the positive
+    root vectors E_ij (i < j) by height and then by row, then the negative
+    ones E_ji in the same order.  A root vector is labelled by the simple
+    roots that sum to its root: E_12 is e1, E_13 is e12 and E_31 is f12
+    (one digit per simple root, so 2 <= n <= 9).  Brackets are the
+    commutators [E_ij, E_kl] = delta_jk E_il - delta_li E_kj expanded back
+    into the basis, where a traceless diagonal d is sum_i (d_1 + ... + d_i)
+    h_i; `extra` holds the trace form and the Cartan and Borel indices.
+    """
+    if not 2 <= n <= 9:
+        raise InputError("sl(n) is built for 2 <= n <= 9")
+    roots = sorted(combinations(range(n), 2), key=lambda ij: (ij[1] - ij[0], ij[0]))
+    names = ["".join(str(s + 1) for s in range(i, j)) for i, j in roots]
+    labels = [f"h{i + 1}" for i in range(n - 1)] + ["e" + x for x in names] + ["f" + x for x in names]
+    units = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+    units += [{(i, j): 1} for i, j in roots] + [{(j, i): 1} for i, j in roots]
+    position = {rc: n - 1 + t for t, rc in enumerate([*roots, *((j, i) for i, j in roots)])}
 
-def sl3() -> LieAlgebra:
-    """Chevalley basis of sl3 generated from the defining representation."""
-    n = 3
+    def product(x, y):
+        return combine(((r, c), u * v) for (r, s), u in x.items() for (s2, c), v in y.items() if s == s2)
 
-    def mat(entries):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), c in entries:
-            m[i][j] += c
-        return m
-
-    def mmul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def msub(a, b):
-        return [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
-
-    labels = ["h1", "h2", "e1", "e2", "e12", "f1", "f2", "f12"]
-    reps = {
-        "h1": mat([((0, 0), Fraction(1)), ((1, 1), Fraction(-1))]),
-        "h2": mat([((1, 1), Fraction(1)), ((2, 2), Fraction(-1))]),
-        "e1": mat([((0, 1), Fraction(1))]),
-        "e2": mat([((1, 2), Fraction(1))]),
-        "e12": mat([((0, 2), Fraction(1))]),
-        "f1": mat([((1, 0), Fraction(1))]),
-        "f2": mat([((2, 1), Fraction(1))]),
-        "f12": mat([((2, 0), Fraction(1))]),
-    }
-    basis_mats = [reps[l] for l in labels]
-
-    def expand(m):
-        # solve for coefficients in the basis (the basis spans traceless matrices)
-        coeffs = {}
-        rows = []
-        rhs = []
-        for i in range(n):
-            for j in range(n):
-                rows.append(dict(enumerate(basis_mats[b][i][j] for b in range(len(labels)))))
-                rhs.append(m[i][j])
-        sol = linalg.solve(rows, rhs, len(labels))
-        if sol is None:
-            raise InputError("matrix outside sl3 span")
-        for b, c in enumerate(sol):
-            if c:
-                coeffs[b] = c
-        return coeffs
+    def expand(m) -> Dict[int, Scalar]:
+        comps = {position[rc]: Fraction(v) for rc, v in m.items() if rc[0] != rc[1]}
+        running = 0
+        for i in range(n - 1):
+            running += m.get((i, i), 0)
+            if running:
+                comps[i] = Fraction(running)
+        return dict(sorted(comps.items()))
 
     brackets: BracketTable = {}
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            comm = msub(mmul(basis_mats[i], basis_mats[j]), mmul(basis_mats[j], basis_mats[i]))
-            comps = expand(comm)
-            if comps:
-                brackets[(i, j)] = comps
-    g = LieAlgebra("sl3", labels, brackets)
-    pairing = [
-        [
-            sum((mmul(basis_mats[i], basis_mats[j])[k][k] for k in range(n)), Fraction(0))
-            for j in range(len(labels))
-        ]
-        for i in range(len(labels))
+    for a, b in combinations(range(len(units)), 2):
+        comps = expand(vec_add(product(units[a], units[b]), product(units[b], units[a]), -1))
+        if comps:
+            brackets[(a, b)] = comps
+    g = LieAlgebra(f"sl{n}", labels, brackets)
+    trace = [
+        [Fraction(sum(v for (r, c), v in product(x, y).items() if r == c)) for y in units]
+        for x in units
     ]
     g.extra.update(
         {
             "type": "sl",
-            "rank": 2,
-            "pairing": pairing,
-            "cartan": [0, 1],
-            "positive": [2, 3, 4],
-            "negative": [5, 6, 7],
+            "rank": n - 1,
+            "pairing": trace,
+            "cartan": list(range(n - 1)),
+            "positive": list(range(n - 1, n - 1 + len(roots))),
+            "negative": list(range(n - 1 + len(roots), len(units))),
         }
     )
     return g
+
+
+def sl2() -> LieAlgebra:
+    """sl(2) on the basis (e, f, h): [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
+    g = sl(2)
+    order = (1, 2, 0)  # e1, f1, h1
+    pos = {old: new for new, old in enumerate(order)}
+    brackets: BracketTable = {}
+    for (i, j), comps in g.pairs():
+        sign = 1 if pos[i] < pos[j] else -1
+        brackets[tuple(sorted((pos[i], pos[j])))] = {pos[k]: sign * c for k, c in comps.items()}
+    view = LieAlgebra("sl2", ["e", "f", "h"], dict(sorted(brackets.items())))
+    view.extra.update(g.extra)
+    view.extra["pairing"] = [[g.extra["pairing"][i][j] for j in order] for i in order]
+    for key in ("cartan", "positive", "negative"):
+        view.extra[key] = [pos[i] for i in g.extra[key]]
+    return view
+
+
+def sl3() -> LieAlgebra:
+    """sl(3) on (h1, h2, e1, e2, e12, f1, f2, f12); see `sl`."""
+    return sl(3)
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra, name: Optional[str] = None) -> LieAlgebra:

@@ -3,11 +3,15 @@
 Subalgebras are index subsets of the ambient basis; constructions that
 produce non-basis-aligned subalgebras (the diagonal, the dual of the
 Borel construction) rebase the double first, so every Lagrangian in
-sight is spanned by basis vectors and all checks are plain index scans.
+sight is spanned by basis vectors.  The checks and constructions run on
+the supports of their data: the nonzero brackets, the nonzero pairing
+entries and the nonzero entries of the inverses they take, so their cost
+follows those supports and not the cube of the dimension.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,10 +20,11 @@ from . import linalg
 from .errors import InputError, PreconditionError
 from .lie import CECochain, LieAlgebra, WEDGE, trace_pairing
 from .qlb import QuasiLieBialgebra
-from .scalars import Scalar, combine, is_zero
+from .scalars import Scalar, combine
 from .tensors import Multivector
 
 Matrix = List[List[Fraction]]
+Vector = Dict[int, Fraction]  # the nonzero coordinates of a vector
 
 
 @dataclass
@@ -49,20 +54,30 @@ class QuadraticReport:
         return self.nondegenerate and self.invariant
 
 
+def _sparse_rows(matrix: Matrix) -> List[Vector]:
+    return [{j: c for j, c in enumerate(row) if c} for row in matrix]
+
+
 def check_quadratic(d: QuadraticLieAlgebra) -> QuadraticReport:
-    """Nondegeneracy by exact rank, invariance by exhaustive scan."""
+    """Nondegeneracy by exact rank; invariance as the vanishing of the tensor
+    <[x_i, x_j], x_k> + <x_j, [x_i, x_k]>, summed over the nonzero brackets
+    and the nonzero pairing entries.  The witness is the least nonzero
+    (i, j, k), the first one a scan in index order would meet."""
     g = d.lie
     nondeg = linalg.rank(dict(enumerate(row)) for row in d.pairing) == g.dim
-    for i in range(g.dim):
-        for j in range(g.dim):
-            for k in range(g.dim):
-                total = Fraction(0)
-                for m, c in g.bracket(i, j).items():
-                    total += c * d.pairing[m][k]
-                for m, c in g.bracket(i, k).items():
-                    total += c * d.pairing[j][m]
-                if total != 0:
-                    return QuadraticReport(nondeg, False, (g.basis[i], g.basis[j], g.basis[k]))
+    rows = _sparse_rows(d.pairing)
+    # [x_a, x_b] = sum_m c x_m for a < b enters with both orders of (a, b),
+    # as [x_i, x_j] at (a, b, k) and as [x_i, x_k] at (a, k, b); the
+    # pairing is symmetric, so row m of it serves both slots
+    residual = combine(
+        term
+        for (a, b), comps in g.pairs()
+        for m, c in comps.items()
+        for k, v in rows[m].items()
+        for term in (((a, b, k), c * v), ((b, a, k), -c * v), ((a, k, b), c * v), ((b, k, a), -c * v))
+    )
+    if residual:
+        return QuadraticReport(nondeg, False, tuple(g.basis[i] for i in min(residual)))
     return QuadraticReport(nondeg, True)
 
 
@@ -145,32 +160,27 @@ def manin_triple_check(t: ManinTriple) -> ManinTripleReport:
 def _rebase(
     name: str,
     labels: Sequence[str],
-    vectors: List[List[Fraction]],
+    vectors: List[Vector],
     bracket_in_coords,
     pairing_in_coords,
 ) -> Tuple[LieAlgebra, Matrix]:
-    """Build a Lie algebra on new basis vectors given coordinatewise data."""
-    dim = len(vectors)
-    inv = linalg.invert([[vectors[a][i] for a in range(dim)] for i in range(len(vectors[0]))])
+    """Build a Lie algebra on new basis vectors given coordinatewise data.
 
-    def expand(vec: List[Fraction]) -> Dict[int, Fraction]:
-        out = {}
-        for a in range(dim):
-            total = Fraction(0)
-            for i, v in enumerate(vec):
-                if v:
-                    total += inv[a][i] * v
-            if total:
-                out[a] = total
-        return out
+    Vectors and brackets are sparse coordinate dicts; a bracket goes back
+    to the new basis through the nonzero entries of the inverse change of
+    basis."""
+    dim = len(vectors)
+    inv = linalg.invert([[vectors[a].get(i, Fraction(0)) for a in range(dim)] for i in range(dim)])
+    # column i of the inverse: the new coordinates of the i-th old unit vector
+    columns = [{a: inv[a][i] for a in range(dim) if inv[a][i]} for i in range(dim)]
 
     brackets = {}
     for a in range(dim):
         for b in range(a + 1, dim):
             w = bracket_in_coords(vectors[a], vectors[b])
-            comps = expand(w)
+            comps = combine((r, c * v) for i, v in w.items() for r, c in columns[i].items())
             if comps:
-                brackets[(a, b)] = comps
+                brackets[(a, b)] = dict(sorted(comps.items()))
     lie = LieAlgebra(name, labels, brackets)
     pairing = [
         [pairing_in_coords(vectors[a], vectors[b]) for b in range(dim)] for a in range(dim)
@@ -185,71 +195,48 @@ def dual_subalgebra_bplus_bminus(g: LieAlgebra) -> ManinTriple:
     add up to zero.  The double is rebased so both Lagrangians are
     index-aligned: first the diagonal copies of the g basis, then the
     dual basis (positive roots on the left, negative on the right,
-    anti-diagonal Cartans).
+    anti-diagonal Cartans).  Coordinate p < n is the left copy of x_p and
+    n + p the right one.
     """
     for key in ("cartan", "positive", "negative", "pairing"):
         if key not in g.extra:
             raise InputError(f"{g.name} carries no Borel/Cartan data for the standard triple")
-    kappa = trace_pairing(g)
+    kappa = _sparse_rows(trace_pairing(g))
     n = g.dim
 
-    def kap(i, j):
-        return kappa[i][j]
+    def sides(u: Vector) -> Tuple[Vector, Vector]:
+        return {p: c for p, c in u.items() if p < n}, {p - n: c for p, c in u.items() if p >= n}
 
-    def bracket_coords(u: List[Fraction], v: List[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * (2 * n)
-        for side in (0, 1):
-            x = {i: u[side * n + i] for i in range(n) if u[side * n + i]}
-            y = {i: v[side * n + i] for i in range(n) if v[side * n + i]}
-            for k, c in g.bracket_vectors(x, y).items():
-                out[side * n + k] += c
+    def bracket_coords(u: Vector, v: Vector) -> Vector:
+        (u0, u1), (v0, v1) = sides(u), sides(v)
+        out = g.bracket_vectors(u0, v0)
+        out.update((n + k, c) for k, c in g.bracket_vectors(u1, v1).items())
         return out
 
-    def pairing_coords(u: List[Fraction], v: List[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                if u[i] and v[j]:
-                    total += u[i] * v[j] * kap(i, j)
-                if u[n + i] and v[n + j]:
-                    total -= u[n + i] * v[n + j] * kap(i, j)
-        return total
+    def pairing_coords(u: Vector, v: Vector) -> Fraction:
+        (u0, u1), (v0, v1) = sides(u), sides(v)
+        return sum(
+            (
+                sign * a * b * kappa[i][j]
+                for sign, x, y in ((1, u0, v0), (-1, u1, v1))
+                for i, a in x.items()
+                for j, b in y.items()
+                if j in kappa[i]
+            ),
+            Fraction(0),
+        )
 
-    diag: List[List[Fraction]] = []
-    labels: List[str] = []
-    for i in range(n):
-        vec = [Fraction(0)] * (2 * n)
-        vec[i] = Fraction(1)
-        vec[n + i] = Fraction(1)
-        diag.append(vec)
-        labels.append(g.basis[i])
-    span: List[List[Fraction]] = []
-    for i in g.extra["positive"]:
-        vec = [Fraction(0)] * (2 * n)
-        vec[i] = Fraction(1)
-        span.append(vec)
-    for i in g.extra["negative"]:
-        vec = [Fraction(0)] * (2 * n)
-        vec[n + i] = Fraction(1)
-        span.append(vec)
-    for i in g.extra["cartan"]:
-        vec = [Fraction(0)] * (2 * n)
-        vec[i] = Fraction(1)
-        vec[n + i] = Fraction(-1)
-        span.append(vec)
+    diag: List[Vector] = [{i: Fraction(1), n + i: Fraction(1)} for i in range(n)]
+    labels: List[str] = list(g.basis)
+    span: List[Vector] = [{i: Fraction(1)} for i in g.extra["positive"]]
+    span += [{n + i: Fraction(1)} for i in g.extra["negative"]]
+    span += [{i: Fraction(1), n + i: Fraction(-1)} for i in g.extra["cartan"]]
     # normalize the dual basis against the diagonal: <xi^i, diag_j> = delta_ij,
     # so the Gram matrix of the triple is the identity
     gram = [[pairing_coords(span[k], diag[j]) for j in range(n)] for k in range(n)]
-    gram_inv = linalg.invert(gram)
     vectors = list(diag)
-    for i in range(n):
-        vec = [Fraction(0)] * (2 * n)
-        for k in range(n):
-            c = gram_inv[i][k]
-            if c:
-                for p in range(2 * n):
-                    vec[p] += c * span[k][p]
-        vectors.append(vec)
+    for i, row in enumerate(_sparse_rows(linalg.invert(gram))):
+        vectors.append(combine((p, c * v) for k, c in row.items() for p, v in span[k].items()))
         labels.append(g.basis[i] + "*")
     lie, pairing = _rebase(f"double({g.name})", labels, vectors, bracket_coords, pairing_coords)
     quad = QuadraticLieAlgebra(lie, pairing)
@@ -278,37 +265,39 @@ def _sub_algebra(d: LieAlgebra, indices: Sequence[int], name: str) -> LieAlgebra
 
 def triple_to_bialgebra(t: ManinTriple) -> QuasiLieBialgebra:
     """The Lie bialgebra on g with cobracket dual to the bracket of g*."""
-    rep = manin_triple_check(t)
-    if not rep.passed:
+    if not manin_triple_check(t).passed:
         raise PreconditionError("input is not a Manin triple")
+    return triple_to_bialgebra_unchecked(t)
+
+
+def triple_to_bialgebra_unchecked(t: ManinTriple) -> QuasiLieBialgebra:
+    """`triple_to_bialgebra` on a triple that already passed `manin_triple_check`."""
     d = t.quad.lie
     g_sub = _sub_algebra(d, t.g_indices, f"{d.name}|g")
     n = len(t.g_indices)
     gram = [
         [t.quad.pairing[t.gstar_indices[k]][t.g_indices[j]] for j in range(n)] for k in range(n)
     ]
-    m = linalg.invert(gram)  # xi^i = sum_k m[i][k] y_k pairs dually with the x_j
+    m = _sparse_rows(linalg.invert(gram))  # xi^i = sum_k m[i][k] y_k pairs dually with the x_j
+    gram = _sparse_rows(gram)
     spos = {v: k for k, v in enumerate(t.gstar_indices)}
-    delta_entries = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            # [xi^i, xi^j] expanded back in the xi basis
-            def terms():
-                for k in range(n):
-                    for l in range(n):
-                        coef = m[i][k] * m[j][l]
-                        if not coef:
-                            continue
-                        for w, c in d.bracket(t.gstar_indices[k], t.gstar_indices[l]).items():
-                            if w not in spos:
-                                raise InputError("dual subalgebra is not closed")
-                            yield spos[w], coef * c
 
-            for w_local, c in combine(terms()).items():
-                for p in range(n):
-                    v = c * gram[w_local][p]
-                    if v:
-                        delta_entries.append((((p,), (i, j)), v))
+    def dual_bracket(i: int, j: int):
+        # [xi^i, xi^j] in the y basis of g*
+        for k, mik in m[i].items():
+            for l, mjl in m[j].items():
+                for w, c in d.bracket(t.gstar_indices[k], t.gstar_indices[l]).items():
+                    if w not in spos:
+                        raise InputError("dual subalgebra is not closed")
+                    yield spos[w], mik * mjl * c
+
+    delta_entries = [
+        (((p,), (i, j)), c * v)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for w, c in combine(dual_bracket(i, j)).items()
+        for p, v in gram[w].items()
+    ]
     delta = CECochain.build(g_sub, 1, WEDGE(2), delta_entries)
     return QuasiLieBialgebra(g_sub, delta, Multivector.zero(n, 3))
 
@@ -321,42 +310,24 @@ def drinfeld_double(b: QuasiLieBialgebra) -> ManinTriple:
     g = b.g
     n = g.dim
 
-    def delta_comp(i, j, k):
-        # coefficient of x_i wedge x_j in delta(x_k)
-        v = b.delta.data.get(((k,), tuple(sorted((i, j)))), Fraction(0))
-        if i < j:
-            return v
-        if i > j:
-            return -v
-        return Fraction(0)
-
     labels = list(g.basis) + [lab + "^" for lab in g.basis]
-    brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = dict(g.bracket(i, j))
-            if row:
-                brackets[(i, j)] = row
-    for i in range(n):
-        for j in range(n):
-            # [x_i, xi^j] = delta^{jk}_i x_k - f^j_{ik} xi^k
-            row = combine(
-                term
-                for k in range(n)
-                for term in ((k, delta_comp(j, k, i)), (n + k, -g.structure_constant(i, k, j)))
-            )
-            if row:
-                brackets[(i, n + j)] = row
-    for i in range(n):
-        for j in range(i + 1, n):
-            # [xi^i, xi^j] = delta^{ij}_k xi^k
-            row = {}
-            for k in range(n):
-                c = delta_comp(i, j, k)
-                if not is_zero(c):
-                    row[n + k] = c
-            if row:
-                brackets[(n + i, n + j)] = row
+    rows: Dict[Tuple[int, int], List[Tuple[int, Scalar]]] = defaultdict(list)
+    for (i, j), comps in g.pairs():
+        rows[(i, j)].extend(comps.items())
+        # [x_i, xi^k] = delta^{kl}_i x_l - f^k_{il} xi^l, its f part here
+        for k, c in comps.items():
+            rows[(i, n + k)].append((n + j, -c))
+            rows[(j, n + k)].append((n + i, c))
+    for ((k,), (i, j)), c in b.delta.data.items():
+        # delta(x_k) has c on x_i ^ x_j: [x_k, xi^i] gets c x_j, [x_k, xi^j]
+        # gets -c x_i, and [xi^i, xi^j] = delta^{ij}_l xi^l gets c xi^k;
+        # the double reads the increasing keys of delta only
+        if i >= j:
+            continue
+        rows[(k, n + i)].append((j, c))
+        rows[(k, n + j)].append((i, -c))
+        rows[(n + i, n + j)].append((n + k, c))
+    brackets = {key: dict(sorted(combine(terms).items())) for key, terms in sorted(rows.items())}
     lie = LieAlgebra(f"double({g.name})", labels, brackets)
     pairing = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
     for i in range(n):

@@ -24,15 +24,17 @@ returns, so the verifier and `check_qlb` judge the same (delta, phi).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Tuple
 
 from .errors import InputError, PreconditionError
 from .lie import CECochain, LieAlgebra, SplitSubalgebra, WEDGE, sym2_signature
 from .polyvectors import Element, PolyVectorAlgebra, schouten
 from .scalars import Scalar, combine, is_zero, vec_add
-from .tensors import Multivector, SparseTensor, _sort_with_sign, embed_wedge, plain_signature
+from .tensors import Multivector, SparseTensor, embed_wedge, plain_signature
 
 __all__ = [
     "QuasiLieBialgebra",
@@ -221,76 +223,69 @@ def induce_from_coisotropic(
     The overall scale of phi is fixed where delta != 0: at h = g the
     quotient is trivial, delta = 0 and any multiple of phi passes, but on
     the coisotropic subalgebras with delta != 0 only this one does.
+
+    delta and phi^{ijk} for every (i, j, k) are contracted on the nonzero
+    entries of P, Q, f, A and C; the induction is rejected unless that phi
+    tensor is totally antisymmetric.
     """
     if validate and not coisotropic_casimir_check(split, c):
         raise PreconditionError("Casimir element does not vanish on Sym^2(g/h)")
     P, Q, _ = split_casimir(split, c)
-    nh, nm = split.dim_h, split.dim_m
+    Prow, Qcol, _ = _casimir_rows(P, Q)
     h = split.h_algebra()
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
 
-    def Pc(i, j):
-        return P.get((i, j), Fraction(0))
+    def delta_terms():
+        # delta^{ij}_k = 1/2 (T^{ij}_k - T^{ji}_k), T^{ij}_k = A^j_{ka} Q^{ia}
+        for (k, a), row in split.A.items():
+            for j, x in row.items():
+                for i, q in Qcol[a].items():
+                    if i != j:
+                        up, sign = ((i, j), half) if i < j else ((j, i), -half)
+                        yield ((k,), up), sign * x * q
 
-    def Qc(i, a):
-        return Q.get((i, a), Fraction(0))
+    def phi_terms():
+        # phi^{ijk} for every (i, j, k), one sum of the formula at a time
+        for (a, b), row in split.f.items():
+            for i, x in row.items():
+                for j, p in Prow[a].items():
+                    for k, r in Prow[b].items():
+                        yield (i, j, k), quarter * x * p * r
+        for block, left, scale in ((split.C, Qcol, half), (split.A, Prow, quarter)):
+            # Q^{ia} C^k_{ab} Q^{jb} and P^{ia} A^k_{ab} Q^{jb}, minus j <-> k
+            for (a, b), row in block.items():
+                for k, x in row.items():
+                    for i, p in left[a].items():
+                        for j, q in Qcol[b].items():
+                            yield (i, j, k), scale * p * x * q
+                            yield (i, k, j), -scale * p * x * q
 
-    def A(k, i, a):
-        return split.block("A", i, a).get(k, Fraction(0))
-
-    def C(k, a, b):
-        return split.block("C", a, b).get(k, Fraction(0))
-
-    def f(k, i, j):
-        return h.structure_constant(i, j, k)
-
-    delta_entries = []
-    for k in range(nh):
-        for i in range(nh):
-            for j in range(i + 1, nh):
-                total = Fraction(0)
-                for a in range(nm):
-                    total += Fraction(1, 2) * (A(j, k, a) * Qc(i, a) - A(i, k, a) * Qc(j, a))
-                if not is_zero(total):
-                    delta_entries.append((((k,), (i, j)), total))
-    delta = CECochain.build(h, 1, WEDGE(2), delta_entries)
-
-    def phi_component(i, j, k):
-        total = Fraction(0)
-        for a in range(nh):
-            for b in range(nh):
-                total += Fraction(1, 4) * f(i, a, b) * Pc(a, j) * Pc(b, k)
-        for a in range(nm):
-            for b in range(nm):
-                total += Fraction(1, 2) * Qc(i, a) * (C(k, a, b) * Qc(j, b) - C(j, a, b) * Qc(k, b))
-        for a in range(nh):
-            for b in range(nm):
-                total += Fraction(1, 4) * Pc(i, a) * (A(k, a, b) * Qc(j, b) - A(j, a, b) * Qc(k, b))
-        return total
-
-    phi_entries = {}
-    for i in range(nh):
-        for j in range(i + 1, nh):
-            for k in range(j + 1, nh):
-                v = phi_component(i, j, k)
-                if not is_zero(v):
-                    phi_entries[(i, j, k)] = v
-    # the component array must be totally antisymmetric; spot-check the
-    # non-canonical orderings against the canonical values
-    for i in range(nh):
-        for j in range(nh):
-            for k in range(nh):
-                expect = Fraction(0)
-                if len({i, j, k}) == 3:
-                    srt = tuple(sorted((i, j, k)))
-                    sgn, _ = _sort_with_sign((i, j, k))
-                    expect = sgn * phi_entries.get(srt, Fraction(0))
-                if phi_component(i, j, k) != expect:
-                    raise InputError(
-                        "induced associator components are not antisymmetric; "
-                        "the block instantiation gamma := C, alpha := A is inconsistent here"
-                    )
-    phi = Multivector(h.dim, 3, phi_entries)
+    delta = CECochain.build(h, 1, WEDGE(2), delta_terms())
+    tensor = SparseTensor.build(plain_signature(h.dim, 3), phi_terms())
+    phi = Multivector(
+        h.dim, 3, {key: v for key, v in sorted(tensor.items()) if key[0] < key[1] < key[2]}
+    )
+    # the component array must be totally antisymmetric: the whole tensor
+    # is the antisymmetric embedding of its increasing-key part
+    if embed_wedge(phi) != tensor:
+        raise InputError(
+            "induced associator components are not antisymmetric; "
+            "the block instantiation gamma := C, alpha := A is inconsistent here"
+        )
     return QuasiLieBialgebra(h, delta, phi)
+
+
+def _casimir_rows(P, Q):
+    """P by rows (it is symmetric), and Q by columns and by rows."""
+    Prow: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
+    Qcol: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
+    Qrow: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
+    for (i, j), v in P.items():
+        Prow[i][j] = v
+    for (i, a), v in Q.items():
+        Qcol[a][i] = v
+        Qrow[i][a] = v
+    return Prow, Qcol, Qrow
 
 
 # ---------------------------------------------------------------------------
@@ -313,96 +308,55 @@ class MorphismReport:
 
 
 def _invariance_identities(split: SplitSubalgebra, P, Q) -> Dict[str, bool]:
-    """The five split forms of d c = 0 for c = P + Q."""
-    nh, nm = split.dim_h, split.dim_m
-    h = split.h_algebra()
+    """The five split forms of d c = 0 for c = P + Q.
 
-    def Pc(i, j):
-        return P.get((i, j), Fraction(0))
+    Each identity is a tensor in three free indices that must vanish.  It
+    is summed over the nonzero entries of the blocks of the split and of P
+    and Q, with X^k_{ab} = split.X[(a, b)][k]; the comments name the free
+    indices, i and j in h and a and k in m except where they say otherwise.
+    """
+    Prow, Qcol, Qrow = _casimir_rows(P, Q)
+    f, A, B, C, D = split.f, split.A, split.B, split.C, split.D
 
-    def Qc(i, a):
-        return Q.get((i, a), Fraction(0))
+    def swapped(terms):
+        # identities 1, 2 and 5 are symmetric in their first two free indices
+        for (x, y, z), v in terms:
+            yield (x, y, z), v
+            yield (y, x, z), v
 
-    def A(k, i, a):
-        return split.block("A", i, a).get(k, Fraction(0))
+    def contract(block, rows, first, key, sign=1):
+        # sign * X^x_{st} R^{uy} with u = s (first) or u = t, at key(x, y, s, t)
+        for (s, t), row in block.items():
+            for x, c in row.items():
+                for y, v in rows[s if first else t].items():
+                    yield key(x, y, s, t), sign * c * v
 
-    def B(k, i, a):
-        return split.block("B", i, a).get(k, Fraction(0))
-
-    def C(k, a, b):
-        return split.block("C", a, b).get(k, Fraction(0))
-
-    def D(k, a, b):
-        return split.block("D", a, b).get(k, Fraction(0))
-
-    def f(k, i, j):
-        return h.structure_constant(i, j, k)
-
-    ok = {}
-    # identity 1: free (i in h, a in h, k in m)
-    good = True
-    for i in range(nh):
-        for a in range(nh):
-            for k in range(nm):
-                t = Fraction(0)
-                for j in range(nh):
-                    t += A(i, j, k) * Pc(j, a) + A(a, j, k) * Pc(j, i)
-                for j in range(nm):
-                    t += C(i, j, k) * Qc(a, j) + C(a, j, k) * Qc(i, j)
-                if not is_zero(t):
-                    good = False
-    ok["casimirinv1"] = good
-    # identity 2: free (i in h, a in h, j in h)
-    good = True
-    for i in range(nh):
-        for a in range(nh):
-            for j in range(nh):
-                t = Fraction(0)
-                for k in range(nm):
-                    t += A(i, j, k) * Qc(a, k) + A(a, j, k) * Qc(i, k)
-                for k in range(nh):
-                    t -= f(i, k, j) * Pc(k, a) + f(a, k, j) * Pc(k, i)
-                if not is_zero(t):
-                    good = False
-    ok["casimirinv2"] = good
-    # identity 3: free (i in h, a in m, k in m)
-    good = True
-    for i in range(nh):
-        for a in range(nm):
-            for k in range(nm):
-                t = Fraction(0)
-                for j in range(nh):
-                    t -= A(i, j, k) * Qc(j, a) + B(a, j, k) * Pc(i, j)
-                for j in range(nm):
-                    t -= D(a, j, k) * Qc(i, j)
-                if not is_zero(t):
-                    good = False
-    ok["casimirinv3"] = good
-    # identity 4: free (i in h, j in h, a in m)
-    good = True
-    for i in range(nh):
-        for j in range(nh):
-            for a in range(nm):
-                t = Fraction(0)
-                for k in range(nh):
-                    t -= f(i, k, j) * Qc(k, a)
-                for k in range(nm):
-                    t += B(a, j, k) * Qc(i, k)
-                if not is_zero(t):
-                    good = False
-    ok["casimirinv4"] = good
-    # identity 5: free (i in m, a in m, k in m)
-    good = True
-    for i in range(nm):
-        for a in range(nm):
-            for k in range(nm):
-                t = Fraction(0)
-                for j in range(nh):
-                    t += B(i, j, k) * Qc(j, a) + B(a, j, k) * Qc(j, i)
-                if not is_zero(t):
-                    good = False
-    ok["casimirinv5"] = good
-    return ok
+    identities = {
+        # (i, a in h; k): A^i_{jk} P^{ja} + C^i_{jk} Q^{aj} + (i <-> a)
+        "casimirinv1": swapped(chain(
+            contract(A, Prow, True, lambda i, a, j, k: (i, a, k)),
+            contract(C, Qcol, True, lambda i, a, j, k: (i, a, k)),
+        )),
+        # (i, a, j in h): A^i_{jk} Q^{ak} - f^i_{kj} P^{ka} + (i <-> a)
+        "casimirinv2": swapped(chain(
+            contract(A, Qcol, False, lambda i, a, j, k: (i, a, j)),
+            contract(f, Prow, True, lambda i, a, k, j: (i, a, j), -1),
+        )),
+        # (i; a, k): -A^i_{jk} Q^{ja} - B^a_{jk} P^{ij} - D^a_{jk} Q^{ij}
+        "casimirinv3": chain(
+            contract(A, Qrow, True, lambda i, a, j, k: (i, a, k), -1),
+            contract(B, Prow, True, lambda a, i, j, k: (i, a, k), -1),
+            contract(D, Qcol, True, lambda a, i, j, k: (i, a, k), -1),
+        ),
+        # (i, j; a): -f^i_{kj} Q^{ka} + B^a_{jk} Q^{ik}
+        "casimirinv4": chain(
+            contract(f, Qrow, True, lambda i, a, k, j: (i, j, a), -1),
+            contract(B, Qcol, False, lambda a, i, j, k: (i, j, a)),
+        ),
+        # (i, a, k in m): B^i_{jk} Q^{ja} + (i <-> a)
+        "casimirinv5": swapped(contract(B, Qrow, True, lambda i, a, j, k: (i, a, k))),
+    }
+    return {name: not combine(terms) for name, terms in identities.items()}
 
 
 def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> MorphismReport:

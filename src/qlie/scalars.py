@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd, log10
+from math import comb, gcd, log10, prod
 from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 
 from .errors import InputError
@@ -51,10 +51,16 @@ MAX_EXPONENT = 64
 MAX_POWER_DEGREE = 32
 # and, for degree-0 bases such as ((2^64)^64)^64, the size of its
 # coefficients: at most the digits of the longest integer literal int()
-# reads (Python's default of 4300 where no limit is set); products and
-# quotients are held to the same estimate, since (10^64)^64*(10^64)^64
-# multiplies two accepted powers past it
+# reads (Python's default of 4300 where no limit is set); products,
+# quotients and sums are held to the same estimate, since
+# (10^64)^64*(10^64)^64 and (10^64)^64+1/(10^64)^64 take two accepted
+# powers past it
 _DEFAULT_LITERAL_DIGITS = 4300
+# a product, quotient or power may form at most this many terms before
+# like terms are collected, counted from bounds on the sizes of its
+# factors: (x+y+z+1)^12*(x+y+z+1)^12 forms 207,025 and takes over a
+# second, (x+y+1)^32 forms about 26,000 and takes a quarter of one
+MAX_TERMS_FORMED = 100_000
 
 
 class Polynomial:
@@ -605,13 +611,29 @@ def _total_degree(x: Scalar) -> int:
     return max(deg(x.num), sum(deg(f) * e for f, e in x.factors.items()))
 
 
-def _coefficient_bits(x: Scalar) -> int:
-    """The largest bit length of a numerator or denominator among x's rational coefficients."""
+def _fraction_bits(x: Scalar) -> Tuple[int, int]:
+    """The largest bit lengths of a numerator and of a denominator among x's
+    rational coefficients."""
     if isinstance(x, RationalFunction):
         coefs = [c for p in (x.num, *x.factors) for c in p.terms.values()]
     else:
         coefs = [x]
-    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coefs), default=0)
+    return (
+        max((c.numerator.bit_length() for c in coefs), default=0),
+        max((c.denominator.bit_length() for c in coefs), default=0),
+    )
+
+
+def _coefficient_bits(x: Scalar) -> int:
+    """The largest bit length of a numerator or denominator among x's rational coefficients."""
+    return max(_fraction_bits(x))
+
+
+def _sum_bits(x: Scalar, y: Scalar) -> int:
+    """The bits of a/b + c/d = (a d + c b) / (b d): the larger of |a| |d| and
+    |c| |b| plus one bit for the carry, or |b| |d| if that is larger."""
+    (a, b), (c, d) = _fraction_bits(x), _fraction_bits(y)
+    return max(max(a + d, c + b) + 1, b + d)
 
 
 def _check_digits(what: str, bits: int) -> None:
@@ -623,6 +645,43 @@ def _check_digits(what: str, bits: int) -> None:
         raise InputError(
             f"{what} with coefficients of about {digits} digits is above the "
             f"{limit}-digit limit for integer literals"
+        )
+
+
+def _sizes(x: Scalar) -> Tuple[int, int]:
+    """The terms of x's numerator and a bound on those of its expanded denominator."""
+    if not isinstance(x, RationalFunction):
+        return 1, 1
+    return len(x.num.terms), prod(len(f.terms) ** e for f, e in x.factors.items())
+
+
+def _power_size(x: Scalar, k: int) -> int:
+    """A bound on the size of x^k (k >= 0): the monomials of the multinomial
+    expansion of the larger of its numerator and denominator, and those of
+    its degree."""
+    n = len(x.vars) if isinstance(x, RationalFunction) else 0
+    return min(comb(max(_sizes(x)) + k - 1, k), comb(n + k * _total_degree(x), n))
+
+
+def _power_terms_formed(x: Scalar, k: int) -> int:
+    """The terms that Polynomial.__pow__ forms for x^k by repeated squaring,
+    each multiplication counted as the product of its factors' _power_size."""
+    formed, done, step = 0, 0, 1
+    while k:
+        if k & 1:
+            formed += _power_size(x, done) * _power_size(x, step)
+            done += step
+        k >>= 1
+        if k:
+            formed += _power_size(x, step) ** 2
+            step *= 2
+    return formed
+
+
+def _check_terms(what: str, formed: int) -> None:
+    if formed > MAX_TERMS_FORMED:
+        raise InputError(
+            f"{what} forming about {formed} terms is above the {MAX_TERMS_FORMED}-term limit"
         )
 
 
@@ -675,6 +734,7 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
             if degree > MAX_POWER_DEGREE:
                 raise InputError(f"a power of total degree {degree} is above {MAX_POWER_DEGREE}")
             _check_digits("a power", tok[1] * _coefficient_bits(base))
+            _check_terms("a power", _power_terms_formed(base, tok[1]))
             return base ** (sign * tok[1])
         return base
 
@@ -683,8 +743,11 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
         while toks.peek() in ("*", "/"):
             op = toks.next()
             rhs = power()
-            bits = _coefficient_bits(v) + _coefficient_bits(rhs)
-            _check_digits("a product" if op == "*" else "a quotient", bits)
+            what = "a product" if op == "*" else "a quotient"
+            _check_digits(what, _coefficient_bits(v) + _coefficient_bits(rhs))
+            # a * b multiplies the numerators, a / b a's numerator by b's denominator
+            (num, _), (rnum, rden) = _sizes(v), _sizes(rhs)
+            _check_terms(what, num * (rnum if op == "*" else rden))
             v = v * rhs if op == "*" else v / rhs
         return v
 
@@ -693,6 +756,7 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
         while toks.peek() in ("+", "-"):
             op = toks.next()
             rhs = term()
+            _check_digits("a sum" if op == "+" else "a difference", _sum_bits(v, rhs))
             v = v + rhs if op == "+" else v - rhs
         return v
 

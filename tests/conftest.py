@@ -86,45 +86,6 @@ def sl3_plus_sl2():
     return g, Multivector(g.dim, 3, {(8, 9, 10): Fraction(2)})
 
 
-def sl_n(n: int):
-    """sl(n) on the matrix units: H_i = E_ii - E_(i+1)(i+1), then E_ij for i != j.
-
-    Brackets are matrix commutators expanded back into this basis: an
-    off-diagonal entry (r, c) is the E_rc coordinate, and a traceless
-    diagonal d is sum_i (d_1 + ... + d_i) H_i.
-    """
-    from qlie.lie import LieAlgebra
-
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    labels = [f"h{i + 1}" for i in range(n - 1)] + [f"e{i + 1}{j + 1}" for i, j in offdiag]
-    mats = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)] + [{ij: 1} for ij in offdiag]
-    position = {ij: n - 1 + t for t, ij in enumerate(offdiag)}
-
-    def commutator(a, b):
-        out = {}
-        for x, y in ((a, b), (b, a)):
-            sign = 1 if x is a else -1
-            for (r, s), u in x.items():
-                for (s2, c), v in y.items():
-                    if s == s2:
-                        out[(r, c)] = out.get((r, c), 0) + sign * u * v
-        return out
-
-    brackets = {}
-    for p in range(len(mats)):
-        for q in range(p + 1, len(mats)):
-            comm = commutator(mats[p], mats[q])
-            comps = {position[rc]: Fraction(v) for rc, v in comm.items() if rc[0] != rc[1] and v}
-            running = 0
-            for i in range(n - 1):
-                running += comm.get((i, i), 0)
-                if running:
-                    comps[i] = Fraction(running)
-            if comps:
-                brackets[(p, q)] = comps
-    return LieAlgebra(f"sl{n}", labels, brackets)
-
-
 def ev_rmatrix_sl3(scale: int = 1):
     """The rational Etingof-Varchenko r-matrix scale * sum_a 2/a(x) (e_a (x) f_a - f_a (x) e_a)
     on the sl3 fixture, over the coordinates x1, x2 dual to h1, h2: the root

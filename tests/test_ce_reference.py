@@ -18,7 +18,6 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import sl_n
 from qlie import linalg
 from qlie.errors import InputError
 from qlie.lie import (
@@ -31,6 +30,7 @@ from qlie.lie import (
     direct_sum,
     heisenberg,
     multiplicity_factorial,
+    sl,
     sl2,
     sl3,
 )
@@ -231,7 +231,7 @@ def test_unknown_module_is_input_error():
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["sl4"])
 def test_sparse_generator_images_match_dense(name):
-    g = sl_n(4) if name == "sl4" else ALGEBRAS[name]()
+    g = sl(4) if name == "sl4" else ALGEBRAS[name]()
     P = PolyVectorAlgebra(g, 1)
     d_cov, d_vec = dense_generator_images(g)
     # the same maps, term for term and in the same order
@@ -242,7 +242,7 @@ def test_sparse_generator_images_match_dense(name):
 def test_classical_theorems_on_sl4():
     # Whitehead: H^1 and H^2 of a semisimple algebra vanish in every
     # finite-dimensional module; dim H^3(g) = 1 for simple g
-    g = sl_n(4)
+    g = sl(4)
     assert g.dim == 15
     assert cohomology_dim(g, ADJOINT, 1) == 0
     assert cohomology_dim(g, ADJOINT, 2) == 0

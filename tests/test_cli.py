@@ -107,6 +107,26 @@ R_COEF = ("entries", 0, "coef")
             {"signature": "wedge3", "entries": [{"idx": ["e", "f", "h"], "coef": "(10^64)^64*(10^64)^64"}]},
             QLB_PHI, "digit limit",
         ),
+        # a sum brings both sides over one denominator, which used to exit 3
+        (
+            "phi_zero.json", (),
+            {"signature": "wedge3", "entries": [{"idx": ["e", "f", "h"], "coef": "(10^64)^64+1/(10^64)^64"}]},
+            QLB_PHI, "digit limit",
+        ),
+        # products and powers are capped by the terms they form, not their
+        # degree: these took 6.0 s and 1.3 s to expand
+        (
+            "phi_zero.json", (),
+            {"signature": "wedge3", "vars": ["x", "y", "z"],
+             "entries": [{"idx": ["e", "f", "h"], "coef": "(x+y+z+1)^16*(x+y+z+1)^16"}]},
+            QLB_PHI, "term limit",
+        ),
+        (
+            "phi_zero.json", (),
+            {"signature": "wedge3", "vars": ["x", "y", "z"],
+             "entries": [{"idx": ["e", "f", "h"], "coef": "(x+y+z+1)^24"}]},
+            QLB_PHI, "term limit",
+        ),
     ],
     ids=[
         "zero-denominator", "non-list-component", "singular-rmatrix",
@@ -114,7 +134,8 @@ R_COEF = ("entries", 0, "coef")
         "number-tensor-vars", "non-string-tensor-vars", "number-rmatrix-vars",
         "string-rmatrix-vars", "huge-power", "huge-negative-power", "power-above-cap",
         "5000-digit-literal", "superscript-digit", "nested-power",
-        "nested-rational-power", "product-of-powers",
+        "nested-rational-power", "product-of-powers", "sum-of-powers",
+        "product-term-limit", "power-term-limit",
     ],
 )
 def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):
@@ -135,6 +156,16 @@ def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, messag
     assert report["checks"][0]["name"] == "input"
     assert report["checks"][0]["status"] == "error"
     assert message in report["checks"][0]["detail"]["message"]
+
+
+def test_sum_just_under_the_digit_limit_parses(tmp_path):
+    # (10^64)^64 + (10^64)^64 = 2 * 10^4096 has 4,097 digits
+    phi = tmp_path / "phi.json"
+    entry = {"idx": ["e", "f", "h"], "coef": "(10^64)^64+(10^64)^64"}
+    phi.write_text(json.dumps({"signature": "wedge3", "entries": [entry]}))
+    report, code = invoke(*(a.format(phi) for a in QLB_PHI))
+    assert code == 0, report["checks"]
+    assert report["data"]["phi"] == [{"idx": ["e", "f", "h"], "coef": str(2 * 10**4096)}]
 
 
 @pytest.mark.parametrize(

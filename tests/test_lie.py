@@ -15,9 +15,11 @@ from qlie.lie import (
     check_lie,
     direct_sum,
     heisenberg,
+    sl,
     sl2,
     sl3,
     split_subalgebra,
+    trace_pairing,
 )
 from qlie.polyvectors import ce_differential, cohomology_dim, invariants
 
@@ -29,6 +31,31 @@ def F(a, b=1):
 def test_check_lie_on_factories():
     for g in (abelian(4), sl2(), sl3(), heisenberg(), direct_sum(sl2(), heisenberg())):
         assert check_lie(g).passed, g.name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sl_factory(n):
+    from qlie.manin import QuadraticLieAlgebra, check_quadratic
+
+    g = sl(n)
+    roots = n * (n - 1) // 2
+    assert g.dim == n * n - 1 and check_lie(g).passed
+    assert g.basis[: n - 1] == tuple(f"h{i + 1}" for i in range(n - 1))
+    # simple roots first; the highest root E_1n is the last positive one
+    assert g.basis[n - 1] == "e1" and g.basis[n - 2 + roots] == "e" + "".join(map(str, range(1, n)))
+    assert g.extra["positive"] == list(range(n - 1, n - 1 + roots))
+    assert g.extra["negative"] == list(range(n - 1 + roots, g.dim))
+    # [e_a, f_a] lies in the Cartan and the trace form is invariant
+    for p in g.extra["positive"]:
+        f = g.index("f" + g.basis[p][1:])
+        assert set(g.bracket(p, f)) <= set(g.extra["cartan"])
+    assert check_quadratic(QuadraticLieAlgebra(g, trace_pairing(g))).passed
+
+
+def test_sl_factory_range():
+    for n in (1, 10):
+        with pytest.raises(InputError, match="2 <= n <= 9"):
+            sl(n)
 
 
 def test_mutated_sl2_fails_with_witness():

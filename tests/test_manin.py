@@ -5,7 +5,7 @@ import pytest
 
 from conftest import coboundary, rand_cobracket, zero_cobracket
 from qlie.errors import InputError, PreconditionError
-from qlie.lie import abelian, check_lie, sl2, sl3, trace_pairing
+from qlie.lie import abelian, check_lie, sl, sl2, sl3, trace_pairing
 from qlie.linalg import solve
 from qlie.manin import (
     ManinPair,
@@ -66,9 +66,9 @@ def test_hyperbolic_plane_isotropic_line():
     lie, pairing = _rebase(
         "hyperbolic",
         ["u", "v"],
-        [[F(1), F(1)], [F(1, 2), F(-1, 2)]],
-        lambda x, y: [F(0), F(0)],
-        lambda x, y: x[0] * y[0] - x[1] * y[1],
+        [{0: F(1), 1: F(1)}, {0: F(1, 2), 1: F(-1, 2)}],
+        lambda x, y: {},
+        lambda x, y: x.get(0, 0) * y.get(0, 0) - x.get(1, 0) * y.get(1, 0),
     )
     quad = QuadraticLieAlgebra(lie, pairing)
     assert check_quadratic(quad).passed
@@ -156,6 +156,21 @@ def test_double_round_trip_standard_bialgebra():
     assert manin_triple_check(t).passed
     back = triple_to_bialgebra(t)
     assert back == b
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_standard_triple_sl_n(n):
+    # the standard Manin triple of sl(n), its Lie bialgebra and the double of
+    # that bialgebra, which must give the bialgebra back
+    t = dual_subalgebra_bplus_bminus(sl(n))
+    assert manin_triple_check(t).passed
+    b = triple_to_bialgebra(t)
+    assert check_qlb(b).passed
+    assert not b.delta.is_zero()
+    double = drinfeld_double(b)
+    assert double_jacobi_report(double).passed
+    assert manin_triple_check(double).passed
+    assert triple_to_bialgebra(double) == b
 
 
 def test_double_rejects_nonzero_phi():

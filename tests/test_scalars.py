@@ -42,6 +42,33 @@ def test_product_coefficient_size_cap():
             parse_scalar(text, ("x",) if "x" in text else ())
 
 
+def test_sum_coefficient_size_cap():
+    # a/b + c/d is estimated at max(|a d|, |c b|) times 2 over |b d|
+    assert parse_scalar("(10^64)^64+(10^64)^64") == 2 * Fraction(10) ** 4096
+    assert parse_scalar("(10^64)^64-1/10^64") == Fraction(10**4160 - 1, 10**64)
+    for text in ("(10^64)^64+1/(10^64)^64", "1/(10^64)^64-(10^64)^64", "(10^64)^64*x+1/(10^64)^64"):
+        with pytest.raises(InputError, match="digit limit"):
+            parse_scalar(text, ("x",) if "x" in text else ())
+
+
+def test_product_and_power_term_cap():
+    xyz = ("x", "y", "z")
+    # accepted: up to about 63,000 terms formed
+    assert len(parse_scalar("(x+y+z+1)^20", xyz).num.terms) == 1771
+    assert len(parse_scalar("(x+y+1)^16*(x+y+1)^16", xyz).num.terms) == 561
+    # a quotient multiplies by the denominator of its right side only
+    assert parse_scalar("(x+y+z+1)^12/(x+y+z+1)^12", xyz) == 1
+    for text, what in (
+        ("(x+y+z+1)^24", "a power"),
+        ("((x+y+z+1)^3)^8", "a power"),
+        ("(x+y+z+1)^16*(x+y+z+1)^16", "a product"),
+        ("(x+y+z+1)^12*(x+y+z+1)^12", "a product"),
+        ("(x+y+z+1)^12/(1/(x+y+z+1)^12)", "a quotient"),
+    ):
+        with pytest.raises(InputError, match=f"{what} forming about .*-term limit"):
+            parse_scalar(text, xyz)
+
+
 def test_parse_rational_functions():
     x = parse_scalar("1/x", ("x",))
     assert isinstance(x, RationalFunction)
