@@ -79,9 +79,7 @@ from .tensors import (
     ConventionLedger,
     Multivector,
     SparseTensor,
-    contract,
     embed_wedge,
-    tensor_product,
     wedge,
 )
 

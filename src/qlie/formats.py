@@ -1,4 +1,4 @@
-"""JSON file formats: Lie algebras, tensor literals, triples, dg Lie data.
+"""JSON file formats: Lie algebras, tensor literals and Manin triples.
 
 Coefficients are decimal-free strings parsed as exact rationals, or as
 rational-function expressions in the declared variables.
@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError
 from .lie import CECochain, LieAlgebra, WEDGE, sym2_signature
 from .manin import ManinTriple
-from .mc import MAX_WEIGHT, WeightGradedDGLA, window
 from .scalars import Polynomial, RationalFunction, parse_scalar
 from .tensors import Multivector, SparseTensor, SparseVector, plain_signature
 
@@ -74,8 +73,11 @@ def lie_from_dict(doc: dict) -> LieAlgebra:
         raise InputError("basis is a list of scalar labels")
     variables = field_variables(doc)
     index = {label: i for i, label in enumerate(basis)}
+    items = doc.get("brackets", [])
+    if not isinstance(items, list):
+        raise InputError("brackets is a list of [x, y, [[z, coef], ...]] entries")
     brackets = {}
-    for item in doc.get("brackets", []):
+    for item in items:
         if not (
             isinstance(item, list)
             and len(item) == 3
@@ -203,6 +205,8 @@ def matrix_from_dict(doc: dict, dim: int) -> List[List[Fraction]]:
 
 
 def polynomials_from_strings(strings: Sequence[str], variables: Tuple[str, ...]) -> List[Polynomial]:
+    if not isinstance(strings, list):
+        raise InputError("locus is a list of polynomial strings")
     out = []
     for s in strings:
         val = parse_scalar(str(s), variables)
@@ -226,40 +230,3 @@ def triple_to_dict(t: ManinTriple) -> dict:
     doc["gstar"] = [d.basis[i] for i in t.gstar_indices]
     doc["pairing"] = [[str(x) for x in row] for row in t.quad.pairing]
     return doc
-
-
-# ---------------------------------------------------------------------------
-# dg Lie algebra serialization
-# ---------------------------------------------------------------------------
-
-def dgla_to_dict(L: WeightGradedDGLA) -> dict:
-    """The finite window of L: slice bases, differentials and brackets of
-    basis monomials, each written as sorted [monomial, coefficient] pairs."""
-    def key_str(k):
-        return f"{k[0]},{k[1]}"
-
-    def vec_list(vec):
-        return sorted([str(m), str(c)] for m, c in vec.items())
-
-    one = Fraction(1)
-    bases = window(L)
-    diff = {
-        key_str((d, w)): [vec_list(L.apply_diff((d, w), {m: one})) for m in monos]
-        for (d, w), monos in bases.items()
-        if (d + 1, w) in bases
-    }
-    brackets = {}
-    for k1 in bases:
-        for k2 in bases:
-            if (k1[0] + k2[0], k1[1] + k2[1] - 1) not in bases:
-                continue
-            brackets[f"{key_str(k1)}|{key_str(k2)}"] = {
-                f"{m1}|{m2}": vec_list(vec) for (m1, m2), vec in L.bracket_structure(k1, k2).items()
-            }
-    return {
-        "name": L.name,
-        "max_weight": MAX_WEIGHT,
-        "bases": {key_str(k): [str(m) for m in monos] for k, monos in bases.items()},
-        "differentials": diff,
-        "brackets": brackets,
-    }

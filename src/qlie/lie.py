@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -166,10 +167,23 @@ def multiplicity_factorial(key: Sequence[int]) -> int:
 KNOWN_MODULES = ("triv", "adjoint", "wedge", "sym")
 
 
-def _cochain_canon(key) -> Optional[Tuple[int, Tuple[tuple, tuple]]]:
+def _cochain_canon(module, key) -> Optional[Tuple[int, Tuple[tuple, tuple]]]:
+    """The signed canonical form of a (down, up) key of a cochain valued in
+    module: the down slots and WEDGE(p) slots sorted with a sign, SYM(p)
+    slots sorted; None when a repeated antisymmetric index kills it."""
     down, up = key
     res = _sort_with_sign(down)
-    return None if res is None else (res[0], (res[1], tuple(up)))
+    if res is None:
+        return None
+    sign, down = res
+    if module[0] == "wedge":
+        res = _sort_with_sign(up)
+        if res is None:
+            return None
+        sign, up = sign * res[0], res[1]
+    elif module[0] == "sym":
+        up = sorted(up)
+    return sign, (down, tuple(up))
 
 
 class CECochain(SparseVector):
@@ -189,13 +203,15 @@ class CECochain(SparseVector):
                 down, up = tuple(down), tuple(up)
                 if len(down) != k or list(down) != sorted(set(down)):
                     raise InputError("down indices must be strictly increasing")
+                if _cochain_canon(module, (down, up)) != (1, (down, up)):
+                    raise InputError(f"module indices {up} are not canonical for {module}")
                 if not is_zero(coef):
                     clean[(down, up)] = coef
         self.data = clean
 
     @classmethod
     def build(cls, g, k, module, entries) -> "CECochain":
-        return cls(g, k, module)._from_terms(canonical_terms(_cochain_canon, entries))
+        return cls(g, k, module)._from_terms(canonical_terms(partial(_cochain_canon, module), entries))
 
     def _from_terms(self, terms) -> "CECochain":
         x = CECochain.__new__(CECochain)

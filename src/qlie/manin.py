@@ -320,10 +320,7 @@ def drinfeld_double(b: QuasiLieBialgebra) -> ManinTriple:
             rows[(j, n + k)].append((n + i, c))
     for ((k,), (i, j)), c in b.delta.data.items():
         # delta(x_k) has c on x_i ^ x_j: [x_k, xi^i] gets c x_j, [x_k, xi^j]
-        # gets -c x_i, and [xi^i, xi^j] = delta^{ij}_l xi^l gets c xi^k;
-        # the double reads the increasing keys of delta only
-        if i >= j:
-            continue
+        # gets -c x_i, and [xi^i, xi^j] = delta^{ij}_l xi^l gets c xi^k
         rows[(k, n + i)].append((j, c))
         rows[(k, n + j)].append((i, -c))
         rows[(n + i, n + j)].append((n + k, c))

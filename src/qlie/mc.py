@@ -1,4 +1,4 @@
-"""Weight-graded dg Lie algebras and Maurer-Cartan machinery.
+"""Pol(BG, n) as a weight-graded dg Lie algebra, and Maurer-Cartan machinery.
 
 Degrees are stored in the shifted convention in which Maurer-Cartan
 elements live in degree 1: the differential has bidegree (+1, 0), the
@@ -6,11 +6,9 @@ bracket (0, -1).  Vectors are sparse dicts keyed by polyvector monomials
 (``polyvectors.Mono``), and the differential and the bracket are taken on
 the supports of their arguments: nothing is enumerated to compute a
 residual, so there is no dimension limit.  A slice is a (degree, weight)
-predicate; for ``pol_bg`` the slice (d, w) holds the cochains of CE degree
-k = d + (n+1) - n w, and it exists when 0 <= k <= dim g and w >= 2.  Only
-the checks that are about a finite basis (``check_bracket_laws``,
-``check_differential_squares_to_zero``, ``bracket_structure`` and
-``formats.dgla_to_dict``) list one, through ``window``.
+predicate: the slice (d, w) holds the cochains of CE degree
+k = d + (n+1) - n w, and it exists when 0 <= k <= dim g and w >= 2.  No
+slice basis is ever listed.
 
 The gauge ODE is checked in the orientation
 
@@ -25,129 +23,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InputError
 from .lie import CECochain, LieAlgebra
-from .polyvectors import Element, Mono, PolyVectorAlgebra
+from .polyvectors import Element, PolyVectorAlgebra
 from .scalars import Scalar, vec_add, vec_scale
 from .tensors import Multivector, SparseTensor
 
 Vec = Element  # sparse coefficient vector keyed by polyvector monomials
 SliceKey = Tuple[int, int]  # (shifted degree, weight)
-StructureMap = Dict[Tuple[Mono, Mono], Vec]  # (m1, m2) -> [m1, m2]
 
-# the weight bound of gauge paths and of the finite window
+# the weight bound of gauge paths
 MAX_WEIGHT = 4
 
 
 class WeightGradedDGLA:
-    """A weight-graded dg Lie algebra given by its structure maps.
+    """The weight >= 2 polyvector dg Lie algebra Pol(BG, n) of a Lie algebra g.
 
-    in_slice(key) says whether the slice key = (d, w) exists; diff(v) and
-    bracket(v1, v2) are the differential and the bracket on sparse
-    vectors.  A bracket of slices k1 and k2 lands in (d1 + d2, w1 + w2 - 1).
+    Its vectors are CE cochains with polyvector coefficients, the
+    differential is the Chevalley-Eilenberg one, the bracket the big
+    bracket, both those of ``P = PolyVectorAlgebra(g, n)``; degrees are
+    shifted so Maurer-Cartan elements sit in degree 1.  A bracket of
+    slices k1 and k2 lands in (d1 + d2, w1 + w2 - 1).
     """
 
-    # the polyvector algebra of a ``pol_bg`` model, recorded by ``pol_bg``
-    # and read by the tensor translations and ``window``
-    P: PolyVectorAlgebra
+    def __init__(self, g: LieAlgebra, shift: int):
+        self.P = PolyVectorAlgebra(g, shift)
+        self.name = f"Pol(B{g.name}, {shift})[>=2]"
 
-    def __init__(
-        self,
-        name: str,
-        in_slice: Callable[[SliceKey], bool],
-        diff: Callable[[Vec], Vec],
-        bracket: Callable[[Vec, Vec], Vec],
-    ):
-        self.name = name
-        self.in_slice = in_slice
-        self._diff = diff
-        self._bracket = bracket
+    def in_slice(self, key: SliceKey) -> bool:
+        return key[1] >= 2 and 0 <= _ce_degree(self.P.n, key) <= self.P.g.dim
 
     def apply_diff(self, key: SliceKey, vec: Vec) -> Vec:
         if not vec or not self.in_slice(key):
             return {}
-        return self._diff(vec)
+        return self.P.d(vec)
 
     def apply_bracket(self, k1: SliceKey, v1: Vec, k2: SliceKey, v2: Vec) -> Vec:
         if not v1 or not v2 or not self.in_slice(k1) or not self.in_slice(k2):
             return {}
-        return self._bracket(v1, v2)
-
-    # -- checks on the finite window --------------------------------------------
-
-    def bracket_structure(self, k1: SliceKey, k2: SliceKey) -> StructureMap:
-        """The nonzero brackets of window basis vectors of two slices, computed afresh."""
-        bases = window(self)
-        one = Fraction(1)
-        out: StructureMap = {}
-        for m1 in bases.get(k1, []):
-            for m2 in bases.get(k2, []):
-                img = self.apply_bracket(k1, {m1: one}, k2, {m2: one})
-                if img:
-                    out[(m1, m2)] = img
-        return out
-
-    def check_differential_squares_to_zero(self) -> bool:
-        one = Fraction(1)
-        for (d, w), monos in window(self).items():
-            for m in monos:
-                if self.apply_diff((d + 1, w), self.apply_diff((d, w), {m: one})):
-                    return False
-        return True
-
-    def check_bracket_laws(self) -> bool:
-        """Graded antisymmetry and Jacobi on every basis triple of the window."""
-        one = Fraction(1)
-        pool = [(k, {m: one}) for k, monos in window(self).items() for m in monos]
-        br = self.apply_bracket
-        for (k1, u1) in pool:
-            for (k2, u2) in pool:
-                # law: [a, b] = -(-1)^{d1 d2} [b, a] in shifted degrees
-                sign = (-1) ** (k1[0] * k2[0])
-                if vec_add(br(k1, u1, k2, u2), br(k2, u2, k1, u1), Fraction(sign)):
-                    return False
-        for (k1, u1) in pool:
-            for (k2, u2) in pool:
-                k12 = _sum_key(k1, k2)
-                u12 = br(k1, u1, k2, u2)
-                sign = Fraction((-1) ** (k1[0] * k2[0]))
-                for (k3, u3) in pool:
-                    lhs = br(k1, u1, _sum_key(k2, k3), br(k2, u2, k3, u3))
-                    t1 = br(k12, u12, k3, u3)
-                    t2 = vec_scale(br(k2, u2, _sum_key(k1, k3), br(k1, u1, k3, u3)), sign)
-                    if vec_add(lhs, vec_add(t1, t2), Fraction(-1)):
-                        return False
-        return True
-
-
-def _sum_key(k1: SliceKey, k2: SliceKey) -> SliceKey:
-    return (k1[0] + k2[0], k1[1] + k2[1] - 1)
+        return self.P.bracket(v1, v2)
 
 
 def _ce_degree(shift: int, key: SliceKey) -> int:
     """The CE degree of the cochains in the shifted slice key = (d, w)."""
     d, w = key
     return d + (shift + 1) - shift * w
-
-
-def window(L: WeightGradedDGLA) -> Dict[SliceKey, List[Mono]]:
-    """The finite window of a ``pol_bg`` algebra, for the checks that need a basis.
-
-    Slices (d, w) with d in 0..3 and w in 2..MAX_WEIGHT, in sorted key
-    order, each with ``P.slice_basis`` as its basis; empty slices are
-    left out.  Their CE degree is at most 3, so no degree cut is needed.
-    """
-    P = L.P
-    out: Dict[SliceKey, List[Mono]] = {}
-    for d in range(4):
-        for w in range(2, MAX_WEIGHT + 1):
-            if L.in_slice((d, w)):
-                monos = P.slice_basis(_ce_degree(P.n, (d, w)), w)
-                if monos:
-                    out[(d, w)] = monos
-    return out
 
 
 @dataclass
@@ -349,17 +271,5 @@ def twist_path(L: WeightGradedDGLA, delta0: CECochain, phi0: Multivector, lam: M
 
 
 def pol_bg(g: LieAlgebra, shift: int) -> WeightGradedDGLA:
-    """The weight >= 2 polyvector dg Lie algebra of the classifying stack.
-
-    Its vectors are CE cochains with polyvector coefficients, the
-    differential is the Chevalley-Eilenberg one, the bracket the big
-    bracket; degrees are shifted so Maurer-Cartan elements sit in degree 1.
-    """
-    P = PolyVectorAlgebra(g, shift)
-
-    def in_slice(key: SliceKey) -> bool:
-        return key[1] >= 2 and 0 <= _ce_degree(shift, key) <= g.dim
-
-    L = WeightGradedDGLA(f"Pol(B{g.name}, {shift})[>=2]", in_slice, P.d, P.bracket)
-    L.P = P
-    return L
+    """Pol(BG, shift) in weights >= 2 (see ``WeightGradedDGLA``)."""
+    return WeightGradedDGLA(g, shift)

@@ -197,7 +197,7 @@ class PolyVectorAlgebra:
         as the degree-0 SYM(p) cochain they form (see from_cochain)."""
         if self.n != 2:
             raise InputError("symmetric encoding requires shift 2")
-        entries = [(((), tuple(sorted(key))), coef) for key, coef in t.items()]
+        entries = [(((), key), coef) for key, coef in t.items()]
         return self.from_cochain(CECochain.build(self.g, 0, SYM(len(t.sig.variances)), entries))
 
     def from_cochain(self, x: CECochain) -> Element:

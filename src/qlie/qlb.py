@@ -240,9 +240,7 @@ def induce_from_coisotropic(
         for (k, a), row in split.A.items():
             for j, x in row.items():
                 for i, q in Qcol[a].items():
-                    if i != j:
-                        up, sign = ((i, j), half) if i < j else ((j, i), -half)
-                        yield ((k,), up), sign * x * q
+                    yield ((k,), (i, j)), half * x * q
 
     def phi_terms():
         # phi^{ijk} for every (i, j, k), one sum of the formula at a time

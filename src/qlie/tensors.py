@@ -308,19 +308,6 @@ class SparseTensor(SparseVector):
 
             yield from ((tup, sgn * coef) for tup, sgn in orbits(0, list(key), 1))
 
-    def transpose(self, perm: Sequence[int]) -> "SparseTensor":
-        """Permute slots; only for tensors without declared symmetry."""
-        if any(g.kind != "none" for g in self.sig.groups):
-            raise InputError("transpose is only supported on plain tensors")
-        sig = Signature(
-            self.sig.dim,
-            [self.sig.variances[perm[i]] for i in range(self.sig.arity)],
-            [SlotGroup("none", (i,)) for i in range(self.sig.arity)],
-        )
-        return SparseTensor.build(
-            sig, [(tuple(k[perm[i]] for i in range(len(k))), v) for k, v in self.data.items()]
-        )
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))
         return f"SparseTensor({{{inner}}})"
@@ -424,40 +411,3 @@ def alt_tensor(t: SparseTensor) -> SparseTensor:
             sgn = res[0] if res else 1
             entries.append((tuple(key[i] for i in perm), sgn * coef))
     return SparseTensor.build(plain_signature(t.sig.dim, arity, t.sig.variances[0]), entries)
-
-
-def tensor_product(a: SparseTensor, b: SparseTensor) -> SparseTensor:
-    if a.sig.dim != b.sig.dim:
-        raise InputError("tensor product over different spaces")
-    sig = Signature(
-        a.sig.dim,
-        list(a.sig.variances) + list(b.sig.variances),
-        [SlotGroup("none", (i,)) for i in range(a.sig.arity + b.sig.arity)],
-    )
-    entries = []
-    for ka, va in a.expanded_items():
-        for kb, vb in b.expanded_items():
-            entries.append((ka + kb, va * vb))
-    return SparseTensor.build(sig, entries)
-
-
-def contract(t: SparseTensor, slot_pairs: Sequence[Tuple[int, int]]) -> SparseTensor:
-    """Trace over (down, up) slot pairs; order of the pairs is irrelevant."""
-    used = set()
-    for a, b in slot_pairs:
-        if {t.sig.variances[a], t.sig.variances[b]} != {UP, DOWN}:
-            raise InputError("contraction pairs one up slot with one down slot")
-        if a in used or b in used:
-            raise InputError("slot used in two contractions")
-        used.update((a, b))
-    keep = [i for i in range(t.sig.arity) if i not in used]
-    sig = Signature(
-        t.sig.dim,
-        [t.sig.variances[i] for i in keep],
-        [SlotGroup("none", (j,)) for j in range(len(keep))],
-    )
-    entries = []
-    for key, coef in t.expanded_items():
-        if all(key[a] == key[b] for a, b in slot_pairs):
-            entries.append((tuple(key[i] for i in keep), coef))
-    return SparseTensor.build(sig, entries)

@@ -73,6 +73,31 @@ def sparse_structures(g, rng: random.Random, n: int, phi_inv: Multivector):
             yield QuasiLieBialgebra(g, delta, sparse_multivector(g, 3, rng, 2))
 
 
+def permute_slots(t, perm):
+    """The entries of the plain tensor t with its slots permuted: slot i of
+    each key is slot perm[i] of the original key."""
+    return {tuple(key[p] for p in perm): c for key, c in t.data.items()}
+
+
+def window_slices(P):
+    """The sl2-sized window of Pol(BG, n) over P = PolyVectorAlgebra(g, n):
+    the slices (d, w) with d in 0..3 and w in 2..4, in that key order, each
+    with its basis ``P.slice_basis(k, w)`` at CE degree k = d + (n+1) - n w;
+    empty slices are left out."""
+    out = {}
+    for d in range(4):
+        for w in range(2, 5):
+            monos = P.slice_basis(d + (P.n + 1) - P.n * w, w)
+            if monos:
+                out[(d, w)] = monos
+    return out
+
+
+def window_monos(P):
+    """The monomials of ``window_slices(P)``, slice after slice."""
+    return [m for monos in window_slices(P).values() for m in monos]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

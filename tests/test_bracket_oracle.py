@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_multivector, zero_cobracket
+from conftest import rand_multivector, window_monos, zero_cobracket
 from qlie.lie import casimir_from_pairing, sl2, sl3
-from qlie.mc import encode_casimir, encode_structure, mc_residual, pol_bg, window
+from qlie.mc import encode_casimir, encode_structure, mc_residual, pol_bg
 from qlie.polyvectors import PolyVectorAlgebra
 from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, twist
 from qlie.scalars import combine, is_zero
@@ -96,14 +96,10 @@ class RecursiveBracket:
         return out
 
 
-def window_monos(g, shift):
-    L = pol_bg(g, shift)
-    return L.P, [m for monos in window(L).values() for m in monos]
-
-
 @pytest.mark.parametrize("shift", [1, 2])
 def test_closed_form_matches_recursion_on_sl2_window(shift):
-    P, monos = window_monos(sl2(), shift)
+    P = PolyVectorAlgebra(sl2(), shift)
+    monos = window_monos(P)
     ref = RecursiveBracket(P)
     nonzero = 0
     for m1 in monos:
@@ -116,7 +112,8 @@ def test_closed_form_matches_recursion_on_sl2_window(shift):
 
 @pytest.mark.parametrize("shift", [1, 2])
 def test_closed_form_matches_recursion_on_sl3_window_sample(shift):
-    P, monos = window_monos(sl3(), shift)
+    P = PolyVectorAlgebra(sl3(), shift)
+    monos = window_monos(P)
     ref = RecursiveBracket(P)
     rng = random.Random(20240817 + shift)
     nonzero = 0

@@ -127,6 +127,9 @@ R_COEF = ("entries", 0, "coef")
              "entries": [{"idx": ["e", "f", "h"], "coef": "(x+y+z+1)^24"}]},
             QLB_PHI, "term limit",
         ),
+        # found by tests/test_fuzz_formats.py; both used to exit 3
+        ("sl2.json", ("brackets",), 7, LIE, "brackets is a list"),
+        ("dynamical_r_sl2.json", ("locus",), None, DYNAMICAL, "locus is a list"),
     ],
     ids=[
         "zero-denominator", "non-list-component", "singular-rmatrix",
@@ -135,7 +138,7 @@ R_COEF = ("entries", 0, "coef")
         "string-rmatrix-vars", "huge-power", "huge-negative-power", "power-above-cap",
         "5000-digit-literal", "superscript-digit", "nested-power",
         "nested-rational-power", "product-of-powers", "sum-of-powers",
-        "product-term-limit", "power-term-limit",
+        "product-term-limit", "power-term-limit", "number-brackets", "null-locus",
     ],
 )
 def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):
@@ -312,6 +315,30 @@ def test_double_command():
     }
     report, code = invoke("double", SL2, "--delta", str(FIXTURES / "delta_bad_sl2.json"))
     assert code == 1
+
+
+def test_double_reads_cobracket_entries_in_any_slot_order(tmp_path):
+    # [k, b, a] with coefficient -c is the entry [k, a, b] with c
+    doc = json.loads((FIXTURES / "delta_std_sl2.json").read_text())
+    for entry in doc["entries"]:
+        k, a, b = entry["idx"]
+        entry["idx"] = [k, b, a]
+        entry["coef"] = entry["coef"][1:] if entry["coef"].startswith("-") else "-" + entry["coef"]
+    swapped = tmp_path / "delta_swapped.json"
+    swapped.write_text(json.dumps(doc))
+    report, code = invoke("double", SL2, "--delta", str(swapped))
+    assert code == 0
+    assert {c["name"]: c["status"] for c in report["checks"]}["round-trip"] == "pass"
+    canonical, _ = invoke("double", SL2, "--delta", str(FIXTURES / "delta_std_sl2.json"))
+    assert report["data"] == canonical["data"]
+
+
+def test_cobracket_entry_with_repeated_upper_label_vanishes(tmp_path):
+    delta = tmp_path / "delta_eff.json"
+    delta.write_text(json.dumps({"signature": "cobracket", "entries": [{"idx": ["e", "f", "f"], "coef": "1"}]}))
+    report, code = invoke("check-qlb", SL2, "--delta", str(delta), "--phi", str(FIXTURES / "phi_zero.json"))
+    assert code == 0
+    assert report["data"]["delta"] == []
 
 
 def test_double_command_on_rational_function_algebra(tmp_path):

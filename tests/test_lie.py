@@ -184,6 +184,17 @@ def test_split_subalgebra_whole_algebra():
     assert split.f and not split.A and not split.B and not split.C and not split.D
 
 
+def test_cochain_keys_are_canonical_in_the_module_slots():
+    g = sl2()
+    wedge = CECochain.build(g, 1, WEDGE(2), [(((2,), (1, 0)), F(3)), (((0,), (1, 1)), F(5))])
+    assert wedge.data == {((2,), (0, 1)): F(-3)}
+    sym = CECochain.build(g, 0, SYM(2), [(((), (2, 0)), F(1)), (((), (0, 2)), F(1))])
+    assert sym.data == {((), (0, 2)): F(2)}
+    for module, up in ((WEDGE(2), (1, 0)), (WEDGE(2), (1, 1)), (SYM(2), (2, 0))):
+        with pytest.raises(InputError):
+            CECochain(g, 1, module, {((0,), up): F(1)})
+
+
 def test_ce_differential_rejects_unknown_module():
     g = sl2()
     with pytest.raises(InputError):

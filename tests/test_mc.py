@@ -2,8 +2,21 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from conftest import rand_cobracket, rand_fraction, rand_multivector, sl3_plus_sl2, sparse_structures, zero_cobracket
-from qlie.lie import abelian, casimir_from_pairing, sl2, sl3
+import pytest
+
+from conftest import (
+    rand_cobracket,
+    rand_fraction,
+    rand_multivector,
+    sl3_plus_sl2,
+    sparse_multivector,
+    sparse_structures,
+    window_slices,
+    zero_cobracket,
+)
+from qlie.errors import InputError
+from qlie.lie import abelian, casimir_from_pairing, sl, sl2, sl3
+from qlie.manin import dual_subalgebra_bplus_bminus, triple_to_bialgebra
 from qlie.mc import (
     GaugePath,
     MCElement,
@@ -15,7 +28,6 @@ from qlie.mc import (
     mc_residual_is_zero,
     pol_bg,
     twist_path,
-    window,
 )
 from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, twist
 from qlie.tensors import Multivector
@@ -27,26 +39,23 @@ def F(a, b=1):
 
 def test_pol_bg_slice_shapes():
     g = sl2()
-    bases = window(pol_bg(g, 1))
+    bases = window_slices(pol_bg(g, 1).P)
     # weight-2 degree-1 slice: maps g -> wedge^2 g; weight-3 degree-1: wedge^3 g
     assert len(bases[(1, 2)]) == 9
     assert len(bases[(1, 3)]) == 1
     assert len(bases[(0, 2)]) == 3
     # weight-2 degree-1 slice at shift 2 is Sym^2(g)
-    assert len(window(pol_bg(g, 2))[(1, 2)]) == 6
-
-
-def test_pol_bg_structure_laws():
-    g = sl2()
+    assert len(window_slices(pol_bg(g, 2).P)[(1, 2)]) == 6
     L = pol_bg(g, 1)
-    assert L.check_differential_squares_to_zero()
-    assert L.check_bracket_laws()
+    assert L.name == "Pol(Bsl2, 1)[>=2]"
+    assert all(L.in_slice(key) for key in bases)
+    assert not L.in_slice((1, 1)) and not L.in_slice((4, 2)) and not L.in_slice((0, 4))
 
 
 def test_pol_bg_abelian_zero_differential():
     g = abelian(3)
     L = pol_bg(g, 1)
-    for key, monos in window(L).items():
+    for key, monos in window_slices(L.P).items():
         assert all(not L.apply_diff(key, {m: F(1)}) for m in monos)
 
 
@@ -100,9 +109,9 @@ def test_mc_residual_shift2_invariant_casimir():
         x = encode_casimir(L, c)
         assert mc_residual_is_zero(mc_residual(L, x))
         # the weight-3 component of [c, c] vanishes identically: the bracket
-        # structure tensor on the degree-1 weight-2 slice is the zero map
-        struct = L.bracket_structure((1, 2), (1, 2))
-        assert all(not vec for vec in struct.values())
+        # on the degree-1 weight-2 slice (CE degree 0, Sym^2 g) is the zero map
+        monos = L.P.slice_basis(0, 2)
+        assert not any(L.P.bracket_monos(m1, m2) for m1 in monos for m2 in monos)
 
 
 def test_mc_residual_shift2_non_invariant_fails():
@@ -139,6 +148,15 @@ def test_mc_residual_shift2_decodes_like_casimir_invariance_residual(rng):
             residual = casimir_invariance_residual(g, c)
             assert not residual.is_zero()
             assert decode_residual(L, mc_residual(L, encode_casimir(L, c))) == {2: residual}
+
+
+def test_encoders_check_the_shift():
+    L2 = pol_bg(sl2(), 2)
+    with pytest.raises(InputError):
+        encode_structure(L2, zero_cobracket(sl2()), Multivector.zero(3, 3))
+    L1 = pol_bg(sl2(), 1)
+    with pytest.raises(InputError):
+        encode_casimir(L1, casimir_from_pairing(sl2()))
 
 
 def test_gauge_constant_path_iff_mc():
@@ -199,20 +217,6 @@ def test_gauge_endpoint_mismatch_detected(rng):
     assert not rep.endpoints_match
 
 
-def test_serialization_round_trip_structure():
-    from qlie.formats import dgla_to_dict
-
-    g = sl2()
-    L = pol_bg(g, 1)
-    doc = dgla_to_dict(L)
-    assert doc["name"].startswith("Pol(B")
-    assert "1,2" in doc["bases"]
-    # every slice pair whose bracket lands in the window is serialised
-    assert "1,2|1,2" in doc["brackets"] and "0,2|1,2" in doc["brackets"]
-    assert "1,2|1,3" not in doc["brackets"]
-    assert doc == dgla_to_dict(pol_bg(g, 1))
-
-
 def test_gauge_path_is_tied_to_its_twist(rng):
     # the alpha family integrated from lambda is rejected when presented
     # with a different gauge generator (and vice versa)
@@ -249,3 +253,27 @@ def test_mc_residual_matches_check_qlb_beyond_dim_8():
         failing_weights |= set(decoded)
     assert verdicts == [True, False] * 4
     assert failing_weights == {2, 3, 4}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_mc_residual_matches_check_qlb_on_standard_sl_n(n):
+    # the standard bialgebra of sl(n), a sparse twist of it (both pass) and a
+    # copy with phi one basis 3-vector (fails)
+    b = triple_to_bialgebra(dual_subalgebra_bplus_bminus(sl(n)))
+    g = b.g
+    rng = random.Random(20241018 + n)
+    twisted = twist(b, Twist(sparse_multivector(g, 2, rng, 3)), validate=False)
+    broken = QuasiLieBialgebra(g, b.delta, Multivector.basis(g.dim, sorted(rng.sample(range(g.dim), 3))))
+    assert twisted != b
+    L = pol_bg(g, 1)
+    verdicts = []
+    for q in (b, twisted, broken):
+        direct = check_qlb(q)
+        res = mc_residual(L, encode_structure(L, q.delta, q.phi))
+        decoded = decode_residual(L, res)
+        for w, expected in ((2, direct.cocycle), (3, direct.cojacobi), (4, direct.compat)):
+            got = decoded.get(w)
+            assert (got is None and expected.is_zero()) or got == expected, w
+        assert direct.passed == mc_residual_is_zero(res)
+        verdicts.append(direct.passed)
+    assert verdicts == [True, True, False]

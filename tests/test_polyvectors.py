@@ -1,9 +1,10 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
-from conftest import rand_multivector
+from conftest import rand_multivector, window_monos
 from test_ce_reference import ref_ce_differential as ce_differential  # the slot formula
 from qlie.lie import CECochain, WEDGE, abelian, sl2, sl3
 from qlie.polyvectors import PolyVectorAlgebra, schouten
@@ -38,11 +39,24 @@ def test_bracket_generator_pairing(shift):
             assert P.bracket(vec, {((), (i,)): F(1)}) == {}
 
 
-@pytest.mark.parametrize("shift", [1, 2])
-def test_bracket_graded_laws(shift):
+# each law runs on two inputs at shifts 1 and 2: the monomials of CE degree
+# and weight <= 2, and the sl2 window of Pol(BG, n) (conftest.window_slices),
+# on which it is exhaustive
+LAW_INPUTS = [(1, False), (2, False), (1, True), (2, True)]
+LAW_IDS = ["1", "2", "sl2-window-1", "sl2-window-2"]
+
+
+@pytest.mark.parametrize("shift, window", LAW_INPUTS, ids=LAW_IDS)
+def test_bracket_graded_laws(shift, window):
     g = sl2()
     P = PolyVectorAlgebra(g, shift)
-    monos = all_monos(P, 2, 2)
+    if window:
+        monos = small = window_monos(P)
+        # the exhaustive Jacobi scan meets each monomial pair many times
+        P.bracket_monos = lru_cache(maxsize=None)(P.bracket_monos)
+    else:
+        monos = all_monos(P, 2, 2)
+        small = monos[:14]
     s = shift + 1
     for m1 in monos:
         for m2 in monos:
@@ -51,23 +65,31 @@ def test_bracket_graded_laws(shift):
             rhs = P.bracket_monos(m2, m1)
             sign = -((-1) ** ((d1 + s) * (d2 + s)))
             assert not vec_add(lhs, rhs, F(-sign))
-    small = monos[:14]
     for m1, m2, m3 in product(small, small, small):
+        u23, u12, u13 = P.bracket_monos(m2, m3), P.bracket_monos(m1, m2), P.bracket_monos(m1, m3)
+        if not (u23 or u12 or u13):
+            continue  # every term of the identity is zero
         d1, d2 = P.mono_degree(m1), P.mono_degree(m2)
-        lhs = P.bracket({m1: F(1)}, P.bracket_monos(m2, m3))
-        t1 = P.bracket(P.bracket_monos(m1, m2), {m3: F(1)})
+        lhs = P.bracket({m1: F(1)}, u23)
+        t1 = P.bracket(u12, {m3: F(1)})
         sign = (-1) ** ((d1 + s) * (d2 + s))
-        t2 = vec_scale(P.bracket({m2: F(1)}, P.bracket_monos(m1, m3)), F(sign))
+        t2 = vec_scale(P.bracket({m2: F(1)}, u13), F(sign))
         assert not vec_add(lhs, vec_add(t1, t2), F(-1))
 
 
-@pytest.mark.parametrize("shift", [1, 2])
-def test_differential_squares_to_zero(shift, rng):
-    for g in (sl2(), abelian(3)):
-        P = PolyVectorAlgebra(g, shift)
-        el = {m: F(rng.randint(-2, 2)) for m in all_monos(P, 2, 2)}
-        el = {m: c for m, c in el.items() if c}
-        assert not P.d(P.d(el))
+@pytest.mark.parametrize("shift, window", LAW_INPUTS, ids=LAW_IDS)
+def test_differential_squares_to_zero(shift, window, rng):
+    cases = []
+    if window:  # each window monomial on its own
+        P = PolyVectorAlgebra(sl2(), shift)
+        cases = [(P, {m: F(1)}) for m in window_monos(P)]
+    else:
+        for g in (sl2(), abelian(3)):
+            P = PolyVectorAlgebra(g, shift)
+            el = {m: F(rng.randint(-2, 2)) for m in all_monos(P, 2, 2)}
+            cases.append((P, {m: c for m, c in el.items() if c}))
+    for P, el in cases:
+        assert not P.d(P.d(el)), el
 
 
 def test_differential_is_bracket_derivation(rng):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_multivector
+from conftest import permute_slots, rand_multivector
 from qlie.errors import InputError
 from qlie.lie import abelian, casimir_from_pairing, sl2, sl3, split_subalgebra
 from qlie.polyvectors import schouten
@@ -167,7 +167,7 @@ def test_cybe_antisymmetric_for_invariant_c(rng):
         entries += list(dict(c.expanded_items()).items())
         t = cybe(g, rmat(g.dim, entries))
         for perm in ((1, 0, 2), (0, 2, 1)):
-            assert t.transpose(perm) == -t
+            assert permute_slots(t, perm) == (-t).data
 
 
 def test_d_dr_basics():

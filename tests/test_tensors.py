@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_multivector
+from conftest import permute_slots, rand_multivector
 from qlie.errors import InputError
 from qlie.lie import sl2
 from qlie.tensors import (
@@ -11,11 +11,9 @@ from qlie.tensors import (
     SparseTensor,
     Signature,
     alt_tensor,
-    contract,
     embed_wedge,
     multivector_from_tensor,
     plain_signature,
-    tensor_product,
     wedge,
 )
 
@@ -74,7 +72,7 @@ def test_embed_wedge_linear_and_antisymmetric(rng):
         rhs = embed_wedge(a).scale(s) + embed_wedge(b)
         assert lhs == rhs
         t = embed_wedge(a)
-        assert t.transpose((1, 0)) == -t
+        assert permute_slots(t, (1, 0)) == (-t).data
 
 
 def test_round_trip_multivector_tensor(rng):
@@ -86,35 +84,6 @@ def test_round_trip_multivector_tensor(rng):
         multivector_from_tensor(
             SparseTensor.build(plain_signature(3, 2), [((0, 1), F(1))])
         )
-
-
-def test_contract_trace_of_identity():
-    sig = Signature(3, ["up", "down"], [SlotGroup("none", (0,)), SlotGroup("none", (1,))])
-    ident = SparseTensor.build(sig, [((i, i), F(1)) for i in range(3)])
-    tr = contract(ident, [(0, 1)])
-    assert tr.data == {(): 3}
-
-
-def test_contract_dual_pairing():
-    sig = Signature(3, ["down", "up"], [SlotGroup("none", (0,)), SlotGroup("none", (1,))])
-    for i in range(3):
-        for j in range(3):
-            t = SparseTensor.build(sig, [((i, j), F(1))])
-            value = contract(t, [(0, 1)])
-            assert value.data == ({(): 1} if i == j else {})
-
-
-def test_contract_zero():
-    sig = Signature(3, ["down", "up"], [SlotGroup("none", (0,)), SlotGroup("none", (1,))])
-    z = SparseTensor.build(sig, [])
-    assert contract(z, [(0, 1)]).is_zero()
-
-
-def test_contract_slot_mismatch():
-    sig = plain_signature(3, 2)
-    t = SparseTensor.build(sig, [((0, 1), F(1))])
-    with pytest.raises(InputError):
-        contract(t, [(0, 1)])  # both slots are up
 
 
 def test_sym_storage_reads_all_orders():
@@ -139,10 +108,3 @@ def test_alt_tensor_on_antisymmetric_input():
     a = embed_wedge(mv(((0, 1, 2), 1)))
     assert alt_tensor(a) == a.scale(F(6))
     assert alt_tensor(SparseTensor.build(plain_signature(3, 3), [])).is_zero()
-
-
-def test_tensor_product_shapes():
-    a = SparseTensor.build(plain_signature(3, 1), [((0,), F(2))])
-    b = SparseTensor.build(plain_signature(3, 1), [((1,), F(3))])
-    t = tensor_product(a, b)
-    assert t.data == {(0, 1): 6}
