@@ -3,8 +3,8 @@
 The package computes with Lie algebras given by structure constants over
 exact scalar fields (rationals or multivariate rational functions):
 Chevalley-Eilenberg cohomology, quasi-Lie bialgebra axioms and twists,
-Maurer-Cartan residuals and gauge paths on weight-graded dg Lie
-algebras, classical and dynamical r-matrices, and Manin pairs, triples
+the Maurer-Cartan residual d x + 1/2 [x, x] in the polyvector algebra
+Pol(BG, n), classical and dynamical r-matrices, and Manin pairs, triples
 and Drinfeld doubles.  All sign and normalization choices are recorded
 in the convention ledger and stamped into CLI reports.
 """
@@ -40,18 +40,7 @@ from .manin import (
     manin_triple_check,
     triple_to_bialgebra,
 )
-from .mc import (
-    GaugePath,
-    MCElement,
-    WeightGradedDGLA,
-    decode_residual,
-    encode_casimir,
-    encode_structure,
-    gauge_verify,
-    mc_residual,
-    pol_bg,
-    twist_path,
-)
+from .mc import mc_residual
 from .polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, invariants, schouten
 from .qlb import (
     QuasiLieBialgebra,

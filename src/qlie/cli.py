@@ -27,15 +27,8 @@ from .manin import (
     manin_triple_check,
     triple_to_bialgebra_unchecked,
 )
-from .mc import (
-    decode_residual,
-    encode_casimir,
-    encode_structure,
-    mc_residual,
-    mc_residual_is_zero,
-    pol_bg,
-)
-from .polyvectors import invariants
+from .mc import mc_residual
+from .polyvectors import PolyVectorAlgebra, invariants
 from .qlb import (
     QuasiLieBialgebra,
     Twist,
@@ -43,6 +36,7 @@ from .qlb import (
     check_qlb,
     coisotropic_casimir_check,
     induce_from_coisotropic,
+    mc_element,
     twist,
     verify_coisotropic_morphism,
 )
@@ -299,35 +293,39 @@ def cmd_invariants(args, inputs):
 
 def cmd_mc_residual(args, inputs):
     g = _load_algebra(args.file, inputs)
-    L = pol_bg(g, args.shift)
+    P = PolyVectorAlgebra(g, args.shift)
     if args.shift == 1:
         if not (args.delta and args.phi):
             raise InputError("shift 1 requires --delta and --phi")
         delta = _load_tensor(args.delta, g, "cobracket", inputs)
         phi = _load_tensor(args.phi, g, "wedge3", inputs)
-        x = encode_structure(L, delta, phi)
+        x = mc_element(P, delta, phi)
     else:
         if not args.casimir:
             raise InputError("shift 2 requires --casimir")
-        c = _load_tensor(args.casimir, g, "sym2", inputs)
-        x = encode_casimir(L, c)
-    res = mc_residual(L, x)
-    ok = mc_residual_is_zero(res)
-    detail = None
-    if not ok:
-        decoded = decode_residual(L, res)
-        detail = {
-            f"weight-{w}": formats.cochain_to_entries(coch) for w, coch in sorted(decoded.items())
-        }
-    return [_check("maurer-cartan", ok, detail)], {"dgla": L.name}
+        x = P.from_sym_tensor(_load_tensor(args.casimir, g, "sym2", inputs))
+    res = mc_residual(P, x)
+    detail = {f"weight-{w}": formats.cochain_to_entries(coch) for w, coch in res.items()}
+    return [_check("maurer-cartan", not res, detail)], {"dgla": f"Pol(B{g.name}, {args.shift})[>=2]"}
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
 
+def _argument_error(parser: argparse.ArgumentParser, message: str):
+    """argparse's error hook.  An argument error is malformed input: it
+    raises InputError, so it gets the input report and exit 2 instead of
+    argparse's usage exit."""
+    raise InputError(f"{parser.prog}: {message}")
+
+
+class _Parser(argparse.ArgumentParser):
+    error = _argument_error
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlie",
         description="Exact verification of quasi-Lie bialgebra, r-matrix and Manin-triple identities.",
     )
@@ -434,10 +432,13 @@ def render_text(report: dict) -> str:
 
 def run(argv: Optional[List[str]] = None) -> Tuple[dict, int]:
     argv = list(sys.argv[1:] if argv is None else argv)
-    return _execute(build_parser().parse_args(argv), argv)
+    _, report, code = _execute(argv)
+    return report, code
 
 
-def _execute(args: argparse.Namespace, argv: List[str]) -> Tuple[dict, int]:
+def _execute(argv: List[str]) -> Tuple[Optional[argparse.Namespace], dict, int]:
+    """Parse argv and run its handler: (the parsed arguments, or None if
+    argv does not parse; the report; the exit code)."""
     t0 = time.perf_counter()
     inputs: Dict[str, str] = {}
     report = {
@@ -447,7 +448,9 @@ def _execute(args: argparse.Namespace, argv: List[str]) -> Tuple[dict, int]:
         "checks": [],
         "data": {},
     }
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         checks, data = args.handler(args, inputs)
         report["checks"] = checks
         report["data"] = data
@@ -460,17 +463,17 @@ def _execute(args: argparse.Namespace, argv: List[str]) -> Tuple[dict, int]:
         report["checks"] = [{"name": "internal", "status": "error", "detail": {"message": message}}]
         code = 3
     report["timing_ms"] = (time.perf_counter() - t0) * 1000.0
-    return report, code
+    return args, report, code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse errors
-        return 2 if exc.code not in (0, None) else 0
-    report, code = _execute(args, argv)
-    if args.json:
+        args, report, code = _execute(argv)
+    except SystemExit as exc:  # --help
+        return exc.code or 0
+    # argv that does not parse still asks for JSON with --json or a prefix of it
+    if args.json if args else any(len(a) > 2 and "--json".startswith(a) for a in argv):
         print(json.dumps(report, sort_keys=True, indent=2, default=str))
     else:
         print(render_text(report))

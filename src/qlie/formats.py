@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,15 +20,30 @@ from .tensors import Multivector, SparseTensor, SparseVector, plain_signature
 
 TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
 
+# Input bounds, so that hostile input is refused instead of run until killed.
+# An input file has at most MAX_INPUT_BYTES bytes (the test fixtures and the
+# generated benchmark inputs have at most about 10 KB).  A Lie algebra has at
+# most MAX_BASIS_LABELS basis labels: `invariants --module wedge3` on the
+# abelian algebra of that dimension takes about 1.4 s (0.8 s at 24 labels,
+# the size of sl5; 2.0 s at 28).  The bounds do not cap the supports of the
+# tensors read over that algebra.
+MAX_INPUT_BYTES = 1 << 20
+MAX_BASIS_LABELS = 26
+
 
 def read_json(path: str, inputs: Dict[str, str]) -> dict:
     """Read an input file once: record the sha256 of its bytes in
-    inputs[path], then parse the same bytes as UTF-8 JSON."""
+    inputs[path], then parse the same bytes as UTF-8 JSON.  A file over
+    MAX_INPUT_BYTES is refused before it is read."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            if os.fstat(fh.fileno()).st_size > MAX_INPUT_BYTES:
+                raise InputError(f"JSON file {path} is over the input limit of {MAX_INPUT_BYTES} bytes")
+            data = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise InputError(f"cannot read JSON file {path}: {exc}") from None
+    if len(data) > MAX_INPUT_BYTES:  # a pipe or device reports no size
+        raise InputError(f"JSON file {path} is over the input limit of {MAX_INPUT_BYTES} bytes")
     inputs[path] = hashlib.sha256(data).hexdigest()
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -71,6 +87,8 @@ def lie_from_dict(doc: dict) -> LieAlgebra:
     basis = doc["basis"]
     if not isinstance(basis, list) or any(isinstance(label, (list, dict)) for label in basis):
         raise InputError("basis is a list of scalar labels")
+    if len(basis) > MAX_BASIS_LABELS:
+        raise InputError(f"basis has {len(basis)} labels, over the limit of {MAX_BASIS_LABELS}")
     variables = field_variables(doc)
     index = {label: i for i, label in enumerate(basis)}
     items = doc.get("brackets", [])

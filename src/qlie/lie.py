@@ -23,7 +23,6 @@ from . import linalg
 from .errors import InputError
 from .scalars import Scalar, combine, is_zero, vec_add
 from .tensors import (
-    Multivector,
     SparseTensor,
     SparseVector,
     Signature,
@@ -228,10 +227,6 @@ class CECochain(SparseVector):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))
         return f"CECochain(k={self.k}, module={self.module}, {{{inner}}})"
-
-
-def multivector_to_cochain(g: LieAlgebra, mv: Multivector) -> CECochain:
-    return CECochain(g, 0, WEDGE(mv.p), {((), key): c for key, c in mv.data.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals on sparse rows.
 
 A row is a dict {column: Fraction} of its nonzero entries. One routine,
-`rref`, brings a list of rows to reduced row echelon form; rank, kernel,
-solve and inverse read their answers off its pivot rows.
+`rref`, brings a list of rows to reduced row echelon form; rank, kernel
+and inverse read their answers off its pivot rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 from .scalars import combine, vec_scale
 
@@ -59,20 +59,6 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], n_cols: int) -> Matrix:
             v[p] = -row.get(free, Fraction(0))
         basis.append(v)
     return basis
-
-
-def solve(
-    rows: Iterable[Mapping[int, Fraction]], rhs: Sequence[Fraction], n_cols: int
-) -> Optional[List[Fraction]]:
-    """One exact solution of rows * x = rhs with the free columns 0, or None
-    if inconsistent."""
-    pivots = rref({**row, n_cols: b} for row, b in zip(rows, rhs))
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for p, row in pivots.items():
-        x[p] = row.get(n_cols, Fraction(0))
-    return x
 
 
 def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:

@@ -2,17 +2,15 @@
 
 A structure is a pair (delta, phi) with delta: g -> wedge^2 g stored as a
 degree-1 cochain and phi in wedge^3 g.  The three axiom residuals are the
-weight components of the Maurer-Cartan equation for delta + phi in the
-shift-1 polyvector algebra:
+weight components of the Maurer-Cartan residual of delta + phi in the
+shift-1 polyvector algebra (`mc.mc_residual`):
 
-    d delta = 0
-    1/2 [delta, delta] + d phi = 0
-    [delta, phi] = 0
+    d delta = 0                        (weight 2, cocycle)
+    1/2 [delta, delta] + d phi = 0     (weight 3, cojacobi)
+    [delta, phi] = 0                   (weight 4, compat)
 
-All three are computed with the differential and the big bracket of
-`polyvectors`, the maps the Maurer-Cartan engine uses too, so `check_qlb`
-and `mc.mc_residual` do not check each other's maps.  The independent
-checks live in the tests: the slot-wise Chevalley-Eilenberg formula in
+The independent checks live in the tests: the three residuals taken one
+by one, the slot-wise Chevalley-Eilenberg formula in
 tests/test_ce_reference.py and the generator recursion of the bracket in
 tests/test_bracket_oracle.py.
 
@@ -32,6 +30,7 @@ from typing import Dict, Tuple
 
 from .errors import InputError, PreconditionError
 from .lie import CECochain, LieAlgebra, SplitSubalgebra, WEDGE, sym2_signature
+from .mc import mc_residual
 from .polyvectors import Element, PolyVectorAlgebra, schouten
 from .scalars import Scalar, combine, is_zero, vec_add
 from .tensors import Multivector, SparseTensor, embed_wedge, plain_signature
@@ -40,6 +39,7 @@ __all__ = [
     "QuasiLieBialgebra",
     "Twist",
     "schouten",
+    "mc_element",
     "check_qlb",
     "twist",
     "casimir_to_phi",
@@ -101,15 +101,15 @@ class QLBResiduals:
         }
 
 
+def mc_element(P: PolyVectorAlgebra, delta: CECochain, phi: Multivector) -> Element:
+    """delta + phi as one degree-1 element of P = Pol(BG, 1)."""
+    return vec_add(P.from_cochain(delta), P.from_multivector(phi))
+
+
 def check_qlb(q: QuasiLieBialgebra) -> QLBResiduals:
-    g = q.g
-    P = PolyVectorAlgebra(g, 1)
-    delta_el = P.from_cochain(q.delta)
-    phi_el = P.from_multivector(q.phi)
-    res1 = P.to_cochain(P.d(delta_el), 2, 2)
-    res2 = P.to_cochain(vec_add(P.d(phi_el), P.bracket(delta_el, delta_el), Fraction(1, 2)), 1, 3)
-    res3 = P.to_cochain(P.bracket(delta_el, phi_el), 0, 4)
-    return QLBResiduals(res1, res2, res3)
+    P = PolyVectorAlgebra(q.g, 1)
+    res = mc_residual(P, mc_element(P, q.delta, q.phi))
+    return QLBResiduals(*(res.get(w) or P.to_cochain({}, 4 - w, w) for w in (2, 3, 4)))
 
 
 def twist(q: QuasiLieBialgebra, t: Twist, validate: bool = True) -> QuasiLieBialgebra:
@@ -145,9 +145,10 @@ def _check_sym2(g: LieAlgebra, c: SparseTensor) -> None:
 
 
 def casimir_invariance_residual(g: LieAlgebra, c: SparseTensor) -> CECochain:
+    """d c, the weight-2 Maurer-Cartan residual of c in Pol(BG, 2)."""
     _check_sym2(g, c)
     P = PolyVectorAlgebra(g, 2)
-    return P.to_cochain(P.d(P.from_sym_tensor(c)), 1, 2)
+    return mc_residual(P, P.from_sym_tensor(c)).get(2) or P.to_cochain({}, 1, 2)
 
 
 def casimir_commutator(g: LieAlgebra, c: SparseTensor) -> SparseTensor:
@@ -377,7 +378,7 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> Morp
     Ph = PolyVectorAlgebra(h, 1)
     # the target differential d + [mu, -], twisted by the induced
     # Maurer-Cartan element mu = delta + phi
-    mu = vec_add(Ph.from_cochain(q.delta), Ph.from_multivector(q.phi))
+    mu = mc_element(Ph, q.delta, q.phi)
 
     def d_target(el: Element) -> Element:
         return vec_add(Ph.d(el), Ph.bracket(mu, el))

@@ -388,17 +388,6 @@ def embed_wedge(mv: Multivector) -> SparseTensor:
     return SparseTensor.build(sig, entries)
 
 
-def multivector_from_tensor(t: SparseTensor) -> Multivector:
-    """Inverse of embed_wedge on totally antisymmetric plain tensors."""
-    p = t.sig.arity
-    mv = Multivector.build(
-        t.sig.dim, p, [(k, v) for k, v in t.data.items() if list(k) == sorted(set(k))]
-    )
-    if embed_wedge(mv) != t:
-        raise InputError("tensor is not totally antisymmetric")
-    return mv
-
-
 def alt_tensor(t: SparseTensor) -> SparseTensor:
     """Full signed antisymmetrization over all slots, no normalization."""
     if any(g.kind != "none" for g in t.sig.groups):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from qlie.lie import CECochain, WEDGE, multivector_to_cochain
+from qlie.lie import CECochain, WEDGE
+from qlie.linalg import rref
 from qlie.polyvectors import ce_differential
 from qlie.tensors import Multivector
 
@@ -38,6 +39,24 @@ def rand_cobracket(g, rng: random.Random) -> CECochain:
 
 def zero_cobracket(g) -> CECochain:
     return CECochain(g, 1, WEDGE(2), {})
+
+
+def solve(rows, rhs, n_cols: int):
+    """One exact solution of rows * x = rhs (rows as {column: value}) with
+    the free columns 0, or None if inconsistent: read off the reduced
+    echelon form of the augmented rows."""
+    pivots = rref({**row, n_cols: b} for row, b in zip(rows, rhs))
+    if n_cols in pivots:
+        return None
+    x = [Fraction(0)] * n_cols
+    for p, row in pivots.items():
+        x[p] = row.get(n_cols, Fraction(0))
+    return x
+
+
+def multivector_to_cochain(g, mv: Multivector) -> CECochain:
+    """mv as a degree-0 cochain valued in WEDGE(p)."""
+    return CECochain(g, 0, WEDGE(mv.p), {((), key): c for key, c in mv.data.items()})
 
 
 def coboundary(g, lam: Multivector) -> CECochain:

@@ -9,7 +9,16 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import FIXTURES, coboundary, rand_cobracket, rand_multivector, zero_cobracket
+from conftest import (
+    FIXTURES,
+    coboundary,
+    multivector_to_cochain,
+    rand_cobracket,
+    rand_multivector,
+    solve,
+    zero_cobracket,
+)
+from mc_oracle import GaugePath, check_qlb_by_weight, gauge_verify, twist_path
 from qlie.cli import run as cli_run
 from qlie.lie import (
     SYM,
@@ -18,12 +27,10 @@ from qlie.lie import (
     casimir_from_pairing,
     check_lie,
     heisenberg,
-    multivector_to_cochain,
     sl2,
     sl3,
     split_subalgebra,
 )
-from qlie.linalg import solve
 from qlie.manin import (
     double_jacobi_report,
     drinfeld_double,
@@ -31,18 +38,8 @@ from qlie.manin import (
     manin_triple_check,
     triple_to_bialgebra,
 )
-from qlie.mc import (
-    GaugePath,
-    decode_residual,
-    encode_casimir,
-    encode_structure,
-    gauge_verify,
-    mc_residual,
-    mc_residual_is_zero,
-    pol_bg,
-    twist_path,
-)
-from qlie.polyvectors import ce_differential, invariants, schouten
+from qlie.mc import mc_residual
+from qlie.polyvectors import PolyVectorAlgebra, ce_differential, invariants, schouten
 from qlie.qlb import (
     QuasiLieBialgebra,
     Twist,
@@ -51,6 +48,7 @@ from qlie.qlb import (
     check_qlb,
     coisotropic_casimir_check,
     induce_from_coisotropic,
+    mc_element,
     twist,
     verify_coisotropic_morphism,
 )
@@ -172,7 +170,7 @@ def test_criterion_04_twist_groupoid():
 def test_criterion_05_engine_oracle_agreement():
     rng = random.Random(RNG_SEED + 1)
     g = sl2()
-    L = pol_bg(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     n_valid = 0
     for trial in range(100):
         if trial % 3 == 0:
@@ -181,29 +179,29 @@ def test_criterion_05_engine_oracle_agreement():
             q = twist(base, Twist(lam), validate=False)
         else:
             q = QuasiLieBialgebra(g, rand_cobracket(g, rng), rand_multivector(g, 3, rng))
-        direct = check_qlb(q)
-        res = mc_residual(L, encode_structure(L, q.delta, q.phi))
-        assert direct.passed == mc_residual_is_zero(res)
-        decoded = decode_residual(L, res)
-        got2 = decoded.get(2)
-        assert (got2 is None and direct.cocycle.is_zero()) or got2 == direct.cocycle
-        got3 = decoded.get(3)
-        assert (got3 is None and direct.cojacobi.is_zero()) or got3 == direct.cojacobi
-        n_valid += direct.passed
+        oracle = check_qlb_by_weight(q)
+        res = mc_residual(P, mc_element(P, q.delta, q.phi))
+        assert oracle.passed == (not res) == check_qlb(q).passed
+        got2 = res.get(2)
+        assert (got2 is None and oracle.cocycle.is_zero()) or got2 == oracle.cocycle
+        got3 = res.get(3)
+        assert (got3 is None and oracle.cojacobi.is_zero()) or got3 == oracle.cojacobi
+        n_valid += oracle.passed
     assert 0 < n_valid < 100  # genuinely mixed sample
     for g2 in (sl2(), sl3()):
-        L2 = pol_bg(g2, 2)
+        P2 = PolyVectorAlgebra(g2, 2)
         c = casimir_from_pairing(g2)
-        assert mc_residual_is_zero(mc_residual(L2, encode_casimir(L2, c)))
-        monos = L2.P.slice_basis(0, 2)  # the degree-1 weight-2 slice
-        assert not any(L2.P.bracket_monos(m1, m2) for m1 in monos for m2 in monos)
+        assert mc_residual(P2, P2.from_sym_tensor(c)) == {}
+        assert P2.to_cochain(P2.d(P2.from_sym_tensor(c)), 1, 2).is_zero()
+        monos = P2.slice_basis(0, 2)  # the degree-1 weight-2 slice
+        assert not any(P2.bracket_monos(m1, m2) for m1 in monos for m2 in monos)
     print(f"[criterion 5] PASS: 100 mixed samples agree between engine and direct checker ({n_valid} valid); weight-3 [c,c] vanishes")
 
 
 def test_criterion_06_deligne_gauge_paths():
     rng = random.Random(RNG_SEED + 2)
     g = sl2()
-    L = pol_bg(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     for _ in range(20):
         lam0 = rand_multivector(g, 2, rng)
         base = QuasiLieBialgebra(
@@ -211,12 +209,12 @@ def test_criterion_06_deligne_gauge_paths():
         )
         q0 = twist(base, Twist(lam0), validate=False)
         lam = rand_multivector(g, 2, rng)
-        x, y, path = twist_path(L, q0.delta, q0.phi, lam)
-        assert gauge_verify(L, x, y, path).passed
+        x, y, path = twist_path(P, q0.delta, q0.phi, lam)
+        assert gauge_verify(P, x, y, path).passed
     # corrupting the quadratic coefficient breaks the path
     lam = rand_multivector(g, 2, rng)
     q0 = QuasiLieBialgebra(g, zero_cobracket(g), Multivector.zero(3, 3))
-    x, y, path = twist_path(L, q0.delta, q0.phi, lam)
+    x, y, path = twist_path(P, q0.delta, q0.phi, lam)
     alpha = {w: [dict(v) for v in poly] for w, poly in path.alpha.items()}
     a3 = alpha.setdefault(3, [{}])
     while len(a3) < 3:
@@ -224,7 +222,7 @@ def test_criterion_06_deligne_gauge_paths():
     a3[2] = dict(a3[2])
     efh = ((), (0, 1, 2))  # the basis monomial of the weight-3 degree-1 slice
     a3[2][efh] = a3[2].get(efh, F(0)) + F(1)
-    assert not gauge_verify(L, x, y, GaugePath(path.lam, alpha)).passed
+    assert not gauge_verify(P, x, y, GaugePath(path.lam, alpha)).passed
     print("[criterion 6] PASS: 20 integrated twist paths verify; corrupted t^2 coefficient fails")
 
 

@@ -14,9 +14,9 @@ import pytest
 
 from conftest import rand_multivector, window_monos, zero_cobracket
 from qlie.lie import casimir_from_pairing, sl2, sl3
-from qlie.mc import encode_casimir, encode_structure, mc_residual, pol_bg
+from qlie.mc import mc_residual
 from qlie.polyvectors import PolyVectorAlgebra
-from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, twist
+from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, mc_element, twist
 from qlie.scalars import combine, is_zero
 from qlie.tensors import Multivector
 
@@ -130,12 +130,12 @@ def test_algebras_are_not_retained(rng):
     q = QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {(0, 1, 2): Fraction(1)}))
     assert check_qlb(q).passed
     assert check_qlb(twist(q, Twist(rand_multivector(g, 2, rng)))).passed
-    L = pol_bg(g, 1)
-    mc_residual(L, encode_structure(L, q.delta, q.phi))
-    L2 = pol_bg(g, 2)
-    mc_residual(L2, encode_casimir(L2, casimir_from_pairing(g)))
+    P = PolyVectorAlgebra(g, 1)
+    mc_residual(P, mc_element(P, q.delta, q.phi))
+    P2 = PolyVectorAlgebra(g, 2)
+    mc_residual(P2, P2.from_sym_tensor(casimir_from_pairing(g)))
     ref = weakref.ref(g)
-    del g, q, L, L2
+    del g, q, P, P2
     gc.collect()
     assert ref() is None
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import FIXTURES
 from qlie.cli import main, run
-from qlie.formats import lie_from_dict
+from qlie.formats import MAX_BASIS_LABELS, MAX_INPUT_BYTES, lie_from_dict
 from qlie.lie import check_lie
 
 SL2 = str(FIXTURES / "sl2.json")
@@ -130,6 +130,13 @@ R_COEF = ("entries", 0, "coef")
         # found by tests/test_fuzz_formats.py; both used to exit 3
         ("sl2.json", ("brackets",), 7, LIE, "brackets is a list"),
         ("dynamical_r_sl2.json", ("locus",), None, DYNAMICAL, "locus is a list"),
+        # input bounds: one basis label too many (`invariants --module wedge3`
+        # on 100 abelian labels ran until killed) and one byte too many
+        (
+            "sl2.json", ("basis",), [f"x{i}" for i in range(MAX_BASIS_LABELS + 1)],
+            ("invariants", "{}", "--module", "wedge3"), "over the limit of",
+        ),
+        ("sl2.json", ("name",), "x" * MAX_INPUT_BYTES, LIE, "over the input limit"),
     ],
     ids=[
         "zero-denominator", "non-list-component", "singular-rmatrix",
@@ -139,6 +146,7 @@ R_COEF = ("entries", 0, "coef")
         "5000-digit-literal", "superscript-digit", "nested-power",
         "nested-rational-power", "product-of-powers", "sum-of-powers",
         "product-term-limit", "power-term-limit", "number-brackets", "null-locus",
+        "basis-label-limit", "input-byte-limit",
     ],
 )
 def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):
@@ -499,3 +507,40 @@ def test_main_reads_json_flag_from_parsed_arguments(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["checks"][0]["name"] == "lie-axioms"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mc-residual", SL2, "--shift", "3"], "invalid choice: 3"),
+        (["mc-residual", SL2, "--shift", "one"], "invalid int value"),
+        (["check-qlb", SL2, "--delta", SL2], "required: --phi"),
+        (["check-lie", SL2, "--bogus"], "unrecognized arguments: --bogus"),
+        (["no-such-command", SL2], "invalid choice: 'no-such-command'"),
+        ([], "required: command"),
+    ],
+    ids=["shift-3", "shift-not-int", "missing-option", "unknown-flag", "unknown-command", "empty"],
+)
+def test_argument_error_gives_input_report_exit_2(argv, message, capsys):
+    report, code = run(argv)
+    assert code == 2
+    assert report["command"] == argv and report["inputs"] == {} and report["data"] == {}
+    assert [c["name"] for c in report["checks"]] == ["input"]
+    assert message in report["checks"][0]["detail"]["message"]
+    # main prints the same report, as JSON under --json (or a prefix of it)
+    for flag in ("--json", "--js"):
+        assert main(argv + [flag]) == 2
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["checks"] == report["checks"] and doc["command"] == argv + [flag]
+        assert err == ""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "input: ERROR" in out and message in out and err == ""
+
+
+def test_help_still_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["mc-residual", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "usage: qlie" in out and "--shift" in out

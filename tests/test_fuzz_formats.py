@@ -1,12 +1,15 @@
-"""Derandomised fuzz of the JSON input formats through the CLI.
+"""Derandomised fuzz of the JSON input formats and the arguments through the CLI.
 
-Each example takes one CLI job on the documents of ``tests/fixtures``,
-mutates one of its input documents (drops keys or list items, swaps value
-types, changes list arities, puts in unknown labels and huge exponent or
-digit strings) and runs ``qlie.cli.main(argv + ["--json"])`` in-process.
-Whatever the document, the run must keep the exit-code contract (0 pass,
-1 a check failed, 2 malformed input; never 3, an internal fault), print a
-JSON report and finish within two seconds.
+Each example takes one CLI job on the documents of ``tests/fixtures``
+and either mutates up to two of its input documents (drops keys or list
+items, swaps value types, changes list arities, puts in unknown labels and
+huge exponent or digit strings) or mutates its arguments (unknown and
+repeated flags, ``--shift 3``, duplicate, unknown and empty labels in
+``--sub``, ``--g`` and ``--gstar``), and runs
+``qlie.cli.main(argv + ["--json"])`` in-process.  Whatever the input, the
+run must keep the exit-code contract (0 pass, 1 a check failed, 2
+malformed input; never 3, an internal fault), print a JSON report and
+finish within two seconds.
 """
 
 import io
@@ -24,7 +27,9 @@ from qlie.cli import main
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-# argv templates; "@name" is the fixture tests/fixtures/name.json
+# argv templates; "@name" is the fixture tests/fixtures/name.json, or the
+# document DOCUMENTS[name]
+DOCUMENTS = {"pairing4": {"matrix": [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]}}
 JOBS = [
     ["check-lie", "@sl2"],
     ["check-lie", "@heisenberg"],
@@ -33,6 +38,8 @@ JOBS = [
     ["dynamical", "@sl2", "--sub", "h", "--r", "@dynamical_r_sl2", "--vars", "x"],
     ["double", "@sl2", "--delta", "@delta_std_sl2"],
     ["induce", "@sl2", "--sub", "e,h", "--casimir", "@killing_sl2"],
+    ["verify-morphism", "@sl2", "--sub", "e,h", "--casimir", "@killing_sl2"],
+    ["triple-check", "@abelian4", "--g", "x1,x2", "--gstar", "x3,x4", "--pairing", "@pairing4"],
     ["invariants", "@sl2", "--module", "sym2"],
     ["invariants", "@sl3", "--module", "wedge3"],
     ["mc-residual", "@sl2", "--shift", "1", "--delta", "@delta_std_sl2", "--phi", "@phi_efh"],
@@ -55,6 +62,8 @@ HUGE_STRINGS = [
     "1/(x-x)",
     "0/0",
 ]
+UNKNOWN_FLAGS = ["--bogus", "--Json", "-x", "--shift2", "--lambda"]
+LABEL_LISTS = ["", ",", "e,e", "h,h,e", "zz", "e,zz", "e,,h", " e", "x1,x1", "x1,x2,x3,x4", "x9"]
 SECONDS_PER_RUN = 2.0
 
 
@@ -109,39 +118,92 @@ def mutations(draw, doc):
     return _replace(doc, path, lambda node: value)
 
 
-def _run(argv):
-    out = io.StringIO()
-    start = time.perf_counter()
-    with redirect_stdout(out):
-        code = main(argv + ["--json"])
-    return code, out.getvalue(), time.perf_counter() - start
+@st.composite
+def argument_mutations(draw, argv):
+    """argv with one argument mutation: an unknown flag (with or without a
+    value), a repeated option, --shift 3, or a label list in --sub, --g or
+    --gstar replaced by a duplicate, unknown or empty one."""
+    options = [i for i, tok in enumerate(argv) if tok.startswith("--")]
+    label_options = [i for i in options if argv[i] in ("--sub", "--g", "--gstar")]
+    kinds = ["unknown", "shift"] + (["repeat"] if options else []) + (["labels"] if label_options else [])
+    kind = draw(st.sampled_from(kinds))
+    out = list(argv)
+    if kind == "unknown":
+        flag = [draw(st.sampled_from(UNKNOWN_FLAGS))] + draw(st.sampled_from([[], ["1"], ["e,h"]]))
+        at = draw(st.integers(1, len(out)))
+        return out[:at] + flag + out[at:]
+    if kind == "repeat":
+        i = draw(st.sampled_from(options))
+        given = out[i + 1 : i + 2] or [""]
+        value = draw(st.sampled_from(given + ["", "zz"] + LABEL_LISTS[:3]))
+        return out + [out[i], value]
+    if kind == "shift":
+        if "--shift" in out:
+            out[out.index("--shift") + 1] = "3"
+            return out
+        return out + ["--shift", "3"]
+    i = draw(st.sampled_from(label_options))
+    return out[: i + 1] + [draw(st.sampled_from(LABEL_LISTS))] + out[i + 2 :]
 
 
-@settings(
+def _document(name):
+    return DOCUMENTS[name] if name in DOCUMENTS else json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+def _run_job(job, docs):
+    """Run argv job with "@name" replaced by a file holding docs[name] or
+    DOCUMENTS[name] (written to a temporary directory), or else the
+    fixture name.json."""
+    docs = {**{name: doc for name, doc in DOCUMENTS.items() if f"@{name}" in job}, **docs}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = Path(tmp) / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        argv = [
+            str(paths.get(tok[1:], FIXTURES / f"{tok[1:]}.json")) if tok.startswith("@") else tok
+            for tok in job
+        ]
+        out = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out):
+            code = main(argv + ["--json"])
+        seconds = time.perf_counter() - start
+    # 3 is an internal fault of qlie, which no input may reach
+    assert code in (0, 1, 2), (job, docs, out.getvalue())
+    report = json.loads(out.getvalue())
+    assert set(report) >= {"command", "checks", "data", "inputs", "ledger", "timing_ms"}
+    assert seconds < SECONDS_PER_RUN, (job, docs, seconds)
+
+
+FUZZ_SETTINGS = settings(
     derandomize=True,
     database=None,
     max_examples=250,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@FUZZ_SETTINGS
 @given(st.data())
 def test_mutated_documents_keep_the_exit_code_contract(data):
     job = data.draw(st.sampled_from(JOBS))
-    files = sorted({tok[1:] for tok in job if tok.startswith("@")})
-    target = data.draw(st.sampled_from(files))
-    doc = json.loads((FIXTURES / f"{target}.json").read_text())
-    for _ in range(data.draw(st.integers(1, 3))):
-        doc = data.draw(mutations(doc))
-    with tempfile.TemporaryDirectory() as tmp:
-        mutated = Path(tmp) / f"{target}.json"
-        mutated.write_text(json.dumps(doc))
-        argv = [
-            str(mutated) if tok == f"@{target}" else str(FIXTURES / f"{tok[1:]}.json") if tok.startswith("@") else tok
-            for tok in job
-        ]
-        code, stdout, seconds = _run(argv)
-    # 3 is an internal fault of qlie, which no document may reach
-    assert code in (0, 1, 2), (job, doc, stdout)
-    report = json.loads(stdout)
-    assert set(report) >= {"command", "checks", "data", "inputs", "ledger", "timing_ms"}
-    assert seconds < SECONDS_PER_RUN, (job, doc, seconds)
+    names = sorted({tok[1:] for tok in job if tok.startswith("@")})
+    # two documents of the job (its one document if it has only one), each mutated 1 to 3 times
+    docs = {}
+    for name in data.draw(st.lists(st.sampled_from(names), min_size=min(2, len(names)), max_size=2, unique=True)):
+        doc = _document(name)
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = data.draw(mutations(doc))
+        docs[name] = doc
+    _run_job(job, docs)
+
+
+@FUZZ_SETTINGS
+@given(st.data())
+def test_mutated_arguments_keep_the_exit_code_contract(data):
+    job = data.draw(st.sampled_from(JOBS))
+    for _ in range(data.draw(st.integers(1, 2))):
+        job = data.draw(argument_mutations(job))
+    _run_job(job, {})

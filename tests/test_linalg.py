@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from conftest import solve
 from qlie import linalg
 from qlie.lie import (
     ADJOINT,
@@ -168,11 +169,11 @@ def test_nullspace_annihilates(rng):
 
 def test_solve_consistent_and_inconsistent():
     rows = sparse([[F(1), F(1)], [F(1), F(-1)]])
-    sol = linalg.solve(rows, [F(2), F(0)], 2)
+    sol = solve(rows, [F(2), F(0)], 2)
     assert sol == [F(1), F(1)]
     rows2 = sparse([[F(1), F(1)], [F(2), F(2)]])
-    assert linalg.solve(rows2, [F(1), F(3)], 2) is None
-    sol3 = linalg.solve(rows2, [F(1), F(2)], 2)
+    assert solve(rows2, [F(1), F(3)], 2) is None
+    sol3 = solve(rows2, [F(1), F(2)], 2)
     assert sol3 is not None
     assert sol3[0] + sol3[1] == 1
 
@@ -246,7 +247,7 @@ def test_agrees_with_dense_reference_on_random_matrices(rng):
         ):
             expected = dense_solve(rows, rhs)
             seen["inconsistent"] += expected is None
-            assert linalg.solve(sparse(rows), rhs, n_cols) == expected
+            assert solve(sparse(rows), rhs, n_cols) == expected
         square = random_matrix(rng, n_rows, n_rows, cap)
         try:
             expected = dense_invert(square)

@@ -3,10 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from conftest import coboundary, rand_cobracket, zero_cobracket
+from conftest import coboundary, rand_cobracket, solve, zero_cobracket
 from qlie.errors import InputError, PreconditionError
 from qlie.lie import abelian, check_lie, sl, sl2, sl3, trace_pairing
-from qlie.linalg import solve
 from qlie.manin import (
     ManinPair,
     ManinTriple,

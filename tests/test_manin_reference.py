@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import solve
 from test_coisotropic import CASES
 from qlie import linalg
 from qlie.errors import InputError
@@ -237,7 +238,7 @@ def ref_sl3():
     ]
 
     def expand(m):
-        sol = linalg.solve(rows, [m[i][j] for i in range(n) for j in range(n)], len(labels))
+        sol = solve(rows, [m[i][j] for i in range(n) for j in range(n)], len(labels))
         return {b: c for b, c in enumerate(sol) if c}
 
     brackets = {}

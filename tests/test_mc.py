@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -11,25 +11,25 @@ from conftest import (
     sl3_plus_sl2,
     sparse_multivector,
     sparse_structures,
+    window_monos,
     window_slices,
     zero_cobracket,
+)
+from mc_oracle import (
+    GaugePath,
+    check_qlb_by_weight,
+    structure_by_weight,
+    gauge_verify,
+    mc_residual_by_weight,
+    twist_path,
 )
 from qlie.errors import InputError
 from qlie.lie import abelian, casimir_from_pairing, sl, sl2, sl3
 from qlie.manin import dual_subalgebra_bplus_bminus, triple_to_bialgebra
-from qlie.mc import (
-    GaugePath,
-    MCElement,
-    decode_residual,
-    encode_casimir,
-    encode_structure,
-    gauge_verify,
-    mc_residual,
-    mc_residual_is_zero,
-    pol_bg,
-    twist_path,
-)
-from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, twist
+from qlie.mc import mc_residual
+from qlie.polyvectors import PolyVectorAlgebra
+from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, mc_element, twist
+from qlie.scalars import vec_add
 from qlie.tensors import Multivector
 
 
@@ -37,38 +37,47 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def _agree_weight_by_weight(q):
+    """mc_residual and check_qlb against the residuals taken one by one
+    and against the per-weight polynomial residual; returns the verdict."""
+    P = PolyVectorAlgebra(q.g, 1)
+    res = mc_residual(P, mc_element(P, q.delta, q.phi))
+    oracle = check_qlb_by_weight(q)
+    for w, expected in ((2, oracle.cocycle), (3, oracle.cojacobi), (4, oracle.compat)):
+        got = res.get(w)
+        assert (got is None and expected.is_zero()) or got == expected, w
+    assert res == mc_residual_by_weight(P, structure_by_weight(P, q.delta, q.phi))
+    direct = check_qlb(q)
+    assert (direct.cocycle, direct.cojacobi, direct.compat) == (oracle.cocycle, oracle.cojacobi, oracle.compat)
+    assert direct.passed == oracle.passed == (not res)
+    return oracle.passed
+
+
 def test_pol_bg_slice_shapes():
     g = sl2()
-    bases = window_slices(pol_bg(g, 1).P)
+    bases = window_slices(PolyVectorAlgebra(g, 1))
     # weight-2 degree-1 slice: maps g -> wedge^2 g; weight-3 degree-1: wedge^3 g
     assert len(bases[(1, 2)]) == 9
     assert len(bases[(1, 3)]) == 1
     assert len(bases[(0, 2)]) == 3
     # weight-2 degree-1 slice at shift 2 is Sym^2(g)
-    assert len(window_slices(pol_bg(g, 2).P)[(1, 2)]) == 6
-    L = pol_bg(g, 1)
-    assert L.name == "Pol(Bsl2, 1)[>=2]"
-    assert all(L.in_slice(key) for key in bases)
-    assert not L.in_slice((1, 1)) and not L.in_slice((4, 2)) and not L.in_slice((0, 4))
+    assert len(window_slices(PolyVectorAlgebra(g, 2))[(1, 2)]) == 6
+    # the degree-0 weight-4 slice would sit at CE degree -2
+    assert (0, 4) not in bases
 
 
 def test_pol_bg_abelian_zero_differential():
-    g = abelian(3)
-    L = pol_bg(g, 1)
-    for key, monos in window_slices(L.P).items():
-        assert all(not L.apply_diff(key, {m: F(1)}) for m in monos)
+    P = PolyVectorAlgebra(abelian(3), 1)
+    assert all(not P.d({m: F(1)}) for m in window_monos(P))
 
 
 def test_mc_residual_zero_element():
-    g = sl2()
-    L = pol_bg(g, 1)
-    assert mc_residual_is_zero(mc_residual(L, MCElement({})))
+    assert mc_residual(PolyVectorAlgebra(sl2(), 1), {}) == {}
 
 
 def test_mc_residual_matches_check_qlb(rng):
     g = sl2()
-    L = pol_bg(g, 1)
-    agreements = 0
+    verdicts = []
     for trial in range(100):
         if trial % 3 == 0:
             lam = rand_multivector(g, 2, rng)
@@ -76,53 +85,48 @@ def test_mc_residual_matches_check_qlb(rng):
             q = twist(base, Twist(lam), validate=False)
         else:
             q = QuasiLieBialgebra(g, rand_cobracket(g, rng), rand_multivector(g, 3, rng))
-        direct = check_qlb(q)
-        x = encode_structure(L, q.delta, q.phi)
-        res = mc_residual(L, x)
-        assert direct.passed == mc_residual_is_zero(res)
-        decoded = decode_residual(L, res)
-        got2 = decoded.get(2)
-        assert (got2 is None and direct.cocycle.is_zero()) or got2 == direct.cocycle
-        got3 = decoded.get(3)
-        assert (got3 is None and direct.cojacobi.is_zero()) or got3 == direct.cojacobi
-        agreements += 1
-    assert agreements == 100
+        verdicts.append(_agree_weight_by_weight(q))
+    assert 0 < sum(verdicts) < 100
 
 
 def test_mc_residual_nonzero_weight2_equals_ce_of_delta(rng):
     from qlie.polyvectors import ce_differential
 
     g = sl2()
-    L = pol_bg(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     delta = rand_cobracket(g, rng)
-    q = QuasiLieBialgebra(g, delta, Multivector.zero(3, 3))
-    x = encode_structure(L, q.delta, q.phi)
-    res = mc_residual(L, x)
-    decoded = decode_residual(L, res)
-    assert decoded.get(2) == ce_differential(delta) or ce_differential(delta).is_zero()
+    res = mc_residual(P, mc_element(P, delta, Multivector.zero(3, 3)))
+    assert res.get(2) == ce_differential(delta) or ce_differential(delta).is_zero()
+
+
+def _casimir_oracles(P, c):
+    """d c + 1/2 [c, c] per weight, and d c alone, both decoded."""
+    x = P.from_sym_tensor(c)
+    dc = P.to_cochain(P.d(x), 1, 2)
+    return mc_residual_by_weight(P, {2: x} if x else {}), {2: dc} if not dc.is_zero() else {}
 
 
 def test_mc_residual_shift2_invariant_casimir():
     for g in (sl2(), sl3()):
-        L = pol_bg(g, 2)
+        P = PolyVectorAlgebra(g, 2)
         c = casimir_from_pairing(g)
-        x = encode_casimir(L, c)
-        assert mc_residual_is_zero(mc_residual(L, x))
+        assert mc_residual(P, P.from_sym_tensor(c)) == {}
+        assert _casimir_oracles(P, c) == ({}, {})
         # the weight-3 component of [c, c] vanishes identically: the bracket
         # on the degree-1 weight-2 slice (CE degree 0, Sym^2 g) is the zero map
-        monos = L.P.slice_basis(0, 2)
-        assert not any(L.P.bracket_monos(m1, m2) for m1 in monos for m2 in monos)
+        monos = P.slice_basis(0, 2)
+        assert not any(P.bracket_monos(m1, m2) for m1 in monos for m2 in monos)
 
 
 def test_mc_residual_shift2_non_invariant_fails():
     from qlie.lie import sym2_signature
     from qlie.tensors import SparseTensor
 
-    g = sl2()
-    L = pol_bg(g, 2)
+    P = PolyVectorAlgebra(sl2(), 2)
     c_bad = SparseTensor.build(sym2_signature(3), [((0, 0), F(1))])
-    x = encode_casimir(L, c_bad)
-    assert not mc_residual_is_zero(mc_residual(L, x))
+    res = mc_residual(P, P.from_sym_tensor(c_bad))
+    assert set(res) == {2}
+    assert (res, res) == _casimir_oracles(P, c_bad)
 
 
 def test_mc_residual_shift2_decodes_like_casimir_invariance_residual(rng):
@@ -134,67 +138,106 @@ def test_mc_residual_shift2_decodes_like_casimir_invariance_residual(rng):
     from qlie.tensors import SparseTensor
 
     g = sl2()
-    L = pol_bg(g, 2)
+    P = PolyVectorAlgebra(g, 2)
     c = SparseTensor.build(sym2_signature(3), [((0, 2), F(1))])
-    decoded = decode_residual(L, mc_residual(L, encode_casimir(L, c)))
+    decoded = mc_residual(P, P.from_sym_tensor(c))
     assert decoded[2].data[((0,), (0, 0))] == 4
+    assert (decoded, decoded) == _casimir_oracles(P, c)
     assert decoded == {2: casimir_invariance_residual(g, c)}
     for g in (sl2(), sl3()):
-        L = pol_bg(g, 2)
+        P = PolyVectorAlgebra(g, 2)
         keys = list(combinations_with_replacement(range(g.dim), 2))
         for _ in range(6):
             picked = rng.sample(keys, 4) + [(rng.randrange(g.dim),) * 2]
             c = SparseTensor.build(sym2_signature(g.dim), [(key, rand_fraction(rng)) for key in picked])
-            residual = casimir_invariance_residual(g, c)
-            assert not residual.is_zero()
-            assert decode_residual(L, mc_residual(L, encode_casimir(L, c))) == {2: residual}
+            by_weight, by_d = _casimir_oracles(P, c)
+            assert by_weight == by_d and set(by_d) == {2}
+            assert mc_residual(P, P.from_sym_tensor(c)) == by_d
+            assert casimir_invariance_residual(g, c) == by_d[2]
 
 
 def test_encoders_check_the_shift():
-    L2 = pol_bg(sl2(), 2)
+    g = sl2()
+    P2 = PolyVectorAlgebra(g, 2)
     with pytest.raises(InputError):
-        encode_structure(L2, zero_cobracket(sl2()), Multivector.zero(3, 3))
-    L1 = pol_bg(sl2(), 1)
+        P2.from_cochain(zero_cobracket(g))
     with pytest.raises(InputError):
-        encode_casimir(L1, casimir_from_pairing(sl2()))
+        P2.from_multivector(Multivector.zero(3, 3))
+    with pytest.raises(InputError):
+        PolyVectorAlgebra(g, 1).from_sym_tensor(casimir_from_pairing(g))
+
+
+def test_mc_residual_rejects_elements_off_degree_1_or_below_weight_2():
+    g = sl2()
+    P = PolyVectorAlgebra(g, 1)
+    good = mc_element(P, rand_cobracket(g, random.Random(3)), Multivector.zero(3, 3))
+    mc_residual(P, good)
+    for mono in (
+        ((0,), (1,)),  # weight 1 (an adjoint 1-cochain), shifted degree 0
+        ((), (0,)),  # weight 1, shifted degree -1
+        ((0, 1), (0, 1)),  # weight 2 at shifted degree 2
+        ((), (0, 1)),  # weight 2 at shifted degree 0: a twist, not a structure
+    ):
+        with pytest.raises(InputError):
+            mc_residual(P, {**good, mono: F(1)})
+    with pytest.raises(InputError):  # at shift 2, Sym^2 g sits in degree 1, g (x) Sym^2 g does not
+        mc_residual(PolyVectorAlgebra(g, 2), {((0,), (0, 1)): F(1)})
+
+
+def test_pairwise_half_square_equals_half_full_bracket(rng):
+    # mc_residual takes each unordered pair of monomials once; the full
+    # bracket [x, x] takes each cross pair twice
+    for g, shift in ((sl2(), 1), (sl3(), 1), (sl2(), 2), (sl3(), 2)):
+        P = PolyVectorAlgebra(g, shift)
+        if shift == 1:
+            x = mc_element(P, rand_cobracket(g, rng), rand_multivector(g, 3, rng))
+        else:
+            x = {m: rand_fraction(rng) or F(1) for m in P.slice_basis(0, 2)}
+        full = vec_add(P.d(x), P.bracket(x, x), F(1, 2))
+        by_weight = {}
+        for mono, c in full.items():
+            by_weight.setdefault(len(mono[1]), {})[mono] = c
+        expected = {w: P.to_cochain(el, P.n + 3 - P.n * w, w) for w, el in by_weight.items()}
+        assert mc_residual(P, x) == expected
+        assert shift == 2 or expected
 
 
 def test_gauge_constant_path_iff_mc():
     g = sl2()
-    L = pol_bg(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     q = QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {(0, 1, 2): F(1)}))
-    x = encode_structure(L, q.delta, q.phi)
-    path = GaugePath({}, {2: [x.weight(2)], 3: [x.weight(3)]})
-    assert gauge_verify(L, x, x, path).passed
+    x = structure_by_weight(P, q.delta, q.phi)
+    path = GaugePath({}, {2: [x.get(2, {})], 3: [x.get(3, {})]})
+    assert gauge_verify(P, x, x, path).passed
     # constant path at a non-MC point fails the MC condition
     bad = QuasiLieBialgebra(g, rand_cobracket(g, __import__("random").Random(1)), Multivector.zero(3, 3))
     if not check_qlb(bad).passed:
-        xb = encode_structure(L, bad.delta, bad.phi)
-        path_b = GaugePath({}, {2: [xb.weight(2)], 3: [xb.weight(3)]})
-        rep = gauge_verify(L, xb, xb, path_b)
+        xb = structure_by_weight(P, bad.delta, bad.phi)
+        path_b = GaugePath({}, {2: [xb.get(2, {})], 3: [xb.get(3, {})]})
+        rep = gauge_verify(P, xb, xb, path_b)
         assert not rep.stays_maurer_cartan
 
 
 def test_gauge_integrated_twist_paths(rng):
     g = sl2()
-    L = pol_bg(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     for _ in range(20):
         lam0 = rand_multivector(g, 2, rng)
         base = QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {(0, 1, 2): F(rng.randint(-2, 2))}))
         q0 = twist(base, Twist(lam0), validate=False)
         assert check_qlb(q0).passed
         lam = rand_multivector(g, 2, rng)
-        x, y, path = twist_path(L, q0.delta, q0.phi, lam)
-        rep = gauge_verify(L, x, y, path)
+        x, y, path = twist_path(P, q0.delta, q0.phi, lam)
+        rep = gauge_verify(P, x, y, path)
         assert rep.passed, rep
 
 
 def test_gauge_corrupted_quadratic_term_fails(rng):
     g = sl2()
-    L = pol_bg(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     lam = rand_multivector(g, 2, rng)
     q0 = QuasiLieBialgebra(g, zero_cobracket(g), Multivector.zero(3, 3))
-    x, y, path = twist_path(L, q0.delta, q0.phi, lam)
+    x, y, path = twist_path(P, q0.delta, q0.phi, lam)
     alpha = {w: [dict(v) for v in poly] for w, poly in path.alpha.items()}
     a3 = alpha.setdefault(3, [{}])
     while len(a3) < 3:
@@ -203,17 +246,17 @@ def test_gauge_corrupted_quadratic_term_fails(rng):
     efh = ((), (0, 1, 2))  # the basis monomial of the weight-3 degree-1 slice
     a3[2][efh] = a3[2].get(efh, F(0)) + F(1)
     bad = GaugePath(path.lam, alpha)
-    assert not gauge_verify(L, x, y, bad).passed
+    assert not gauge_verify(P, x, y, bad).passed
 
 
 def test_gauge_endpoint_mismatch_detected(rng):
     g = sl2()
-    L = pol_bg(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     lam = rand_multivector(g, 2, rng)
     q0 = QuasiLieBialgebra(g, zero_cobracket(g), Multivector.zero(3, 3))
-    x, y, path = twist_path(L, q0.delta, q0.phi, lam)
-    wrong_y = MCElement({2: {((0,), (0, 1)): F(5)}})
-    rep = gauge_verify(L, x, wrong_y, path)
+    x, y, path = twist_path(P, q0.delta, q0.phi, lam)
+    wrong_y = {2: {((0,), (0, 1)): F(5)}}
+    rep = gauge_verify(P, x, wrong_y, path)
     assert not rep.endpoints_match
 
 
@@ -221,36 +264,28 @@ def test_gauge_path_is_tied_to_its_twist(rng):
     # the alpha family integrated from lambda is rejected when presented
     # with a different gauge generator (and vice versa)
     g = sl2()
-    L = pol_bg(g, 1)
+    P = PolyVectorAlgebra(g, 1)
     for _ in range(20):
         lam = rand_multivector(g, 2, rng)
         other = rand_multivector(g, 2, rng)
         if lam == other:
             continue
         q0 = QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {(0, 1, 2): F(1)}))
-        x, y, path = twist_path(L, q0.delta, q0.phi, lam)
-        assert gauge_verify(L, x, y, path).passed
-        _, _, other_path = twist_path(L, q0.delta, q0.phi, other)
+        x, y, path = twist_path(P, q0.delta, q0.phi, lam)
+        assert gauge_verify(P, x, y, path).passed
+        _, _, other_path = twist_path(P, q0.delta, q0.phi, other)
         mixed = GaugePath(other_path.lam, path.alpha)
-        assert not gauge_verify(L, x, y, mixed).passed
-
+        assert not gauge_verify(P, x, y, mixed).passed
 
 
 def test_mc_residual_matches_check_qlb_beyond_dim_8():
     g, phi_inv = sl3_plus_sl2()
-    L = pol_bg(g, 1)
     rng = random.Random(20240911)
+    P = PolyVectorAlgebra(g, 1)
     verdicts, failing_weights = [], set()
     for q in sparse_structures(g, rng, 8, phi_inv):
-        direct = check_qlb(q)
-        res = mc_residual(L, encode_structure(L, q.delta, q.phi))
-        decoded = decode_residual(L, res)
-        for w, expected in ((2, direct.cocycle), (3, direct.cojacobi), (4, direct.compat)):
-            got = decoded.get(w)
-            assert (got is None and expected.is_zero()) or got == expected, w
-        assert direct.passed == mc_residual_is_zero(res)
-        verdicts.append(direct.passed)
-        failing_weights |= set(decoded)
+        verdicts.append(_agree_weight_by_weight(q))
+        failing_weights |= set(mc_residual(P, mc_element(P, q.delta, q.phi)))
     assert verdicts == [True, False] * 4
     assert failing_weights == {2, 3, 4}
 
@@ -265,15 +300,22 @@ def test_mc_residual_matches_check_qlb_on_standard_sl_n(n):
     twisted = twist(b, Twist(sparse_multivector(g, 2, rng, 3)), validate=False)
     broken = QuasiLieBialgebra(g, b.delta, Multivector.basis(g.dim, sorted(rng.sample(range(g.dim), 3))))
     assert twisted != b
-    L = pol_bg(g, 1)
-    verdicts = []
-    for q in (b, twisted, broken):
-        direct = check_qlb(q)
-        res = mc_residual(L, encode_structure(L, q.delta, q.phi))
-        decoded = decode_residual(L, res)
-        for w, expected in ((2, direct.cocycle), (3, direct.cojacobi), (4, direct.compat)):
-            got = decoded.get(w)
-            assert (got is None and expected.is_zero()) or got == expected, w
-        assert direct.passed == mc_residual_is_zero(res)
-        verdicts.append(direct.passed)
-    assert verdicts == [True, True, False]
+    assert [_agree_weight_by_weight(q) for q in (b, twisted, broken)] == [True, True, False]
+
+
+def test_mc_residual_matches_check_qlb_on_dense_sl3_twist():
+    # the standard sl3 bialgebra twisted by a lambda with every entry
+    # nonzero: delta has 162 monomials and phi 56, so 1/2 [x, x] runs over
+    # every cross pair of a dense element; a copy with one phi entry moved
+    # off by 1 fails at weights 3 and 4 only
+    b = triple_to_bialgebra(dual_subalgebra_bplus_bminus(sl3()))
+    g = b.g
+    keys = combinations(range(g.dim), 2)
+    lam = Multivector(g.dim, 2, {key: F((i + 2) ** 2) for i, key in enumerate(keys)})
+    dense = twist(b, Twist(lam), validate=False)
+    P = PolyVectorAlgebra(g, 1)
+    assert (len(P.from_cochain(dense.delta)), len(dense.phi.data)) == (162, 56)
+    key = min(dense.phi.data)
+    broken = QuasiLieBialgebra(g, dense.delta, dense.phi + Multivector(g.dim, 3, {key: F(1)}))
+    assert [_agree_weight_by_weight(q) for q in (dense, broken)] == [True, False]
+    assert set(mc_residual(P, mc_element(P, broken.delta, broken.phi))) == {3, 4}

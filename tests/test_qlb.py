@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coboundary, permute_slots, rand_multivector, zero_cobracket
+from conftest import coboundary, multivector_to_cochain, permute_slots, rand_multivector, zero_cobracket
 from qlie.errors import InputError, PreconditionError
 from qlie.lie import (
     CECochain,
     WEDGE,
     abelian,
     casimir_from_pairing,
-    multivector_to_cochain,
     sl2,
     sl3,
     split_subalgebra,

@@ -1,9 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
 from conftest import permute_slots, rand_multivector
-from qlie.errors import InputError
 from qlie.lie import sl2
 from qlie.tensors import (
     Multivector,
@@ -12,7 +9,6 @@ from qlie.tensors import (
     Signature,
     alt_tensor,
     embed_wedge,
-    multivector_from_tensor,
     plain_signature,
     wedge,
 )
@@ -73,17 +69,6 @@ def test_embed_wedge_linear_and_antisymmetric(rng):
         assert lhs == rhs
         t = embed_wedge(a)
         assert permute_slots(t, (1, 0)) == (-t).data
-
-
-def test_round_trip_multivector_tensor(rng):
-    g = sl2()
-    for p in (1, 2, 3):
-        a = rand_multivector(g, p, rng)
-        assert multivector_from_tensor(embed_wedge(a)) == a
-    with pytest.raises(InputError):
-        multivector_from_tensor(
-            SparseTensor.build(plain_signature(3, 2), [((0, 1), F(1))])
-        )
 
 
 def test_sym_storage_reads_all_orders():
