@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from . import formats
@@ -282,7 +283,9 @@ def cmd_std_triple(args, inputs):
 
 def cmd_invariants(args, inputs):
     g = _load_algebra(args.file, inputs)
-    module = SYM(2) if args.module == "sym2" else WEDGE(3)
+    module, size = (SYM(2), comb(g.dim + 1, 2)) if args.module == "sym2" else (WEDGE(3), comb(g.dim, 3))
+    if size > formats.MAX_MODULE_DIM:
+        raise InputError(f"{args.module} has dimension {size}, over the limit of {formats.MAX_MODULE_DIM}")
     basis = invariants(g, module)
     data = {
         "dimension": len(basis),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,15 +21,20 @@ from .tensors import Multivector, SparseTensor, SparseVector, plain_signature
 
 TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
 
-# Input bounds, so that hostile input is refused instead of run until killed.
-# An input file has at most MAX_INPUT_BYTES bytes (the test fixtures and the
-# generated benchmark inputs have at most about 10 KB).  A Lie algebra has at
-# most MAX_BASIS_LABELS basis labels: `invariants --module wedge3` on the
-# abelian algebra of that dimension takes about 1.4 s (0.8 s at 24 labels,
-# the size of sl5; 2.0 s at 28).  The bounds do not cap the supports of the
-# tensors read over that algebra.
+# Input bounds, checked before the work they bound.  An input file has at
+# most MAX_INPUT_BYTES bytes (the test fixtures and the generated benchmark
+# inputs have at most about 10 KB).  A Lie algebra has at most
+# MAX_BASIS_LABELS basis labels: on the abelian algebra of that dimension
+# with zero tensors every subcommand stays under 2 s (`double`, which checks
+# Jacobi on the 2n-dimensional double, is the slowest: about 1.6 s at 80
+# labels, 2.0 s at 84).  `invariants` refuses a module of dimension over
+# MAX_MODULE_DIM = C(26, 3): the kernel of d on the abelian algebra is the
+# whole module, a dense basis of dim^2 entries (about 1 s for wedge3 at 26
+# labels or sym2 at 71).  The bounds do not cap the supports of the tensors
+# read over an algebra.
 MAX_INPUT_BYTES = 1 << 20
-MAX_BASIS_LABELS = 26
+MAX_BASIS_LABELS = 80
+MAX_MODULE_DIM = 2600
 
 
 def read_json(path: str, inputs: Dict[str, str]) -> dict:
@@ -37,12 +43,15 @@ def read_json(path: str, inputs: Dict[str, str]) -> dict:
     MAX_INPUT_BYTES is refused before it is read."""
     try:
         with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size > MAX_INPUT_BYTES:
+            st = os.fstat(fh.fileno())
+            if st.st_size > MAX_INPUT_BYTES:
                 raise InputError(f"JSON file {path} is over the input limit of {MAX_INPUT_BYTES} bytes")
-            data = fh.read(MAX_INPUT_BYTES + 1)
+            # a bounded read allocates its whole bound, so only a pipe or a
+            # device, which reports no size, gets one
+            data = fh.read() if stat.S_ISREG(st.st_mode) else fh.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise InputError(f"cannot read JSON file {path}: {exc}") from None
-    if len(data) > MAX_INPUT_BYTES:  # a pipe or device reports no size
+    if len(data) > MAX_INPUT_BYTES:
         raise InputError(f"JSON file {path} is over the input limit of {MAX_INPUT_BYTES} bytes")
     inputs[path] = hashlib.sha256(data).hexdigest()
     try:

@@ -45,20 +45,17 @@ def rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
     return len(rref(rows))
 
 
-def nullspace(rows: Iterable[Mapping[int, Fraction]], n_cols: int) -> Matrix:
-    """Exact basis of the right kernel, one vector per free column: the free
-    column is 1, the other free columns 0."""
+def nullspace(rows: Iterable[Mapping[int, Fraction]], n_cols: int) -> List[Row]:
+    """Exact basis of the right kernel as sparse rows, one per free column in
+    column order: the free column is 1, the other free columns 0.  The work
+    is linear in the entries of the pivot rows, however large the kernel."""
     pivots = rref(rows)
-    basis = []
-    for free in range(n_cols):
-        if free in pivots:
-            continue
-        v = [Fraction(0)] * n_cols
-        v[free] = Fraction(1)
-        for p, row in pivots.items():
-            v[p] = -row.get(free, Fraction(0))
-        basis.append(v)
-    return basis
+    basis = {free: {free: Fraction(1)} for free in range(n_cols) if free not in pivots}
+    for p, row in pivots.items():
+        for c, x in row.items():
+            if c in basis:
+                basis[c][p] = -x
+    return list(basis.values())
 
 
 def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:

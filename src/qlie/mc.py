@@ -36,17 +36,22 @@ def mc_residual(P: PolyVectorAlgebra, x: Element) -> Dict[int, CECochain]:
             raise InputError("Maurer-Cartan elements live in weights >= 2")
         if P.mono_degree(mono) != n + 2:
             raise InputError(f"monomial {mono} is not of shifted degree 1")
-    items = list(x.items())
+    # a contraction pairs an e^i of one monomial with an e_i of the other, so
+    # two monomials without an e^i (phi at shift 1, a Casimir at shift 2)
+    # bracket to zero and their pairs are skipped
+    co = [(m, c) for m, c in x.items() if m[0]]
+    rest = [(m, c) for m, c in x.items() if not m[0]]
 
     def half_square():
-        for i, (m1, c1) in enumerate(items):
-            for j in range(i, len(items)):
-                m2, c2 = items[j]
-                scale = c1 * c2 if j > i else c1 * c1 * Fraction(1, 2)
-                for m, c in P.bracket_monos(m1, m2).items():
-                    yield m, scale * c
+        for i, (m1, c1) in enumerate(co):
+            for j, (m2, c2) in enumerate(chain(co[i:], rest)):
+                terms = P.bracket_monos(m1, m2)
+                if terms:
+                    scale = c1 * c2 if j else c1 * c1 * Fraction(1, 2)
+                    for m, c in terms.items():
+                        yield m, scale * c
 
     by_weight: Dict[int, Element] = {}
-    for mono, coef in combine(chain(P.d(x).items(), half_square())).items():
+    for mono, coef in combine(half_square(), P.d(x)).items():
         by_weight.setdefault(len(mono[1]), {})[mono] = coef
     return {w: P.to_cochain(el, n + 3 - n * w, w) for w, el in sorted(by_weight.items())}

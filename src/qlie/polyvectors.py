@@ -318,6 +318,6 @@ def invariants(g: LieAlgebra, module) -> List[CECochain]:
         for m, c in col.items():
             rows.setdefault(m, {})[j] = c
     return [
-        CECochain(g, 0, module, {keys[i]: c for i, c in enumerate(vec) if c})
+        CECochain(g, 0, module, {keys[i]: c for i, c in sorted(vec.items())})
         for vec in linalg.nullspace([rows[m] for m in sorted(rows)], n_cols=len(keys))
     ]

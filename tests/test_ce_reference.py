@@ -96,7 +96,7 @@ def ref_invariants(g, module):
                 by_out.setdefault(ok, {})[j] = c
         rows.extend(by_out[ok] for ok in sorted(by_out))
     return [
-        CECochain(g, 0, module, {((), keys[i]): c for i, c in enumerate(vec) if c})
+        CECochain(g, 0, module, {((), keys[i]): c for i, c in sorted(vec.items())})
         for vec in linalg.nullspace(rows, n_cols=len(keys))
     ]
 

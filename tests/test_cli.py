@@ -1,12 +1,13 @@
 import json
+import os
 import time
 
 import pytest
 
 from conftest import FIXTURES
 from qlie.cli import main, run
-from qlie.formats import MAX_BASIS_LABELS, MAX_INPUT_BYTES, lie_from_dict
-from qlie.lie import check_lie
+from qlie.formats import MAX_BASIS_LABELS, MAX_INPUT_BYTES, lie_from_dict, lie_to_dict
+from qlie.lie import check_lie, sl
 
 SL2 = str(FIXTURES / "sl2.json")
 SL3 = str(FIXTURES / "sl3.json")
@@ -130,11 +131,20 @@ R_COEF = ("entries", 0, "coef")
         # found by tests/test_fuzz_formats.py; both used to exit 3
         ("sl2.json", ("brackets",), 7, LIE, "brackets is a list"),
         ("dynamical_r_sl2.json", ("locus",), None, DYNAMICAL, "locus is a list"),
-        # input bounds: one basis label too many (`invariants --module wedge3`
-        # on 100 abelian labels ran until killed) and one byte too many
+        # input bounds: one basis label too many, an invariants module just
+        # over its limit (`invariants --module wedge3` on 100 abelian labels
+        # ran until killed) and one byte too many
         (
             "sl2.json", ("basis",), [f"x{i}" for i in range(MAX_BASIS_LABELS + 1)],
+            LIE, "over the limit of",
+        ),
+        (
+            "abelian4.json", ("basis",), [f"x{i}" for i in range(27)],
             ("invariants", "{}", "--module", "wedge3"), "over the limit of",
+        ),
+        (
+            "abelian4.json", ("basis",), [f"x{i}" for i in range(72)],
+            ("invariants", "{}", "--module", "sym2"), "over the limit of",
         ),
         ("sl2.json", ("name",), "x" * MAX_INPUT_BYTES, LIE, "over the input limit"),
     ],
@@ -146,7 +156,7 @@ R_COEF = ("entries", 0, "coef")
         "5000-digit-literal", "superscript-digit", "nested-power",
         "nested-rational-power", "product-of-powers", "sum-of-powers",
         "product-term-limit", "power-term-limit", "number-brackets", "null-locus",
-        "basis-label-limit", "input-byte-limit",
+        "basis-label-limit", "wedge3-module-limit", "sym2-module-limit", "input-byte-limit",
     ],
 )
 def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):
@@ -167,6 +177,34 @@ def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, messag
     assert report["checks"][0]["name"] == "input"
     assert report["checks"][0]["status"] == "error"
     assert message in report["checks"][0]["detail"]["message"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs a device that reports no size")
+def test_unsized_input_is_read_only_up_to_the_byte_limit():
+    start = time.perf_counter()
+    report, code = invoke("check-lie", "/dev/zero")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "over the input limit" in report["checks"][0]["detail"]["message"]
+
+
+def test_algebras_past_sl5_are_not_refused(tmp_path):
+    # the label limit is set by the slowest subcommand on an abelian algebra,
+    # not by `invariants`: sl6 (35 labels) still runs check-lie and the
+    # shift-1 residual of its zero structure; only its wedge^3 (6,545
+    # dimensions) is over the invariants module bound
+    alg = tmp_path / "sl6.json"
+    alg.write_text(json.dumps(lie_to_dict(sl(6))))
+    zero = {s: tmp_path / f"{s}.json" for s in ("cobracket", "wedge3")}
+    for s, path in zero.items():
+        path.write_text(json.dumps({"signature": s, "entries": []}))
+    assert invoke("check-lie", str(alg))[1] == 0
+    report, code = invoke(
+        "mc-residual", str(alg), "--shift", "1", "--delta", str(zero["cobracket"]), "--phi", str(zero["wedge3"])
+    )
+    assert (code, report["data"]) == (0, {"dgla": "Pol(Bsl6, 1)[>=2]"})
+    report, code = invoke("invariants", str(alg), "--module", "wedge3")
+    assert code == 2 and "over the limit of" in report["checks"][0]["detail"]["message"]
 
 
 def test_sum_just_under_the_digit_limit_parses(tmp_path):
@@ -426,10 +464,12 @@ def test_mc_residual_command():
     )
     assert code == 1
     assert "weight-2" in report["checks"][0]["detail"]
-    _, code = invoke(
+    assert report["data"] == {"dgla": "Pol(Bsl2, 1)[>=2]"}
+    report, code = invoke(
         "mc-residual", SL2, "--shift", "2", "--casimir", str(FIXTURES / "killing_sl2.json")
     )
     assert code == 0
+    assert report["data"] == {"dgla": "Pol(Bsl2, 2)[>=2]"}
 
 
 def test_mc_residual_beyond_dim_8_agrees_with_check_qlb(tmp_path):

@@ -82,6 +82,11 @@ def bareiss_row_echelon(rows):
     return [[Fraction(v) for v in row] for row in m], pivots
 
 
+def dense(vectors, n_cols):
+    """Sparse kernel vectors as dense lists of length n_cols."""
+    return [[v.get(c, Fraction(0)) for c in range(n_cols)] for v in vectors]
+
+
 def dense_nullspace(rows, n_cols):
     if not rows:
         return [[Fraction(int(i == j)) for i in range(n_cols)] for j in range(n_cols)]
@@ -160,7 +165,7 @@ def test_nullspace_annihilates(rng):
         rows = [
             [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)] for _ in range(3)
         ]
-        basis = linalg.nullspace(sparse(rows), n_cols=5)
+        basis = dense(linalg.nullspace(sparse(rows), n_cols=5), 5)
         assert len(basis) == 5 - linalg.rank(sparse(rows))
         for vec in basis:
             for row in rows:
@@ -239,7 +244,7 @@ def test_agrees_with_dense_reference_on_random_matrices(rng):
         assert linalg.rank(sparse(rows)) == len(dense_pivots)
         assert list(linalg.rref(sparse(rows))) == dense_pivots
         seen["deficient"] += len(dense_pivots) < min(n_rows, n_cols)
-        assert linalg.nullspace(sparse(rows), n_cols) == dense_nullspace(rows, n_cols)
+        assert dense(linalg.nullspace(sparse(rows), n_cols), n_cols) == dense_nullspace(rows, n_cols)
         x0 = random_matrix(rng, 1, n_cols)[0]
         for rhs in (
             [sum((a * b for a, b in zip(row, x0)), F(0)) for row in rows],
@@ -277,7 +282,7 @@ def test_agrees_with_dense_reference_on_invariants_matrices(factory, module):
     g = factory()
     rows, keys = invariants_matrix(g, module)
     expected = dense_nullspace(rows, len(keys))
-    assert linalg.nullspace(sparse(rows), len(keys)) == expected
+    assert dense(linalg.nullspace(sparse(rows), len(keys)), len(keys)) == expected
     assert linalg.rank(sparse(rows)) == len(bareiss_row_echelon(rows)[1])
     assert [x.data for x in invariants(g, module)] == [
         {((), keys[i]): c for i, c in enumerate(vec) if c} for vec in expected

@@ -303,6 +303,23 @@ def test_mc_residual_matches_check_qlb_on_standard_sl_n(n):
     assert [_agree_weight_by_weight(q) for q in (b, twisted, broken)] == [True, True, False]
 
 
+def test_mc_residual_matches_oracle_on_dense_phi():
+    # every entry of phi nonzero, with delta = 0 and with the standard delta:
+    # mc_residual skips the pairs of two phi monomials, which bracket to
+    # zero, and keeps the delta x phi pairs (weight 4)
+    verdicts, failing_weights = [], []
+    for g in (sl2(), sl3(), sl(4)):
+        keys = combinations(range(g.dim), 3)
+        phi = Multivector(g.dim, 3, {key: F(i + 1) for i, key in enumerate(keys)})
+        standard = triple_to_bialgebra(dual_subalgebra_bplus_bminus(g)).delta
+        P = PolyVectorAlgebra(g, 1)
+        for delta in (zero_cobracket(g), standard):
+            verdicts.append(_agree_weight_by_weight(QuasiLieBialgebra(g, delta, phi)))
+            failing_weights.append(sorted(mc_residual(P, mc_element(P, delta, phi))))
+    assert verdicts == [True, True, False, False, False, False]
+    assert failing_weights == [[], [], [3], [3, 4], [3], [3, 4]]
+
+
 def test_mc_residual_matches_check_qlb_on_dense_sl3_twist():
     # the standard sl3 bialgebra twisted by a lambda with every entry
     # nonzero: delta has 162 monomials and phi 56, so 1/2 [x, x] runs over
