@@ -30,8 +30,9 @@ TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
 # labels, 2.0 s at 84).  `invariants` refuses a module of dimension over
 # MAX_MODULE_DIM = C(26, 3): the kernel of d on the abelian algebra is the
 # whole module, a dense basis of dim^2 entries (about 1 s for wedge3 at 26
-# labels or sym2 at 71).  The bounds do not cap the supports of the tensors
-# read over an algebra.
+# labels or sym2 at 71).  The support of a tensor read over an algebra is
+# bounded where it costs: `mc.MAX_PAIRS` caps the pairs of monomials that
+# the Maurer-Cartan residual of `check-qlb`, `twist` and `mc-residual` forms.
 MAX_INPUT_BYTES = 1 << 20
 MAX_BASIS_LABELS = 80
 MAX_MODULE_DIM = 2600

@@ -109,9 +109,6 @@ class LieAlgebra:
                     return False
         return True
 
-    def structure_constant(self, i: int, j: int, k: int) -> Scalar:
-        return self.bracket(i, j).get(k, Fraction(0))
-
     def bracket_vectors(self, x: Dict[int, Scalar], y: Dict[int, Scalar]) -> Dict[int, Scalar]:
         return combine(
             (k, xi * yj * c)
@@ -250,49 +247,42 @@ class SplitSubalgebra:
             raise InputError("h and m indices must partition the basis")
         hpos = {v: i for i, v in enumerate(self.h_indices)}
         mpos = {v: i for i, v in enumerate(self.m_indices)}
-        self.f: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        self.A: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        self.B: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        self.C: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        self.D: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for a, i in enumerate(self.h_indices):
-            for b, j in enumerate(self.h_indices):
-                comps = g.bracket(i, j)
-                fk = {hpos[k]: c for k, c in comps.items() if k in hpos}
-                bad = {k: c for k, c in comps.items() if k in mpos}
-                if bad:
-                    raise InputError(
-                        f"h is not a subalgebra: [{g.basis[i]}, {g.basis[j]}] has a "
-                        f"complement component"
-                    )
-                if fk:
-                    self.f[(a, b)] = fk
-        for a, i in enumerate(self.h_indices):
-            for b, j in enumerate(self.m_indices):
-                comps = g.bracket(i, j)
-                ak = {hpos[k]: c for k, c in comps.items() if k in hpos}
-                bk = {mpos[k]: c for k, c in comps.items() if k in mpos}
-                if ak:
-                    self.A[(a, b)] = ak
-                if bk:
-                    self.B[(a, b)] = bk
-        for a, i in enumerate(self.m_indices):
-            for b, j in enumerate(self.m_indices):
-                comps = g.bracket(i, j)
-                ck = {hpos[k]: c for k, c in comps.items() if k in hpos}
-                dk = {mpos[k]: c for k, c in comps.items() if k in mpos}
-                if ck:
-                    self.C[(a, b)] = ck
-                if dk:
-                    self.D[(a, b)] = dk
+        blocks: Dict[str, BracketTable] = {name: {} for name in "fABCD"}
+
+        def put(name, a, b, row, mirrored):
+            if row:
+                blocks[name][(a, b)] = row
+                if mirrored:
+                    blocks[name][(b, a)] = {k: -c for k, c in row.items()}
+
+        escapes = []
+        for (i, j), comps in g.pairs():
+            if i not in hpos and j in hpos:  # [e~_a, e_b] enters A and B as -[e_b, e~_a]
+                i, j, comps = j, i, {k: -c for k, c in comps.items()}
+            hrow = {hpos[k]: c for k, c in comps.items() if k in hpos}
+            mrow = {mpos[k]: c for k, c in comps.items() if k in mpos}
+            if i in hpos and j in hpos:
+                if mrow:
+                    escapes.append(tuple(sorted((hpos[i], hpos[j]))))
+                put("f", hpos[i], hpos[j], hrow, True)
+            elif i in hpos:
+                put("A", hpos[i], mpos[j], hrow, False)
+                put("B", hpos[i], mpos[j], mrow, False)
+            else:
+                put("C", mpos[i], mpos[j], hrow, True)
+                put("D", mpos[i], mpos[j], mrow, True)
+        if escapes:
+            # the pair a scan over (a, b) in h would meet first
+            i, j = (self.h_indices[a] for a in min(escapes))
+            raise InputError(
+                f"h is not a subalgebra: [{g.basis[i]}, {g.basis[j]}] has a complement component"
+            )
+        # keyed in the order of that scan
+        self.f, self.A, self.B, self.C, self.D = (dict(sorted(blocks[x].items())) for x in "fABCD")
 
     @property
     def dim_h(self) -> int:
         return len(self.h_indices)
-
-    @property
-    def dim_m(self) -> int:
-        return len(self.m_indices)
 
     def h_algebra(self) -> LieAlgebra:
         brackets: BracketTable = {}
@@ -305,23 +295,6 @@ class SplitSubalgebra:
     def block(self, name: str, a: int, b: int) -> Dict[int, Scalar]:
         table = getattr(self, name)
         return dict(table.get((a, b), {}))
-
-    def reassembled_bracket(self, i: int, j: int) -> Dict[int, Scalar]:
-        """Ambient bracket rebuilt from the stored blocks (for validation)."""
-        h, m = self.h_indices, self.m_indices
-        if i in h and j in h:
-            a, b, blocks = h.index(i), h.index(j), (("f", h, 1),)
-        elif i in h:
-            a, b, blocks = h.index(i), m.index(j), (("A", h, 1), ("B", m, 1))
-        elif j in h:
-            a, b, blocks = h.index(j), m.index(i), (("A", h, -1), ("B", m, -1))
-        else:
-            a, b, blocks = m.index(i), m.index(j), (("C", h, 1), ("D", m, 1))
-        return combine(
-            (indices[k], sign * c)
-            for name, indices, sign in blocks
-            for k, c in self.block(name, a, b).items()
-        )
 
 
 def split_subalgebra(
@@ -450,15 +423,16 @@ def trace_pairing(g: LieAlgebra) -> List[List[Fraction]]:
     return [[Fraction(x) for x in row] for row in pairing]
 
 
+def casimir_of(pairing: Sequence[Sequence[Fraction]]) -> SparseTensor:
+    """The inverse of a nondegenerate symmetric pairing, as an element of Sym^2."""
+    inv = linalg.invert(pairing)
+    entries = [((i, j), x) for i, row in enumerate(inv) for j, x in row.items() if i <= j]
+    return SparseTensor.build(sym2_signature(len(pairing)), entries)
+
+
 def casimir_from_pairing(g: LieAlgebra) -> SparseTensor:
     """Inverse of the stored invariant pairing, as an element of Sym^2(g)."""
-    inv = linalg.invert(trace_pairing(g))
-    sig = Signature(g.dim, [UP, UP], [SlotGroup("sym", (0, 1))])
-    entries = []
-    for i in range(g.dim):
-        for j in range(i, g.dim):
-            entries.append(((i, j), inv[i][j]))
-    return SparseTensor.build(sig, entries)
+    return casimir_of(trace_pairing(g))
 
 
 def sym2_signature(dim: int) -> Signature:

@@ -12,7 +12,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 
 from .scalars import combine, vec_scale
 
-Matrix = List[List[Fraction]]
 Row = Dict[int, Fraction]
 
 
@@ -58,10 +57,11 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], n_cols: int) -> List[Row]:
     return list(basis.values())
 
 
-def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Exact inverse of a square nonsingular matrix: one reduction of [A | I]."""
+def invert(matrix: Sequence[Sequence[Fraction]]) -> List[Row]:
+    """Exact inverse of a square nonsingular matrix, as sparse rows: one
+    reduction of [A | I], whose right half is read off the pivot rows."""
     n = len(matrix)
     pivots = rref({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(matrix))
     if list(pivots) != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [[pivots[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+    return [{j - n: x for j, x in sorted(pivots[i].items()) if j >= n} for i in range(n)]

@@ -25,6 +25,15 @@ from .lie import CECochain
 from .polyvectors import Element, PolyVectorAlgebra
 from .scalars import combine
 
+# The most pairs of monomials 1/2 [x, x] may form.  A pair costs about
+# 10 us (25,200 pairs of a dense cobracket on 8 labels took 0.27-0.30 s,
+# 101,475 on 10 labels 0.92-1.05 s), so one residual stays near 0.5 s.
+# Any (delta, phi) over 8 labels forms at most 37,744 pairs and passes, as
+# does the standard bialgebra of sl7 with the Casimir associator (39,585;
+# sl6's forms 14,355, the benchmark inputs at most 10,962); a dense
+# cobracket on 10 labels is refused.
+MAX_PAIRS = 50_000
+
 
 def mc_residual(P: PolyVectorAlgebra, x: Element) -> Dict[int, CECochain]:
     """d x + 1/2 [x, x] for a degree-1 element x of weights >= 2, as CE
@@ -41,6 +50,12 @@ def mc_residual(P: PolyVectorAlgebra, x: Element) -> Dict[int, CECochain]:
     # bracket to zero and their pairs are skipped
     co = [(m, c) for m, c in x.items() if m[0]]
     rest = [(m, c) for m, c in x.items() if not m[0]]
+    pairs = len(co) * (len(co) + 1) // 2 + len(co) * len(rest)
+    if pairs > MAX_PAIRS:
+        raise InputError(
+            f"the Maurer-Cartan residual would form {pairs} pairs of monomials, "
+            f"over the limit of {MAX_PAIRS}"
+        )
 
     def half_square():
         for i, (m1, c1) in enumerate(co):

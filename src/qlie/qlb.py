@@ -18,6 +18,12 @@ The coisotropic morphism verifier uses the same two maps: its target
 differential is d + [delta + phi, -] on the polyvector algebra of the
 subalgebra, twisted by the structure that `induce_from_coisotropic`
 returns, so the verifier and `check_qlb` judge the same (delta, phi).
+
+`induce_from_coisotropic` is the library's one map from a Casimir to a
+structure.  The associator of an invariant Casimir (`casimir_to_phi`) is
+the ledger's casimir_vs_induced times the structure it induces on h = g,
+and the Lie bialgebra of a Manin triple (`manin.triple_to_bialgebra`) is
+the structure the Casimir pairing^-1 induces on g along g*.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from itertools import chain
 from typing import Dict, Tuple
 
 from .errors import InputError, PreconditionError
-from .lie import CECochain, LieAlgebra, SplitSubalgebra, WEDGE, sym2_signature
+from .lie import CECochain, LieAlgebra, SplitSubalgebra, WEDGE, split_subalgebra, sym2_signature
 from .mc import mc_residual
 from .polyvectors import Element, PolyVectorAlgebra, schouten
 from .scalars import Scalar, combine, is_zero, vec_add
-from .tensors import Multivector, SparseTensor, embed_wedge, plain_signature
+from .tensors import CASIMIR_VS_INDUCED, Multivector, SparseTensor, embed_wedge, plain_signature
 
 __all__ = [
     "QuasiLieBialgebra",
@@ -43,7 +49,6 @@ __all__ = [
     "check_qlb",
     "twist",
     "casimir_to_phi",
-    "casimir_commutator",
     "coisotropic_casimir_check",
     "induce_from_coisotropic",
     "verify_coisotropic_morphism",
@@ -151,18 +156,6 @@ def casimir_invariance_residual(g: LieAlgebra, c: SparseTensor) -> CECochain:
     return mc_residual(P, P.from_sym_tensor(c)).get(2) or P.to_cochain({}, 1, 2)
 
 
-def casimir_commutator(g: LieAlgebra, c: SparseTensor) -> SparseTensor:
-    """[c_12, c_23] = sum a_i (x) [b_i, a_j] (x) b_j over c = sum a (x) b."""
-    _check_sym2(g, c)
-    entries = []
-    pairs = list(c.expanded_items())
-    for (a1, b1), c1 in pairs:
-        for (a2, b2), c2 in pairs:
-            for m, coef in g.bracket(b1, a2).items():
-                entries.append(((a1, m, b2), c1 * c2 * coef))
-    return SparseTensor.build(plain_signature(g.dim, 3), entries)
-
-
 def casimir_to_phi(g: LieAlgebra, c: SparseTensor) -> Multivector:
     """phi = -(1/6) [c_12, c_23] for an invariant Casimir element."""
     residual = casimir_invariance_residual(g, c)
@@ -171,16 +164,19 @@ def casimir_to_phi(g: LieAlgebra, c: SparseTensor) -> Multivector:
             f"Casimir element is not invariant; residual has {residual.support_size()} "
             f"nonzero components, first: {sorted(residual.data)[0]}"
         )
-    tensor = casimir_commutator(g, c)
-    entries: Dict[Tuple[int, ...], Scalar] = {}
-    for key, coef in tensor.items():
-        if list(key) == sorted(set(key)):
-            entries[key] = Fraction(-1, 6) * coef
-    phi = Multivector(g.dim, 3, entries)
-    # total antisymmetry of [c12, c23] holds exactly when c is invariant
-    if embed_wedge(phi) != tensor.scale(Fraction(-1, 6)):
-        raise InputError("commutator of an invariant Casimir must be antisymmetric")
-    return phi
+    return casimir_to_phi_unchecked(g, c)
+
+
+def casimir_to_phi_unchecked(g: LieAlgebra, c: SparseTensor) -> Multivector:
+    """`casimir_to_phi` on a Casimir element already known to be invariant.
+
+    The associator is the structure induced on h = g, scaled by the
+    ledger's casimir_vs_induced: with I^{ijk} = 1/4 f^i_{ab} c^{aj} c^{bk}
+    the induced tensor, [c_12, c_23] has 4 I^{ijk} at (j, i, k), and it is
+    totally antisymmetric when c is invariant, so -(1/6) [c_12, c_23] = 2/3 I.
+    """
+    q = induce_from_coisotropic(split_subalgebra(g, range(g.dim)), c, validate=False)
+    return q.phi.scale(CASIMIR_VS_INDUCED)
 
 
 def split_casimir(split: SplitSubalgebra, c: SparseTensor):
@@ -246,6 +242,8 @@ def induce_from_coisotropic(
     def phi_terms():
         # phi^{ijk} for every (i, j, k), one sum of the formula at a time
         for (a, b), row in split.f.items():
+            if a not in Prow or b not in Prow:
+                continue
             for i, x in row.items():
                 for j, p in Prow[a].items():
                     for k, r in Prow[b].items():

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError
 from .lie import LieAlgebra, SplitSubalgebra, sym2_signature
 from .polyvectors import schouten
-from .qlb import casimir_invariance_residual, casimir_to_phi
+from .qlb import casimir_invariance_residual, casimir_to_phi_unchecked
 from .scalars import Polynomial, RationalFunction, Scalar, combine, is_zero
 from .tensors import (
     KAPPA_CYBE,
@@ -174,11 +174,12 @@ def lambda_form_residual(
     c: SparseTensor,
     alt_mv: Optional[Multivector] = None,
 ) -> Multivector:
-    """1/2 [[lambda, lambda]] + Alt(d_dR lambda) + 3/2 casimir_to_phi(c)."""
+    """1/2 [[lambda, lambda]] + Alt(d_dR lambda) + 3/2 casimir_to_phi(c), for
+    a c that its caller has found invariant."""
     res = schouten(g, lam, lam).scale(Fraction(1, 2))
     if alt_mv is not None:
         res = res + alt_mv
-    phi = casimir_to_phi(g, c)
+    phi = casimir_to_phi_unchecked(g, c)
     return res + phi.scale(LAMBDA_FORM_PHI_COEFF)
 
 

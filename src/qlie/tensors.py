@@ -31,10 +31,14 @@ class ConventionLedger:
     """Fixed record of embedding, sign and normalization choices.
 
     All numeric calibration constants below were determined once on sl2
-    by exact computation and are re-verified on sl3 by the test suite;
-    casimir_vs_induced also carries the scale of the coisotropic induction
-    formula, which the tests pin on every basis-aligned coisotropic
-    subalgebra of sl3, of the double of sl2 and of sl2 (+) sl2.
+    by exact computation and are re-verified on sl3 by the test suite.
+    casimir_vs_induced is the factor `qlb.casimir_to_phi` applies to the
+    structure a Casimir induces on h = g; it is exact for every invariant
+    Casimir, since [c_12, c_23] is then totally antisymmetric and 4 times
+    the induced tensor with its first two slots swapped.  It also carries
+    the scale of the coisotropic induction formula, which the tests pin on
+    every basis-aligned coisotropic subalgebra of sl3, of the double of
+    sl2 and of sl2 (+) sl2.
     """
 
     wedge_embedding: str = "signed permutation sum, no 1/p! factor"

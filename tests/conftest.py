@@ -9,6 +9,7 @@ import pytest
 from qlie.lie import CECochain, WEDGE
 from qlie.linalg import rref
 from qlie.polyvectors import ce_differential
+from qlie.scalars import combine
 from qlie.tensors import Multivector
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,6 +91,24 @@ def sparse_structures(g, rng: random.Random, n: int, phi_inv: Multivector):
             entries = [(((k,), key), c) for key, c in lam.data.items() for k in rng.sample(range(d), 2)]
             delta = CECochain.build(g, 1, WEDGE(2), entries)
             yield QuasiLieBialgebra(g, delta, sparse_multivector(g, 3, rng, 2))
+
+
+def reassembled_bracket(split, i: int, j: int):
+    """[e_i, e_j] of the ambient algebra rebuilt from the blocks of the split."""
+    h, m = split.h_indices, split.m_indices
+    if i in h and j in h:
+        a, b, blocks = h.index(i), h.index(j), (("f", h, 1),)
+    elif i in h:
+        a, b, blocks = h.index(i), m.index(j), (("A", h, 1), ("B", m, 1))
+    elif j in h:
+        a, b, blocks = h.index(j), m.index(i), (("A", h, -1), ("B", m, -1))
+    else:
+        a, b, blocks = m.index(i), m.index(j), (("C", h, 1), ("D", m, 1))
+    return combine(
+        (indices[k], sign * c)
+        for name, indices, sign in blocks
+        for k, c in split.block(name, a, b).items()
+    )
 
 
 def permute_slots(t, perm):

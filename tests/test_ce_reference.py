@@ -136,7 +136,7 @@ def dense_generator_images(g):
     """d e^i = 1/2 f^i_jk e^j e^k and d e_i = f^k_ij e^j e_k over every pair and index."""
     pairs = list(combinations(range(g.dim), 2))
     d_cov = [
-        combine((((j, k), ()), g.structure_constant(j, k, i)) for j, k in pairs)
+        combine((((j, k), ()), g.bracket(j, k).get(i, 0)) for j, k in pairs)
         for i in range(g.dim)
     ]
     d_vec = [

@@ -147,6 +147,17 @@ R_COEF = ("entries", 0, "coef")
             ("invariants", "{}", "--module", "sym2"), "over the limit of",
         ),
         ("sl2.json", ("name",), "x" * MAX_INPUT_BYTES, LIE, "over the input limit"),
+        # a cobracket with every entry nonzero on 10 labels: 1/2 [x, x] would
+        # form 101,475 pairs (about 1 s), over the residual's pair bound
+        (
+            "delta_zero.json", (),
+            {"signature": "cobracket", "entries": [
+                {"idx": [f"x{k}", f"x{i}", f"x{j}"], "coef": "1"}
+                for k in range(1, 11) for i in range(1, 11) for j in range(i + 1, 11)
+            ]},
+            ("check-qlb", str(FIXTURES / "abelian10.json"), "--delta", "{}", "--phi", str(FIXTURES / "phi_zero.json")),
+            "pairs of monomials",
+        ),
     ],
     ids=[
         "zero-denominator", "non-list-component", "singular-rmatrix",
@@ -157,6 +168,7 @@ R_COEF = ("entries", 0, "coef")
         "nested-rational-power", "product-of-powers", "sum-of-powers",
         "product-term-limit", "power-term-limit", "number-brackets", "null-locus",
         "basis-label-limit", "wedge3-module-limit", "sym2-module-limit", "input-byte-limit",
+        "dense-cobracket-pair-limit",
     ],
 )
 def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):

@@ -27,13 +27,12 @@ from qlie.errors import InputError
 from qlie.lie import (
     LieAlgebra,
     casimir_from_pairing,
+    casimir_of,
     sl2,
     sl3,
     split_subalgebra,
-    sym2_signature,
     trace_pairing,
 )
-from qlie.linalg import invert
 from qlie.manin import dual_subalgebra_bplus_bminus
 from qlie.polyvectors import PolyVectorAlgebra
 from qlie.qlb import (
@@ -43,14 +42,6 @@ from qlie.qlb import (
     verify_coisotropic_morphism,
 )
 from qlie.scalars import combine, vec_add
-from qlie.tensors import SparseTensor
-
-
-def casimir_of(g, pairing):
-    """The inverse of a nondegenerate symmetric pairing, as an element of Sym^2(g)."""
-    inv = invert(pairing)
-    entries = [((i, j), inv[i][j]) for i in range(g.dim) for j in range(i, g.dim)]
-    return SparseTensor.build(sym2_signature(g.dim), entries)
 
 
 def sl2_plus_sl2_diagonal():
@@ -74,14 +65,14 @@ def sl2_plus_sl2_diagonal():
     for i in range(n):
         for j in range(n):
             pairing[i][n + j] = pairing[n + j][i] = 2 * kappa[i][j]
-    return g, casimir_of(g, pairing)
+    return g, casimir_of(pairing)
 
 
 def families():
     g = sl3()
     yield "sl3", g, casimir_from_pairing(g)
     quad = dual_subalgebra_bplus_bminus(sl2()).quad
-    yield "double-sl2", quad.lie, casimir_of(quad.lie, quad.pairing)
+    yield "double-sl2", quad.lie, casimir_of(quad.pairing)
     yield ("sl2+sl2",) + sl2_plus_sl2_diagonal()
 
 

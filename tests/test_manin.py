@@ -11,7 +11,6 @@ from qlie.manin import (
     ManinTriple,
     QuadraticLieAlgebra,
     check_quadratic,
-    double_jacobi_report,
     drinfeld_double,
     dual_subalgebra_bplus_bminus,
     manin_pair_check,
@@ -132,7 +131,7 @@ def test_double_of_zero_cobracket_is_semidirect():
     g = sl2()
     b = QuasiLieBialgebra(g, zero_cobracket(g), Multivector.zero(3, 3))
     t = drinfeld_double(b)
-    assert double_jacobi_report(t).passed
+    assert check_lie(t.quad.lie).passed
     assert manin_triple_check(t).passed
     d = t.quad.lie
     # [xi^i, xi^j] = 0 and [x, xi] has no g component
@@ -151,7 +150,7 @@ def test_double_round_trip_standard_bialgebra():
     )
     assert check_qlb(b).passed
     t = drinfeld_double(b)
-    assert double_jacobi_report(t).passed
+    assert check_lie(t.quad.lie).passed
     assert manin_triple_check(t).passed
     back = triple_to_bialgebra(t)
     assert back == b
@@ -167,7 +166,7 @@ def test_standard_triple_sl_n(n):
     assert check_qlb(b).passed
     assert not b.delta.is_zero()
     double = drinfeld_double(b)
-    assert double_jacobi_report(double).passed
+    assert check_lie(double.quad.lie).passed
     assert manin_triple_check(double).passed
     assert triple_to_bialgebra(double) == b
 
@@ -192,7 +191,7 @@ def test_double_jacobi_iff_bialgebra(rng):
             q = QuasiLieBialgebra(g, rand_cobracket(g, rng), Multivector.zero(3, 3))
         ok = check_qlb(q).passed
         t = drinfeld_double(q)
-        jac = double_jacobi_report(t)
+        jac = check_lie(t.quad.lie)
         assert jac.passed == ok
         if ok:
             valid += 1

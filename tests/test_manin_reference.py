@@ -1,21 +1,28 @@
-"""Support-driven Manin and coisotropic checks against the dense scans they replaced.
+"""Support-driven Manin, split and coisotropic code against the paths they replaced.
 
 `ref_check_quadratic`, `ref_induce`, `ref_invariance_identities`, `ref_sl2`
 and `ref_sl3` are the earlier library code: the invariance of a pairing
 scanned over every (i, j, k), the induced associator read off one
 component at a time with every ordering of every index triple compared,
 the five split identities of d c = 0 scanned over their free indices, and
-sl3 built from Fraction matrix products solved back into the basis.  They
-are kept here as independent oracles only.
+sl3 built from Fraction matrix products solved back into the basis.
+`ref_split_blocks`, `ref_triple_to_bialgebra` and `ref_casimir_to_phi` are
+the split blocks read off three dense loops over pairs of basis vectors,
+the bialgebra of a triple from the inverse Gram matrix and the bracket of
+g*, and the associator -(1/6) [c_12, c_23] of a Casimir element; the
+library now reads the blocks off one walk over the nonzero brackets and
+takes the other two from coisotropic induction.  They are kept here as
+independent oracles only.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import solve
-from test_coisotropic import CASES
+from conftest import reassembled_bracket, solve
+from test_coisotropic import CASES, families
 from qlie import linalg
 from qlie.errors import InputError
 from qlie.lie import (
@@ -23,22 +30,37 @@ from qlie.lie import (
     LieAlgebra,
     WEDGE,
     abelian,
+    casimir_from_pairing,
+    casimir_of,
     direct_sum,
     heisenberg,
+    sl,
     sl2,
     sl3,
+    split_subalgebra,
+    sym2_signature,
     trace_pairing,
 )
 from qlie.manin import (
+    ManinTriple,
     QuadraticLieAlgebra,
     check_quadratic,
     drinfeld_double,
     dual_subalgebra_bplus_bminus,
+    manin_triple_check,
     triple_to_bialgebra,
+    triple_to_bialgebra_unchecked,
 )
-from qlie.qlb import _invariance_identities, induce_from_coisotropic, split_casimir
+from qlie.qlb import (
+    QuasiLieBialgebra,
+    _invariance_identities,
+    casimir_invariance_residual,
+    casimir_to_phi,
+    induce_from_coisotropic,
+    split_casimir,
+)
 from qlie.scalars import is_zero
-from qlie.tensors import Multivector, SparseTensor, _sort_with_sign
+from qlie.tensors import Multivector, SparseTensor, _sort_with_sign, embed_wedge, plain_signature
 
 
 def ref_check_quadratic(d):
@@ -61,7 +83,7 @@ def ref_check_quadratic(d):
 def ref_induce(split, c):
     """(delta, phi) component by component; InputError if phi is not antisymmetric."""
     P, Q, _ = split_casimir(split, c)
-    nh, nm = split.dim_h, split.dim_m
+    nh, nm = split.dim_h, len(split.m_indices)
     h = split.h_algebra()
 
     def Pc(i, j):
@@ -77,7 +99,7 @@ def ref_induce(split, c):
         return split.block("C", a, b).get(k, Fraction(0))
 
     def f(k, i, j):
-        return h.structure_constant(i, j, k)
+        return h.bracket(i, j).get(k, Fraction(0))
 
     delta_entries = []
     for k in range(nh):
@@ -123,7 +145,7 @@ def ref_induce(split, c):
 
 
 def ref_invariance_identities(split, P, Q):
-    nh, nm = split.dim_h, split.dim_m
+    nh, nm = split.dim_h, len(split.m_indices)
     h = split.h_algebra()
 
     def Pc(i, j):
@@ -138,7 +160,7 @@ def ref_invariance_identities(split, P, Q):
     A, B, C, D = block("A"), block("B"), block("C"), block("D")
 
     def f(k, i, j):
-        return h.structure_constant(i, j, k)
+        return h.bracket(i, j).get(k, Fraction(0))
 
     def vanishes(ranges, t):
         return all(is_zero(t(x, y, z)) for x in ranges[0] for y in ranges[1] for z in ranges[2])
@@ -178,6 +200,116 @@ def ref_invariance_identities(split, P, Q):
             ),
         ),
     }
+
+
+def ref_split_blocks(g, h_indices, m_indices):
+    """{name: block} for f, A, B, C and D by three dense loops over pairs of
+    basis vectors; InputError at the first pair of h that leaves h."""
+    hpos = {v: i for i, v in enumerate(h_indices)}
+    mpos = {v: i for i, v in enumerate(m_indices)}
+    blocks = {name: {} for name in "fABCD"}
+    for a, i in enumerate(h_indices):
+        for b, j in enumerate(h_indices):
+            comps = g.bracket(i, j)
+            fk = {hpos[k]: c for k, c in comps.items() if k in hpos}
+            if any(k in mpos for k in comps):
+                raise InputError(
+                    f"h is not a subalgebra: [{g.basis[i]}, {g.basis[j]}] has a "
+                    f"complement component"
+                )
+            if fk:
+                blocks["f"][(a, b)] = fk
+    for left, right, names in ((h_indices, m_indices, "AB"), (m_indices, m_indices, "CD")):
+        for a, i in enumerate(left):
+            for b, j in enumerate(right):
+                comps = g.bracket(i, j)
+                for name, pos in zip(names, (hpos, mpos)):
+                    row = {pos[k]: c for k, c in comps.items() if k in pos}
+                    if row:
+                        blocks[name][(a, b)] = row
+    return blocks
+
+
+def ref_sub_algebra(d, indices, name):
+    pos = {v: i for i, v in enumerate(indices)}
+    brackets = {}
+    for a, i in enumerate(indices):
+        for b, j in enumerate(indices):
+            if a < b:
+                comps = d.bracket(i, j)
+                if any(k not in pos for k in comps):
+                    raise InputError(f"indices do not span a subalgebra of {d.name}")
+                row = {pos[k]: c for k, c in comps.items()}
+                if row:
+                    brackets[(a, b)] = row
+    return LieAlgebra(name, [d.basis[i] for i in indices], brackets)
+
+
+def ref_triple_to_bialgebra(t):
+    """The Lie bialgebra on g with cobracket dual to the bracket of g*."""
+    d = t.quad.lie
+    g_sub = ref_sub_algebra(d, t.g_indices, f"{d.name}|g")
+    n = len(t.g_indices)
+    gram = [
+        [t.quad.pairing[t.gstar_indices[k]][t.g_indices[j]] for j in range(n)] for k in range(n)
+    ]
+    m = linalg.invert(gram)  # xi^i = sum_k m[i][k] y_k pairs dually with the x_j
+    gram = [{j: c for j, c in enumerate(row) if c} for row in gram]
+    spos = {v: k for k, v in enumerate(t.gstar_indices)}
+
+    def dual_bracket(i, j):
+        # [xi^i, xi^j] in the y basis of g*
+        out = {}
+        for k, mik in m[i].items():
+            for l, mjl in m[j].items():
+                for w, c in d.bracket(t.gstar_indices[k], t.gstar_indices[l]).items():
+                    if w not in spos:
+                        raise InputError("dual subalgebra is not closed")
+                    out[spos[w]] = out.get(spos[w], Fraction(0)) + mik * mjl * c
+        return {w: c for w, c in out.items() if c}
+
+    delta_entries = [
+        (((p,), (i, j)), c * v)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for w, c in dual_bracket(i, j).items()
+        for p, v in gram[w].items()
+    ]
+    delta = CECochain.build(g_sub, 1, WEDGE(2), delta_entries)
+    return QuasiLieBialgebra(g_sub, delta, Multivector.zero(n, 3))
+
+
+def casimir_commutator(g, c):
+    """[c_12, c_23] = sum a_i (x) [b_i, a_j] (x) b_j over c = sum a (x) b."""
+    if c.sig != sym2_signature(g.dim):
+        raise InputError("Casimir element must be a symmetric 2-tensor over g")
+    entries = []
+    pairs = list(c.expanded_items())
+    for (a1, b1), c1 in pairs:
+        for (a2, b2), c2 in pairs:
+            for m, coef in g.bracket(b1, a2).items():
+                entries.append(((a1, m, b2), c1 * c2 * coef))
+    return SparseTensor.build(plain_signature(g.dim, 3), entries)
+
+
+def ref_casimir_to_phi(g, c):
+    """phi = -(1/6) [c_12, c_23] for an invariant Casimir element."""
+    residual = casimir_invariance_residual(g, c)
+    if not residual.is_zero():
+        raise InputError(
+            f"Casimir element is not invariant; residual has {residual.support_size()} "
+            f"nonzero components, first: {sorted(residual.data)[0]}"
+        )
+    tensor = casimir_commutator(g, c)
+    entries = {}
+    for key, coef in tensor.items():
+        if list(key) == sorted(set(key)):
+            entries[key] = Fraction(-1, 6) * coef
+    phi = Multivector(g.dim, 3, entries)
+    # total antisymmetry of [c12, c23] holds exactly when c is invariant
+    if embed_wedge(phi) != tensor.scale(Fraction(-1, 6)):
+        raise InputError("commutator of an invariant Casimir must be antisymmetric")
+    return phi
 
 
 def ref_sl2():
@@ -388,3 +520,149 @@ def test_sl_views_match_old_constructors(new, ref):
     ]
     assert all(type(c) is Fraction for _, row in g.pairs() for c in row.values())
     assert list(g.extra.items()) == list(expect.extra.items())
+
+
+# ---------------------------------------------------------------------------
+# split blocks: one walk over the nonzero brackets against three dense loops
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("split, c", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_split_blocks_match_dense_loops(split, c):
+    g = split.g
+    expect = ref_split_blocks(g, split.h_indices, split.m_indices)
+    for name, block in expect.items():
+        # the same entries, keyed in the same order
+        assert list(getattr(split, name).items()) == list(block.items()), name
+    for i in range(g.dim):
+        for j in range(g.dim):
+            assert reassembled_bracket(split, i, j) == g.bracket(i, j)
+
+
+def test_split_rejects_non_subalgebras_with_the_same_pair():
+    rejected = 0
+    for _, g, _ in families():
+        for size in range(1, g.dim + 1):
+            for h in combinations(range(g.dim), size):
+                m = tuple(i for i in range(g.dim) if i not in h)
+                for order in (h, h[::-1]):
+                    try:
+                        ref_split_blocks(g, order, m)
+                    except InputError as exc:
+                        with pytest.raises(InputError) as err:
+                            split_subalgebra(g, order, m)
+                        assert str(err.value) == str(exc)
+                        rejected += 1
+                    else:
+                        split_subalgebra(g, order, m)
+    assert rejected > 300
+
+
+# ---------------------------------------------------------------------------
+# triples: coisotropic induction against the inverse Gram matrix
+# ---------------------------------------------------------------------------
+
+def relabelled(t, order, scale):
+    """t on the basis whose p-th vector is scale[p] times the order[p]-th old one."""
+    d = t.quad.lie
+    new = {old: p for p, old in enumerate(order)}
+    brackets = {}
+    for p in range(d.dim):
+        for q in range(p + 1, d.dim):
+            s = scale[p] * scale[q]
+            row = {new[k]: s * c / scale[new[k]] for k, c in d.bracket(order[p], order[q]).items()}
+            if row:
+                brackets[(p, q)] = row
+    lie = LieAlgebra(d.name + "'", [d.basis[i] for i in order], brackets)
+    pairing = [
+        [scale[p] * scale[q] * t.quad.pairing[order[p]][order[q]] for q in range(d.dim)]
+        for p in range(d.dim)
+    ]
+    quad = QuadraticLieAlgebra(lie, pairing)
+    return ManinTriple(quad, tuple(new[i] for i in t.g_indices), tuple(new[i] for i in t.gstar_indices))
+
+
+def zero_double(g):
+    return drinfeld_double(QuasiLieBialgebra(g, CECochain(g, 1, WEDGE(2), {}), Multivector.zero(g.dim, 3)))
+
+
+def triple_cases():
+    algebras = [(f"sl{n}", sl(n)) for n in range(2, 6)] + [("sl2-efh", sl2())]
+    standard = [(name, dual_subalgebra_bplus_bminus(g)) for name, g in algebras]
+    for name, t in standard:
+        yield "standard-" + name, t
+    for name, t in standard:
+        yield "double-" + name, drinfeld_double(ref_triple_to_bialgebra(t))
+    yield "double-heisenberg3", zero_double(heisenberg(3))
+    yield "double-abelian4", zero_double(abelian(4))
+    # abelian R^3 + R^3 with a hyperbolic pairing whose Gram block is not the identity
+    gram = [[1, 2, 0], [0, 1, 0], [3, 0, -1]]
+    pairing = [[Fraction(0)] * 6 for _ in range(6)]
+    for k in range(3):
+        for j in range(3):
+            pairing[3 + k][j] = pairing[j][3 + k] = Fraction(gram[k][j])
+    yield "hyperbolic-abelian6", ManinTriple(QuadraticLieAlgebra(abelian(6), pairing), (0, 1, 2), (3, 4, 5))
+    # the double of sl3's bialgebra with g and g* interleaved and g* rescaled
+    t = drinfeld_double(ref_triple_to_bialgebra(standard[1][1]))
+    n = len(t.g_indices)
+    order = [i for k in range(n) for i in (t.gstar_indices[k], t.g_indices[k])]
+    scale = [Fraction(k + 2, 2) if i >= n else Fraction(1) for k, i in enumerate(order)]
+    yield "double-sl3-interleaved", relabelled(t, order, scale)
+
+
+TRIPLES = list(triple_cases())
+
+
+@pytest.mark.parametrize("t", [t for _, t in TRIPLES], ids=[name for name, _ in TRIPLES])
+def test_triple_bialgebra_matches_gram_inversion(t):
+    assert manin_triple_check(t).passed
+    got, expect = triple_to_bialgebra_unchecked(t), ref_triple_to_bialgebra(t)
+    assert got.g.basis == expect.g.basis and got.g.same_structure(expect.g)
+    assert got.delta.data == expect.delta.data
+    assert got.phi.data == {} and got == expect == triple_to_bialgebra(t)
+
+
+def test_triple_cases_cover_the_shapes():
+    names = [name for name, _ in TRIPLES]
+    assert len(names) == len(set(names)) == 14
+    t = dict(TRIPLES)["double-sl3-interleaved"]
+    assert max(t.g_indices) > min(t.gstar_indices)
+    # a nonzero cobracket on every standard triple and its double
+    assert all(not ref_triple_to_bialgebra(t).delta.is_zero() for name, t in TRIPLES[:10])
+
+
+# ---------------------------------------------------------------------------
+# the Casimir associator: coisotropic induction at h = g against [c_12, c_23]
+# ---------------------------------------------------------------------------
+
+def casimir_cases():
+    sum_pairing = block_diagonal(trace_pairing(sl3()), trace_pairing(sl2()))
+    for name, g, c in (
+        ("sl2", sl2(), casimir_from_pairing(sl2())),
+        ("sl3", sl3(), casimir_from_pairing(sl3())),
+        ("sl3+sl2", direct_sum(sl3(), sl2()), casimir_of(sum_pairing)),
+    ):
+        yield name + "-trace", g, c
+        yield name + "-scaled", g, c.scale(Fraction(-5, 3))
+        yield name + "-zero", g, SparseTensor.build(sym2_signature(g.dim), [])
+
+
+CASIMIRS = list(casimir_cases())
+
+
+@pytest.mark.parametrize("g, c", [case[1:] for case in CASIMIRS], ids=[case[0] for case in CASIMIRS])
+def test_casimir_to_phi_matches_commutator(g, c):
+    phi = casimir_to_phi(g, c)
+    assert phi.data == ref_casimir_to_phi(g, c).data
+    assert phi.is_zero() == c.is_zero()
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl3+sl2"])
+def test_casimir_to_phi_rejects_non_invariant_with_the_same_message(name):
+    g, c = next((g, c) for case, g, c in CASIMIRS if case == name + "-trace")
+    broken = SparseTensor.build(c.sig, list(c.items()) + [((0, 0), Fraction(1))])
+    with pytest.raises(InputError) as expect:
+        ref_casimir_to_phi(g, broken)
+    with pytest.raises(InputError) as got:
+        casimir_to_phi(g, broken)
+    assert str(got.value) == str(expect.value)
+    assert "not invariant" in str(got.value)

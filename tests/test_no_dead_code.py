@@ -1,14 +1,11 @@
 """Every function, class and method of the library is used somewhere.
 
 A definition in ``src/qlie`` is dead when its name occurs as a Python
-name token nowhere outside the definition's own source lines, where the
-search covers
-
-* ``src/`` and ``perfbench/`` for a module-level function or class: a
-  caller that only the tests have does not keep library code alive, and
-  an export from ``qlie/__init__.py`` (a name token in ``src/``) does;
-* ``src/``, ``tests/`` and ``perfbench/`` for a method or a nested
-  function.
+name token nowhere in ``src/`` or ``perfbench/`` outside the definition's
+own source lines.  This holds for module-level functions and classes,
+methods and nested functions alike: a caller that only the tests have
+does not keep library code alive, and an export from
+``qlie/__init__.py`` (a name token in ``src/``) does.
 
 Dunder methods are exempt: Python calls them.  Name-based matching is
 deliberately loose (any use of a name keeps every definition of that
@@ -26,20 +23,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "qlie"
-SEARCHED = ("src", "tests", "perfbench")
-SEARCHED_FOR_MODULE_LEVEL = ("src", "perfbench")
+SEARCHED = ("src", "perfbench")
 
 
 def _definitions(path: Path):
-    """(name, first line, last line, module-level?) of every definition."""
+    """(name, first line, last line) of every definition."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    top = set(map(id, tree.body))
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            yield name, node.lineno, node.end_lineno, id(node) in top
+            yield name, node.lineno, node.end_lineno
 
 
 def _name_lines(path: Path):
@@ -55,13 +50,12 @@ def _name_lines(path: Path):
 def dead_definitions():
     files = sorted(p for top in SEARCHED for p in (ROOT / top).rglob("*.py"))
     uses = {p: _name_lines(p) for p in files}
-    strict = [p for p in files if p.relative_to(ROOT).parts[0] in SEARCHED_FOR_MODULE_LEVEL]
     dead = []
     for path in sorted(LIBRARY.glob("*.py")):
-        for name, start, end, module_level in _definitions(path):
+        for name, start, end in _definitions(path):
             used = any(
                 p != path or not start <= line <= end
-                for p in (strict if module_level else files)
+                for p in files
                 for line in uses[p].get(name, ())
             )
             if not used:

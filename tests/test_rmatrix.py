@@ -57,11 +57,11 @@ def brute_force_cybe(g, r):
                 for i in range(n):
                     for j in range(n):
                         # [r12, r13]: sum r_{i b} r_{j c} f^a_{ij}
-                        total += rr(i, b) * rr(j, c) * g.structure_constant(i, j, a)
+                        total += rr(i, b) * rr(j, c) * g.bracket(i, j).get(a, 0)
                         # [r12, r23]: sum r_{a i} r_{j c} f^b_{ij}
-                        total += rr(a, i) * rr(j, c) * g.structure_constant(i, j, b)
+                        total += rr(a, i) * rr(j, c) * g.bracket(i, j).get(b, 0)
                         # [r13, r23]: sum r_{a i} r_{b j} f^c_{ij}
-                        total += rr(a, i) * rr(b, j) * g.structure_constant(i, j, c)
+                        total += rr(a, i) * rr(b, j) * g.bracket(i, j).get(c, 0)
                 if total:
                     out[(a, b, c)] = total
     return out
