@@ -1,0 +1,78 @@
+"""CLI reports pinned byte for byte across changes to the library.
+
+Each case runs one command on fixture inputs and compares its exit code
+and its JSON report, without `timing_ms`, to a file in
+tests/fixtures/reports/.  Fixture paths are written relative to the
+fixture directory, so the files do not depend on where the repository
+lives.  The files were generated by
+
+    PYTHONPATH=src python tests/test_reports_pinned.py --write
+
+at a commit whose reports were known good; rerun it only when a change
+of a report is intended and listed in CHANGES.md.
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from conftest import FIXTURES
+from qlie.cli import run
+
+REPORTS = FIXTURES / "reports"
+
+SL2 = ("sl2.json",)
+SL3 = ("sl3.json",)
+KILLING = ("--casimir", "killing_sl2.json")
+
+# name -> argv, with every file named relative to the fixture directory
+CASES = {
+    "cybe-standard-r-sl2": ("cybe", *SL2, "--r", "standard_r_sl2.json"),
+    "cybe-r-ef-only": ("cybe", *SL2, "--r", "r_ef_only.json"),
+    "dynamical-r-sl2": ("dynamical", *SL2, "--sub", "h", "--r", "dynamical_r_sl2.json", "--vars", "x"),
+    "dynamical-ev-sl3-scaled": (
+        "dynamical", *SL3, "--sub", "h1,h2", "--r", "ev_r_sl3_scaled.json", "--vars", "x1,x2"
+    ),
+    "casimir-phi-killing-sl2": ("casimir-phi", *SL2, *KILLING),
+    "induce-killing-sl2": ("induce", *SL2, "--sub", "e,h", *KILLING),
+    "verify-morphism-killing-sl2": ("verify-morphism", *SL2, "--sub", "e,h", *KILLING),
+    "mc-residual-shift2-killing-sl2": ("mc-residual", *SL2, "--shift", "2", *KILLING),
+    "mc-residual-shift2-noninvariant-sl2": (
+        "mc-residual", *SL2, "--shift", "2", "--casimir", "sym2_noninvariant_sl2.json"
+    ),
+    "invariants-sym2-sl3": ("invariants", *SL3, "--module", "sym2"),
+}
+
+
+def _absolute(argv):
+    return [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+
+
+def pinned_text(argv) -> str:
+    """The exit code and the report without timing_ms of `qlie argv`, as
+    sorted JSON with the fixture directory cut from every path."""
+    report, code = run(_absolute(argv))
+    report.pop("timing_ms")
+    text = json.dumps({"exit": code, "report": report}, sort_keys=True, indent=1, default=str)
+    return text.replace(json.dumps(str(FIXTURES) + os.sep)[1:-1], "") + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_pinned(name):
+    expected = (REPORTS / f"{name}.json").read_text(encoding="utf-8")
+    assert pinned_text(CASES[name]) == expected
+
+
+def test_every_pinned_file_has_a_case():
+    assert sorted(p.stem for p in REPORTS.glob("*.json")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_reports_pinned.py --write")
+    REPORTS.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        (REPORTS / f"{name}.json").write_text(pinned_text(argv), encoding="utf-8")
+        print(name)
