@@ -41,7 +41,7 @@ from .manin import (
     triple_to_bialgebra,
 )
 from .mc import mc_residual
-from .polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, invariants, schouten
+from .polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, invariants
 from .qlb import (
     QuasiLieBialgebra,
     Twist,
@@ -55,9 +55,7 @@ from .qlb import (
 from .rmatrix import (
     DynamicalRMatrix,
     RMatrix,
-    alt_ddr,
     cybe,
-    d_dr,
     dynamical_check,
     quasitriangular_check,
     split_r,

@@ -175,7 +175,7 @@ def cmd_cybe(args, inputs):
     ]
     data = {
         "lambda": formats.tensor_to_entries(rep.split.lam, g),
-        "c": formats.tensor_to_entries(rep.split.c, g),
+        "c": formats.cochain_to_entries(rep.split.c),
     }
     if rep.lambda_form_holds is not None:
         checks.append(_check("lambda-form", bool(rep.lambda_form_holds)))
@@ -220,6 +220,12 @@ def cmd_double(args, inputs):
     delta = _load_tensor(args.delta, g, "cobracket", inputs)
     b = QuasiLieBialgebra(g, delta, Multivector.zero(g.dim, 3))
     t = drinfeld_double(b)
+    constants = sum(len(comps) for _, comps in t.quad.lie.pairs())
+    if constants > formats.MAX_DOUBLE_CONSTANTS:
+        raise InputError(
+            f"the double has {constants} nonzero structure constants, "
+            f"over the limit of {formats.MAX_DOUBLE_CONSTANTS}"
+        )
     jac = check_lie(t.quad.lie)
     trip = manin_triple_check(t)
     round_trip = triple_to_bialgebra_unchecked(t) == b if trip.passed and jac.passed else False
@@ -302,7 +308,7 @@ def cmd_mc_residual(args, inputs):
     else:
         if not args.casimir:
             raise InputError("shift 2 requires --casimir")
-        x = P.from_sym_tensor(_load_tensor(args.casimir, g, "sym2", inputs))
+        x = P.from_cochain(_load_tensor(args.casimir, g, "sym2", inputs))
     res = mc_residual(P, x)
     detail = {f"weight-{w}": formats.cochain_to_entries(coch) for w, coch in res.items()}
     return [_check("maurer-cartan", not res, detail)], {"dgla": f"Pol(B{g.name}, {args.shift})[>=2]"}

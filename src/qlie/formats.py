@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .lie import CECochain, LieAlgebra, WEDGE, sym2_signature
+from .lie import CECochain, LieAlgebra, SYM, WEDGE
 from .manin import ManinTriple
 from .scalars import Polynomial, RationalFunction, parse_scalar
-from .tensors import Multivector, SparseTensor, SparseVector, plain_signature
+from .tensors import Multivector, SparseTensor, SparseVector
 
 TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
 
@@ -27,14 +27,21 @@ TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
 # MAX_BASIS_LABELS basis labels: on the abelian algebra of that dimension
 # with zero tensors every subcommand stays under 2 s (`double`, which checks
 # Jacobi on the 2n-dimensional double, is the slowest: about 1.6 s at 80
-# labels, 2.0 s at 84).  `invariants` refuses a module of dimension over
-# MAX_MODULE_DIM = C(26, 3): the kernel of d on the abelian algebra is the
-# whole module, a dense basis of dim^2 entries (about 1 s for wedge3 at 26
-# labels or sym2 at 71).  The support of a tensor read over an algebra is
-# bounded where it costs: `mc.MAX_PAIRS` caps the pairs of monomials that
-# the Maurer-Cartan residual of `check-qlb`, `twist` and `mc-residual` forms.
+# labels, 2.0 s at 84).  Each nonzero structure constant of the double adds
+# to that scan, about 0.7 ms at 80 labels, so `double` refuses a double with
+# over MAX_DOUBLE_CONSTANTS of them before the scan: zero-cobracket doubles
+# of sl8 (1,806, 1.4-1.7 s) and the standard sl7 bialgebra (1,740, 0.9 s)
+# pass, sl9 (2,592, 3.3 s) is refused; sl8 (+) abelian17, 80 labels and
+# 1,806 constants, still takes 2.9-3.3 s.  `invariants` refuses a module of
+# dimension over MAX_MODULE_DIM = C(26, 3): the kernel of d on the abelian
+# algebra is the whole module, a dense basis of dim^2 entries (about 1 s
+# for wedge3 at 26 labels or sym2 at 71).  The support of a tensor read
+# over an algebra is bounded where it costs: `mc.MAX_PAIRS` caps the pairs
+# of monomials that the Maurer-Cartan residual of `check-qlb`, `twist` and
+# `mc-residual` forms.
 MAX_INPUT_BYTES = 1 << 20
 MAX_BASIS_LABELS = 80
+MAX_DOUBLE_CONSTANTS = 2000
 MAX_MODULE_DIM = 2600
 
 
@@ -186,9 +193,11 @@ def tensor_from_dict(doc: dict, g: LieAlgebra, expect: Optional[str] = None):
     if sig == "wedge3":
         return Multivector.build(g.dim, 3, _parse_entries(doc, g, 3, variables))
     if sig == "sym2":
-        return SparseTensor.build(sym2_signature(g.dim), _parse_entries(doc, g, 2, variables))
+        # Sym^2 g: one orbit-basis key (i <= j) per pair, both orders summed
+        entries = [(((), idx), coef) for idx, coef in _parse_entries(doc, g, 2, variables)]
+        return CECochain.build(g, 0, SYM(2), entries)
     if sig == "gg":
-        return SparseTensor.build(plain_signature(g.dim, 2), _parse_entries(doc, g, 2, variables))
+        return SparseTensor.build(g.dim, 2, _parse_entries(doc, g, 2, variables))
     if sig == "cobracket":
         entries = []
         for (k, i, j), coef in _parse_entries(doc, g, 3, variables):

@@ -2,7 +2,8 @@
 
 A cochain in C^k(g, M) is a `CECochain`: k antisymmetric dual slots plus
 the slots of a module M built from the adjoint action (TRIVIAL, ADJOINT,
-WEDGE(p), SYM(p)).  This module only stores cochains; everything that
+WEDGE(p), SYM(p)).  An element of Sym^p g, a Casimir c in Sym^2 g among
+them (`casimir_of`), is the degree-0 cochain valued in SYM(p).  This module only stores cochains; everything that
 applies the differential lives in `polyvectors`, where d is
 `PolyVectorAlgebra.d` on the slice that holds the cochain:
 `ce_differential`, `cohomology_dim` and `invariants`, the kernel of d on
@@ -22,15 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import InputError
 from .scalars import Scalar, combine, is_zero, vec_add
-from .tensors import (
-    SparseTensor,
-    SparseVector,
-    Signature,
-    SlotGroup,
-    UP,
-    _sort_with_sign,
-    canonical_terms,
-)
+from .tensors import SparseVector, _sort_with_sign, canonical_terms
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
 
@@ -423,17 +416,14 @@ def trace_pairing(g: LieAlgebra) -> List[List[Fraction]]:
     return [[Fraction(x) for x in row] for row in pairing]
 
 
-def casimir_of(pairing: Sequence[Sequence[Fraction]]) -> SparseTensor:
-    """The inverse of a nondegenerate symmetric pairing, as an element of Sym^2."""
+def casimir_of(g: LieAlgebra, pairing: Sequence[Sequence[Fraction]]) -> CECochain:
+    """The inverse of a nondegenerate symmetric pairing on g, as an element of
+    Sym^2 g: the degree-0 cochain valued in SYM(2)."""
     inv = linalg.invert(pairing)
-    entries = [((i, j), x) for i, row in enumerate(inv) for j, x in row.items() if i <= j]
-    return SparseTensor.build(sym2_signature(len(pairing)), entries)
+    entries = [(((), (i, j)), x) for i, row in enumerate(inv) for j, x in row.items() if i <= j]
+    return CECochain.build(g, 0, SYM(2), entries)
 
 
-def casimir_from_pairing(g: LieAlgebra) -> SparseTensor:
+def casimir_from_pairing(g: LieAlgebra) -> CECochain:
     """Inverse of the stored invariant pairing, as an element of Sym^2(g)."""
-    return casimir_of(trace_pairing(g))
-
-
-def sym2_signature(dim: int) -> Signature:
-    return Signature(dim, [UP, UP], [SlotGroup("sym", (0, 1))])
+    return casimir_of(g, trace_pairing(g))

@@ -32,7 +32,14 @@ polyvector weight 0, 1 or p at shift 1; one valued in SYM(p) is the
 weight-p slice at shift 2.  `ce_differential`, `cohomology_dim` and
 `invariants` work through that embedding: the first encodes, applies d
 and decodes; the other two take d of each unit cochain of a slice as one
-column, and read off its rank or, on C^0, its kernel.
+column, and read off its rank or, on C^0, its kernel.  A Casimir c in
+Sym^2 g is the degree-0 SYM(2) cochain, so `from_cochain` puts it on the
+weight-2 slice at shift 2; a p-multivector goes to the weight-p slice at
+shift 1 by `from_multivector`.
+
+The Schouten bracket of multivectors is the derived bracket
+[[a, b]] = -[a, d b] at shift 1 (the ledger's schouten_convention);
+`qlb.twist` and `rmatrix` compute it that way, from `d` and `bracket`.
 """
 
 from __future__ import annotations
@@ -192,14 +199,6 @@ class PolyVectorAlgebra:
             data[vec] = coef
         return Multivector(self.g.dim, p, data)
 
-    def from_sym_tensor(self, t) -> Element:
-        """Orbit-basis symmetric tensor entries into polynomial monomials,
-        as the degree-0 SYM(p) cochain they form (see from_cochain)."""
-        if self.n != 2:
-            raise InputError("symmetric encoding requires shift 2")
-        entries = [(((), key), coef) for key, coef in t.items()]
-        return self.from_cochain(CECochain.build(self.g, 0, SYM(len(t.sig.variances)), entries))
-
     def from_cochain(self, x: CECochain) -> Element:
         """A cochain as an element on its (degree, weight) slice.
 
@@ -241,28 +240,6 @@ class PolyVectorAlgebra:
         else:
             vecs = list(combinations_with_replacement(range(self.g.dim), w))
         return [(c, v) for c in covs for v in vecs]
-
-
-def schouten(g: LieAlgebra, a: Multivector, b: Multivector) -> Multivector:
-    """Schouten bracket of polyvectors, extending the Lie bracket.
-
-    Computed by the classical biderivation expansion; the relation to the
-    big bracket (schouten(a, b) = -[a, d b]) is covered by the tests.
-    """
-    if a.dim != g.dim or b.dim != g.dim:
-        raise InputError("multivector over the wrong space")
-    p, q = a.p, b.p
-    entries = []
-    for ka, ca in a.data.items():
-        for kb, cb in b.data.items():
-            for s in range(p):
-                rest_a = ka[:s] + ka[s + 1 :]
-                for t in range(q):
-                    rest_b = kb[:t] + kb[t + 1 :]
-                    sign = (-1) ** ((s + 1) + (t + 1))
-                    for m, c in g.bracket(ka[s], kb[t]).items():
-                        entries.append(((m,) + rest_a + rest_b, sign * ca * cb * c))
-    return Multivector.build(g.dim, p + q - 1, entries)
 
 
 def _module_slice(module) -> Tuple[int, int]:

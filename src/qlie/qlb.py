@@ -35,16 +35,15 @@ from itertools import chain
 from typing import Dict, Tuple
 
 from .errors import InputError, PreconditionError
-from .lie import CECochain, LieAlgebra, SplitSubalgebra, WEDGE, split_subalgebra, sym2_signature
+from .lie import CECochain, LieAlgebra, SplitSubalgebra, SYM, WEDGE, split_subalgebra
 from .mc import mc_residual
-from .polyvectors import Element, PolyVectorAlgebra, schouten
+from .polyvectors import Element, PolyVectorAlgebra
 from .scalars import Scalar, combine, is_zero, vec_add
-from .tensors import CASIMIR_VS_INDUCED, Multivector, SparseTensor, embed_wedge, plain_signature
+from .tensors import CASIMIR_VS_INDUCED, Multivector, SparseTensor, embed_wedge
 
 __all__ = [
     "QuasiLieBialgebra",
     "Twist",
-    "schouten",
     "mc_element",
     "check_qlb",
     "twist",
@@ -144,19 +143,19 @@ def twist(q: QuasiLieBialgebra, t: Twist, validate: bool = True) -> QuasiLieBial
 # Casimir-induced structures
 # ---------------------------------------------------------------------------
 
-def _check_sym2(g: LieAlgebra, c: SparseTensor) -> None:
-    if c.sig != sym2_signature(g.dim):
+def _check_sym2(g: LieAlgebra, c: CECochain) -> None:
+    if not (isinstance(c, CECochain) and c.k == 0 and c.module == SYM(2) and c.g.dim == g.dim):
         raise InputError("Casimir element must be a symmetric 2-tensor over g")
 
 
-def casimir_invariance_residual(g: LieAlgebra, c: SparseTensor) -> CECochain:
+def casimir_invariance_residual(g: LieAlgebra, c: CECochain) -> CECochain:
     """d c, the weight-2 Maurer-Cartan residual of c in Pol(BG, 2)."""
     _check_sym2(g, c)
     P = PolyVectorAlgebra(g, 2)
-    return mc_residual(P, P.from_sym_tensor(c)).get(2) or P.to_cochain({}, 1, 2)
+    return mc_residual(P, P.from_cochain(c)).get(2) or P.to_cochain({}, 1, 2)
 
 
-def casimir_to_phi(g: LieAlgebra, c: SparseTensor) -> Multivector:
+def casimir_to_phi(g: LieAlgebra, c: CECochain) -> Multivector:
     """phi = -(1/6) [c_12, c_23] for an invariant Casimir element."""
     residual = casimir_invariance_residual(g, c)
     if not residual.is_zero():
@@ -167,20 +166,27 @@ def casimir_to_phi(g: LieAlgebra, c: SparseTensor) -> Multivector:
     return casimir_to_phi_unchecked(g, c)
 
 
-def casimir_to_phi_unchecked(g: LieAlgebra, c: SparseTensor) -> Multivector:
+def casimir_to_phi_unchecked(g: LieAlgebra, c: CECochain) -> Multivector:
     """`casimir_to_phi` on a Casimir element already known to be invariant.
 
     The associator is the structure induced on h = g, scaled by the
     ledger's casimir_vs_induced: with I^{ijk} = 1/4 f^i_{ab} c^{aj} c^{bk}
     the induced tensor, [c_12, c_23] has 4 I^{ijk} at (j, i, k), and it is
     totally antisymmetric when c is invariant, so -(1/6) [c_12, c_23] = 2/3 I.
+    A zero c (the symmetric part of every Etingof-Varchenko r-matrix) has
+    the zero associator, with no split to build.
     """
+    if c.is_zero():
+        return Multivector.zero(g.dim, 3)
     q = induce_from_coisotropic(split_subalgebra(g, range(g.dim)), c, validate=False)
     return q.phi.scale(CASIMIR_VS_INDUCED)
 
 
-def split_casimir(split: SplitSubalgebra, c: SparseTensor):
-    """c = P + Q with P in Sym^2(h) and Q in h (x) m, plus the m (x) m block."""
+def split_casimir(split: SplitSubalgebra, c: CECochain):
+    """c = P + Q with P in Sym^2(h) and Q in h (x) m, plus the m (x) m block.
+
+    c stores one key (i, j), i <= j, per symmetric pair; the blocks read
+    its coefficient in both orders."""
     g = split.g
     _check_sym2(g, c)
     hpos = {v: i for i, v in enumerate(split.h_indices)}
@@ -188,24 +194,25 @@ def split_casimir(split: SplitSubalgebra, c: SparseTensor):
     P: Dict[Tuple[int, int], Scalar] = {}
     Q: Dict[Tuple[int, int], Scalar] = {}
     mm: Dict[Tuple[int, int], Scalar] = {}
-    for (i, j), coef in c.expanded_items():
-        if i in hpos and j in hpos:
-            P[(hpos[i], hpos[j])] = coef
-        elif i in hpos and j in mpos:
-            Q[(hpos[i], mpos[j])] = coef
-        elif i in mpos and j in mpos:
-            mm[(mpos[i], mpos[j])] = coef
+    for ((), (k, l)), coef in c.items():
+        for i, j in ((k, l),) if k == l else ((k, l), (l, k)):
+            if i in hpos and j in hpos:
+                P[(hpos[i], hpos[j])] = coef
+            elif i in hpos and j in mpos:
+                Q[(hpos[i], mpos[j])] = coef
+            elif i in mpos and j in mpos:
+                mm[(mpos[i], mpos[j])] = coef
     return P, Q, mm
 
 
-def coisotropic_casimir_check(split: SplitSubalgebra, c: SparseTensor) -> bool:
+def coisotropic_casimir_check(split: SplitSubalgebra, c: CECochain) -> bool:
     """True iff the image of c in Sym^2(g/h) vanishes."""
     _, _, mm = split_casimir(split, c)
     return all(is_zero(v) for v in mm.values())
 
 
 def induce_from_coisotropic(
-    split: SplitSubalgebra, c: SparseTensor, validate: bool = True
+    split: SplitSubalgebra, c: CECochain, validate: bool = True
 ) -> QuasiLieBialgebra:
     """Quasi-Lie bialgebra on h from a coisotropic Casimir element.
 
@@ -258,7 +265,7 @@ def induce_from_coisotropic(
                             yield (i, k, j), -scale * p * x * q
 
     delta = CECochain.build(h, 1, WEDGE(2), delta_terms())
-    tensor = SparseTensor.build(plain_signature(h.dim, 3), phi_terms())
+    tensor = SparseTensor.build(h.dim, 3, phi_terms())
     phi = Multivector(
         h.dim, 3, {key: v for key, v in sorted(tensor.items()) if key[0] < key[1] < key[2]}
     )
@@ -356,7 +363,7 @@ def _invariance_identities(split: SplitSubalgebra, P, Q) -> Dict[str, bool]:
     return {name: not combine(terms) for name, terms in identities.items()}
 
 
-def verify_coisotropic_morphism(split: SplitSubalgebra, c: SparseTensor) -> MorphismReport:
+def verify_coisotropic_morphism(split: SplitSubalgebra, c: CECochain) -> MorphismReport:
     """Three checks: the five invariance identities, their equivalence to
     d c = 0, and that the generator map F intertwines the differentials,
     F(d_g x) = (d_h + [mu, -]) F(x) on every generator x, where mu is the

@@ -1,39 +1,37 @@
 """Classical and dynamical r-matrices: CYBE, CDYBE and the lambda-form.
 
-An element r of g (x) g splits as r = 2 lambda + c with c the symmetric
-part and lambda the 2-multivector with embed(2 lambda) = r - c.  Under
-the ledger conventions the exact identity
+An element r of g (x) g (a plain 2-tensor) splits as r = 2 lambda + c
+with c in Sym^2 g the symmetric part, a degree-0 SYM(2) cochain, and
+lambda the 2-multivector with embed(2 lambda) = r - c.  A dynamical r
+depends on coordinates x_a dual to a basis h_a of h, and its derivative
+is taken once, as the 3-vector D = sum_a h_a ^ d r / d x_a (zero for a
+constant r).  Under the ledger conventions the exact identity
 
-    cybe(r) + Alt(d_dR r) = 4 * embed( 1/2 schouten(lambda, lambda)
-                                       + Alt_mv(d_dR lambda)
-                                       + 3/2 casimir_to_phi(c) )
+    cybe(r) + embed(D) = 4 * embed( 1/2 [[lambda, lambda]]
+                                    + 1/4 D
+                                    + 3/2 casimir_to_phi(c) )
 
 holds whenever c is constant and invariant; the proportionality constant
 4 and the 3/2 in front of the associator were determined once on sl2 and
-are re-verified on sl3 by the test suite.  The lambda-form criterion is
-the vanishing of the right-hand bracket.
+are re-verified on sl3 by the test suite.  The left side is the CDYBE
+residual; the lambda-form criterion is the vanishing of the right-hand
+bracket.  Its Schouten bracket [[a, b]] is the derived bracket -[a, d b]
+of Pol(BG, 1) (the ledger's schouten_convention), as in `qlb.twist`; the
+slot-wise formulas it replaces are oracles in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
-from .lie import LieAlgebra, SplitSubalgebra, sym2_signature
-from .polyvectors import schouten
+from .lie import CECochain, LieAlgebra, SplitSubalgebra, SYM
+from .polyvectors import PolyVectorAlgebra
 from .qlb import casimir_invariance_residual, casimir_to_phi_unchecked
-from .scalars import Polynomial, RationalFunction, Scalar, combine, is_zero
-from .tensors import (
-    KAPPA_CYBE,
-    LAMBDA_FORM_PHI_COEFF,
-    Multivector,
-    SparseTensor,
-    alt_tensor,
-    embed_wedge,
-    plain_signature,
-)
+from .scalars import Polynomial, RationalFunction, Scalar, combine
+from .tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, Multivector, SparseTensor, embed_wedge
 
 
 @dataclass
@@ -43,12 +41,12 @@ class RMatrix:
     tensor: SparseTensor
 
     def __post_init__(self):
-        if self.tensor.sig.arity != 2 or any(g.kind != "none" for g in self.tensor.sig.groups):
+        if self.tensor.arity != 2:
             raise InputError("an r-matrix is a plain 2-tensor")
 
     @property
     def dim(self) -> int:
-        return self.tensor.sig.dim
+        return self.tensor.dim
 
 
 @dataclass
@@ -68,7 +66,7 @@ class DynamicalRMatrix:
     def __post_init__(self):
         if len(self.variables) != self.split.dim_h:
             raise InputError("one coordinate per basis vector of h is required")
-        if self.tensor.sig.arity != 2:
+        if self.tensor.arity != 2:
             raise InputError("a dynamical r-matrix takes values in g (x) g")
         for key, coef in self.tensor.items():
             if isinstance(coef, RationalFunction):
@@ -108,13 +106,13 @@ def cybe(g: LieAlgebra, r: RMatrix) -> SparseTensor:
                 entries.append(((a1, m, b2), coef * s))  # [r12, r23]
             for m, s in g.bracket(b1, b2).items():
                 entries.append(((a1, a2, m), coef * s))  # [r13, r23]
-    return SparseTensor.build(plain_signature(g.dim, 3), entries)
+    return SparseTensor.build(g.dim, 3, entries)
 
 
 @dataclass
 class SplitReport:
     lam: Multivector
-    c: SparseTensor
+    c: CECochain  # degree 0, module SYM(2)
     symmetric_part_invariant: bool
     invariance_residual_size: int
 
@@ -124,6 +122,11 @@ def _symmetric_part_entries(r_items) -> Dict[Tuple[int, int], Scalar]:
         ((min(i, j), max(i, j)), coef if i == j else coef * Fraction(1, 2))
         for (i, j), coef in r_items
     )
+
+
+def _sym2(g: LieAlgebra, entries: Dict[Tuple[int, int], Scalar]) -> CECochain:
+    """Symmetric-part entries (i <= j) as an element of Sym^2 g."""
+    return CECochain(g, 0, SYM(2), {((), key): coef for key, coef in entries.items()})
 
 
 def _antisymmetric_half(g_dim: int, r_items) -> Multivector:
@@ -138,9 +141,7 @@ def _antisymmetric_half(g_dim: int, r_items) -> Multivector:
 
 def split_r(g: LieAlgebra, r: RMatrix) -> SplitReport:
     """r = 2 lambda + c: c = (r + r^T)/2, embed(2 lambda) = r - c."""
-    c = SparseTensor.build(
-        sym2_signature(g.dim), list(_symmetric_part_entries(r.tensor.items()).items())
-    )
+    c = _sym2(g, _symmetric_part_entries(r.tensor.items()))
     lam = _antisymmetric_half(g.dim, r.tensor.items())
     residual = casimir_invariance_residual(g, c)
     return SplitReport(lam, c, residual.is_zero(), residual.support_size())
@@ -171,12 +172,15 @@ class QuasiTriangularReport:
 def lambda_form_residual(
     g: LieAlgebra,
     lam: Multivector,
-    c: SparseTensor,
+    c: CECochain,
     alt_mv: Optional[Multivector] = None,
 ) -> Multivector:
-    """1/2 [[lambda, lambda]] + Alt(d_dR lambda) + 3/2 casimir_to_phi(c), for
-    a c that its caller has found invariant."""
-    res = schouten(g, lam, lam).scale(Fraction(1, 2))
+    """1/2 [[lambda, lambda]] + alt_mv + 3/2 casimir_to_phi(c), for a c
+    that its caller has found invariant; alt_mv is 1/4 D for a dynamical r.
+    The bracket term is -1/2 [lambda, d lambda] in Pol(BG, 1)."""
+    P = PolyVectorAlgebra(g, 1)
+    lam_el = P.from_multivector(lam)
+    res = P.to_multivector(P.bracket(lam_el, P.d(lam_el)), 3).scale(Fraction(-1, 2))
     if alt_mv is not None:
         res = res + alt_mv
     phi = casimir_to_phi_unchecked(g, c)
@@ -199,52 +203,18 @@ def quasitriangular_check(g: LieAlgebra, r: RMatrix) -> QuasiTriangularReport:
 # dynamical layer
 # ---------------------------------------------------------------------------
 
-def d_dr(t: SparseTensor, variables: Sequence[str]) -> SparseTensor:
-    """Slot-wise exact derivative: a new leading slot indexed by h."""
-    variables = tuple(variables)
-    sig = plain_signature(t.sig.dim, t.sig.arity + 1, "up")
+def _h_derivative(dr: DynamicalRMatrix) -> Multivector:
+    """D = sum over a and the entries (i, j) of r of (h_a, i, j) d r_ij / d x_a:
+    the derivative of r along h*, its new slot pushed into g, as a 3-vector."""
     entries = []
-    for key, coef in t.expanded_items():
+    for (i, j), coef in dr.tensor.items():
         if not isinstance(coef, RationalFunction):
             continue
-        for a, name in enumerate(variables):
+        for h_global, name in zip(dr.split.h_indices, dr.variables):
             dc = coef.derivative(name)
             if not dc.is_zero():
-                entries.append(((a,) + key, dc))
-    return SparseTensor.build(sig, entries)
-
-
-def alt_ddr(split: SplitSubalgebra, t: SparseTensor) -> SparseTensor:
-    """Push the leading h slot into g, then fully antisymmetrize (no 1/3!)."""
-    if t.sig.arity != 3:
-        raise InputError("alt_ddr expects an h (x) g (x) g tensor")
-    g = split.g
-    entries = []
-    for (a, i, j), coef in t.expanded_items():
-        if a >= split.dim_h:
-            raise InputError("leading slot index outside h")
-        entries.append(((split.h_indices[a], i, j), coef))
-    pushed = SparseTensor.build(plain_signature(g.dim, 3), entries)
-    return alt_tensor(pushed)
-
-
-def alt_mv_of_derivative(split: SplitSubalgebra, r_tensor_entries) -> Multivector:
-    """sum_k xi_k wedge (d lambda / d x_k) for lambda the antisymmetric half of r.
-
-    Each r entry contributes a quarter: lambda_{ij} = (r_{ij} - r_{ji})/4
-    and the wedge kills the symmetric part.
-    """
-    g = split.g
-    entries = []
-    for (i, j), coef in r_tensor_entries:
-        if not isinstance(coef, RationalFunction):
-            continue
-        for a in range(split.dim_h):
-            name = coef.vars[a]
-            dc = coef.derivative(name)
-            if not dc.is_zero():
-                entries.append(((split.h_indices[a], i, j), dc * Fraction(1, 4)))
-    return Multivector.build(g.dim, 3, entries)
+                entries.append(((h_global, i, j), dc))
+    return Multivector.build(dr.split.g.dim, 3, entries)
 
 
 @dataclass
@@ -295,7 +265,7 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
     equivariance: Dict[str, bool] = {}
     for a, h_global in enumerate(split.h_indices):
         entries = []
-        for (i, j), coef in dr.tensor.expanded_items():
+        for (i, j), coef in dr.tensor.items():
             for m, s in g.bracket(h_global, i).items():
                 entries.append(((m, j), s * coef))
             for m, s in g.bracket(h_global, j).items():
@@ -314,15 +284,12 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
             if vel is None:
                 continue
             vel = -vel
-            for (i, j), coef in dr.tensor.expanded_items():
+            for (i, j), coef in dr.tensor.items():
                 if isinstance(coef, RationalFunction):
                     dc = coef.derivative(variables[j_local])
                     if not dc.is_zero():
                         flow_entries.append(((i, j), vel * dc))
-        total = SparseTensor.build(
-            plain_signature(g.dim, 2),
-            entries + [(k, -v) for k, v in flow_entries],
-        )
+        total = SparseTensor.build(g.dim, 2, entries + [(k, -v) for k, v in flow_entries])
         equivariance[g.basis[h_global]] = total.is_zero()
 
     # (2) symmetric part constant and invariant
@@ -337,19 +304,18 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
     invariant = False
     c = None
     if constant:
-        c = SparseTensor.build(sym2_signature(g.dim), list(c_entries.items()))
+        c = _sym2(g, c_entries)
         invariant = casimir_invariance_residual(g, c).is_zero()
 
-    # (3) CDYBE residual
-    rm = RMatrix(dr.tensor)
-    residual = cybe(g, rm) + alt_ddr(split, d_dr(dr.tensor, variables))
+    # (3) CDYBE residual, with the derivative of r taken once
+    D = _h_derivative(dr)
+    residual = cybe(g, RMatrix(dr.tensor)) + embed_wedge(D)
 
     # (4) lambda-form, when the symmetric part qualifies
     lf = None
     agree = None
     if constant and invariant:
         lam = _antisymmetric_half(g.dim, dr.tensor.items())
-        alt_mv = alt_mv_of_derivative(split, list(dr.tensor.items()))
-        lf = lambda_form_residual(g, lam, c, alt_mv)
+        lf = lambda_form_residual(g, lam, c, D.scale(Fraction(1, 4)))
         agree = residual == embed_wedge(lf).scale(KAPPA_CYBE)
     return DynamicalReport(equivariance, constant, invariant, residual, lf, agree)

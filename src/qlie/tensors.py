@@ -1,11 +1,10 @@
 """Sparse exact tensors on a fixed finite-dimensional space.
 
-Slots carry a variance ("up" for the space itself, "down" for its dual)
-and are organized into symmetry groups (none / antisymmetric /
-symmetric).  Storage keeps one canonically ordered representative per
-orbit: strictly increasing tuples inside antisymmetric groups, weakly
-increasing inside symmetric ones.  Reading a non-canonical tuple returns
-the signed canonical value.
+Two containers: `SparseTensor`, a plain tensor keyed by index tuples with
+no symmetry, and `Multivector`, an element of an exterior power stored on
+strictly increasing tuples (reading any other order returns the signed
+value).  Symmetric tensors are degree-0 cochains, `lie.CECochain(g, 0,
+SYM(p))`, and (co)brackets are cochains of higher degree.
 
 The ConventionLedger pins every embedding and sign choice the rest of
 the library depends on; a single instance is stamped into every CLI
@@ -17,13 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .scalars import Scalar, combine, is_zero
-
-UP = "up"
-DOWN = "down"
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,9 @@ class ConventionLedger:
     twist_square: str = "twist uses phi' = phi + [delta, lambda] - 1/2 [lambda, d lambda]"
     gauge_orientation: str = "gauge ODE checked as d alpha/dt = D lambda + [alpha, lambda] in the stored structure maps"
     # cybe(embed(2*lambda) + c) == kappa_cybe * embed(lambda_form_residual)
-    # with lambda_form_residual = 1/2 schouten(lambda,lambda) + Alt(d_dR lambda)
-    #                             + lambda_form_phi_coeff * casimir_to_phi(c)
+    # with lambda_form_residual = 1/2 [[lambda, lambda]] + 1/4 D
+    #                             + lambda_form_phi_coeff * casimir_to_phi(c),
+    # D = sum_a h_a ^ d r / d x_a the h-derivative of r (see rmatrix)
     kappa_cybe: str = "4"
     lambda_form_phi_coeff: str = "3/2"
     # casimir_to_phi output = casimir_vs_induced * (induced phi at h = g)
@@ -159,158 +156,38 @@ class SparseVector:
         return self.same_shape(other) and (self - other).is_zero()
 
 
-@dataclass(frozen=True)
-class SlotGroup:
-    kind: str  # "none" | "anti" | "sym"
-    slots: Tuple[int, ...]
+class SparseTensor(SparseVector):
+    """Plain tensor: ``arity`` slots over a space of dimension ``dim``, keyed
+    by index tuples, with exact coefficients.  Immutable by convention."""
 
+    _mismatch = "tensor shape mismatch"
 
-class Signature:
-    """Shape of a sparse tensor: dimension, variances, symmetry groups."""
-
-    def __init__(self, dim: int, variances: Sequence[str], groups: Sequence[SlotGroup]):
+    def __init__(self, dim: int, arity: int, data: Optional[Dict[Tuple[int, ...], Scalar]] = None):
         self.dim = dim
-        self.variances = tuple(variances)
-        self.groups = tuple(groups)
-        seen: List[int] = []
-        for g in self.groups:
-            if g.kind not in ("none", "anti", "sym"):
-                raise InputError(f"unknown symmetry kind {g.kind!r}")
-            for s in g.slots:
-                if s in seen:
-                    raise InputError("slot listed in two symmetry groups")
-                seen.append(s)
-            if len({self.variances[s] for s in g.slots}) > 1:
-                raise InputError("symmetry group mixes variances")
-        if sorted(seen) != list(range(len(self.variances))):
-            raise InputError("symmetry groups must cover all slots exactly once")
+        self.arity = arity
+        self.data = {self._key(idx): coef for idx, coef in (data or {}).items() if not is_zero(coef)}
 
-    @property
-    def arity(self) -> int:
-        return len(self.variances)
+    @classmethod
+    def build(cls, dim: int, arity: int, entries: Iterable[Tuple[Sequence[int], Scalar]]) -> "SparseTensor":
+        """Accumulate arbitrary (index, coefficient) contributions."""
+        t = cls(dim, arity)
+        return t._from_terms((t._key(idx), coef) for idx, coef in entries if not is_zero(coef))
 
-    def canonicalize(self, idx: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    def _key(self, idx: Sequence[int]) -> Tuple[int, ...]:
         if len(idx) != self.arity:
             raise InputError("index tuple has wrong arity")
         for i in idx:
             if not 0 <= i < self.dim:
                 raise InputError("index out of range")
-        out = list(idx)
-        sign = 1
-        for g in self.groups:
-            sub = [out[s] for s in g.slots]
-            if g.kind == "anti":
-                res = _sort_with_sign(sub)
-                if res is None:
-                    return None
-                sgn, sub = res
-                sign *= sgn
-            elif g.kind == "sym":
-                sub = tuple(sorted(sub))
-            else:
-                sub = tuple(sub)
-            for s, v in zip(g.slots, sub):
-                out[s] = v
-        return sign, tuple(out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Signature)
-            and self.dim == other.dim
-            and self.variances == other.variances
-            and self.groups == other.groups
-        )
-
-    def __repr__(self) -> str:
-        return f"Signature(dim={self.dim}, variances={self.variances}, groups={self.groups})"
-
-
-def plain_signature(dim: int, arity: int, variance: str = UP) -> Signature:
-    return Signature(
-        dim,
-        [variance] * arity,
-        [SlotGroup("none", (i,)) for i in range(arity)],
-    )
-
-
-class SparseTensor(SparseVector):
-    """Immutable-by-convention sparse tensor with exact coefficients."""
-
-    _mismatch = "tensor signature mismatch"
-
-    def __init__(self, sig: Signature, data: Optional[Dict[Tuple[int, ...], Scalar]] = None):
-        self.sig = sig
-        clean: Dict[Tuple[int, ...], Scalar] = {}
-        if data:
-            for idx, coef in data.items():
-                if is_zero(coef):
-                    continue
-                res = sig.canonicalize(idx)
-                if res is None:
-                    raise InputError(f"repeated index {idx} in antisymmetric group")
-                sgn, key = res
-                if key != tuple(idx):
-                    raise InputError(f"non-canonical index tuple {idx} in tensor constructor")
-                if sgn != 1:
-                    raise InputError("canonical representative must carry sign +1")
-                clean[key] = coef
-        self.data = clean
-
-    @classmethod
-    def build(cls, sig: Signature, entries: Iterable[Tuple[Sequence[int], Scalar]]) -> "SparseTensor":
-        """Accumulate arbitrary (index, coefficient) contributions."""
-        return cls(sig)._from_terms(canonical_terms(sig.canonicalize, entries))
+        return tuple(idx)
 
     def _from_terms(self, terms) -> "SparseTensor":
         t = SparseTensor.__new__(SparseTensor)
-        t.sig, t.data = self.sig, combine(terms)
+        t.dim, t.arity, t.data = self.dim, self.arity, combine(terms)
         return t
 
     def same_shape(self, other: "SparseTensor") -> bool:
-        return self.sig == other.sig
-
-    def get(self, idx: Sequence[int]) -> Scalar:
-        res = self.sig.canonicalize(idx)
-        if res is None:
-            return Fraction(0)
-        sgn, key = res
-        coef = self.data.get(key)
-        if coef is None:
-            return Fraction(0)
-        return sgn * coef
-
-    def expanded_items(self):
-        """Iterate over all distinct index tuples in each symmetry orbit."""
-        for key, coef in self.data.items():
-            seen = set()
-            positions_by_group = [g.slots for g in self.sig.groups]
-            kinds = [g.kind for g in self.sig.groups]
-
-            def orbits(i, current, sign):
-                if i == len(positions_by_group):
-                    tup = tuple(current)
-                    if tup not in seen:
-                        seen.add(tup)
-                        yield tup, sign
-                    return
-                slots = positions_by_group[i]
-                if kinds[i] == "none" or len(slots) == 1:
-                    yield from orbits(i + 1, current, sign)
-                    return
-                vals = [key[s] for s in slots]
-                for perm in permutations(range(len(vals))):
-                    arranged = [vals[p] for p in perm]
-                    if kinds[i] == "anti":
-                        res = _sort_with_sign(perm)
-                        psign = res[0] if res else 1
-                    else:
-                        psign = 1
-                    nxt = list(current)
-                    for s, v in zip(slots, arranged):
-                        nxt[s] = v
-                    yield from orbits(i + 1, nxt, sign * psign)
-
-            yield from ((tup, sgn * coef) for tup, sgn in orbits(0, list(key), 1))
+        return (self.dim, self.arity) == (other.dim, other.arity)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))
@@ -382,25 +259,11 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
 
 def embed_wedge(mv: Multivector) -> SparseTensor:
     """x1^...^xp -> sum over permutations with signs, no 1/p! factor."""
-    sig = plain_signature(mv.dim, mv.p, UP)
     entries = []
     for key, coef in mv.data.items():
         for perm in permutations(range(mv.p)):
             res = _sort_with_sign(perm)
             sgn = res[0] if res else 1
             entries.append((tuple(key[i] for i in perm), sgn * coef))
-    return SparseTensor.build(sig, entries)
+    return SparseTensor.build(mv.dim, mv.p, entries)
 
-
-def alt_tensor(t: SparseTensor) -> SparseTensor:
-    """Full signed antisymmetrization over all slots, no normalization."""
-    if any(g.kind != "none" for g in t.sig.groups):
-        raise InputError("alt expects a plain tensor")
-    arity = t.sig.arity
-    entries = []
-    for key, coef in t.data.items():
-        for perm in permutations(range(arity)):
-            res = _sort_with_sign(perm)
-            sgn = res[0] if res else 1
-            entries.append((tuple(key[i] for i in perm), sgn * coef))
-    return SparseTensor.build(plain_signature(t.sig.dim, arity, t.sig.variances[0]), entries)

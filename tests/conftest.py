@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qlie.lie import CECochain, WEDGE
+from qlie.lie import CECochain, SYM, WEDGE
 from qlie.linalg import rref
 from qlie.polyvectors import ce_differential
 from qlie.scalars import combine
@@ -40,6 +40,18 @@ def rand_cobracket(g, rng: random.Random) -> CECochain:
 
 def zero_cobracket(g) -> CECochain:
     return CECochain(g, 1, WEDGE(2), {})
+
+
+def sym2(g, entries) -> CECochain:
+    """The element of Sym^2 g with the given ((i, j), coefficient) entries,
+    in either index order (both orders of a pair add up), as the degree-0
+    cochain valued in SYM(2) that every Casimir is."""
+    return CECochain.build(g, 0, SYM(2), [(((), tuple(key)), c) for key, c in entries])
+
+
+def sym2_entries(c):
+    """The entries of c in Sym^2 g as a plain 2-tensor: each key in both orders."""
+    return [((i, j), v) for ((), (a, b)), v in c.items() for i, j in {(a, b), (b, a)}]
 
 
 def solve(rows, rhs, n_cols: int):
@@ -149,24 +161,34 @@ def sl3_plus_sl2():
     return g, Multivector(g.dim, 3, {(8, 9, 10): Fraction(2)})
 
 
-def ev_rmatrix_sl3(scale: int = 1):
+def ev_rmatrix(g, scale: int = 1):
     """The rational Etingof-Varchenko r-matrix scale * sum_a 2/a(x) (e_a (x) f_a - f_a (x) e_a)
-    on the sl3 fixture, over the coordinates x1, x2 dual to h1, h2: the root
-    hyperplanes are x1, x2 and x1 + x2, which also form the locus."""
-    from qlie.formats import lie_from_dict
+    on g with the labels of `lie.sl(n)`, over the coordinates x1, ..., x(n-1)
+    dual to h1, ..., h(n-1): the root of e_a is the sum of the simple roots
+    named by its digits, so a(x) is the sum of those coordinates (e12 has
+    x1 + x2).  The root hyperplanes also form the locus."""
     from qlie.lie import split_subalgebra
     from qlie.rmatrix import DynamicalRMatrix
     from qlie.scalars import parse_scalar
-    from qlie.tensors import SparseTensor, plain_signature
+    from qlie.tensors import SparseTensor
 
-    g = lie_from_dict(json.loads((FIXTURES / "sl3.json").read_text()))
-    variables = ("x1", "x2")
-    roots = (("e1", "f1", "x1"), ("e2", "f2", "x2"), ("e12", "f12", "x1+x2"))
-    entries = []
-    for e, f, alpha in roots:
+    cartan = [i for i, label in enumerate(g.basis) if label[0] == "h"]
+    variables = tuple(f"x{i + 1}" for i in range(len(cartan)))
+    entries, locus = [], []
+    for label in g.basis:
+        if label[0] != "e":
+            continue
+        alpha = "+".join(f"x{d}" for d in label[1:])
         coef = parse_scalar(f"{2 * scale}/({alpha})", variables)
-        entries += [((g.index(e), g.index(f)), coef), ((g.index(f), g.index(e)), -coef)]
-    split = split_subalgebra(g, (g.index("h1"), g.index("h2")), tuple(range(2, g.dim)))
-    locus = [parse_scalar(alpha, variables).num for _, _, alpha in roots]
-    tensor = SparseTensor.build(plain_signature(g.dim, 2), entries)
-    return DynamicalRMatrix(split, variables, tensor, locus)
+        e, f = g.index(label), g.index("f" + label[1:])
+        entries += [((e, f), coef), ((f, e), -coef)]
+        locus.append(parse_scalar(alpha, variables).num)
+    split = split_subalgebra(g, cartan, tuple(i for i in range(g.dim) if i not in cartan))
+    return DynamicalRMatrix(split, variables, SparseTensor.build(g.dim, 2, entries), locus)
+
+
+def ev_rmatrix_sl3(scale: int = 1):
+    """`ev_rmatrix` on the sl3 fixture: the root hyperplanes are x1, x2 and x1 + x2."""
+    from qlie.formats import lie_from_dict
+
+    return ev_rmatrix(lie_from_dict(json.loads((FIXTURES / "sl3.json").read_text())), scale)

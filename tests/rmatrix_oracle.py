@@ -1,0 +1,96 @@
+"""The slot-wise r-matrix formulas that `qlie.rmatrix` replaced, kept as oracles.
+
+* `schouten` is the classical biderivation expansion of the Schouten
+  bracket of multivectors.  The library takes the bracket as the derived
+  bracket -[a, d b] of Pol(BG, 1) (the ledger's schouten_convention).
+* `d_dr` differentiates a plain tensor into a new leading slot indexed by
+  h, `alt_ddr` pushes that slot into g and applies `alt_tensor`, the full
+  signed antisymmetrization, and `alt_mv_of_derivative` is the same
+  derivative of the antisymmetric half lambda as a 3-vector.  The library
+  differentiates r once, into the 3-vector D = sum_a h_a ^ d r / d x_a.
+* `lambda_form_residual` and `cdybe_residual` are the library's two
+  residuals on those formulas.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+from qlie.qlb import casimir_to_phi_unchecked
+from qlie.rmatrix import RMatrix, cybe
+from qlie.scalars import RationalFunction
+from qlie.tensors import LAMBDA_FORM_PHI_COEFF, Multivector, SparseTensor, _sort_with_sign
+
+
+def schouten(g, a: Multivector, b: Multivector) -> Multivector:
+    """Schouten bracket of polyvectors by the biderivation expansion; on
+    vectors it is the Lie bracket."""
+    p, q = a.p, b.p
+    entries = []
+    for ka, ca in a.data.items():
+        for kb, cb in b.data.items():
+            for s in range(p):
+                rest_a = ka[:s] + ka[s + 1 :]
+                for t in range(q):
+                    rest_b = kb[:t] + kb[t + 1 :]
+                    sign = (-1) ** ((s + 1) + (t + 1))
+                    for m, c in g.bracket(ka[s], kb[t]).items():
+                        entries.append(((m,) + rest_a + rest_b, sign * ca * cb * c))
+    return Multivector.build(g.dim, p + q - 1, entries)
+
+
+def alt_tensor(t: SparseTensor) -> SparseTensor:
+    """Full signed antisymmetrization over all slots, no normalization."""
+    entries = []
+    for key, coef in t.data.items():
+        for perm in permutations(range(t.arity)):
+            entries.append((tuple(key[i] for i in perm), _sort_with_sign(perm)[0] * coef))
+    return SparseTensor.build(t.dim, t.arity, entries)
+
+
+def d_dr(t: SparseTensor, variables) -> SparseTensor:
+    """Slot-wise exact derivative: a new leading slot indexed by h."""
+    entries = []
+    for key, coef in t.data.items():
+        if not isinstance(coef, RationalFunction):
+            continue
+        for a, name in enumerate(variables):
+            dc = coef.derivative(name)
+            if not dc.is_zero():
+                entries.append(((a,) + key, dc))
+    return SparseTensor.build(t.dim, t.arity + 1, entries)
+
+
+def alt_ddr(split, t: SparseTensor) -> SparseTensor:
+    """Push the leading h slot of an h (x) g (x) g tensor into g, then fully
+    antisymmetrize (no 1/3!)."""
+    assert t.arity == 3
+    entries = [((split.h_indices[a], i, j), coef) for (a, i, j), coef in t.data.items()]
+    return alt_tensor(SparseTensor.build(split.g.dim, 3, entries))
+
+
+def alt_mv_of_derivative(split, r_entries) -> Multivector:
+    """sum_k xi_k ^ (d lambda / d x_k) for lambda the antisymmetric half of r:
+    each r entry contributes a quarter, lambda_ij = (r_ij - r_ji) / 4, and
+    the wedge kills the symmetric part."""
+    entries = []
+    for (i, j), coef in r_entries:
+        if not isinstance(coef, RationalFunction):
+            continue
+        for a in range(split.dim_h):
+            dc = coef.derivative(coef.vars[a])
+            if not dc.is_zero():
+                entries.append(((split.h_indices[a], i, j), dc * Fraction(1, 4)))
+    return Multivector.build(split.g.dim, 3, entries)
+
+
+def lambda_form_residual(g, lam: Multivector, c, alt_mv=None) -> Multivector:
+    """1/2 schouten(lambda, lambda) + alt_mv + 3/2 casimir_to_phi(c)."""
+    res = schouten(g, lam, lam).scale(Fraction(1, 2))
+    if alt_mv is not None:
+        res = res + alt_mv
+    return res + casimir_to_phi_unchecked(g, c).scale(LAMBDA_FORM_PHI_COEFF)
+
+
+def cdybe_residual(dr) -> SparseTensor:
+    """cybe(r) + Alt(d_dR r), the derivative pushed from h into g."""
+    return cybe(dr.split.g, RMatrix(dr.tensor)) + alt_ddr(dr.split, d_dr(dr.tensor, dr.variables))

@@ -133,7 +133,7 @@ def test_algebras_are_not_retained(rng):
     P = PolyVectorAlgebra(g, 1)
     mc_residual(P, mc_element(P, q.delta, q.phi))
     P2 = PolyVectorAlgebra(g, 2)
-    mc_residual(P2, P2.from_sym_tensor(casimir_from_pairing(g)))
+    mc_residual(P2, P2.from_cochain(casimir_from_pairing(g)))
     ref = weakref.ref(g)
     del g, q, P, P2
     gc.collect()

@@ -158,6 +158,13 @@ R_COEF = ("entries", 0, "coef")
             ("check-qlb", str(FIXTURES / "abelian10.json"), "--delta", "{}", "--phi", str(FIXTURES / "phi_zero.json")),
             "pairs of monomials",
         ),
+        # the zero-cobracket double of sl9 has 2,592 nonzero structure
+        # constants; its Jacobi scan would take about 3.3 s
+        (
+            "sl2.json", (), lie_to_dict(sl(9)),
+            ("double", "{}", "--delta", str(FIXTURES / "delta_zero.json")),
+            "nonzero structure constants",
+        ),
     ],
     ids=[
         "zero-denominator", "non-list-component", "singular-rmatrix",
@@ -168,7 +175,7 @@ R_COEF = ("entries", 0, "coef")
         "nested-rational-power", "product-of-powers", "sum-of-powers",
         "product-term-limit", "power-term-limit", "number-brackets", "null-locus",
         "basis-label-limit", "wedge3-module-limit", "sym2-module-limit", "input-byte-limit",
-        "dense-cobracket-pair-limit",
+        "dense-cobracket-pair-limit", "double-structure-constant-limit",
     ],
 )
 def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, message):

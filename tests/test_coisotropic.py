@@ -65,14 +65,14 @@ def sl2_plus_sl2_diagonal():
     for i in range(n):
         for j in range(n):
             pairing[i][n + j] = pairing[n + j][i] = 2 * kappa[i][j]
-    return g, casimir_of(pairing)
+    return g, casimir_of(g, pairing)
 
 
 def families():
     g = sl3()
     yield "sl3", g, casimir_from_pairing(g)
     quad = dual_subalgebra_bplus_bminus(sl2()).quad
-    yield "double-sl2", quad.lie, casimir_of(quad.pairing)
+    yield "double-sl2", quad.lie, casimir_of(quad.lie, quad.pairing)
     yield ("sl2+sl2",) + sl2_plus_sl2_diagonal()
 
 

@@ -21,13 +21,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import reassembled_bracket, solve
+from conftest import reassembled_bracket, solve, sym2, sym2_entries
 from test_coisotropic import CASES, families
 from qlie import linalg
 from qlie.errors import InputError
 from qlie.lie import (
     CECochain,
     LieAlgebra,
+    SYM,
     WEDGE,
     abelian,
     casimir_from_pairing,
@@ -38,7 +39,6 @@ from qlie.lie import (
     sl2,
     sl3,
     split_subalgebra,
-    sym2_signature,
     trace_pairing,
 )
 from qlie.manin import (
@@ -60,7 +60,7 @@ from qlie.qlb import (
     split_casimir,
 )
 from qlie.scalars import is_zero
-from qlie.tensors import Multivector, SparseTensor, _sort_with_sign, embed_wedge, plain_signature
+from qlie.tensors import Multivector, SparseTensor, _sort_with_sign, embed_wedge
 
 
 def ref_check_quadratic(d):
@@ -281,15 +281,15 @@ def ref_triple_to_bialgebra(t):
 
 def casimir_commutator(g, c):
     """[c_12, c_23] = sum a_i (x) [b_i, a_j] (x) b_j over c = sum a (x) b."""
-    if c.sig != sym2_signature(g.dim):
+    if not (c.k == 0 and c.module == SYM(2) and c.g.dim == g.dim):
         raise InputError("Casimir element must be a symmetric 2-tensor over g")
     entries = []
-    pairs = list(c.expanded_items())
+    pairs = sym2_entries(c)
     for (a1, b1), c1 in pairs:
         for (a2, b2), c2 in pairs:
             for m, coef in g.bracket(b1, a2).items():
                 entries.append(((a1, m, b2), c1 * c2 * coef))
-    return SparseTensor.build(plain_signature(g.dim, 3), entries)
+    return SparseTensor.build(g.dim, 3, entries)
 
 
 def ref_casimir_to_phi(g, c):
@@ -466,8 +466,8 @@ def test_check_quadratic_witness_on_perturbed_pairings(quad):
 
 def perturbed(c, rng):
     """c plus one seeded symmetric entry."""
-    extra = ((rng.randrange(c.sig.dim), rng.randrange(c.sig.dim)), Fraction(rng.choice([-1, 1, 2]), 2))
-    return SparseTensor.build(c.sig, list(c.items()) + [extra])
+    extra = ((rng.randrange(c.g.dim), rng.randrange(c.g.dim)), Fraction(rng.choice([-1, 1, 2]), 2))
+    return c + sym2(c.g, [extra])
 
 
 def compare_induced(split, c):
@@ -636,14 +636,15 @@ def test_triple_cases_cover_the_shapes():
 
 def casimir_cases():
     sum_pairing = block_diagonal(trace_pairing(sl3()), trace_pairing(sl2()))
+    g_sum = direct_sum(sl3(), sl2())
     for name, g, c in (
         ("sl2", sl2(), casimir_from_pairing(sl2())),
         ("sl3", sl3(), casimir_from_pairing(sl3())),
-        ("sl3+sl2", direct_sum(sl3(), sl2()), casimir_of(sum_pairing)),
+        ("sl3+sl2", g_sum, casimir_of(g_sum, sum_pairing)),
     ):
         yield name + "-trace", g, c
         yield name + "-scaled", g, c.scale(Fraction(-5, 3))
-        yield name + "-zero", g, SparseTensor.build(sym2_signature(g.dim), [])
+        yield name + "-zero", g, sym2(g, [])
 
 
 CASIMIRS = list(casimir_cases())
@@ -659,7 +660,7 @@ def test_casimir_to_phi_matches_commutator(g, c):
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sl3+sl2"])
 def test_casimir_to_phi_rejects_non_invariant_with_the_same_message(name):
     g, c = next((g, c) for case, g, c in CASIMIRS if case == name + "-trace")
-    broken = SparseTensor.build(c.sig, list(c.items()) + [((0, 0), Fraction(1))])
+    broken = c + sym2(g, [((0, 0), Fraction(1))])
     with pytest.raises(InputError) as expect:
         ref_casimir_to_phi(g, broken)
     with pytest.raises(InputError) as got:

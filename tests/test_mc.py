@@ -11,6 +11,7 @@ from conftest import (
     sl3_plus_sl2,
     sparse_multivector,
     sparse_structures,
+    sym2,
     window_monos,
     window_slices,
     zero_cobracket,
@@ -101,7 +102,7 @@ def test_mc_residual_nonzero_weight2_equals_ce_of_delta(rng):
 
 def _casimir_oracles(P, c):
     """d c + 1/2 [c, c] per weight, and d c alone, both decoded."""
-    x = P.from_sym_tensor(c)
+    x = P.from_cochain(c)
     dc = P.to_cochain(P.d(x), 1, 2)
     return mc_residual_by_weight(P, {2: x} if x else {}), {2: dc} if not dc.is_zero() else {}
 
@@ -110,7 +111,7 @@ def test_mc_residual_shift2_invariant_casimir():
     for g in (sl2(), sl3()):
         P = PolyVectorAlgebra(g, 2)
         c = casimir_from_pairing(g)
-        assert mc_residual(P, P.from_sym_tensor(c)) == {}
+        assert mc_residual(P, P.from_cochain(c)) == {}
         assert _casimir_oracles(P, c) == ({}, {})
         # the weight-3 component of [c, c] vanishes identically: the bracket
         # on the degree-1 weight-2 slice (CE degree 0, Sym^2 g) is the zero map
@@ -119,12 +120,10 @@ def test_mc_residual_shift2_invariant_casimir():
 
 
 def test_mc_residual_shift2_non_invariant_fails():
-    from qlie.lie import sym2_signature
-    from qlie.tensors import SparseTensor
-
-    P = PolyVectorAlgebra(sl2(), 2)
-    c_bad = SparseTensor.build(sym2_signature(3), [((0, 0), F(1))])
-    res = mc_residual(P, P.from_sym_tensor(c_bad))
+    g = sl2()
+    P = PolyVectorAlgebra(g, 2)
+    c_bad = sym2(g, [((0, 0), F(1))])
+    res = mc_residual(P, P.from_cochain(c_bad))
     assert set(res) == {2}
     assert (res, res) == _casimir_oracles(P, c_bad)
 
@@ -133,14 +132,12 @@ def test_mc_residual_shift2_decodes_like_casimir_invariance_residual(rng):
     # decoded residuals use the SYM(2) orbit basis of the CE residual d c,
     # repeated-index entries included: on sl2 with c = e.h the (e; e, e)
     # entry is 4, not the monomial coefficient 2
-    from qlie.lie import sym2_signature
     from qlie.qlb import casimir_invariance_residual
-    from qlie.tensors import SparseTensor
 
     g = sl2()
     P = PolyVectorAlgebra(g, 2)
-    c = SparseTensor.build(sym2_signature(3), [((0, 2), F(1))])
-    decoded = mc_residual(P, P.from_sym_tensor(c))
+    c = sym2(g, [((0, 2), F(1))])
+    decoded = mc_residual(P, P.from_cochain(c))
     assert decoded[2].data[((0,), (0, 0))] == 4
     assert (decoded, decoded) == _casimir_oracles(P, c)
     assert decoded == {2: casimir_invariance_residual(g, c)}
@@ -149,10 +146,10 @@ def test_mc_residual_shift2_decodes_like_casimir_invariance_residual(rng):
         keys = list(combinations_with_replacement(range(g.dim), 2))
         for _ in range(6):
             picked = rng.sample(keys, 4) + [(rng.randrange(g.dim),) * 2]
-            c = SparseTensor.build(sym2_signature(g.dim), [(key, rand_fraction(rng)) for key in picked])
+            c = sym2(g, [(key, rand_fraction(rng)) for key in picked])
             by_weight, by_d = _casimir_oracles(P, c)
             assert by_weight == by_d and set(by_d) == {2}
-            assert mc_residual(P, P.from_sym_tensor(c)) == by_d
+            assert mc_residual(P, P.from_cochain(c)) == by_d
             assert casimir_invariance_residual(g, c) == by_d[2]
 
 
@@ -164,7 +161,7 @@ def test_encoders_check_the_shift():
     with pytest.raises(InputError):
         P2.from_multivector(Multivector.zero(3, 3))
     with pytest.raises(InputError):
-        PolyVectorAlgebra(g, 1).from_sym_tensor(casimir_from_pairing(g))
+        PolyVectorAlgebra(g, 1).from_cochain(casimir_from_pairing(g))
 
 
 def test_mc_residual_rejects_elements_off_degree_1_or_below_weight_2():

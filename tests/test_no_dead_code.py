@@ -1,13 +1,16 @@
-"""Every function, class and method of the library is used somewhere.
+"""Every function, class, method and module-level constant of the library
+is used somewhere.
 
 A definition in ``src/qlie`` is dead when its name occurs as a Python
 name token nowhere in ``src/`` or ``perfbench/`` outside the definition's
 own source lines.  This holds for module-level functions and classes,
-methods and nested functions alike: a caller that only the tests have
-does not keep library code alive, and an export from
-``qlie/__init__.py`` (a name token in ``src/``) does.
+methods and nested functions alike, and for the names a module-level
+assignment binds: a caller that only the tests have does not keep
+library code alive, and an export from ``qlie/__init__.py`` (a name
+token in ``src/``) does.
 
-Dunder methods are exempt: Python calls them.  Name-based matching is
+Dunder methods and dunder names (``__all__``, ``__version__``) are
+exempt: Python and packaging read them.  Name-based matching is
 deliberately loose (any use of a name keeps every definition of that
 name alive); what it catches is code that nothing outside the tests
 mentions.  An exception class is held to more: it must be
@@ -26,15 +29,25 @@ LIBRARY = ROOT / "src" / "qlie"
 SEARCHED = ("src", "perfbench")
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(path: Path):
-    """(name, first line, last line) of every definition."""
+    """(name, first line, last line) of every definition: each function and
+    class, and each name bound by a module-level assignment."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            yield name, node.lineno, node.end_lineno
+            if not _is_dunder(node.name):
+                yield node.name, node.lineno, node.end_lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and not _is_dunder(leaf.id):
+                        yield leaf.id, node.lineno, node.end_lineno
 
 
 def _name_lines(path: Path):

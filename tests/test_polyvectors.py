@@ -7,9 +7,10 @@ import pytest
 from conftest import rand_multivector, window_monos
 from test_ce_reference import ref_ce_differential as ce_differential  # the slot formula
 from qlie.lie import CECochain, WEDGE, abelian, sl2, sl3
-from qlie.polyvectors import PolyVectorAlgebra, schouten
+from qlie.polyvectors import PolyVectorAlgebra
 from qlie.scalars import vec_add, vec_scale
 from qlie.tensors import Multivector
+from rmatrix_oracle import schouten  # the classical expansion
 
 
 def F(a, b=1):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coboundary, multivector_to_cochain, permute_slots, rand_multivector, zero_cobracket
+from conftest import coboundary, multivector_to_cochain, permute_slots, rand_multivector, sym2, zero_cobracket
 from qlie.errors import InputError, PreconditionError
 from qlie.lie import (
     CECochain,
@@ -12,7 +12,6 @@ from qlie.lie import (
     sl2,
     sl3,
     split_subalgebra,
-    sym2_signature,
 )
 from qlie.polyvectors import ce_differential, invariants
 from qlie.qlb import (
@@ -26,7 +25,7 @@ from qlie.qlb import (
     verify_coisotropic_morphism,
 )
 from test_manin_reference import casimir_commutator
-from qlie.tensors import CASIMIR_VS_INDUCED, Multivector, SparseTensor, embed_wedge
+from qlie.tensors import CASIMIR_VS_INDUCED, Multivector, embed_wedge
 
 
 def F(a, b=1):
@@ -135,16 +134,16 @@ def test_casimir_to_phi_values_and_validity():
     q = QuasiLieBialgebra(g, zero_cobracket(g), phi)
     assert check_qlb(q).passed
     # zero and abelian cases
-    zero_c = SparseTensor.build(sym2_signature(3), [])
+    zero_c = sym2(g, [])
     assert casimir_to_phi(g, zero_c).is_zero()
     ga = abelian(3)
-    any_c = SparseTensor.build(sym2_signature(3), [((0, 0), F(2)), ((1, 2), F(1))])
+    any_c = sym2(ga, [((0, 0), F(2)), ((1, 2), F(1))])
     assert casimir_to_phi(ga, any_c).is_zero()
 
 
 def test_casimir_to_phi_rejects_non_invariant():
     g = sl2()
-    c_bad = SparseTensor.build(sym2_signature(3), [((0, 0), F(1))])
+    c_bad = sym2(g, [((0, 0), F(1))])
     with pytest.raises(InputError) as err:
         casimir_to_phi(g, c_bad)
     assert "invariant" in str(err.value)
@@ -178,7 +177,7 @@ def test_coisotropic_casimir_check_cases():
     assert coisotropic_casimir_check(borel, c)
     cartan = split_subalgebra(g, (2,))
     assert not coisotropic_casimir_check(cartan, c)
-    zero_c = SparseTensor.build(sym2_signature(3), [])
+    zero_c = sym2(g, [])
     assert coisotropic_casimir_check(cartan, zero_c)
 
 
@@ -207,7 +206,7 @@ def test_induce_trivial_quotient_matches_casimir_up_to_ledger_factor():
 def test_induce_zero_casimir():
     g = sl2()
     split = split_subalgebra(g, (0, 2))
-    zero_c = SparseTensor.build(sym2_signature(3), [])
+    zero_c = sym2(g, [])
     q = induce_from_coisotropic(split, zero_c)
     assert q.delta.is_zero() and q.phi.is_zero()
 
@@ -236,7 +235,7 @@ def test_verify_morphism_borel_sl2():
 def test_verify_morphism_named_failure_for_non_invariant():
     g = sl2()
     split = split_subalgebra(g, (0, 2))
-    c_bad = SparseTensor.build(sym2_signature(3), [((0, 0), F(1))])
+    c_bad = sym2(g, [((0, 0), F(1))])
     rep = verify_coisotropic_morphism(split, c_bad)
     failed = [name for name, ok in rep.invariance_identities.items() if not ok]
     assert failed  # at least one named identity fails
@@ -246,7 +245,7 @@ def test_verify_morphism_named_failure_for_non_invariant():
 def test_verify_morphism_abelian_trivial():
     g = abelian(4)
     split = split_subalgebra(g, (0, 1))
-    c = SparseTensor.build(sym2_signature(4), [((0, 1), F(1)), ((0, 2), F(2))])
+    c = sym2(g, [((0, 1), F(1)), ((0, 2), F(2))])
     rep = verify_coisotropic_morphism(split, c)
     assert rep.passed
 

@@ -3,30 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import permute_slots, rand_multivector
+import rmatrix_oracle
+from conftest import FIXTURES, ev_rmatrix, ev_rmatrix_sl3, permute_slots, rand_multivector, sym2_entries
 from qlie.errors import InputError
-from qlie.lie import abelian, casimir_from_pairing, sl2, sl3, split_subalgebra
-from qlie.polyvectors import schouten
+from qlie.lie import abelian, casimir_from_pairing, sl, sl2, sl3, split_subalgebra
 from qlie.qlb import casimir_to_phi
 from qlie.rmatrix import (
     DynamicalRMatrix,
     RMatrix,
-    alt_ddr,
     cybe,
-    d_dr,
     dynamical_check,
+    lambda_form_residual,
     quasitriangular_check,
     split_r,
 )
 from qlie.scalars import Polynomial, RationalFunction, parse_scalar
-from qlie.tensors import (
-    KAPPA_CYBE,
-    LAMBDA_FORM_PHI_COEFF,
-    Multivector,
-    SparseTensor,
-    embed_wedge,
-    plain_signature,
-)
+from qlie.tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, Multivector, SparseTensor, embed_wedge
+from rmatrix_oracle import alt_ddr, d_dr, schouten
 
 
 def F(a, b=1):
@@ -34,7 +27,7 @@ def F(a, b=1):
 
 
 def rmat(dim, entries):
-    return RMatrix(SparseTensor.build(plain_signature(dim, 2), entries))
+    return RMatrix(SparseTensor.build(dim, 2, entries))
 
 
 def std_r():
@@ -109,7 +102,7 @@ def test_split_r_cases():
     g = sl2()
     rep = split_r(g, std_r())
     assert rep.lam == Multivector(3, 2, {(0, 1): F(1, 4)})
-    assert dict(rep.c.data) == {(0, 1): F(1, 2), (2, 2): F(1, 4)}
+    assert dict(rep.c.data) == {((), (0, 1)): F(1, 2), ((), (2, 2)): F(1, 4)}
     assert rep.symmetric_part_invariant
     # symmetric input: lambda = 0
     sym = rmat(3, [((0, 1), F(1)), ((1, 0), F(1))])
@@ -147,9 +140,7 @@ def test_kappa_identity_on_sl2_and_sl3(rng):
         phi = casimir_to_phi(g, c)
         for _ in range(trials):
             lam = rand_multivector(g, 2, rng)
-            entries = list(embed_wedge(lam.scale(F(2))).data.items())
-            entries += list(dict(c.expanded_items()).items())
-            r = rmat(g.dim, entries)
+            r = rmat(g.dim, [*embed_wedge(lam.scale(F(2))).data.items(), *sym2_entries(c)])
             lhs = cybe(g, r)
             lf = schouten(g, lam, lam).scale(F(1, 2)) + phi.scale(LAMBDA_FORM_PHI_COEFF)
             assert lhs == embed_wedge(lf).scale(KAPPA_CYBE)
@@ -163,9 +154,7 @@ def test_cybe_antisymmetric_for_invariant_c(rng):
     for g in (sl2(), sl3()):
         c = casimir_from_pairing(g)
         lam = rand_multivector(g, 2, rng)
-        entries = list(embed_wedge(lam.scale(F(2))).data.items())
-        entries += list(dict(c.expanded_items()).items())
-        t = cybe(g, rmat(g.dim, entries))
+        t = cybe(g, rmat(g.dim, [*embed_wedge(lam.scale(F(2))).data.items(), *sym2_entries(c)]))
         for perm in ((1, 0, 2), (0, 2, 1)):
             assert permute_slots(t, perm) == (-t).data
 
@@ -173,14 +162,14 @@ def test_cybe_antisymmetric_for_invariant_c(rng):
 def test_d_dr_basics():
     variables = ("x",)
     x2 = parse_scalar("x^2", variables)
-    t = SparseTensor.build(plain_signature(3, 0), [((), x2)])
+    t = SparseTensor.build(3, 0, [((), x2)])
     dt = d_dr(t, variables)
     assert dict(dt.data) == {(0,): parse_scalar("2*x", variables)}
     inv = parse_scalar("1/x", variables)
-    t2 = SparseTensor.build(plain_signature(3, 1), [((1,), inv)])
+    t2 = SparseTensor.build(3, 1, [((1,), inv)])
     dt2 = d_dr(t2, variables)
     assert dict(dt2.data) == {(0, 1): parse_scalar("-1/x^2", variables)}
-    const = SparseTensor.build(plain_signature(3, 1), [((1,), F(5))])
+    const = SparseTensor.build(3, 1, [((1,), F(5))])
     assert d_dr(const, variables).is_zero()
 
 
@@ -188,12 +177,12 @@ def test_alt_ddr_definition():
     g = sl2()
     split = split_subalgebra(g, (2,), (0, 1))
     # push h (index 0 of h) into g and antisymmetrize without normalization
-    t = SparseTensor.build(plain_signature(3, 3), [((0, 0, 1), F(1))])
+    t = SparseTensor.build(3, 3, [((0, 0, 1), F(1))])
     out = alt_ddr(split, t)
     # h (x) e (x) f fully antisymmetrized = embed(h ^ e ^ f) = embed(e ^ f ^ h)
     expect = embed_wedge(Multivector(3, 3, {(0, 1, 2): F(1)}))
     assert out == expect
-    assert alt_ddr(split, SparseTensor.build(plain_signature(3, 3), [])).is_zero()
+    assert alt_ddr(split, SparseTensor.build(3, 3, [])).is_zero()
 
 
 def make_dynamical(gfun: str):
@@ -201,9 +190,7 @@ def make_dynamical(gfun: str):
     split = split_subalgebra(g, (2,), (0, 1))
     variables = ("x",)
     coef = parse_scalar(gfun, variables)
-    tensor = SparseTensor.build(
-        plain_signature(3, 2), [((0, 1), coef * 2), ((1, 0), coef * (-2))]
-    )
+    tensor = SparseTensor.build(3, 2, [((0, 1), coef * 2), ((1, 0), coef * (-2))])
     return DynamicalRMatrix(split, variables, tensor, [Polynomial.var(variables, "x")])
 
 
@@ -223,9 +210,7 @@ def test_dynamical_family_scale_is_pinned():
         split = split_subalgebra(g, (2,), (0, 1))
         variables = ("x",)
         coef = parse_scalar("1/x", variables) * kappa
-        tensor = SparseTensor.build(
-            plain_signature(3, 2), [((0, 1), coef * 2), ((1, 0), coef * (-2))]
-        )
+        tensor = SparseTensor.build(3, 2, [((0, 1), coef * 2), ((1, 0), coef * (-2))])
         dr = DynamicalRMatrix(split, variables, tensor, [Polynomial.var(variables, "x")])
         assert dynamical_check(dr).passed is expect
 
@@ -243,7 +228,7 @@ def test_dynamical_constant_r_reduces_to_quasitriangular():
     variables = ("x",)
     one = RationalFunction.const(variables, F(1))
     quarter = RationalFunction.const(variables, F(1, 4))
-    tensor = SparseTensor.build(plain_signature(3, 2), [((0, 1), one), ((2, 2), quarter)])
+    tensor = SparseTensor.build(3, 2, [((0, 1), one), ((2, 2), quarter)])
     dr = DynamicalRMatrix(split, variables, tensor, [])
     rep = dynamical_check(dr)
     assert rep.passed
@@ -264,14 +249,9 @@ def test_dynamical_agrees_with_quasitriangular_on_random_constants(rng):
                 c = F(rng.randint(-1, 1), rng.randint(1, 2))
                 if c:
                     entries.append(((i, j), RationalFunction.const(variables, c)))
-        tensor = SparseTensor.build(plain_signature(3, 2), entries)
+        tensor = SparseTensor.build(3, 2, entries)
         dr = DynamicalRMatrix(split, variables, tensor, [])
-        plain = RMatrix(
-            SparseTensor.build(
-                plain_signature(3, 2),
-                [(k, v.constant_value()) for k, v in tensor.items()],
-            )
-        )
+        plain = RMatrix(SparseTensor.build(3, 2, [(k, v.constant_value()) for k, v in tensor.items()]))
         dyn = dynamical_check(dr)
         qt = quasitriangular_check(g, plain)
         expected = qt.passed and dyn.symmetric_part_constant and all(dyn.equivariance.values())
@@ -286,7 +266,7 @@ def test_dynamical_agrees_with_quasitriangular_on_random_constants(rng):
 def test_dynamical_empty_base():
     g = sl2()
     split = split_subalgebra(g, (), (0, 1, 2))
-    tensor = SparseTensor.build(plain_signature(3, 2), [((0, 1), F(1)), ((2, 2), F(1, 4))])
+    tensor = SparseTensor.build(3, 2, [((0, 1), F(1)), ((2, 2), F(1, 4))])
     dr = DynamicalRMatrix(split, (), tensor, [])
     assert dynamical_check(dr).passed
 
@@ -296,7 +276,7 @@ def test_dynamical_locus_validation():
     split = split_subalgebra(g, (2,), (0, 1))
     variables = ("x",)
     coef = parse_scalar("1/(x+1)", variables)
-    tensor = SparseTensor.build(plain_signature(3, 2), [((0, 1), coef)])
+    tensor = SparseTensor.build(3, 2, [((0, 1), coef)])
     with pytest.raises(InputError):
         DynamicalRMatrix(split, variables, tensor, [Polynomial.var(variables, "x")])
     # declaring the right locus polynomial makes it acceptable
@@ -309,7 +289,6 @@ def test_ev_rmatrix_on_sl3_passes_and_scaled_residual_is_pinned():
     # the CDYBE; twice it does not, and its residual is the one recorded
     # (tests/fixtures/ev_sl3_scaled_residual.json) by the earlier
     # cross-multiplying rational functions: same keys, equal coefficients
-    from conftest import FIXTURES, ev_rmatrix_sl3
     from qlie.formats import tensor_to_entries
 
     rep = dynamical_check(ev_rmatrix_sl3(1))
@@ -325,3 +304,58 @@ def test_ev_rmatrix_on_sl3_passes_and_scaled_residual_is_pinned():
     assert [e["idx"] for e in got] == [e["idx"] for e in expected["residual"]]
     for mine, theirs in zip(got, expected["residual"]):
         assert parse_scalar(mine["coef"], variables) == parse_scalar(theirs["coef"], variables)
+
+
+def fixture_dynamical(name):
+    from qlie.formats import lie_from_dict, polynomials_from_strings, tensor_from_dict
+
+    g = lie_from_dict(json.loads((FIXTURES / "sl2.json").read_text()))
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    locus = polynomials_from_strings(doc.get("locus", []), ("x",))
+    return DynamicalRMatrix(split_subalgebra(g, (g.index("h"),)), ("x",), tensor_from_dict(doc, g, "gg"), locus)
+
+
+# the sl2 dynamical fixtures and the Etingof-Varchenko r-matrices of sl3,
+# sl4 and sl5, with scaled (failing) copies on sl3 and sl4
+DYNAMICAL_CASES = {
+    "dynamical_r_sl2": lambda: fixture_dynamical("dynamical_r_sl2"),
+    "dynamical_r_bad": lambda: fixture_dynamical("dynamical_r_bad"),
+    "ev-sl3": lambda: ev_rmatrix_sl3(1),
+    "ev-sl3-scaled": lambda: ev_rmatrix_sl3(2),
+    "ev-sl4": lambda: ev_rmatrix(sl(4)),
+    "ev-sl4-scaled": lambda: ev_rmatrix(sl(4), 3),
+    "ev-sl5": lambda: ev_rmatrix(sl(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DYNAMICAL_CASES))
+def test_residuals_equal_the_slot_wise_oracles(name):
+    # the CDYBE residual cybe(r) + embed(D), and the lambda-form with the
+    # bracket -1/2 [lambda, d lambda] and 1/4 D, equal the slot-wise formulas
+    dr = DYNAMICAL_CASES[name]()
+    rep = dynamical_check(dr)
+    assert rep.cdybe_residual == rmatrix_oracle.cdybe_residual(dr)
+    sp = split_r(dr.split.g, RMatrix(dr.tensor))
+    alt_mv = rmatrix_oracle.alt_mv_of_derivative(dr.split, list(dr.tensor.items()))
+    assert rep.lambda_form_residual is not None
+    assert rep.lambda_form_residual == rmatrix_oracle.lambda_form_residual(dr.split.g, sp.lam, sp.c, alt_mv)
+
+
+def test_static_lambda_form_equals_the_schouten_oracle(rng):
+    from qlie.formats import lie_from_dict, tensor_from_dict
+
+    g = lie_from_dict(json.loads((FIXTURES / "sl2.json").read_text()))
+    for name in ("standard_r_sl2", "r_ef_only"):
+        r = RMatrix(tensor_from_dict(json.loads((FIXTURES / f"{name}.json").read_text()), g, "gg"))
+        sp = split_r(g, r)
+        rep = quasitriangular_check(g, r)
+        if sp.symmetric_part_invariant:
+            assert rep.lambda_form_residual == rmatrix_oracle.lambda_form_residual(g, sp.lam, sp.c)
+        else:
+            assert rep.lambda_form_residual is None
+    for g in (sl2(), sl3()):
+        for c in (casimir_from_pairing(g), casimir_from_pairing(g).scale(F(0))):
+            for _ in range(3):
+                lam = rand_multivector(g, 2, rng)
+                expected = rmatrix_oracle.lambda_form_residual(g, lam, c)
+                assert lambda_form_residual(g, lam, c) == expected

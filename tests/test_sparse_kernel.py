@@ -9,27 +9,27 @@ field.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from qlie.errors import InputError
 from qlie.lie import ADJOINT, CECochain, sl3
 from qlie.scalars import RationalFunction, combine, is_zero, vec_add, vec_scale
-from qlie.tensors import DOWN, UP, Multivector, Signature, SlotGroup, SparseTensor, plain_signature
+from qlie.tensors import Multivector, SparseTensor
 
 VARS = ("x", "y")
 
 
 def tensor_case():
-    sig = Signature(4, [UP, UP, DOWN], [SlotGroup("anti", (0, 1)), SlotGroup("none", (2,))])
+    # a plain 3-tensor: no slot symmetry, so no key is the swap of another
     return {
-        "make": lambda data: SparseTensor(sig, data),
-        "build": lambda entries: SparseTensor.build(sig, entries),
-        "keys": [(i, j, k) for i, j in combinations(range(4), 2) for k in range(4)],
-        "other": SparseTensor(plain_signature(4, 3)),
+        "make": lambda data: SparseTensor(4, 3, data),
+        "build": lambda entries: SparseTensor.build(4, 3, entries),
+        "keys": list(product(range(4), repeat=3)),
+        "other": SparseTensor(4, 2),
         "repeated": (1, 1, 2),
-        "swap": lambda key: (key[1], key[0], key[2]),
+        "swap": None,
     }
 
 
@@ -112,12 +112,25 @@ def test_build_signs_and_cancellation(case, ratfun):
     build, swap = c["build"], c["swap"]
     rng = random.Random(f"build/{case}/{ratfun}")
     zero = RationalFunction.const(VARS, 0) if ratfun else Fraction(0)
-    # a zero coefficient is dropped before its index is canonicalised, and a
-    # nonzero one on a repeated antisymmetric index vanishes
+    # a zero coefficient is dropped before its index is canonicalised
     assert build([(c["repeated"], zero)]).is_zero()
-    assert build([(c["repeated"], Fraction(1))]).is_zero()
     key = rng.choice(c["keys"])
     v = rand_scalar(rng, ratfun) or Fraction(1)
+    if swap is None:
+        # a plain tensor keeps a repeated index, sums equal keys, and checks
+        # the arity and the range of every index
+        assert build([(c["repeated"], Fraction(1))]).data == {c["repeated"]: 1}
+        assert build([(key, v), (key, v)]).data == {key: v + v}
+        assert build([(key, v), (key, -v)]).is_zero()
+        x = build([(k, rand_scalar(rng, ratfun)) for k in rng.sample(c["keys"], 10)])
+        assert build(list(x.items()) + [(k, -w) for k, w in x.items()]).is_zero()
+        for bad in ((0, 1), (0, 1, 2, 3), (0, 4, 1), (-1, 0, 0)):
+            for make in (lambda: build([(bad, Fraction(1))]), lambda: c["make"]({bad: Fraction(1)})):
+                with pytest.raises(InputError):
+                    make()
+        return
+    # a nonzero coefficient on a repeated antisymmetric index vanishes
+    assert build([(c["repeated"], Fraction(1))]).is_zero()
     assert build([(swap(key), v)]).data == {key: -v}
     assert build([(key, v), (swap(key), v)]).is_zero()
     x = build([(k, rand_scalar(rng, ratfun)) for k in rng.sample(c["keys"], 10)])

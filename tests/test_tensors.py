@@ -1,17 +1,10 @@
 from fractions import Fraction
 
-from conftest import permute_slots, rand_multivector
-from qlie.lie import sl2
-from qlie.tensors import (
-    Multivector,
-    SlotGroup,
-    SparseTensor,
-    Signature,
-    alt_tensor,
-    embed_wedge,
-    plain_signature,
-    wedge,
-)
+from conftest import permute_slots, rand_multivector, sym2
+from qlie.lie import sl2, split_subalgebra
+from qlie.qlb import split_casimir
+from qlie.tensors import Multivector, SparseTensor, embed_wedge, wedge
+from rmatrix_oracle import alt_tensor
 
 
 def F(a, b=1):
@@ -52,8 +45,8 @@ def test_embed_wedge_definition():
     assert t.data == {(0, 1): 1, (1, 0): -1}
     efh = mv(((0, 1, 2), 1))
     t3 = embed_wedge(efh)
-    assert t3.get((0, 1, 2)) == 1
-    assert t3.get((1, 0, 2)) == -1
+    assert t3.data[(0, 1, 2)] == 1
+    assert t3.data[(1, 0, 2)] == -1
     assert len(t3.data) == 6
     assert embed_wedge(Multivector.zero(3, 2)).is_zero()
 
@@ -72,19 +65,22 @@ def test_embed_wedge_linear_and_antisymmetric(rng):
 
 
 def test_sym_storage_reads_all_orders():
-    sig = Signature(3, ["up", "up"], [SlotGroup("sym", (0, 1))])
-    c = SparseTensor.build(sig, [((0, 1), F(1)), ((2, 2), F(1, 2))])
-    assert c.get((1, 0)) == 1
-    assert c.get((0, 1)) == 1
-    assert c.get((2, 2)) == F(1, 2)
-    expanded = dict(c.expanded_items())
-    assert expanded == {(0, 1): 1, (1, 0): 1, (2, 2): F(1, 2)}
+    # Sym^2 g stores one key per pair, i <= j; an entry given as (j, i) lands
+    # there, and the split of a Casimir reads each key in both orders
+    g = sl2()
+    c = sym2(g, [((1, 0), F(1)), ((2, 2), F(1, 2))])
+    assert c.data == {((), (0, 1)): 1, ((), (2, 2)): F(1, 2)}
+    assert sym2(g, [((0, 1), F(1)), ((1, 0), F(1))]).data == {((), (0, 1)): 2}
+    P, Q, mm = split_casimir(split_subalgebra(g, range(3)), c)
+    assert P == {(0, 1): 1, (1, 0): 1, (2, 2): F(1, 2)} and not Q and not mm
+    P, Q, mm = split_casimir(split_subalgebra(g, (1, 2)), c)
+    assert P == {(1, 1): F(1, 2)} and Q == {(0, 0): 1} and not mm
 
 
 def test_anti_storage_signed_reads():
-    sig = Signature(3, ["up", "up"], [SlotGroup("anti", (0, 1))])
-    t = SparseTensor.build(sig, [((0, 2), F(3))])
+    t = Multivector.build(3, 2, [((0, 2), F(3))])
     assert t.get((2, 0)) == -3
+    assert t.get((0, 2)) == 3
     assert t.get((1, 1)) == 0
 
 
@@ -92,4 +88,4 @@ def test_alt_tensor_on_antisymmetric_input():
     # already antisymmetric input gains a factor p! under the unnormalized Alt
     a = embed_wedge(mv(((0, 1, 2), 1)))
     assert alt_tensor(a) == a.scale(F(6))
-    assert alt_tensor(SparseTensor.build(plain_signature(3, 3), [])).is_zero()
+    assert alt_tensor(SparseTensor.build(3, 3, [])).is_zero()
