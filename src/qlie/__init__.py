@@ -11,13 +11,8 @@ in the convention ledger and stamped into CLI reports.
 
 from .errors import InputError, PreconditionError, QlieError
 from .lie import (
-    ADJOINT,
-    CECochain,
     LieAlgebra,
-    SYM,
     SplitSubalgebra,
-    TRIVIAL,
-    WEDGE,
     abelian,
     casimir_from_pairing,
     check_lie,
@@ -62,12 +57,15 @@ from .rmatrix import (
 )
 from .scalars import Polynomial, RationalFunction, parse_scalar
 from .tensors import (
+    ADJOINT,
     LEDGER,
+    SYM,
+    TRIVIAL,
+    WEDGE,
+    CECochain,
     ConventionLedger,
-    Multivector,
     SparseTensor,
     embed_wedge,
-    wedge,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import formats
 from .errors import InputError, PreconditionError
-from .lie import CECochain, LieAlgebra, SYM, WEDGE, check_lie, sl2, sl3, split_subalgebra
+from .lie import LieAlgebra, check_lie, sl2, sl3, split_subalgebra
 from .manin import (
     ManinTriple,
     QuadraticLieAlgebra,
@@ -41,7 +41,7 @@ from .qlb import (
     verify_coisotropic_morphism,
 )
 from .rmatrix import DynamicalRMatrix, RMatrix, dynamical_check, quasitriangular_check
-from .tensors import LEDGER, Multivector
+from .tensors import LEDGER, CECochain, SYM, WEDGE
 
 Check = Dict[str, object]
 
@@ -86,7 +86,7 @@ def _qlb_data(q: QuasiLieBialgebra) -> dict:
     return {
         "basis": list(q.g.basis),
         "delta": formats.cochain_to_entries(q.delta),
-        "phi": formats.tensor_to_entries(q.phi, q.g),
+        "phi": formats.cochain_to_entries(q.phi),
     }
 
 
@@ -130,7 +130,7 @@ def cmd_casimir_phi(args, inputs):
     phi = casimir_to_phi(g, c)
     q = QuasiLieBialgebra(g, CECochain(g, 1, WEDGE(2), {}), phi)
     checks = _residual_checks(q)
-    return checks, {"phi": formats.tensor_to_entries(phi, g)}
+    return checks, {"phi": formats.cochain_to_entries(phi)}
 
 
 def cmd_induce(args, inputs):
@@ -174,7 +174,7 @@ def cmd_cybe(args, inputs):
         _check("symmetric-part-invariant", rep.split.symmetric_part_invariant),
     ]
     data = {
-        "lambda": formats.tensor_to_entries(rep.split.lam, g),
+        "lambda": formats.cochain_to_entries(rep.split.lam),
         "c": formats.cochain_to_entries(rep.split.c),
     }
     if rep.lambda_form_holds is not None:
@@ -218,7 +218,7 @@ def cmd_dynamical(args, inputs):
 def cmd_double(args, inputs):
     g = _load_algebra(args.file, inputs)
     delta = _load_tensor(args.delta, g, "cobracket", inputs)
-    b = QuasiLieBialgebra(g, delta, Multivector.zero(g.dim, 3))
+    b = QuasiLieBialgebra(g, delta, CECochain(g, 0, WEDGE(3)))
     t = drinfeld_double(b)
     constants = sum(len(comps) for _, comps in t.quad.lie.pairs())
     if constants > formats.MAX_DOUBLE_CONSTANTS:
@@ -261,14 +261,11 @@ def cmd_triple_check(args, inputs):
     return checks, {}
 
 
+STD_TRIPLE_ALGEBRAS = {"sl2": sl2, "sl3": sl3}
+
+
 def cmd_std_triple(args, inputs):
-    if args.algebra == "sl2":
-        g = sl2()
-    elif args.algebra == "sl3":
-        g = sl3()
-    else:
-        raise InputError(f"unsupported algebra {args.algebra!r} for the standard triple")
-    t = dual_subalgebra_bplus_bminus(g)
+    t = dual_subalgebra_bplus_bminus(STD_TRIPLE_ALGEBRAS[args.algebra]())
     rep = manin_triple_check(t)
     if not rep.passed:
         raise PreconditionError("input is not a Manin triple")
@@ -400,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         (("--gstar",), {"required": True}),
         (("--pairing",), {"required": True}),
     )
-    add("std-triple", cmd_std_triple, (("--algebra",), {"required": True, "choices": ["sl2", "sl3"]}))
+    add("std-triple", cmd_std_triple, (("--algebra",), {"required": True, "choices": list(STD_TRIPLE_ALGEBRAS)}))
     add(
         "invariants",
         cmd_invariants,

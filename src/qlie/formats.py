@@ -14,28 +14,31 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .lie import CECochain, LieAlgebra, SYM, WEDGE
+from .lie import LieAlgebra
 from .manin import ManinTriple
 from .scalars import Polynomial, RationalFunction, parse_scalar
-from .tensors import Multivector, SparseTensor, SparseVector
+from .tensors import CECochain, SparseTensor, SYM, WEDGE
 
 TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
+# the signatures of degree-0 cochains, by module
+DEGREE_ZERO_MODULES = {"wedge2": WEDGE(2), "wedge3": WEDGE(3), "sym2": SYM(2)}
 
 # Input bounds, checked before the work they bound.  An input file has at
 # most MAX_INPUT_BYTES bytes (the test fixtures and the generated benchmark
 # inputs have at most about 10 KB).  A Lie algebra has at most
 # MAX_BASIS_LABELS basis labels: on the abelian algebra of that dimension
-# with zero tensors every subcommand stays under 2 s (`double`, which checks
-# Jacobi on the 2n-dimensional double, is the slowest: about 1.6 s at 80
-# labels, 2.0 s at 84).  Each nonzero structure constant of the double adds
-# to that scan, about 0.7 ms at 80 labels, so `double` refuses a double with
-# over MAX_DOUBLE_CONSTANTS of them before the scan: zero-cobracket doubles
-# of sl8 (1,806, 1.4-1.7 s) and the standard sl7 bialgebra (1,740, 0.9 s)
-# pass, sl9 (2,592, 3.3 s) is refused; sl8 (+) abelian17, 80 labels and
-# 1,806 constants, still takes 2.9-3.3 s.  `invariants` refuses a module of
-# dimension over MAX_MODULE_DIM = C(26, 3): the kernel of d on the abelian
-# algebra is the whole module, a dense basis of dim^2 entries (about 1 s
-# for wedge3 at 26 labels or sym2 at 71).  The support of a tensor read
+# with zero tensors every subcommand stays under 2 s.  `double` checks Jacobi
+# on the 2n-dimensional double; the scan skips the triples whose three
+# brackets vanish (all of them on the abelian algebra: 0.25 s at 80 labels)
+# and pays for the nonzero structure constants on every other triple, so
+# `double` refuses a double with over MAX_DOUBLE_CONSTANTS of them before
+# the scan.  The zero-cobracket doubles of sl8 (1,806, 1.1-1.3 s) and of
+# sl8 (+) abelian17 (80 labels, 1,806 constants, 1.05 s) and the standard
+# sl7 bialgebra (1,740, 0.6 s) pass, sl9 (2,592) is refused; times are the
+# best of 3 in-process runs of `double` on 2 vCPUs.  `invariants` refuses
+# a module of dimension over MAX_MODULE_DIM = C(26, 3): the kernel of d on
+# the abelian algebra is the whole module, a dense basis of dim^2 entries
+# (about 1 s for wedge3 at 26 labels or sym2 at 71).  The support of a tensor read
 # over an algebra is bounded where it costs: `mc.MAX_PAIRS` caps the pairs
 # of monomials that the Maurer-Cartan residual of `check-qlb`, `twist` and
 # `mc-residual` forms.
@@ -188,14 +191,12 @@ def tensor_from_dict(doc: dict, g: LieAlgebra, expect: Optional[str] = None):
     if expect is not None and sig != expect:
         raise InputError(f"tensor has signature {sig!r}, expected {expect!r}")
     variables = variable_names(doc.get("vars", []), "a tensor's 'vars'")
-    if sig == "wedge2":
-        return Multivector.build(g.dim, 2, _parse_entries(doc, g, 2, variables))
-    if sig == "wedge3":
-        return Multivector.build(g.dim, 3, _parse_entries(doc, g, 3, variables))
-    if sig == "sym2":
-        # Sym^2 g: one orbit-basis key (i <= j) per pair, both orders summed
-        entries = [(((), idx), coef) for idx, coef in _parse_entries(doc, g, 2, variables)]
-        return CECochain.build(g, 0, SYM(2), entries)
+    if sig in DEGREE_ZERO_MODULES:
+        # a multivector or an element of Sym^2 g: one canonical key per
+        # entry, the other orders signed (wedge) or summed (sym)
+        module = DEGREE_ZERO_MODULES[sig]
+        entries = [(((), idx), coef) for idx, coef in _parse_entries(doc, g, module[1], variables)]
+        return CECochain.build(g, 0, module, entries)
     if sig == "gg":
         return SparseTensor.build(g.dim, 2, _parse_entries(doc, g, 2, variables))
     if sig == "cobracket":
@@ -206,8 +207,8 @@ def tensor_from_dict(doc: dict, g: LieAlgebra, expect: Optional[str] = None):
     raise InputError(f"unhandled signature {sig!r}")
 
 
-def tensor_to_entries(t: SparseVector, g: LieAlgebra) -> List[dict]:
-    """Entries of a multivector or a sparse tensor, both keyed by index tuples."""
+def tensor_to_entries(t: SparseTensor, g: LieAlgebra) -> List[dict]:
+    """Entries of a plain tensor, keyed by index tuples."""
     return [
         {"idx": [g.basis[i] for i in key], "coef": str(coef)}
         for key, coef in sorted(t.data.items(), key=lambda kv: kv[0])

@@ -1,11 +1,10 @@
-"""Lie algebras by structure constants and their Chevalley-Eilenberg cochains.
+"""Lie algebras by structure constants: the Jacobi check, split
+subalgebras, the factories and the Casimir of an invariant pairing.
 
-A cochain in C^k(g, M) is a `CECochain`: k antisymmetric dual slots plus
-the slots of a module M built from the adjoint action (TRIVIAL, ADJOINT,
-WEDGE(p), SYM(p)).  An element of Sym^p g, a Casimir c in Sym^2 g among
-them (`casimir_of`), is the degree-0 cochain valued in SYM(p).  This module only stores cochains; everything that
-applies the differential lives in `polyvectors`, where d is
-`PolyVectorAlgebra.d` on the slice that holds the cochain:
+Their Chevalley-Eilenberg cochains are `tensors.CECochain`; a Casimir c
+in Sym^2 g (`casimir_of`) is the degree-0 cochain valued in SYM(2).
+Everything that applies the differential lives in `polyvectors`, where d
+is `PolyVectorAlgebra.d` on the slice that holds the cochain:
 `ce_differential`, `cohomology_dim` and `invariants`, the kernel of d on
 C^0 (with the ledger's convention ``(d x)(xi) = [x, xi]`` on degree 0 it
 is literally the space of invariants).
@@ -15,30 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
-from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
 from .scalars import Scalar, combine, is_zero, vec_add
-from .tensors import SparseVector, _sort_with_sign, canonical_terms
+from .tensors import CECochain, SYM
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
-
-# module descriptors for coefficient systems built from the adjoint action
-TRIVIAL = ("triv",)
-ADJOINT = ("adjoint",)
-
-
-def WEDGE(p: int):
-    return ("wedge", p)
-
-
-def SYM(p: int):
-    return ("sym", p)
-
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra over an exact scalar field."""
@@ -126,8 +110,14 @@ class LieCheckReport:
 
 
 def check_lie(g: LieAlgebra) -> LieCheckReport:
-    """Exact antisymmetry (structural) plus exhaustive Jacobi scan."""
+    """Exact antisymmetry (structural) plus exhaustive Jacobi scan.  A
+    triple whose three brackets all vanish has a zero Jacobiator and is
+    skipped; the others are taken in the same order, so the witness is the
+    first failing triple."""
+    table = g._table  # the nonzero brackets [e_i, e_j], i < j
     for i, j, k in combinations(range(g.dim), 3):
+        if (i, j) not in table and (j, k) not in table and (i, k) not in table:
+            continue
         acc = combine(
             (l, coef * coef2)
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j))
@@ -142,81 +132,6 @@ def check_lie(g: LieAlgebra) -> LieCheckReport:
                 residual={g.basis[l]: str(v) for l, v in sorted(acc.items())},
             )
     return LieCheckReport(passed=True)
-
-
-# ---------------------------------------------------------------------------
-# coefficient modules
-# ---------------------------------------------------------------------------
-
-def multiplicity_factorial(key: Sequence[int]) -> int:
-    """Product of the factorials of the multiplicities of the entries of key."""
-    return prod(factorial(key.count(v)) for v in set(key))
-
-
-KNOWN_MODULES = ("triv", "adjoint", "wedge", "sym")
-
-
-def _cochain_canon(module, key) -> Optional[Tuple[int, Tuple[tuple, tuple]]]:
-    """The signed canonical form of a (down, up) key of a cochain valued in
-    module: the down slots and WEDGE(p) slots sorted with a sign, SYM(p)
-    slots sorted; None when a repeated antisymmetric index kills it."""
-    down, up = key
-    res = _sort_with_sign(down)
-    if res is None:
-        return None
-    sign, down = res
-    if module[0] == "wedge":
-        res = _sort_with_sign(up)
-        if res is None:
-            return None
-        sign, up = sign * res[0], res[1]
-    elif module[0] == "sym":
-        up = sorted(up)
-    return sign, (down, tuple(up))
-
-
-class CECochain(SparseVector):
-    """Element of C^k(g, M): k antisymmetric dual slots plus module slots."""
-
-    _mismatch = "cochain shape mismatch"
-
-    def __init__(self, g: LieAlgebra, k: int, module, data=None):
-        if not module or module[0] not in KNOWN_MODULES:
-            raise InputError(f"unsupported module {module!r}")
-        self.g = g
-        self.k = k
-        self.module = module
-        clean: Dict[Tuple[tuple, tuple], Scalar] = {}
-        if data:
-            for (down, up), coef in data.items():
-                down, up = tuple(down), tuple(up)
-                if len(down) != k or list(down) != sorted(set(down)):
-                    raise InputError("down indices must be strictly increasing")
-                if _cochain_canon(module, (down, up)) != (1, (down, up)):
-                    raise InputError(f"module indices {up} are not canonical for {module}")
-                if not is_zero(coef):
-                    clean[(down, up)] = coef
-        self.data = clean
-
-    @classmethod
-    def build(cls, g, k, module, entries) -> "CECochain":
-        return cls(g, k, module)._from_terms(canonical_terms(partial(_cochain_canon, module), entries))
-
-    def _from_terms(self, terms) -> "CECochain":
-        x = CECochain.__new__(CECochain)
-        x.g, x.k, x.module, x.data = self.g, self.k, self.module, combine(terms)
-        return x
-
-    def same_shape(self, other: "CECochain") -> bool:
-        return (
-            self.k == other.k
-            and tuple(self.module) == tuple(other.module)
-            and self.g.same_structure(other.g)
-        )
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))
-        return f"CECochain(k={self.k}, module={self.module}, {{{inner}}})"
 
 
 # ---------------------------------------------------------------------------

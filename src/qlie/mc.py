@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Dict
 
 from .errors import InputError
-from .lie import CECochain
+from .tensors import CECochain
 from .polyvectors import Element, PolyVectorAlgebra
 from .scalars import combine
 

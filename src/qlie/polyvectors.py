@@ -32,10 +32,12 @@ polyvector weight 0, 1 or p at shift 1; one valued in SYM(p) is the
 weight-p slice at shift 2.  `ce_differential`, `cohomology_dim` and
 `invariants` work through that embedding: the first encodes, applies d
 and decodes; the other two take d of each unit cochain of a slice as one
-column, and read off its rank or, on C^0, its kernel.  A Casimir c in
-Sym^2 g is the degree-0 SYM(2) cochain, so `from_cochain` puts it on the
-weight-2 slice at shift 2; a p-multivector goes to the weight-p slice at
-shift 1 by `from_multivector`.
+column, and read off its rank or, on C^0, its kernel.  Multivectors and
+Casimirs are degree-0 cochains too: `from_cochain` puts a p-multivector,
+the WEDGE(p) cochain, on the weight-p slice at shift 1 and a Casimir c in
+Sym^2 g, the SYM(2) cochain, on the weight-2 slice at shift 2, and
+`to_cochain(a, 0, p)` reads either back.  The exterior product of
+multivectors is `mul` at shift 1.
 
 The Schouten bracket of multivectors is the derived bracket
 [[a, b]] = -[a, d b] at shift 1 (the ledger's schouten_convention);
@@ -50,9 +52,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
-from .lie import CECochain, LieAlgebra, SYM, WEDGE, multiplicity_factorial
+from .lie import LieAlgebra
 from .scalars import Scalar, combine
-from .tensors import Multivector
+from .tensors import CECochain, SYM, WEDGE, multiplicity_factorial
 
 # generator = (kind, index) with kind 0 for e^i (dual), 1 for e_i (vector)
 Gen = Tuple[int, int]
@@ -184,21 +186,6 @@ class PolyVectorAlgebra:
 
     # -- encodings -------------------------------------------------------------
 
-    def from_multivector(self, mv: Multivector) -> Element:
-        if mv.dim != self.g.dim:
-            raise InputError("multivector over the wrong space")
-        if self.n != 1:
-            raise InputError("multivector encoding requires shift 1")
-        return {((), key): coef for key, coef in mv.data.items()}
-
-    def to_multivector(self, a: Element, p: int) -> Multivector:
-        data = {}
-        for (cov, vec), coef in a.items():
-            if cov or len(vec) != p:
-                raise InputError("element is not a pure weight slice")
-            data[vec] = coef
-        return Multivector(self.g.dim, p, data)
-
     def from_cochain(self, x: CECochain) -> Element:
         """A cochain as an element on its (degree, weight) slice.
 
@@ -208,6 +195,8 @@ class PolyVectorAlgebra:
         factorial (e.g. 1/2 h (x) h encodes as 1/4 e_h e_h); to_cochain
         multiplies it back.
         """
+        if x.g.dim != self.g.dim:
+            raise InputError("cochain over the wrong space")
         if x.module[0] != "triv" and _module_slice(x.module)[0] != self.n:
             raise InputError(f"cochain module {x.module} does not embed at shift {self.n}")
         if self.n == 1:

@@ -1,9 +1,10 @@
 """Quasi-Lie bialgebras: axioms, twists, Casimir associators, coisotropics.
 
 A structure is a pair (delta, phi) with delta: g -> wedge^2 g stored as a
-degree-1 cochain and phi in wedge^3 g.  The three axiom residuals are the
-weight components of the Maurer-Cartan residual of delta + phi in the
-shift-1 polyvector algebra (`mc.mc_residual`):
+degree-1 cochain and phi in wedge^3 g as a degree-0 one, both valued in
+WEDGE(p); a twist lambda is the degree-0 WEDGE(2) cochain.  The three
+axiom residuals are the weight components of the Maurer-Cartan residual
+of delta + phi in the shift-1 polyvector algebra (`mc.mc_residual`):
 
     d delta = 0                        (weight 2, cocycle)
     1/2 [delta, delta] + d phi = 0     (weight 3, cojacobi)
@@ -35,11 +36,11 @@ from itertools import chain
 from typing import Dict, Tuple
 
 from .errors import InputError, PreconditionError
-from .lie import CECochain, LieAlgebra, SplitSubalgebra, SYM, WEDGE, split_subalgebra
+from .lie import LieAlgebra, SplitSubalgebra, split_subalgebra
 from .mc import mc_residual
 from .polyvectors import Element, PolyVectorAlgebra
 from .scalars import Scalar, combine, is_zero, vec_add
-from .tensors import CASIMIR_VS_INDUCED, Multivector, SparseTensor, embed_wedge
+from .tensors import CASIMIR_VS_INDUCED, CECochain, SparseTensor, SYM, WEDGE, embed_wedge
 
 __all__ = [
     "QuasiLieBialgebra",
@@ -58,12 +59,12 @@ __all__ = [
 class QuasiLieBialgebra:
     g: LieAlgebra
     delta: CECochain  # degree 1, module wedge^2
-    phi: Multivector  # wedge^3
+    phi: CECochain  # degree 0, module wedge^3
 
     def __post_init__(self):
-        if self.delta.k != 1 or self.delta.module != WEDGE(2):
-            raise InputError("delta must be a degree-1 cochain valued in wedge^2")
-        if self.phi.p != 3 or self.phi.dim != self.g.dim:
+        if self.delta.k != 1 or self.delta.module != WEDGE(2) or self.delta.g.dim != self.g.dim:
+            raise InputError("delta must be a degree-1 cochain over g valued in wedge^2")
+        if self.phi.k != 0 or self.phi.module != WEDGE(3) or self.phi.g.dim != self.g.dim:
             raise InputError("phi must be a 3-multivector over g")
 
     def __eq__(self, other) -> bool:
@@ -78,10 +79,10 @@ class QuasiLieBialgebra:
 
 @dataclass(frozen=True)
 class Twist:
-    lam: Multivector
+    lam: CECochain  # degree 0, module wedge^2
 
     def __post_init__(self):
-        if self.lam.p != 2:
+        if self.lam.k != 0 or self.lam.module != WEDGE(2):
             raise InputError("a twist is a 2-multivector")
 
 
@@ -105,9 +106,9 @@ class QLBResiduals:
         }
 
 
-def mc_element(P: PolyVectorAlgebra, delta: CECochain, phi: Multivector) -> Element:
+def mc_element(P: PolyVectorAlgebra, delta: CECochain, phi: CECochain) -> Element:
     """delta + phi as one degree-1 element of P = Pol(BG, 1)."""
-    return vec_add(P.from_cochain(delta), P.from_multivector(phi))
+    return vec_add(P.from_cochain(delta), P.from_cochain(phi))
 
 
 def check_qlb(q: QuasiLieBialgebra) -> QLBResiduals:
@@ -119,7 +120,7 @@ def check_qlb(q: QuasiLieBialgebra) -> QLBResiduals:
 def twist(q: QuasiLieBialgebra, t: Twist, validate: bool = True) -> QuasiLieBialgebra:
     """Act by a twist: delta' = delta + d lambda, phi' = phi + [delta, lambda] - 1/2 [lambda, d lambda]."""
     g = q.g
-    if t.lam.dim != g.dim:
+    if t.lam.g.dim != g.dim:
         raise InputError("twist over the wrong space")
     if validate:
         res = check_qlb(q)
@@ -129,13 +130,13 @@ def twist(q: QuasiLieBialgebra, t: Twist, validate: bool = True) -> QuasiLieBial
                 + ", ".join(k for k, v in res.max_support().items() if v)
             )
     P = PolyVectorAlgebra(g, 1)
-    lam_el = P.from_multivector(t.lam)
+    lam_el = P.from_cochain(t.lam)
     d_lam = P.d(lam_el)
     delta_el = P.from_cochain(q.delta)
 
     new_delta = q.delta + P.to_cochain(d_lam, 1, 2)
     correction = vec_add(P.bracket(delta_el, lam_el), P.bracket(lam_el, d_lam), Fraction(-1, 2))
-    new_phi = q.phi + P.to_multivector(correction, 3)
+    new_phi = q.phi + P.to_cochain(correction, 0, 3)
     return QuasiLieBialgebra(g, new_delta, new_phi)
 
 
@@ -155,7 +156,7 @@ def casimir_invariance_residual(g: LieAlgebra, c: CECochain) -> CECochain:
     return mc_residual(P, P.from_cochain(c)).get(2) or P.to_cochain({}, 1, 2)
 
 
-def casimir_to_phi(g: LieAlgebra, c: CECochain) -> Multivector:
+def casimir_to_phi(g: LieAlgebra, c: CECochain) -> CECochain:
     """phi = -(1/6) [c_12, c_23] for an invariant Casimir element."""
     residual = casimir_invariance_residual(g, c)
     if not residual.is_zero():
@@ -166,7 +167,7 @@ def casimir_to_phi(g: LieAlgebra, c: CECochain) -> Multivector:
     return casimir_to_phi_unchecked(g, c)
 
 
-def casimir_to_phi_unchecked(g: LieAlgebra, c: CECochain) -> Multivector:
+def casimir_to_phi_unchecked(g: LieAlgebra, c: CECochain) -> CECochain:
     """`casimir_to_phi` on a Casimir element already known to be invariant.
 
     The associator is the structure induced on h = g, scaled by the
@@ -177,7 +178,7 @@ def casimir_to_phi_unchecked(g: LieAlgebra, c: CECochain) -> Multivector:
     the zero associator, with no split to build.
     """
     if c.is_zero():
-        return Multivector.zero(g.dim, 3)
+        return CECochain(g, 0, WEDGE(3))
     q = induce_from_coisotropic(split_subalgebra(g, range(g.dim)), c, validate=False)
     return q.phi.scale(CASIMIR_VS_INDUCED)
 
@@ -266,8 +267,8 @@ def induce_from_coisotropic(
 
     delta = CECochain.build(h, 1, WEDGE(2), delta_terms())
     tensor = SparseTensor.build(h.dim, 3, phi_terms())
-    phi = Multivector(
-        h.dim, 3, {key: v for key, v in sorted(tensor.items()) if key[0] < key[1] < key[2]}
+    phi = CECochain(
+        h, 0, WEDGE(3), {((), key): v for key, v in sorted(tensor.items()) if key[0] < key[1] < key[2]}
     )
     # the component array must be totally antisymmetric: the whole tensor
     # is the antisymmetric embedding of its increasing-key part

@@ -2,10 +2,10 @@
 
 An element r of g (x) g (a plain 2-tensor) splits as r = 2 lambda + c
 with c in Sym^2 g the symmetric part, a degree-0 SYM(2) cochain, and
-lambda the 2-multivector with embed(2 lambda) = r - c.  A dynamical r
-depends on coordinates x_a dual to a basis h_a of h, and its derivative
-is taken once, as the 3-vector D = sum_a h_a ^ d r / d x_a (zero for a
-constant r).  Under the ledger conventions the exact identity
+lambda the 2-multivector, a degree-0 WEDGE(2) cochain, with
+embed(2 lambda) = r - c.  A dynamical r depends on coordinates x_a dual
+to a basis h_a of h, and its derivative is taken once, as the 3-vector
+D = sum_a h_a ^ d r / d x_a (zero for a constant r).  Under the ledger conventions the exact identity
 
     cybe(r) + embed(D) = 4 * embed( 1/2 [[lambda, lambda]]
                                     + 1/4 D
@@ -27,11 +27,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
-from .lie import CECochain, LieAlgebra, SplitSubalgebra, SYM
+from .lie import LieAlgebra, SplitSubalgebra
 from .polyvectors import PolyVectorAlgebra
 from .qlb import casimir_invariance_residual, casimir_to_phi_unchecked
 from .scalars import Polynomial, RationalFunction, Scalar, combine
-from .tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, Multivector, SparseTensor, embed_wedge
+from .tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, SYM, WEDGE, embed_wedge
 
 
 @dataclass
@@ -111,7 +111,7 @@ def cybe(g: LieAlgebra, r: RMatrix) -> SparseTensor:
 
 @dataclass
 class SplitReport:
-    lam: Multivector
+    lam: CECochain  # degree 0, module WEDGE(2)
     c: CECochain  # degree 0, module SYM(2)
     symmetric_part_invariant: bool
     invariance_residual_size: int
@@ -129,20 +129,21 @@ def _sym2(g: LieAlgebra, entries: Dict[Tuple[int, int], Scalar]) -> CECochain:
     return CECochain(g, 0, SYM(2), {((), key): coef for key, coef in entries.items()})
 
 
-def _antisymmetric_half(g_dim: int, r_items) -> Multivector:
+def _antisymmetric_half(g: LieAlgebra, r_items) -> CECochain:
     # the unique lambda with embed(2 lambda) = r - sym(r):
     # lambda_{ij} = (r_{ij} - r_{ji}) / 4 on i < j
-    return Multivector.build(
-        g_dim,
-        2,
-        [((i, j), coef * Fraction(1, 4)) for (i, j), coef in r_items if i != j],
+    return CECochain.build(
+        g,
+        0,
+        WEDGE(2),
+        [(((), (i, j)), coef * Fraction(1, 4)) for (i, j), coef in r_items if i != j],
     )
 
 
 def split_r(g: LieAlgebra, r: RMatrix) -> SplitReport:
     """r = 2 lambda + c: c = (r + r^T)/2, embed(2 lambda) = r - c."""
     c = _sym2(g, _symmetric_part_entries(r.tensor.items()))
-    lam = _antisymmetric_half(g.dim, r.tensor.items())
+    lam = _antisymmetric_half(g, r.tensor.items())
     residual = casimir_invariance_residual(g, c)
     return SplitReport(lam, c, residual.is_zero(), residual.support_size())
 
@@ -151,7 +152,7 @@ def split_r(g: LieAlgebra, r: RMatrix) -> SplitReport:
 class QuasiTriangularReport:
     cybe_residual: SparseTensor
     split: SplitReport
-    lambda_form_residual: Optional[Multivector]
+    lambda_form_residual: Optional[CECochain]
     criteria_agree: Optional[bool]
 
     @property
@@ -171,16 +172,16 @@ class QuasiTriangularReport:
 
 def lambda_form_residual(
     g: LieAlgebra,
-    lam: Multivector,
+    lam: CECochain,
     c: CECochain,
-    alt_mv: Optional[Multivector] = None,
-) -> Multivector:
+    alt_mv: Optional[CECochain] = None,
+) -> CECochain:
     """1/2 [[lambda, lambda]] + alt_mv + 3/2 casimir_to_phi(c), for a c
     that its caller has found invariant; alt_mv is 1/4 D for a dynamical r.
     The bracket term is -1/2 [lambda, d lambda] in Pol(BG, 1)."""
     P = PolyVectorAlgebra(g, 1)
-    lam_el = P.from_multivector(lam)
-    res = P.to_multivector(P.bracket(lam_el, P.d(lam_el)), 3).scale(Fraction(-1, 2))
+    lam_el = P.from_cochain(lam)
+    res = P.to_cochain(P.bracket(lam_el, P.d(lam_el)), 0, 3).scale(Fraction(-1, 2))
     if alt_mv is not None:
         res = res + alt_mv
     phi = casimir_to_phi_unchecked(g, c)
@@ -203,7 +204,7 @@ def quasitriangular_check(g: LieAlgebra, r: RMatrix) -> QuasiTriangularReport:
 # dynamical layer
 # ---------------------------------------------------------------------------
 
-def _h_derivative(dr: DynamicalRMatrix) -> Multivector:
+def _h_derivative(dr: DynamicalRMatrix) -> CECochain:
     """D = sum over a and the entries (i, j) of r of (h_a, i, j) d r_ij / d x_a:
     the derivative of r along h*, its new slot pushed into g, as a 3-vector."""
     entries = []
@@ -213,8 +214,8 @@ def _h_derivative(dr: DynamicalRMatrix) -> Multivector:
         for h_global, name in zip(dr.split.h_indices, dr.variables):
             dc = coef.derivative(name)
             if not dc.is_zero():
-                entries.append(((h_global, i, j), dc))
-    return Multivector.build(dr.split.g.dim, 3, entries)
+                entries.append((((), (h_global, i, j)), dc))
+    return CECochain.build(dr.split.g, 0, WEDGE(3), entries)
 
 
 @dataclass
@@ -223,7 +224,7 @@ class DynamicalReport:
     symmetric_part_constant: bool
     symmetric_part_invariant: bool
     cdybe_residual: SparseTensor
-    lambda_form_residual: Optional[Multivector]
+    lambda_form_residual: Optional[CECochain]
     criteria_agree: Optional[bool]
 
     @property
@@ -315,7 +316,7 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
     lf = None
     agree = None
     if constant and invariant:
-        lam = _antisymmetric_half(g.dim, dr.tensor.items())
+        lam = _antisymmetric_half(g, dr.tensor.items())
         lf = lambda_form_residual(g, lam, c, D.scale(Fraction(1, 4)))
         agree = residual == embed_wedge(lf).scale(KAPPA_CYBE)
     return DynamicalReport(equivariance, constant, invariant, residual, lf, agree)

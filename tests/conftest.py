@@ -6,11 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from qlie.lie import CECochain, SYM, WEDGE
 from qlie.linalg import rref
-from qlie.polyvectors import ce_differential
 from qlie.scalars import combine
-from qlie.tensors import Multivector
+from qlie.tensors import CECochain, SYM, WEDGE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -19,13 +17,8 @@ def rand_fraction(rng: random.Random, span: int = 3, den: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
 
-def rand_multivector(g, p: int, rng: random.Random) -> Multivector:
-    data = {}
-    for key in combinations(range(g.dim), p):
-        c = rand_fraction(rng)
-        if c:
-            data[key] = c
-    return Multivector(g.dim, p, data)
+def rand_multivector(g, p: int, rng: random.Random) -> CECochain:
+    return multivector(g, p, [(key, rand_fraction(rng)) for key in combinations(range(g.dim), p)])
 
 
 def rand_cobracket(g, rng: random.Random) -> CECochain:
@@ -49,6 +42,13 @@ def sym2(g, entries) -> CECochain:
     return CECochain.build(g, 0, SYM(2), [(((), tuple(key)), c) for key, c in entries])
 
 
+def multivector(g, p: int, entries=()) -> CECochain:
+    """The p-multivector with the given (index tuple, coefficient) entries,
+    in any index order (a permuted key carries its sign, a repeated index
+    vanishes), as the degree-0 cochain valued in WEDGE(p)."""
+    return CECochain.build(g, 0, WEDGE(p), [(((), tuple(key)), c) for key, c in entries])
+
+
 def sym2_entries(c):
     """The entries of c in Sym^2 g as a plain 2-tensor: each key in both orders."""
     return [((i, j), v) for ((), (a, b)), v in c.items() for i, j in {(a, b), (b, a)}]
@@ -67,24 +67,15 @@ def solve(rows, rhs, n_cols: int):
     return x
 
 
-def multivector_to_cochain(g, mv: Multivector) -> CECochain:
-    """mv as a degree-0 cochain valued in WEDGE(p)."""
-    return CECochain(g, 0, WEDGE(mv.p), {((), key): c for key, c in mv.data.items()})
-
-
-def coboundary(g, lam: Multivector) -> CECochain:
-    return ce_differential(multivector_to_cochain(g, lam))
-
-
-def sparse_multivector(g, p: int, rng: random.Random, n: int) -> Multivector:
+def sparse_multivector(g, p: int, rng: random.Random, n: int) -> CECochain:
     """A p-multivector with n seeded nonzero entries (all of them if there are fewer)."""
     keys = list(combinations(range(g.dim), p))
     keys = rng.sample(keys, min(n, len(keys)))
     coefs = [Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2)) for _ in keys]
-    return Multivector.build(g.dim, p, list(zip(keys, coefs)))
+    return multivector(g, p, zip(keys, coefs))
 
 
-def sparse_structures(g, rng: random.Random, n: int, phi_inv: Multivector):
+def sparse_structures(g, rng: random.Random, n: int, phi_inv: CECochain):
     """n pairs (delta, phi) with few nonzero entries, alternately passing and failing.
 
     Even trials twist (0, phi_inv) by a sparse lambda, so they pass when
@@ -100,7 +91,7 @@ def sparse_structures(g, rng: random.Random, n: int, phi_inv: Multivector):
             yield twist(base, Twist(sparse_multivector(g, 2, rng, 3)), validate=False)
         else:
             lam = sparse_multivector(g, 2, rng, 2)
-            entries = [(((k,), key), c) for key, c in lam.data.items() for k in rng.sample(range(d), 2)]
+            entries = [(((k,), key), c) for ((), key), c in lam.items() for k in rng.sample(range(d), 2)]
             delta = CECochain.build(g, 1, WEDGE(2), entries)
             yield QuasiLieBialgebra(g, delta, sparse_multivector(g, 3, rng, 2))
 
@@ -158,7 +149,7 @@ def sl3_plus_sl2():
     from qlie.lie import direct_sum, sl2, sl3
 
     g = direct_sum(sl3(), sl2())
-    return g, Multivector(g.dim, 3, {(8, 9, 10): Fraction(2)})
+    return g, multivector(g, 3, [((8, 9, 10), Fraction(2))])
 
 
 def ev_rmatrix(g, scale: int = 1):

@@ -43,7 +43,7 @@ def check_qlb_by_weight(q: QuasiLieBialgebra) -> QLBResiduals:
     """d delta, d phi + 1/2 [delta, delta] and [delta, phi], each on its own."""
     P = PolyVectorAlgebra(q.g, 1)
     delta_el = P.from_cochain(q.delta)
-    phi_el = P.from_multivector(q.phi)
+    phi_el = P.from_cochain(q.phi)
     res1 = P.to_cochain(P.d(delta_el), 2, 2)
     res2 = P.to_cochain(vec_add(P.d(phi_el), P.bracket(delta_el, delta_el), Fraction(1, 2)), 1, 3)
     res3 = P.to_cochain(P.bracket(delta_el, phi_el), 0, 4)
@@ -52,7 +52,7 @@ def check_qlb_by_weight(q: QuasiLieBialgebra) -> QLBResiduals:
 
 def structure_by_weight(P: PolyVectorAlgebra, delta, phi) -> ByWeight:
     """(delta, phi) per weight in Pol(BG, 1): weights 2 and 3."""
-    comps = {2: P.from_cochain(delta), 3: P.from_multivector(phi)}
+    comps = {2: P.from_cochain(delta), 3: P.from_cochain(phi)}
     return {w: el for w, el in comps.items() if el}
 
 
@@ -161,7 +161,7 @@ def gauge_verify(P: PolyVectorAlgebra, x: ByWeight, y: ByWeight, path: GaugePath
 def twist_path(P: PolyVectorAlgebra, delta0, phi0, lam):
     """The integrated gauge path of a twist, with y the output of `qlb.twist`:
     delta(t) = delta0 + t d(lam), phi(t) = phi0 + t [delta0, lam] + t^2/2 [d lam, lam]."""
-    lam_el = P.from_multivector(lam)
+    lam_el = P.from_cochain(lam)
     d_lam = P.d(lam_el)
 
     x = structure_by_weight(P, delta0, phi0)

@@ -18,24 +18,24 @@ from itertools import permutations
 from qlie.qlb import casimir_to_phi_unchecked
 from qlie.rmatrix import RMatrix, cybe
 from qlie.scalars import RationalFunction
-from qlie.tensors import LAMBDA_FORM_PHI_COEFF, Multivector, SparseTensor, _sort_with_sign
+from qlie.tensors import LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, WEDGE, _sort_with_sign
 
 
-def schouten(g, a: Multivector, b: Multivector) -> Multivector:
-    """Schouten bracket of polyvectors by the biderivation expansion; on
-    vectors it is the Lie bracket."""
-    p, q = a.p, b.p
+def schouten(g, a: CECochain, b: CECochain) -> CECochain:
+    """Schouten bracket of polyvectors (degree-0 WEDGE(p) cochains) by the
+    biderivation expansion; on vectors it is the Lie bracket."""
+    p, q = a.module[1], b.module[1]
     entries = []
-    for ka, ca in a.data.items():
-        for kb, cb in b.data.items():
+    for ((), ka), ca in a.data.items():
+        for ((), kb), cb in b.data.items():
             for s in range(p):
                 rest_a = ka[:s] + ka[s + 1 :]
                 for t in range(q):
                     rest_b = kb[:t] + kb[t + 1 :]
                     sign = (-1) ** ((s + 1) + (t + 1))
                     for m, c in g.bracket(ka[s], kb[t]).items():
-                        entries.append(((m,) + rest_a + rest_b, sign * ca * cb * c))
-    return Multivector.build(g.dim, p + q - 1, entries)
+                        entries.append((((), (m,) + rest_a + rest_b), sign * ca * cb * c))
+    return CECochain.build(g, 0, WEDGE(p + q - 1), entries)
 
 
 def alt_tensor(t: SparseTensor) -> SparseTensor:
@@ -68,7 +68,7 @@ def alt_ddr(split, t: SparseTensor) -> SparseTensor:
     return alt_tensor(SparseTensor.build(split.g.dim, 3, entries))
 
 
-def alt_mv_of_derivative(split, r_entries) -> Multivector:
+def alt_mv_of_derivative(split, r_entries) -> CECochain:
     """sum_k xi_k ^ (d lambda / d x_k) for lambda the antisymmetric half of r:
     each r entry contributes a quarter, lambda_ij = (r_ij - r_ji) / 4, and
     the wedge kills the symmetric part."""
@@ -79,11 +79,11 @@ def alt_mv_of_derivative(split, r_entries) -> Multivector:
         for a in range(split.dim_h):
             dc = coef.derivative(coef.vars[a])
             if not dc.is_zero():
-                entries.append(((split.h_indices[a], i, j), dc * Fraction(1, 4)))
-    return Multivector.build(split.g.dim, 3, entries)
+                entries.append((((), (split.h_indices[a], i, j)), dc * Fraction(1, 4)))
+    return CECochain.build(split.g, 0, WEDGE(3), entries)
 
 
-def lambda_form_residual(g, lam: Multivector, c, alt_mv=None) -> Multivector:
+def lambda_form_residual(g, lam: CECochain, c, alt_mv=None) -> CECochain:
     """1/2 schouten(lambda, lambda) + alt_mv + 3/2 casimir_to_phi(c)."""
     res = schouten(g, lam, lam).scale(Fraction(1, 2))
     if alt_mv is not None:

@@ -12,13 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_multivector, window_monos, zero_cobracket
+from conftest import multivector, rand_multivector, window_monos, zero_cobracket
 from qlie.lie import casimir_from_pairing, sl2, sl3
 from qlie.mc import mc_residual
 from qlie.polyvectors import PolyVectorAlgebra
 from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, mc_element, twist
 from qlie.scalars import combine, is_zero
-from qlie.tensors import Multivector
 
 
 def _add_term(acc, mono, coef):
@@ -127,7 +126,7 @@ def test_closed_form_matches_recursion_on_sl3_window_sample(shift):
 
 def test_algebras_are_not_retained(rng):
     g = sl2()
-    q = QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {(0, 1, 2): Fraction(1)}))
+    q = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [((0, 1, 2), Fraction(1))]))
     assert check_qlb(q).passed
     assert check_qlb(twist(q, Twist(rand_multivector(g, 2, rng)))).passed
     P = PolyVectorAlgebra(g, 1)

@@ -21,22 +21,16 @@ import pytest
 from qlie import linalg
 from qlie.errors import InputError
 from qlie.lie import (
-    ADJOINT,
-    CECochain,
-    SYM,
-    TRIVIAL,
-    WEDGE,
     abelian,
     direct_sum,
     heisenberg,
-    multiplicity_factorial,
     sl,
     sl2,
     sl3,
 )
 from qlie.polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, invariants
 from qlie.scalars import combine
-from qlie.tensors import _sort_with_sign
+from qlie.tensors import ADJOINT, CECochain, SYM, TRIVIAL, WEDGE, _sort_with_sign, multiplicity_factorial
 
 MODULES = (TRIVIAL, ADJOINT, WEDGE(2), WEDGE(3), SYM(2), SYM(3))
 ALGEBRAS = {

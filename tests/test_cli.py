@@ -496,7 +496,6 @@ def test_mc_residual_beyond_dim_8_agrees_with_check_qlb(tmp_path):
 
     from conftest import sl3_plus_sl2, sparse_structures
     from qlie.formats import cochain_to_entries, lie_to_dict
-    from qlie.formats import tensor_to_entries as multivector_to_entries
 
     g, phi_inv = sl3_plus_sl2()
     algebra = tmp_path / "sl3+sl2.json"
@@ -505,7 +504,7 @@ def test_mc_residual_beyond_dim_8_agrees_with_check_qlb(tmp_path):
     for n, q in enumerate(sparse_structures(g, random.Random(20240912), 4, phi_inv)):
         delta, phi = tmp_path / f"delta{n}.json", tmp_path / f"phi{n}.json"
         delta.write_text(json.dumps({"signature": "cobracket", "entries": cochain_to_entries(q.delta)}))
-        phi.write_text(json.dumps({"signature": "wedge3", "entries": multivector_to_entries(q.phi, g)}))
+        phi.write_text(json.dumps({"signature": "wedge3", "entries": cochain_to_entries(q.phi)}))
         files = (str(algebra), "--delta", str(delta), "--phi", str(phi))
         report, code = invoke("mc-residual", *files[:1], "--shift", "1", *files[1:])
         assert report["checks"][0]["name"] == "maurer-cartan"

@@ -42,6 +42,7 @@ from qlie.qlb import (
     verify_coisotropic_morphism,
 )
 from qlie.scalars import combine, vec_add
+from qlie.tensors import _sort_with_sign
 
 
 def sl2_plus_sl2_diagonal():
@@ -121,6 +122,10 @@ def hand_built_twist(q, Ph):
         v = q.delta.data.get(((k,), tuple(sorted((i, j)))), Fraction(0))
         return v if i < j else -v if i > j else Fraction(0)
 
+    def phi_comp(i, j, k):
+        res = _sort_with_sign((i, j, k))
+        return res[0] * q.phi.data.get(((), res[1]), Fraction(0)) if res else Fraction(0)
+
     def monomial(gens, coef):
         res = Ph.canonicalize(gens)
         return [] if res is None else [(res[1], res[0] * coef)]
@@ -128,7 +133,7 @@ def hand_built_twist(q, Ph):
     def cov_extra(i):
         for j in range(nh):
             for k in range(nh):
-                yield from monomial([(1, j), (1, k)], Fraction(1, 2) * q.phi.get((i, j, k)))
+                yield from monomial([(1, j), (1, k)], Fraction(1, 2) * phi_comp(i, j, k))
                 yield from monomial([(0, k), (1, j)], -delta_comp(i, j, k))
 
     def vec_extra(i):
@@ -145,7 +150,7 @@ def hand_built_twist(q, Ph):
 def test_twisted_differential_matches_hand_built_images(split, c):
     q = induce_from_coisotropic(split, c)
     Ph = PolyVectorAlgebra(q.g, 1)
-    mu = vec_add(Ph.from_cochain(q.delta), Ph.from_multivector(q.phi))
+    mu = vec_add(Ph.from_cochain(q.delta), Ph.from_cochain(q.phi))
     cov, vec = hand_built_twist(q, Ph)
     for i in range(q.g.dim):
         for image, gen in ((cov[i], ((i,), ())), (vec[i], ((), (i,)))):

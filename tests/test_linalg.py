@@ -12,15 +12,9 @@ import pytest
 
 from conftest import solve
 from qlie import linalg
-from qlie.lie import (
-    ADJOINT,
-    SYM,
-    TRIVIAL,
-    WEDGE,
-    sl2,
-    sl3,
-)
+from qlie.lie import sl2, sl3
 from qlie.polyvectors import cohomology_dim, invariants
+from qlie.tensors import ADJOINT, SYM, TRIVIAL, WEDGE
 from test_ce_reference import module_action, module_basis
 
 

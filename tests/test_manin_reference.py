@@ -21,15 +21,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import reassembled_bracket, solve, sym2, sym2_entries
+from conftest import multivector, reassembled_bracket, solve, sym2, sym2_entries
 from test_coisotropic import CASES, families
 from qlie import linalg
 from qlie.errors import InputError
 from qlie.lie import (
-    CECochain,
     LieAlgebra,
-    SYM,
-    WEDGE,
     abelian,
     casimir_from_pairing,
     casimir_of,
@@ -60,7 +57,7 @@ from qlie.qlb import (
     split_casimir,
 )
 from qlie.scalars import is_zero
-from qlie.tensors import Multivector, SparseTensor, _sort_with_sign, embed_wedge
+from qlie.tensors import CECochain, SYM, SparseTensor, WEDGE, _sort_with_sign, embed_wedge
 
 
 def ref_check_quadratic(d):
@@ -141,7 +138,7 @@ def ref_induce(split, c):
                     expect = sgn * phi_entries.get(srt, Fraction(0))
                 if phi_component(i, j, k) != expect:
                     raise InputError("induced associator components are not antisymmetric")
-    return delta, Multivector(h.dim, 3, phi_entries)
+    return delta, multivector(h, 3, phi_entries.items())
 
 
 def ref_invariance_identities(split, P, Q):
@@ -276,7 +273,7 @@ def ref_triple_to_bialgebra(t):
         for p, v in gram[w].items()
     ]
     delta = CECochain.build(g_sub, 1, WEDGE(2), delta_entries)
-    return QuasiLieBialgebra(g_sub, delta, Multivector.zero(n, 3))
+    return QuasiLieBialgebra(g_sub, delta, multivector(g_sub, 3))
 
 
 def casimir_commutator(g, c):
@@ -305,7 +302,7 @@ def ref_casimir_to_phi(g, c):
     for key, coef in tensor.items():
         if list(key) == sorted(set(key)):
             entries[key] = Fraction(-1, 6) * coef
-    phi = Multivector(g.dim, 3, entries)
+    phi = multivector(g, 3, entries.items())
     # total antisymmetry of [c12, c23] holds exactly when c is invariant
     if embed_wedge(phi) != tensor.scale(Fraction(-1, 6)):
         raise InputError("commutator of an invariant Casimir must be antisymmetric")
@@ -582,7 +579,7 @@ def relabelled(t, order, scale):
 
 
 def zero_double(g):
-    return drinfeld_double(QuasiLieBialgebra(g, CECochain(g, 1, WEDGE(2), {}), Multivector.zero(g.dim, 3)))
+    return drinfeld_double(QuasiLieBialgebra(g, CECochain(g, 1, WEDGE(2), {}), multivector(g, 3)))
 
 
 def triple_cases():

@@ -4,12 +4,13 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import rand_multivector, window_monos
+from conftest import multivector, rand_multivector, window_monos
 from test_ce_reference import ref_ce_differential as ce_differential  # the slot formula
-from qlie.lie import CECochain, WEDGE, abelian, sl2, sl3
+from test_tensors import wedge  # the product of Pol(BG, 1)
+from qlie.lie import abelian, sl2, sl3
 from qlie.polyvectors import PolyVectorAlgebra
 from qlie.scalars import vec_add, vec_scale
-from qlie.tensors import Multivector
+from qlie.tensors import CECochain, WEDGE
 from rmatrix_oracle import schouten  # the classical expansion
 
 
@@ -132,9 +133,7 @@ def test_engine_matches_slot_differential(rng):
 
 def test_schouten_is_lie_bracket_on_vectors():
     g = sl2()
-    e = Multivector.basis(3, (0,))
-    f = Multivector.basis(3, (1,))
-    h = Multivector.basis(3, (2,))
+    e, f, h = (multivector(g, 1, [((i,), F(1))]) for i in range(3))
     assert schouten(g, e, f) == h
     assert schouten(g, h, e) == e.scale(F(2))
     assert schouten(g, h, f) == f.scale(F(-2))
@@ -151,12 +150,12 @@ def test_schouten_ef_squared():
     # frozen oracle: the classical 4-term expansion gives
     # [[e^f, e^f]] = 2 e^f^h on sl2
     g = sl2()
-    ef = Multivector.basis(3, (0, 1))
-    assert schouten(g, ef, ef) == Multivector(3, 3, {(0, 1, 2): F(2)})
+    ef = multivector(g, 2, [((0, 1), F(1))])
+    assert schouten(g, ef, ef) == multivector(g, 3, [((0, 1, 2), F(2))])
     # and the big-bracket square [el, d el] has the opposite sign (ledger relation)
     P = PolyVectorAlgebra(g, 1)
-    el = P.from_multivector(ef)
-    assert P.to_multivector(P.bracket(el, P.d(el)), 3) == Multivector(3, 3, {(0, 1, 2): F(-2)})
+    el = P.from_cochain(ef)
+    assert P.to_cochain(P.bracket(el, P.d(el)), 0, 3) == multivector(g, 3, [((0, 1, 2), F(-2))])
 
 
 def test_schouten_agrees_with_derived_bracket(rng):
@@ -170,16 +169,15 @@ def test_schouten_agrees_with_derived_bracket(rng):
                 a = rand_multivector(g, p, rng)
                 b = rand_multivector(g, q, rng)
                 direct = schouten(g, a, b)
-                el = vec_scale(P.bracket(P.from_multivector(a), P.d(P.from_multivector(b))), F(-1))
-                assert P.to_multivector(el, p + q - 1) == direct
+                el = vec_scale(P.bracket(P.from_cochain(a), P.d(P.from_cochain(b))), F(-1))
+                assert P.to_cochain(el, 0, p + q - 1) == direct
 
 
 def test_schouten_biderivation_over_wedge(rng):
-    # [[x, b ^ c]] = [[x, b]] ^ c + b ^ [[x, c]] for a vector x
-    from qlie.tensors import wedge
-
+    # [[x, b ^ c]] = [[x, b]] ^ c + b ^ [[x, c]] for a vector x, with the
+    # exterior product taken as the product of Pol(BG, 1)
     g = sl2()
-    x = Multivector.basis(3, (2,))
+    x = multivector(g, 1, [((2,), F(1))])
     b = rand_multivector(g, 1, rng)
     c = rand_multivector(g, 1, rng)
     lhs = schouten(g, x, wedge(b, c))

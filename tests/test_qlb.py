@@ -2,18 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coboundary, multivector_to_cochain, permute_slots, rand_multivector, sym2, zero_cobracket
+from conftest import multivector, permute_slots, rand_cobracket, rand_multivector, sym2, zero_cobracket
 from qlie.errors import InputError, PreconditionError
 from qlie.lie import (
-    CECochain,
-    WEDGE,
     abelian,
     casimir_from_pairing,
     sl2,
     sl3,
     split_subalgebra,
 )
-from qlie.polyvectors import ce_differential, invariants
+from qlie.polyvectors import PolyVectorAlgebra, ce_differential, invariants
 from qlie.qlb import (
     QuasiLieBialgebra,
     Twist,
@@ -25,7 +23,7 @@ from qlie.qlb import (
     verify_coisotropic_morphism,
 )
 from test_manin_reference import casimir_commutator
-from qlie.tensors import CASIMIR_VS_INDUCED, Multivector, embed_wedge
+from qlie.tensors import CASIMIR_VS_INDUCED, CECochain, SYM, WEDGE, embed_wedge
 
 
 def F(a, b=1):
@@ -37,13 +35,13 @@ EFH = (0, 1, 2)
 
 def test_trivial_structures_pass():
     for g in (sl2(), abelian(4)):
-        q = QuasiLieBialgebra(g, zero_cobracket(g), Multivector.zero(g.dim, 3))
+        q = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3))
         assert check_qlb(q).passed
 
 
 def test_invariant_top_form_passes():
     g = sl2()
-    q = QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {EFH: F(1)}))
+    q = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [(EFH, F(1))]))
     res = check_qlb(q)
     assert res.passed
     assert res.max_support() == {"cocycle": 0, "cojacobi": 0, "compat": 0}
@@ -52,7 +50,7 @@ def test_invariant_top_form_passes():
 def test_non_cocycle_fails_with_residual():
     g = sl2()
     delta = CECochain(g, 1, WEDGE(2), {((0,), (0, 1)): F(1)})
-    q = QuasiLieBialgebra(g, delta, Multivector.zero(3, 3))
+    q = QuasiLieBialgebra(g, delta, multivector(g, 3))
     res = check_qlb(q)
     assert not res.passed
     assert res.cocycle == ce_differential(delta)
@@ -61,26 +59,26 @@ def test_non_cocycle_fails_with_residual():
 
 def test_twist_of_zero_structure(rng):
     g = sl2()
-    q0 = QuasiLieBialgebra(g, zero_cobracket(g), Multivector.zero(3, 3))
+    q0 = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3))
     lam = rand_multivector(g, 2, rng)
     qt = twist(q0, Twist(lam))
-    assert qt.delta == coboundary(g, lam)
+    assert qt.delta == ce_differential(lam)
     assert check_qlb(qt).passed
 
 
 def test_twist_identity():
     g = sl2()
-    q = QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {EFH: F(2)}))
-    qt = twist(q, Twist(Multivector.zero(3, 2)))
+    q = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [(EFH, F(2))]))
+    qt = twist(q, Twist(multivector(g, 2)))
     assert qt == q
 
 
 def test_twist_closure_and_inversion(rng):
     g = sl2()
     shipped = [
-        QuasiLieBialgebra(g, zero_cobracket(g), Multivector.zero(3, 3)),
-        QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {EFH: F(1)})),
-        QuasiLieBialgebra(g, coboundary(g, Multivector(3, 2, {(0, 1): F(1, 4)})), Multivector.zero(3, 3)),
+        QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3)),
+        QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [(EFH, F(1))])),
+        QuasiLieBialgebra(g, ce_differential(multivector(g, 2, [((0, 1), F(1, 4))])), multivector(g, 3)),
     ]
     for q in shipped:
         assert check_qlb(q).passed
@@ -94,19 +92,39 @@ def test_twist_closure_and_inversion(rng):
 def test_twist_cocycle_consistency(rng):
     # delta of a twist differs from the original by the coboundary of lambda
     g = sl2()
-    q = QuasiLieBialgebra(g, zero_cobracket(g), Multivector(3, 3, {EFH: F(1)}))
+    q = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [(EFH, F(1))]))
     for _ in range(10):
         lam = rand_multivector(g, 2, rng)
         qt = twist(q, Twist(lam))
-        assert qt.delta - q.delta == coboundary(g, lam)
+        assert qt.delta - q.delta == ce_differential(lam)
+
+
+def test_structure_over_another_algebra_is_rejected(rng):
+    # a delta or phi read over sl3 does not describe a structure on sl2; the
+    # three residuals would index past sl2's basis
+    g, other = sl2(), sl3()
+    with pytest.raises(InputError, match="delta"):
+        QuasiLieBialgebra(g, rand_cobracket(other, rng), multivector(g, 3))
+    with pytest.raises(InputError, match="phi"):
+        QuasiLieBialgebra(g, zero_cobracket(g), multivector(other, 3, [((0, 1, 2), F(1))]))
+    with pytest.raises(InputError, match="phi"):
+        QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 2))
+    with pytest.raises(InputError, match="twist"):
+        Twist(multivector(g, 3))
+    with pytest.raises(InputError, match="wrong space"):
+        twist(QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3)), Twist(multivector(other, 2)))
+    # the polyvector encoding refuses a cochain over a space of another dimension
+    for x in (multivector(other, 3, [((0, 1, 2), F(1))]), zero_cobracket(other), sym2(other, [])):
+        with pytest.raises(InputError, match="wrong space"):
+            PolyVectorAlgebra(g, 2 if x.module == SYM(2) else 1).from_cochain(x)
 
 
 def test_twist_rejects_invalid_input():
     g = sl2()
     delta = CECochain(g, 1, WEDGE(2), {((0,), (0, 1)): F(1)})
-    q = QuasiLieBialgebra(g, delta, Multivector.zero(3, 3))
+    q = QuasiLieBialgebra(g, delta, multivector(g, 3))
     with pytest.raises(PreconditionError):
-        twist(q, Twist(Multivector.zero(3, 2)))
+        twist(q, Twist(multivector(g, 2)))
 
 
 def test_casimir_commutator_is_signed_orbit():
@@ -129,7 +147,7 @@ def test_casimir_to_phi_values_and_validity():
     g = sl2()
     c = casimir_from_pairing(g)
     phi = casimir_to_phi(g, c)
-    assert phi == Multivector(3, 3, {EFH: F(-1, 6)})
+    assert phi == multivector(g, 3, [(EFH, F(-1, 6))])
     assert embed_wedge(phi) == casimir_commutator(g, c).scale(F(-1, 6))
     q = QuasiLieBialgebra(g, zero_cobracket(g), phi)
     assert check_qlb(q).passed
@@ -159,15 +177,13 @@ def test_casimir_to_phi_antisymmetric_outputs(rng):
 
 
 def test_kostant_desk_scale():
-    from qlie.lie import SYM, WEDGE
-
     for g in (sl2(), sl3()):
         assert len(invariants(g, SYM(2))) == 1
         assert len(invariants(g, WEDGE(3))) == 1
         phi = casimir_to_phi(g, casimir_from_pairing(g))
         assert not phi.is_zero()
         # the image lies in the invariant line
-        assert ce_differential(multivector_to_cochain(g, phi)).is_zero()
+        assert ce_differential(phi).is_zero()
 
 
 def test_coisotropic_casimir_check_cases():
@@ -259,8 +275,6 @@ def test_verify_morphism_sl3_borel():
 
 
 def test_big_bracket_generator_pairing():
-    from qlie.polyvectors import PolyVectorAlgebra
-
     g = sl2()
     P = PolyVectorAlgebra(g, 1)
     for i in range(3):
@@ -271,7 +285,7 @@ def test_big_bracket_generator_pairing():
             assert P.bracket(cov, {((j,), ()): F(1)}) == {}
             assert P.bracket(vec, {((), (i,)): F(1)}) == {}
     # [delta, phi] = 0 when delta = 0
-    phi = P.from_multivector(Multivector(3, 3, {EFH: F(1)}))
+    phi = P.from_cochain(multivector(g, 3, [(EFH, F(1))]))
     assert P.bracket({}, phi) == {}
 
 
@@ -279,8 +293,8 @@ def test_twist_of_zero_by_ef_frozen_values():
     # twisting (0, 0) by e ^ f yields (d(e^f), -(1/2)[lambda, d lambda])
     # whose associator equals + e ^ f ^ h under the ledger conventions
     g = sl2()
-    lam = Multivector(3, 2, {(0, 1): F(1)})
-    q = twist(QuasiLieBialgebra(g, zero_cobracket(g), Multivector.zero(3, 3)), Twist(lam))
-    assert q.delta == coboundary(g, lam)
-    assert q.phi == Multivector(3, 3, {EFH: F(1)})
+    lam = multivector(g, 2, [((0, 1), F(1))])
+    q = twist(QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3)), Twist(lam))
+    assert q.delta == ce_differential(lam)
+    assert q.phi == multivector(g, 3, [(EFH, F(1))])
     assert check_qlb(q).passed

@@ -43,6 +43,16 @@ CASES = {
         "mc-residual", *SL2, "--shift", "2", "--casimir", "sym2_noninvariant_sl2.json"
     ),
     "invariants-sym2-sl3": ("invariants", *SL3, "--module", "sym2"),
+    "check-qlb-phi-efh-sl2": ("check-qlb", *SL2, "--delta", "delta_std_sl2.json", "--phi", "phi_efh.json"),
+    "check-qlb-bad-delta-sl2": ("check-qlb", *SL2, "--delta", "delta_bad_sl2.json", "--phi", "phi_zero.json"),
+    "twist-lambda-ef-sl2": (
+        "twist", *SL2, "--delta", "delta_std_sl2.json", "--phi", "phi_zero.json", "--lambda", "lambda_ef.json"
+    ),
+    "mc-residual-shift1-phi-efh-sl2": (
+        "mc-residual", *SL2, "--shift", "1", "--delta", "delta_std_sl2.json", "--phi", "phi_efh.json"
+    ),
+    "double-std-sl2": ("double", *SL2, "--delta", "delta_std_sl2.json"),
+    "std-triple-sl3": ("std-triple", "--algebra", "sl3"),
 }
 
 

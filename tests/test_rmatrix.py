@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import rmatrix_oracle
-from conftest import FIXTURES, ev_rmatrix, ev_rmatrix_sl3, permute_slots, rand_multivector, sym2_entries
+from conftest import FIXTURES, ev_rmatrix, ev_rmatrix_sl3, multivector, permute_slots, rand_multivector, sym2_entries
 from qlie.errors import InputError
 from qlie.lie import abelian, casimir_from_pairing, sl, sl2, sl3, split_subalgebra
 from qlie.qlb import casimir_to_phi
@@ -18,7 +18,7 @@ from qlie.rmatrix import (
     split_r,
 )
 from qlie.scalars import Polynomial, RationalFunction, parse_scalar
-from qlie.tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, Multivector, SparseTensor, embed_wedge
+from qlie.tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, SparseTensor, embed_wedge
 from rmatrix_oracle import alt_ddr, d_dr, schouten
 
 
@@ -101,7 +101,7 @@ def test_cybe_is_quadratic(rng):
 def test_split_r_cases():
     g = sl2()
     rep = split_r(g, std_r())
-    assert rep.lam == Multivector(3, 2, {(0, 1): F(1, 4)})
+    assert rep.lam == multivector(g, 2, [((0, 1), F(1, 4))])
     assert dict(rep.c.data) == {((), (0, 1)): F(1, 2), ((), (2, 2)): F(1, 4)}
     assert rep.symmetric_part_invariant
     # symmetric input: lambda = 0
@@ -180,7 +180,7 @@ def test_alt_ddr_definition():
     t = SparseTensor.build(3, 3, [((0, 0, 1), F(1))])
     out = alt_ddr(split, t)
     # h (x) e (x) f fully antisymmetrized = embed(h ^ e ^ f) = embed(e ^ f ^ h)
-    expect = embed_wedge(Multivector(3, 3, {(0, 1, 2): F(1)}))
+    expect = embed_wedge(multivector(g, 3, [((0, 1, 2), F(1))]))
     assert out == expect
     assert alt_ddr(split, SparseTensor.build(3, 3, [])).is_zero()
 

@@ -1,8 +1,9 @@
 """The sparse-combination kernel and the containers built on it.
 
 `combine` sums (key, coefficient) terms and drops zero sums; the
-`SparseVector` containers (`SparseTensor`, `Multivector`, `CECochain`)
-take their linear structure from it.  Each container is checked against
+`SparseVector` containers (`SparseTensor` and `CECochain`, here also as
+a multivector, a degree-0 WEDGE(2) cochain) take their linear structure
+from it.  Each container is checked against
 entrywise arithmetic on seeded data, over Q and over a rational-function
 field.
 """
@@ -14,9 +15,9 @@ from itertools import combinations, product
 import pytest
 
 from qlie.errors import InputError
-from qlie.lie import ADJOINT, CECochain, sl3
+from qlie.lie import abelian, sl3
 from qlie.scalars import RationalFunction, combine, is_zero, vec_add, vec_scale
-from qlie.tensors import Multivector, SparseTensor
+from qlie.tensors import ADJOINT, CECochain, SparseTensor, WEDGE
 
 VARS = ("x", "y")
 
@@ -34,13 +35,15 @@ def tensor_case():
 
 
 def multivector_case():
+    # a 2-multivector: the degree-0 cochain valued in WEDGE(2)
+    g = abelian(6)
     return {
-        "make": lambda data: Multivector(6, 2, data),
-        "build": lambda entries: Multivector.build(6, 2, entries),
-        "keys": list(combinations(range(6), 2)),
-        "other": Multivector(5, 2),
-        "repeated": (3, 3),
-        "swap": lambda key: (key[1], key[0]),
+        "make": lambda data: CECochain(g, 0, WEDGE(2), data),
+        "build": lambda entries: CECochain.build(g, 0, WEDGE(2), entries),
+        "keys": [((), key) for key in combinations(range(6), 2)],
+        "other": CECochain(abelian(5), 0, WEDGE(2)),
+        "repeated": ((), (3, 3)),
+        "swap": lambda key: ((), (key[1][1], key[1][0])),
     }
 
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
-from conftest import permute_slots, rand_multivector, sym2
+from conftest import multivector, permute_slots, rand_multivector, sym2
 from qlie.lie import sl2, split_subalgebra
+from qlie.polyvectors import PolyVectorAlgebra
 from qlie.qlb import split_casimir
-from qlie.tensors import Multivector, SparseTensor, embed_wedge, wedge
+from qlie.tensors import CECochain, SparseTensor, WEDGE, embed_wedge
 from rmatrix_oracle import alt_tensor
 
 
@@ -13,26 +14,35 @@ def F(a, b=1):
 
 def mv(*entries):
     p = len(entries[0][0])
-    dim = 3
-    return Multivector.build(dim, p, [(k, F(c)) for k, c in entries])
+    return multivector(sl2(), p, [(k, F(c)) for k, c in entries])
+
+
+def basis(i):
+    return multivector(sl2(), 1, [((i,), F(1))])
+
+
+def wedge(a, b):
+    """The exterior product of two multivectors: the product of Pol(BG, 1)."""
+    P = PolyVectorAlgebra(a.g, 1)
+    return P.to_cochain(P.mul(P.from_cochain(a), P.from_cochain(b)), 0, a.module[1] + b.module[1])
 
 
 def test_wedge_repeated_index_vanishes():
-    e = Multivector.basis(3, (0,))
+    e = basis(0)
     assert wedge(e, e).is_zero()
 
 
 def test_wedge_sign_rule():
-    e = Multivector.basis(3, (0,))
-    f = Multivector.basis(3, (1,))
+    e = basis(0)
+    f = basis(1)
     assert wedge(e, f) == -wedge(f, e)
-    assert wedge(e, f).data == {(0, 1): 1}
+    assert wedge(e, f).data == {((), (0, 1)): 1}
 
 
 def test_wedge_top_form():
-    e, f, h = (Multivector.basis(3, (i,)) for i in range(3))
+    e, f, h = (basis(i) for i in range(3))
     top = wedge(wedge(e, f), h)
-    assert top.data == {(0, 1, 2): 1}
+    assert top.data == {((), (0, 1, 2)): 1}
     # graded commutativity and associativity on bivectors
     ef = wedge(e, f)
     assert wedge(ef, h) == wedge(h, ef)  # (-1)^{2*1} = +1
@@ -48,7 +58,7 @@ def test_embed_wedge_definition():
     assert t3.data[(0, 1, 2)] == 1
     assert t3.data[(1, 0, 2)] == -1
     assert len(t3.data) == 6
-    assert embed_wedge(Multivector.zero(3, 2)).is_zero()
+    assert embed_wedge(multivector(sl2(), 2)).is_zero()
 
 
 def test_embed_wedge_linear_and_antisymmetric(rng):
@@ -78,10 +88,14 @@ def test_sym_storage_reads_all_orders():
 
 
 def test_anti_storage_signed_reads():
-    t = Multivector.build(3, 2, [((0, 2), F(3))])
-    assert t.get((2, 0)) == -3
-    assert t.get((0, 2)) == 3
-    assert t.get((1, 1)) == 0
+    # a multivector stores the increasing key; an entry on a permuted key
+    # lands there with its sign, and one on a repeated index vanishes
+    g = sl2()
+    t = CECochain.build(g, 0, WEDGE(2), [(((), (0, 2)), F(3))])
+    assert t.data == {((), (0, 2)): 3}
+    assert CECochain.build(g, 0, WEDGE(2), [(((), (2, 0)), F(-3))]) == t
+    assert CECochain.build(g, 0, WEDGE(2), [(((), (2, 0)), F(3))]) == -t
+    assert CECochain.build(g, 0, WEDGE(2), [(((), (1, 1)), F(3))]).is_zero()
 
 
 def test_alt_tensor_on_antisymmetric_input():
