@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from . import formats
@@ -282,9 +281,14 @@ def cmd_std_triple(args, inputs):
 
 def cmd_invariants(args, inputs):
     g = _load_algebra(args.file, inputs)
-    module, size = (SYM(2), comb(g.dim + 1, 2)) if args.module == "sym2" else (WEDGE(3), comb(g.dim, 3))
+    module, shift = (SYM(2), 2) if args.module == "sym2" else (WEDGE(3), 1)
+    # the kernel is taken on the weight-0 block of the module (see
+    # polyvectors), so that block is what the bound counts
+    size = len(PolyVectorAlgebra(g, shift).weight_zero_basis(0, module[1]))
     if size > formats.MAX_MODULE_DIM:
-        raise InputError(f"{args.module} has dimension {size}, over the limit of {formats.MAX_MODULE_DIM}")
+        raise InputError(
+            f"the weight-0 block of {args.module} has dimension {size}, over the limit of {formats.MAX_MODULE_DIM}"
+        )
     basis = invariants(g, module)
     data = {
         "dimension": len(basis),

@@ -35,13 +35,17 @@ DEGREE_ZERO_MODULES = {"wedge2": WEDGE(2), "wedge3": WEDGE(3), "sym2": SYM(2)}
 # the scan.  The zero-cobracket doubles of sl8 (1,806, 1.1-1.3 s) and of
 # sl8 (+) abelian17 (80 labels, 1,806 constants, 1.05 s) and the standard
 # sl7 bialgebra (1,740, 0.6 s) pass, sl9 (2,592) is refused; times are the
-# best of 3 in-process runs of `double` on 2 vCPUs.  `invariants` refuses
-# a module of dimension over MAX_MODULE_DIM = C(26, 3): the kernel of d on
-# the abelian algebra is the whole module, a dense basis of dim^2 entries
-# (about 1 s for wedge3 at 26 labels or sym2 at 71).  The support of a tensor read
-# over an algebra is bounded where it costs: `mc.MAX_PAIRS` caps the pairs
-# of monomials that the Maurer-Cartan residual of `check-qlb`, `twist` and
-# `mc-residual` forms.
+# best of 3 in-process runs of `double` on 2 vCPUs.  `invariants` reduces
+# only the weight-0 block of the module (see polyvectors) and refuses a
+# block of over MAX_MODULE_DIM = C(26, 3) keys; counting it takes at most
+# 0.06 s at 80 labels.  On the abelian algebra the block, and the kernel,
+# is the whole module (0.07 s for wedge3 at 26 labels, 0.05 s for sym2 at
+# 71), so that is the case the bound is for; on sl9 the block has 512 of
+# the 82,160 keys of wedge3 (1.1 s) and 72 of the 3,240 of sym2 (0.16 s);
+# times are the best of 3 in-process runs of `invariants` on 2 vCPUs.  The
+# support of a tensor read over an algebra is bounded where it costs:
+# `mc.MAX_PAIRS` caps the pairs of monomials that the Maurer-Cartan
+# residual of `check-qlb`, `twist` and `mc-residual` forms.
 MAX_INPUT_BYTES = 1 << 20
 MAX_BASIS_LABELS = 80
 MAX_DOUBLE_CONSTANTS = 2000

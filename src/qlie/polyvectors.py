@@ -32,12 +32,29 @@ polyvector weight 0, 1 or p at shift 1; one valued in SYM(p) is the
 weight-p slice at shift 2.  `ce_differential`, `cohomology_dim` and
 `invariants` work through that embedding: the first encodes, applies d
 and decodes; the other two take d of each unit cochain of a slice as one
-column, and read off its rank or, on C^0, its kernel.  Multivectors and
-Casimirs are degree-0 cochains too: `from_cochain` puts a p-multivector,
-the WEDGE(p) cochain, on the weight-p slice at shift 1 and a Casimir c in
-Sym^2 g, the SYM(2) cochain, on the weight-2 slice at shift 2, and
-`to_cochain(a, 0, p)` reads either back.  The exterior product of
-multivectors is `mul` at shift 1.
+column, and read off its rank or, on C^0, its kernel.
+
+Those two build only the weight-0 block of the slice.  The basis
+elements e_h whose ad is diagonal in the basis, [e_h, e_j] = w_h(j) e_j,
+commute with each other and give every basis element e_j a weight w(j);
+a key (cov, vec) has the weight sum w(vec) - sum w(cov), and d keeps it,
+so the complex is the direct sum of its weight blocks.  On C^*(g, M) the
+Lie derivative L_h = d i_h + i_h d (Cartan's formula, i_h the contraction
+with e_h, which keeps weights since w(h) = 0) acts on the block of weight
+lambda as lambda_h, so a block with lambda_h != 0 is acyclic and, on C^0,
+d is injective on it (Chevalley-Eilenberg, Trans. AMS 63, 1948;
+Hochschild-Serre, Ann. Math. 57, 1953).  Cohomology and invariants are
+those of the weight-0 block, and since the matrix of d is block diagonal,
+its weight-0 block has the same pivot and free columns as the whole: the
+invariants come out with the same normalization, entry for entry.  When
+no such e_h acts by a nonzero weight (abelian or Heisenberg algebras),
+every key has weight 0 and the block is the whole slice.
+
+Multivectors and Casimirs are degree-0 cochains too: `from_cochain` puts
+a p-multivector, the WEDGE(p) cochain, on the weight-p slice at shift 1
+and a Casimir c in Sym^2 g, the SYM(2) cochain, on the weight-2 slice at
+shift 2, and `to_cochain(a, 0, p)` reads either back.  The exterior
+product of multivectors is `mul` at shift 1.
 
 The Schouten bracket of multivectors is the derived bracket
 [[a, b]] = -[a, d b] at shift 1 (the ledger's schouten_convention);
@@ -46,8 +63,10 @@ The Schouten bracket of multivectors is the derived bracket
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -230,6 +249,58 @@ class PolyVectorAlgebra:
             vecs = list(combinations_with_replacement(range(self.g.dim), w))
         return [(c, v) for c in covs for v in vecs]
 
+    def weight_zero_basis(self, k: int, w: int) -> List[Mono]:
+        """The keys of slice_basis(k, w) of weight 0 (see the module
+        docstring), in the same order.  Each is a key with its last index
+        taken off, from slice_basis, followed by every index of the weight
+        that makes the sum 0; the slice itself is never formed."""
+        if k < 0 or w < 0:
+            return []
+        if not (k or w):
+            return [((), ())]
+        weights = _basis_weights(self.g)
+        zero = (0,) * len(weights[0]) if weights else ()
+        by_weight: Dict[Tuple[int, ...], List[int]] = {}
+        for j, wt in enumerate(weights):
+            by_weight.setdefault(wt, []).append(j)
+
+        def total(indices):
+            return tuple(map(sum, zip(zero, *(weights[i] for i in indices))))
+
+        keys = []
+        for cov, vec in self.slice_basis(k, w - 1) if w else self.slice_basis(k - 1, 0):
+            if w:  # the last index ends vec, after vec[-1] (or at it, at shift 2)
+                need = tuple(a - b for a, b in zip(total(cov), total(vec)))
+                lowest = vec[-1] + self.vec_parity if vec else 0
+            else:  # the last index ends cov
+                need, lowest = tuple(-a for a in total(cov)), cov[-1] + 1 if cov else 0
+            last = by_weight.get(need, [])
+            for x in last[bisect_left(last, lowest) :]:
+                keys.append((cov, vec + (x,)) if w else (cov + (x,), vec))
+        return keys
+
+
+def _basis_weights(g: LieAlgebra) -> List[Tuple[int, ...]]:
+    """The weight of each basis element e_j: its eigenvalues w_h(j) under
+    the basis elements e_h whose ad is diagonal in the basis with rational
+    eigenvalues, not all 0, one coordinate per e_h, scaled to integers
+    (which keeps every sum's zeros).  Read off one walk over the nonzero
+    brackets; with no such e_h every weight is ()."""
+    eig: List[Optional[Dict[int, Fraction]]] = [{} for _ in range(g.dim)]
+    for (i, j), comps in g.pairs():
+        for h, o, sign in ((i, j, 1), (j, i, -1)):
+            if eig[h] is not None:
+                c = comps.get(o)
+                if len(comps) == 1 and isinstance(c, Fraction):
+                    eig[h][o] = sign * c
+                else:
+                    eig[h] = None
+    scaled = []
+    for e in filter(None, eig):
+        den = lcm(*(c.denominator for c in e.values()))
+        scaled.append({j: int(c * den) for j, c in e.items()})
+    return [tuple(e.get(j, 0) for e in scaled) for j in range(g.dim)]
+
 
 def _module_slice(module) -> Tuple[int, int]:
     """(shift, weight) of the polyvector slice that holds cochains valued in module."""
@@ -253,30 +324,36 @@ def ce_differential(x: CECochain) -> CECochain:
 
 
 def _unit_differentials(P: PolyVectorAlgebra, module, k: int) -> Tuple[List[Mono], List[Element]]:
-    """The keys of C^k(g, module) and the columns of d on it: d of the unit
-    orbit-basis cochain on each key, in key order."""
-    keys = P.slice_basis(k, _module_slice(module)[1])
+    """The weight-0 keys of C^k(g, module) and the columns of d on them: d
+    of the unit orbit-basis cochain on each key, in key order."""
+    keys = P.weight_zero_basis(k, _module_slice(module)[1])
     return keys, [P.d(P.from_cochain(CECochain(P.g, k, module, {key: Fraction(1)}))) for key in keys]
 
 
 def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
-    """dim H^degree(g, module) via exact ranks of the CE differentials."""
+    """dim H^degree(g, module) via exact ranks of the CE differentials on
+    the weight-0 block, which has all the cohomology (module docstring):
+    dim C^degree and both ranks are counted on that block."""
     shift, w = _module_slice(module)
     P = PolyVectorAlgebra(g, shift)
 
-    def d_rank(k: int) -> int:
-        # rank(d) = rank(d^T), so the columns go in as sparse rows
-        dst_index = {m: i for i, m in enumerate(P.slice_basis(k + 1, w))}
-        _, columns = _unit_differentials(P, module, k)
-        return linalg.rank({dst_index[m]: c for m, c in col.items()} for col in columns)
+    def dim_and_rank(k: int) -> Tuple[int, int]:
+        # rank(d) = rank(d^T), so the columns go in as sparse rows; d keeps
+        # weights, so every term lands on a weight-0 key of C^(k+1)
+        dst_index = {m: i for i, m in enumerate(P.weight_zero_basis(k + 1, w))}
+        keys, columns = _unit_differentials(P, module, k)
+        return len(keys), linalg.rank({dst_index[m]: c for m, c in col.items()} for col in columns)
 
-    dim_ker = len(P.slice_basis(degree, w)) - d_rank(degree)
-    return dim_ker - d_rank(degree - 1) if degree > 0 else dim_ker
+    dim, rank = dim_and_rank(degree)
+    return dim - rank - dim_and_rank(degree - 1)[1] if degree > 0 else dim - rank
 
 
 def invariants(g: LieAlgebra, module) -> List[CECochain]:
     """Exact basis of the module invariants: the kernel of d on C^0(g, module)
-    (with the ledger's sign, (d x)(xi) = [x, xi] on degree 0)."""
+    (with the ledger's sign, (d x)(xi) = [x, xi] on degree 0), taken on the
+    weight-0 keys only.  Every invariant has weight 0 and the matrix of d is
+    block diagonal, so the basis, normalization included, is the one the
+    whole of C^0 gives (module docstring)."""
     P = PolyVectorAlgebra(g, _module_slice(module)[0])
     keys, columns = _unit_differentials(P, module, 0)
     rows: Dict[Mono, Dict[int, Scalar]] = {}

@@ -62,9 +62,10 @@ class QuasiLieBialgebra:
     phi: CECochain  # degree 0, module wedge^3
 
     def __post_init__(self):
-        if self.delta.k != 1 or self.delta.module != WEDGE(2) or self.delta.g.dim != self.g.dim:
+        # over g: the same structure, as cochain arithmetic compares it
+        if self.delta.k != 1 or self.delta.module != WEDGE(2) or not self.delta.g.same_structure(self.g):
             raise InputError("delta must be a degree-1 cochain over g valued in wedge^2")
-        if self.phi.k != 0 or self.phi.module != WEDGE(3) or self.phi.g.dim != self.g.dim:
+        if self.phi.k != 0 or self.phi.module != WEDGE(3) or not self.phi.g.same_structure(self.g):
             raise InputError("phi must be a 3-multivector over g")
 
     def __eq__(self, other) -> bool:

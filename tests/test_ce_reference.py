@@ -8,10 +8,13 @@ coefficient-module bases and the adjoint action it is built on, which
 `qlie.lie.invariants` reduced before the invariants became the kernel of
 d on C^0; `ref_invariants` is that reduction.  `dense_generator_images`
 is the dense construction of the generator images `_d_cov`/`_d_vec`, one
-structure constant per (pair, index).  All are kept here as independent
-oracles only.
+structure constant per (pair, index).  `full_complex_invariants` and
+`full_complex_cohomology_dim` are `invariants` and `cohomology_dim` as
+they were before they took only the weight-0 block: d of every unit
+cochain of the slice.  All are kept here as independent oracles only.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -20,7 +23,9 @@ import pytest
 
 from qlie import linalg
 from qlie.errors import InputError
+from qlie.formats import cochain_to_entries
 from qlie.lie import (
+    LieAlgebra,
     abelian,
     direct_sum,
     heisenberg,
@@ -28,7 +33,7 @@ from qlie.lie import (
     sl2,
     sl3,
 )
-from qlie.polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, invariants
+from qlie.polyvectors import PolyVectorAlgebra, _module_slice, ce_differential, cohomology_dim, invariants
 from qlie.scalars import combine
 from qlie.tensors import ADJOINT, CECochain, SYM, TRIVIAL, WEDGE, _sort_with_sign, multiplicity_factorial
 
@@ -233,11 +238,134 @@ def test_sparse_generator_images_match_dense(name):
     assert [list(el.items()) for el in P._d_vec] == [list(el.items()) for el in d_vec]
 
 
-def test_classical_theorems_on_sl4():
+def assert_classical_theorems(g):
     # Whitehead: H^1 and H^2 of a semisimple algebra vanish in every
     # finite-dimensional module; dim H^3(g) = 1 for simple g
-    g = sl(4)
-    assert g.dim == 15
     assert cohomology_dim(g, ADJOINT, 1) == 0
     assert cohomology_dim(g, ADJOINT, 2) == 0
     assert cohomology_dim(g, TRIVIAL, 3) == 1
+
+
+def test_classical_theorems_on_sl4():
+    g = sl(4)
+    assert g.dim == 15
+    assert_classical_theorems(g)
+
+
+def test_classical_theorems_on_sl5():
+    g = sl(5)
+    assert g.dim == 24
+    assert_classical_theorems(g)
+
+
+def test_kunneth_on_sl2_plus_sl2():
+    # H(sl2) has Poincare polynomial 1 + t^3, so H(sl2 + sl2) has (1 + t^3)^2
+    g = direct_sum(sl2(), sl2())
+    assert [cohomology_dim(g, TRIVIAL, k) for k in range(7)] == [1, 0, 0, 2, 0, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# the weight-0 block against the whole complex
+# ---------------------------------------------------------------------------
+
+def full_complex_unit_differentials(P, module, k):
+    keys = P.slice_basis(k, _module_slice(module)[1])
+    return keys, [P.d(P.from_cochain(CECochain(P.g, k, module, {key: Fraction(1)}))) for key in keys]
+
+
+def full_complex_invariants(g, module):
+    """The kernel of d on the whole of C^0(g, module)."""
+    P = PolyVectorAlgebra(g, _module_slice(module)[0])
+    keys, columns = full_complex_unit_differentials(P, module, 0)
+    rows = {}
+    for j, col in enumerate(columns):
+        for m, c in col.items():
+            rows.setdefault(m, {})[j] = c
+    return [
+        CECochain(g, 0, module, {keys[i]: c for i, c in sorted(vec.items())})
+        for vec in linalg.nullspace([rows[m] for m in sorted(rows)], n_cols=len(keys))
+    ]
+
+
+def full_complex_cohomology_dim(g, module, degree):
+    """dim H^degree from the ranks of d on the whole of each C^k."""
+    shift, w = _module_slice(module)
+    P = PolyVectorAlgebra(g, shift)
+
+    def d_rank(k):
+        dst_index = {m: i for i, m in enumerate(P.slice_basis(k + 1, w))}
+        _, columns = full_complex_unit_differentials(P, module, k)
+        return linalg.rank({dst_index[m]: c for m, c in col.items()} for col in columns)
+
+    dim_ker = len(P.slice_basis(degree, w)) - d_rank(degree)
+    return dim_ker - d_rank(degree - 1) if degree > 0 else dim_ker
+
+
+def solvable2():
+    """[x, y] = y: ad x is diagonal with weights 0, 1; ad y is not."""
+    return LieAlgebra("solvable2", ["x", "y"], {(0, 1): {1: Fraction(1)}})
+
+
+def sl2_no_diagonal_ad():
+    """sl2 on a = e + f, b = e - f, h: [a, b] = -2h, [a, h] = -2b,
+    [b, h] = -2a.  No basis element has a diagonal ad, so every key has
+    weight 0."""
+    return LieAlgebra(
+        "sl2-rotated",
+        ["a", "b", "h"],
+        {(0, 1): {2: Fraction(-2)}, (0, 2): {1: Fraction(-2)}, (1, 2): {0: Fraction(-2)}},
+    )
+
+
+def reordered(g, order):
+    """g on the basis e_order[0], e_order[1], ...: the same algebra with its
+    basis permuted, as the benchmark's relabelling does."""
+    pos = {old: new for new, old in enumerate(order)}
+    brackets = {}
+    for (i, j), comps in g.pairs():
+        sign = 1 if pos[i] < pos[j] else -1
+        brackets[tuple(sorted((pos[i], pos[j])))] = {pos[k]: sign * c for k, c in comps.items()}
+    return LieAlgebra(f"{g.name}-reordered", [g.basis[i] for i in order], brackets)
+
+
+GRADED = {
+    "sl2": (sl2, MODULES),
+    # the Cartan elements between and after the root vectors, so that some
+    # diagonal ad comes second in its brackets
+    "sl3-reordered": (lambda: reordered(sl3(), (2, 5, 0, 3, 6, 1, 4, 7)), (TRIVIAL, ADJOINT)),
+    "sl3": (sl3, (TRIVIAL, ADJOINT)),
+    "sl3+sl2": (lambda: direct_sum(sl3(), sl2()), (TRIVIAL, ADJOINT)),
+    "heisenberg3": (lambda: heisenberg(3), MODULES),
+    "abelian4": (lambda: abelian(4), MODULES),
+    "solvable2": (solvable2, MODULES),
+    "sl2-no-diagonal-ad": (sl2_no_diagonal_ad, MODULES),
+}
+TRIVIAL_GRADING = {"heisenberg3", "abelian4", "sl2-no-diagonal-ad"}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_weight_zero_block_matches_full_complex(name):
+    factory, cohomology_modules = GRADED[name]
+    g = factory()
+    for module in MODULES:
+        got, ref = invariants(g, module), full_complex_invariants(g, module)
+        assert [list(x.data.items()) for x in got] == [list(x.data.items()) for x in ref]
+        assert [json.dumps(cochain_to_entries(x)) for x in got] == [json.dumps(cochain_to_entries(x)) for x in ref]
+    for module in cohomology_modules:
+        for degree in range(4):
+            assert cohomology_dim(g, module, degree) == full_complex_cohomology_dim(g, module, degree)
+    # the block keeps the key order, and it is the whole slice exactly when
+    # the grading is trivial
+    P = PolyVectorAlgebra(g, 1)
+    slices = [(k, w) for k in range(3) for w in range(4)]
+    blocks = [P.weight_zero_basis(k, w) for k, w in slices]
+    wholes = [P.slice_basis(k, w) for k, w in slices]
+    for block, whole in zip(blocks, wholes):
+        assert block == [key for key in whole if key in set(block)]
+    assert (blocks == wholes) == (name in TRIVIAL_GRADING)
+
+
+def test_rotated_sl2_keeps_its_invariants():
+    g = sl2_no_diagonal_ad()
+    assert len(invariants(g, SYM(2))) == len(invariants(g, WEDGE(3))) == 1
+    assert [cohomology_dim(g, TRIVIAL, k) for k in range(4)] == [1, 0, 0, 1]

@@ -7,6 +7,7 @@ from qlie.errors import InputError, PreconditionError
 from qlie.lie import (
     abelian,
     casimir_from_pairing,
+    heisenberg,
     sl2,
     sl3,
     split_subalgebra,
@@ -117,6 +118,20 @@ def test_structure_over_another_algebra_is_rejected(rng):
     for x in (multivector(other, 3, [((0, 1, 2), F(1))]), zero_cobracket(other), sym2(other, [])):
         with pytest.raises(InputError, match="wrong space"):
             PolyVectorAlgebra(g, 2 if x.module == SYM(2) else 1).from_cochain(x)
+
+
+def test_structure_over_an_algebra_of_the_same_dimension_is_rejected():
+    # e^f^h read over heisenberg(3) has sl2's shape; it used to construct and
+    # pass check_qlb, and twist then raised "cochain shape mismatch"
+    g = sl2()
+    phi = multivector(heisenberg(3), 3, [((0, 1, 2), F(1))])
+    with pytest.raises(InputError, match="phi"):
+        QuasiLieBialgebra(g, zero_cobracket(g), phi)
+    with pytest.raises(InputError, match="delta"):
+        QuasiLieBialgebra(g, zero_cobracket(heisenberg(3)), multivector(g, 3))
+    # the same numbers over sl2 itself, in another object, are accepted
+    q = QuasiLieBialgebra(g, zero_cobracket(sl2()), multivector(sl2(), 3, [((0, 1, 2), F(1))]))
+    assert check_qlb(q).passed
 
 
 def test_twist_rejects_invalid_input():
