@@ -13,11 +13,12 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from . import formats
 from .errors import InputError, PreconditionError
-from .lie import LieAlgebra, check_lie, sl2, sl3, split_subalgebra
+from .lie import LieAlgebra, check_lie, sl, sl2, sl3, split_subalgebra
 from .manin import (
     ManinTriple,
     QuadraticLieAlgebra,
@@ -260,7 +261,8 @@ def cmd_triple_check(args, inputs):
     return checks, {}
 
 
-STD_TRIPLE_ALGEBRAS = {"sl2": sl2, "sl3": sl3}
+# sl2 and sl3 keep their hand-written bases; sl4..sl9 are lie.sl(n)
+STD_TRIPLE_ALGEBRAS = {"sl2": sl2, "sl3": sl3, **{f"sl{n}": partial(sl, n) for n in range(4, 10)}}
 
 
 def cmd_std_triple(args, inputs):

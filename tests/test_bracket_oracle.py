@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyvector_oracle import canonicalize, mono_gens, mul
 from conftest import multivector, rand_multivector, window_monos, zero_cobracket
 from qlie.lie import casimir_from_pairing, sl2, sl3
 from qlie.mc import mc_residual
@@ -53,8 +54,8 @@ class RecursiveBracket:
             return self.cache[key]
         P = self.P
         s = P.n + 1
-        gens1 = P.mono_gens(m1)
-        gens2 = P.mono_gens(m2)
+        gens1 = mono_gens(m1)
+        gens2 = mono_gens(m2)
         out = {}
         if not gens1 or not gens2:
             pass
@@ -67,7 +68,7 @@ class RecursiveBracket:
             else:
                 # [g, h . rest] = [g,h] rest + (-1)^{(|g|+s)|h|} h [g, rest]
                 h, rest = gens2[0], gens2[1:]
-                res_rest = P.canonicalize(rest)
+                res_rest = canonicalize(P, rest)
                 if res_rest is not None:
                     rsgn, rmono = res_rest
                     c = self.base_pair(g, h)
@@ -75,21 +76,21 @@ class RecursiveBracket:
                         _add_term(out, rmono, rsgn * c)
                     sub = self(self.gen_mono(g), rmono)
                     sign = (-1) ** ((self.gen_degree(g) + s) * self.gen_degree(h))
-                    for m, cc in P.mul({self.gen_mono(h): Fraction(1)}, sub).items():
+                    for m, cc in mul(P, {self.gen_mono(h): Fraction(1)}, sub).items():
                         _add_term(out, m, sign * rsgn * cc)
         else:
             # [a . restA, B] = a [restA, B] + (-1)^{|restA|(|B|+s)} [a, B] restA
             a0, restA = gens1[0], gens1[1:]
-            res_rest = P.canonicalize(restA)
+            res_rest = canonicalize(P, restA)
             if res_rest is not None:
                 rsgn, rmono = res_rest
                 inner = self(rmono, m2)
-                for m, cc in P.mul({self.gen_mono(a0): Fraction(1)}, inner).items():
+                for m, cc in mul(P, {self.gen_mono(a0): Fraction(1)}, inner).items():
                     _add_term(out, m, rsgn * cc)
                 deg_rest = sum(self.gen_degree(x) for x in restA)
                 sign = (-1) ** (deg_rest * (P.mono_degree(m2) + s))
                 inner2 = self(self.gen_mono(a0), m2)
-                for m, cc in P.mul(inner2, {rmono: Fraction(1)}).items():
+                for m, cc in mul(P, inner2, {rmono: Fraction(1)}).items():
                     _add_term(out, m, sign * rsgn * cc)
         self.cache[key] = out
         return out

@@ -452,6 +452,29 @@ def test_std_triple_and_triple_check(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_std_triple_on_sl_n(n):
+    # sl4..sl9 are lie.sl(n); every check of the standard bialgebra passes
+    report, code = invoke("std-triple", "--algebra", f"sl{n}")
+    assert code == 0
+    assert all(c["status"] == "pass" for c in report["checks"])
+    assert len(report["data"]["triple"]["g"]) == n * n - 1
+
+
+def test_std_triple_limits():
+    # sl9's standard bialgebra would form 83,436 pairs of monomials, over
+    # the Maurer-Cartan residual's bound; sl10 is not a choice
+    report, code = invoke("std-triple", "--algebra", "sl9")
+    assert code == 2
+    assert "would form 83436 pairs of monomials, over the limit of 50000" in report["checks"][-1]["detail"]["message"]
+    report, code = invoke("std-triple", "--algebra", "sl10")
+    assert code == 2
+    assert [c["name"] for c in report["checks"]] == ["input"]
+    assert "invalid choice: 'sl10' (choose from 'sl2', 'sl3', 'sl4', 'sl5', 'sl6', 'sl7', 'sl8', 'sl9')" in (
+        report["checks"][0]["detail"]["message"]
+    )
+
+
 def test_invariants_command():
     report, code = invoke("invariants", SL2, "--module", "sym2")
     assert code == 0

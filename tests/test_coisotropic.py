@@ -23,6 +23,7 @@ from itertools import combinations
 
 import pytest
 
+from polyvector_oracle import canonicalize
 from qlie.errors import InputError
 from qlie.lie import (
     LieAlgebra,
@@ -127,7 +128,7 @@ def hand_built_twist(q, Ph):
         return res[0] * q.phi.data.get(((), res[1]), Fraction(0)) if res else Fraction(0)
 
     def monomial(gens, coef):
-        res = Ph.canonicalize(gens)
+        res = canonicalize(Ph, gens)
         return [] if res is None else [(res[1], res[0] * coef)]
 
     def cov_extra(i):

@@ -25,13 +25,16 @@ from mc_oracle import (
     mc_residual_by_weight,
     twist_path,
 )
+import polyvector_oracle as old_kernel
+from qlie import mc
 from qlie.errors import InputError
-from qlie.lie import abelian, casimir_from_pairing, sl, sl2, sl3
+from qlie.lie import LieAlgebra, abelian, casimir_from_pairing, check_lie, sl, sl2, sl3
 from qlie.manin import dual_subalgebra_bplus_bminus, triple_to_bialgebra
 from qlie.mc import mc_residual
 from qlie.polyvectors import PolyVectorAlgebra
 from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, mc_element, twist
-from qlie.scalars import vec_add
+from qlie.scalars import RationalFunction, vec_add
+from qlie.tensors import CECochain, WEDGE
 
 
 def F(a, b=1):
@@ -333,3 +336,88 @@ def test_mc_residual_matches_check_qlb_on_dense_sl3_twist():
     broken = QuasiLieBialgebra(g, dense.delta, dense.phi + multivector(g, 3, [(key, F(1))]))
     assert [_agree_weight_by_weight(q) for q in (dense, broken)] == [True, False]
     assert set(mc_residual(P, mc_element(P, broken.delta, broken.phi))) == {3, 4}
+
+
+def _by_weight(x):
+    out = {}
+    for mono, c in x.items():
+        out.setdefault(len(mono[1]), {})[mono] = c
+    return out
+
+
+def _oracle_residual(P, x):
+    """d x + 1/2 [x, x] from the generator-list kernel over every pair of
+    monomials, decoded like mc_residual."""
+    full = vec_add(old_kernel.d(P, x), old_kernel.bracket(P, x, x), F(1, 2))
+    return {w: P.to_cochain(el, P.n + 3 - P.n * w, w) for w, el in sorted(_by_weight(full).items())}
+
+
+def test_mc_residual_with_rational_function_coefficients(rng):
+    # a RationalFunction coefficient sends the residual through its loop
+    # with no common denominator (L = 1); Fraction coefficients ride along
+    t = ("t",)
+    var = RationalFunction.var(t, "t")
+    g = sl2()
+    P = PolyVectorAlgebra(g, 1)
+    x = mc_element(P, rand_cobracket(g, rng), rand_multivector(g, 3, rng))
+    for k, mono in enumerate(sorted(x)):
+        if k % 2:
+            x[mono] = x[mono] * (var + k) / (var * var + 1)
+    assert any(isinstance(c, RationalFunction) for c in x.values())
+    res = mc_residual(P, x)
+    assert {2, 3} <= set(res)
+    assert res == _oracle_residual(P, x)
+    assert res == mc_residual_by_weight(P, _by_weight(x))
+
+
+def test_mc_residual_with_non_integral_structure_constants(rng):
+    # sl2 on (e, f, t = 2h): [e, f] = t/2, [t, e] = 4e, [t, f] = -4f.  With
+    # integer coefficients the square is summed over L = 1, and d x carries
+    # halves next to it; with random fractions L > 1
+    g = LieAlgebra("sl2-2h", ["e", "f", "t"], {(0, 1): {2: F(1, 2)}, (0, 2): {0: F(-4)}, (1, 2): {1: F(4)}})
+    assert check_lie(g).passed
+    P = PolyVectorAlgebra(g, 1)
+    keys = [((k,), key) for k in range(3) for key in combinations(range(3), 2)]
+    verdicts = []
+    for trial in range(12):
+        if trial % 2:
+            delta = CECochain(g, 1, WEDGE(2), {key: F(rng.choice([-2, -1, 1, 2])) for key in keys})
+            phi = multivector(g, 3, [((0, 1, 2), F(rng.randint(-2, 2)))])
+            x = mc_element(P, delta, phi)
+            assert all(c.denominator == 1 for c in x.values())
+            assert any(c.denominator != 1 for c in P.d(x).values())
+        else:
+            delta, phi = rand_cobracket(g, rng), rand_multivector(g, 3, rng)
+            x = mc_element(P, delta, phi)
+        assert mc_residual(P, x) == _oracle_residual(P, x)
+        verdicts.append(_agree_weight_by_weight(QuasiLieBialgebra(g, delta, phi)))
+    base = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [((0, 1, 2), F(1))]))
+    verdicts.append(_agree_weight_by_weight(twist(base, Twist(rand_multivector(g, 2, rng)), validate=False)))
+    assert verdicts[-1] and not all(verdicts)
+
+
+def test_pair_limit_refuses_before_any_bracket(monkeypatch):
+    # the count is over the unordered pairs of monomials with an e^i, the
+    # diagonal included, and those with the e^i-free ones; it is taken and
+    # refused before the residual indexes or brackets anything
+    g = abelian(10)
+    P = PolyVectorAlgebra(g, 1)
+    delta = CECochain(g, 1, WEDGE(2), {((k,), key): F(1) for k in range(10) for key in combinations(range(10), 2)})
+    x = mc_element(P, delta, multivector(g, 3, [((0, 1, 2), F(1))]))
+
+    def refuse(*args):
+        raise AssertionError("a pair was formed")
+
+    monkeypatch.setattr(PolyVectorAlgebra, "bracket_monos", refuse)
+    with pytest.raises(InputError) as err:
+        mc_residual(P, x)
+    assert str(err.value) == (
+        "the Maurer-Cartan residual would form 101925 pairs of monomials, over the limit of 50000"
+    )
+    # 450 * 451 / 2 + 450 * 1: exactly at the limit the residual runs
+    monkeypatch.setattr(mc, "MAX_PAIRS", 101_925)
+    with pytest.raises(AssertionError, match="a pair was formed"):
+        mc_residual(P, x)
+    monkeypatch.setattr(mc, "MAX_PAIRS", 101_924)
+    with pytest.raises(InputError, match="101925 pairs of monomials, over the limit of 101924"):
+        mc_residual(P, x)
