@@ -47,14 +47,7 @@ from .qlb import (
     twist,
     verify_coisotropic_morphism,
 )
-from .rmatrix import (
-    DynamicalRMatrix,
-    RMatrix,
-    cybe,
-    dynamical_check,
-    quasitriangular_check,
-    split_r,
-)
+from .rmatrix import DynamicalRMatrix, cybe, dynamical_check
 from .scalars import Polynomial, RationalFunction, parse_scalar
 from .tensors import (
     ADJOINT,

@@ -21,6 +21,7 @@ from .errors import InputError, PreconditionError
 from .lie import LieAlgebra, check_lie, sl, sl2, sl3, split_subalgebra
 from .manin import (
     ManinTriple,
+    ManinTripleReport,
     QuadraticLieAlgebra,
     drinfeld_double,
     dual_subalgebra_bplus_bminus,
@@ -40,7 +41,7 @@ from .qlb import (
     twist,
     verify_coisotropic_morphism,
 )
-from .rmatrix import DynamicalRMatrix, RMatrix, dynamical_check, quasitriangular_check
+from .rmatrix import DynamicalRMatrix, DynamicalReport, dynamical_check
 from .tensors import LEDGER, CECochain, SYM, WEDGE
 
 Check = Dict[str, object]
@@ -82,6 +83,31 @@ def _residual_checks(q: QuasiLieBialgebra, prefix: str = "") -> List[Check]:
     return out
 
 
+def _r_matrix_checks(rep: DynamicalReport, g: LieAlgebra, name: str) -> Tuple[Check, List[Check]]:
+    """The CYBE or CDYBE check, called name and carrying its residual when
+    it fails, and the lambda-form checks, present when they were run."""
+    holds = rep.cdybe_holds
+    residual = _check(
+        name, holds, None if holds else {"residual": formats.tensor_to_entries(rep.cdybe_residual, g)}
+    )
+    tail = []
+    if rep.lambda_form_holds is not None:
+        tail.append(_check("lambda-form", rep.lambda_form_holds))
+        tail.append(_check("criteria-agree", bool(rep.criteria_agree)))
+    return residual, tail
+
+
+def _manin_checks(rep: ManinTripleReport) -> List[Check]:
+    """The four Manin-triple conditions, with the quadratic witness on failure."""
+    quad = rep.quadratic
+    return [
+        _check("quadratic", quad.passed, None if quad.passed else {"witness": list(quad.witness or ())}),
+        _check("g-lagrangian", rep.g_pair.passed),
+        _check("gstar-lagrangian", rep.gstar_pair.passed),
+        _check("complementary", rep.complementary),
+    ]
+
+
 def _qlb_data(q: QuasiLieBialgebra) -> dict:
     return {
         "basis": list(q.g.basis),
@@ -120,7 +146,14 @@ def cmd_twist(args, inputs):
     delta = _load_tensor(args.delta, g, "cobracket", inputs)
     phi = _load_tensor(args.phi, g, "wedge3", inputs)
     lam = _load_tensor(args.lam, g, "wedge2", inputs)
-    q = twist(QuasiLieBialgebra(g, delta, phi), Twist(lam))
+    q = QuasiLieBialgebra(g, delta, phi)
+    res = check_qlb(q)
+    if not res.passed:
+        raise PreconditionError(
+            "twist input fails the quasi-Lie bialgebra axioms: "
+            + ", ".join(k for k, v in res.max_support().items() if v)
+        )
+    q = twist(q, Twist(lam))
     return _residual_checks(q, prefix="twisted-"), _qlb_data(q)
 
 
@@ -163,23 +196,12 @@ def cmd_verify_morphism(args, inputs):
 
 def cmd_cybe(args, inputs):
     g = _load_algebra(args.file, inputs)
-    r = RMatrix(_load_tensor(args.r, g, "gg", inputs))
-    rep = quasitriangular_check(g, r)
-    checks = [
-        _check(
-            "cybe",
-            rep.cybe_holds,
-            None if rep.cybe_holds else {"residual": formats.tensor_to_entries(rep.cybe_residual, g)},
-        ),
-        _check("symmetric-part-invariant", rep.split.symmetric_part_invariant),
-    ]
-    data = {
-        "lambda": formats.cochain_to_entries(rep.split.lam),
-        "c": formats.cochain_to_entries(rep.split.c),
-    }
-    if rep.lambda_form_holds is not None:
-        checks.append(_check("lambda-form", bool(rep.lambda_form_holds)))
-        checks.append(_check("criteria-agree", bool(rep.criteria_agree)))
+    # a constant r is the dynamical r-matrix over h = 0
+    r = DynamicalRMatrix(split_subalgebra(g, ()), (), _load_tensor(args.r, g, "gg", inputs))
+    rep = dynamical_check(r)
+    residual, tail = _r_matrix_checks(rep, g, "cybe")
+    checks = [residual, _check("symmetric-part-invariant", rep.symmetric_part_invariant), *tail]
+    data = {"lambda": formats.cochain_to_entries(rep.lam), "c": formats.cochain_to_entries(rep.c)}
     return checks, data
 
 
@@ -195,23 +217,14 @@ def cmd_dynamical(args, inputs):
     locus = formats.polynomials_from_strings(doc.get("locus", []), variables)
     dr = DynamicalRMatrix(split, variables, tensor, locus)
     rep = dynamical_check(dr)
+    residual, tail = _r_matrix_checks(rep, g, "cdybe")
     checks = [
-        _check(f"equivariance-{name}", ok) for name, ok in sorted(rep.equivariance.items())
+        *(_check(f"equivariance-{name}", ok) for name, ok in sorted(rep.equivariance.items())),
+        _check("symmetric-part-constant", rep.symmetric_part_constant),
+        _check("symmetric-part-invariant", rep.symmetric_part_invariant),
+        residual,
+        *tail,
     ]
-    checks.append(_check("symmetric-part-constant", rep.symmetric_part_constant))
-    checks.append(_check("symmetric-part-invariant", rep.symmetric_part_invariant))
-    checks.append(
-        _check(
-            "cdybe",
-            rep.cdybe_holds,
-            None
-            if rep.cdybe_holds
-            else {"residual": formats.tensor_to_entries(rep.cdybe_residual, g)},
-        )
-    )
-    if rep.lambda_form_holds is not None:
-        checks.append(_check("lambda-form", bool(rep.lambda_form_holds)))
-        checks.append(_check("criteria-agree", bool(rep.criteria_agree)))
     return checks, {}
 
 
@@ -251,14 +264,7 @@ def cmd_triple_check(args, inputs):
     g_idx = tuple(d.index(lab) for lab in args.g.split(",") if lab)
     s_idx = tuple(d.index(lab) for lab in args.gstar.split(",") if lab)
     t = ManinTriple(QuadraticLieAlgebra(d, pairing), g_idx, s_idx)
-    rep = manin_triple_check(t)
-    checks = [
-        _check("quadratic", rep.quadratic.passed, None if rep.quadratic.passed else {"witness": list(rep.quadratic.witness or ())}),
-        _check("g-lagrangian", rep.g_pair.passed),
-        _check("gstar-lagrangian", rep.gstar_pair.passed),
-        _check("complementary", rep.complementary),
-    ]
-    return checks, {}
+    return _manin_checks(manin_triple_check(t)), {}
 
 
 # sl2 and sl3 keep their hand-written bases; sl4..sl9 are lie.sl(n)
@@ -271,13 +277,7 @@ def cmd_std_triple(args, inputs):
     if not rep.passed:
         raise PreconditionError("input is not a Manin triple")
     b = triple_to_bialgebra_unchecked(t)
-    checks = [
-        _check("quadratic", rep.quadratic.passed),
-        _check("g-lagrangian", rep.g_pair.passed),
-        _check("gstar-lagrangian", rep.gstar_pair.passed),
-        _check("complementary", rep.complementary),
-    ]
-    checks.extend(_residual_checks(b, prefix="bialgebra-"))
+    checks = _manin_checks(rep) + _residual_checks(b, prefix="bialgebra-")
     return checks, {"triple": formats.triple_to_dict(t), "bialgebra": _qlb_data(b)}
 
 

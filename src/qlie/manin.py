@@ -271,7 +271,7 @@ def triple_to_bialgebra_unchecked(t: ManinTriple) -> QuasiLieBialgebra:
     the triple: c has no g (x) g part, so phi = 0, and delta is the
     transpose of the bracket of g*."""
     split = split_subalgebra(t.quad.lie, t.g_indices, t.gstar_indices)
-    return induce_from_coisotropic(split, casimir_of(t.quad.lie, t.quad.pairing), validate=False)
+    return induce_from_coisotropic(split, casimir_of(t.quad.lie, t.quad.pairing))
 
 
 def drinfeld_double(b: QuasiLieBialgebra) -> ManinTriple:

@@ -1,11 +1,18 @@
-"""Classical and dynamical r-matrices: CYBE, CDYBE and the lambda-form.
+"""Classical and dynamical r-matrices: one check, the CDYBE and the lambda-form.
 
-An element r of g (x) g (a plain 2-tensor) splits as r = 2 lambda + c
-with c in Sym^2 g the symmetric part, a degree-0 SYM(2) cochain, and
-lambda the 2-multivector, a degree-0 WEDGE(2) cochain, with
-embed(2 lambda) = r - c.  A dynamical r depends on coordinates x_a dual
-to a basis h_a of h, and its derivative is taken once, as the 3-vector
-D = sum_a h_a ^ d r / d x_a (zero for a constant r).  Under the ledger conventions the exact identity
+A dynamical r-matrix is a map from an open set of h* to g (x) g, over
+coordinates x_a dual to a basis h_a of a subalgebra h of g.  A constant
+r is the case h = 0: there are no coordinates, the h-equivariance
+checks are empty, the derivative D below is zero and the CDYBE is the
+CYBE, so `dynamical_check` on DynamicalRMatrix(split_subalgebra(g, ()),
+(), r) is the check of a classical r-matrix.
+
+Each value of r (a plain 2-tensor) splits as r = 2 lambda + c with c in
+Sym^2 g the symmetric part, a degree-0 SYM(2) cochain, and lambda the
+2-multivector, a degree-0 WEDGE(2) cochain, with embed(2 lambda) = r - c.
+The derivative of r is taken once, as the 3-vector
+D = sum_a h_a ^ d r / d x_a.  Under the ledger conventions the exact
+identity
 
     cybe(r) + embed(D) = 4 * embed( 1/2 [[lambda, lambda]]
                                     + 1/4 D
@@ -35,23 +42,9 @@ from .tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor,
 
 
 @dataclass
-class RMatrix:
-    """Element of g (x) g with no symmetry assumptions."""
-
-    tensor: SparseTensor
-
-    def __post_init__(self):
-        if self.tensor.arity != 2:
-            raise InputError("an r-matrix is a plain 2-tensor")
-
-    @property
-    def dim(self) -> int:
-        return self.tensor.dim
-
-
-@dataclass
 class DynamicalRMatrix:
-    """Map U -> g (x) g with rational-function entries over coordinates on h*.
+    """Map U -> g (x) g with rational-function entries over coordinates on h*;
+    over h = 0 (no coordinates) a constant r with Fraction entries.
 
     The open locus U is described implicitly by the denominator
     polynomials; every coefficient denominator must divide a product of
@@ -60,7 +53,7 @@ class DynamicalRMatrix:
 
     split: SplitSubalgebra  # base subalgebra h inside g
     variables: Tuple[str, ...]  # coordinates dual to the h basis
-    tensor: SparseTensor  # g (x) g valued, RationalFunction entries
+    tensor: SparseTensor  # g (x) g valued
     locus: List[Polynomial] = field(default_factory=list)
 
     def __post_init__(self):
@@ -91,12 +84,13 @@ class DynamicalRMatrix:
         return rem.is_constant()
 
 
-def cybe(g: LieAlgebra, r: RMatrix) -> SparseTensor:
-    """[r12, r13] + [r12, r23] + [r13, r23], by structure constants."""
-    if r.dim != g.dim:
-        raise InputError("r-matrix over the wrong space")
+def cybe(g: LieAlgebra, r: SparseTensor) -> SparseTensor:
+    """[r12, r13] + [r12, r23] + [r13, r23] of a plain 2-tensor r over g,
+    by structure constants."""
+    if r.arity != 2 or r.dim != g.dim:
+        raise InputError("r-matrix over the wrong space: a plain 2-tensor over g is required")
     entries = []
-    terms = list(r.tensor.items())
+    terms = list(r.items())
     for (a1, b1), c1 in terms:
         for (a2, b2), c2 in terms:
             coef = c1 * c2
@@ -109,24 +103,11 @@ def cybe(g: LieAlgebra, r: RMatrix) -> SparseTensor:
     return SparseTensor.build(g.dim, 3, entries)
 
 
-@dataclass
-class SplitReport:
-    lam: CECochain  # degree 0, module WEDGE(2)
-    c: CECochain  # degree 0, module SYM(2)
-    symmetric_part_invariant: bool
-    invariance_residual_size: int
-
-
 def _symmetric_part_entries(r_items) -> Dict[Tuple[int, int], Scalar]:
     return combine(
         ((min(i, j), max(i, j)), coef if i == j else coef * Fraction(1, 2))
         for (i, j), coef in r_items
     )
-
-
-def _sym2(g: LieAlgebra, entries: Dict[Tuple[int, int], Scalar]) -> CECochain:
-    """Symmetric-part entries (i <= j) as an element of Sym^2 g."""
-    return CECochain(g, 0, SYM(2), {((), key): coef for key, coef in entries.items()})
 
 
 def _antisymmetric_half(g: LieAlgebra, r_items) -> CECochain:
@@ -140,69 +121,16 @@ def _antisymmetric_half(g: LieAlgebra, r_items) -> CECochain:
     )
 
 
-def split_r(g: LieAlgebra, r: RMatrix) -> SplitReport:
-    """r = 2 lambda + c: c = (r + r^T)/2, embed(2 lambda) = r - c."""
-    c = _sym2(g, _symmetric_part_entries(r.tensor.items()))
-    lam = _antisymmetric_half(g, r.tensor.items())
-    residual = casimir_invariance_residual(g, c)
-    return SplitReport(lam, c, residual.is_zero(), residual.support_size())
-
-
-@dataclass
-class QuasiTriangularReport:
-    cybe_residual: SparseTensor
-    split: SplitReport
-    lambda_form_residual: Optional[CECochain]
-    criteria_agree: Optional[bool]
-
-    @property
-    def cybe_holds(self) -> bool:
-        return self.cybe_residual.is_zero()
-
-    @property
-    def lambda_form_holds(self) -> Optional[bool]:
-        if self.lambda_form_residual is None:
-            return None
-        return self.lambda_form_residual.is_zero()
-
-    @property
-    def passed(self) -> bool:
-        return self.cybe_holds and self.split.symmetric_part_invariant
-
-
-def lambda_form_residual(
-    g: LieAlgebra,
-    lam: CECochain,
-    c: CECochain,
-    alt_mv: Optional[CECochain] = None,
-) -> CECochain:
-    """1/2 [[lambda, lambda]] + alt_mv + 3/2 casimir_to_phi(c), for a c
-    that its caller has found invariant; alt_mv is 1/4 D for a dynamical r.
-    The bracket term is -1/2 [lambda, d lambda] in Pol(BG, 1)."""
+def lambda_form_residual(g: LieAlgebra, lam: CECochain, c: CECochain, D: CECochain) -> CECochain:
+    """1/2 [[lambda, lambda]] + 1/4 D + 3/2 casimir_to_phi(c), for a c that
+    its caller has found invariant; D is zero when h = 0.  The bracket term
+    is -1/2 [lambda, d lambda] in Pol(BG, 1)."""
     P = PolyVectorAlgebra(g, 1)
     lam_el = P.from_cochain(lam)
     res = P.to_cochain(P.bracket(lam_el, P.d(lam_el)), 0, 3).scale(Fraction(-1, 2))
-    if alt_mv is not None:
-        res = res + alt_mv
     phi = casimir_to_phi_unchecked(g, c)
-    return res + phi.scale(LAMBDA_FORM_PHI_COEFF)
+    return res + D.scale(Fraction(1, 4)) + phi.scale(LAMBDA_FORM_PHI_COEFF)
 
-
-def quasitriangular_check(g: LieAlgebra, r: RMatrix) -> QuasiTriangularReport:
-    """CYBE plus invariant symmetric part; also evaluates the lambda-form."""
-    residual = cybe(g, r)
-    sp = split_r(g, r)
-    lf = None
-    agree = None
-    if sp.symmetric_part_invariant:
-        lf = lambda_form_residual(g, sp.lam, sp.c)
-        agree = residual == embed_wedge(lf).scale(KAPPA_CYBE)
-    return QuasiTriangularReport(residual, sp, lf, agree)
-
-
-# ---------------------------------------------------------------------------
-# dynamical layer
-# ---------------------------------------------------------------------------
 
 def _h_derivative(dr: DynamicalRMatrix) -> CECochain:
     """D = sum over a and the entries (i, j) of r of (h_a, i, j) d r_ij / d x_a:
@@ -220,7 +148,9 @@ def _h_derivative(dr: DynamicalRMatrix) -> CECochain:
 
 @dataclass
 class DynamicalReport:
-    equivariance: Dict[str, bool]
+    equivariance: Dict[str, bool]  # one entry per basis vector of h
+    lam: CECochain  # degree 0, module WEDGE(2)
+    c: Optional[CECochain]  # degree 0, module SYM(2); None unless constant
     symmetric_part_constant: bool
     symmetric_part_invariant: bool
     cdybe_residual: SparseTensor
@@ -293,30 +223,21 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
         total = SparseTensor.build(g.dim, 2, entries + [(k, -v) for k, v in flow_entries])
         equivariance[g.basis[h_global]] = total.is_zero()
 
-    # (2) symmetric part constant and invariant
-    constant = True
-    c_entries = {}
-    for key, coef in _symmetric_part_entries(dr.tensor.items()).items():
-        value = _constant_value(coef)
-        if value is None:
-            constant = False
-        else:
-            c_entries[key] = value
-    invariant = False
-    c = None
-    if constant:
-        c = _sym2(g, c_entries)
-        invariant = casimir_invariance_residual(g, c).is_zero()
+    # (2) r = 2 lambda + c, with c constant and invariant
+    lam = _antisymmetric_half(g, dr.tensor.items())
+    values = {key: _constant_value(coef) for key, coef in _symmetric_part_entries(dr.tensor.items()).items()}
+    constant = None not in values.values()
+    c = CECochain(g, 0, SYM(2), {((), key): v for key, v in values.items()}) if constant else None
+    invariant = constant and casimir_invariance_residual(g, c).is_zero()
 
     # (3) CDYBE residual, with the derivative of r taken once
     D = _h_derivative(dr)
-    residual = cybe(g, RMatrix(dr.tensor)) + embed_wedge(D)
+    residual = cybe(g, dr.tensor) + embed_wedge(D)
 
     # (4) lambda-form, when the symmetric part qualifies
     lf = None
     agree = None
-    if constant and invariant:
-        lam = _antisymmetric_half(g, dr.tensor.items())
-        lf = lambda_form_residual(g, lam, c, D.scale(Fraction(1, 4)))
+    if invariant:
+        lf = lambda_form_residual(g, lam, c, D)
         agree = residual == embed_wedge(lf).scale(KAPPA_CYBE)
-    return DynamicalReport(equivariance, constant, invariant, residual, lf, agree)
+    return DynamicalReport(equivariance, lam, c, constant, invariant, residual, lf, agree)

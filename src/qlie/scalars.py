@@ -188,16 +188,6 @@ class Polynomial:
             ),
         )
 
-    def evaluate(self, point: Dict[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for name, e in zip(self.vars, exps):
-                if e:
-                    v *= Fraction(point[name]) ** e
-            total += v
-        return total
-
     def exact_div(self, divisor: "Polynomial") -> Union["Polynomial", None]:
         """Return self / divisor if the division is exact, else None."""
         self._check(divisor)
@@ -484,15 +474,6 @@ class RationalFunction:
         for f, _, _ in moving:
             factors[f] += 1
         return RationalFunction._of(*_reduce(total, factors))
-
-    def evaluate(self, point: Dict[str, Fraction]) -> Fraction:
-        d = Fraction(1)
-        for f, e in self.factors.items():
-            v = f.evaluate(point)
-            if v == 0:
-                raise ZeroDivisionError("evaluation at a pole")
-            d *= v**e
-        return self.num.evaluate(point) / d
 
     def __str__(self) -> str:
         if not self.factors:

@@ -17,7 +17,7 @@ report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
@@ -61,19 +61,7 @@ class ConventionLedger:
     casimir_vs_induced: str = "2/3"
 
     def to_dict(self) -> Dict[str, str]:
-        return {
-            "wedge_embedding": self.wedge_embedding,
-            "sym_embedding": self.sym_embedding,
-            "alt_normalization": self.alt_normalization,
-            "ce_sign": self.ce_sign,
-            "big_bracket_pairing": self.big_bracket_pairing,
-            "schouten_convention": self.schouten_convention,
-            "twist_square": self.twist_square,
-            "gauge_orientation": self.gauge_orientation,
-            "kappa_cybe": self.kappa_cybe,
-            "lambda_form_phi_coeff": self.lambda_form_phi_coeff,
-            "casimir_vs_induced": self.casimir_vs_induced,
-        }
+        return asdict(self)
 
 
 LEDGER = ConventionLedger()

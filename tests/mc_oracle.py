@@ -165,7 +165,7 @@ def twist_path(P: PolyVectorAlgebra, delta0, phi0, lam):
     d_lam = P.d(lam_el)
 
     x = structure_by_weight(P, delta0, phi0)
-    q1 = twist(QuasiLieBialgebra(P.g, delta0, phi0), Twist(lam), validate=False)
+    q1 = twist(QuasiLieBialgebra(P.g, delta0, phi0), Twist(lam))
     y = structure_by_weight(P, q1.delta, q1.phi)
 
     alpha: Dict[int, Poly] = {

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from qlie.qlb import casimir_to_phi_unchecked
-from qlie.rmatrix import RMatrix, cybe
+from qlie.rmatrix import cybe
 from qlie.scalars import RationalFunction
 from qlie.tensors import LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, WEDGE, _sort_with_sign
 
@@ -93,4 +93,4 @@ def lambda_form_residual(g, lam: CECochain, c, alt_mv=None) -> CECochain:
 
 def cdybe_residual(dr) -> SparseTensor:
     """cybe(r) + Alt(d_dR r), the derivative pushed from h into g."""
-    return cybe(dr.split.g, RMatrix(dr.tensor)) + alt_ddr(dr.split, d_dr(dr.tensor, dr.variables))
+    return cybe(dr.split.g, dr.tensor) + alt_ddr(dr.split, d_dr(dr.tensor, dr.variables))

@@ -317,6 +317,29 @@ def test_check_qlb_and_twist():
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_twist_rejects_invalid_input():
+    # the input fails the axioms (d delta != 0): a precondition error, exit 2,
+    # naming the failing axiom; the library's twist itself does not check
+    report, code = invoke(
+        "twist",
+        SL2,
+        "--delta",
+        str(FIXTURES / "delta_bad_sl2.json"),
+        "--phi",
+        str(FIXTURES / "phi_zero.json"),
+        "--lambda",
+        str(FIXTURES / "lambda_ef.json"),
+    )
+    assert code == 2
+    assert report["checks"] == [
+        {
+            "name": "input",
+            "status": "error",
+            "detail": {"message": "twist input fails the quasi-Lie bialgebra axioms: cocycle"},
+        }
+    ]
+
+
 def test_check_qlb_invariant_top_form():
     # (delta, phi) = (0, e ^ f ^ h) is a valid quasi-Lie bialgebra on sl2
     _, code = invoke(

@@ -472,9 +472,9 @@ def compare_induced(split, c):
         expect = ref_induce(split, c)
     except InputError:
         with pytest.raises(InputError, match="not antisymmetric"):
-            induce_from_coisotropic(split, c, validate=False)
+            induce_from_coisotropic(split, c)
         return False
-    q = induce_from_coisotropic(split, c, validate=False)
+    q = induce_from_coisotropic(split, c)
     assert (q.delta, q.phi) == expect
     return True
 

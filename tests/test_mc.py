@@ -86,7 +86,7 @@ def test_mc_residual_matches_check_qlb(rng):
         if trial % 3 == 0:
             lam = rand_multivector(g, 2, rng)
             base = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [((0, 1, 2), F(1))]))
-            q = twist(base, Twist(lam), validate=False)
+            q = twist(base, Twist(lam))
         else:
             q = QuasiLieBialgebra(g, rand_cobracket(g, rng), rand_multivector(g, 3, rng))
         verdicts.append(_agree_weight_by_weight(q))
@@ -224,7 +224,7 @@ def test_gauge_integrated_twist_paths(rng):
     for _ in range(20):
         lam0 = rand_multivector(g, 2, rng)
         base = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [((0, 1, 2), F(rng.randint(-2, 2)))]))
-        q0 = twist(base, Twist(lam0), validate=False)
+        q0 = twist(base, Twist(lam0))
         assert check_qlb(q0).passed
         lam = rand_multivector(g, 2, rng)
         x, y, path = twist_path(P, q0.delta, q0.phi, lam)
@@ -297,7 +297,7 @@ def test_mc_residual_matches_check_qlb_on_standard_sl_n(n):
     b = triple_to_bialgebra(dual_subalgebra_bplus_bminus(sl(n)))
     g = b.g
     rng = random.Random(20241018 + n)
-    twisted = twist(b, Twist(sparse_multivector(g, 2, rng, 3)), validate=False)
+    twisted = twist(b, Twist(sparse_multivector(g, 2, rng, 3)))
     broken = QuasiLieBialgebra(g, b.delta, multivector(g, 3, [(sorted(rng.sample(range(g.dim), 3)), F(1))]))
     assert twisted != b
     assert [_agree_weight_by_weight(q) for q in (b, twisted, broken)] == [True, True, False]
@@ -329,7 +329,7 @@ def test_mc_residual_matches_check_qlb_on_dense_sl3_twist():
     g = b.g
     keys = combinations(range(g.dim), 2)
     lam = multivector(g, 2, ((key, F((i + 2) ** 2)) for i, key in enumerate(keys)))
-    dense = twist(b, Twist(lam), validate=False)
+    dense = twist(b, Twist(lam))
     P = PolyVectorAlgebra(g, 1)
     assert (len(P.from_cochain(dense.delta)), len(dense.phi.data)) == (162, 56)
     key = min(up for (), up in dense.phi.data)
@@ -392,7 +392,7 @@ def test_mc_residual_with_non_integral_structure_constants(rng):
         assert mc_residual(P, x) == _oracle_residual(P, x)
         verdicts.append(_agree_weight_by_weight(QuasiLieBialgebra(g, delta, phi)))
     base = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [((0, 1, 2), F(1))]))
-    verdicts.append(_agree_weight_by_weight(twist(base, Twist(rand_multivector(g, 2, rng)), validate=False)))
+    verdicts.append(_agree_weight_by_weight(twist(base, Twist(rand_multivector(g, 2, rng)))))
     assert verdicts[-1] and not all(verdicts)
 
 

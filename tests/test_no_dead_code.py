@@ -1,16 +1,21 @@
 """Every function, class, method and module-level constant of the library
 is used somewhere.
 
-A definition in ``src/qlie`` is dead when its name occurs as a Python
-name token nowhere in ``src/`` or ``perfbench/`` outside the definition's
-own source lines.  This holds for module-level functions and classes,
+A definition in ``src/qlie`` is live when its name occurs as a Python
+name token in a live place of ``src/`` or ``perfbench/``, and dead
+otherwise.  A place is live when it lies outside every library definition
+(module-level code of ``src/``, such as an export from
+``qlie/__init__.py``, and all of ``perfbench/``), or when the innermost
+library definition around it is itself live.  So two definitions that
+only name each other stay dead, and so does a definition that only its
+own lines name.  This holds for module-level functions and classes,
 methods and nested functions alike, and for the names a module-level
 assignment binds: a caller that only the tests have does not keep
-library code alive, and an export from ``qlie/__init__.py`` (a name
-token in ``src/``) does.
+library code alive.
 
 Dunder methods and dunder names (``__all__``, ``__version__``) are
-exempt: Python and packaging read them.  Name-based matching is
+exempt: Python and packaging read them, so what a dunder method names
+counts as named by its class.  Name-based matching is
 deliberately loose (any use of a name keeps every definition of that
 name alive); what it catches is code that nothing outside the tests
 mentions.  An exception class is held to more: it must be
@@ -50,30 +55,46 @@ def _definitions(path: Path):
                         yield leaf.id, node.lineno, node.end_lineno
 
 
-def _name_lines(path: Path):
-    """name -> line numbers on which it occurs as a NAME token."""
-    out = defaultdict(set)
+def _name_tokens(path: Path):
+    """(name, line) of every NAME token."""
     tokens = tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
     for tok in tokens:
         if tok.type == tokenize.NAME:
-            out[tok.string].add(tok.start[0])
-    return out
+            yield tok.string, tok.start[0]
+
+
+def _innermost(spans, line):
+    """The name of the innermost (name, first, last) span around line, or None."""
+    around = [(last - first, name) for name, first, last in spans if first <= line <= last]
+    return min(around)[1] if around else None
 
 
 def dead_definitions():
-    files = sorted(p for top in SEARCHED for p in (ROOT / top).rglob("*.py"))
-    uses = {p: _name_lines(p) for p in files}
-    dead = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        for name, start, end in _definitions(path):
-            used = any(
-                p != path or not start <= line <= end
-                for p in files
-                for line in uses[p].get(name, ())
-            )
-            if not used:
-                dead.append(f"{path.relative_to(ROOT)}:{start} {name}")
-    return dead
+    """Every library definition that no live place names: the names reached
+    from the live places, through the names each definition's body uses."""
+    library = sorted(LIBRARY.glob("*.py"))
+    spans = {path: list(_definitions(path)) for path in library}
+    roots = set()
+    used_by = defaultdict(set)  # definition name -> names its innermost lines use
+    for path in sorted(p for top in SEARCHED for p in (ROOT / top).rglob("*.py")):
+        for name, line in _name_tokens(path):
+            owner = _innermost(spans.get(path, ()), line)
+            if owner is None:
+                roots.add(name)
+            else:
+                used_by[owner].add(name)
+    live, frontier = set(), list(roots)
+    while frontier:
+        name = frontier.pop()
+        if name not in live:
+            live.add(name)
+            frontier.extend(used_by[name])
+    return [
+        f"{path.relative_to(ROOT)}:{start} {name}"
+        for path in library
+        for name, start, _ in spans[path]
+        if name not in live
+    ]
 
 
 def test_library_has_no_dead_definitions():

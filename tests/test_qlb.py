@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import multivector, permute_slots, rand_cobracket, rand_multivector, sym2, zero_cobracket
-from qlie.errors import InputError, PreconditionError
+from qlie.errors import InputError
 from qlie.lie import (
     abelian,
     casimir_from_pairing,
@@ -132,14 +132,6 @@ def test_structure_over_an_algebra_of_the_same_dimension_is_rejected():
     # the same numbers over sl2 itself, in another object, are accepted
     q = QuasiLieBialgebra(g, zero_cobracket(sl2()), multivector(sl2(), 3, [((0, 1, 2), F(1))]))
     assert check_qlb(q).passed
-
-
-def test_twist_rejects_invalid_input():
-    g = sl2()
-    delta = CECochain(g, 1, WEDGE(2), {((0,), (0, 1)): F(1)})
-    q = QuasiLieBialgebra(g, delta, multivector(g, 3))
-    with pytest.raises(PreconditionError):
-        twist(q, Twist(multivector(g, 2)))
 
 
 def test_casimir_commutator_is_signed_orbit():

@@ -31,7 +31,13 @@ KILLING = ("--casimir", "killing_sl2.json")
 CASES = {
     "cybe-standard-r-sl2": ("cybe", *SL2, "--r", "standard_r_sl2.json"),
     "cybe-r-ef-only": ("cybe", *SL2, "--r", "r_ef_only.json"),
+    # symmetric part invariant, CYBE fails: lambda-form fails, criteria-agree passes
+    "cybe-doubled-antisym-sl2": ("cybe", *SL2, "--r", "r_doubled_antisym_sl2.json"),
     "dynamical-r-sl2": ("dynamical", *SL2, "--sub", "h", "--r", "dynamical_r_sl2.json", "--vars", "x"),
+    # a symmetric part that varies with x: no lambda-form checks
+    "dynamical-nonconstant-sym-sl2": (
+        "dynamical", *SL2, "--sub", "h", "--r", "dynamical_r_nonconstant_sym.json", "--vars", "x"
+    ),
     "dynamical-ev-sl3-scaled": (
         "dynamical", *SL3, "--sub", "h1,h2", "--r", "ev_r_sl3_scaled.json", "--vars", "x1,x2"
     ),
@@ -47,6 +53,10 @@ CASES = {
     "check-qlb-bad-delta-sl2": ("check-qlb", *SL2, "--delta", "delta_bad_sl2.json", "--phi", "phi_zero.json"),
     "twist-lambda-ef-sl2": (
         "twist", *SL2, "--delta", "delta_std_sl2.json", "--phi", "phi_zero.json", "--lambda", "lambda_ef.json"
+    ),
+    # the input fails the axioms: exit 2 with the precondition message
+    "twist-bad-delta-sl2": (
+        "twist", *SL2, "--delta", "delta_bad_sl2.json", "--phi", "phi_zero.json", "--lambda", "lambda_ef.json"
     ),
     "mc-residual-shift1-phi-efh-sl2": (
         "mc-residual", *SL2, "--shift", "1", "--delta", "delta_std_sl2.json", "--phi", "phi_efh.json"

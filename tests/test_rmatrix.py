@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,17 +9,9 @@ from conftest import FIXTURES, ev_rmatrix, ev_rmatrix_sl3, multivector, permute_
 from qlie.errors import InputError
 from qlie.lie import abelian, casimir_from_pairing, sl, sl2, sl3, split_subalgebra
 from qlie.qlb import casimir_to_phi
-from qlie.rmatrix import (
-    DynamicalRMatrix,
-    RMatrix,
-    cybe,
-    dynamical_check,
-    lambda_form_residual,
-    quasitriangular_check,
-    split_r,
-)
+from qlie.rmatrix import DynamicalRMatrix, cybe, dynamical_check, lambda_form_residual
 from qlie.scalars import Polynomial, RationalFunction, parse_scalar
-from qlie.tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, SparseTensor, embed_wedge
+from qlie.tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, WEDGE, embed_wedge
 from rmatrix_oracle import alt_ddr, d_dr, schouten
 
 
@@ -27,7 +20,16 @@ def F(a, b=1):
 
 
 def rmat(dim, entries):
-    return RMatrix(SparseTensor.build(dim, 2, entries))
+    return SparseTensor.build(dim, 2, entries)
+
+
+def constant(g, r):
+    """A constant r as the dynamical r-matrix over h = 0."""
+    return DynamicalRMatrix(split_subalgebra(g, ()), (), r)
+
+
+def constant_check(g, r):
+    return dynamical_check(constant(g, r))
 
 
 def std_r():
@@ -37,7 +39,7 @@ def std_r():
 def brute_force_cybe(g, r):
     """Independent oracle: dense triple loop over all index combinations."""
     n = g.dim
-    rt = {k: v for k, v in r.tensor.data.items()}
+    rt = dict(r.data)
 
     def rr(i, j):
         return rt.get((i, j), F(0))
@@ -94,27 +96,28 @@ def test_cybe_is_quadratic(rng):
         entries = [((i, j), F(rng.randint(-2, 2))) for i in range(3) for j in range(3)]
         r = rmat(3, [e for e in entries if e[1]])
         s = F(rng.randint(1, 5), rng.randint(1, 3))
-        scaled = rmat(3, [(k, s * v) for k, v in r.tensor.data.items()])
+        scaled = r.scale(s)
         assert cybe(g, scaled) == cybe(g, r).scale(s * s)
 
 
 def test_split_r_cases():
     g = sl2()
-    rep = split_r(g, std_r())
+    rep = constant_check(g, std_r())
     assert rep.lam == multivector(g, 2, [((0, 1), F(1, 4))])
     assert dict(rep.c.data) == {((), (0, 1)): F(1, 2), ((), (2, 2)): F(1, 4)}
-    assert rep.symmetric_part_invariant
+    assert rep.symmetric_part_constant and rep.symmetric_part_invariant
     # symmetric input: lambda = 0
     sym = rmat(3, [((0, 1), F(1)), ((1, 0), F(1))])
-    assert split_r(g, sym).lam.is_zero()
+    assert constant_check(g, sym).lam.is_zero()
     # antisymmetric input: c = 0
     anti = rmat(3, [((0, 1), F(1)), ((1, 0), F(-1))])
-    assert split_r(g, anti).c.is_zero()
+    assert constant_check(g, anti).c.is_zero()
 
 
 def test_quasitriangular_standard_r():
     g = sl2()
-    rep = quasitriangular_check(g, std_r())
+    rep = constant_check(g, std_r())
+    assert rep.equivariance == {}
     assert rep.passed
     assert rep.lambda_form_holds
     assert rep.criteria_agree
@@ -122,15 +125,23 @@ def test_quasitriangular_standard_r():
 
 def test_quasitriangular_zero_r():
     g = sl2()
-    rep = quasitriangular_check(g, rmat(3, []))
+    rep = constant_check(g, rmat(3, []))
     assert rep.passed
 
 
 def test_quasitriangular_ef_fails():
     g = sl2()
-    rep = quasitriangular_check(g, rmat(3, [((0, 1), F(1))]))
-    assert not rep.cybe_holds
+    rep = constant_check(g, rmat(3, [((0, 1), F(1))]))
+    assert not rep.cdybe_holds
+    assert not rep.symmetric_part_invariant and rep.lambda_form_residual is None
     assert not rep.passed
+
+
+def test_cybe_rejects_a_tensor_over_another_space():
+    with pytest.raises(InputError, match="wrong space"):
+        cybe(sl2(), rmat(4, []))
+    with pytest.raises(InputError, match="wrong space"):
+        cybe(sl2(), SparseTensor(3, 3))
 
 
 def test_kappa_identity_on_sl2_and_sl3(rng):
@@ -145,9 +156,9 @@ def test_kappa_identity_on_sl2_and_sl3(rng):
             lf = schouten(g, lam, lam).scale(F(1, 2)) + phi.scale(LAMBDA_FORM_PHI_COEFF)
             assert lhs == embed_wedge(lf).scale(KAPPA_CYBE)
             # boolean agreement of the two criteria follows from the identity
-            rep = quasitriangular_check(g, r)
+            rep = constant_check(g, r)
             assert rep.criteria_agree
-            assert rep.cybe_holds == rep.lambda_form_holds
+            assert rep.cdybe_holds == rep.lambda_form_holds
 
 
 def test_cybe_antisymmetric_for_invariant_c(rng):
@@ -236,8 +247,8 @@ def test_dynamical_constant_r_reduces_to_quasitriangular():
 
 
 def test_dynamical_agrees_with_quasitriangular_on_random_constants(rng):
-    # a constant r passes dynamical_check exactly when it passes the
-    # non-dynamical quasi-triangularity check
+    # a constant r over h = <h> passes dynamical_check exactly when the
+    # same r passes over h = 0, the check of a classical r-matrix
     g = sl2()
     split = split_subalgebra(g, (2,), (0, 1))
     variables = ("x",)
@@ -251,13 +262,13 @@ def test_dynamical_agrees_with_quasitriangular_on_random_constants(rng):
                     entries.append(((i, j), RationalFunction.const(variables, c)))
         tensor = SparseTensor.build(3, 2, entries)
         dr = DynamicalRMatrix(split, variables, tensor, [])
-        plain = RMatrix(SparseTensor.build(3, 2, [(k, v.constant_value()) for k, v in tensor.items()]))
+        plain = SparseTensor.build(3, 2, [(k, v.constant_value()) for k, v in tensor.items()])
         dyn = dynamical_check(dr)
-        qt = quasitriangular_check(g, plain)
+        qt = constant_check(g, plain)
         expected = qt.passed and dyn.symmetric_part_constant and all(dyn.equivariance.values())
         # the dynamical verdict adds equivariance on top of the static checks
-        assert dyn.cdybe_holds == qt.cybe_holds
-        assert dyn.symmetric_part_invariant == qt.split.symmetric_part_invariant
+        assert dyn.cdybe_holds == qt.cdybe_holds
+        assert dyn.symmetric_part_invariant == qt.symmetric_part_invariant
         assert dyn.passed == expected
         cases += 1
     assert cases == 15
@@ -306,17 +317,35 @@ def test_ev_rmatrix_on_sl3_passes_and_scaled_residual_is_pinned():
         assert parse_scalar(mine["coef"], variables) == parse_scalar(theirs["coef"], variables)
 
 
-def fixture_dynamical(name):
-    from qlie.formats import lie_from_dict, polynomials_from_strings, tensor_from_dict
+def fixture_algebra_and_r(name):
+    from qlie.formats import lie_from_dict, tensor_from_dict
 
     g = lie_from_dict(json.loads((FIXTURES / "sl2.json").read_text()))
+    return g, tensor_from_dict(json.loads((FIXTURES / f"{name}.json").read_text()), g, "gg")
+
+
+def fixture_dynamical(name):
+    from qlie.formats import polynomials_from_strings
+
+    g, r = fixture_algebra_and_r(name)
     doc = json.loads((FIXTURES / f"{name}.json").read_text())
     locus = polynomials_from_strings(doc.get("locus", []), ("x",))
-    return DynamicalRMatrix(split_subalgebra(g, (g.index("h"),)), ("x",), tensor_from_dict(doc, g, "gg"), locus)
+    return DynamicalRMatrix(split_subalgebra(g, (g.index("h"),)), ("x",), r, locus)
+
+
+def random_constant_sl3():
+    """2 lambda + c on sl3 over h = 0, lambda seeded and c a seeded multiple
+    of the Casimir: the symmetric part is invariant, so the lambda-form runs."""
+    rng = random.Random(17)
+    g = sl3()
+    lam = rand_multivector(g, 2, rng)
+    c = casimir_from_pairing(g).scale(F(rng.randint(1, 3), 2))
+    return constant(g, rmat(g.dim, [*embed_wedge(lam.scale(F(2))).data.items(), *sym2_entries(c)]))
 
 
 # the sl2 dynamical fixtures and the Etingof-Varchenko r-matrices of sl3,
-# sl4 and sl5, with scaled (failing) copies on sl3 and sl4
+# sl4 and sl5, with scaled (failing) copies on sl3 and sl4; and constant r
+# over h = 0: the sl2 fixtures and a seeded one on sl3
 DYNAMICAL_CASES = {
     "dynamical_r_sl2": lambda: fixture_dynamical("dynamical_r_sl2"),
     "dynamical_r_bad": lambda: fixture_dynamical("dynamical_r_bad"),
@@ -325,7 +354,12 @@ DYNAMICAL_CASES = {
     "ev-sl4": lambda: ev_rmatrix(sl(4)),
     "ev-sl4-scaled": lambda: ev_rmatrix(sl(4), 3),
     "ev-sl5": lambda: ev_rmatrix(sl(5)),
+    "standard_r_sl2": lambda: constant(*fixture_algebra_and_r("standard_r_sl2")),
+    "r_ef_only": lambda: constant(*fixture_algebra_and_r("r_ef_only")),
+    "random-sl3": random_constant_sl3,
 }
+# the one case whose symmetric part is not invariant: no lambda-form
+NONINVARIANT = {"r_ef_only"}
 
 
 @pytest.mark.parametrize("name", sorted(DYNAMICAL_CASES))
@@ -333,29 +367,24 @@ def test_residuals_equal_the_slot_wise_oracles(name):
     # the CDYBE residual cybe(r) + embed(D), and the lambda-form with the
     # bracket -1/2 [lambda, d lambda] and 1/4 D, equal the slot-wise formulas
     dr = DYNAMICAL_CASES[name]()
+    g = dr.split.g
     rep = dynamical_check(dr)
     assert rep.cdybe_residual == rmatrix_oracle.cdybe_residual(dr)
-    sp = split_r(dr.split.g, RMatrix(dr.tensor))
+    # r = 2 lambda + c, with lambda and c read from the report
+    assert rmat(g.dim, [*embed_wedge(rep.lam.scale(F(2))).data.items(), *sym2_entries(rep.c)]) == dr.tensor
+    assert rep.symmetric_part_invariant is (name not in NONINVARIANT)
+    if name in NONINVARIANT:
+        assert rep.lambda_form_residual is None
+        return
     alt_mv = rmatrix_oracle.alt_mv_of_derivative(dr.split, list(dr.tensor.items()))
-    assert rep.lambda_form_residual is not None
-    assert rep.lambda_form_residual == rmatrix_oracle.lambda_form_residual(dr.split.g, sp.lam, sp.c, alt_mv)
+    assert rep.lambda_form_residual == rmatrix_oracle.lambda_form_residual(g, rep.lam, rep.c, alt_mv)
 
 
 def test_static_lambda_form_equals_the_schouten_oracle(rng):
-    from qlie.formats import lie_from_dict, tensor_from_dict
-
-    g = lie_from_dict(json.loads((FIXTURES / "sl2.json").read_text()))
-    for name in ("standard_r_sl2", "r_ef_only"):
-        r = RMatrix(tensor_from_dict(json.loads((FIXTURES / f"{name}.json").read_text()), g, "gg"))
-        sp = split_r(g, r)
-        rep = quasitriangular_check(g, r)
-        if sp.symmetric_part_invariant:
-            assert rep.lambda_form_residual == rmatrix_oracle.lambda_form_residual(g, sp.lam, sp.c)
-        else:
-            assert rep.lambda_form_residual is None
     for g in (sl2(), sl3()):
+        zero_d = CECochain(g, 0, WEDGE(3))
         for c in (casimir_from_pairing(g), casimir_from_pairing(g).scale(F(0))):
             for _ in range(3):
                 lam = rand_multivector(g, 2, rng)
                 expected = rmatrix_oracle.lambda_form_residual(g, lam, c)
-                assert lambda_form_residual(g, lam, c) == expected
+                assert lambda_form_residual(g, lam, c, zero_d) == expected
