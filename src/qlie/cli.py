@@ -208,7 +208,7 @@ def cmd_cybe(args, inputs):
 def cmd_dynamical(args, inputs):
     g = _load_algebra(args.file, inputs)
     split = _split_from_labels(g, args.sub)
-    variables = tuple(s for s in args.vars.split(",") if s)
+    variables = formats.variable_names([s for s in args.vars.split(",") if s], "--vars")
     doc = formats.read_json(args.r, inputs)
     doc.setdefault("vars", list(variables))
     if formats.variable_names(doc["vars"], "a tensor's 'vars'") != variables:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError
 from .lie import LieAlgebra
 from .manin import ManinTriple
-from .scalars import Polynomial, RationalFunction, parse_scalar
+from .scalars import Polynomial, RationalFunction, is_zero, parse_scalar
 from .tensors import CECochain, SparseTensor, SYM, WEDGE
 
 TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
@@ -83,9 +83,14 @@ def read_json(path: str, inputs: Dict[str, str]) -> dict:
 # ---------------------------------------------------------------------------
 
 def variable_names(value, where: str) -> Tuple[str, ...]:
-    """A JSON list of variable names as a tuple; anything else is an InputError."""
+    """A JSON list of distinct variable names as a tuple; anything else is an InputError."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise InputError(f"{where} is a list of variable names")
+    seen = set()
+    for v in value:
+        if v in seen:
+            raise InputError(f"{where} repeats the variable name {v!r}")
+        seen.add(v)
     return tuple(value)
 
 
@@ -252,6 +257,8 @@ def polynomials_from_strings(strings: Sequence[str], variables: Tuple[str, ...])
     out = []
     for s in strings:
         val = parse_scalar(str(s), variables)
+        if is_zero(val):
+            raise InputError(f"locus entry {s!r} is the zero polynomial")
         if isinstance(val, RationalFunction):
             if not val.den.is_constant():
                 raise InputError(f"locus entry {s!r} must be polynomial")

@@ -141,10 +141,12 @@ def check_lie(g: LieAlgebra) -> LieCheckReport:
 class SplitSubalgebra:
     """Subalgebra h with a chosen vector-space complement m inside g.
 
-    Blocks follow the basis split: [e_i, e~_j] = A^k_ij e_k + B^k_ij e~_k
-    and [e~_i, e~_j] = C^k_ij e_k + D^k_ij e~_k, with f the structure
-    constants of h itself.  All block indices are local (positions inside
-    h_indices / m_indices).
+    The blocks are the h components of the brackets in the basis split:
+    [e_i, e_j] = f^k_ij e_k, [e_i, e~_j] = A^k_ij e_k + (m part) and
+    [e~_i, e~_j] = C^k_ij e_k + (m part), with f the structure constants of
+    h itself.  The m parts are not kept: what reads them (the invariance
+    of a Casimir) takes d on g itself.  All block indices are local
+    (positions inside h_indices / m_indices).
     """
 
     def __init__(self, g: LieAlgebra, h_indices: Sequence[int], m_indices: Sequence[int]):
@@ -155,7 +157,7 @@ class SplitSubalgebra:
             raise InputError("h and m indices must partition the basis")
         hpos = {v: i for i, v in enumerate(self.h_indices)}
         mpos = {v: i for i, v in enumerate(self.m_indices)}
-        blocks: Dict[str, BracketTable] = {name: {} for name in "fABCD"}
+        blocks: Dict[str, BracketTable] = {name: {} for name in "fAC"}
 
         def put(name, a, b, row, mirrored):
             if row:
@@ -165,20 +167,17 @@ class SplitSubalgebra:
 
         escapes = []
         for (i, j), comps in g.pairs():
-            if i not in hpos and j in hpos:  # [e~_a, e_b] enters A and B as -[e_b, e~_a]
+            if i not in hpos and j in hpos:  # [e~_a, e_b] enters A as -[e_b, e~_a]
                 i, j, comps = j, i, {k: -c for k, c in comps.items()}
             hrow = {hpos[k]: c for k, c in comps.items() if k in hpos}
-            mrow = {mpos[k]: c for k, c in comps.items() if k in mpos}
             if i in hpos and j in hpos:
-                if mrow:
+                if len(hrow) < len(comps):
                     escapes.append(tuple(sorted((hpos[i], hpos[j]))))
                 put("f", hpos[i], hpos[j], hrow, True)
             elif i in hpos:
                 put("A", hpos[i], mpos[j], hrow, False)
-                put("B", hpos[i], mpos[j], mrow, False)
             else:
                 put("C", mpos[i], mpos[j], hrow, True)
-                put("D", mpos[i], mpos[j], mrow, True)
         if escapes:
             # the pair a scan over (a, b) in h would meet first
             i, j = (self.h_indices[a] for a in min(escapes))
@@ -186,7 +185,7 @@ class SplitSubalgebra:
                 f"h is not a subalgebra: [{g.basis[i]}, {g.basis[j]}] has a complement component"
             )
         # keyed in the order of that scan
-        self.f, self.A, self.B, self.C, self.D = (dict(sorted(blocks[x].items())) for x in "fABCD")
+        self.f, self.A, self.C = (dict(sorted(blocks[x].items())) for x in "fAC")
 
     @property
     def dim_h(self) -> int:
@@ -199,10 +198,6 @@ class SplitSubalgebra:
                 brackets[(a, b)] = dict(comps)
         labels = [self.g.basis[i] for i in self.h_indices]
         return LieAlgebra(f"{self.g.name}|{'+'.join(labels)}", labels, brackets)
-
-    def block(self, name: str, a: int, b: int) -> Dict[int, Scalar]:
-        table = getattr(self, name)
-        return dict(table.get((a, b), {}))
 
 
 def split_subalgebra(

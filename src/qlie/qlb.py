@@ -19,6 +19,9 @@ The coisotropic morphism verifier uses the same two maps: its target
 differential is d + [delta + phi, -] on the polyvector algebra of the
 subalgebra, twisted by the structure that `induce_from_coisotropic`
 returns, so the verifier and `check_qlb` judge the same (delta, phi).
+Its five split invariance identities are the blocks of d(P + Q), for
+P + Q the Casimir without its m (x) m entries, taken by the same
+differential as the invariance of c itself (`casimir_invariance_residual`).
 
 `induce_from_coisotropic` is the library's one map from a Casimir to a
 structure.  The associator of an invariant Casimir (`casimir_to_phi`) is
@@ -32,7 +35,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, Tuple
 
 from .errors import InputError
@@ -181,7 +183,9 @@ def casimir_to_phi_unchecked(g: LieAlgebra, c: CECochain) -> CECochain:
 
 
 def split_casimir(split: SplitSubalgebra, c: CECochain):
-    """c = P + Q with P in Sym^2(h) and Q in h (x) m, plus the m (x) m block.
+    """c = P + Q with P in Sym^2(h) and Q in h (x) m, plus the m (x) m block:
+    P by rows (it is symmetric), Q by columns (Qcol[a][i] = Q^{ia}) and
+    the m (x) m block by pairs.
 
     c stores one key (i, j), i <= j, per symmetric pair; the blocks read
     its coefficient in both orders."""
@@ -189,18 +193,18 @@ def split_casimir(split: SplitSubalgebra, c: CECochain):
     _check_sym2(g, c)
     hpos = {v: i for i, v in enumerate(split.h_indices)}
     mpos = {v: i for i, v in enumerate(split.m_indices)}
-    P: Dict[Tuple[int, int], Scalar] = {}
-    Q: Dict[Tuple[int, int], Scalar] = {}
+    Prow: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
+    Qcol: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
     mm: Dict[Tuple[int, int], Scalar] = {}
     for ((), (k, l)), coef in c.items():
         for i, j in ((k, l),) if k == l else ((k, l), (l, k)):
             if i in hpos and j in hpos:
-                P[(hpos[i], hpos[j])] = coef
+                Prow[hpos[i]][hpos[j]] = coef
             elif i in hpos and j in mpos:
-                Q[(hpos[i], mpos[j])] = coef
+                Qcol[mpos[j]][hpos[i]] = coef
             elif i in mpos and j in mpos:
                 mm[(mpos[i], mpos[j])] = coef
-    return P, Q, mm
+    return Prow, Qcol, mm
 
 
 def coisotropic_casimir_check(split: SplitSubalgebra, c: CECochain) -> bool:
@@ -230,8 +234,7 @@ def induce_from_coisotropic(split: SplitSubalgebra, c: CECochain) -> QuasiLieBia
     to check (`coisotropic_casimir_check`, which the CLI's `induce` reports);
     the m (x) m block of c is not read.
     """
-    P, Q, _ = split_casimir(split, c)
-    Prow, Qcol, _ = _casimir_rows(P, Q)
+    Prow, Qcol, _ = split_casimir(split, c)
     h = split.h_algebra()
     half, quarter = Fraction(1, 2), Fraction(1, 4)
 
@@ -275,19 +278,6 @@ def induce_from_coisotropic(split: SplitSubalgebra, c: CECochain) -> QuasiLieBia
     return QuasiLieBialgebra(h, delta, phi)
 
 
-def _casimir_rows(P, Q):
-    """P by rows (it is symmetric), and Q by columns and by rows."""
-    Prow: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
-    Qcol: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
-    Qrow: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
-    for (i, j), v in P.items():
-        Prow[i][j] = v
-    for (i, a), v in Q.items():
-        Qcol[a][i] = v
-        Qrow[i][a] = v
-    return Prow, Qcol, Qrow
-
-
 # ---------------------------------------------------------------------------
 # the coisotropic morphism verifier
 # ---------------------------------------------------------------------------
@@ -307,74 +297,50 @@ class MorphismReport:
         )
 
 
-def _invariance_identities(split: SplitSubalgebra, P, Q) -> Dict[str, bool]:
-    """The five split forms of d c = 0 for c = P + Q.
+# (down slot in h; up pair in h (x) h, h (x) m or m (x) m) -> identity.  The
+# block (h; m m) of d(P + Q) is zero because h is a subalgebra.
+_IDENTITY_BLOCKS = {
+    (False, 2): "casimirinv1",
+    (True, 2): "casimirinv2",
+    (False, 1): "casimirinv3",
+    (True, 1): "casimirinv4",
+    (False, 0): "casimirinv5",
+}
 
-    Each identity is a tensor in three free indices that must vanish.  It
-    is summed over the nonzero entries of the blocks of the split and of P
-    and Q, with X^k_{ab} = split.X[(a, b)][k]; the comments name the free
-    indices, i and j in h and a and k in m except where they say otherwise.
+
+def _invariance_identities(split: SplitSubalgebra, c: CECochain) -> Tuple[Dict[str, bool], CECochain]:
+    """The five split forms of d c = 0 for c = P + Q, and d(P + Q).
+
+    P + Q is c without its m (x) m entries, and d(P + Q) is a cochain in
+    C^1(g, Sym^2 g).  Identity n is one block of it: the keys whose down
+    slot lies in h or in m and whose up pair has two, one or no slots in h
+    (`_IDENTITY_BLOCKS`); it holds iff that block vanishes.
     """
-    Prow, Qcol, Qrow = _casimir_rows(P, Q)
-    f, A, B, C, D = split.f, split.A, split.B, split.C, split.D
-
-    def swapped(terms):
-        # identities 1, 2 and 5 are symmetric in their first two free indices
-        for (x, y, z), v in terms:
-            yield (x, y, z), v
-            yield (y, x, z), v
-
-    def contract(block, rows, first, key, sign=1):
-        # sign * X^x_{st} R^{uy} with u = s (first) or u = t, at key(x, y, s, t)
-        for (s, t), row in block.items():
-            for x, c in row.items():
-                for y, v in rows[s if first else t].items():
-                    yield key(x, y, s, t), sign * c * v
-
-    identities = {
-        # (i, a in h; k): A^i_{jk} P^{ja} + C^i_{jk} Q^{aj} + (i <-> a)
-        "casimirinv1": swapped(chain(
-            contract(A, Prow, True, lambda i, a, j, k: (i, a, k)),
-            contract(C, Qcol, True, lambda i, a, j, k: (i, a, k)),
-        )),
-        # (i, a, j in h): A^i_{jk} Q^{ak} - f^i_{kj} P^{ka} + (i <-> a)
-        "casimirinv2": swapped(chain(
-            contract(A, Qcol, False, lambda i, a, j, k: (i, a, j)),
-            contract(f, Prow, True, lambda i, a, k, j: (i, a, j), -1),
-        )),
-        # (i; a, k): -A^i_{jk} Q^{ja} - B^a_{jk} P^{ij} - D^a_{jk} Q^{ij}
-        "casimirinv3": chain(
-            contract(A, Qrow, True, lambda i, a, j, k: (i, a, k), -1),
-            contract(B, Prow, True, lambda a, i, j, k: (i, a, k), -1),
-            contract(D, Qcol, True, lambda a, i, j, k: (i, a, k), -1),
-        ),
-        # (i, j; a): -f^i_{kj} Q^{ka} + B^a_{jk} Q^{ik}
-        "casimirinv4": chain(
-            contract(f, Qrow, True, lambda i, a, k, j: (i, j, a), -1),
-            contract(B, Qcol, False, lambda a, i, j, k: (i, j, a)),
-        ),
-        # (i, a, k in m): B^i_{jk} Q^{ja} + (i <-> a)
-        "casimirinv5": swapped(contract(B, Qrow, True, lambda i, a, j, k: (i, a, k))),
-    }
-    return {name: not combine(terms) for name, terms in identities.items()}
+    g = split.g
+    in_h = set(split.h_indices)
+    pq = CECochain(g, 0, SYM(2), {key: v for key, v in c.items() if not in_h.isdisjoint(key[1])})
+    residual = casimir_invariance_residual(g, pq)
+    failing = {_IDENTITY_BLOCKS[x in in_h, (u in in_h) + (v in in_h)] for ((x,), (u, v)) in residual.data}
+    return {name: name not in failing for name in sorted(_IDENTITY_BLOCKS.values())}, residual
 
 
 def verify_coisotropic_morphism(split: SplitSubalgebra, c: CECochain) -> MorphismReport:
-    """Three checks: the five invariance identities, their equivalence to
+    """Three checks: the five invariance identities, which are the blocks of
+    d(P + Q) for P + Q the part of c off m (x) m, their equivalence to
     d c = 0, and that the generator map F intertwines the differentials,
     F(d_g x) = (d_h + [mu, -]) F(x) on every generator x, where mu is the
     induced structure delta + phi as a Maurer-Cartan element of the shift-1
-    polyvector algebra of h."""
+    polyvector algebra of h.  A coisotropic c has no m (x) m entry, so its
+    d c is the residual the identities are read off."""
     g = split.g
-    P, Q, _ = split_casimir(split, c)
-    identities = _invariance_identities(split, P, Q)
-
-    invariance = casimir_invariance_residual(g, c).is_zero()
-    identities_equal = all(identities.values()) == invariance
+    Prow, Qcol, mm = split_casimir(split, c)
+    identities, residual = _invariance_identities(split, c)
+    if mm:
+        residual = casimir_invariance_residual(g, c)
+    identities_equal = all(identities.values()) == residual.is_zero()
 
     q = induce_from_coisotropic(split, c)
     h = q.g
-    nh = split.dim_h
     Pg = PolyVectorAlgebra(g, 1)
     Ph = PolyVectorAlgebra(h, 1)
     # the target differential d + [mu, -], twisted by the induced
@@ -391,10 +357,9 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: CECochain) -> Morphis
     def F_gen(i_global: int) -> Element:
         if i_global in hpos:
             i = hpos[i_global]
-            terms = [(((), (j,)), Fraction(1, 2) * P.get((i, j), Fraction(0))) for j in range(nh)]
+            terms = [(((), (j,)), Fraction(1, 2) * p) for j, p in Prow[i].items()]
             return combine(terms, {((i,), ()): Fraction(1)})
-        a = mpos[i_global]
-        return combine((((), (j,)), Q.get((j, a), Fraction(0))) for j in range(nh))
+        return {((), (j,)): v for j, v in Qcol[mpos[i_global]].items()}
 
     def F_apply(el: Element) -> Element:
         out: Element = {}

@@ -71,11 +71,14 @@ class DynamicalRMatrix:
                     )
 
     def _denominator_allowed(self, den: Polynomial) -> bool:
+        # a constant locus entry removes no pole, and dividing by it again
+        # and again would never make rem constant
+        factors = [p for p in self.locus if not p.is_constant()]
         rem = den
         progress = True
         while progress and not rem.is_constant():
             progress = False
-            for p in self.locus:
+            for p in factors:
                 q = rem.exact_div(p)
                 if q is not None:
                     rem = q
@@ -204,7 +207,7 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
         # coadjoint flow: X_j(x) = -sum_k x_k <e^k, [xi_a, h_j]>
         flow_entries = []
         for j_local in range(split.dim_h):
-            comps = split.block("f", a, j_local)
+            comps = split.f.get((a, j_local))
             if not comps:
                 continue
             # velocity of coordinate x_j under xi_a
@@ -212,8 +215,6 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
             for k_local, s in comps.items():
                 term = RationalFunction.var(variables, variables[k_local]) * s
                 vel = term if vel is None else vel + term
-            if vel is None:
-                continue
             vel = -vel
             for (i, j), coef in dr.tensor.items():
                 if isinstance(coef, RationalFunction):

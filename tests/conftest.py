@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qlie.errors import InputError
 from qlie.linalg import rref
 from qlie.scalars import Polynomial, combine
 from qlie.tensors import CECochain, SYM, WEDGE
@@ -117,22 +118,59 @@ def sparse_structures(g, rng: random.Random, n: int, phi_inv: CECochain):
             yield QuasiLieBialgebra(g, delta, sparse_multivector(g, 3, rng, 2))
 
 
-def reassembled_bracket(split, i: int, j: int):
-    """[e_i, e_j] of the ambient algebra rebuilt from the blocks of the split."""
+def ref_split_blocks(g, h_indices, m_indices):
+    """{name: block} for f, A, B, C and D by three dense loops over pairs of
+    basis vectors, B and D being the m components that `SplitSubalgebra`
+    does not keep; InputError at the first pair of h that leaves h."""
+    hpos = {v: i for i, v in enumerate(h_indices)}
+    mpos = {v: i for i, v in enumerate(m_indices)}
+    blocks = {name: {} for name in "fABCD"}
+    for a, i in enumerate(h_indices):
+        for b, j in enumerate(h_indices):
+            comps = g.bracket(i, j)
+            fk = {hpos[k]: c for k, c in comps.items() if k in hpos}
+            if any(k in mpos for k in comps):
+                raise InputError(
+                    f"h is not a subalgebra: [{g.basis[i]}, {g.basis[j]}] has a "
+                    f"complement component"
+                )
+            if fk:
+                blocks["f"][(a, b)] = fk
+    for left, right, names in ((h_indices, m_indices, "AB"), (m_indices, m_indices, "CD")):
+        for a, i in enumerate(left):
+            for b, j in enumerate(right):
+                comps = g.bracket(i, j)
+                for name, pos in zip(names, (hpos, mpos)):
+                    row = {pos[k]: c for k, c in comps.items() if k in pos}
+                    if row:
+                        blocks[name][(a, b)] = row
+    return blocks
+
+
+def reassembled_brackets(split):
+    """{(i, j): [e_i, e_j]} over every pair of the ambient algebra, rebuilt
+    from the h components f, A and C of the split and the m components B
+    and D of `ref_split_blocks`."""
     h, m = split.h_indices, split.m_indices
-    if i in h and j in h:
-        a, b, blocks = h.index(i), h.index(j), (("f", h, 1),)
-    elif i in h:
-        a, b, blocks = h.index(i), m.index(j), (("A", h, 1), ("B", m, 1))
-    elif j in h:
-        a, b, blocks = h.index(j), m.index(i), (("A", h, -1), ("B", m, -1))
-    else:
-        a, b, blocks = m.index(i), m.index(j), (("C", h, 1), ("D", m, 1))
-    return combine(
-        (indices[k], sign * c)
-        for name, indices, sign in blocks
-        for k, c in split.block(name, a, b).items()
-    )
+    ref = ref_split_blocks(split.g, h, m)
+    blocks = {"f": split.f, "A": split.A, "C": split.C, "B": ref["B"], "D": ref["D"]}
+    out = {}
+    for i in range(split.g.dim):
+        for j in range(split.g.dim):
+            if i in h and j in h:
+                a, b, parts = h.index(i), h.index(j), (("f", h, 1),)
+            elif i in h:
+                a, b, parts = h.index(i), m.index(j), (("A", h, 1), ("B", m, 1))
+            elif j in h:
+                a, b, parts = h.index(j), m.index(i), (("A", h, -1), ("B", m, -1))
+            else:
+                a, b, parts = m.index(i), m.index(j), (("C", h, 1), ("D", m, 1))
+            out[(i, j)] = combine(
+                (indices[k], sign * c)
+                for name, indices, sign in parts
+                for k, c in blocks[name].get((a, b), {}).items()
+            )
+    return out
 
 
 def permute_slots(t, perm):

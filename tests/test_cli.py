@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +90,18 @@ R_COEF = ("entries", 0, "coef")
         ("phi_zero.json", ("vars",), ["x", 1], QLB_PHI, "list of variable names"),
         ("dynamical_r_sl2.json", ("vars",), 5, DYNAMICAL, "list of variable names"),
         ("dynamical_r_sl2.json", ("vars",), "x", DYNAMICAL, "list of variable names"),
+        # a repeated name used to be accepted, and d/dx always took the first x
+        ("sl2.json", ("field",), {"type": "ratfun", "vars": ["x", "x"]}, LIE, "repeats the variable name 'x'"),
+        (
+            "ev_r_sl3_scaled.json", ("vars",), ["x1", "x2", "x1"],
+            ("dynamical", SL3, "--sub", "h1,h2", "--r", "{}", "--vars", "x1,x2"),
+            "a tensor's 'vars' repeats the variable name 'x1'",
+        ),
+        (
+            "ev_r_sl3_scaled.json", ("vars",), ["x1", "x1"],
+            ("dynamical", SL3, "--sub", "h1,h2", "--r", "{}", "--vars", "x1,x1"),
+            "--vars repeats the variable name 'x1'",
+        ),
         # exponent literals are capped at 64; these used to expand for seconds
         ("sl2.json", COEF, "2^99999999", LIE, "above 64"),
         ("dynamical_r_sl2.json", R_COEF, "x^-99999999", DYNAMICAL, "above 64"),
@@ -170,7 +185,8 @@ R_COEF = ("entries", 0, "coef")
         "zero-denominator", "non-list-component", "singular-rmatrix",
         "string-field", "number-field", "string-field-vars",
         "number-tensor-vars", "non-string-tensor-vars", "number-rmatrix-vars",
-        "string-rmatrix-vars", "huge-power", "huge-negative-power", "power-above-cap",
+        "string-rmatrix-vars", "repeated-field-vars", "repeated-tensor-vars", "repeated-option-vars",
+        "huge-power", "huge-negative-power", "power-above-cap",
         "5000-digit-literal", "superscript-digit", "nested-power",
         "nested-rational-power", "product-of-powers", "sum-of-powers",
         "product-term-limit", "power-term-limit", "number-brackets", "null-locus",
@@ -392,6 +408,43 @@ def test_dynamical_command():
         "dynamical", SL2, "--sub", "h", "--r", str(FIXTURES / "dynamical_r_bad.json"), "--vars", "x"
     )
     assert code == 1
+
+
+def run_subprocess(*argv, timeout=60):
+    """(report, exit code) of `qlie argv --json` in a fresh interpreter,
+    which is killed, failing the test, after timeout seconds."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlie.cli", *argv, "--json"],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    return json.loads(proc.stdout), proc.returncode
+
+
+@pytest.mark.parametrize(
+    "locus, code, message",
+    [
+        # a nonzero constant removes no pole: dividing by it used to loop forever
+        (["2"], 2, "not supported on the declared locus"),
+        (["x^0"], 2, "not supported on the declared locus"),
+        (["2", "x"], 0, None),
+        # the zero polynomial used to exit 3 with ZeroDivisionError
+        (["0"], 2, "locus entry '0' is the zero polynomial"),
+        (["x", "0*x"], 2, "locus entry '0*x' is the zero polynomial"),
+    ],
+    ids=["two", "x-to-the-0", "two-and-x", "zero", "zero-times-x"],
+)
+def test_constant_locus_entries(tmp_path, locus, code, message):
+    doc = json.loads((FIXTURES / "dynamical_r_sl2.json").read_text())
+    doc["locus"] = locus
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    report, got = run_subprocess("dynamical", SL2, "--sub", "h", "--r", str(path), "--vars", "x")
+    assert got == code
+    if message:
+        assert report["checks"][0]["name"] == "input"
+        assert message in report["checks"][0]["detail"]["message"]
 
 
 def test_double_command():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURES, reassembled_bracket
+from conftest import FIXTURES, reassembled_brackets, ref_split_blocks
 from qlie.errors import InputError
 from qlie.formats import lie_from_dict, read_json
 from qlie.lie import (
@@ -213,11 +213,12 @@ def test_split_subalgebra_borel():
     g = sl2()
     split = split_subalgebra(g, (0, 2))
     assert split.dim_h == 2 and len(split.m_indices) == 1
-    # blocks read off the sl2 constants: [e, f] = h gives A, [h, f] = -2f gives B
-    assert split.block("A", 0, 0) == {1: F(1)}
-    assert split.block("B", 1, 0) == {0: F(-2)}
-    assert split.block("C", 0, 0) == {}
-    assert split.block("D", 0, 0) == {}
+    # blocks read off the sl2 constants: [e, f] = h gives A, [h, f] = -2f
+    # gives the m component B, which the split does not keep
+    assert split.A == {(0, 0): {1: F(1)}}
+    assert split.C == {}
+    ref = ref_split_blocks(g, split.h_indices, split.m_indices)
+    assert ref["B"] == {(1, 0): {0: F(-2)}} and ref["D"] == {}
     h = split.h_algebra()
     assert h.bracket(0, 1) == {0: F(-2)}  # [e, h] = -2e
 
@@ -226,7 +227,9 @@ def test_split_subalgebra_whole_algebra():
     g = sl2()
     split = split_subalgebra(g, (0, 1, 2))
     assert len(split.m_indices) == 0
-    assert split.f and not split.A and not split.B and not split.C and not split.D
+    assert split.f and not split.A and not split.C
+    ref = ref_split_blocks(g, split.h_indices, split.m_indices)
+    assert not ref["B"] and not ref["D"]
 
 
 def test_cochain_keys_are_canonical_in_the_module_slots():
@@ -256,9 +259,7 @@ def test_split_subalgebra_rejects_non_subalgebra():
 def test_split_blocks_reassemble_brackets():
     g = sl3()
     split = split_subalgebra(g, (0, 1, 2, 3, 4))  # Borel: Cartan + positives
-    for i in range(g.dim):
-        for j in range(g.dim):
-            assert reassembled_bracket(split, i, j) == g.bracket(i, j)
+    assert reassembled_brackets(split) == {(i, j): g.bracket(i, j) for i in range(g.dim) for j in range(g.dim)}
 
 
 def test_sl3_trace_pairing_values():

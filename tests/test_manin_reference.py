@@ -5,14 +5,18 @@ and `ref_sl3` are the earlier library code: the invariance of a pairing
 scanned over every (i, j, k), the induced associator read off one
 component at a time with every ordering of every index triple compared,
 the five split identities of d c = 0 scanned over their free indices, and
-sl3 built from Fraction matrix products solved back into the basis.
-`ref_split_blocks`, `ref_triple_to_bialgebra` and `ref_casimir_to_phi` are
-the split blocks read off three dense loops over pairs of basis vectors,
-the bialgebra of a triple from the inverse Gram matrix and the bracket of
-g*, and the associator -(1/6) [c_12, c_23] of a Casimir element; the
-library now reads the blocks off one walk over the nonzero brackets and
-takes the other two from coisotropic induction.  They are kept here as
-independent oracles only.
+sl3 built from Fraction matrix products solved back into the basis.  The
+library now reads the five identities off the blocks of d(P + Q), the
+one Chevalley-Eilenberg differential, so `ref_invariance_identities` is
+the hand contraction it replaced: it and `ref_induce` take every block
+f, A, B, C and D from `conftest.ref_split_blocks`, the blocks read off
+three dense loops over pairs of basis vectors (the split itself keeps
+only the h components f, A and C).  `ref_triple_to_bialgebra` and
+`ref_casimir_to_phi` are the bialgebra of a triple from the inverse Gram
+matrix and the bracket of g*, and the associator -(1/6) [c_12, c_23] of a
+Casimir element; the library reads the split blocks off one walk over the
+nonzero brackets and takes the other two from coisotropic induction.
+They are kept here as independent oracles only.
 """
 
 import random
@@ -21,7 +25,15 @@ from itertools import combinations
 
 import pytest
 
-from conftest import multivector, reassembled_bracket, solve, sym2, sym2_entries
+from conftest import (
+    multivector,
+    rand_fraction,
+    reassembled_brackets,
+    ref_split_blocks,
+    solve,
+    sym2,
+    sym2_entries,
+)
 from test_coisotropic import CASES, families
 from qlie import linalg
 from qlie.errors import InputError
@@ -54,7 +66,6 @@ from qlie.qlb import (
     casimir_invariance_residual,
     casimir_to_phi,
     induce_from_coisotropic,
-    split_casimir,
 )
 from qlie.scalars import is_zero
 from qlie.tensors import CECochain, SYM, SparseTensor, WEDGE, _sort_with_sign, embed_wedge
@@ -77,26 +88,32 @@ def ref_check_quadratic(d):
     return nondeg, True, None
 
 
+def dense_blocks(split):
+    """f, A, B, C and D of `ref_split_blocks` as X(k, a, b) = X^k_{ab}."""
+    blocks = ref_split_blocks(split.g, split.h_indices, split.m_indices)
+    return [
+        lambda k, a, b, block=blocks[name]: block.get((a, b), {}).get(k, Fraction(0))
+        for name in "fABCD"
+    ]
+
+
+def dense_casimir(split, c):
+    """P^{ij} and Q^{ia} of c as functions of local indices, read off its
+    entries in both orders."""
+    entries = dict(sym2_entries(c))
+    h, m = split.h_indices, split.m_indices
+    return (
+        lambda i, j: entries.get((h[i], h[j]), Fraction(0)),
+        lambda i, a: entries.get((h[i], m[a]), Fraction(0)),
+    )
+
+
 def ref_induce(split, c):
     """(delta, phi) component by component; InputError if phi is not antisymmetric."""
-    P, Q, _ = split_casimir(split, c)
     nh, nm = split.dim_h, len(split.m_indices)
     h = split.h_algebra()
-
-    def Pc(i, j):
-        return P.get((i, j), Fraction(0))
-
-    def Qc(i, a):
-        return Q.get((i, a), Fraction(0))
-
-    def A(k, i, a):
-        return split.block("A", i, a).get(k, Fraction(0))
-
-    def C(k, a, b):
-        return split.block("C", a, b).get(k, Fraction(0))
-
-    def f(k, i, j):
-        return h.bracket(i, j).get(k, Fraction(0))
+    f, A, _, C, _ = dense_blocks(split)
+    Pc, Qc = dense_casimir(split, c)
 
     delta_entries = []
     for k in range(nh):
@@ -141,23 +158,13 @@ def ref_induce(split, c):
     return delta, multivector(h, 3, phi_entries.items())
 
 
-def ref_invariance_identities(split, P, Q):
+def ref_invariance_identities(split, c):
+    """The five split identities of d c = 0 for the part P + Q of c off
+    m (x) m, each scanned over its free indices with the blocks of
+    `ref_split_blocks`."""
     nh, nm = split.dim_h, len(split.m_indices)
-    h = split.h_algebra()
-
-    def Pc(i, j):
-        return P.get((i, j), Fraction(0))
-
-    def Qc(i, a):
-        return Q.get((i, a), Fraction(0))
-
-    def block(name):
-        return lambda k, i, a: split.block(name, i, a).get(k, Fraction(0))
-
-    A, B, C, D = block("A"), block("B"), block("C"), block("D")
-
-    def f(k, i, j):
-        return h.bracket(i, j).get(k, Fraction(0))
+    f, A, B, C, D = dense_blocks(split)
+    Pc, Qc = dense_casimir(split, c)
 
     def vanishes(ranges, t):
         return all(is_zero(t(x, y, z)) for x in ranges[0] for y in ranges[1] for z in ranges[2])
@@ -197,34 +204,6 @@ def ref_invariance_identities(split, P, Q):
             ),
         ),
     }
-
-
-def ref_split_blocks(g, h_indices, m_indices):
-    """{name: block} for f, A, B, C and D by three dense loops over pairs of
-    basis vectors; InputError at the first pair of h that leaves h."""
-    hpos = {v: i for i, v in enumerate(h_indices)}
-    mpos = {v: i for i, v in enumerate(m_indices)}
-    blocks = {name: {} for name in "fABCD"}
-    for a, i in enumerate(h_indices):
-        for b, j in enumerate(h_indices):
-            comps = g.bracket(i, j)
-            fk = {hpos[k]: c for k, c in comps.items() if k in hpos}
-            if any(k in mpos for k in comps):
-                raise InputError(
-                    f"h is not a subalgebra: [{g.basis[i]}, {g.basis[j]}] has a "
-                    f"complement component"
-                )
-            if fk:
-                blocks["f"][(a, b)] = fk
-    for left, right, names in ((h_indices, m_indices, "AB"), (m_indices, m_indices, "CD")):
-        for a, i in enumerate(left):
-            for b, j in enumerate(right):
-                comps = g.bracket(i, j)
-                for name, pos in zip(names, (hpos, mpos)):
-                    row = {pos[k]: c for k, c in comps.items() if k in pos}
-                    if row:
-                        blocks[name][(a, b)] = row
-    return blocks
 
 
 def ref_sub_algebra(d, indices, name):
@@ -482,10 +461,9 @@ def compare_induced(split, c):
 @pytest.mark.parametrize("split, c", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
 def test_induced_structure_and_identities_match_dense(split, c):
     assert compare_induced(split, c)
-    P, Q, _ = split_casimir(split, c)
-    identities = _invariance_identities(split, P, Q)
-    assert identities == ref_invariance_identities(split, P, Q)
-    assert all(identities.values())
+    identities, residual = _invariance_identities(split, c)
+    assert identities == ref_invariance_identities(split, c)
+    assert all(identities.values()) and residual.is_zero()
 
 
 def test_perturbed_casimirs_match_dense():
@@ -496,11 +474,30 @@ def test_perturbed_casimirs_match_dense():
     for _, split, c in CASES:
         c = perturbed(c, rng)
         antisymmetric += compare_induced(split, c)
-        P, Q, _ = split_casimir(split, c)
-        identities = _invariance_identities(split, P, Q)
-        assert identities == ref_invariance_identities(split, P, Q)
+        identities, _ = _invariance_identities(split, c)
+        assert identities == ref_invariance_identities(split, c)
         broken += not all(identities.values())
     assert broken > 0 and 0 < antisymmetric < len(CASES)
+
+
+def test_random_casimirs_match_dense_identities():
+    # random symmetric c, m (x) m entries included, over every split: the
+    # blocks of d(P + Q) against the five identities scanned index by index
+    rng = random.Random(18)
+    patterns = set()
+    for _, split, c in CASES:
+        n = c.g.dim
+        for _ in range(4):
+            entries = [
+                ((rng.randrange(n), rng.randrange(n)), rand_fraction(rng))
+                for _ in range(rng.randint(1, 4))
+            ]
+            for x in (sym2(c.g, entries), c + sym2(c.g, entries)):
+                identities, residual = _invariance_identities(split, x)
+                assert identities == ref_invariance_identities(split, x)
+                assert all(identities.values()) == residual.is_zero()
+                patterns.add(tuple(identities.values()))
+    assert len(patterns) >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +524,10 @@ def test_sl_views_match_old_constructors(new, ref):
 def test_split_blocks_match_dense_loops(split, c):
     g = split.g
     expect = ref_split_blocks(g, split.h_indices, split.m_indices)
-    for name, block in expect.items():
+    for name in "fAC":
         # the same entries, keyed in the same order
-        assert list(getattr(split, name).items()) == list(block.items()), name
-    for i in range(g.dim):
-        for j in range(g.dim):
-            assert reassembled_bracket(split, i, j) == g.bracket(i, j)
+        assert list(getattr(split, name).items()) == list(expect[name].items()), name
+    assert reassembled_brackets(split) == {(i, j): g.bracket(i, j) for i in range(g.dim) for j in range(g.dim)}
 
 
 def test_split_rejects_non_subalgebras_with_the_same_pair():

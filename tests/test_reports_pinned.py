@@ -44,6 +44,10 @@ CASES = {
     "casimir-phi-killing-sl2": ("casimir-phi", *SL2, *KILLING),
     "induce-killing-sl2": ("induce", *SL2, "--sub", "e,h", *KILLING),
     "verify-morphism-killing-sl2": ("verify-morphism", *SL2, "--sub", "e,h", *KILLING),
+    # c not invariant: exit 1, casimirinv2 and casimirinv3 fail, three intertwines checks fail
+    "verify-morphism-noninvariant-sl2": (
+        "verify-morphism", *SL2, "--sub", "e,h", "--casimir", "sym2_noninvariant_sl2.json"
+    ),
     "mc-residual-shift2-killing-sl2": ("mc-residual", *SL2, "--shift", "2", *KILLING),
     "mc-residual-shift2-noninvariant-sl2": (
         "mc-residual", *SL2, "--shift", "2", "--casimir", "sym2_noninvariant_sl2.json"

@@ -81,10 +81,12 @@ def test_sym_storage_reads_all_orders():
     c = sym2(g, [((1, 0), F(1)), ((2, 2), F(1, 2))])
     assert c.data == {((), (0, 1)): 1, ((), (2, 2)): F(1, 2)}
     assert sym2(g, [((0, 1), F(1)), ((1, 0), F(1))]).data == {((), (0, 1)): 2}
-    P, Q, mm = split_casimir(split_subalgebra(g, range(3)), c)
-    assert P == {(0, 1): 1, (1, 0): 1, (2, 2): F(1, 2)} and not Q and not mm
-    P, Q, mm = split_casimir(split_subalgebra(g, (1, 2)), c)
-    assert P == {(1, 1): F(1, 2)} and Q == {(0, 0): 1} and not mm
+    Prow, Qcol, mm = split_casimir(split_subalgebra(g, range(3)), c)
+    assert Prow == {0: {1: 1}, 1: {0: 1}, 2: {2: F(1, 2)}} and not Qcol and not mm
+    Prow, Qcol, mm = split_casimir(split_subalgebra(g, (1, 2)), c)
+    assert Prow == {1: {1: F(1, 2)}} and Qcol == {0: {0: 1}} and not mm
+    Prow, Qcol, mm = split_casimir(split_subalgebra(g, (2,)), c)
+    assert Prow == {0: {0: F(1, 2)}} and not Qcol and mm == {(0, 1): 1, (1, 0): 1}
 
 
 def test_anti_storage_signed_reads():
