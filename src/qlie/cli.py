@@ -184,10 +184,13 @@ def cmd_verify_morphism(args, inputs):
     g = _load_algebra(args.file, inputs)
     c = _load_tensor(args.casimir, g, "sym2", inputs)
     split = _split_from_labels(g, args.sub)
+    # the morphism is the induction's, so as in `induce` a c that is not
+    # coisotropic for h ends the report there
+    if not coisotropic_casimir_check(split, c):
+        return [_check("coisotropic", False)], {}
     rep = verify_coisotropic_morphism(split, c)
-    checks = [
-        _check(name, ok) for name, ok in sorted(rep.invariance_identities.items())
-    ]
+    checks = [_check("coisotropic", True)]
+    checks.extend(_check(name, ok) for name, ok in sorted(rep.invariance_identities.items()))
     checks.append(_check("identities-equal-invariance", rep.identities_equal_invariance))
     for gen, ok in sorted(rep.intertwines.items()):
         checks.append(_check(f"intertwines-{gen}", ok))

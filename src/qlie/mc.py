@@ -13,23 +13,22 @@ bracket is symmetric on degree-1 elements, so 1/2 [x, x] is summed over
 the unordered pairs of monomials of x, each taken once, and only over the
 pairs that share a contraction, as the generator index
 `polyvectors.contraction_partners` names them (3,644 of the 9,250 pairs
-of the standard sl3 bialgebra after a random twist).  The sum runs over
-integer numerators: with L the lcm of the denominators of x's
-coefficients when all are Fractions, else L = 1 (RationalFunction
-coefficients take the same loop), 1/2 [x, x] = [Lx, Lx] / 2L^2, and each
-output key is divided by 2L^2 once, after the sum.
+of the standard sl3 bialgebra after a random twist).  The residual is one
+sum over integer numerators: with L the common denominator of x's
+coefficients (`polyvectors.numerators`; L = 1 and the coefficients
+themselves when one is a RationalFunction) and L_g that of the stored
+generator images, d x is 2L d'(Lx) / 2L^2 L_g and 1/2 [x, x] is
+L_g [Lx, Lx] / 2L^2 L_g, so both go into one accumulator and each output
+key is divided by 2L^2 L_g once, after the sum.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Dict
 
 from .errors import InputError
 from .tensors import CECochain
-from .polyvectors import Element, PolyVectorAlgebra, contraction_partners
-from .scalars import combine
+from .polyvectors import Element, PolyVectorAlgebra, add_term, contraction_partners, numerators, over
 
 # The most pairs of monomials 1/2 [x, x] may form, counted before the
 # index drops those that share no contraction.  A counted pair costs about
@@ -64,23 +63,19 @@ def mc_residual(P: PolyVectorAlgebra, x: Element) -> Dict[int, CECochain]:
             f"over the limit of {MAX_PAIRS}"
         )
 
-    # 1/2 [x, x] = [Lx, Lx] / 2L^2 over integer numerators (module docstring)
-    monos, coefs = list(x), list(x.values())
-    if all(isinstance(c, Fraction) for c in coefs):
-        L = lcm(*(c.denominator for c in coefs))
-        nums = [c.numerator * (L // c.denominator) for c in coefs]
-    else:
-        L, nums = 1, coefs
-    partners = contraction_partners(monos)
-    square: Element = {}
-    for i, m1 in enumerate(monos):
+    # d x + 1/2 [x, x] over 2 L^2 L_g, summed over integer numerators (module docstring)
+    L, nums = numerators(x)
+    Lg = P._d_den
+    acc = P.d_numerators([(m, 2 * L * c) for m, c in nums])
+    partners = contraction_partners([m for m, _ in nums])
+    for i, (m1, c1) in enumerate(nums):
         for j in partners(m1):
             if j >= i:
-                scale = nums[i] * nums[j] * (2 if j > i else 1)
-                for m, c in P.bracket_monos(m1, monos[j]).items():
-                    square[m] = square.get(m, 0) + scale * c
-    unit = Fraction(1, 2 * L * L)
+                m2, c2 = nums[j]
+                scale = c1 * c2 * (2 * Lg if j > i else Lg)
+                for m, c in P.bracket_monos(m1, m2).items():
+                    add_term(acc, m, scale * c)
     by_weight: Dict[int, Element] = {}
-    for mono, coef in combine(((m, s * unit) for m, s in square.items()), P.d(x)).items():
+    for mono, coef in over(acc, 2 * L * L * Lg).items():
         by_weight.setdefault(len(mono[1]), {})[mono] = coef
     return {w: P.to_cochain(el, n + 3 - n * w, w) for w, el in sorted(by_weight.items())}

@@ -33,6 +33,16 @@ only the pairs of monomials that the generator index
 of the bracket are checked exhaustively in the tests, and the kernel
 against a generator-list insertion sort (tests/polyvector_oracle.py).
 
+`d`, `mul` and `bracket` sum integer numerators.  Each element is taken
+over the lcm L of its coefficients' denominators (`numerators`), the
+generator images are stored once as integers over L_g, the lcm of the
+structure constants' denominators (`_d_den`), and the products of
+numerators are summed per key in a plain dict; each output key is then
+divided once, by L L_g for d and by L_a L_b for a product or a bracket,
+so a Fraction is formed only there.  A RationalFunction coefficient or
+structure constant takes the same loops with L = 1 (or L_g = 1), and
+what comes out has the types that went in.
+
 The differential d is the library's one Chevalley-Eilenberg differential.
 A cochain valued in TRIVIAL, ADJOINT or WEDGE(p) is the slice of
 polyvector weight 0, 1 or p at shift 1; one valued in SYM(p) is the
@@ -79,7 +89,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import InputError
 from .lie import LieAlgebra
-from .scalars import Scalar, combine
+from .scalars import RationalFunction, Scalar
 from .tensors import CECochain, SYM, WEDGE, multiplicity_factorial
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (dual indices, vector indices)
@@ -95,12 +105,16 @@ class PolyVectorAlgebra:
         self.g = g
         self.n = shift
         self.vec_parity = shift % 2
-        # generator images from the nonzero brackets [e_j, e_k] = c e_i, j < k;
-        # in sorted pair order each _d_vec row comes out sorted by j
+        # generator images from the nonzero brackets [e_j, e_k] = c e_i, j < k,
+        # stored as numerators over _d_den (module docstring); in sorted pair
+        # order each _d_vec row comes out sorted by j
+        pairs = sorted(g.pairs())
+        self._d_den, numerator = _common_denominator([c for _, comps in pairs for c in comps.values()])
         self._d_cov: List[Element] = [{} for _ in range(g.dim)]
         self._d_vec: List[Element] = [{} for _ in range(g.dim)]
-        for (j, k), comps in sorted(g.pairs()):
+        for (j, k), comps in pairs:
             for i, c in comps.items():
+                c = numerator(c)
                 self._d_cov[i][((j, k), ())] = c
                 self._d_vec[j][((k,), (i,))] = c
                 self._d_vec[k][((j,), (i,))] = -c
@@ -112,43 +126,48 @@ class PolyVectorAlgebra:
 
     def mul(self, a: Element, b: Element) -> Element:
         vp = self.vec_parity
-
-        def terms():
-            for (cov1, vec1), c1 in a.items():
-                for (cov2, vec2), c2 in b.items():
-                    cov, vec = _merge(cov1, cov2), _merge(vec1, vec2, vp)
-                    if cov and vec:
-                        c = c1 * c2
-                        odd = cov[1] + vp * (len(vec1) * len(cov2) + vec[1])  # m1's e_ pass m2's e^
-                        yield (cov[0], vec[0]), -c if odd % 2 else c
-
-        return combine(terms())
+        (la, na), (lb, nb) = numerators(a), numerators(b)
+        acc: Dict[Mono, Scalar] = {}
+        for (cov1, vec1), c1 in na:
+            for (cov2, vec2), c2 in nb:
+                cov, vec = _merge(cov1, cov2), _merge(vec1, vec2, vp)
+                if cov and vec:
+                    c = c1 * c2
+                    odd = cov[1] + vp * (len(vec1) * len(cov2) + vec[1])  # m1's e_ pass m2's e^
+                    add_term(acc, (cov[0], vec[0]), -c if odd % 2 else c)
+        return over(acc, la * lb)
 
     def d(self, a: Element) -> Element:
         """The differential: the generator images _d_cov/_d_vec extended as an
         odd derivation; the image of the p-th generator, e^j e^k or e^j e_l,
         is merged into the monomial without it."""
+        L, nums = numerators(a)
+        return over(self.d_numerators(nums), L * self._d_den)
+
+    def d_numerators(self, nums: Sequence[Tuple[Mono, Scalar]]) -> Dict[Mono, Scalar]:
+        """sum_m c_m d'(m) over the (m, c_m) of nums, undivided, where d'
+        takes the generator images as stored, so d'(m) = _d_den d(m): for
+        numerators over a common denominator L this is L _d_den times d of
+        the element they stand for."""
         vp = self.vec_parity
-
-        def terms():
-            for (cov, vec), coef in a.items():
-                for p, i in enumerate(cov):  # e^j e^k passes p odd generators
-                    rest = cov[:p] + cov[p + 1 :]
-                    for (jk, _), icoef in self._d_cov[i].items():
-                        res = _merge(rest, jk)
-                        if res:
-                            c = coef * icoef
-                            yield (res[0], vec), -c if (p + res[1]) % 2 else c
-                for t, i in enumerate(vec):  # e^j passes vec[:t], e_l moves from t
-                    rest = vec[:t] + vec[t + 1 :]
-                    for ((j,), (l,)), icoef in self._d_vec[i].items():
-                        rc, rv = _merge(cov, (j,)), _merge(rest, (l,), vp)
-                        if rc and rv:
-                            c = coef * icoef
-                            odd = len(cov) + rc[1] + vp * (t + len(rest) + rv[1])
-                            yield (rc[0], rv[0]), -c if odd % 2 else c
-
-        return combine(terms())
+        acc: Dict[Mono, Scalar] = {}
+        for (cov, vec), coef in nums:
+            for p, i in enumerate(cov):  # e^j e^k passes p odd generators
+                rest = cov[:p] + cov[p + 1 :]
+                for (jk, _), icoef in self._d_cov[i].items():
+                    res = _merge(rest, jk)
+                    if res:
+                        c = coef * icoef
+                        add_term(acc, (res[0], vec), -c if (p + res[1]) % 2 else c)
+            for t, i in enumerate(vec):  # e^j passes vec[:t], e_l moves from t
+                rest = vec[:t] + vec[t + 1 :]
+                for ((j,), (l,)), icoef in self._d_vec[i].items():
+                    rc, rv = _merge(cov, (j,)), _merge(rest, (l,), vp)
+                    if rc and rv:
+                        c = coef * icoef
+                        odd = len(cov) + rc[1] + vp * (t + len(rest) + rv[1])
+                        add_term(acc, (rc[0], rv[0]), -c if odd % 2 else c)
+        return acc
 
     # -- the big bracket -------------------------------------------------------
 
@@ -183,14 +202,15 @@ class PolyVectorAlgebra:
 
     def bracket(self, a: Element, b: Element) -> Element:
         """The bracket over the pairs of monomials that share a contraction."""
-        monos = list(b.items())
-        partners = contraction_partners([m for m, _ in monos])
-        return combine(
-            (m, c1 * monos[j][1] * c)
-            for m1, c1 in a.items()
-            for j in partners(m1)
-            for m, c in self.bracket_monos(m1, monos[j][0]).items()
-        )
+        (la, na), (lb, nb) = numerators(a), numerators(b)
+        partners = contraction_partners([m for m, _ in nb])
+        acc: Dict[Mono, Scalar] = {}
+        for m1, c1 in na:
+            for j in partners(m1):
+                m2, c2 = nb[j]
+                for m, c in self.bracket_monos(m1, m2).items():
+                    add_term(acc, m, c1 * c2 * c)
+        return over(acc, la * lb)
 
     # -- encodings -------------------------------------------------------------
 
@@ -267,6 +287,42 @@ class PolyVectorAlgebra:
             for x in last[bisect_left(last, lowest) :]:
                 keys.append((cov, vec + (x,)) if w else (cov + (x,), vec))
         return keys
+
+
+def _common_denominator(coefs: Sequence[Scalar]) -> Tuple[int, Callable[[Scalar], Scalar]]:
+    """(L, numerator): when every coefficient is a Fraction, L is the lcm of
+    their denominators and numerator(c) the int L c; else L = 1 and
+    numerator(c) is c itself, so RationalFunction coefficients take the
+    same loops."""
+    if all(isinstance(c, Fraction) for c in coefs):
+        L = lcm(*(c.denominator for c in coefs))
+        return L, lambda c: c.numerator * (L // c.denominator)
+    return 1, lambda c: c
+
+
+def numerators(a: Element) -> Tuple[int, List[Tuple[Mono, Scalar]]]:
+    """(L, [(m, L c_m)]) for the terms c_m m of a over their common
+    denominator L (`_common_denominator`)."""
+    L, numerator = _common_denominator(list(a.values()))
+    return L, [(m, numerator(c)) for m, c in a.items()]
+
+
+def add_term(acc: Dict[Mono, Scalar], key: Mono, c: Scalar) -> None:
+    """acc[key] += c, dropping a zero sum as `scalars.combine` does."""
+    v = acc.get(key, 0) + c
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
+def over(acc: Dict[Mono, Scalar], den: int) -> Element:
+    """Each sum of acc divided by den: one Fraction per key, or, for a
+    RationalFunction sum, one scaling by 1/den."""
+    return {
+        m: (v if den == 1 else v * Fraction(1, den)) if isinstance(v, RationalFunction) else Fraction(v, den)
+        for m, v in acc.items()
+    }
 
 
 def _merge(a: Tuple[int, ...], b: Tuple[int, ...], odd: int = 1) -> Optional[Tuple[Tuple[int, ...], int]]:

@@ -1,8 +1,13 @@
 """Exact scalars: rationals and multivariate rational functions.
 
 Rationals are plain ``fractions.Fraction`` (lowest terms, positive
-denominator, courtesy of the stdlib).  Polynomials have Fraction
-coefficients over a fixed ordered variable tuple.
+denominator, courtesy of the stdlib).  A polynomial over a fixed ordered
+variable tuple stores each coefficient as an ``int`` when it is integral
+and as a Fraction otherwise, so sums and products of integral terms (the
+numerators 2 and root-hyperplane factors x_i - x_j of the dynamical
+r-matrices) form no Fraction; `exact_div` forms one ``Fraction(a, b)`` per
+quotient coefficient.  What leaves a polynomial is unchanged:
+`constant_value` is a Fraction, and ``2`` and ``Fraction(2)`` print alike.
 
 A rational function is a numerator polynomial over a multiset of
 normalised denominator factors, ``num / prod(f ** e)``.  A normalised
@@ -63,17 +68,45 @@ _DEFAULT_LITERAL_DIGITS = 4300
 MAX_TERMS_FORMED = 100_000
 
 
+Coef = Union[int, Fraction]  # a polynomial coefficient: int when integral
+
+
+def _exact(c) -> Coef:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _poly_sum(terms: Iterable[Tuple[Exponents, Coef]], acc: Optional[Dict[Exponents, Coef]] = None) -> Dict[Exponents, Coef]:
+    """Sum (exponents, coefficient) terms into acc (a new dict by default),
+    each key from int 0; zero sums are dropped and integral ones stored as
+    ints."""
+    out: Dict[Exponents, Coef] = {} if acc is None else acc
+    for key, c in terms:
+        v = out.get(key, 0) + c
+        if not v:
+            out.pop(key, None)
+        elif type(v) is Fraction and v.denominator == 1:
+            out[key] = v.numerator
+        else:
+            out[key] = v
+    return out
+
+
 class Polynomial:
     """Multivariate polynomial over Q with a fixed variable tuple."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Tuple[str, ...], terms: Dict[Exponents, Fraction] | None = None):
+    def __init__(self, variables: Tuple[str, ...], terms: Dict[Exponents, Coef] | None = None):
         self.vars = tuple(variables)
-        clean: Dict[Exponents, Fraction] = {}
+        clean: Dict[Exponents, Coef] = {}
         if terms:
             for exps, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     key = tuple(exps)
                     if len(key) != len(self.vars):
@@ -82,9 +115,9 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
-    def _of(cls, variables: Tuple[str, ...], terms: Dict[Exponents, Fraction]) -> "Polynomial":
-        """Wrap terms that are already clean: nonzero Fractions on exponent
-        tuples of the right length."""
+    def _of(cls, variables: Tuple[str, ...], terms: Dict[Exponents, Coef]) -> "Polynomial":
+        """Wrap terms that are already clean: nonzero coefficients, ints when
+        integral, on exponent tuples of the right length."""
         p = object.__new__(cls)
         p.vars = variables
         p.terms = terms
@@ -92,16 +125,16 @@ class Polynomial:
 
     @classmethod
     def const(cls, variables: Tuple[str, ...], value) -> "Polynomial":
-        value = Fraction(value)
+        value = _exact(value)
         if not value:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(variables): value})
+            return cls._of(tuple(variables), {})
+        return cls._of(tuple(variables), {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables: Tuple[str, ...], name: str) -> "Polynomial":
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -114,7 +147,7 @@ class Polynomial:
             return Fraction(0)
         if not self.is_constant():
             raise InputError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def _check(self, other: "Polynomial") -> None:
         if self.vars != other.vars:
@@ -122,7 +155,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial._of(self.vars, combine(other.terms.items(), dict(self.terms)))
+        return Polynomial._of(self.vars, _poly_sum(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._of(self.vars, {e: -c for e, c in self.terms.items()})
@@ -135,7 +168,7 @@ class Polynomial:
         pairs = other.terms.items()
         return Polynomial._of(
             self.vars,
-            combine(
+            _poly_sum(
                 (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
                 for e1, c1 in self.terms.items()
                 for e2, c2 in pairs
@@ -143,10 +176,10 @@ class Polynomial:
         )
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Polynomial._of(self.vars, {})
-        return Polynomial._of(self.vars, {e: v * c for e, v in self.terms.items()})
+        return Polynomial._of(self.vars, {e: _exact(v * c) for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -170,7 +203,7 @@ class Polynomial:
         # the support alone: cheap, and equal polynomials share it
         return hash((self.vars, frozenset(self.terms)))
 
-    def leading(self) -> Tuple[Exponents, Fraction]:
+    def leading(self) -> Tuple[Exponents, Coef]:
         """Leading term in lex order on exponent tuples."""
         exps = max(self.terms)
         return exps, self.terms[exps]
@@ -178,7 +211,7 @@ class Polynomial:
     def derivative(self, var_index: int) -> "Polynomial":
         return Polynomial._of(
             self.vars,
-            combine(
+            _poly_sum(
                 (
                     tuple(e - 1 if i == var_index else e for i, e in enumerate(exps)),
                     c * exps[var_index],
@@ -194,7 +227,7 @@ class Polynomial:
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         rem = dict(self.terms)
-        quo: Dict[Exponents, Fraction] = {}
+        quo: Dict[Exponents, Coef] = {}
         dexp, dcoef = divisor.leading()
         while rem:
             # the lex-leading term of rem falls at every step, so each
@@ -203,9 +236,9 @@ class Polynomial:
             qexp = tuple(a - b for a, b in zip(rexp, dexp))
             if any(e < 0 for e in qexp):
                 return None
-            qc = rem[rexp] / dcoef
+            qc = _exact(Fraction(rem[rexp], dcoef))
             quo[qexp] = qc
-            combine(
+            _poly_sum(
                 (
                     (tuple(a + b for a, b in zip(e, qexp)), -qc * c)
                     for e, c in divisor.terms.items()
@@ -277,7 +310,7 @@ def _normalised_factors(p: Polynomial) -> Tuple[Fraction, Factors]:
     n = len(p.vars)
     mono = p.content_monomial()
     factors: Factors = {
-        Polynomial._of(p.vars, {tuple(int(j == i) for j in range(n)): Fraction(1)}): e
+        Polynomial._of(p.vars, {tuple(int(j == i) for j in range(n)): 1}): e
         for i, e in enumerate(mono)
         if e
     }
@@ -369,6 +402,9 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
 
     def is_constant(self) -> bool:
         return not self.factors and self.num.is_constant()

@@ -56,15 +56,30 @@ def mul(P: PolyVectorAlgebra, a: Element, b: Element) -> Element:
     return combine(terms())
 
 
+def generator_images(P: PolyVectorAlgebra) -> Tuple[List[Element], List[Element]]:
+    """d e^i and d e_i read off the nonzero brackets [e_j, e_k] = c e_i,
+    j < k, with each structure constant as it is (the library stores them
+    as numerators over a common denominator)."""
+    d_cov: List[Element] = [{} for _ in range(P.g.dim)]
+    d_vec: List[Element] = [{} for _ in range(P.g.dim)]
+    for (j, k), comps in sorted(P.g.pairs()):
+        for i, c in comps.items():
+            d_cov[i][((j, k), ())] = c
+            d_vec[j][((k,), (i,))] = c
+            d_vec[k][((j,), (i,))] = -c
+    return d_cov, d_vec
+
+
 def d(P: PolyVectorAlgebra, a: Element) -> Element:
-    """The generator images P._d_cov/P._d_vec extended as an odd derivation."""
+    """The generator images extended as an odd derivation."""
+    d_cov, d_vec = generator_images(P)
 
     def terms():
         for mono, coef in a.items():
             gens = mono_gens(mono)
             prefix_parity = 0
             for pos, gen in enumerate(gens):
-                image = P._d_cov[gen[1]] if gen[0] == 0 else P._d_vec[gen[1]]
+                image = d_cov[gen[1]] if gen[0] == 0 else d_vec[gen[1]]
                 sign = -1 if prefix_parity else 1
                 for imono, icoef in image.items():
                     res = canonicalize(P, gens[:pos] + mono_gens(imono) + gens[pos + 1 :])

@@ -390,6 +390,21 @@ def test_induce_and_verify_morphism():
     assert {"casimirinv1", "casimirinv5", "identities-equal-invariance"} <= names
 
 
+def test_verify_morphism_refuses_a_split_that_is_not_coisotropic():
+    # with h = 0 the Killing Casimir lies wholly in m (x) m: the induction
+    # does not apply, so coisotropic is the one check and it fails
+    report, code = invoke(
+        "verify-morphism", SL2, "--sub", ",", "--casimir", str(FIXTURES / "killing_sl2.json")
+    )
+    assert code == 1
+    assert report["checks"] == [{"name": "coisotropic", "status": "fail"}]
+    report, code = invoke(
+        "verify-morphism", SL2, "--sub", "e,h", "--casimir", str(FIXTURES / "killing_sl2.json")
+    )
+    assert code == 0
+    assert report["checks"][0] == {"name": "coisotropic", "status": "pass"}
+
+
 def test_cybe_commands():
     _, code = invoke("cybe", SL2, "--r", str(FIXTURES / "standard_r_sl2.json"))
     assert code == 0

@@ -142,8 +142,11 @@ def hand_built_twist(q, Ph):
             for k in range(nh):
                 yield from monomial([(1, j), (1, k)], Fraction(1, 2) * delta_comp(j, k, i))
 
-    cov = [vec_add(Ph._d_cov[i], combine(cov_extra(i))) for i in range(nh)]
-    vec = [vec_add(Ph._d_vec[i], combine(vec_extra(i))) for i in range(nh)]
+    def untwisted(image):  # the library stores numerators over _d_den
+        return {m: Fraction(c, Ph._d_den) for m, c in image.items()}
+
+    cov = [vec_add(untwisted(Ph._d_cov[i]), combine(cov_extra(i))) for i in range(nh)]
+    vec = [vec_add(untwisted(Ph._d_vec[i]), combine(vec_extra(i))) for i in range(nh)]
     return cov, vec
 
 

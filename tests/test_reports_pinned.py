@@ -38,6 +38,15 @@ CASES = {
     "dynamical-nonconstant-sym-sl2": (
         "dynamical", *SL2, "--sub", "h", "--r", "dynamical_r_nonconstant_sym.json", "--vars", "x"
     ),
+    # the factor x^2+2x+1 is not split, so x+1 does not cancel: the residual's
+    # denominator form depends on the reduction path
+    "dynamical-noncoprime-sl2": (
+        "dynamical", *SL2, "--sub", "h", "--r", "dynamical_r_noncoprime_sl2.json", "--vars", "x"
+    ),
+    # 1/(3x) has a non-integral numerator among integral ones
+    "dynamical-third-sl2": (
+        "dynamical", *SL2, "--sub", "h", "--r", "dynamical_r_third_sl2.json", "--vars", "x"
+    ),
     "dynamical-ev-sl3-scaled": (
         "dynamical", *SL3, "--sub", "h1,h2", "--r", "ev_r_sl3_scaled.json", "--vars", "x1,x2"
     ),
@@ -53,6 +62,8 @@ CASES = {
         "mc-residual", *SL2, "--shift", "2", "--casimir", "sym2_noninvariant_sl2.json"
     ),
     "invariants-sym2-sl3": ("invariants", *SL3, "--module", "sym2"),
+    # sl2 on e/2, f, h: structure constants with denominator 2
+    "invariants-sym2-sl2-half-e": ("invariants", "sl2_half_e.json", "--module", "sym2"),
     "check-qlb-phi-efh-sl2": ("check-qlb", *SL2, "--delta", "delta_std_sl2.json", "--phi", "phi_efh.json"),
     "check-qlb-bad-delta-sl2": ("check-qlb", *SL2, "--delta", "delta_bad_sl2.json", "--phi", "phi_zero.json"),
     "twist-lambda-ef-sl2": (
