@@ -15,7 +15,6 @@ from .lie import (
     SplitSubalgebra,
     abelian,
     casimir_from_pairing,
-    check_lie,
     direct_sum,
     heisenberg,
     sl,
@@ -36,7 +35,7 @@ from .manin import (
     triple_to_bialgebra,
 )
 from .mc import mc_residual
-from .polyvectors import PolyVectorAlgebra, ce_differential, cohomology_dim, invariants
+from .polyvectors import PolyVectorAlgebra, ce_differential, check_lie, cohomology_dim, invariants
 from .qlb import (
     QuasiLieBialgebra,
     Twist,

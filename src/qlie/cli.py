@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import formats
 from .errors import InputError, PreconditionError
-from .lie import LieAlgebra, check_lie, sl, sl2, sl3, split_subalgebra
+from .lie import LieAlgebra, sl, sl2, sl3, split_subalgebra
 from .manin import (
     ManinTriple,
     ManinTripleReport,
@@ -29,7 +29,7 @@ from .manin import (
     triple_to_bialgebra_unchecked,
 )
 from .mc import mc_residual
-from .polyvectors import PolyVectorAlgebra, invariants
+from .polyvectors import PolyVectorAlgebra, check_lie, invariants
 from .qlb import (
     QuasiLieBialgebra,
     Twist,

@@ -28,14 +28,14 @@ DEGREE_ZERO_MODULES = {"wedge2": WEDGE(2), "wedge3": WEDGE(3), "sym2": SYM(2)}
 # inputs have at most about 10 KB).  A Lie algebra has at most
 # MAX_BASIS_LABELS basis labels: on the abelian algebra of that dimension
 # with zero tensors every subcommand stays under 2 s.  `double` checks Jacobi
-# on the 2n-dimensional double; the scan skips the triples whose three
-# brackets vanish (all of them on the abelian algebra: 0.25 s at 80 labels)
-# and pays for the nonzero structure constants on every other triple, so
-# `double` refuses a double with over MAX_DOUBLE_CONSTANTS of them before
-# the scan.  The zero-cobracket doubles of sl8 (1,806, 1.1-1.3 s) and of
-# sl8 (+) abelian17 (80 labels, 1,806 constants, 1.05 s) and the standard
-# sl7 bialgebra (1,740, 0.6 s) pass, sl9 (2,592) is refused; times are the
-# best of 3 in-process runs of `double` on 2 vCPUs.  `invariants` reduces
+# on the 2n-dimensional double as d d e^l = 0 for each l, whose work grows
+# with the nonzero structure constants, so `double` refuses a double with
+# over MAX_DOUBLE_CONSTANTS of them before the check.  The zero-cobracket
+# doubles of sl8 (1,806, 0.18 s) and of sl8 (+) abelian17 (80 labels, 1,806
+# constants, 0.2-0.3 s), the standard sl7 bialgebra (1,740, 0.18-0.22 s)
+# and a dense double, sl3 (+) sl2 on a random integer basis with zero
+# cobracket (1,815, 0.34-0.49 s), pass, sl9 (2,592) is refused; times are
+# the best of 5 in-process runs of `double` on 2 vCPUs.  `invariants` reduces
 # only the weight-0 block of the module (see polyvectors) and refuses a
 # block of over MAX_MODULE_DIM = C(26, 3) keys; counting it takes at most
 # 0.06 s at 80 labels.  On the abelian algebra the block, and the kernel,

@@ -1,18 +1,19 @@
-"""Lie algebras by structure constants: the Jacobi check, split
-subalgebras, the factories and the Casimir of an invariant pairing.
+"""Lie algebras by structure constants: split subalgebras, the factories
+and the Casimir of an invariant pairing.
 
 Their Chevalley-Eilenberg cochains are `tensors.CECochain`; a Casimir c
 in Sym^2 g (`casimir_of`) is the degree-0 cochain valued in SYM(2).
 Everything that applies the differential lives in `polyvectors`, where d
 is `PolyVectorAlgebra.d` on the slice that holds the cochain:
+`check_lie`, which reads the Jacobi identity off d^2 = 0,
 `ce_differential`, `cohomology_dim` and `invariants`, the kernel of d on
 C^0 (with the ledger's convention ``(d x)(xi) = [x, xi]`` on degree 0 it
-is literally the space of invariants).
+is literally the space of invariants).  Antisymmetry needs no check:
+a table holds [e_i, e_j] for i < j only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,22 +70,9 @@ class LieAlgebra:
         return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
     def same_structure(self, other: "LieAlgebra") -> bool:
-        """Same basis labels and identical structure constants."""
-        if self is other:
-            return True
-        if self.basis != other.basis:
-            return False
-        pairs = set(self._table) | set(other._table)
-        for (i, j) in pairs:
-            mine = self._table.get((i, j), {})
-            theirs = other._table.get((i, j), {})
-            keys = set(mine) | set(theirs)
-            for k in keys:
-                a = mine.get(k, Fraction(0))
-                b = theirs.get(k, Fraction(0))
-                if not is_zero(a - b):
-                    return False
-        return True
+        """Same basis labels and identical structure constants: the tables
+        hold the nonzero constants only, so this is table equality."""
+        return self is other or (self.basis == other.basis and self._table == other._table)
 
     def bracket_vectors(self, x: Dict[int, Scalar], y: Dict[int, Scalar]) -> Dict[int, Scalar]:
         return combine(
@@ -99,39 +87,6 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name}, dim={self.dim})"
-
-
-@dataclass
-class LieCheckReport:
-    passed: bool
-    failure_kind: Optional[str] = None
-    witness: Optional[Tuple[str, ...]] = None
-    residual: Dict[str, str] = field(default_factory=dict)
-
-
-def check_lie(g: LieAlgebra) -> LieCheckReport:
-    """Exact antisymmetry (structural) plus exhaustive Jacobi scan.  A
-    triple whose three brackets all vanish has a zero Jacobiator and is
-    skipped; the others are taken in the same order, so the witness is the
-    first failing triple."""
-    table = g._table  # the nonzero brackets [e_i, e_j], i < j
-    for i, j, k in combinations(range(g.dim), 3):
-        if (i, j) not in table and (j, k) not in table and (i, k) not in table:
-            continue
-        acc = combine(
-            (l, coef * coef2)
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j))
-            for m, coef in g.bracket(a, b).items()
-            for l, coef2 in g.bracket(m, c).items()
-        )
-        if acc:
-            return LieCheckReport(
-                passed=False,
-                failure_kind="jacobi",
-                witness=(g.basis[i], g.basis[j], g.basis[k]),
-                residual={g.basis[l]: str(v) for l, v in sorted(acc.items())},
-            )
-    return LieCheckReport(passed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -109,21 +109,16 @@ def manin_pair_check(pair: ManinPair) -> ManinPairReport:
     d = pair.quad
     g = d.lie
     idx = set(pair.g_indices)
-    sub_ok = True
+    escaping = [(i, j) for (i, j), comps in g.pairs() if i in idx and j in idx and not comps.keys() <= idx]
     offending = None
-    for i in pair.g_indices:
-        for j in pair.g_indices:
-            if i < j:
-                comps = g.bracket(i, j)
-                bad = [k for k in comps if k not in idx]
-                if bad:
-                    sub_ok = False
-                    offending = f"[{g.basis[i]}, {g.basis[j]}] leaves the subspace"
+    if escaping:  # the least escaping pair
+        i, j = min(escaping)
+        offending = f"[{g.basis[i]}, {g.basis[j]}] leaves the subspace"
     iso = all(
         d.pairing[i][j] == 0 for i in pair.g_indices for j in pair.g_indices
     )
     half = 2 * len(pair.g_indices) == g.dim
-    return ManinPairReport(sub_ok, iso, half, offending)
+    return ManinPairReport(not escaping, iso, half, offending)
 
 
 @dataclass

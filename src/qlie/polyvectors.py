@@ -49,7 +49,10 @@ polyvector weight 0, 1 or p at shift 1; one valued in SYM(p) is the
 weight-p slice at shift 2.  `ce_differential`, `cohomology_dim` and
 `invariants` work through that embedding: the first encodes, applies d
 and decodes; the other two take d of each unit cochain of a slice as one
-column, and read off its rank or, on C^0, its kernel.
+column, and read off its rank or, on C^0, its kernel.  `check_lie` is
+the Jacobi identity as d^2 = 0 (Chevalley-Eilenberg): for i < j < k the
+coefficient of e^i e^j e^k in d d e^l is, with factor +1, the l-component
+of the Jacobiator J(e_i, e_j, e_k), so no bracket is composed by hand.
 
 Those two build only the weight-0 block of the slice.  The basis
 elements e_h whose ad is diagonal in the basis, [e_h, e_j] = w_h(j) e_j,
@@ -81,6 +84,7 @@ The Schouten bracket of multivectors is the derived bracket
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
@@ -393,6 +397,37 @@ def ce_differential(x: CECochain) -> CECochain:
     convention: d of x's slice, decoded with x's module."""
     P = PolyVectorAlgebra(x.g, _module_slice(x.module)[0])
     return P._to_cochain(P.d(P.from_cochain(x)), x.k + 1, x.module)
+
+
+@dataclass
+class LieCheckReport:
+    passed: bool
+    failure_kind: Optional[str] = None
+    witness: Optional[Tuple[str, ...]] = None
+    residual: Dict[str, str] = field(default_factory=dict)
+
+
+def check_lie(g: LieAlgebra) -> LieCheckReport:
+    """Jacobi as d^2 = 0 on C^*(g): for i < j < k the coefficient of
+    e^i e^j e^k in d d e^l is the l-component of the Jacobiator
+    J(e_i, e_j, e_k) = [[e_i, e_j], e_k] + cyclic, so the bracket is a Lie
+    bracket exactly when no d d e^l has a term.  The witness is the least
+    failing triple and the residual its Jacobiator.  Antisymmetry is
+    structural: the table holds [e_i, e_j] for i < j only."""
+    P = PolyVectorAlgebra(g, 1)
+    jacobiators: Dict[Tuple[int, ...], Dict[int, Scalar]] = {}
+    for l in range(g.dim):
+        for (ijk, _), v in P.d(P.d({((l,), ()): Fraction(1)})).items():
+            jacobiators.setdefault(ijk, {})[l] = v
+    if not jacobiators:
+        return LieCheckReport(passed=True)
+    ijk = min(jacobiators)
+    return LieCheckReport(
+        passed=False,
+        failure_kind="jacobi",
+        witness=tuple(g.basis[i] for i in ijk),
+        residual={g.basis[l]: str(v) for l, v in sorted(jacobiators[ijk].items())},
+    )
 
 
 def _unit_differentials(P: PolyVectorAlgebra, module, k: int) -> Tuple[List[Mono], List[Element]]:

@@ -72,12 +72,13 @@ Coef = Union[int, Fraction]  # a polynomial coefficient: int when integral
 
 
 def _exact(c) -> Coef:
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is not int:
+    """c as an int when it is integral, else as a Fraction; an int or a
+    non-integral Fraction is returned as it is."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
         c = Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
+    return c.numerator if c.denominator == 1 else c
 
 
 def _poly_sum(terms: Iterable[Tuple[Exponents, Coef]], acc: Optional[Dict[Exponents, Coef]] = None) -> Dict[Exponents, Coef]:

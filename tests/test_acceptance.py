@@ -23,7 +23,6 @@ from qlie.cli import run as cli_run
 from qlie.lie import (
     abelian,
     casimir_from_pairing,
-    check_lie,
     heisenberg,
     sl2,
     sl3,
@@ -36,7 +35,7 @@ from qlie.manin import (
     triple_to_bialgebra,
 )
 from qlie.mc import mc_residual
-from qlie.polyvectors import PolyVectorAlgebra, ce_differential, invariants
+from qlie.polyvectors import PolyVectorAlgebra, ce_differential, check_lie, invariants
 from qlie.qlb import (
     QuasiLieBialgebra,
     Twist,

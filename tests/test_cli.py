@@ -10,7 +10,8 @@ import pytest
 from conftest import FIXTURES
 from qlie.cli import main, run
 from qlie.formats import MAX_BASIS_LABELS, MAX_INPUT_BYTES, lie_from_dict, lie_to_dict
-from qlie.lie import check_lie, sl
+from qlie.lie import sl
+from qlie.polyvectors import check_lie
 
 SL2 = str(FIXTURES / "sl2.json")
 SL3 = str(FIXTURES / "sl3.json")

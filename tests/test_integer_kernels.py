@@ -25,8 +25,8 @@ import pytest
 
 import polyvector_oracle as oracle
 import ratfun_reference as ref
-from qlie.lie import LieAlgebra, check_lie, sl3
-from qlie.polyvectors import PolyVectorAlgebra
+from qlie.lie import LieAlgebra, sl3
+from qlie.polyvectors import PolyVectorAlgebra, check_lie
 from qlie.scalars import Polynomial, RationalFunction
 
 VARS = ("x", "y")

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import multivector, rand_cobracket, solve, zero_cobracket
 from qlie.errors import InputError, PreconditionError
-from qlie.lie import abelian, check_lie, sl, sl2, sl3, trace_pairing
+from qlie.lie import abelian, sl, sl2, sl3, trace_pairing
 from qlie.manin import (
     ManinPair,
     ManinTriple,
@@ -17,7 +17,7 @@ from qlie.manin import (
     manin_triple_check,
     triple_to_bialgebra,
 )
-from qlie.polyvectors import ce_differential
+from qlie.polyvectors import ce_differential, check_lie
 from qlie.qlb import QuasiLieBialgebra, check_qlb
 
 
@@ -54,6 +54,18 @@ def test_manin_pair_diagonal_and_graph():
     # pairing of e with f inside one copy is nonzero on the diagonal copy
     bad = ManinPair(t.quad, (0, 1, 3))
     assert not manin_pair_check(bad).passed
+
+
+def test_manin_pair_offending_is_the_least_escaping_pair():
+    g = sl3()
+    quad = QuadraticLieAlgebra(g, trace_pairing(g))
+    sub = tuple(g.index(x) for x in ("f2", "e1", "e2", "f1"))  # the order given does not matter
+    rep = manin_pair_check(ManinPair(quad, sub))
+    escaping = [(i, j) for i, j in combinations(sorted(sub), 2) if set(g.bracket(i, j)) - set(sub)]
+    assert len(escaping) > 1 and not rep.is_subalgebra
+    i, j = escaping[0]
+    assert rep.offending == f"[{g.basis[i]}, {g.basis[j]}] leaves the subspace"
+    assert manin_pair_check(ManinPair(quad, tuple(g.extra["positive"]))).offending is None
 
 
 def test_hyperbolic_plane_isotropic_line():

@@ -28,10 +28,10 @@ from mc_oracle import (
 import polyvector_oracle as old_kernel
 from qlie import mc
 from qlie.errors import InputError
-from qlie.lie import LieAlgebra, abelian, casimir_from_pairing, check_lie, sl, sl2, sl3
+from qlie.lie import LieAlgebra, abelian, casimir_from_pairing, sl, sl2, sl3
 from qlie.manin import dual_subalgebra_bplus_bminus, triple_to_bialgebra
 from qlie.mc import mc_residual
-from qlie.polyvectors import PolyVectorAlgebra
+from qlie.polyvectors import PolyVectorAlgebra, check_lie
 from qlie.qlb import QuasiLieBialgebra, Twist, check_qlb, mc_element, twist
 from qlie.scalars import RationalFunction, vec_add
 from qlie.tensors import CECochain, WEDGE

@@ -8,8 +8,10 @@ lives.  The files were generated by
 
     PYTHONPATH=src python tests/test_reports_pinned.py --write
 
-at a commit whose reports were known good; rerun it only when a change
-of a report is intended and listed in CHANGES.md.
+at a commit whose reports were known good.  It writes only the files
+that are missing, so adding a case never rewrites an existing pin; to
+re-pin a case on purpose, delete its file first and run it again, and
+only when the change of the report is intended and listed in CHANGES.md.
 """
 
 import json
@@ -77,6 +79,9 @@ CASES = {
         "mc-residual", *SL2, "--shift", "1", "--delta", "delta_std_sl2.json", "--phi", "phi_efh.json"
     ),
     "double-std-sl2": ("double", *SL2, "--delta", "delta_std_sl2.json"),
+    # exit 1: the Jacobi witness and residual of the failing checks
+    "check-lie-sl2-mutated": ("check-lie", "sl2_mutated.json"),
+    "double-bad-delta-sl2": ("double", *SL2, "--delta", "delta_bad_sl2.json"),
     "std-triple-sl3": ("std-triple", "--algebra", "sl3"),
 }
 
@@ -109,5 +114,7 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_reports_pinned.py --write")
     REPORTS.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
-        (REPORTS / f"{name}.json").write_text(pinned_text(argv), encoding="utf-8")
-        print(name)
+        path = REPORTS / f"{name}.json"
+        if not path.exists():
+            path.write_text(pinned_text(argv), encoding="utf-8")
+            print(name)
