@@ -53,6 +53,8 @@ CASES = {
         "dynamical", *SL3, "--sub", "h1,h2", "--r", "ev_r_sl3_scaled.json", "--vars", "x1,x2"
     ),
     "casimir-phi-killing-sl2": ("casimir-phi", *SL2, *KILLING),
+    # c not invariant: exit 2 with the invariance message
+    "casimir-phi-noninvariant-sl2": ("casimir-phi", *SL2, "--casimir", "sym2_noninvariant_sl2.json"),
     "induce-killing-sl2": ("induce", *SL2, "--sub", "e,h", *KILLING),
     "verify-morphism-killing-sl2": ("verify-morphism", *SL2, "--sub", "e,h", *KILLING),
     # c not invariant: exit 1, casimirinv2 and casimirinv3 fail, three intertwines checks fail
