@@ -9,7 +9,7 @@ and Drinfeld doubles.  All sign and normalization choices are recorded
 in the convention ledger and stamped into CLI reports.
 """
 
-from .errors import InputError, PreconditionError, QlieError
+from .errors import InputError, QlieError
 from .lie import (
     LieAlgebra,
     SplitSubalgebra,

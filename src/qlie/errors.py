@@ -7,7 +7,3 @@ class QlieError(Exception):
 
 class InputError(QlieError):
     """Malformed or inconsistent user input (CLI exit code 2)."""
-
-
-class PreconditionError(InputError):
-    """An operation was called on data violating its stated precondition."""

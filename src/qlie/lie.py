@@ -101,7 +101,8 @@ class SplitSubalgebra:
     [e~_i, e~_j] = C^k_ij e_k + (m part), with f the structure constants of
     h itself.  The m parts are not kept: what reads them (the invariance
     of a Casimir) takes d on g itself.  All block indices are local
-    (positions inside h_indices / m_indices).
+    (positions inside h_indices / m_indices); hpos and mpos map a global
+    index of h or of m to its local one.
     """
 
     def __init__(self, g: LieAlgebra, h_indices: Sequence[int], m_indices: Sequence[int]):
@@ -110,8 +111,8 @@ class SplitSubalgebra:
         self.m_indices = tuple(m_indices)
         if sorted(self.h_indices + self.m_indices) != list(range(g.dim)):
             raise InputError("h and m indices must partition the basis")
-        hpos = {v: i for i, v in enumerate(self.h_indices)}
-        mpos = {v: i for i, v in enumerate(self.m_indices)}
+        self.hpos = hpos = {v: i for i, v in enumerate(self.h_indices)}
+        self.mpos = mpos = {v: i for i, v in enumerate(self.m_indices)}
         blocks: Dict[str, BracketTable] = {name: {} for name in "fAC"}
 
         def put(name, a, b, row, mirrored):

@@ -11,9 +11,11 @@ follows those supports and not the cube of the dimension.
 The bialgebra of a Manin triple (d, g, g*) is coisotropic induction: the
 Casimir c = pairing^-1 is the 2-shifted structure on BD, g is Lagrangian
 and so coisotropic for c, and the structure `qlb.induce_from_coisotropic`
-induces on g along g* is the triple's Lie bialgebra.  `drinfeld_double`
-goes the other way by the canonical formulas, so the round trip of the
-`double` command compares two independent constructions.
+induces on g along g* is the triple's Lie bialgebra.  It trusts its
+triple: the CLI's `double` and `std-triple` run `manin_triple_check`
+first.  `drinfeld_double` goes the other way by the canonical formulas,
+so the round trip of the `double` command compares two independent
+constructions.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .lie import LieAlgebra, casimir_of, split_subalgebra, trace_pairing
 from .qlb import QuasiLieBialgebra, induce_from_coisotropic
 from .scalars import Scalar, combine
@@ -252,14 +254,8 @@ def dual_subalgebra_bplus_bminus(g: LieAlgebra) -> ManinTriple:
 # ---------------------------------------------------------------------------
 
 def triple_to_bialgebra(t: ManinTriple) -> QuasiLieBialgebra:
-    """The Lie bialgebra on g with cobracket dual to the bracket of g*."""
-    if not manin_triple_check(t).passed:
-        raise PreconditionError("input is not a Manin triple")
-    return triple_to_bialgebra_unchecked(t)
-
-
-def triple_to_bialgebra_unchecked(t: ManinTriple) -> QuasiLieBialgebra:
-    """`triple_to_bialgebra` on a triple that already passed `manin_triple_check`.
+    """The Lie bialgebra on g with cobracket dual to the bracket of g*, for
+    a triple that passes `manin_triple_check` (the caller's to check).
 
     g is Lagrangian in d, so it is coisotropic for the Casimir c =
     pairing^-1, and the structure induced on g along g* is the bialgebra of
@@ -273,7 +269,7 @@ def drinfeld_double(b: QuasiLieBialgebra) -> ManinTriple:
     """d = g + g* with the canonical pairing; Jacobi of the double is the
     operational test that the input was a Lie bialgebra."""
     if not b.phi.is_zero():
-        raise PreconditionError("the double is defined for Lie bialgebras (phi = 0)")
+        raise InputError("the double is defined for Lie bialgebras (phi = 0)")
     g = b.g
     n = g.dim
 

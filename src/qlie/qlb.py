@@ -19,15 +19,19 @@ The coisotropic morphism verifier uses the same two maps: its target
 differential is d + [delta + phi, -] on the polyvector algebra of the
 subalgebra, twisted by the structure that `induce_from_coisotropic`
 returns, so the verifier and `check_qlb` judge the same (delta, phi).
-Its five split invariance identities are the blocks of d(P + Q), for
-P + Q the Casimir without its m (x) m entries, taken by the same
-differential as the invariance of c itself (`casimir_invariance_residual`).
+Its five split invariance identities are the blocks of d c, taken by the
+same differential as the invariance of c itself
+(`casimir_invariance_residual`).
 
 `induce_from_coisotropic` is the library's one map from a Casimir to a
 structure.  The associator of an invariant Casimir (`casimir_to_phi`) is
 the ledger's casimir_vs_induced times the structure it induces on h = g,
 and the Lie bialgebra of a Manin triple (`manin.triple_to_bialgebra`) is
 the structure the Casimir pairing^-1 induces on g along g*.
+
+These maps compute on trust: `twist`, `casimir_to_phi`,
+`induce_from_coisotropic` and `verify_coisotropic_morphism` check none
+of their preconditions (axioms, invariance, coisotropy); the CLI does.
 """
 
 from __future__ import annotations
@@ -156,18 +160,9 @@ def casimir_invariance_residual(g: LieAlgebra, c: CECochain) -> CECochain:
 
 
 def casimir_to_phi(g: LieAlgebra, c: CECochain) -> CECochain:
-    """phi = -(1/6) [c_12, c_23] for an invariant Casimir element."""
-    residual = casimir_invariance_residual(g, c)
-    if not residual.is_zero():
-        raise InputError(
-            f"Casimir element is not invariant; residual has {residual.support_size()} "
-            f"nonzero components, first: {sorted(residual.data)[0]}"
-        )
-    return casimir_to_phi_unchecked(g, c)
-
-
-def casimir_to_phi_unchecked(g: LieAlgebra, c: CECochain) -> CECochain:
-    """`casimir_to_phi` on a Casimir element already known to be invariant.
+    """phi = -(1/6) [c_12, c_23] for an invariant Casimir element; that c
+    is invariant is the caller's to check (`casimir_invariance_residual`,
+    which the CLI's `casimir-phi` checks first).
 
     The associator is the structure induced on h = g, scaled by the
     ledger's casimir_vs_induced: with I^{ijk} = 1/4 f^i_{ab} c^{aj} c^{bk}
@@ -189,10 +184,8 @@ def split_casimir(split: SplitSubalgebra, c: CECochain):
 
     c stores one key (i, j), i <= j, per symmetric pair; the blocks read
     its coefficient in both orders."""
-    g = split.g
-    _check_sym2(g, c)
-    hpos = {v: i for i, v in enumerate(split.h_indices)}
-    mpos = {v: i for i, v in enumerate(split.m_indices)}
+    _check_sym2(split.g, c)
+    hpos, mpos = split.hpos, split.mpos
     Prow: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
     Qcol: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
     mm: Dict[Tuple[int, int], Scalar] = {}
@@ -285,20 +278,16 @@ def induce_from_coisotropic(split: SplitSubalgebra, c: CECochain) -> QuasiLieBia
 @dataclass
 class MorphismReport:
     invariance_identities: Dict[str, bool]
-    identities_equal_invariance: bool
     intertwines: Dict[str, bool]
 
     @property
     def passed(self) -> bool:
-        return (
-            all(self.invariance_identities.values())
-            and self.identities_equal_invariance
-            and all(self.intertwines.values())
-        )
+        return all(self.invariance_identities.values()) and all(self.intertwines.values())
 
 
 # (down slot in h; up pair in h (x) h, h (x) m or m (x) m) -> identity.  The
-# block (h; m m) of d(P + Q) is zero because h is a subalgebra.
+# block (h; m m) of d c is zero because h is a subalgebra and c has no
+# m (x) m entry.
 _IDENTITY_BLOCKS = {
     (False, 2): "casimirinv1",
     (True, 2): "casimirinv2",
@@ -308,36 +297,30 @@ _IDENTITY_BLOCKS = {
 }
 
 
-def _invariance_identities(split: SplitSubalgebra, c: CECochain) -> Tuple[Dict[str, bool], CECochain]:
-    """The five split forms of d c = 0 for c = P + Q, and d(P + Q).
+def _invariance_identities(split: SplitSubalgebra, c: CECochain) -> Dict[str, bool]:
+    """The five split forms of d c = 0 for a coisotropic c = P + Q.
 
-    P + Q is c without its m (x) m entries, and d(P + Q) is a cochain in
-    C^1(g, Sym^2 g).  Identity n is one block of it: the keys whose down
-    slot lies in h or in m and whose up pair has two, one or no slots in h
-    (`_IDENTITY_BLOCKS`); it holds iff that block vanishes.
+    d c is a cochain in C^1(g, Sym^2 g).  Identity n is one block of it:
+    the keys whose down slot lies in h or in m and whose up pair has two,
+    one or no slots in h (`_IDENTITY_BLOCKS`); it holds iff that block
+    vanishes.
     """
-    g = split.g
-    in_h = set(split.h_indices)
-    pq = CECochain(g, 0, SYM(2), {key: v for key, v in c.items() if not in_h.isdisjoint(key[1])})
-    residual = casimir_invariance_residual(g, pq)
-    failing = {_IDENTITY_BLOCKS[x in in_h, (u in in_h) + (v in in_h)] for ((x,), (u, v)) in residual.data}
-    return {name: name not in failing for name in sorted(_IDENTITY_BLOCKS.values())}, residual
+    hpos = split.hpos
+    residual = casimir_invariance_residual(split.g, c)
+    failing = {_IDENTITY_BLOCKS[x in hpos, (u in hpos) + (v in hpos)] for ((x,), (u, v)) in residual.data}
+    return {name: name not in failing for name in sorted(_IDENTITY_BLOCKS.values())}
 
 
 def verify_coisotropic_morphism(split: SplitSubalgebra, c: CECochain) -> MorphismReport:
-    """Three checks: the five invariance identities, which are the blocks of
-    d(P + Q) for P + Q the part of c off m (x) m, their equivalence to
-    d c = 0, and that the generator map F intertwines the differentials,
-    F(d_g x) = (d_h + [mu, -]) F(x) on every generator x, where mu is the
-    induced structure delta + phi as a Maurer-Cartan element of the shift-1
-    polyvector algebra of h.  A coisotropic c has no m (x) m entry, so its
-    d c is the residual the identities are read off."""
+    """Two checks on a coisotropic c (the caller's to check,
+    `coisotropic_casimir_check`): the five invariance identities, which are
+    the blocks of d c, and that the generator map F intertwines the
+    differentials, F(d_g x) = (d_h + [mu, -]) F(x) on every generator x,
+    where mu is the induced structure delta + phi as a Maurer-Cartan
+    element of the shift-1 polyvector algebra of h."""
     g = split.g
-    Prow, Qcol, mm = split_casimir(split, c)
-    identities, residual = _invariance_identities(split, c)
-    if mm:
-        residual = casimir_invariance_residual(g, c)
-    identities_equal = all(identities.values()) == residual.is_zero()
+    Prow, Qcol, _ = split_casimir(split, c)
+    identities = _invariance_identities(split, c)
 
     q = induce_from_coisotropic(split, c)
     h = q.g
@@ -351,8 +334,7 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: CECochain) -> Morphis
         return vec_add(Ph.d(el), Ph.bracket(mu, el))
 
     # F on generators of the source cochain algebra
-    hpos = {v: i for i, v in enumerate(split.h_indices)}
-    mpos = {v: i for i, v in enumerate(split.m_indices)}
+    hpos, mpos = split.hpos, split.mpos
 
     def F_gen(i_global: int) -> Element:
         if i_global in hpos:
@@ -363,9 +345,7 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: CECochain) -> Morphis
 
     def F_apply(el: Element) -> Element:
         out: Element = {}
-        for (cov, vec), coef in el.items():
-            if vec:
-                raise InputError("F is defined on the cochain algebra of g only")
+        for (cov, _), coef in el.items():  # d_g of a generator e^i has no vector slot
             term: Element = {((), ()): coef}
             for i_global in cov:
                 term = Ph.mul(term, F_gen(i_global))
@@ -380,4 +360,4 @@ def verify_coisotropic_morphism(split: SplitSubalgebra, c: CECochain) -> Morphis
         label = ("e^" if i_global in hpos else "et^") + g.basis[i_global]
         intertwines[label] = not vec_add(lhs, rhs, Fraction(-1))
 
-    return MorphismReport(identities, identities_equal, intertwines)
+    return MorphismReport(identities, intertwines)

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InputError
 from .lie import LieAlgebra, SplitSubalgebra
 from .polyvectors import PolyVectorAlgebra
-from .qlb import casimir_invariance_residual, casimir_to_phi_unchecked
+from .qlb import casimir_invariance_residual, casimir_to_phi
 from .scalars import Polynomial, RationalFunction, Scalar, combine
 from .tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, SYM, WEDGE, embed_wedge
 
@@ -131,7 +131,7 @@ def lambda_form_residual(g: LieAlgebra, lam: CECochain, c: CECochain, D: CECocha
     P = PolyVectorAlgebra(g, 1)
     lam_el = P.from_cochain(lam)
     res = P.to_cochain(P.bracket(lam_el, P.d(lam_el)), 0, 3).scale(Fraction(-1, 2))
-    phi = casimir_to_phi_unchecked(g, c)
+    phi = casimir_to_phi(g, c)
     return res + D.scale(Fraction(1, 4)) + phi.scale(LAMBDA_FORM_PHI_COEFF)
 
 

@@ -12,7 +12,8 @@ A cochain reads its Lie algebra only through ``g.dim`` and
 
 The ConventionLedger pins every embedding and sign choice the rest of
 the library depends on; a single instance is stamped into every CLI
-report.
+report, and each of its entries has a test in tests/test_ledger.py that
+computes the convention it states on sl2 and sl3.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ class ConventionLedger:
     """Fixed record of embedding, sign and normalization choices.
 
     All numeric calibration constants below were determined once on sl2
-    by exact computation and are re-verified on sl3 by the test suite.
+    by exact computation; the test named test_ledger_<entry> re-computes
+    each entry on sl2 and sl3.
     casimir_vs_induced is the factor `qlb.casimir_to_phi` applies to the
     structure a Casimir induces on h = g; it is exact for every invariant
     Casimir, since [c_12, c_23] is then totally antisymmetric and 4 times
@@ -50,7 +52,6 @@ class ConventionLedger:
     big_bracket_pairing: str = "[e^i, e_j] = +delta^i_j for every shift"
     schouten_convention: str = "schouten(a, b) = -[a, d b] in the big bracket; equals the Lie bracket on vectors"
     twist_square: str = "twist uses phi' = phi + [delta, lambda] - 1/2 [lambda, d lambda]"
-    gauge_orientation: str = "gauge ODE checked as d alpha/dt = D lambda + [alpha, lambda] in the stored structure maps"
     # cybe(embed(2*lambda) + c) == kappa_cybe * embed(lambda_form_residual)
     # with lambda_form_residual = 1/2 [[lambda, lambda]] + 1/4 D
     #                             + lambda_form_phi_coeff * casimir_to_phi(c),

@@ -15,7 +15,7 @@
 from fractions import Fraction
 from itertools import permutations
 
-from qlie.qlb import casimir_to_phi_unchecked
+from qlie.qlb import casimir_to_phi
 from qlie.rmatrix import cybe
 from qlie.scalars import RationalFunction
 from qlie.tensors import LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, WEDGE, _sort_with_sign
@@ -88,7 +88,7 @@ def lambda_form_residual(g, lam: CECochain, c, alt_mv=None) -> CECochain:
     res = schouten(g, lam, lam).scale(Fraction(1, 2))
     if alt_mv is not None:
         res = res + alt_mv
-    return res + casimir_to_phi_unchecked(g, c).scale(LAMBDA_FORM_PHI_COEFF)
+    return res + casimir_to_phi(g, c).scale(LAMBDA_FORM_PHI_COEFF)
 
 
 def cdybe_residual(dr) -> SparseTensor:

@@ -9,7 +9,9 @@ repeated flags, ``--shift 3``, duplicate, unknown and empty labels in
 ``qlie.cli.main(argv + ["--json"])`` in-process.  Whatever the input, the
 run must keep the exit-code contract (0 pass, 1 a check failed, 2
 malformed input; never 3, an internal fault), print a JSON report and
-finish within two seconds.
+finish within two seconds.  One more row runs each job unmutated with its
+algebra documents over the field Q(x) (``"field": {"type": "ratfun"}``),
+and its exit code must be the one over Q.
 """
 
 import io
@@ -153,7 +155,7 @@ def _document(name):
 def _run_job(job, docs):
     """Run argv job with "@name" replaced by a file holding docs[name] or
     DOCUMENTS[name] (written to a temporary directory), or else the
-    fixture name.json."""
+    fixture name.json; returns the exit code."""
     docs = {**{name: doc for name, doc in DOCUMENTS.items() if f"@{name}" in job}, **docs}
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -174,6 +176,7 @@ def _run_job(job, docs):
     report = json.loads(out.getvalue())
     assert set(report) >= {"command", "checks", "data", "inputs", "ledger", "timing_ms"}
     assert seconds < SECONDS_PER_RUN, (job, docs, seconds)
+    return code
 
 
 FUZZ_SETTINGS = settings(
@@ -183,6 +186,20 @@ FUZZ_SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@pytest.mark.parametrize("job", JOBS, ids=[" ".join(job[:4]) for job in JOBS])
+def test_ratfun_field_keeps_the_exit_code_contract(job):
+    # every algebra document of the job, valid but over Q(x): the checks
+    # and the eliminations run over Q(x) (this exited 3 in invariants), and
+    # the verdict is the one over Q
+    docs = {}
+    for name in sorted({tok[1:] for tok in job if tok.startswith("@")}):
+        doc = _document(name)
+        if "brackets" in doc:
+            docs[name] = {**doc, "field": {"type": "ratfun", "vars": ["x"]}}
+    assert docs
+    assert _run_job(job, docs) == _run_job(job, {})
 
 
 @FUZZ_SETTINGS

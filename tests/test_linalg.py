@@ -10,10 +10,14 @@ from math import gcd
 
 import pytest
 
-from conftest import solve
+import json
+
+from conftest import FIXTURES, solve
 from qlie import linalg
+from qlie.formats import lie_from_dict
 from qlie.lie import sl2, sl3
 from qlie.polyvectors import cohomology_dim, invariants
+from qlie.scalars import parse_scalar
 from qlie.tensors import ADJOINT, SYM, TRIVIAL, WEDGE
 from test_ce_reference import module_action, module_basis
 
@@ -293,6 +297,31 @@ def test_whitehead_lemmas_sl3():
     g = sl3()
     assert cohomology_dim(g, ADJOINT, 1) == 0
     assert cohomology_dim(g, ADJOINT, 2) == 0
+
+
+def test_whitehead_lemmas_over_a_rational_function_field():
+    # sl2 with [e, f] = x h is semisimple over Q(x): H^1 = H^2 = 0, and its
+    # one quadratic invariant (2/x) e f + h h has a coefficient in Q(x)
+    g = lie_from_dict(json.loads((FIXTURES / "sl2x.json").read_text()))
+    assert [cohomology_dim(g, ADJOINT, k) for k in range(4)] == [0, 0, 0, 0]
+    (c,) = invariants(g, SYM(2))
+    assert c.data == {((), (0, 1)): parse_scalar("2/x", ("x",)), ((), (2, 2)): F(1)}
+
+
+def test_elimination_over_a_rational_function_field():
+    # entries keep their types: Q(x) entries reduce over Q(x), and an
+    # inverse over Q(x) multiplies back to the identity
+    x = parse_scalar("x", ("x",))
+    assert linalg.rank([{0: x, 1: F(1)}, {0: F(1), 1: 1 / x}]) == 1
+    matrix = [[x, F(1)], [F(0), x + 1]]
+    inv = linalg.invert(matrix)
+    for i in range(2):
+        for j in range(2):
+            entry = sum((matrix[i][k] * inv[k].get(j, 0) for k in range(2)), F(0))
+            assert entry == (1 if i == j else 0)
+    # and an int entry is read as a Fraction
+    (row,) = linalg.rref([{0: 2, 1: F(1, 3)}]).values()
+    assert row == {0: 1, 1: F(1, 6)} and all(type(v) is Fraction for v in row.values())
 
 
 def test_one_dimensional_invariants_sl3():

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import multivector, rand_cobracket, solve, zero_cobracket
-from qlie.errors import InputError, PreconditionError
+from qlie.errors import InputError
 from qlie.lie import abelian, sl, sl2, sl3, trace_pairing
 from qlie.manin import (
     ManinPair,
@@ -186,7 +186,7 @@ def test_standard_triple_sl_n(n):
 def test_double_rejects_nonzero_phi():
     g = sl2()
     b = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [((0, 1, 2), F(1))]))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError):
         drinfeld_double(b)
 
 

@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import multivector, permute_slots, rand_cobracket, rand_multivector, sym2, zero_cobracket
+from conftest import FIXTURES, multivector, permute_slots, rand_cobracket, rand_multivector, sym2, zero_cobracket
+from qlie.cli import run
 from qlie.errors import InputError
+from qlie.formats import cochain_to_entries
 from qlie.lie import (
     abelian,
     casimir_from_pairing,
@@ -16,6 +19,7 @@ from qlie.polyvectors import PolyVectorAlgebra, ce_differential, invariants
 from qlie.qlb import (
     QuasiLieBialgebra,
     Twist,
+    casimir_invariance_residual,
     casimir_to_phi,
     check_qlb,
     coisotropic_casimir_check,
@@ -166,12 +170,17 @@ def test_casimir_to_phi_values_and_validity():
     assert casimir_to_phi(ga, any_c).is_zero()
 
 
-def test_casimir_to_phi_rejects_non_invariant():
+def test_casimir_to_phi_rejects_non_invariant(tmp_path):
+    # casimir_to_phi trusts its input; the casimir-phi command checks
+    # invariance first and refuses e (x) e with exit 2
     g = sl2()
     c_bad = sym2(g, [((0, 0), F(1))])
-    with pytest.raises(InputError) as err:
-        casimir_to_phi(g, c_bad)
-    assert "invariant" in str(err.value)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"signature": "sym2", "entries": cochain_to_entries(c_bad)}))
+    report, code = run(["casimir-phi", str(FIXTURES / "sl2.json"), "--casimir", str(path)])
+    assert code == 2
+    assert report["checks"][0]["name"] == "input"
+    assert "not invariant" in report["checks"][0]["detail"]["message"]
 
 
 def test_casimir_to_phi_antisymmetric_outputs(rng):
@@ -250,7 +259,6 @@ def test_verify_morphism_borel_sl2():
     split = split_subalgebra(g, (0, 2))
     rep = verify_coisotropic_morphism(split, c)
     assert all(rep.invariance_identities.values())
-    assert rep.identities_equal_invariance
     assert all(rep.intertwines.values())
     assert rep.passed
 
@@ -262,7 +270,8 @@ def test_verify_morphism_named_failure_for_non_invariant():
     rep = verify_coisotropic_morphism(split, c_bad)
     failed = [name for name, ok in rep.invariance_identities.items() if not ok]
     assert failed  # at least one named identity fails
-    assert rep.identities_equal_invariance  # both routes agree that c is bad
+    assert not rep.passed
+    assert not casimir_invariance_residual(g, c_bad).is_zero()  # both routes agree that c is bad
 
 
 def test_verify_morphism_abelian_trivial():
