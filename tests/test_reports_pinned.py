@@ -52,6 +52,15 @@ CASES = {
     "dynamical-ev-sl3-scaled": (
         "dynamical", *SL3, "--sub", "h1,h2", "--r", "ev_r_sl3_scaled.json", "--vars", "x1,x2"
     ),
+    "dynamical-ev-sl4": (
+        "dynamical", "sl4.json", "--sub", "h1,h2,h3", "--r", "ev_r_sl4.json", "--vars", "x1,x2,x3"
+    ),
+    # entries over x-1 and its multiple x^2-1: the factors are not coprime, so
+    # the printed residual depends on the order of every product (c1 * c2
+    # reduces differently from c2 * c1)
+    "dynamical-factor-multiple-sl2": (
+        "dynamical", *SL2, "--sub", "h", "--r", "dynamical_r_factor_multiple_sl2.json", "--vars", "x"
+    ),
     "casimir-phi-killing-sl2": ("casimir-phi", *SL2, *KILLING),
     # c not invariant: exit 2 with the invariance message
     "casimir-phi-noninvariant-sl2": ("casimir-phi", *SL2, "--casimir", "sym2_noninvariant_sl2.json"),
