@@ -312,8 +312,10 @@ def numerators(a: Element) -> Tuple[int, List[Tuple[Mono, Scalar]]]:
 
 
 def add_term(acc: Dict[Mono, Scalar], key: Mono, c: Scalar) -> None:
-    """acc[key] += c, dropping a zero sum as `scalars.combine` does."""
-    v = acc.get(key, 0) + c
+    """acc[key] += c, dropping a zero sum as `scalars.combine` does; a
+    key's first term is stored as it is."""
+    v = acc.get(key)
+    v = c if v is None else v + c
     if v:
         acc[key] = v
     else:
@@ -335,6 +337,19 @@ def _merge(a: Tuple[int, ...], b: Tuple[int, ...], odd: int = 1) -> Optional[Tup
     an index is in both blocks, which makes the product zero."""
     if not a or not b:
         return a + b, 0
+    # one index in either block: insert it by one bisection
+    if len(b) == 1:
+        y = b[0]
+        k = bisect_right(a, y)
+        if odd and k and a[k - 1] == y:
+            return None
+        return a[:k] + b + a[k:], len(a) - k
+    if len(a) == 1:
+        x = a[0]
+        k = bisect_left(b, x)
+        if odd and k < len(b) and b[k] == x:
+            return None
+        return b[:k] + a + b[k:], k
     inv = 0
     for y in b:
         k = bisect_right(a, y)

@@ -89,19 +89,26 @@ class DynamicalRMatrix:
 
 def cybe(g: LieAlgebra, r: SparseTensor) -> SparseTensor:
     """[r12, r13] + [r12, r23] + [r13, r23] of a plain 2-tensor r over g,
-    by structure constants."""
+    by structure constants.  Each ordered pair of entries (a1 b1, c1),
+    (a2 b2, c2) forms c1 * c2 once, and only when one of [a1, a2],
+    [b1, a2] and [b1, b2] is nonzero; the product is never reused for
+    the swapped pair, since over non-coprime factors c2 * c1 may reduce to
+    another form (scalars docstring)."""
     if r.arity != 2 or r.dim != g.dim:
         raise InputError("r-matrix over the wrong space: a plain 2-tensor over g is required")
     entries = []
     terms = list(r.items())
     for (a1, b1), c1 in terms:
         for (a2, b2), c2 in terms:
+            aa, ba, bb = g.bracket(a1, a2), g.bracket(b1, a2), g.bracket(b1, b2)
+            if not (aa or ba or bb):
+                continue
             coef = c1 * c2
-            for m, s in g.bracket(a1, a2).items():
+            for m, s in aa.items():
                 entries.append(((m, b1, b2), coef * s))  # [r12, r13]
-            for m, s in g.bracket(b1, a2).items():
+            for m, s in ba.items():
                 entries.append(((a1, m, b2), coef * s))  # [r12, r23]
-            for m, s in g.bracket(b1, b2).items():
+            for m, s in bb.items():
                 entries.append(((a1, a2, m), coef * s))  # [r13, r23]
     return SparseTensor.build(g.dim, 3, entries)
 

@@ -5,8 +5,9 @@ denominator, courtesy of the stdlib).  A polynomial over a fixed ordered
 variable tuple stores each coefficient as an ``int`` when it is integral
 and as a Fraction otherwise, so sums and products of integral terms (the
 numerators 2 and root-hyperplane factors x_i - x_j of the dynamical
-r-matrices) form no Fraction; `exact_div` forms one ``Fraction(a, b)`` per
-quotient coefficient.  What leaves a polynomial is unchanged:
+r-matrices) form no Fraction; `exact_div` takes an exact int quotient as
+an int and forms ``Fraction(a, b)`` only for the others.  What leaves a
+polynomial is unchanged:
 `constant_value` is a Fraction, and ``2`` and ``Fraction(2)`` print alike.
 
 A rational function is a numerator polynomial over a multiset of
@@ -24,7 +25,15 @@ taken.  Instead:
   adds the exponent vectors, and ``d(f^-e) = -e f' f^-(e+1)`` gives the
   derivative;
 * the reduction then exact-divides the numerator by each factor for as
-  long as it divides, lowering that factor's exponent.
+  long as it divides, lowering that factor's exponent.  A nonzero
+  constant numerator (the 2 and 4 of the dynamical r-matrices) is not
+  divided at all: no non-constant factor divides it.
+
+Normalised factors need not be coprime (x - 1 and x^2 - 1 are two keys),
+so the reduced form of a product or a sum depends on the order of its
+operands and of the factors: (x-1)/(x^2-1) * (x+1)/(x-1) reduces to
+1/(x-1), the other order to (x+1)/(x^2-1).  The callers keep every
+operation in a fixed order so that printed results are reproducible.
 
 The poles of the dynamical r-matrices checked here lie on a few root
 hyperplanes, so denominators stay products of powers of a few factors and
@@ -237,7 +246,11 @@ class Polynomial:
             qexp = tuple(a - b for a, b in zip(rexp, dexp))
             if any(e < 0 for e in qexp):
                 return None
-            qc = _exact(Fraction(rem[rexp], dcoef))
+            rc = rem[rexp]
+            if type(rc) is int and type(dcoef) is int and not rc % dcoef:
+                qc = rc // dcoef
+            else:
+                qc = _exact(Fraction(rc, dcoef))
             quo[qexp] = qc
             _poly_sum(
                 (
@@ -334,9 +347,13 @@ def _times(p: Polynomial, factors: Factors) -> Polynomial:
 
 
 def _reduce(num: Polynomial, factors: Factors) -> Tuple[Polynomial, Factors]:
-    """Exact-divide num by each factor for as long as it divides."""
+    """Exact-divide num by each factor for as long as it divides.  No
+    non-constant factor divides a nonzero constant, so a constant num keeps
+    every factor with a positive exponent."""
     if num.is_zero():
         return num, {}
+    if len(num.terms) == 1 and not any(next(iter(num.terms))):
+        return num, {f: e for f, e in factors.items() if e}
     kept: Factors = {}
     for f, e in factors.items():
         while e:
@@ -534,15 +551,20 @@ def is_zero(s: Scalar) -> bool:
 # ---------------------------------------------------------------------------
 
 Sparse = Dict[Hashable, Scalar]
-_ZERO = Fraction(0)
 
 
 def combine(terms: Iterable[Tuple[Hashable, Scalar]], acc: Optional[Sparse] = None) -> Sparse:
     """Sum (key, coefficient) terms into acc (a new dict by default),
-    dropping every key whose sum is zero; returns acc."""
+    dropping every key whose sum is zero; returns acc.  A key's first term
+    is stored as it is, an int as a Fraction: the value Fraction(0) + coef
+    would have, without the addition."""
     out: Sparse = {} if acc is None else acc
     for key, coef in terms:
-        value = out.get(key, _ZERO) + coef
+        value = out.get(key)
+        if value is None:
+            value = Fraction(coef) if type(coef) is int else coef
+        else:
+            value = value + coef
         if is_zero(value):
             out.pop(key, None)
         else:
@@ -709,8 +731,15 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
     With an empty variable tuple the result is a Fraction; otherwise a
     RationalFunction over the declared variables.
     """
-    toks = _Tokens(text)
     variables = tuple(variables)
+    # a short plain ASCII integer literal, read as the tokenizer would read
+    # it (a leading "-" negates it); a long one goes to the tokenizer, which
+    # reports a literal past int()'s digit limit
+    digits = text[1:] if text[:1] == "-" else text
+    if 0 < len(digits) <= 18 and digits.isascii() and digits.isdigit():
+        value = int(text)
+        return RationalFunction.const(variables, value) if variables else Fraction(value)
+    toks = _Tokens(text)
 
     def atom():
         tok = toks.next()

@@ -18,6 +18,7 @@ for coefficient, on:
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -48,6 +49,23 @@ def test_merge_counts_inversions_and_drops_repeated_odd_indices():
     assert _merge((1, 2), (2,)) is None
     # even generators may repeat: no sign is read off them
     assert _merge((1, 2), (2,), 0)[0] == (1, 2, 2)
+
+
+def test_one_index_merges_match_the_sorted_merge():
+    # a block of one index is inserted by one bisection; the key and the
+    # inversion count must be those of sorting the concatenation, on every
+    # sorted block of at most three indices below 6, repeats included
+    blocks = [()] + [c for k in (1, 2, 3) for c in combinations_with_replacement(range(6), k)]
+    for a in blocks:
+        for b in blocks:
+            if len(a) != 1 and len(b) != 1:
+                continue
+            for odd in (0, 1):
+                if odd and set(a) & set(b):
+                    assert _merge(a, b, odd) is None, (a, b)
+                else:
+                    expected = tuple(sorted(a + b)), sum(x > y for x in a for y in b)
+                    assert _merge(a, b, odd) == expected, (a, b, odd)
 
 
 @pytest.mark.parametrize("shift", [1, 2])

@@ -9,7 +9,10 @@ rational functions in one to three variables whose denominators are
 shared, repeated, monomial or reducible, and whose numerators sometimes
 cancel them completely.  sympy (when installed) and a hypothesis
 round-trip property through ``str`` and ``parse_scalar`` are further
-oracles.
+oracles.  Products and sums with constant numerators and non-coprime
+factors (x-1, x+1, x^2-1, (x-1)^2) are compared with the Fraction-only
+classes of tests/ratfun_reference.py, print, numerator terms and factor
+order alike, since the order of every operation decides the reduced form.
 """
 
 import random
@@ -18,6 +21,7 @@ from typing import Dict, Tuple
 
 import pytest
 
+import ratfun_reference as ref
 from conftest import ev_rmatrix_sl3, evaluate
 from qlie.errors import InputError
 from qlie.rmatrix import dynamical_check
@@ -339,3 +343,79 @@ def test_scaled_ev_residual_is_reduced():
     assert not residual.is_zero()
     for _, coef in residual.items():
         assert_reduced(coef)
+
+
+# -- constant numerators and non-coprime factors against the reference ---------
+
+# over (x, y): the family x-1, x+1, x^2-1, (x-1)^2, whose normalised factors
+# are not coprime, 2x-1, whose quotients are not integral, a variable, and
+# the pair x+y, x^2-y^2
+FACTORS = [
+    {(1, 0): 1, (0, 0): -1},
+    {(1, 0): 2, (0, 0): -1},
+    {(1, 0): 1, (0, 0): 1},
+    {(2, 0): 1, (0, 0): -1},
+    {(2, 0): 1, (1, 0): -2, (0, 0): 1},
+    {(0, 1): 1},
+    {(1, 0): 1, (0, 1): 1},
+    {(2, 0): 1, (0, 2): -1},
+]
+CONSTANTS = [{(0, 0): 4}, {(0, 0): -1}, {(0, 0): Fraction(2, 3)}]
+XY = ("x", "y")
+
+
+def oracle_pair(rng):
+    """c / f or g / f, in the library and in tests/ratfun_reference.py: a
+    constant numerator, or a numerator from the factor family."""
+    num = rng.choice(CONSTANTS + FACTORS)
+    den = rng.choice(FACTORS)
+    if rng.random() < 0.3:
+        den = dict((Polynomial(XY, den) * Polynomial(XY, rng.choice(FACTORS))).terms)
+    return (
+        RationalFunction(Polynomial(XY, num), Polynomial(XY, den)),
+        ref.RationalFunction(ref.Polynomial(XY, num), ref.Polynomial(XY, den)),
+    )
+
+
+def assert_as_reference(new, old):
+    """The same print, numerator terms and factors, in order; each library
+    coefficient an int exactly when it is integral."""
+    assert str(new) == str(old)
+    assert new.num.terms == old.num.terms
+    assert [(str(f), e) for f, e in new.factors.items()] == [(str(f), e) for f, e in old.factors.items()]
+    for p in (new.num, *new.factors):
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values()), str(p)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_products_and_sums_match_the_reference(seed):
+    rng = random.Random(f"ratfun-reference/{seed}")
+    values = [oracle_pair(rng) for _ in range(5)]
+    for (a, a_old), (b, b_old) in zip(values, values[1:] + values[:1]):
+        results = [
+            (a * b, a_old * b_old), (b * a, b_old * a_old), (a + b, a_old + b_old), (b + a, b_old + a_old),
+            (a - b, a_old - b_old), ((a * b) * a, (a_old * b_old) * a_old), (a * b + b * a, a_old * b_old + b_old * a_old),
+            (a ** 0, a_old ** 0), (a ** 2, a_old ** 2), (a * 3, a_old * 3), (a + Fraction(1, 2), a_old + Fraction(1, 2)),
+        ]
+        if not b.is_zero():
+            results += [(a / b, a_old / b_old), (b ** -1, b_old ** -1)]
+        for new, old in results:
+            assert_as_reference(new, old)
+            assert_reduced(new)
+
+
+def test_non_coprime_products_keep_their_order():
+    variables = ("x",)
+    a = parse_scalar("(x-1)/(x^2-1)", variables)
+    b = parse_scalar("(x+1)/(x-1)", variables)
+    c = parse_scalar("(x+1)/(x^2-1)", variables)
+    # a * c cancels x^2-1 once and keeps one copy of it
+    assert str(a * c) == "(1)/(x^2-1)"
+    # the factors of a and b are not coprime: the order of a product decides its form
+    assert str(a * b) == "(1)/(x-1)" and str(b * a) == "(x+1)/(x^2-1)"
+    assert a * b == b * a
+    # a monomial numerator is divided like any other, a constant one keeps
+    # every factor, and a zero power keeps none
+    assert str(parse_scalar("x", variables) * parse_scalar("1/(x^2-x)", variables)) == "(1)/(x-1)"
+    assert str(parse_scalar("4/(x^2-1)", variables) * parse_scalar("2/(x-1)", variables)) == "(8)/(x^3-x^2-x+1)"
+    assert str(a ** 0) == "1" and not (a ** 0).factors

@@ -163,3 +163,39 @@ def test_polynomial_exact_division():
     p = (x + y) * (x - y)
     assert p.exact_div(x + y) == x - y
     assert p.exact_div(x) is None
+
+
+def _shape(v):
+    """Value, type and print of a parsed scalar, with the type of each
+    numerator term of a rational function."""
+    terms = [(k, type(c)) for k, c in v.num.terms.items()] if isinstance(v, RationalFunction) else None
+    return type(v), str(v), terms, dict(getattr(v, "factors", {}))
+
+
+@pytest.mark.parametrize("variables", [(), ("x",)], ids=["Q", "Q(x)"])
+@pytest.mark.parametrize(
+    "literal", ["0", "-0", "007", "-12", "9" * 18, "-" + "9" * 18, "1" + "0" * 18, "-" + "1" * 19]
+)
+def test_plain_integer_literals_read_as_the_tokenizer_reads_them(literal, variables):
+    # a plain literal of at most 18 digits skips the tokenizer; in
+    # parentheses it is tokenized, and the two must not differ
+    v, tokenized = parse_scalar(literal, variables), parse_scalar(f"({literal})", variables)
+    assert v == tokenized and v == int(literal)
+    assert _shape(v) == _shape(tokenized)
+
+
+@pytest.mark.parametrize("variables", [(), ("x",)], ids=["Q", "Q(x)"])
+def test_unusual_integer_literals_keep_their_reading(variables):
+    # what each of these gave before plain literals skipped the tokenizer
+    for text, value in (("--1", 1), ("１", 1), ("−1", -1), (" 5", 5), ("5 ", 5), ("+5", 5), ("-007", -7)):
+        v = parse_scalar(text, variables)
+        assert v == value and _shape(v) == _shape(parse_scalar(f"({value})", variables))
+    for text, message in (
+        ("1.5", "decimal literals are not allowed; use exact rationals"),
+        ("-", "unexpected end of scalar expression"),
+        ("²", "integer literal '²' cannot be read: invalid literal for int() with base 10: '²'"),
+        ("1_000", "trailing input in scalar expression at token ('name', '_000')"),
+    ):
+        with pytest.raises(InputError) as err:
+            parse_scalar(text, variables)
+        assert str(err.value) == message

@@ -5,7 +5,9 @@
 a multivector, a degree-0 WEDGE(2) cochain) take their linear structure
 from it.  Each container is checked against
 entrywise arithmetic on seeded data, over Q and over a rational-function
-field.
+field.  `combine` stores a key's first term as it is (an int as a
+Fraction) and `polyvectors.add_term` does the same; both are checked
+against sums that start from zero (`ratfun_reference.combine`).
 """
 
 import random
@@ -14,8 +16,10 @@ from itertools import combinations, product
 
 import pytest
 
+import ratfun_reference
 from qlie.errors import InputError
 from qlie.lie import abelian, sl3
+from qlie.polyvectors import add_term
 from qlie.scalars import RationalFunction, combine, is_zero, vec_add, vec_scale
 from qlie.tensors import ADJOINT, CECochain, SparseTensor, WEDGE
 
@@ -159,3 +163,48 @@ def test_vec_add_and_scale_leave_their_arguments():
     assert a == {0: Fraction(1), 1: Fraction(2)} and b == {1: Fraction(1), 2: Fraction(3)}
     assert vec_scale(a, Fraction(1, 2)) == {0: Fraction(1, 2), 1: Fraction(1)}
     assert vec_scale(a, Fraction(0)) == {}
+
+
+def test_first_terms_match_the_reference_sums():
+    # combine stores a key's first term as it is, an int as a Fraction:
+    # what the reference's Fraction(0) + coef gives, value and type
+    x = RationalFunction.var(VARS, "x")
+    r = x / (x + 1)
+    terms = [("int", 3), ("frac", Fraction(2, 3)), ("rf", r), ("zero-int", 0),
+             ("zero-frac", Fraction(0)), ("zero-rf", r - r), ("int", Fraction(1, 2))]
+    out, expected = combine(terms), ratfun_reference.combine(terms)
+    assert list(out) == list(expected) == ["int", "frac", "rf"]
+    assert [(type(v), str(v)) for v in out.values()] == [(type(v), str(v)) for v in expected.values()]
+    assert out == {"int": Fraction(7, 2), "frac": Fraction(2, 3), "rf": r}
+    assert type(combine([("k", 5)])["k"]) is Fraction
+    assert combine([("k", r)])["k"] is r  # a RationalFunction keeps its value and type
+    assert combine([("k", Fraction(0)), ("m", 0), ("n", r - r)]) == {}
+
+
+def test_add_term_first_terms_match_a_sum_from_zero():
+    # add_term stores a key's first term as it is: what 0 + c gives
+    x = RationalFunction.var(VARS, "x")
+    r = x / (x + 1)
+
+    def reference(terms):
+        acc = {}
+        for key, c in terms:
+            v = acc.get(key, 0) + c
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
+        return acc
+
+    terms = [("int", 3), ("frac", Fraction(2, 3)), ("rf", r), ("zero-int", 0), ("zero-frac", Fraction(0)),
+             ("zero-rf", r - r), ("int", -3), ("frac", 1), ("rf", Fraction(1, 2))]
+    acc = {}
+    for key, c in terms:
+        add_term(acc, key, c)
+    expected = reference(terms)
+    assert list(acc) == list(expected) == ["frac", "rf"]
+    assert [(type(v), str(v)) for v in acc.values()] == [(type(v), str(v)) for v in expected.values()]
+    for c in (7, Fraction(7, 3), r):
+        acc = {}
+        add_term(acc, "k", c)
+        assert acc["k"] is c
