@@ -73,6 +73,8 @@ def read_json(path: str, inputs: Dict[str, str]) -> dict:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON file {path}: {exc}") from None
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise InputError(f"cannot read JSON file {path}: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"JSON file {path} must hold an object, not {type(doc).__name__}")
     return doc

@@ -21,9 +21,8 @@ constructions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
@@ -35,24 +34,20 @@ Matrix = List[List[Fraction]]
 Vector = Dict[int, Fraction]  # the nonzero coordinates of a vector
 
 
-@dataclass
 class QuadraticLieAlgebra:
-    lie: LieAlgebra
-    pairing: Matrix
-
-    def __post_init__(self):
-        n = self.lie.dim
-        if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
+    def __init__(self, lie: LieAlgebra, pairing: Matrix):
+        n = lie.dim
+        if len(pairing) != n or any(len(row) != n for row in pairing):
             raise InputError("pairing matrix has the wrong shape")
-        self.pairing = [[Fraction(x) for x in row] for row in self.pairing]
+        self.lie = lie
+        self.pairing = [[Fraction(x) for x in row] for row in pairing]
         for i in range(n):
             for j in range(n):
                 if self.pairing[i][j] != self.pairing[j][i]:
                     raise InputError("pairing matrix must be symmetric")
 
 
-@dataclass
-class QuadraticReport:
+class QuadraticReport(NamedTuple):
     nondegenerate: bool
     invariant: bool
     witness: Optional[Tuple[str, str, str]] = None
@@ -89,14 +84,12 @@ def check_quadratic(d: QuadraticLieAlgebra) -> QuadraticReport:
     return QuadraticReport(nondeg, True)
 
 
-@dataclass
-class ManinPair:
+class ManinPair(NamedTuple):
     quad: QuadraticLieAlgebra
     g_indices: Tuple[int, ...]
 
 
-@dataclass
-class ManinPairReport:
+class ManinPairReport(NamedTuple):
     is_subalgebra: bool
     isotropic: bool
     half_dimensional: bool
@@ -123,15 +116,13 @@ def manin_pair_check(pair: ManinPair) -> ManinPairReport:
     return ManinPairReport(not escaping, iso, half, offending)
 
 
-@dataclass
-class ManinTriple:
+class ManinTriple(NamedTuple):
     quad: QuadraticLieAlgebra
     g_indices: Tuple[int, ...]
     gstar_indices: Tuple[int, ...]
 
 
-@dataclass
-class ManinTripleReport:
+class ManinTripleReport(NamedTuple):
     quadratic: QuadraticReport
     g_pair: ManinPairReport
     gstar_pair: ManinPairReport

@@ -24,22 +24,24 @@ key is divided by 2L^2 L_g once, after the sum.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict
 
 from .errors import InputError
 from .tensors import CECochain
 from .polyvectors import Element, PolyVectorAlgebra, add_term, contraction_partners, numerators, over
 
-# The most pairs of monomials 1/2 [x, x] may form, counted before the
-# index drops those that share no contraction.  A counted pair costs about
-# 2 us (25,200 pairs of a dense cobracket on 8 labels took 0.05-0.07 s,
-# 101,475 on 10 labels 0.14 s, on 2 vCPUs), so one residual stays near
-# 0.1 s.  Any (delta, phi) over 8 labels forms at most 37,744 pairs and
-# passes, as does the standard bialgebra of sl7 with the Casimir associator
-# (39,585; sl6's forms 14,355, the benchmark inputs at most 10,962); a
-# dense cobracket on 10 labels and the standard bialgebra of sl9 (83,436)
-# are refused.
-MAX_PAIRS = 50_000
+# The most pairs of monomials 1/2 [x, x] may form, bounded before the index
+# is built by sum_i up_i down_i, with up_i and down_i the monomials of x
+# with an e^i and with an e_i: every pair that shares a contraction is
+# counted at least once.  A formed pair costs about 7 us (a dense cobracket
+# with one phi entry counts 12,628 and forms 11,088 in 0.07-0.09 s on 8
+# labels, 40,635 and 36,630 in 0.25 s on 10, on 2 vCPUs), so one residual
+# stays near 0.15 s.  Any (delta, phi) over 8 labels counts at most 17,248
+# and passes, as does the standard bialgebra of sl9 (3,264, 0.08 s); a
+# dense cobracket on 10 labels and the standard sl4 bialgebra twisted by a
+# lambda with every entry nonzero (193,211) are refused.
+MAX_PAIRS = 20_000
 
 
 def mc_residual(P: PolyVectorAlgebra, x: Element) -> Dict[int, CECochain]:
@@ -52,14 +54,13 @@ def mc_residual(P: PolyVectorAlgebra, x: Element) -> Dict[int, CECochain]:
             raise InputError("Maurer-Cartan elements live in weights >= 2")
         if P.mono_degree(mono) != n + 2:
             raise InputError(f"monomial {mono} is not of shifted degree 1")
-    # a contraction pairs an e^i of one monomial with an e_i of the other, so
-    # two monomials without an e^i (phi at shift 1, a Casimir at shift 2)
-    # bracket to zero and their pairs are not counted
-    co = sum(1 for m in x if m[0])
-    pairs = co * (co + 1) // 2 + co * (len(x) - co)
+    # a contraction pairs an e^i of one monomial with an e_i of the other
+    up = Counter(i for ups, _ in x for i in ups)
+    down = Counter(i for _, downs in x for i in downs)
+    pairs = sum(c * down[i] for i, c in up.items())
     if pairs > MAX_PAIRS:
         raise InputError(
-            f"the Maurer-Cartan residual would form {pairs} pairs of monomials, "
+            f"the Maurer-Cartan residual would form up to {pairs} pairs of monomials, "
             f"over the limit of {MAX_PAIRS}"
         )
 

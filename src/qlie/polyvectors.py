@@ -84,11 +84,10 @@ The Schouten bracket of multivectors is the derived bracket
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
@@ -414,12 +413,11 @@ def ce_differential(x: CECochain) -> CECochain:
     return P._to_cochain(P.d(P.from_cochain(x)), x.k + 1, x.module)
 
 
-@dataclass
-class LieCheckReport:
+class LieCheckReport(NamedTuple):
     passed: bool
-    failure_kind: Optional[str] = None
-    witness: Optional[Tuple[str, ...]] = None
-    residual: Dict[str, str] = field(default_factory=dict)
+    failure_kind: Optional[str]
+    witness: Optional[Tuple[str, ...]]
+    residual: Dict[str, str]
 
 
 def check_lie(g: LieAlgebra) -> LieCheckReport:
@@ -435,7 +433,7 @@ def check_lie(g: LieAlgebra) -> LieCheckReport:
         for (ijk, _), v in P.d(P.d({((l,), ()): Fraction(1)})).items():
             jacobiators.setdefault(ijk, {})[l] = v
     if not jacobiators:
-        return LieCheckReport(passed=True)
+        return LieCheckReport(True, None, None, {})
     ijk = min(jacobiators)
     return LieCheckReport(
         passed=False,

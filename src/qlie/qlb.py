@@ -37,9 +37,8 @@ of their preconditions (axioms, invariance, coisotropy); the CLI does.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .errors import InputError
 from .lie import LieAlgebra, SplitSubalgebra, split_subalgebra
@@ -61,18 +60,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class QuasiLieBialgebra:
-    g: LieAlgebra
-    delta: CECochain  # degree 1, module wedge^2
-    phi: CECochain  # degree 0, module wedge^3
-
-    def __post_init__(self):
-        # over g: the same structure, as cochain arithmetic compares it
-        if self.delta.k != 1 or self.delta.module != WEDGE(2) or not self.delta.g.same_structure(self.g):
+    def __init__(self, g: LieAlgebra, delta: CECochain, phi: CECochain):
+        # delta of degree 1 in wedge^2, phi of degree 0 in wedge^3, both over
+        # g: the same structure, as cochain arithmetic compares it
+        if delta.k != 1 or delta.module != WEDGE(2) or not delta.g.same_structure(g):
             raise InputError("delta must be a degree-1 cochain over g valued in wedge^2")
-        if self.phi.k != 0 or self.phi.module != WEDGE(3) or not self.phi.g.same_structure(self.g):
+        if phi.k != 0 or phi.module != WEDGE(3) or not phi.g.same_structure(g):
             raise InputError("phi must be a 3-multivector over g")
+        self.g, self.delta, self.phi = g, delta, phi
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuasiLieBialgebra):
@@ -84,17 +80,14 @@ class QuasiLieBialgebra:
         )
 
 
-@dataclass(frozen=True)
 class Twist:
-    lam: CECochain  # degree 0, module wedge^2
-
-    def __post_init__(self):
-        if self.lam.k != 0 or self.lam.module != WEDGE(2):
+    def __init__(self, lam: CECochain):
+        if lam.k != 0 or lam.module != WEDGE(2):
             raise InputError("a twist is a 2-multivector")
+        self.lam = lam
 
 
-@dataclass
-class QLBResiduals:
+class QLBResiduals(NamedTuple):
     """The three axiom residuals, as full tensors."""
 
     cocycle: CECochain  # d delta, degree 2
@@ -275,8 +268,7 @@ def induce_from_coisotropic(split: SplitSubalgebra, c: CECochain) -> QuasiLieBia
 # the coisotropic morphism verifier
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MorphismReport:
+class MorphismReport(NamedTuple):
     invariance_identities: Dict[str, bool]
     intertwines: Dict[str, bool]
 

@@ -29,9 +29,8 @@ slot-wise formulas it replaces are oracles in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .lie import LieAlgebra, SplitSubalgebra
@@ -41,27 +40,29 @@ from .scalars import Polynomial, RationalFunction, Scalar, combine
 from .tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, SYM, WEDGE, embed_wedge
 
 
-@dataclass
 class DynamicalRMatrix:
     """Map U -> g (x) g with rational-function entries over coordinates on h*;
     over h = 0 (no coordinates) a constant r with Fraction entries.
 
-    The open locus U is described implicitly by the denominator
-    polynomials; every coefficient denominator must divide a product of
-    powers of these.
+    split is the base subalgebra h inside g, variables the coordinates
+    dual to the h basis, tensor the g (x) g valued map.  The open locus U
+    is described implicitly by the denominator polynomials of locus; every
+    coefficient denominator must divide a product of powers of these.
     """
 
-    split: SplitSubalgebra  # base subalgebra h inside g
-    variables: Tuple[str, ...]  # coordinates dual to the h basis
-    tensor: SparseTensor  # g (x) g valued
-    locus: List[Polynomial] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.variables) != self.split.dim_h:
+    def __init__(
+        self,
+        split: SplitSubalgebra,
+        variables: Tuple[str, ...],
+        tensor: SparseTensor,
+        locus: Sequence[Polynomial] = (),
+    ):
+        self.split, self.variables, self.tensor, self.locus = split, variables, tensor, locus
+        if len(variables) != split.dim_h:
             raise InputError("one coordinate per basis vector of h is required")
-        if self.tensor.arity != 2:
+        if tensor.arity != 2:
             raise InputError("a dynamical r-matrix takes values in g (x) g")
-        for key, coef in self.tensor.items():
+        for key, coef in tensor.items():
             if isinstance(coef, RationalFunction):
                 if coef.vars != self.variables:
                     raise InputError("coefficient over the wrong variable tuple")
@@ -156,8 +157,7 @@ def _h_derivative(dr: DynamicalRMatrix) -> CECochain:
     return CECochain.build(dr.split.g, 0, WEDGE(3), entries)
 
 
-@dataclass
-class DynamicalReport:
+class DynamicalReport(NamedTuple):
     equivariance: Dict[str, bool]  # one entry per basis vector of h
     lam: CECochain  # degree 0, module WEDGE(2)
     c: Optional[CECochain]  # degree 0, module SYM(2); None unless constant

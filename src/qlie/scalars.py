@@ -75,6 +75,10 @@ _DEFAULT_LITERAL_DIGITS = 4300
 # factors: (x+y+z+1)^12*(x+y+z+1)^12 forms 207,025 and takes over a
 # second, (x+y+1)^32 forms about 26,000 and takes a quarter of one
 MAX_TERMS_FORMED = 100_000
+# parentheses and unary signs nest at most this deep: a level of
+# parentheses is four frames of the recursive parser, and ((...1...)) 250
+# deep met the interpreter's recursion limit
+MAX_NESTING = 100
 
 
 Coef = Union[int, Fraction]  # a polynomial coefficient: int when integral
@@ -740,18 +744,23 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
         value = int(text)
         return RationalFunction.const(variables, value) if variables else Fraction(value)
     toks = _Tokens(text)
+    depth = 0
 
     def atom():
+        nonlocal depth
         tok = toks.next()
-        if tok == "(":
-            v = expr()
-            if toks.next() != ")":
-                raise InputError("unbalanced parentheses in scalar expression")
+        if tok in ("(", "-", "+"):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise InputError(f"scalar expression nested over {MAX_NESTING} deep")
+            if tok == "(":
+                v = expr()
+                if toks.next() != ")":
+                    raise InputError("unbalanced parentheses in scalar expression")
+            else:
+                v = -power() if tok == "-" else power()
+            depth -= 1
             return v
-        if tok == "-":
-            return -power()
-        if tok == "+":
-            return power()
         if isinstance(tok, tuple) and tok[0] == "int":
             if variables:
                 return RationalFunction.const(variables, tok[1])

@@ -18,19 +18,17 @@ computes the convention it states on sl2 and sl3.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
 from math import factorial, prod
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .scalars import Scalar, combine, is_zero
 
 
-@dataclass(frozen=True)
-class ConventionLedger:
+class ConventionLedger(NamedTuple):
     """Fixed record of embedding, sign and normalization choices.
 
     All numeric calibration constants below were determined once on sl2
@@ -62,7 +60,7 @@ class ConventionLedger:
     casimir_vs_induced: str = "2/3"
 
     def to_dict(self) -> Dict[str, str]:
-        return asdict(self)
+        return self._asdict()
 
 
 LEDGER = ConventionLedger()

@@ -77,6 +77,10 @@ COEF = ("brackets", 0, 2, 0, 1)
 R_COEF = ("entries", 0, "coef")
 
 
+class RawJSON(str):
+    """A whole document given as its text, written as it is."""
+
+
 @pytest.mark.parametrize(
     "fixture, where, value, argv, message",
     [
@@ -110,6 +114,9 @@ R_COEF = ("entries", 0, "coef")
         # int() refuses more than 4300 digits, and digits such as "²"
         ("sl2.json", COEF, "1" * 5000, LIE, "cannot be read"),
         ("sl2.json", COEF, "2\u00b2", LIE, "cannot be read"),
+        # nesting far below the byte limit met the recursion limit (exit 3)
+        ("sl2.json", (), RawJSON("[" * 1000 + "]" * 1000), LIE, "nested too deeply"),
+        ("sl2.json", COEF, "(" * 250 + "1" + ")" * 250, LIE, "nested over 100 deep"),
         # nested powers multiply: the degree of a power's result is capped
         (
             "phi_zero.json", (),
@@ -163,8 +170,8 @@ R_COEF = ("entries", 0, "coef")
             ("invariants", "{}", "--module", "sym2"), "over the limit of",
         ),
         ("sl2.json", ("name",), "x" * MAX_INPUT_BYTES, LIE, "over the input limit"),
-        # a cobracket with every entry nonzero on 10 labels: 1/2 [x, x] would
-        # form 101,475 pairs (about 1 s), over the residual's pair bound
+        # a cobracket with every entry nonzero on 10 labels: 1/2 [x, x] may
+        # form up to 40,500 pairs (about 0.25 s), over the residual's pair bound
         (
             "delta_zero.json", (),
             {"signature": "cobracket", "entries": [
@@ -188,7 +195,8 @@ R_COEF = ("entries", 0, "coef")
         "number-tensor-vars", "non-string-tensor-vars", "number-rmatrix-vars",
         "string-rmatrix-vars", "repeated-field-vars", "repeated-tensor-vars", "repeated-option-vars",
         "huge-power", "huge-negative-power", "power-above-cap",
-        "5000-digit-literal", "superscript-digit", "nested-power",
+        "5000-digit-literal", "superscript-digit", "json-nested-1000-deep",
+        "coefficient-nested-250-deep", "nested-power",
         "nested-rational-power", "product-of-powers", "sum-of-powers",
         "product-term-limit", "power-term-limit", "number-brackets", "null-locus",
         "basis-label-limit", "wedge3-module-limit", "sym2-module-limit", "input-byte-limit",
@@ -205,7 +213,7 @@ def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, messag
     else:  # an empty path replaces the whole document
         doc = value
     path = tmp_path / fixture
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, RawJSON) else json.dumps(doc))
     start = time.perf_counter()
     report, code = invoke(*(a.format(path) for a in argv))
     assert time.perf_counter() - start < 1.0
@@ -439,6 +447,16 @@ def run_subprocess(*argv, timeout=60):
     return json.loads(proc.stdout), proc.returncode
 
 
+def test_import_loads_no_code_generation_machinery():
+    # dataclasses pulled in inspect, ast, dis and tokenize: about half of
+    # the cost of importing qlie.cli in a fresh interpreter
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qlie.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 @pytest.mark.parametrize(
     "locus, code, message",
     [
@@ -548,6 +566,7 @@ def test_std_triple_and_triple_check(tmp_path):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_std_triple_on_sl_n(n):
     # sl4..sl9 are lie.sl(n); every check of the standard bialgebra passes
+    # (sl9's report is pinned in tests/test_reports_pinned.py)
     report, code = invoke("std-triple", "--algebra", f"sl{n}")
     assert code == 0
     assert all(c["status"] == "pass" for c in report["checks"])
@@ -555,16 +574,36 @@ def test_std_triple_on_sl_n(n):
 
 
 def test_std_triple_limits():
-    # sl9's standard bialgebra would form 83,436 pairs of monomials, over
-    # the Maurer-Cartan residual's bound; sl10 is not a choice
-    report, code = invoke("std-triple", "--algebra", "sl9")
-    assert code == 2
-    assert "would form 83436 pairs of monomials, over the limit of 50000" in report["checks"][-1]["detail"]["message"]
+    # sl10 is not a choice
     report, code = invoke("std-triple", "--algebra", "sl10")
     assert code == 2
     assert [c["name"] for c in report["checks"]] == ["input"]
     assert "invalid choice: 'sl10' (choose from 'sl2', 'sl3', 'sl4', 'sl5', 'sl6', 'sl7', 'sl8', 'sl9')" in (
         report["checks"][0]["detail"]["message"]
+    )
+
+
+def test_dense_twist_of_the_standard_sl4_bialgebra_is_refused(tmp_path):
+    # every entry of lambda nonzero: 1/2 [x, x] may form up to 193,211
+    # pairs of monomials, over the Maurer-Cartan residual's bound
+    from itertools import combinations
+
+    from qlie.formats import cochain_to_entries
+    from qlie.manin import dual_subalgebra_bplus_bminus, triple_to_bialgebra
+    from qlie.qlb import Twist, twist
+    from qlie.tensors import CECochain, WEDGE
+
+    b = triple_to_bialgebra(dual_subalgebra_bplus_bminus(sl(4)))
+    lam = CECochain(b.g, 0, WEDGE(2), {((), key): 1 for key in combinations(range(15), 2)})
+    q = twist(b, Twist(lam))
+    g, delta, phi = (tmp_path / f"{name}.json" for name in ("g", "delta", "phi"))
+    g.write_text(json.dumps(lie_to_dict(q.g)))
+    delta.write_text(json.dumps({"signature": "cobracket", "entries": cochain_to_entries(q.delta)}))
+    phi.write_text(json.dumps({"signature": "wedge3", "entries": cochain_to_entries(q.phi)}))
+    report, code = invoke("check-qlb", str(g), "--delta", str(delta), "--phi", str(phi))
+    assert code == 2
+    assert report["checks"][0]["detail"]["message"] == (
+        "the Maurer-Cartan residual would form up to 193211 pairs of monomials, over the limit of 20000"
     )
 
 

@@ -2,16 +2,17 @@
 
 Each example takes one CLI job on the documents of ``tests/fixtures``
 and either mutates up to two of its input documents (drops keys or list
-items, swaps value types, changes list arities, puts in unknown labels and
-huge exponent or digit strings) or mutates its arguments (unknown and
-repeated flags, ``--shift 3``, duplicate, unknown and empty labels in
-``--sub``, ``--g`` and ``--gstar``), and runs
+items, swaps value types, changes list arities, puts in unknown labels,
+huge exponent or digit strings and deep nesting) or mutates its arguments
+(unknown and repeated flags, ``--shift 3``, duplicate, unknown and empty
+labels in ``--sub``, ``--g`` and ``--gstar``), and runs
 ``qlie.cli.main(argv + ["--json"])`` in-process.  Whatever the input, the
 run must keep the exit-code contract (0 pass, 1 a check failed, 2
 malformed input; never 3, an internal fault), print a JSON report and
 finish within two seconds.  One more row runs each job unmutated with its
 algebra documents over the field Q(x) (``"field": {"type": "ratfun"}``),
-and its exit code must be the one over Q.
+and its exit code must be the one over Q; another runs each job with its
+documents nested past the recursion limit, which must exit 2.
 """
 
 import io
@@ -48,7 +49,10 @@ JOBS = [
     ["mc-residual", "@sl2", "--shift", "2", "--casimir", "@killing_sl2"],
 ]
 
-OTHER_VALUES = [None, True, 0, 7, -1, 1.5, "", "x", [], {}, ["e"], {"type": "rational"}]
+# stands for a list nested 1,000 deep, which _run_job writes into the
+# document's text: json.dumps would recurse as deep as json.loads does
+DEEP = "\0deep"
+OTHER_VALUES = [None, True, 0, 7, -1, 1.5, "", "x", [], {}, ["e"], {"type": "rational"}, DEEP]
 UNKNOWN_LABELS = ["zz", "E", "e ", "0", "h^"]
 HUGE_STRINGS = [
     "9" * 5000,
@@ -63,6 +67,7 @@ HUGE_STRINGS = [
     "(x+y+z+1)^64",
     "1/(x-x)",
     "0/0",
+    "(" * 250 + "1" + ")" * 250,
 ]
 UNKNOWN_FLAGS = ["--bogus", "--Json", "-x", "--shift2", "--lambda"]
 LABEL_LISTS = ["", ",", "e,e", "h,h,e", "zz", "e,zz", "e,,h", " e", "x1,x1", "x1,x2,x3,x4", "x9"]
@@ -161,7 +166,7 @@ def _run_job(job, docs):
         paths = {}
         for name, doc in docs.items():
             paths[name] = Path(tmp) / f"{name}.json"
-            paths[name].write_text(json.dumps(doc))
+            paths[name].write_text(json.dumps(doc).replace(json.dumps(DEEP), "[" * 1000 + "]" * 1000))
         argv = [
             str(paths.get(tok[1:], FIXTURES / f"{tok[1:]}.json")) if tok.startswith("@") else tok
             for tok in job
@@ -200,6 +205,28 @@ def test_ratfun_field_keeps_the_exit_code_contract(job):
             docs[name] = {**doc, "field": {"type": "ratfun", "vars": ["x"]}}
     assert docs
     assert _run_job(job, docs) == _run_job(job, {})
+
+
+def _nest_integers(node):
+    """node with every integer string nested 250 parentheses deep."""
+    if isinstance(node, dict):
+        return {key: _nest_integers(child) for key, child in node.items()}
+    if isinstance(node, list):
+        return [_nest_integers(child) for child in node]
+    if isinstance(node, str) and node.lstrip("-").isdigit():
+        return "(" * 250 + node + ")" * 250
+    return node
+
+
+@pytest.mark.parametrize("job", JOBS, ids=[" ".join(job[:4]) for job in JOBS])
+def test_deep_nesting_keeps_the_exit_code_contract(job):
+    # every integer string of the job's documents nested 250 parentheses
+    # deep, or the first entry of its first document nested 1,000 lists
+    # deep: each met the recursion limit (exit 3) and is malformed input
+    names = [tok[1:] for tok in job if tok.startswith("@")]
+    assert _run_job(job, {name: _nest_integers(_document(name)) for name in names}) == 2
+    first = _document(names[0])
+    assert _run_job(job, {names[0]: {**first, sorted(first)[0]: DEEP}}) == 2
 
 
 @FUZZ_SETTINGS

@@ -8,15 +8,15 @@ convention fails the test named after it.  `test_every_entry_has_a_test`
 keeps it that way for entries added later.
 """
 
+import json
 import random
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from conftest import ev_rmatrix, multivector, rand_multivector, sym2_entries, zero_cobracket
+from conftest import FIXTURES, ev_rmatrix, multivector, rand_multivector, sym2_entries, zero_cobracket
 from qlie.lie import casimir_from_pairing, sl, sl2, sl3, split_subalgebra
 from qlie.manin import dual_subalgebra_bplus_bminus, triple_to_bialgebra
 from qlie.polyvectors import PolyVectorAlgebra, ce_differential
@@ -27,6 +27,7 @@ from qlie.tensors import (
     CASIMIR_VS_INDUCED,
     KAPPA_CYBE,
     LAMBDA_FORM_PHI_COEFF,
+    LEDGER,
     SYM,
     WEDGE,
     CECochain,
@@ -52,7 +53,17 @@ def casimir_tensor(c: CECochain) -> SparseTensor:
 
 def test_every_entry_has_a_test():
     names = {name for name in dir(sys.modules[__name__]) if name.startswith("test_ledger_")}
-    assert names == {f"test_ledger_{f.name}" for f in fields(ConventionLedger)}
+    assert names == {f"test_ledger_{name}" for name in ConventionLedger._fields}
+
+
+def test_to_dict_is_the_stamped_ledger():
+    # the ledger every pinned report carries, in the entries' order, as a
+    # new dict on each call
+    stamped = json.loads((FIXTURES / "reports" / "std-triple-sl3.json").read_text())["report"]["ledger"]
+    d = LEDGER.to_dict()
+    assert d == stamped and list(d) == list(ConventionLedger._fields)
+    d["kappa_cybe"] = "5"
+    assert LEDGER.to_dict() == stamped and LEDGER.to_dict() is not LEDGER.to_dict()
 
 
 @ALGEBRAS

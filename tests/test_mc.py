@@ -396,10 +396,32 @@ def test_mc_residual_with_non_integral_structure_constants(rng):
     assert verdicts[-1] and not all(verdicts)
 
 
+def test_pair_count_bounds_the_pairs_formed(monkeypatch):
+    # every pair that 1/2 [x, x] brackets shares a contraction, so it is
+    # counted: with the limit one below the pairs formed, the residual refuses
+    rng = random.Random(7)
+    g = sl3()
+    std = triple_to_bialgebra(dual_subalgebra_bplus_bminus(sl3()))
+    cases = [(g, rand_cobracket(g, rng), rand_multivector(g, 3, rng)), (std.g, std.delta, std.phi)]
+    cases += [(q.g, q.delta, q.phi) for q in (twist(std, Twist(rand_multivector(std.g, 2, rng))) for _ in range(3))]
+    real = PolyVectorAlgebra.bracket_monos
+    for g, delta, phi in cases:
+        formed = []
+        monkeypatch.setattr(PolyVectorAlgebra, "bracket_monos", lambda P, a, b: formed.append(1) or real(P, a, b))
+        P = PolyVectorAlgebra(g, 1)
+        x = mc_element(P, delta, phi)
+        mc_residual(P, x)
+        assert formed
+        monkeypatch.setattr(mc, "MAX_PAIRS", len(formed) - 1)
+        with pytest.raises(InputError, match="pairs of monomials"):
+            mc_residual(P, x)
+        monkeypatch.undo()
+
+
 def test_pair_limit_refuses_before_any_bracket(monkeypatch):
-    # the count is over the unordered pairs of monomials with an e^i, the
-    # diagonal included, and those with the e^i-free ones; it is taken and
-    # refused before the residual indexes or brackets anything
+    # the count is sum_i up_i down_i over the monomials with an e^i and
+    # those with an e_i; it is taken and refused before the residual
+    # indexes or brackets anything
     g = abelian(10)
     P = PolyVectorAlgebra(g, 1)
     delta = CECochain(g, 1, WEDGE(2), {((k,), key): F(1) for k in range(10) for key in combinations(range(10), 2)})
@@ -412,12 +434,12 @@ def test_pair_limit_refuses_before_any_bracket(monkeypatch):
     with pytest.raises(InputError) as err:
         mc_residual(P, x)
     assert str(err.value) == (
-        "the Maurer-Cartan residual would form 101925 pairs of monomials, over the limit of 50000"
+        "the Maurer-Cartan residual would form up to 40635 pairs of monomials, over the limit of 20000"
     )
-    # 450 * 451 / 2 + 450 * 1: exactly at the limit the residual runs
-    monkeypatch.setattr(mc, "MAX_PAIRS", 101_925)
+    # up_i = 45 and down_i = 90 + (1 if i < 3): exactly at the limit the residual runs
+    monkeypatch.setattr(mc, "MAX_PAIRS", 40_635)
     with pytest.raises(AssertionError, match="a pair was formed"):
         mc_residual(P, x)
-    monkeypatch.setattr(mc, "MAX_PAIRS", 101_924)
-    with pytest.raises(InputError, match="101925 pairs of monomials, over the limit of 101924"):
+    monkeypatch.setattr(mc, "MAX_PAIRS", 40_634)
+    with pytest.raises(InputError, match="40635 pairs of monomials, over the limit of 40634"):
         mc_residual(P, x)

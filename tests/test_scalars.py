@@ -199,3 +199,14 @@ def test_unusual_integer_literals_keep_their_reading(variables):
         with pytest.raises(InputError) as err:
             parse_scalar(text, variables)
         assert str(err.value) == message
+
+
+def test_nesting_is_capped_by_depth_not_by_count():
+    # parentheses and unary signs nest at most MAX_NESTING = 100 deep; side
+    # by side they are not counted together
+    assert parse_scalar("(" * 100 + "3" + ")" * 100) == 3
+    assert parse_scalar("-" * 100 + "3") == 3
+    assert parse_scalar("+".join(["(-(1))"] * 150), ("x",)) == RationalFunction.const(("x",), -150)
+    for text in ("(" * 101 + "3" + ")" * 101, "-" * 101 + "3", "-(" * 51 + "3" + ")" * 51):
+        with pytest.raises(InputError, match="nested over 100 deep"):
+            parse_scalar(text)
