@@ -102,9 +102,15 @@ CASES = {
     "std-triple-sl3": ("std-triple", "--algebra", "sl3"),
     # refused by the pair bound until it counted pairs that can contract
     "std-triple-sl9": ("std-triple", "--algebra", "sl9"),
+    # the standard cobracket twisted by a lambda with all 28 entries nonzero
+    "twist-lambda-dense-sl3": (
+        "twist", *SL3, "--delta", "delta_std_sl3.json", "--phi", "phi_zero.json", "--lambda", "lambda_dense_sl3.json"
+    ),
+    # all 56 phi entries nonzero: exit 1, cojacobi and compat fail
+    "check-qlb-phi-dense-sl3": ("check-qlb", *SL3, "--delta", "delta_std_sl3.json", "--phi", "phi_dense_sl3.json"),
 }
-# the sl9 report has 61,414 lines
-DIGEST_PINS = {"std-triple-sl9"}
+# the sl9 report has 61,414 lines, the dense sl3 twist 1,807 and check-qlb 4,250
+DIGEST_PINS = {"std-triple-sl9", "twist-lambda-dense-sl3", "check-qlb-phi-dense-sl3"}
 
 
 def _absolute(argv):
