@@ -44,7 +44,7 @@ DEGREE_ZERO_MODULES = {"wedge2": WEDGE(2), "wedge3": WEDGE(3), "sym2": SYM(2)}
 # the 82,160 keys of wedge3 (1.1 s) and 72 of the 3,240 of sym2 (0.16 s);
 # times are the best of 3 in-process runs of `invariants` on 2 vCPUs.  The
 # support of a tensor read over an algebra is bounded where it costs:
-# `mc.MAX_PAIRS` caps the pairs of monomials that the Maurer-Cartan
+# `mc.MAX_PAIRS` caps the contraction events that the Maurer-Cartan
 # residual of `check-qlb`, `twist` and `mc-residual` forms.
 MAX_INPUT_BYTES = 1 << 20
 MAX_BASIS_LABELS = 80
@@ -115,6 +115,8 @@ def lie_from_dict(doc: dict) -> LieAlgebra:
     for key in ("name", "basis"):
         if key not in doc:
             raise InputError(f"Lie algebra file is missing the {key!r} entry")
+    if not isinstance(doc["name"], str):
+        raise InputError("name is a string")
     basis = doc["basis"]
     if not isinstance(basis, list) or any(isinstance(label, (list, dict)) for label in basis):
         raise InputError("basis is a list of scalar labels")

@@ -27,11 +27,13 @@ and its Koszul sign is (-1) to the swaps of odd generators that sort it:
 the inversions of each merge plus the odd generators a moved block
 passes, read off the block lengths.  Contracting the e^i of m1 with an
 e_i of m2, say, merges m1's e^ block without e^i with m2's, and m2's e_
-block without e_i with m1's.  `bracket` and the residual of `mc` form
-only the pairs of monomials that the generator index
-`contraction_partners` names.  The graded symmetry and Jacobi identities
-of the bracket are checked exhaustively in the tests, and the kernel
-against a generator-list insertion sort (tests/polyvector_oracle.py).
+block without e_i with m1's.  `contract` takes the bracket as contraction
+events: `contraction_index` maps each generator i to the monomials of the
+right factor that hold e_i (or e^i), and each e^i (or e_i) of a left
+monomial walks only the entries for i, one single contraction each.  The
+graded symmetry and Jacobi identities of the bracket are checked
+exhaustively in the tests, and the kernel against a generator-list
+insertion sort (tests/polyvector_oracle.py).
 
 `d`, `mul` and `bracket` sum integer numerators.  Each element is taken
 over the lcm L of its coefficients' denominators (`numerators`), the
@@ -174,45 +176,42 @@ class PolyVectorAlgebra:
 
     # -- the big bracket -------------------------------------------------------
 
-    def bracket_monos(self, m1: Mono, m2: Mono) -> Element:
-        """[m1, m2] as one sum of single contractions (see the module docstring)."""
+    def contract(self, acc: Dict[Mono, Scalar], na, vec_index, cov_index) -> None:
+        """Add to acc each event of the terms c1 m1 of na with a right factor
+        indexed by `contraction_index`: vec_index holds its e_i, met by the
+        e^i of m1, and cov_index its e^i, met by the e_i of m1.  An event is
+        c1 c2 times eps_pq (module docstring) and the sign of the sort."""
         n, vp = self.n, self.vec_parity
-        (cov1, vec1), (cov2, vec2) = m1, m2
-        k1, l1, k2, l2 = len(cov1), len(vec1), len(cov2), len(vec2)
-        s2 = k2 + n * l2 + n + 1  # |m2| + n + 1
-
-        out: Dict[Mono, int] = {}  # integer coefficients: no Fraction is formed
-        for p, i in enumerate(cov1):  # e^i contracts with each e_i of m2
-            rc = _merge(cov1[:p] + cov1[p + 1 :], cov2) if i in vec2 else None
-            a = k1 - p - 1
-            for t, j in enumerate(vec2 if rc else ()):
-                rv = _merge(vec2[:t] + vec2[t + 1 :], vec1, vp) if j == i else None
-                if rv:  # eps_pq, then the sort: m1's a later e^ pass m2's e^ and its other e_
-                    odd = (a + n * l1) * s2 + (n + 2) * (k2 + n * t) + rc[1] + a * k2 + vp * ((l2 - 1) * a + rv[1])
-                    key = (rc[0], rv[0])
-                    out[key] = out.get(key, 0) + (-1 if odd % 2 else 1)
-        for t, i in enumerate(vec1):  # e_i contracts with the e^i of m2
-            if i in cov2:
-                q = cov2.index(i)
-                rc = _merge(cov1, cov2[:q] + cov2[q + 1 :])
-                rv = _merge(vec1[:t] + vec1[t + 1 :], vec2, vp)
-                if rc and rv:  # eps_pq and the pairing sign, then the sort: m2's other e^
-                    b = l1 - t - 1  # pass m1's t earlier e_, and its e_ the b later ones
-                    odd = n * b * s2 + q + n - 1 + rc[1] + vp * (t * (k2 - 1) + rv[1] + b * l2)
-                    key = (rc[0], rv[0])
-                    out[key] = out.get(key, 0) + (-1 if odd % 2 else 1)
-        return {m: c for m, c in out.items() if c}
+        for (cov1, vec1), c1 in na:
+            k1, l1 = len(cov1), len(vec1)
+            for p, i in enumerate(cov1):  # e^i meets each e_i of m2, the t-th of its e_ block
+                rest1, a = cov1[:p] + cov1[p + 1 :], k1 - p - 1
+                for rest2, t, cov2, c2 in vec_index.get(i, ()):
+                    rc = _merge(rest1, cov2)
+                    rv = rc and _merge(rest2, vec1, vp)
+                    if rv:  # eps_pq, then the sort: m1's a later e^ pass m2's e^ and its other e_
+                        k2, l2 = len(cov2), len(rest2) + 1
+                        s2 = k2 + n * l2 + n + 1  # |m2| + n + 1
+                        odd = (a + n * l1) * s2 + (n + 2) * (k2 + n * t) + rc[1] + a * k2 + vp * ((l2 - 1) * a + rv[1])
+                        c = c1 * c2
+                        add_term(acc, (rc[0], rv[0]), -c if odd % 2 else c)
+            for t, i in enumerate(vec1):  # e_i meets the e^i of m2, the q-th of its e^ block
+                rest1, b = vec1[:t] + vec1[t + 1 :], l1 - t - 1
+                for rest2, q, vec2, c2 in cov_index.get(i, ()):
+                    rc = _merge(cov1, rest2)
+                    rv = rc and _merge(rest1, vec2, vp)
+                    if rv:  # eps_pq and the pairing sign, then the sort: m2's other e^
+                        k2, l2 = len(rest2) + 1, len(vec2)  # pass m1's t earlier e_, and its e_ the b later ones
+                        s2 = k2 + n * l2 + n + 1
+                        odd = n * b * s2 + q + n - 1 + rc[1] + vp * (t * (k2 - 1) + rv[1] + b * l2)
+                        c = c1 * c2
+                        add_term(acc, (rc[0], rv[0]), -c if odd % 2 else c)
 
     def bracket(self, a: Element, b: Element) -> Element:
-        """The bracket over the pairs of monomials that share a contraction."""
+        """The bracket as the contraction events of both kinds."""
         (la, na), (lb, nb) = numerators(a), numerators(b)
-        partners = contraction_partners([m for m, _ in nb])
         acc: Dict[Mono, Scalar] = {}
-        for m1, c1 in na:
-            for j in partners(m1):
-                m2, c2 = nb[j]
-                for m, c in self.bracket_monos(m1, m2).items():
-                    add_term(acc, m, c1 * c2 * c)
+        self.contract(acc, na, contraction_index(nb, 1), contraction_index(nb, 0))
         return over(acc, la * lb)
 
     # -- encodings -------------------------------------------------------------
@@ -358,16 +357,16 @@ def _merge(a: Tuple[int, ...], b: Tuple[int, ...], odd: int = 1) -> Optional[Tup
     return tuple(sorted(a + b)), inv
 
 
-def contraction_partners(monos: Sequence[Mono]) -> Callable[[Mono], List[int]]:
-    """The generator index of monos: maps a monomial m to the positions, in
-    increasing order, of the monos with an e_i for an e^i of m or an e^i for
-    an e_i of m, the only ones whose bracket with m can be nonzero."""
-    holders: Tuple[Dict[int, List[int]], ...] = ({}, {})  # e^i, e_i -> positions
-    for pos, mono in enumerate(monos):
-        for kind in (0, 1):
-            for i in mono[kind]:
-                holders[kind].setdefault(i, []).append(pos)
-    return lambda m: sorted({pos for kind in (0, 1) for i in m[kind] for pos in holders[1 - kind].get(i, ())})
+def contraction_index(nums: Sequence[Tuple[Mono, Scalar]], kind: int) -> Dict[int, List[tuple]]:
+    """A per-call index of a bracket's right factor: i -> one entry (block
+    without i, position of i, other block, c) for each e^i (kind 0) or e_i
+    (kind 1) of each term c m of nums, in order."""
+    index: Dict[int, List[tuple]] = {}
+    for m, c in nums:
+        own, other = m[kind], m[1 - kind]
+        for p, i in enumerate(own):
+            index.setdefault(i, []).append((own[:p] + own[p + 1 :], p, other, c))
+    return index
 
 
 def _basis_weights(g: LieAlgebra) -> List[Tuple[int, ...]]:

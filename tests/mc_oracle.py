@@ -8,6 +8,9 @@ The computations here take it apart instead:
   by one from delta and phi;
 * `mc_poly_residual` forms it weight by weight, with the full bracket of
   each pair of weight components and x a polynomial in t;
+* `full_residual` forms d x + 1/2 [x, x] with the generator-list kernel
+  (`polyvector_oracle`), over every ordered pair of monomials and both
+  contraction directions;
 * `gauge_verify` checks a polynomial gauge path alpha(t) from x to y
   generated by lambda, and `twist_path` integrates the path of a twist,
   so that `qlb.twist` is checked against the gauge action it integrates.
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
 
+import polyvector_oracle as old
 from qlie.errors import InputError
 from qlie.polyvectors import Element, PolyVectorAlgebra
 from qlie.qlb import QLBResiduals, QuasiLieBialgebra, Twist, twist
@@ -104,6 +108,15 @@ def mc_residual_by_weight(P: PolyVectorAlgebra, x: ByWeight):
     """The residual of the constant path x, decoded like `mc.mc_residual`."""
     res = mc_poly_residual(P, {w: [el] for w, el in x.items()})
     return {w: P.to_cochain(poly[0], P.n + 3 - P.n * w, w) for w, poly in res.items()}
+
+
+def full_residual(P: PolyVectorAlgebra, x: Element):
+    """d x + 1/2 [x, x] from the generator-list kernel, decoded like
+    `mc.mc_residual`; zero weights left out."""
+    by_weight: ByWeight = {}
+    for mono, c in vec_add(old.d(P, x), old.bracket(P, x, x), Fraction(1, 2)).items():
+        by_weight.setdefault(len(mono[1]), {})[mono] = c
+    return {w: P.to_cochain(el, P.n + 3 - P.n * w, w) for w, el in sorted(by_weight.items())}
 
 
 @dataclass

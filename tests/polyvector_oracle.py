@@ -1,6 +1,6 @@
 """The polyvector kernel before the block merge, kept as an oracle.
 
-`PolyVectorAlgebra.d`, `mul` and `bracket_monos` once spelled each
+`PolyVectorAlgebra.d`, `mul` and the monomial bracket once spelled each
 monomial out as a list of generators, (0, i) for e^i and (1, i) for e_i,
 and brought every product back to canonical order with `canonicalize`, an
 insertion sort that flips the sign at each swap of two odd generators.

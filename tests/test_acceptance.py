@@ -179,7 +179,7 @@ def test_criterion_05_engine_oracle_agreement():
         assert mc_residual(P2, P2.from_cochain(c)) == {}
         assert P2.to_cochain(P2.d(P2.from_cochain(c)), 1, 2).is_zero()
         monos = P2.slice_basis(0, 2)  # the degree-1 weight-2 slice
-        assert not any(P2.bracket_monos(m1, m2) for m1 in monos for m2 in monos)
+        assert not any(P2.bracket({m1: 1}, {m2: 1}) for m1 in monos for m2 in monos)
     print(f"[criterion 5] PASS: 100 mixed samples agree between engine and direct checker ({n_valid} valid); weight-3 [c,c] vanishes")
 
 

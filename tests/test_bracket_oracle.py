@@ -1,8 +1,9 @@
 """The closed-form big bracket against the generator recursion it replaced.
 
 `RecursiveBracket` is the memoised recursion on generators that computed
-`PolyVectorAlgebra.bracket_monos` before the closed form.  It is kept here
-as an independent oracle only.
+the bracket of two monomials before the closed form, which
+`PolyVectorAlgebra.bracket` now takes as contraction events.  It is kept
+here as an independent oracle only.
 """
 
 import gc
@@ -104,7 +105,7 @@ def test_closed_form_matches_recursion_on_sl2_window(shift):
     nonzero = 0
     for m1 in monos:
         for m2 in monos:
-            got = P.bracket_monos(m1, m2)
+            got = P.bracket({m1: 1}, {m2: 1})
             assert got == ref(m1, m2), (m1, m2)
             nonzero += bool(got)
     assert nonzero > 0
@@ -119,7 +120,7 @@ def test_closed_form_matches_recursion_on_sl3_window_sample(shift):
     nonzero = 0
     for _ in range(5000):
         m1, m2 = rng.choice(monos), rng.choice(monos)
-        got = P.bracket_monos(m1, m2)
+        got = P.bracket({m1: 1}, {m2: 1})
         assert got == ref(m1, m2), (m1, m2)
         nonzero += bool(got)
     assert nonzero > 500

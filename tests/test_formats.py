@@ -55,3 +55,12 @@ def test_lie_from_dict_rejects_malformed_bracket_entries(basis, entry, message):
     doc = {"name": "g", "basis": basis, "brackets": [entry]}
     with pytest.raises(InputError, match=message):
         lie_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", [[[1]], ["sl2"], {"n": "sl2"}, 7, None, True], ids=repr)
+def test_lie_from_dict_rejects_a_name_that_is_not_a_string(name):
+    # a list name passed check-lie and was echoed into data.name and the dgla string
+    doc = {**lie_to_dict(sl2()), "name": name}
+    with pytest.raises(InputError, match="name is a string"):
+        lie_from_dict(doc)
+    assert lie_from_dict({**doc, "name": ""}).basis == sl2().basis

@@ -12,7 +12,9 @@ malformed input; never 3, an internal fault), print a JSON report and
 finish within two seconds.  One more row runs each job unmutated with its
 algebra documents over the field Q(x) (``"field": {"type": "ratfun"}``),
 and its exit code must be the one over Q; another runs each job with its
-documents nested past the recursion limit, which must exit 2.
+documents nested past the recursion limit, which must exit 2, and one
+names each algebra document by a JSON value that is not a string, which
+must exit 2 too.
 """
 
 import io
@@ -205,6 +207,17 @@ def test_ratfun_field_keeps_the_exit_code_contract(job):
             docs[name] = {**doc, "field": {"type": "ratfun", "vars": ["x"]}}
     assert docs
     assert _run_job(job, docs) == _run_job(job, {})
+
+
+@pytest.mark.parametrize("job", JOBS, ids=[" ".join(job[:4]) for job in JOBS])
+def test_non_string_name_is_malformed(job):
+    # every algebra document of the job named by a JSON value that is not a
+    # string: a list name once passed with exit 0 and was echoed in the report
+    names = sorted({tok[1:] for tok in job if tok.startswith("@")})
+    algebras = [name for name in names if "brackets" in _document(name)]
+    assert algebras
+    for value in ([[1]], 7, None, {}):
+        assert _run_job(job, {name: {**_document(name), "name": value} for name in algebras}) == 2
 
 
 def _nest_integers(node):

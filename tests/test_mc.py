@@ -1,10 +1,13 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from conftest import (
+    FIXTURES,
     multivector,
     rand_cobracket,
     rand_fraction,
@@ -20,15 +23,16 @@ from conftest import (
 from mc_oracle import (
     GaugePath,
     check_qlb_by_weight,
+    full_residual,
     structure_by_weight,
     gauge_verify,
     mc_residual_by_weight,
     twist_path,
 )
-import polyvector_oracle as old_kernel
 from qlie import mc
 from qlie.errors import InputError
-from qlie.lie import LieAlgebra, abelian, casimir_from_pairing, sl, sl2, sl3
+from qlie.formats import lie_from_dict
+from qlie.lie import LieAlgebra, abelian, casimir_from_pairing, heisenberg, sl, sl2, sl3
 from qlie.manin import dual_subalgebra_bplus_bminus, triple_to_bialgebra
 from qlie.mc import mc_residual
 from qlie.polyvectors import PolyVectorAlgebra, check_lie
@@ -119,7 +123,7 @@ def test_mc_residual_shift2_invariant_casimir():
         # the weight-3 component of [c, c] vanishes identically: the bracket
         # on the degree-1 weight-2 slice (CE degree 0, Sym^2 g) is the zero map
         monos = P.slice_basis(0, 2)
-        assert not any(P.bracket_monos(m1, m2) for m1 in monos for m2 in monos)
+        assert not any(P.bracket({m1: 1}, {m2: 1}) for m1 in monos for m2 in monos)
 
 
 def test_mc_residual_shift2_non_invariant_fails():
@@ -338,18 +342,42 @@ def test_mc_residual_matches_check_qlb_on_dense_sl3_twist():
     assert set(mc_residual(P, mc_element(P, broken.delta, broken.phi))) == {3, 4}
 
 
+def _printed(res):
+    return {w: sorted((key, str(c)) for key, c in x.data.items()) for w, x in res.items()}
+
+
+def test_mc_residual_matches_the_full_bracket_oracle():
+    # 1/2 [x, x] is summed as the e^i events over ordered pairs of monomials,
+    # self-pairs included; the oracle brackets every pair in both contraction
+    # directions with the generator-list kernel.  At shift 1 x holds monomials
+    # e^k e_i e_j with k in {i, j}, which contract both ways with one partner
+    rng = random.Random(20261020)
+    for g in (sl3(), heisenberg(5)):
+        P = PolyVectorAlgebra(g, 1)
+        x = mc_element(P, rand_cobracket(g, rng), rand_multivector(g, 3, rng))
+        assert any(set(ups) & set(downs) for ups, downs in x)
+        assert mc_residual(P, x) == full_residual(P, x)
+        P = PolyVectorAlgebra(g, 2)
+        casimirs = [sym2(g, [(key, rand_fraction(rng)) for key in combinations_with_replacement(range(g.dim), 2)])]
+        casimirs += [casimir_from_pairing(g)] if g.dim == 8 else []
+        for c in casimirs:
+            x = P.from_cochain(c)
+            assert mc_residual(P, x) == full_residual(P, x)
+    # structure constants in Q(x): the residual's RationalFunction entries
+    # print as the oracle's do
+    g = lie_from_dict(json.loads((FIXTURES / "sl2x.json").read_text()))
+    P = PolyVectorAlgebra(g, 1)
+    x = mc_element(P, rand_cobracket(g, rng), rand_multivector(g, 3, rng))
+    res = mc_residual(P, x)
+    assert any(isinstance(c, RationalFunction) for r in res.values() for c in r.data.values())
+    assert _printed(res) == _printed(full_residual(P, x))
+
+
 def _by_weight(x):
     out = {}
     for mono, c in x.items():
         out.setdefault(len(mono[1]), {})[mono] = c
     return out
-
-
-def _oracle_residual(P, x):
-    """d x + 1/2 [x, x] from the generator-list kernel over every pair of
-    monomials, decoded like mc_residual."""
-    full = vec_add(old_kernel.d(P, x), old_kernel.bracket(P, x, x), F(1, 2))
-    return {w: P.to_cochain(el, P.n + 3 - P.n * w, w) for w, el in sorted(_by_weight(full).items())}
 
 
 def test_mc_residual_with_rational_function_coefficients(rng):
@@ -366,7 +394,7 @@ def test_mc_residual_with_rational_function_coefficients(rng):
     assert any(isinstance(c, RationalFunction) for c in x.values())
     res = mc_residual(P, x)
     assert {2, 3} <= set(res)
-    assert res == _oracle_residual(P, x)
+    assert res == full_residual(P, x)
     assert res == mc_residual_by_weight(P, _by_weight(x))
 
 
@@ -389,57 +417,84 @@ def test_mc_residual_with_non_integral_structure_constants(rng):
         else:
             delta, phi = rand_cobracket(g, rng), rand_multivector(g, 3, rng)
             x = mc_element(P, delta, phi)
-        assert mc_residual(P, x) == _oracle_residual(P, x)
+        assert mc_residual(P, x) == full_residual(P, x)
         verdicts.append(_agree_weight_by_weight(QuasiLieBialgebra(g, delta, phi)))
     base = QuasiLieBialgebra(g, zero_cobracket(g), multivector(g, 3, [((0, 1, 2), F(1))]))
     verdicts.append(_agree_weight_by_weight(twist(base, Twist(rand_multivector(g, 2, rng)))))
     assert verdicts[-1] and not all(verdicts)
 
 
+def _up_down_count(x):
+    """sum_i up_i down_i, counted here from the monomials of x: up_i the
+    monomials with an e^i, down_i the e_i they hold, repeats counted."""
+    up = Counter(i for ups, _ in x for i in ups)
+    return sum(up[i] for _, downs in x for i in downs)
+
+
+def _count_events(monkeypatch):
+    """Make the index mc_residual builds count the entries the kernel
+    walks, one per contraction event; returns the running count."""
+    walked = []
+    real = mc.contraction_index
+
+    class Walked(list):
+        def __iter__(self):
+            for entry in list.__iter__(self):
+                walked.append(entry)
+                yield entry
+
+    monkeypatch.setattr(mc, "contraction_index", lambda nums, kind: {i: Walked(e) for i, e in real(nums, kind).items()})
+    return walked
+
+
 def test_pair_count_bounds_the_pairs_formed(monkeypatch):
-    # every pair that 1/2 [x, x] brackets shares a contraction, so it is
-    # counted: with the limit one below the pairs formed, the residual refuses
+    # 1/2 [x, x] walks, for each e^i of each monomial, the index entries of
+    # the e_i of x: exactly sum_i up_i down_i events, the count MAX_PAIRS
+    # bounds, so the limit one below the events formed refuses
     rng = random.Random(7)
     g = sl3()
     std = triple_to_bialgebra(dual_subalgebra_bplus_bminus(sl3()))
     cases = [(g, rand_cobracket(g, rng), rand_multivector(g, 3, rng)), (std.g, std.delta, std.phi)]
     cases += [(q.g, q.delta, q.phi) for q in (twist(std, Twist(rand_multivector(std.g, 2, rng))) for _ in range(3))]
-    real = PolyVectorAlgebra.bracket_monos
     for g, delta, phi in cases:
-        formed = []
-        monkeypatch.setattr(PolyVectorAlgebra, "bracket_monos", lambda P, a, b: formed.append(1) or real(P, a, b))
+        walked = _count_events(monkeypatch)
         P = PolyVectorAlgebra(g, 1)
         x = mc_element(P, delta, phi)
         mc_residual(P, x)
-        assert formed
-        monkeypatch.setattr(mc, "MAX_PAIRS", len(formed) - 1)
-        with pytest.raises(InputError, match="pairs of monomials"):
+        assert walked and len(walked) == _up_down_count(x)
+        monkeypatch.setattr(mc, "MAX_PAIRS", len(walked) - 1)
+        with pytest.raises(InputError, match=f"{len(walked)} pairs of monomials"):
             mc_residual(P, x)
         monkeypatch.undo()
 
 
 def test_pair_limit_refuses_before_any_bracket(monkeypatch):
     # the count is sum_i up_i down_i over the monomials with an e^i and
-    # those with an e_i; it is taken and refused before the residual
-    # indexes or brackets anything
+    # the e_i of x; it is taken and refused before the residual indexes x
+    # or forms any event
     g = abelian(10)
     P = PolyVectorAlgebra(g, 1)
     delta = CECochain(g, 1, WEDGE(2), {((k,), key): F(1) for k in range(10) for key in combinations(range(10), 2)})
     x = mc_element(P, delta, multivector(g, 3, [((0, 1, 2), F(1))]))
 
     def refuse(*args):
-        raise AssertionError("a pair was formed")
+        raise AssertionError("an event was formed")
 
-    monkeypatch.setattr(PolyVectorAlgebra, "bracket_monos", refuse)
+    monkeypatch.setattr(mc, "contraction_index", refuse)
+    monkeypatch.setattr(PolyVectorAlgebra, "contract", refuse)
     with pytest.raises(InputError) as err:
         mc_residual(P, x)
     assert str(err.value) == (
         "the Maurer-Cartan residual would form up to 40635 pairs of monomials, over the limit of 20000"
     )
-    # up_i = 45 and down_i = 90 + (1 if i < 3): exactly at the limit the residual runs
-    monkeypatch.setattr(mc, "MAX_PAIRS", 40_635)
-    with pytest.raises(AssertionError, match="a pair was formed"):
-        mc_residual(P, x)
     monkeypatch.setattr(mc, "MAX_PAIRS", 40_634)
     with pytest.raises(InputError, match="40635 pairs of monomials, over the limit of 40634"):
         mc_residual(P, x)
+    # up_i = 45 and down_i = 90 + (1 if i < 3): exactly at the limit the
+    # residual runs, and forms exactly that many events
+    monkeypatch.undo()
+    monkeypatch.setattr(mc, "MAX_PAIRS", 40_635)
+    walked = _count_events(monkeypatch)
+    assert _up_down_count(x) == 40_635
+    mc_residual(P, x)
+    assert len(walked) == 40_635

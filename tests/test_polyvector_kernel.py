@@ -1,7 +1,7 @@
 """The block-merge kernel of `PolyVectorAlgebra` against the insertion sort
 it replaced (`polyvector_oracle`).
 
-`d`, `mul` and `bracket_monos` read each result key and Koszul sign off
+`d`, `mul` and `bracket` read each result key and Koszul sign off
 merged index blocks; the oracle spells every product out as a generator
 list and sorts it swap by swap.  The two must agree exactly, coefficient
 for coefficient, on:
@@ -25,7 +25,7 @@ import pytest
 import polyvector_oracle as old
 from conftest import rand_fraction, window_monos, window_slices
 from qlie.lie import sl2, sl3
-from qlie.polyvectors import PolyVectorAlgebra, _merge, contraction_partners
+from qlie.polyvectors import PolyVectorAlgebra, _merge, contraction_index
 
 
 def _low_slices(P):
@@ -75,7 +75,7 @@ def test_bracket_monos_matches_oracle_on_every_sl2_window_pair(shift):
     nonzero = 0
     for m1 in monos:
         for m2 in monos:
-            got = P.bracket_monos(m1, m2)
+            got = P.bracket({m1: 1}, {m2: 1})
             assert got == old.bracket_monos(P, m1, m2), (m1, m2)
             nonzero += bool(got)
     assert nonzero > 100
@@ -89,7 +89,7 @@ def test_bracket_monos_matches_oracle_on_every_low_sl3_pair(shift):
     nonzero = 0
     for m1 in monos:
         for m2 in monos:
-            got = P.bracket_monos(m1, m2)
+            got = P.bracket({m1: 1}, {m2: 1})
             assert got == old.bracket_monos(P, m1, m2), (m1, m2)
             nonzero += bool(got)
     assert nonzero > 10_000
@@ -101,7 +101,7 @@ def test_bracket_monos_matches_oracle_on_random_sl3_window_pairs(shift):
     rng = random.Random(20261019 + shift)
     nonzero = repeats = 0
     for m1, m2 in _random_pairs(window_monos(P), rng, 20_000):
-        got = P.bracket_monos(m1, m2)
+        got = P.bracket({m1: 1}, {m2: 1})
         assert got == old.bracket_monos(P, m1, m2), (m1, m2)
         nonzero += bool(got)
         repeats += bool(got) and (_has_repeat(m1) or _has_repeat(m2))
@@ -140,20 +140,36 @@ def test_mul_matches_oracle(shift):
 
 @pytest.mark.parametrize("shift", [1, 2])
 def test_bracket_forms_exactly_the_contracting_pairs(shift):
-    # the generator index names a monomial of b for m exactly when an e^i
-    # of one meets an e_i of the other; every other pair brackets to zero
+    # the index of b holds, under i, one entry per e^i (kind 0) or e_i
+    # (kind 1) of each monomial of b, in order, and each entry puts the
+    # monomial back together; so the entries that m1's generators look up
+    # are exactly the monomials of b that share a contraction with m1, and
+    # every other pair brackets to zero
     P = PolyVectorAlgebra(sl3(), shift)
     rng = random.Random(23 + shift)
     monos = window_monos(P)
     a = {m: rand_fraction(rng) or Fraction(1) for m in rng.sample(monos, 60)}
     b = {m: rand_fraction(rng) or Fraction(1) for m in rng.sample(monos, 60)}
-    targets = list(b)
-    partners = contraction_partners(targets)
+    index = {kind: contraction_index(list(b.items()), kind) for kind in (0, 1)}
+
+    def whole(kind, i, entry):
+        rest, p, other, c = entry
+        own = rest[:p] + (i,) + rest[p:]
+        assert c == b[(own, other) if kind == 0 else (other, own)]
+        return ((own, other) if kind == 0 else (other, own)), p
+
+    for kind in (0, 1):
+        held = [(i, (m, p)) for m in b for p, i in enumerate(m[kind])]
+        assert sorted(index[kind]) == sorted({i for i, _ in held})
+        for i, es in index[kind].items():  # one entry per occurrence, in the order of b
+            assert [whole(kind, i, e) for e in es] == [w for j, w in held if j == i]
+    repeats = 0  # pairs that share more than one contraction
     for m1 in a:
-        shares = [
-            j for j, m2 in enumerate(targets)
-            if set(m1[0]) & set(m2[1]) or set(m1[1]) & set(m2[0])
-        ]
-        assert partners(m1) == shares
-        assert all(not old.bracket_monos(P, m1, m2) for j, m2 in enumerate(targets) if j not in shares)
+        named = [whole(1, i, e)[0] for i in m1[0] for e in index[1].get(i, ())]
+        named += [whole(0, i, e)[0] for i in m1[1] for e in index[0].get(i, ())]
+        shares = {m2 for m2 in b if set(m1[0]) & set(m2[1]) or set(m1[1]) & set(m2[0])}
+        assert set(named) == shares
+        repeats += len(named) > len(set(named))
+        assert all(not old.bracket_monos(P, m1, m2) for m2 in b if m2 not in shares)
+    assert repeats
     assert P.bracket(a, b) == old.bracket(P, a, b)
