@@ -63,7 +63,7 @@ def mc_residual(P: PolyVectorAlgebra, x: Element) -> Dict[int, CECochain]:
     events = sum(c * down[i] for i, c in up.items())
     if events > MAX_PAIRS:
         raise InputError(
-            f"the Maurer-Cartan residual would form up to {events} pairs of monomials, "
+            f"the Maurer-Cartan residual would form {events} contraction events, "
             f"over the limit of {MAX_PAIRS}"
         )
 

@@ -179,7 +179,7 @@ class RawJSON(str):
                 for k in range(1, 11) for i in range(1, 11) for j in range(i + 1, 11)
             ]},
             ("check-qlb", str(FIXTURES / "abelian10.json"), "--delta", "{}", "--phi", str(FIXTURES / "phi_zero.json")),
-            "pairs of monomials",
+            "contraction events",
         ),
         # the zero-cobracket double of sl9 has 2,592 nonzero structure
         # constants; its Jacobi scan would take about 3.3 s
@@ -584,8 +584,8 @@ def test_std_triple_limits():
 
 
 def test_dense_twist_of_the_standard_sl4_bialgebra_is_refused(tmp_path):
-    # every entry of lambda nonzero: 1/2 [x, x] may form up to 193,211
-    # pairs of monomials, over the Maurer-Cartan residual's bound
+    # every entry of lambda nonzero: 1/2 [x, x] would form 193,211
+    # contraction events, over the Maurer-Cartan residual's bound
     from itertools import combinations
 
     from qlie.formats import cochain_to_entries
@@ -603,7 +603,7 @@ def test_dense_twist_of_the_standard_sl4_bialgebra_is_refused(tmp_path):
     report, code = invoke("check-qlb", str(g), "--delta", str(delta), "--phi", str(phi))
     assert code == 2
     assert report["checks"][0]["detail"]["message"] == (
-        "the Maurer-Cartan residual would form up to 193211 pairs of monomials, over the limit of 20000"
+        "the Maurer-Cartan residual would form 193211 contraction events, over the limit of 20000"
     )
 
 

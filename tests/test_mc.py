@@ -463,7 +463,7 @@ def test_pair_count_bounds_the_pairs_formed(monkeypatch):
         mc_residual(P, x)
         assert walked and len(walked) == _up_down_count(x)
         monkeypatch.setattr(mc, "MAX_PAIRS", len(walked) - 1)
-        with pytest.raises(InputError, match=f"{len(walked)} pairs of monomials"):
+        with pytest.raises(InputError, match=f"{len(walked)} contraction events"):
             mc_residual(P, x)
         monkeypatch.undo()
 
@@ -485,10 +485,10 @@ def test_pair_limit_refuses_before_any_bracket(monkeypatch):
     with pytest.raises(InputError) as err:
         mc_residual(P, x)
     assert str(err.value) == (
-        "the Maurer-Cartan residual would form up to 40635 pairs of monomials, over the limit of 20000"
+        "the Maurer-Cartan residual would form 40635 contraction events, over the limit of 20000"
     )
     monkeypatch.setattr(mc, "MAX_PAIRS", 40_634)
-    with pytest.raises(InputError, match="40635 pairs of monomials, over the limit of 40634"):
+    with pytest.raises(InputError, match="40635 contraction events, over the limit of 40634"):
         mc_residual(P, x)
     # up_i = 45 and down_i = 90 + (1 if i < 3): exactly at the limit the
     # residual runs, and forms exactly that many events
