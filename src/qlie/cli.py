@@ -172,9 +172,10 @@ def cmd_casimir_phi(args, inputs):
     c = _load_tensor(args.casimir, g, "sym2", inputs)
     residual = casimir_invariance_residual(g, c)
     if not residual.is_zero():
+        first = tuple(tuple(g.basis[i] for i in part) for part in min(residual.data))
         raise InputError(
             f"Casimir element is not invariant; residual has {residual.support_size()} "
-            f"nonzero components, first: {sorted(residual.data)[0]}"
+            f"nonzero components, first: {first}"
         )
     phi = casimir_to_phi(g, c)
     q = QuasiLieBialgebra(g, CECochain(g, 1, WEDGE(2), {}), phi)

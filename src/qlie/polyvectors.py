@@ -7,7 +7,9 @@ Chevalley-Eilenberg cochains with polyvector coefficients.  The
 structure maps are
 
 * the differential, the odd derivation with  d e^i = 1/2 f^i_jk e^j e^k
-  and  d e_i = f^k_ij e^j e_k;
+  and  d e_i = f^k_ij e^j e_k,  that is d = (-1)^(n+1) [mu_g, -] for
+  mu_g = sum_{j<k} f^i_jk e^j e^k e_i (Kosmann-Schwarzbach, Contemp. Math.
+  132, 1992; Roytenberg, Lett. Math. Phys. 61, 2002);
 * the big bracket, the biderivation of degree -(n+1) generated by the
   pairing <e^i, e_j> = delta^i_j, <e_j, e^i> = +delta^i_j for n = 1 and
   -delta^i_j for n = 2.  It is first order in each argument, so on
@@ -21,29 +23,33 @@ structure maps are
   B_q the total degree of the generators before y_q in m2.
 
 Monomials are stored canonically: dual generators first, each block
-sorted increasingly.  A product, a term of d or a contraction keeps the
-blocks apart, so its key is two merges of sorted index blocks (`_merge`)
-and its Koszul sign is (-1) to the swaps of odd generators that sort it:
-the inversions of each merge plus the odd generators a moved block
-passes, read off the block lengths.  Contracting the e^i of m1 with an
-e_i of m2, say, merges m1's e^ block without e^i with m2's, and m2's e_
-block without e_i with m1's.  `contract` takes the bracket as contraction
-events: `contraction_index` maps each generator i to the monomials of the
-right factor that hold e_i (or e^i), and each e^i (or e_i) of a left
-monomial walks only the entries for i, one single contraction each.  The
-graded symmetry and Jacobi identities of the bracket are checked
+sorted increasingly.  A product or a contraction keeps the blocks apart,
+so its key is two merges of sorted index blocks (`_merge`) and its
+Koszul sign is (-1) to the swaps of odd generators that sort it: the
+inversions of each merge plus the odd generators a moved block passes,
+read off the block lengths.  Contracting the e^i of m1 with an e_i of
+m2, say, merges m1's e^ block without e^i with m2's, and m2's e_ block
+without e_i with m1's.  `contract`, the one kernel, takes the bracket
+as contraction events: `contraction_index` maps each generator i to the
+monomials of the right factor that hold e_i (or e^i), with the sign
+parities they alone fix, and each e^i (or e_i) of a left monomial walks
+only the entries for i, one single contraction each.  d is events of the
+same kernel: by graded symmetry d m = (-1)^(k + n w + 1) [m, mu_g] for a
+monomial m of CE degree k and weight w, so the argument is walked, with
+that sign in its coefficients, against mu_g, indexed once per algebra.
+The graded symmetry and Jacobi identities of the bracket are checked
 exhaustively in the tests, and the kernel against a generator-list
 insertion sort (tests/polyvector_oracle.py).
 
 `d`, `mul` and `bracket` sum integer numerators.  Each element is taken
-over the lcm L of its coefficients' denominators (`numerators`), the
-generator images are stored once as integers over L_g, the lcm of the
-structure constants' denominators (`_d_den`), and the products of
-numerators are summed per key in a plain dict; each output key is then
-divided once, by L L_g for d and by L_a L_b for a product or a bracket,
-so a Fraction is formed only there.  A RationalFunction coefficient or
-structure constant takes the same loops with L = 1 (or L_g = 1), and
-what comes out has the types that went in.
+over the lcm L of its coefficients' denominators (`numerators`), mu_g is
+stored once with integer coefficients over L_g, the lcm of the structure
+constants' denominators (`_d_den`), and the products of numerators are
+summed per key in a plain dict; each output key is then divided once, by
+L L_g for d and by L_a L_b for a product or a bracket, so a Fraction is
+formed only there.  A RationalFunction coefficient or structure constant
+takes the same loops with L = 1 (or L_g = 1), and what comes out has the
+types that went in.
 
 The differential d is the library's one Chevalley-Eilenberg differential.
 A cochain valued in TRIVIAL, ADJOINT or WEDGE(p) is the slice of
@@ -110,19 +116,12 @@ class PolyVectorAlgebra:
         self.g = g
         self.n = shift
         self.vec_parity = shift % 2
-        # generator images from the nonzero brackets [e_j, e_k] = c e_i, j < k,
-        # stored as numerators over _d_den (module docstring); in sorted pair
-        # order each _d_vec row comes out sorted by j
+        # mu_g, one term e^j e^k e_i per nonzero [e_j, e_k] = c e_i, j < k, with
+        # c as an integer numerator over _d_den; its index is the right factor of d
         pairs = sorted(g.pairs())
         self._d_den, numerator = _common_denominator([c for _, comps in pairs for c in comps.values()])
-        self._d_cov: List[Element] = [{} for _ in range(g.dim)]
-        self._d_vec: List[Element] = [{} for _ in range(g.dim)]
-        for (j, k), comps in pairs:
-            for i, c in comps.items():
-                c = numerator(c)
-                self._d_cov[i][((j, k), ())] = c
-                self._d_vec[j][((k,), (i,))] = c
-                self._d_vec[k][((j,), (i,))] = -c
+        mu = [(((j, k), (i,)), numerator(c)) for (j, k), comps in pairs for i, c in comps.items()]
+        self._mu_index = (contraction_index(mu, 1, shift), contraction_index(mu, 0, shift))
 
     def mono_degree(self, mono: Mono) -> int:
         return len(mono[0]) + self.n * len(mono[1])
@@ -143,36 +142,14 @@ class PolyVectorAlgebra:
         return over(acc, la * lb)
 
     def d(self, a: Element) -> Element:
-        """The differential: the generator images _d_cov/_d_vec extended as an
-        odd derivation; the image of the p-th generator, e^j e^k or e^j e_l,
-        is merged into the monomial without it."""
+        """The differential as the contraction events of a against mu_g:
+        d m = (-1)^(k + n w + 1) [m, mu_g] for a monomial m of CE degree k
+        and weight w, the sign taken into each coefficient of a."""
+        n = self.n
         L, nums = numerators(a)
-        return over(self.d_numerators(nums), L * self._d_den)
-
-    def d_numerators(self, nums: Sequence[Tuple[Mono, Scalar]]) -> Dict[Mono, Scalar]:
-        """sum_m c_m d'(m) over the (m, c_m) of nums, undivided, where d'
-        takes the generator images as stored, so d'(m) = _d_den d(m): for
-        numerators over a common denominator L this is L _d_den times d of
-        the element they stand for."""
-        vp = self.vec_parity
         acc: Dict[Mono, Scalar] = {}
-        for (cov, vec), coef in nums:
-            for p, i in enumerate(cov):  # e^j e^k passes p odd generators
-                rest = cov[:p] + cov[p + 1 :]
-                for (jk, _), icoef in self._d_cov[i].items():
-                    res = _merge(rest, jk)
-                    if res:
-                        c = coef * icoef
-                        add_term(acc, (res[0], vec), -c if (p + res[1]) % 2 else c)
-            for t, i in enumerate(vec):  # e^j passes vec[:t], e_l moves from t
-                rest = vec[:t] + vec[t + 1 :]
-                for ((j,), (l,)), icoef in self._d_vec[i].items():
-                    rc, rv = _merge(cov, (j,)), _merge(rest, (l,), vp)
-                    if rc and rv:
-                        c = coef * icoef
-                        odd = len(cov) + rc[1] + vp * (t + len(rest) + rv[1])
-                        add_term(acc, (rc[0], rv[0]), -c if odd % 2 else c)
-        return acc
+        self.contract(acc, [(m, c if (len(m[0]) + n * len(m[1])) % 2 else -c) for m, c in nums], *self._mu_index)
+        return over(acc, L * self._d_den)
 
     # -- the big bracket -------------------------------------------------------
 
@@ -180,38 +157,45 @@ class PolyVectorAlgebra:
         """Add to acc each event of the terms c1 m1 of na with a right factor
         indexed by `contraction_index`: vec_index holds its e_i, met by the
         e^i of m1, and cov_index its e^i, met by the e_i of m1.  An event is
-        c1 c2 times eps_pq (module docstring) and the sign of the sort."""
+        c1 c2 times eps_pq (module docstring) and the sign of the sort; the
+        parities that m1 fixes are taken once per generator, those that m2
+        fixes come with its entry."""
         n, vp = self.n, self.vec_parity
         for (cov1, vec1), c1 in na:
             k1, l1 = len(cov1), len(vec1)
-            for p, i in enumerate(cov1):  # e^i meets each e_i of m2, the t-th of its e_ block
-                rest1, a = cov1[:p] + cov1[p + 1 :], k1 - p - 1
-                for rest2, t, cov2, c2 in vec_index.get(i, ()):
+            for p, i in enumerate(cov1):  # e^i meets each e_i of m2
+                rest1, a = cov1[:p] + cov1[p + 1 :], (k1 - p - 1) % 2
+                lead = (a + n * l1) % 2  # A_p of eps_pq
+                for rest2, cov2, c2, s2, kv, e0 in vec_index.get(i, ()):
                     rc = _merge(rest1, cov2)
-                    rv = rc and _merge(rest2, vec1, vp)
-                    if rv:  # eps_pq, then the sort: m1's a later e^ pass m2's e^ and its other e_
-                        k2, l2 = len(cov2), len(rest2) + 1
-                        s2 = k2 + n * l2 + n + 1  # |m2| + n + 1
-                        odd = (a + n * l1) * s2 + (n + 2) * (k2 + n * t) + rc[1] + a * k2 + vp * ((l2 - 1) * a + rv[1])
-                        c = c1 * c2
-                        add_term(acc, (rc[0], rv[0]), -c if odd % 2 else c)
-            for t, i in enumerate(vec1):  # e_i meets the e^i of m2, the q-th of its e^ block
-                rest1, b = vec1[:t] + vec1[t + 1 :], l1 - t - 1
-                for rest2, q, vec2, c2 in cov_index.get(i, ()):
+                    if rc is None:
+                        continue
+                    # m1's a later e^ pass m2's e^ and its other e_, which merge into vec1
+                    odd = lead * s2 + a * kv + e0 + rc[1]
+                    if rest2:
+                        rv = _merge(rest2, vec1, vp)
+                        if rv is None:
+                            continue
+                        vec, odd = rv[0], odd + vp * rv[1]
+                    else:  # the merge into vec1 is vec1 itself, with no inversion
+                        vec = vec1
+                    c = c1 * c2
+                    add_term(acc, (rc[0], vec), -c if odd % 2 else c)
+            for t, i in enumerate(vec1):  # e_i meets the e^i of m2
+                rest1, b = vec1[:t] + vec1[t + 1 :], (l1 - t - 1) % 2
+                for rest2, vec2, c2, sb, st, e0 in cov_index.get(i, ()):
                     rc = _merge(cov1, rest2)
                     rv = rc and _merge(rest1, vec2, vp)
-                    if rv:  # eps_pq and the pairing sign, then the sort: m2's other e^
-                        k2, l2 = len(rest2) + 1, len(vec2)  # pass m1's t earlier e_, and its e_ the b later ones
-                        s2 = k2 + n * l2 + n + 1
-                        odd = n * b * s2 + q + n - 1 + rc[1] + vp * (t * (k2 - 1) + rv[1] + b * l2)
+                    if rv:  # m2's other e^ pass m1's t earlier e_, and its e_ the b later ones
                         c = c1 * c2
+                        odd = b * sb + t * st + e0 + rc[1] + vp * rv[1]
                         add_term(acc, (rc[0], rv[0]), -c if odd % 2 else c)
 
     def bracket(self, a: Element, b: Element) -> Element:
         """The bracket as the contraction events of both kinds."""
         (la, na), (lb, nb) = numerators(a), numerators(b)
         acc: Dict[Mono, Scalar] = {}
-        self.contract(acc, na, contraction_index(nb, 1), contraction_index(nb, 0))
+        self.contract(acc, na, contraction_index(nb, 1, self.n), contraction_index(nb, 0, self.n))
         return over(acc, la * lb)
 
     # -- encodings -------------------------------------------------------------
@@ -357,15 +341,29 @@ def _merge(a: Tuple[int, ...], b: Tuple[int, ...], odd: int = 1) -> Optional[Tup
     return tuple(sorted(a + b)), inv
 
 
-def contraction_index(nums: Sequence[Tuple[Mono, Scalar]], kind: int) -> Dict[int, List[tuple]]:
-    """A per-call index of a bracket's right factor: i -> one entry (block
-    without i, position of i, other block, c) for each e^i (kind 0) or e_i
-    (kind 1) of each term c m of nums, in order."""
+def contraction_index(nums: Sequence[Tuple[Mono, Scalar]], kind: int, n: int) -> Dict[int, List[tuple]]:
+    """The index of a bracket's right factor at shift n: i -> one entry
+    for each e^i (kind 0) or e_i (kind 1) of each term c m of nums, in
+    order.  An entry is (m's block of that kind without i, its other
+    block, c) and the three parities of the event sign (`contract`) that
+    m alone fixes: for the t-th e_i, that of |m| + n + 1, of
+    k + vp (l - 1) and of (n + 2)(k + n t); for the q-th e^i, that of
+    n (|m| + n + 1) + vp l, of vp (k - 1) and of q + n - 1, where m has k
+    e^ and l e_ and vp = n mod 2."""
+    vp = n % 2
     index: Dict[int, List[tuple]] = {}
     for m, c in nums:
         own, other = m[kind], m[1 - kind]
+        k, l = len(m[0]), len(m[1])
+        s = k + n * l + n + 1
+        # the two parities fixed by m, and the third as z + step p, from
+        # (n + 2)(k + n t) = n k + vp t and q + n - 1 (mod 2)
+        if kind:
+            x, y, z, step = s % 2, (k + vp * (l - 1)) % 2, n * k, vp
+        else:
+            x, y, z, step = (n * s + vp * l) % 2, vp * (k - 1) % 2, n - 1, 1
         for p, i in enumerate(own):
-            index.setdefault(i, []).append((own[:p] + own[p + 1 :], p, other, c))
+            index.setdefault(i, []).append((own[:p] + own[p + 1 :], other, c, x, y, (z + step * p) % 2))
     return index
 
 

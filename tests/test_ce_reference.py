@@ -7,8 +7,8 @@ bracket terms of the cochain.  `module_basis` and `module_action` are the
 coefficient-module bases and the adjoint action it is built on, which
 `qlie.lie.invariants` reduced before the invariants became the kernel of
 d on C^0; `ref_invariants` is that reduction.  `dense_generator_images`
-is the dense construction of the generator images `_d_cov`/`_d_vec`, one
-structure constant per (pair, index).  `full_complex_invariants` and
+is the dense construction of d e^i and d e_i, one structure constant per
+(pair, index).  `full_complex_invariants` and
 `full_complex_cohomology_dim` are `invariants` and `cohomology_dim` as
 they were before they took only the weight-0 block: d of every unit
 cochain of the slice.  All are kept here as independent oracles only.
@@ -230,12 +230,15 @@ def test_unknown_module_is_input_error():
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["sl4"])
 def test_sparse_generator_images_match_dense(name):
+    # d of each generator, taken as contraction events against mu_g, is the
+    # dense image key for key, at either shift
     g = sl(4) if name == "sl4" else ALGEBRAS[name]()
-    P = PolyVectorAlgebra(g, 1)
     d_cov, d_vec = dense_generator_images(g)
-    # the same maps, term for term and in the same order
-    assert [list(el.items()) for el in P._d_cov] == [list(el.items()) for el in d_cov]
-    assert [list(el.items()) for el in P._d_vec] == [list(el.items()) for el in d_vec]
+    for shift in (1, 2):
+        P = PolyVectorAlgebra(g, shift)
+        for i in range(g.dim):
+            assert P.d({((i,), ()): Fraction(1)}) == d_cov[i]
+            assert P.d({((), (i,)): Fraction(1)}) == d_vec[i]
 
 
 def assert_classical_theorems(g):

@@ -44,6 +44,7 @@ from qlie.qlb import (
 )
 from qlie.scalars import combine, vec_add
 from qlie.tensors import _sort_with_sign
+from test_ce_reference import dense_generator_images
 
 
 def sl2_plus_sl2_diagonal():
@@ -142,11 +143,9 @@ def hand_built_twist(q, Ph):
             for k in range(nh):
                 yield from monomial([(1, j), (1, k)], Fraction(1, 2) * delta_comp(j, k, i))
 
-    def untwisted(image):  # the library stores numerators over _d_den
-        return {m: Fraction(c, Ph._d_den) for m, c in image.items()}
-
-    cov = [vec_add(untwisted(Ph._d_cov[i]), combine(cov_extra(i))) for i in range(nh)]
-    vec = [vec_add(untwisted(Ph._d_vec[i]), combine(vec_extra(i))) for i in range(nh)]
+    d_cov, d_vec = dense_generator_images(q.g)  # untwisted, built apart from the library's d
+    cov = [vec_add(d_cov[i], combine(cov_extra(i))) for i in range(nh)]
+    vec = [vec_add(d_vec[i], combine(vec_extra(i))) for i in range(nh)]
     return cov, vec
 
 

@@ -241,7 +241,7 @@ def test_d_mul_bracket_match_the_generator_list_kernel(name, shift, kind):
     P = PolyVectorAlgebra(g, shift)
     assert P._d_den == den
     if name != "sl2-over-t":
-        assert all(type(c) is int for image in P._d_cov + P._d_vec for c in image.values())
+        assert all(type(e[2]) is int for index in P._mu_index for es in index.values() for e in es)
     rng = random.Random(f"{name}-{shift}-{kind}")
     for _ in range(4):
         a, b = rand_element(P, rng, kind), rand_element(P, rng, kind)

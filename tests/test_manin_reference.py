@@ -275,9 +275,10 @@ def ref_casimir_to_phi(g, c):
     """phi = -(1/6) [c_12, c_23] for an invariant Casimir element."""
     residual = casimir_invariance_residual(g, c)
     if not residual.is_zero():
+        first = tuple(tuple(g.basis[i] for i in part) for part in min(residual.data))
         raise InputError(
             f"Casimir element is not invariant; residual has {residual.support_size()} "
-            f"nonzero components, first: {sorted(residual.data)[0]}"
+            f"nonzero components, first: {first}"
         )
     tensor = casimir_commutator(g, c)
     entries = {}

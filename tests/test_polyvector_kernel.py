@@ -14,8 +14,13 @@ for coefficient, on:
 * seeded random pairs from the whole sl3 window, with repeated vector
   indices at shift 2;
 * d of every window monomial of sl2 and sl3.
+
+The library takes d as the bracket with the structure constants,
+d = (-1)^(n+1) [mu_g, -]; `test_oracle_d_is_the_bracket_with_mu_g` checks
+that identity on the oracle alone, with no library kernel in the loop.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -23,9 +28,11 @@ from itertools import combinations_with_replacement
 import pytest
 
 import polyvector_oracle as old
-from conftest import rand_fraction, window_monos, window_slices
-from qlie.lie import sl2, sl3
+from conftest import FIXTURES, rand_fraction, window_monos, window_slices
+from qlie.formats import lie_from_dict
+from qlie.lie import heisenberg, sl2, sl3
 from qlie.polyvectors import PolyVectorAlgebra, _merge, contraction_index
+from test_ce_reference import sl2_no_diagonal_ad
 
 
 def _low_slices(P):
@@ -142,34 +149,63 @@ def test_mul_matches_oracle(shift):
 def test_bracket_forms_exactly_the_contracting_pairs(shift):
     # the index of b holds, under i, one entry per e^i (kind 0) or e_i
     # (kind 1) of each monomial of b, in order, and each entry puts the
-    # monomial back together; so the entries that m1's generators look up
-    # are exactly the monomials of b that share a contraction with m1, and
-    # every other pair brackets to zero
+    # monomial back together, with its coefficient and three sign
+    # parities; so the entries that m1's generators look up are exactly the
+    # monomials of b that share a contraction with m1, and every other pair
+    # brackets to zero
     P = PolyVectorAlgebra(sl3(), shift)
     rng = random.Random(23 + shift)
     monos = window_monos(P)
     a = {m: rand_fraction(rng) or Fraction(1) for m in rng.sample(monos, 60)}
     b = {m: rand_fraction(rng) or Fraction(1) for m in rng.sample(monos, 60)}
-    index = {kind: contraction_index(list(b.items()), kind) for kind in (0, 1)}
+    index = {kind: contraction_index(list(b.items()), kind, shift) for kind in (0, 1)}
 
     def whole(kind, i, entry):
-        rest, p, other, c = entry
-        own = rest[:p] + (i,) + rest[p:]
-        assert c == b[(own, other) if kind == 0 else (other, own)]
-        return ((own, other) if kind == 0 else (other, own)), p
+        rest, other, c, *parities = entry
+        own = tuple(sorted(rest + (i,)))
+        m = (own, other) if kind == 0 else (other, own)
+        assert c == b[m] and len(parities) == 3 and set(parities) <= {0, 1}
+        return m
 
     for kind in (0, 1):
-        held = [(i, (m, p)) for m in b for p, i in enumerate(m[kind])]
+        held = [(i, m) for m in b for i in m[kind]]
         assert sorted(index[kind]) == sorted({i for i, _ in held})
         for i, es in index[kind].items():  # one entry per occurrence, in the order of b
-            assert [whole(kind, i, e) for e in es] == [w for j, w in held if j == i]
+            assert [whole(kind, i, e) for e in es] == [m for j, m in held if j == i]
     repeats = 0  # pairs that share more than one contraction
     for m1 in a:
-        named = [whole(1, i, e)[0] for i in m1[0] for e in index[1].get(i, ())]
-        named += [whole(0, i, e)[0] for i in m1[1] for e in index[0].get(i, ())]
+        named = [whole(1, i, e) for i in m1[0] for e in index[1].get(i, ())]
+        named += [whole(0, i, e) for i in m1[1] for e in index[0].get(i, ())]
         shares = {m2 for m2 in b if set(m1[0]) & set(m2[1]) or set(m1[1]) & set(m2[0])}
         assert set(named) == shares
         repeats += len(named) > len(set(named))
         assert all(not old.bracket_monos(P, m1, m2) for m2 in b if m2 not in shares)
     assert repeats
     assert P.bracket(a, b) == old.bracket(P, a, b)
+
+
+def _sl2x():
+    return lie_from_dict(json.loads((FIXTURES / "sl2x.json").read_text()))
+
+
+@pytest.mark.parametrize("shift", [1, 2])
+@pytest.mark.parametrize(
+    "make",
+    [sl3, lambda: heisenberg(5), sl2_no_diagonal_ad, _sl2x],
+    ids=["sl3", "heisenberg5", "sl2-rotated", "sl2x"],
+)
+def test_oracle_d_is_the_bracket_with_mu_g(make, shift):
+    # the generator images extended as an odd derivation equal (-1)^(n+1)
+    # times the bracket with mu_g = sum_{j<k} f^i_jk e^j e^k e_i, both from
+    # the generator-list oracle, on random elements of CE degree <= 3 and
+    # weight <= 3 (RationalFunction structure constants on sl2x)
+    g = make()
+    P = PolyVectorAlgebra(g, shift)
+    mu = {((j, k), (i,)): c for (j, k), comps in g.pairs() for i, c in comps.items()}
+    rng = random.Random(f"mu-{g.name}-{shift}")
+    monos = [m for k in range(4) for w in range(4) for m in P.slice_basis(k, w)]
+    sign = 1 if shift == 1 else -1
+    for _ in range(6):
+        x = {m: rand_fraction(rng) or Fraction(1) for m in rng.sample(monos, 12)}
+        want = {m: sign * c for m, c in old.bracket(P, mu, x).items()}
+        assert want and old.d(P, x) == want
