@@ -34,7 +34,7 @@ from .manin import (
     triple_to_bialgebra,
 )
 from .mc import mc_residual
-from .polyvectors import PolyVectorAlgebra, check_lie, invariants
+from .polyvectors import PolyVectorAlgebra, _invariants, check_lie
 from .qlb import (
     QuasiLieBialgebra,
     Twist,
@@ -305,12 +305,13 @@ def cmd_invariants(args, inputs):
     module, shift = (SYM(2), 2) if args.module == "sym2" else (WEDGE(3), 1)
     # the kernel is taken on the weight-0 block of the module (see
     # polyvectors), so that block is what the bound counts
-    size = len(PolyVectorAlgebra(g, shift).weight_zero_basis(0, module[1]))
-    if size > formats.MAX_MODULE_DIM:
+    P = PolyVectorAlgebra(g, shift)
+    keys = P.weight_zero_basis(0, module[1])
+    if len(keys) > formats.MAX_MODULE_DIM:
         raise InputError(
-            f"the weight-0 block of {args.module} has dimension {size}, over the limit of {formats.MAX_MODULE_DIM}"
+            f"the weight-0 block of {args.module} has dimension {len(keys)}, over the limit of {formats.MAX_MODULE_DIM}"
         )
-    basis = invariants(g, module)
+    basis = _invariants(P, module, keys)
     data = {
         "dimension": len(basis),
         "basis": [formats.cochain_to_entries(x) for x in basis],

@@ -2,45 +2,106 @@
 
 A row is a dict {column: scalar} of its nonzero entries.  The field is Q
 when every entry is a Fraction (or an int, read as one) and Q(vars) when
-some are RationalFunctions, whose `/` is exact too: the entries keep
-their types, so a matrix over Q is reduced in Fractions alone.  One
-routine, `rref`, brings a list of rows to reduced row echelon form; rank,
-kernel and inverse read their answers off its pivot rows.
+some are RationalFunctions.  One routine, `rref`, brings a list of rows to
+reduced row echelon form; rank, kernel and inverse read their answers off
+its pivot rows.
+
+Over Q the elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
+each row is put over its common denominator and kept as a primitive
+integer row, a row is cleared against a pivot by cross-multiplication, and
+a Fraction is formed only when each pivot row is finally divided by its
+pivot.  The rows go in sparsest first; the reduced echelon form of a span
+is unique, so their order cannot change the answer.  Over Q(vars), whose
+`/` is exact too, the rows are reduced in their own scalars, in the order
+given, so every value prints as that order makes it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 from .scalars import RationalFunction, Scalar, combine, vec_scale
 
 Row = Dict[int, Scalar]
+IntRow = Dict[int, int]
 
 
 def rref(rows: Iterable[Mapping[int, Scalar]]) -> Dict[int, Row]:
     """Reduced row echelon form of the span of the rows, as {pivot column: row}
-    in column order. Each row is 1 in its pivot column and 0 in the others.
+    in column order. Each row is 1 in its pivot column and 0 in the others,
+    and every value over Q is a Fraction.
 
     Each row in turn is cleared against the pivots so far; its lowest column
-    becomes a new pivot and is cleared from the older pivot rows.
+    becomes a new pivot and is cleared from the older pivot rows.  Over Q
+    the rows are primitive integer rows, taken sparsest first, and each
+    pivot row is divided by its pivot only at the end (module docstring).
     """
-    pivots: Dict[int, Row] = {}
-    for row in rows:
-        r = {c: x if isinstance(x, (Fraction, RationalFunction)) else Fraction(x) for c, x in row.items() if x}
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    if any(isinstance(x, RationalFunction) for row in rows for x in row.values()):
+        field: Dict[int, Row] = {}
+        for row in rows:
+            r = {c: x if isinstance(x, (Fraction, RationalFunction)) else Fraction(x) for c, x in row.items()}
+            for c in [c for c in r if c in field]:
+                f = -r[c]
+                combine(((k, f * v) for k, v in field[c].items()), r)
+            if not r:
+                continue
+            p = min(r)
+            r = vec_scale(r, 1 / r[p])
+            for older in field.values():
+                if p in older:
+                    f = -older[p]
+                    combine(((k, f * v) for k, v in r.items()), older)
+            field[p] = r
+        return dict(sorted(field.items()))
+    pivots: Dict[int, IntRow] = {}
+    for r in sorted(map(_integer_row, rows), key=len):
         for c in [c for c in r if c in pivots]:
-            f = -r[c]
-            combine(((k, f * v) for k, v in pivots[c].items()), r)
+            r = _cross(r, pivots[c], c)
         if not r:
             continue
         p = min(r)
-        r = vec_scale(r, 1 / r[p])
-        for older in pivots.values():
+        r = _primitive(r, r[p] < 0)
+        for q, older in pivots.items():
             if p in older:
-                f = -older[p]
-                combine(((k, f * v) for k, v in r.items()), older)
+                pivots[q] = _primitive(_cross(older, r, p), False)
         pivots[p] = r
-    return dict(sorted(pivots.items()))
+    return {p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in sorted(pivots.items())}
+
+
+def _integer_row(row: Mapping[int, Fraction]) -> IntRow:
+    """The row over its common denominator, made primitive."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return _primitive({c: x.numerator * (den // x.denominator) for c, x in row.items()}, False)
+
+
+def _primitive(r: IntRow, negate: bool) -> IntRow:
+    """r divided by the gcd of its entries (by minus it when negate)."""
+    g = gcd(*r.values())
+    if negate:
+        g = -g
+    return r if g == 1 else {c: v // g for c, v in r.items()}
+
+
+def _cross(r: IntRow, p: IntRow, c: int) -> IntRow:
+    """a r - b p, where a/b = p[c]/r[c] in lowest terms and a > 0 (the pivot
+    p[c] is positive), so column c drops out and r is never negated; r is
+    updated in place."""
+    a, b = p[c], r[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in r:
+            r[k] *= a
+    for k, v in p.items():
+        w = r.get(k, 0) - b * v
+        if w:
+            r[k] = w
+        else:
+            del r[k]
+    return r
 
 
 def rank(rows: Iterable[Mapping[int, Scalar]]) -> int:

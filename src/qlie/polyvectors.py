@@ -440,11 +440,10 @@ def check_lie(g: LieAlgebra) -> LieCheckReport:
     )
 
 
-def _unit_differentials(P: PolyVectorAlgebra, module, k: int) -> Tuple[List[Mono], List[Element]]:
-    """The weight-0 keys of C^k(g, module) and the columns of d on them: d
-    of the unit orbit-basis cochain on each key, in key order."""
-    keys = P.weight_zero_basis(k, _module_slice(module)[1])
-    return keys, [P.d(P.from_cochain(CECochain(P.g, k, module, {key: Fraction(1)}))) for key in keys]
+def _unit_differentials(P: PolyVectorAlgebra, module, k: int, keys: List[Mono]) -> List[Element]:
+    """The columns of d on keys of C^k(g, module): d of the unit orbit-basis
+    cochain on each key, in key order."""
+    return [P.d(P.from_cochain(CECochain(P.g, k, module, {key: Fraction(1)}))) for key in keys]
 
 
 def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
@@ -458,7 +457,8 @@ def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
         # rank(d) = rank(d^T), so the columns go in as sparse rows; d keeps
         # weights, so every term lands on a weight-0 key of C^(k+1)
         dst_index = {m: i for i, m in enumerate(P.weight_zero_basis(k + 1, w))}
-        keys, columns = _unit_differentials(P, module, k)
+        keys = P.weight_zero_basis(k, w)
+        columns = _unit_differentials(P, module, k, keys)
         return len(keys), linalg.rank({dst_index[m]: c for m, c in col.items()} for col in columns)
 
     dim, rank = dim_and_rank(degree)
@@ -471,13 +471,19 @@ def invariants(g: LieAlgebra, module) -> List[CECochain]:
     weight-0 keys only.  Every invariant has weight 0 and the matrix of d is
     block diagonal, so the basis, normalization included, is the one the
     whole of C^0 gives (module docstring)."""
-    P = PolyVectorAlgebra(g, _module_slice(module)[0])
-    keys, columns = _unit_differentials(P, module, 0)
+    shift, w = _module_slice(module)
+    P = PolyVectorAlgebra(g, shift)
+    return _invariants(P, module, P.weight_zero_basis(0, w))
+
+
+def _invariants(P: PolyVectorAlgebra, module, keys: List[Mono]) -> List[CECochain]:
+    """invariants(P.g, module), given P at the module's shift and the
+    weight-0 keys of C^0(g, module) that P gives."""
     rows: Dict[Mono, Dict[int, Scalar]] = {}
-    for j, col in enumerate(columns):
+    for j, col in enumerate(_unit_differentials(P, module, 0, keys)):
         for m, c in col.items():
             rows.setdefault(m, {})[j] = c
     return [
-        CECochain(g, 0, module, {keys[i]: c for i, c in sorted(vec.items())})
+        CECochain(P.g, 0, module, {keys[i]: c for i, c in sorted(vec.items())})
         for vec in linalg.nullspace([rows[m] for m in sorted(rows)], n_cols=len(keys))
     ]

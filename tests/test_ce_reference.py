@@ -261,6 +261,12 @@ def test_classical_theorems_on_sl5():
     assert_classical_theorems(g)
 
 
+def test_classical_theorems_on_sl6():
+    g = sl(6)
+    assert g.dim == 35
+    assert_classical_theorems(g)
+
+
 def test_kunneth_on_sl2_plus_sl2():
     # H(sl2) has Poincare polynomial 1 + t^3, so H(sl2 + sl2) has (1 + t^3)^2
     g = direct_sum(sl2(), sl2())

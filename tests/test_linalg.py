@@ -1,8 +1,10 @@
-"""Sparse reduced echelon form against the dense Bareiss elimination it replaced.
+"""Sparse reduced echelon form against the eliminations it replaced.
 
 `bareiss_row_echelon` and the dense `nullspace`, `solve` and `invert` below
 are the fraction-free routines `qlie.linalg` used before the sparse
-reduction.  They are kept here as an independent oracle only.
+reduction.  `field_rref` is the sparse reduction as it was before it took
+integer rows over Q: one scalar at a time, in the order the rows come.
+Both are kept here as independent oracles only.
 """
 
 from fractions import Fraction
@@ -11,13 +13,14 @@ from math import gcd
 import pytest
 
 import json
+import random
 
 from conftest import FIXTURES, solve
 from qlie import linalg
 from qlie.formats import lie_from_dict
-from qlie.lie import sl2, sl3
+from qlie.lie import direct_sum, heisenberg, sl, sl2, sl3
 from qlie.polyvectors import cohomology_dim, invariants
-from qlie.scalars import parse_scalar
+from qlie.scalars import RationalFunction, combine, parse_scalar, vec_scale
 from qlie.tensors import ADJOINT, SYM, TRIVIAL, WEDGE
 from test_ce_reference import module_action, module_basis
 
@@ -329,3 +332,168 @@ def test_one_dimensional_invariants_sl3():
     assert cohomology_dim(g, TRIVIAL, 3) == 1
     assert len(invariants(g, WEDGE(3))) == 1
     assert len(invariants(g, SYM(2))) == 1
+
+
+# ---------------------------------------------------------------------------
+# against the field loop that integer rows replaced over Q
+# ---------------------------------------------------------------------------
+
+def field_rref(rows):
+    """`qlie.linalg.rref` before integer rows, verbatim."""
+    pivots = {}
+    for row in rows:
+        r = {c: x if isinstance(x, (Fraction, RationalFunction)) else Fraction(x) for c, x in row.items() if x}
+        for c in [c for c in r if c in pivots]:
+            f = -r[c]
+            combine(((k, f * v) for k, v in pivots[c].items()), r)
+        if not r:
+            continue
+        p = min(r)
+        r = vec_scale(r, 1 / r[p])
+        for older in pivots.values():
+            if p in older:
+                f = -older[p]
+                combine(((k, f * v) for k, v in r.items()), older)
+        pivots[p] = r
+    return dict(sorted(pivots.items()))
+
+
+def assert_same_rref(rows):
+    """rref of rows equals the field loop's, with every value a Fraction,
+    and leaves the rows as they were."""
+    before = [dict(row) for row in rows]
+    got = linalg.rref(rows)
+    assert rows == before
+    assert got == field_rref(rows)
+    assert list(got) == sorted(got)
+    assert all(type(x) is Fraction for row in got.values() for x in row.values())
+    return got
+
+
+# primes next to 2^61, so that the denominators of a row are coprime and
+# its common denominator has hundreds of bits
+PRIMES = (
+    2305843009213693951,
+    2305843009213693921,
+    2305843009213693907,
+    2305843009213693723,
+    2305843009213693967,
+    2305843009213693973,
+)
+
+
+def random_rows(rng, n_rows, n_cols):
+    """Sparse rows mixing int entries, small negative fractions, fractions
+    over primes near 2^61, zero rows, explicit zeros and dependent rows."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.4:
+            return 0
+        if kind < 0.55:
+            return rng.randint(-9, 9)
+        if kind < 0.8:
+            return F(rng.randint(-9, 9), rng.randint(1, 6))
+        return F(rng.randint(-(2**64), 2**64), rng.choice(PRIMES))
+
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.3 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = F(rng.randint(-3, 3), rng.choice(PRIMES)), rng.randint(-3, 3)
+            rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)})
+        else:
+            rows.append({c: entry() for c in range(n_cols)})
+    return rows
+
+
+def test_rref_agrees_with_field_loop_on_random_rows(rng):
+    seen = {"deficient": 0, "full": 0, "huge": 0}
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = random_rows(rng, n_rows, n_cols)
+        got = assert_same_rref(rows)
+        seen["deficient" if len(got) < min(n_rows, n_cols) else "full"] += 1
+        seen["huge"] += any(x.denominator.bit_length() > 120 for row in got.values() for x in row.values())
+    assert all(count >= 20 for count in seen.values()), seen
+    assert linalg.rref([]) == field_rref([]) == {}
+    assert linalg.rref([{}, {0: 0, 3: F(0)}]) == {}
+
+
+def test_rref_is_independent_of_row_order(rng):
+    rows = random_rows(random.Random(7), 9, 7)
+    expected = field_rref(rows)
+    assert len(expected) >= 5
+    for _ in range(30):
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert linalg.rref(shuffled) == expected
+
+
+def rows_reduced_by(call, *args):
+    """The rows of every rref that call(*args) makes, as lists of dicts."""
+    seen = []
+    real = linalg.rref
+
+    def recording(rows):
+        rows = [dict(row) for row in rows]
+        seen.append(rows)
+        return real(rows)
+
+    linalg.rref = recording
+    try:
+        call(*args)
+    finally:
+        linalg.rref = real
+    return seen
+
+
+LIBRARY_ALGEBRAS = {
+    "sl3": sl3,
+    "sl4": lambda: sl(4),
+    "sl2+heisenberg3": lambda: direct_sum(sl2(), heisenberg(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_ALGEBRAS))
+def test_rref_agrees_with_field_loop_on_library_rows(name):
+    g = LIBRARY_ALGEBRAS[name]()
+    matrices = []
+    for module in (SYM(2), WEDGE(3)):
+        matrices += rows_reduced_by(invariants, g, module)
+    for module, degree in ((ADJOINT, 1), (ADJOINT, 2), (TRIVIAL, 3)):
+        matrices += rows_reduced_by(cohomology_dim, g, module, degree)
+    assert len(matrices) == 8 and all(matrices)
+    for rows in matrices:
+        assert_same_rref(rows)
+
+
+def assert_same_strings(rows):
+    got, expected = linalg.rref(rows), field_rref(rows)
+    assert list(got) == list(expected)
+    for p, row in got.items():
+        assert list(row) == list(expected[p])
+        assert [(type(x), str(x)) for x in row.values()] == [(type(x), str(x)) for x in expected[p].values()]
+
+
+def test_rational_function_rows_keep_the_field_loop():
+    # a matrix with one Q(x) entry is reduced over Q(x) as before: the same
+    # pivots, keys, types and printed values, key for key
+    x, y = parse_scalar("x", ("x",)), parse_scalar("x^2 - 1", ("x",))
+    rows = [
+        {0: F(2, 3), 1: x, 3: 5},
+        {0: F(1), 1: F(-1, 7), 2: y},
+        {1: 1 / x, 2: F(3), 3: x + 2},
+        {0: F(4, 3), 1: 2 * x, 3: 10},
+        {2: F(1, 2), 3: 1 / (x - 1)},
+    ]
+    assert_same_strings(rows)
+    assert any(isinstance(v, RationalFunction) for row in linalg.rref(rows).values() for v in row.values())
+    g = lie_from_dict(json.loads((FIXTURES / "sl2x.json").read_text()))
+    matrices = rows_reduced_by(invariants, g, SYM(2)) + rows_reduced_by(invariants, g, WEDGE(3))
+    matrices += rows_reduced_by(cohomology_dim, g, ADJOINT, 2)
+    assert any(isinstance(v, RationalFunction) for rows in matrices for row in rows for v in row.values())
+    for rows in matrices:
+        assert_same_strings(rows)
