@@ -74,14 +74,6 @@ class LieAlgebra:
         hold the nonzero constants only, so this is table equality."""
         return self is other or (self.basis == other.basis and self._table == other._table)
 
-    def bracket_vectors(self, x: Dict[int, Scalar], y: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        return combine(
-            (k, xi * yj * c)
-            for i, xi in x.items()
-            for j, yj in y.items()
-            for k, c in self.bracket(i, j).items()
-        )
-
     def pairs(self):
         return self._table.items()
 
@@ -285,7 +277,7 @@ def trace_pairing(g: LieAlgebra) -> List[List[Fraction]]:
 def casimir_of(g: LieAlgebra, pairing: Sequence[Sequence[Fraction]]) -> CECochain:
     """The inverse of a nondegenerate symmetric pairing on g, as an element of
     Sym^2 g: the degree-0 cochain valued in SYM(2)."""
-    inv = linalg.invert(pairing)
+    inv = linalg.invert(linalg.sparse_rows(pairing))
     entries = [(((), (i, j)), x) for i, row in enumerate(inv) for j, x in row.items() if i <= j]
     return CECochain.build(g, 0, SYM(2), entries)
 

@@ -4,7 +4,8 @@ A row is a dict {column: scalar} of its nonzero entries.  The field is Q
 when every entry is a Fraction (or an int, read as one) and Q(vars) when
 some are RationalFunctions.  One routine, `rref`, brings a list of rows to
 reduced row echelon form; rank, kernel and inverse read their answers off
-its pivot rows.
+its pivot rows.  `change_basis` takes a sparse tensor to a new basis, its
+lower slots through T and its upper slots through the inverse's rows.
 
 Over Q the elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
 each row is put over its common denominator and kept as a primitive
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .scalars import RationalFunction, Scalar, combine, vec_scale
+from .scalars import RationalFunction, Scalar, add_term, combine, common_denominator, over, vec_scale
 
 Row = Dict[int, Scalar]
 IntRow = Dict[int, int]
@@ -121,11 +122,68 @@ def nullspace(rows: Iterable[Mapping[int, Scalar]], n_cols: int) -> List[Row]:
     return list(basis.values())
 
 
-def invert(matrix: Sequence[Sequence[Fraction]]) -> List[Row]:
-    """Exact inverse of a square nonsingular matrix, as sparse rows: one
-    reduction of [A | I], whose right half is read off the pivot rows."""
-    n = len(matrix)
-    pivots = rref({**dict(enumerate(row)), n + i: Fraction(1)} for i, row in enumerate(matrix))
+def invert(rows: Sequence[Mapping[int, Scalar]]) -> List[Row]:
+    """Exact inverse of a square nonsingular matrix given by its sparse rows,
+    as sparse rows: one reduction of [A | I], whose right half is read off
+    the pivot rows."""
+    n = len(rows)
+    pivots = rref({**row, n + i: Fraction(1)} for i, row in enumerate(rows))
     if list(pivots) != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [{j - n: x for j, x in sorted(pivots[i].items()) if j >= n} for i in range(n)]
+
+
+def sparse_rows(matrix: Sequence[Sequence[Scalar]]) -> List[Row]:
+    """The nonzero entries of each row of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def change_basis(
+    tensor: Mapping[Tuple[int, ...], Scalar],
+    slots: str,
+    vectors: Sequence[Mapping[int, Scalar]],
+    inverse: Sequence[Mapping[int, Scalar]] = (),
+    alternating: bool = False,
+) -> Dict[Tuple[int, ...], Scalar]:
+    """The components of a tensor on the new basis v_a = sum_i T_ia e_i,
+    where vectors[a] = {i: T_ia} holds the nonzero old coordinates of v_a.
+
+    tensor maps index tuples to the nonzero components on the old basis
+    e_i, and slots has one letter per index: "l" for a lower slot, which
+    goes through T, and "u" for an upper one, which goes through T^-1,
+    given by its sparse rows inverse[a] = {i: (T^-1)_ai} (as `invert`
+    returns them).  So the structure constants c^k_ij of [e_i, e_j] =
+    c^k_ij e_k, keyed (i, j, k), are "llu", a pairing is "ll" and a
+    Casimir "uu".  With alternating, the first two slots are antisymmetric
+    and keyed i < j only, in and out: an output pair (a, b) with a > b
+    goes onto (b, a) with the opposite sign, and a = b, where the two
+    orders of (i, j) cancel, is skipped.
+
+    Only the nonzero old components are walked, each old index i through
+    an index of the new a with T_ia != 0 (lower) or (T^-1)_ai != 0
+    (upper).  The products are summed as integer numerators: the tensor,
+    T and T^-1 each over the common denominator of its entries
+    (`scalars.common_denominator`, L = 1 for RationalFunction entries),
+    and each output key is divided once."""
+    L, numerator = common_denominator(list(tensor.values()))
+    den, index = L, {}
+    for kind, rows in (("l", vectors), ("u", inverse)):
+        if kind in slots:
+            Lk, num = common_denominator([x for row in rows for x in row.values()])
+            den *= Lk ** slots.count(kind)
+            by_old: Dict[int, List[Tuple[int, Scalar]]] = {}
+            for a, row in enumerate(rows):
+                for i, x in row.items():
+                    by_old.setdefault(i, []).append((a, num(x)))
+            index[kind] = by_old
+    walk = [index[kind] for kind in slots]
+    acc: Dict[Tuple[int, ...], Scalar] = {}
+    for key, t in tensor.items():
+        terms = [((), numerator(t))]
+        for s, (by_old, i) in enumerate(zip(walk, key)):
+            terms = [(out + (a,), c * x) for out, c in terms for a, x in by_old.get(i, ())]
+            if alternating and s == 1:
+                terms = [((b, a), -c) if a > b else ((a, b), c) for (a, b), c in terms if a != b]
+        for out, c in terms:
+            add_term(acc, out, c)
+    return over(acc, den)

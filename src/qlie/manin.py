@@ -3,10 +3,15 @@
 Subalgebras are index subsets of the ambient basis; constructions that
 produce non-basis-aligned subalgebras (the diagonal, the dual of the
 Borel construction) rebase the double first, so every Lagrangian in
-sight is spanned by basis vectors.  The checks and constructions run on
-the supports of their data: the nonzero brackets, the nonzero pairing
-entries and the nonzero entries of the inverses they take, so their cost
-follows those supports and not the cube of the dimension.
+sight is spanned by basis vectors.  The rebase is `linalg.change_basis`:
+the structure constants, the pairing and the Gram block that normalises
+the dual basis are each one change of basis, walked over their nonzero
+entries and summed as integer numerators.  The checks and constructions
+run on the supports of their data: the nonzero brackets, the nonzero
+pairing entries and the nonzero entries of the inverses they take, so
+their cost follows those supports and not the cube of the dimension.
+The invariance residual of `check_quadratic` is summed as integer
+numerators too, with L = 1 over Q(vars).
 
 The bialgebra of a Manin triple (d, g, g*) is coisotropic induction: the
 Casimir c = pairing^-1 is the 2-shifted structure on BD, g is Lagrangian
@@ -28,7 +33,7 @@ from . import linalg
 from .errors import InputError
 from .lie import LieAlgebra, casimir_of, split_subalgebra, trace_pairing
 from .qlb import QuasiLieBialgebra, induce_from_coisotropic
-from .scalars import Scalar, combine
+from .scalars import Scalar, add_term, combine, common_denominator, over
 
 Matrix = List[List[Fraction]]
 Vector = Dict[int, Fraction]  # the nonzero coordinates of a vector
@@ -40,10 +45,11 @@ class QuadraticLieAlgebra:
         if len(pairing) != n or any(len(row) != n for row in pairing):
             raise InputError("pairing matrix has the wrong shape")
         self.lie = lie
-        self.pairing = [[Fraction(x) for x in row] for row in pairing]
-        for i in range(n):
-            for j in range(n):
-                if self.pairing[i][j] != self.pairing[j][i]:
+        self.pairing = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in pairing]
+        # a zero entry (i, j) is checked from its mirror, where it is nonzero if (j, i) is
+        for i, row in enumerate(self.pairing):
+            for j, x in enumerate(row):
+                if x and x != self.pairing[j][i]:
                     raise InputError("pairing matrix must be symmetric")
 
 
@@ -57,31 +63,41 @@ class QuadraticReport(NamedTuple):
         return self.nondegenerate and self.invariant
 
 
-def _sparse_rows(matrix: Matrix) -> List[Vector]:
-    return [{j: c for j, c in enumerate(row) if c} for row in matrix]
-
-
 def check_quadratic(d: QuadraticLieAlgebra) -> QuadraticReport:
-    """Nondegeneracy by exact rank; invariance as the vanishing of the tensor
-    <[x_i, x_j], x_k> + <x_j, [x_i, x_k]>, summed over the nonzero brackets
-    and the nonzero pairing entries.  The witness is the least nonzero
+    """Nondegeneracy by exact rank; invariance as the vanishing of the
+    residual (`_invariance_residual`).  The witness is the least nonzero
     (i, j, k), the first one a scan in index order would meet."""
-    g = d.lie
-    nondeg = linalg.rank(dict(enumerate(row)) for row in d.pairing) == g.dim
-    rows = _sparse_rows(d.pairing)
+    rows = linalg.sparse_rows(d.pairing)
+    nondeg = linalg.rank(rows) == d.lie.dim
+    residual = _invariance_residual(d.lie, rows)
+    if residual:
+        return QuadraticReport(nondeg, False, tuple(d.lie.basis[i] for i in min(residual)))
+    return QuadraticReport(nondeg, True)
+
+
+def _invariance_residual(g: LieAlgebra, rows: List[Vector]) -> Dict[Tuple[int, int, int], Scalar]:
+    """The tensor <[x_i, x_j], x_k> + <x_j, [x_i, x_k]> of the pairing with
+    the given sparse rows, summed over the nonzero brackets and pairing
+    entries as integer numerators over L_c L_p, the common denominators of
+    the structure constants and of the pairing (L = 1 over Q(vars)), and
+    divided once per key."""
+    Lc, cnum = common_denominator([c for _, comps in g.pairs() for c in comps.values()])
+    Lp, pnum = common_denominator([v for row in rows for v in row.values()])
+    nums = [{k: pnum(v) for k, v in row.items()} for row in rows]
+    acc: Dict[Tuple[int, int, int], Scalar] = {}
     # [x_a, x_b] = sum_m c x_m for a < b enters with both orders of (a, b),
     # as [x_i, x_j] at (a, b, k) and as [x_i, x_k] at (a, k, b); the
     # pairing is symmetric, so row m of it serves both slots
-    residual = combine(
-        term
-        for (a, b), comps in g.pairs()
-        for m, c in comps.items()
-        for k, v in rows[m].items()
-        for term in (((a, b, k), c * v), ((b, a, k), -c * v), ((a, k, b), c * v), ((b, k, a), -c * v))
-    )
-    if residual:
-        return QuadraticReport(nondeg, False, tuple(g.basis[i] for i in min(residual)))
-    return QuadraticReport(nondeg, True)
+    for (a, b), comps in g.pairs():
+        for m, c in comps.items():
+            c = cnum(c)
+            for k, v in nums[m].items():
+                x = c * v
+                add_term(acc, (a, b, k), x)
+                add_term(acc, (b, a, k), -x)
+                add_term(acc, (a, k, b), x)
+                add_term(acc, (b, k, a), -x)
+    return over(acc, Lc * Lp)
 
 
 class ManinPair(NamedTuple):
@@ -155,34 +171,24 @@ def _rebase(
     name: str,
     labels: Sequence[str],
     vectors: List[Vector],
-    bracket_in_coords,
-    pairing_in_coords,
+    constants: Dict[Tuple[int, int, int], Scalar],
+    pairing: Dict[Tuple[int, int], Fraction],
 ) -> Tuple[LieAlgebra, Matrix]:
-    """Build a Lie algebra on new basis vectors given coordinatewise data.
-
-    Vectors and brackets are sparse coordinate dicts; a bracket goes back
-    to the new basis through the nonzero entries of the inverse change of
-    basis."""
+    """The Lie algebra and the pairing on new basis vectors, given as sparse
+    old coordinates, from the old structure constants c^k_ij (i < j) and
+    pairing entries: one change of basis each (`linalg.change_basis`)."""
     dim = len(vectors)
-    inv = linalg.invert([[vectors[a].get(i, Fraction(0)) for a in range(dim)] for i in range(dim)])
-    # column i of the inverse: the new coordinates of the i-th old unit vector
-    columns: List[Vector] = [{} for _ in range(dim)]
-    for a, row in enumerate(inv):
-        for i, x in row.items():
-            columns[i][a] = x
-
-    brackets = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            w = bracket_in_coords(vectors[a], vectors[b])
-            comps = combine((r, c * v) for i, v in w.items() for r, c in columns[i].items())
-            if comps:
-                brackets[(a, b)] = dict(sorted(comps.items()))
-    lie = LieAlgebra(name, labels, brackets)
-    pairing = [
-        [pairing_in_coords(vectors[a], vectors[b]) for b in range(dim)] for a in range(dim)
-    ]
-    return lie, pairing
+    rows: List[Vector] = [{} for _ in range(dim)]  # the rows of T, T_ia = vectors[a][i]
+    for a, v in enumerate(vectors):
+        for i, x in v.items():
+            rows[i][a] = x
+    brackets: Dict[Tuple[int, int], Vector] = {}
+    new_constants = linalg.change_basis(constants, "llu", vectors, linalg.invert(rows), alternating=True)
+    for (a, b, c), x in sorted(new_constants.items()):
+        brackets.setdefault((a, b), {})[c] = x
+    new_pairing = linalg.change_basis(pairing, "ll", vectors)
+    matrix = [[new_pairing.get((a, b), Fraction(0)) for b in range(dim)] for a in range(dim)]
+    return LieAlgebra(name, labels, brackets), matrix
 
 
 def dual_subalgebra_bplus_bminus(g: LieAlgebra) -> ManinTriple:
@@ -198,45 +204,34 @@ def dual_subalgebra_bplus_bminus(g: LieAlgebra) -> ManinTriple:
     for key in ("cartan", "positive", "negative", "pairing"):
         if key not in g.extra:
             raise InputError(f"{g.name} carries no Borel/Cartan data for the standard triple")
-    kappa = _sparse_rows(trace_pairing(g))
     n = g.dim
-
-    def sides(u: Vector) -> Tuple[Vector, Vector]:
-        return {p: c for p, c in u.items() if p < n}, {p - n: c for p, c in u.items() if p >= n}
-
-    def bracket_coords(u: Vector, v: Vector) -> Vector:
-        (u0, u1), (v0, v1) = sides(u), sides(v)
-        out = g.bracket_vectors(u0, v0)
-        out.update((n + k, c) for k, c in g.bracket_vectors(u1, v1).items())
-        return out
-
-    def pairing_coords(u: Vector, v: Vector) -> Fraction:
-        (u0, u1), (v0, v1) = sides(u), sides(v)
-        return sum(
-            (
-                sign * a * b * kappa[i][j]
-                for sign, x, y in ((1, u0, v0), (-1, u1, v1))
-                for i, a in x.items()
-                for j, b in y.items()
-                if j in kappa[i]
-            ),
-            Fraction(0),
-        )
-
+    constants = {
+        (o + i, o + j, o + k): c for (i, j), comps in g.pairs() for k, c in comps.items() for o in (0, n)
+    }
+    pairing = {
+        (o + i, o + j): sign * x
+        for i, row in enumerate(linalg.sparse_rows(trace_pairing(g)))
+        for j, x in row.items()
+        for o, sign in ((0, 1), (n, -1))
+    }
     diag: List[Vector] = [{i: Fraction(1), n + i: Fraction(1)} for i in range(n)]
     labels: List[str] = list(g.basis)
     span: List[Vector] = [{i: Fraction(1)} for i in g.extra["positive"]]
     span += [{n + i: Fraction(1)} for i in g.extra["negative"]]
     span += [{i: Fraction(1), n + i: Fraction(-1)} for i in g.extra["cartan"]]
     # normalize the dual basis against the diagonal: <xi^i, diag_j> = delta_ij,
-    # so the Gram matrix of the triple is the identity
-    gram = [[pairing_coords(span[k], diag[j]) for j in range(n)] for k in range(n)]
+    # so the Gram matrix of the triple is the identity; the Gram block
+    # <span_k, diag_j> is the pairing on the basis (diag, span)
+    gram: List[Vector] = [{} for _ in range(n)]
+    for (a, j), x in linalg.change_basis(pairing, "ll", diag + span).items():
+        if a >= n > j:
+            gram[a - n][j] = x
     vectors = list(diag)
     for i, row in enumerate(linalg.invert(gram)):
         vectors.append(combine((p, c * v) for k, c in row.items() for p, v in span[k].items()))
         labels.append(g.basis[i] + "*")
-    lie, pairing = _rebase(f"double({g.name})", labels, vectors, bracket_coords, pairing_coords)
-    quad = QuadraticLieAlgebra(lie, pairing)
+    lie, new_pairing = _rebase(f"double({g.name})", labels, vectors, constants, pairing)
+    quad = QuadraticLieAlgebra(lie, new_pairing)
     return ManinTriple(quad, tuple(range(n)), tuple(range(n, 2 * n)))
 
 

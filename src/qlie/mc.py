@@ -31,7 +31,8 @@ from typing import Dict
 
 from .errors import InputError
 from .tensors import CECochain
-from .polyvectors import Element, PolyVectorAlgebra, contraction_index, numerators, over
+from .polyvectors import Element, PolyVectorAlgebra, contraction_index, numerators
+from .scalars import over
 
 # The most contraction events 1/2 [x, x] may form, counted before x is
 # indexed: exactly sum_i up_i down_i (module docstring).  d x's events

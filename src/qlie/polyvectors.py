@@ -95,12 +95,12 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
 from .lie import LieAlgebra
-from .scalars import RationalFunction, Scalar
+from .scalars import Scalar, add_term, common_denominator, over
 from .tensors import CECochain, SYM, WEDGE, multiplicity_factorial
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (dual indices, vector indices)
@@ -119,7 +119,7 @@ class PolyVectorAlgebra:
         # mu_g, one term e^j e^k e_i per nonzero [e_j, e_k] = c e_i, j < k, with
         # c as an integer numerator over _d_den; its index is the right factor of d
         pairs = sorted(g.pairs())
-        self._d_den, numerator = _common_denominator([c for _, comps in pairs for c in comps.values()])
+        self._d_den, numerator = common_denominator([c for _, comps in pairs for c in comps.values()])
         mu = [(((j, k), (i,)), numerator(c)) for (j, k), comps in pairs for i, c in comps.items()]
         self._mu_index = (contraction_index(mu, 1, shift), contraction_index(mu, 0, shift))
 
@@ -275,42 +275,11 @@ class PolyVectorAlgebra:
         return keys
 
 
-def _common_denominator(coefs: Sequence[Scalar]) -> Tuple[int, Callable[[Scalar], Scalar]]:
-    """(L, numerator): when every coefficient is a Fraction, L is the lcm of
-    their denominators and numerator(c) the int L c; else L = 1 and
-    numerator(c) is c itself, so RationalFunction coefficients take the
-    same loops."""
-    if all(isinstance(c, Fraction) for c in coefs):
-        L = lcm(*(c.denominator for c in coefs))
-        return L, lambda c: c.numerator * (L // c.denominator)
-    return 1, lambda c: c
-
-
 def numerators(a: Element) -> Tuple[int, List[Tuple[Mono, Scalar]]]:
     """(L, [(m, L c_m)]) for the terms c_m m of a over their common
-    denominator L (`_common_denominator`)."""
-    L, numerator = _common_denominator(list(a.values()))
+    denominator L (`scalars.common_denominator`)."""
+    L, numerator = common_denominator(list(a.values()))
     return L, [(m, numerator(c)) for m, c in a.items()]
-
-
-def add_term(acc: Dict[Mono, Scalar], key: Mono, c: Scalar) -> None:
-    """acc[key] += c, dropping a zero sum as `scalars.combine` does; a
-    key's first term is stored as it is."""
-    v = acc.get(key)
-    v = c if v is None else v + c
-    if v:
-        acc[key] = v
-    else:
-        acc.pop(key, None)
-
-
-def over(acc: Dict[Mono, Scalar], den: int) -> Element:
-    """Each sum of acc divided by den: one Fraction per key, or, for a
-    RationalFunction sum, one scaling by 1/den."""
-    return {
-        m: (v if den == 1 else v * Fraction(1, den)) if isinstance(v, RationalFunction) else Fraction(v, den)
-        for m, v in acc.items()
-    }
 
 
 def _merge(a: Tuple[int, ...], b: Tuple[int, ...], odd: int = 1) -> Optional[Tuple[Tuple[int, ...], int]]:
@@ -453,16 +422,19 @@ def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
     shift, w = _module_slice(module)
     P = PolyVectorAlgebra(g, shift)
 
-    def dim_and_rank(k: int) -> Tuple[int, int]:
-        # rank(d) = rank(d^T), so the columns go in as sparse rows; d keeps
-        # weights, so every term lands on a weight-0 key of C^(k+1)
-        dst_index = {m: i for i, m in enumerate(P.weight_zero_basis(k + 1, w))}
-        keys = P.weight_zero_basis(k, w)
+    def rank(k: int, keys: List[Mono]) -> int:
+        # rank(d) = rank(d^T), so the columns go in as sparse rows.  rank
+        # needs only an injective numbering of the monomials that occur;
+        # numbered in sorted order, the order of the slice basis, they keep
+        # rref's pivot order (numbered as they first occur, they make it
+        # pick worse pivots: twice the time on sl6, ADJOINT, degree 2)
         columns = _unit_differentials(P, module, k, keys)
-        return len(keys), linalg.rank({dst_index[m]: c for m, c in col.items()} for col in columns)
+        number = {m: i for i, m in enumerate(sorted({m for col in columns for m in col}))}
+        return linalg.rank({number[m]: c for m, c in col.items()} for col in columns)
 
-    dim, rank = dim_and_rank(degree)
-    return dim - rank - dim_and_rank(degree - 1)[1] if degree > 0 else dim - rank
+    keys = P.weight_zero_basis(degree, w)
+    below = rank(degree - 1, P.weight_zero_basis(degree - 1, w)) if degree > 0 else 0
+    return len(keys) - rank(degree, keys) - below
 
 
 def invariants(g: LieAlgebra, module) -> List[CECochain]:

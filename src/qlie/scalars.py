@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, gcd, log10, prod
-from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
+from math import comb, gcd, lcm, log10, prod
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
 
@@ -586,6 +586,42 @@ def vec_scale(a: Sparse, c: Scalar) -> Sparse:
     if is_zero(c):
         return {}
     return {k: c * v for k, v in a.items()}
+
+
+# Integer-numerator sums: the terms of a sum are taken over a common
+# denominator L (`common_denominator`), their int numerators are summed per
+# key in a plain dict (`add_term`), and each key is divided once (`over`).
+
+
+def common_denominator(coefs: Sequence[Scalar]) -> Tuple[int, Callable[[Scalar], Scalar]]:
+    """(L, numerator): when every coefficient is a Fraction, L is the lcm of
+    their denominators and numerator(c) the int L c; else L = 1 and
+    numerator(c) is c itself, so RationalFunction coefficients take the
+    same loops."""
+    if all(isinstance(c, Fraction) for c in coefs):
+        L = lcm(*(c.denominator for c in coefs))
+        return L, lambda c: c.numerator * (L // c.denominator)
+    return 1, lambda c: c
+
+
+def add_term(acc: Sparse, key: Hashable, c: Scalar) -> None:
+    """acc[key] += c, dropping a zero sum as `combine` does; a key's first
+    term is stored as it is."""
+    v = acc.get(key)
+    v = c if v is None else v + c
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
+def over(acc: Sparse, den: int) -> Sparse:
+    """Each sum of acc divided by den: one Fraction per key, or, for a
+    RationalFunction sum, one scaling by 1/den."""
+    return {
+        m: (v if den == 1 else v * Fraction(1, den)) if isinstance(v, RationalFunction) else Fraction(v, den)
+        for m, v in acc.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_invert_round_trip(rng):
         m = [[F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
         if linalg.rank(sparse(m)) < n:
             continue
-        inv = linalg.invert(m)
+        inv = linalg.invert(sparse(m))
         for i in range(n):
             for j in range(n):
                 assert sum(m[i][k] * inv[k].get(j, 0) for k in range(n)) == (1 if i == j else 0)
@@ -260,9 +260,9 @@ def test_agrees_with_dense_reference_on_random_matrices(rng):
         except ZeroDivisionError:
             seen["singular"] += 1
             with pytest.raises(ZeroDivisionError, match="matrix is singular"):
-                linalg.invert(square)
+                linalg.invert(sparse(square))
         else:
-            inv = linalg.invert(square)
+            inv = linalg.invert(sparse(square))
             assert dense(inv, len(square)) == expected
             assert all(x and 0 <= c < len(square) for row in inv for c, x in row.items())
     assert all(count >= 20 for count in seen.values()), seen
@@ -317,7 +317,7 @@ def test_elimination_over_a_rational_function_field():
     x = parse_scalar("x", ("x",))
     assert linalg.rank([{0: x, 1: F(1)}, {0: F(1), 1: 1 / x}]) == 1
     matrix = [[x, F(1)], [F(0), x + 1]]
-    inv = linalg.invert(matrix)
+    inv = linalg.invert(sparse(matrix))
     for i in range(2):
         for j in range(2):
             entry = sum((matrix[i][k] * inv[k].get(j, 0) for k in range(2)), F(0))

@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from conftest import multivector, rand_cobracket, solve, zero_cobracket
+from qlie import linalg
 from qlie.errors import InputError
-from qlie.lie import abelian, sl, sl2, sl3, trace_pairing
+from qlie.lie import LieAlgebra, abelian, sl, sl2, sl3, trace_pairing
 from qlie.manin import (
     ManinPair,
     ManinTriple,
@@ -70,17 +71,14 @@ def test_manin_pair_offending_is_the_least_escaping_pair():
 
 def test_hyperbolic_plane_isotropic_line():
     # abelian d of dim 2 with pairing diag(1, -1): the line through e1 + e2
-    # is isotropic; rebase so it is a basis vector
-    from qlie.manin import _rebase
-
-    lie, pairing = _rebase(
-        "hyperbolic",
-        ["u", "v"],
-        [{0: F(1), 1: F(1)}, {0: F(1, 2), 1: F(-1, 2)}],
-        lambda x, y: {},
-        lambda x, y: x.get(0, 0) * y.get(0, 0) - x.get(1, 0) * y.get(1, 0),
-    )
-    quad = QuadraticLieAlgebra(lie, pairing)
+    # is isotropic; change basis so it is a basis vector
+    vectors = [{0: F(1), 1: F(1)}, {0: F(1, 2), 1: F(-1, 2)}]
+    inverse = linalg.invert([{0: F(1), 1: F(1, 2)}, {0: F(1), 1: F(-1, 2)}])
+    assert linalg.change_basis({}, "llu", vectors, inverse, True) == {}
+    pairing = linalg.change_basis({(0, 0): F(1), (1, 1): F(-1)}, "ll", vectors)
+    assert pairing == {(0, 1): 1, (1, 0): 1}
+    lie = LieAlgebra("hyperbolic", ["u", "v"], {})
+    quad = QuadraticLieAlgebra(lie, [[pairing.get((a, b), F(0)) for b in range(2)] for a in range(2)])
     assert check_quadratic(quad).passed
     assert manin_pair_check(ManinPair(quad, (0,))).passed
 

@@ -23,11 +23,12 @@ They are kept here as independent oracles only.
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from conftest import (
+    FIXTURES,
     multivector,
     rand_fraction,
     reassembled_brackets,
@@ -40,7 +41,7 @@ from test_coisotropic import CASES, families
 from qlie import linalg
 from qlie.cli import run
 from qlie.errors import InputError
-from qlie.formats import cochain_to_entries, lie_to_dict
+from qlie.formats import cochain_to_entries, lie_from_dict, lie_to_dict
 from qlie.lie import (
     LieAlgebra,
     abelian,
@@ -57,6 +58,7 @@ from qlie.lie import (
 from qlie.manin import (
     ManinTriple,
     QuadraticLieAlgebra,
+    _invariance_residual,
     check_quadratic,
     drinfeld_double,
     dual_subalgebra_bplus_bminus,
@@ -232,8 +234,8 @@ def ref_triple_to_bialgebra(t):
     gram = [
         [t.quad.pairing[t.gstar_indices[k]][t.g_indices[j]] for j in range(n)] for k in range(n)
     ]
-    m = linalg.invert(gram)  # xi^i = sum_k m[i][k] y_k pairs dually with the x_j
     gram = [{j: c for j, c in enumerate(row) if c} for row in gram]
+    m = linalg.invert(gram)  # xi^i = sum_k m[i][k] y_k pairs dually with the x_j
     spos = {v: k for k, v in enumerate(t.gstar_indices)}
 
     def dual_bracket(i, j):
@@ -438,6 +440,42 @@ def test_check_quadratic_witness_on_perturbed_pairings(quad):
         failures += not got[1]
     # an abelian algebra keeps every pairing invariant; the others must fail
     assert failures == 0 if quad.lie.name.startswith("abelian") else failures > 0
+
+
+def ref_invariance_residual(d):
+    """The nonzero <[x_i, x_j], x_k> + <x_j, [x_i, x_k]> over every (i, j, k)."""
+    g = d.lie
+    out = {}
+    for i, j, k in product(range(g.dim), repeat=3):
+        total = sum((c * d.pairing[m][k] for m, c in g.bracket(i, j).items()), Fraction(0))
+        total += sum((c * d.pairing[j][m] for m, c in g.bracket(i, k).items()), Fraction(0))
+        if total:
+            out[(i, j, k)] = total
+    return out
+
+
+def half_e_sl2():
+    """sl2 on (e/2, f, h): structure constants 1/2 and -1 with denominators."""
+    return LieAlgebra("sl2half", ["e", "f", "h"], {(0, 1): {2: Fraction(1, 2)}, (0, 2): {0: Fraction(-2)}, (1, 2): {1: Fraction(2)}})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_invariance_residual_matches_dense_sums(seed):
+    # the residual check_quadratic reads its witness off, value for value, on
+    # pairings and structure constants with denominators and over Q(x)
+    rng = random.Random(seed)
+    sl2x = lie_from_dict(json.loads((FIXTURES / "sl2x.json").read_text()))
+    for g in (half_e_sl2(), sl3(), sl2x):
+        n = g.dim
+        pairing = [[Fraction(0)] * n for _ in range(n)]
+        for _ in range(n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            pairing[i][j] = pairing[j][i] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        d = QuadraticLieAlgebra(g, pairing)
+        expected = ref_invariance_residual(d)
+        assert expected
+        assert _invariance_residual(g, linalg.sparse_rows(pairing)) == expected
+        assert check_quadratic(d).witness == tuple(g.basis[i] for i in min(expected))
 
 
 # ---------------------------------------------------------------------------

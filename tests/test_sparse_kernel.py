@@ -6,7 +6,7 @@ a multivector, a degree-0 WEDGE(2) cochain) take their linear structure
 from it.  Each container is checked against
 entrywise arithmetic on seeded data, over Q and over a rational-function
 field.  `combine` stores a key's first term as it is (an int as a
-Fraction) and `polyvectors.add_term` does the same; both are checked
+Fraction) and `scalars.add_term` does the same; both are checked
 against sums that start from zero (`ratfun_reference.combine`).
 """
 
@@ -19,8 +19,7 @@ import pytest
 import ratfun_reference
 from qlie.errors import InputError
 from qlie.lie import abelian, sl3
-from qlie.polyvectors import add_term
-from qlie.scalars import RationalFunction, combine, is_zero, vec_add, vec_scale
+from qlie.scalars import RationalFunction, add_term, combine, is_zero, vec_add, vec_scale
 from qlie.tensors import ADJOINT, CECochain, SparseTensor, WEDGE
 
 VARS = ("x", "y")
