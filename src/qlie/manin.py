@@ -187,7 +187,8 @@ def _rebase(
     for (a, b, c), x in sorted(new_constants.items()):
         brackets.setdefault((a, b), {})[c] = x
     new_pairing = linalg.change_basis(pairing, "ll", vectors)
-    matrix = [[new_pairing.get((a, b), Fraction(0)) for b in range(dim)] for a in range(dim)]
+    zero = Fraction(0)  # one shared zero for the dense matrix, not one per cell
+    matrix = [[new_pairing.get((a, b), zero) for b in range(dim)] for a in range(dim)]
     return LieAlgebra(name, labels, brackets), matrix
 
 

@@ -117,11 +117,12 @@ def sparse_constants(g):
     return {(i, j, k): c for (i, j), comps in g.pairs() for k, c in comps.items()}
 
 
-def rebuilt(g, constants, name="rebased"):
+def rebuilt(g, constants):
+    """The Lie algebra on the new basis with the given structure constants."""
     brackets = {}
     for (a, b, c), x in sorted(constants.items()):
         brackets.setdefault((a, b), {})[c] = x
-    return LieAlgebra(name, [f"v{a}" for a in range(g.dim)], brackets)
+    return LieAlgebra("rebased", [f"v{a}" for a in range(g.dim)], brackets)
 
 
 def sl2_plus_heisenberg():
