@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
-from .scalars import Scalar, combine, is_zero, vec_add
+from .scalars import Scalar, is_zero
 from .tensors import CECochain, SYM
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
@@ -185,50 +185,59 @@ def sl(n: int) -> LieAlgebra:
     root vectors E_ij (i < j) by height and then by row, then the negative
     ones E_ji in the same order.  A root vector is labelled by the simple
     roots that sum to its root: E_12 is e1, E_13 is e12 and E_31 is f12
-    (one digit per simple root, so 2 <= n <= 9).  Brackets are the
-    commutators [E_ij, E_kl] = delta_jk E_il - delta_li E_kj expanded back
-    into the basis, where a traceless diagonal d is sum_i (d_1 + ... + d_i)
-    h_i; `extra` holds the trace form and the Cartan and Borel indices.
+    (one digit per simple root, so 2 <= n <= 9).  Brackets are read off
+    the indices: [h, E_rc] = (d_r - d_c) E_rc for the diagonal d of h, and
+    [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, where a traceless
+    diagonal such as E_ii - E_jj is sum_t (d_1 + ... + d_t) h_t.  `extra`
+    holds the trace form, tr(E_ij E_kl) = delta_jk delta_li with
+    tr(h_s h_t) = 2, -1 or 0 as |s - t| is 0, 1 or more, and the Cartan
+    and Borel indices.
     """
     if not 2 <= n <= 9:
         raise InputError("sl(n) is built for 2 <= n <= 9")
+    rank = n - 1
     roots = sorted(combinations(range(n), 2), key=lambda ij: (ij[1] - ij[0], ij[0]))
     names = ["".join(str(s + 1) for s in range(i, j)) for i, j in roots]
-    labels = [f"h{i + 1}" for i in range(n - 1)] + ["e" + x for x in names] + ["f" + x for x in names]
-    units = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
-    units += [{(i, j): 1} for i, j in roots] + [{(j, i): 1} for i, j in roots]
-    position = {rc: n - 1 + t for t, rc in enumerate([*roots, *((j, i) for i, j in roots)])}
-
-    def product(x, y):
-        return combine(((r, c), u * v) for (r, s), u in x.items() for (s2, c), v in y.items() if s == s2)
-
-    def expand(m) -> Dict[int, Scalar]:
-        comps = {position[rc]: Fraction(v) for rc, v in m.items() if rc[0] != rc[1]}
-        running = 0
-        for i in range(n - 1):
-            running += m.get((i, i), 0)
-            if running:
-                comps[i] = Fraction(running)
-        return dict(sorted(comps.items()))
+    labels = [f"h{i + 1}" for i in range(rank)] + ["e" + x for x in names] + ["f" + x for x in names]
+    units = [*roots, *((j, i) for i, j in roots)]  # (row, column) of basis vector rank + t
+    position = {rc: rank + t for t, rc in enumerate(units)}
 
     brackets: BracketTable = {}
-    for a, b in combinations(range(len(units)), 2):
-        comps = expand(vec_add(product(units[a], units[b]), product(units[b], units[a]), -1))
-        if comps:
-            brackets[(a, b)] = comps
+    for a, b in combinations(range(len(labels)), 2):
+        if b < rank:
+            continue  # [h, h] = 0
+        r, c = units[b - rank]
+        if a < rank:
+            # the diagonal of h_a is d = e_a - e_(a+1)
+            coef = (r == a) - (r == a + 1) - (c == a) + (c == a + 1)
+            if coef:
+                brackets[(a, b)] = {b: Fraction(coef)}
+            continue
+        i, j = units[a - rank]
+        if j == r and c == i:  # E_ii - E_jj
+            sign = Fraction(1 if i < j else -1)
+            brackets[(a, b)] = {t: sign for t in range(min(i, j), max(i, j))}
+        elif j == r:
+            brackets[(a, b)] = {position[(i, c)]: Fraction(1)}
+        elif c == i:
+            brackets[(a, b)] = {position[(r, j)]: Fraction(-1)}
     g = LieAlgebra(f"sl{n}", labels, brackets)
-    trace = [
-        [Fraction(sum(v for (r, c), v in product(x, y).items() if r == c)) for y in units]
-        for x in units
-    ]
+    zero, one = Fraction(0), Fraction(1)
+    trace = [[zero] * len(labels) for _ in labels]
+    for s in range(rank):
+        trace[s][s] = Fraction(2)
+        if s:
+            trace[s][s - 1] = trace[s - 1][s] = Fraction(-1)
+    for t, (i, j) in enumerate(units):
+        trace[rank + t][position[(j, i)]] = one
     g.extra.update(
         {
             "type": "sl",
-            "rank": n - 1,
+            "rank": rank,
             "pairing": trace,
-            "cartan": list(range(n - 1)),
-            "positive": list(range(n - 1, n - 1 + len(roots))),
-            "negative": list(range(n - 1 + len(roots), len(units))),
+            "cartan": list(range(rank)),
+            "positive": list(range(rank, rank + len(roots))),
+            "negative": list(range(rank + len(roots), len(labels))),
         }
     )
     return g

@@ -10,6 +10,21 @@ an int and forms ``Fraction(a, b)`` only for the others.  What leaves a
 polynomial is unchanged:
 `constant_value` is a Fraction, and ``2`` and ``Fraction(2)`` print alike.
 
+A polynomial keys each term by one int that packs its exponent vector.
+Each variable takes a 32-bit field, variable 0 the most significant one,
+so the order of the keys is the lex order of the exponent tuples and the
+largest key is the lex-leading term that `exact_div` and the factor
+normalisation divide by.  A monomial product is one int addition, and a
+one-term factor only shifts the other factor's keys.  The top bit of
+every field is a guard bit that no stored key sets: exponents stay below
+2^31, so adding two fields never carries into the next one.  `exact_div`
+forms a quotient key as ``((r | G) - d) ^ G`` over the guard mask G; a
+field that borrows clears its guard bit, and a guard bit left in the
+result means d does not divide r.  An exponent of 2^31 or more, given to
+the constructor or reached by a product, is an `InputError` (inputs are
+at most 1 MiB, so a parsed degree stays far below it).  `terms` shows the
+terms as {exponent tuple: coefficient}, a new dict on each read.
+
 A rational function is a numerator polynomial over a multiset of
 normalised denominator factors, ``num / prod(f ** e)``.  A normalised
 factor is either a single variable or a non-constant polynomial with no
@@ -94,11 +109,45 @@ def _exact(c) -> Coef:
     return c.numerator if c.denominator == 1 else c
 
 
-def _poly_sum(terms: Iterable[Tuple[Exponents, Coef]], acc: Optional[Dict[Exponents, Coef]] = None) -> Dict[Exponents, Coef]:
-    """Sum (exponents, coefficient) terms into acc (a new dict by default),
+# packed exponent keys (see the module docstring): variable i of n starts at
+# bit _FIELD * (n - 1 - i), and the top bit of each field is its guard bit
+_FIELD = 32
+_FIELD_MASK = (1 << _FIELD) - 1
+_EXPONENT_LIMIT = 1 << (_FIELD - 1)
+
+
+def _guard(n: int) -> int:
+    """The guard bits of n fields."""
+    return ((1 << (_FIELD * n)) - 1) // _FIELD_MASK << (_FIELD - 1)
+
+
+def _shifts(n: int) -> range:
+    """Where the field of each of n variables starts, variable 0 highest."""
+    return range(_FIELD * (n - 1), -1, -_FIELD)
+
+
+def _pack(exps: Sequence[int]) -> int:
+    for e in exps:
+        if not 0 <= e < _EXPONENT_LIMIT:
+            raise InputError(f"exponent {e} is outside 0 .. {_EXPONENT_LIMIT - 1}")
+    return sum(e << s for e, s in zip(exps, _shifts(len(exps))))
+
+
+def _unpack(key: int, n: int) -> Exponents:
+    return tuple(key >> s & _FIELD_MASK for s in _shifts(n))
+
+
+def _check_guards(keys: Iterable[int], n: int) -> None:
+    """Refuse a sum of keys that set a guard bit: an exponent at the limit."""
+    if any(map(_guard(n).__and__, keys)):
+        raise InputError(f"a polynomial exponent reached {_EXPONENT_LIMIT}")
+
+
+def _poly_sum(terms: Iterable[Tuple[int, Coef]], acc: Optional[Dict[int, Coef]] = None) -> Dict[int, Coef]:
+    """Sum (key, coefficient) terms into acc (a new dict by default),
     each key from int 0; zero sums are dropped and integral ones stored as
     ints."""
-    out: Dict[Exponents, Coef] = {} if acc is None else acc
+    out: Dict[int, Coef] = {} if acc is None else acc
     for key, c in terms:
         v = out.get(key, 0) + c
         if not v:
@@ -111,57 +160,63 @@ def _poly_sum(terms: Iterable[Tuple[Exponents, Coef]], acc: Optional[Dict[Expone
 
 
 class Polynomial:
-    """Multivariate polynomial over Q with a fixed variable tuple."""
+    """Multivariate polynomial over Q with a fixed variable tuple, its terms
+    kept as {packed exponent key: coefficient}."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_terms")
 
     def __init__(self, variables: Tuple[str, ...], terms: Dict[Exponents, Coef] | None = None):
         self.vars = tuple(variables)
-        clean: Dict[Exponents, Coef] = {}
+        clean: Dict[int, Coef] = {}
         if terms:
             for exps, c in terms.items():
                 c = _exact(c)
                 if c:
-                    key = tuple(exps)
-                    if len(key) != len(self.vars):
+                    exps = tuple(exps)
+                    if len(exps) != len(self.vars):
                         raise InputError("exponent tuple does not match variable count")
-                    clean[key] = c
-        self.terms = clean
+                    clean[_pack(exps)] = c
+        self._terms = clean
 
     @classmethod
-    def _of(cls, variables: Tuple[str, ...], terms: Dict[Exponents, Coef]) -> "Polynomial":
+    def _of(cls, variables: Tuple[str, ...], terms: Dict[int, Coef]) -> "Polynomial":
         """Wrap terms that are already clean: nonzero coefficients, ints when
-        integral, on exponent tuples of the right length."""
+        integral, on packed keys with no guard bit set."""
         p = object.__new__(cls)
         p.vars = variables
-        p.terms = terms
+        p._terms = terms
         return p
+
+    @property
+    def terms(self) -> Dict[Exponents, Coef]:
+        """The terms as {exponent tuple: coefficient}, a new dict."""
+        n = len(self.vars)
+        return {_unpack(k, n): c for k, c in self._terms.items()}
 
     @classmethod
     def const(cls, variables: Tuple[str, ...], value) -> "Polynomial":
         value = _exact(value)
         if not value:
             return cls._of(tuple(variables), {})
-        return cls._of(tuple(variables), {(0,) * len(variables): value})
+        return cls._of(tuple(variables), {0: value})
 
     @classmethod
     def var(cls, variables: Tuple[str, ...], name: str) -> "Polynomial":
-        idx = variables.index(name)
-        exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: 1})
+        variables = tuple(variables)
+        return cls._of(variables, {1 << _shifts(len(variables))[variables.index(name)]: 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(self._terms)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
         if not self.is_constant():
             raise InputError("polynomial is not constant")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(next(iter(self._terms.values())))
 
     def _check(self, other: "Polynomial") -> None:
         if self.vars != other.vars:
@@ -169,31 +224,37 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial._of(self.vars, _poly_sum(other.terms.items(), dict(self.terms)))
+        return Polynomial._of(self.vars, _poly_sum(other._terms.items(), dict(self._terms)))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._of(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.vars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        pairs = other.terms.items()
-        return Polynomial._of(
-            self.vars,
-            _poly_sum(
-                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                for e1, c1 in self.terms.items()
-                for e2, c2 in pairs
-            ),
-        )
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a one-term factor shifts the other's keys, which stay distinct
+            (kb, cb), = b.items()
+            out = {}
+            for k, c in a.items():
+                v = c * cb
+                out[k + kb] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        else:
+            pairs = b.items()
+            out = _poly_sum((k1 + k2, c1 * c2) for k1, c1 in a.items() for k2, c2 in pairs)
+        _check_guards(out, len(self.vars))
+        return Polynomial._of(self.vars, out)
 
     def scale(self, c) -> "Polynomial":
         c = _exact(c)
         if not c:
             return Polynomial._of(self.vars, {})
-        return Polynomial._of(self.vars, {e: _exact(v * c) for e, v in self.terms.items()})
+        return Polynomial._of(self.vars, {k: _exact(v * c) for k, v in self._terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -211,27 +272,26 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._terms == other._terms
 
     def __hash__(self):
         # the support alone: cheap, and equal polynomials share it
-        return hash((self.vars, frozenset(self.terms)))
+        return hash((self.vars, frozenset(self._terms)))
 
     def leading(self) -> Tuple[Exponents, Coef]:
-        """Leading term in lex order on exponent tuples."""
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+        """Leading term in lex order on exponent tuples: the largest key."""
+        key = max(self._terms)
+        return _unpack(key, len(self.vars)), self._terms[key]
 
     def derivative(self, var_index: int) -> "Polynomial":
+        shift = _shifts(len(self.vars))[var_index]
+        one = 1 << shift
         return Polynomial._of(
             self.vars,
             _poly_sum(
-                (
-                    tuple(e - 1 if i == var_index else e for i, e in enumerate(exps)),
-                    c * exps[var_index],
-                )
-                for exps, c in self.terms.items()
-                if exps[var_index]
+                (k - one, c * (k >> shift & _FIELD_MASK))
+                for k, c in self._terms.items()
+                if k >> shift & _FIELD_MASK
             ),
         )
 
@@ -240,60 +300,61 @@ class Polynomial:
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self.terms)
-        quo: Dict[Exponents, Coef] = {}
-        dexp, dcoef = divisor.leading()
+        guard = _guard(len(self.vars))
+        rem = dict(self._terms)
+        quo: Dict[int, Coef] = {}
+        dkey = max(divisor._terms)
+        dcoef = divisor._terms[dkey]
+        dterms = divisor._terms.items()
         while rem:
             # the lex-leading term of rem falls at every step, so each
-            # quotient exponent is new
-            rexp = max(rem)
-            qexp = tuple(a - b for a, b in zip(rexp, dexp))
-            if any(e < 0 for e in qexp):
+            # quotient key is new
+            rkey = max(rem)
+            if rkey & guard:
+                # a sum of a quotient and a divisor key reached the limit
+                raise InputError(f"a polynomial exponent reached {_EXPONENT_LIMIT}")
+            qkey = ((rkey | guard) - dkey) ^ guard
+            if qkey & guard:  # a field borrowed: dkey does not divide rkey
                 return None
-            rc = rem[rexp]
+            rc = rem[rkey]
             if type(rc) is int and type(dcoef) is int and not rc % dcoef:
                 qc = rc // dcoef
             else:
                 qc = _exact(Fraction(rc, dcoef))
-            quo[qexp] = qc
-            _poly_sum(
-                (
-                    (tuple(a + b for a, b in zip(e, qexp)), -qc * c)
-                    for e, c in divisor.terms.items()
-                ),
-                rem,
-            )
+            quo[qkey] = qc
+            _poly_sum(((k + qkey, -qc * c) for k, c in dterms), rem)
         return Polynomial._of(self.vars, quo)
 
     def content_monomial(self) -> Exponents:
         """Largest monomial dividing every term (zero tuple if constant-free)."""
-        if not self.terms:
-            return (0,) * len(self.vars)
-        mins = [min(e[i] for e in self.terms) for i in range(len(self.vars))]
-        return tuple(mins)
+        keys, n = self._terms, len(self.vars)
+        if not keys or 0 in keys:
+            return (0,) * n
+        return tuple(min(k >> s & _FIELD_MASK for k in keys) for s in _shifts(n))
 
     def shift_down(self, mono: Exponents) -> "Polynomial":
-        return Polynomial._of(
-            self.vars, {tuple(a - b for a, b in zip(e, mono)): c for e, c in self.terms.items()}
-        )
+        """self / x^mono for a monomial that divides every term."""
+        key = _pack(mono)
+        return Polynomial._of(self.vars, {k - key: c for k, c in self._terms.items()})
 
     def rational_content(self) -> Fraction:
         """Positive rational c with self = c * (integer-primitive polynomial)."""
-        if not self.terms:
+        if not self._terms:
             return Fraction(1)
         num = 0
         den = 1
-        for c in self.terms.values():
+        for c in self._terms.values():
             num = gcd(num, abs(c.numerator))
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            c = self.terms[exps]
+        terms = self.terms
+        for exps in sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
+            c = terms[exps]
             mono = "*".join(
                 f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, exps) if e
             )
@@ -325,12 +386,9 @@ def _normalised_factors(p: Polynomial) -> Tuple[Fraction, Factors]:
     """Split a nonzero p as c * prod(f ** e) over normalised factors f: one
     per variable of p's content monomial, and the rest of p divided by its
     signed rational content unless that rest is constant."""
-    n = len(p.vars)
     mono = p.content_monomial()
     factors: Factors = {
-        Polynomial._of(p.vars, {tuple(int(j == i) for j in range(n)): 1}): e
-        for i, e in enumerate(mono)
-        if e
+        Polynomial._of(p.vars, {1 << s: 1}): e for s, e in zip(_shifts(len(p.vars)), mono) if e
     }
     if any(mono):
         p = p.shift_down(mono)
@@ -356,7 +414,7 @@ def _reduce(num: Polynomial, factors: Factors) -> Tuple[Polynomial, Factors]:
     every factor with a positive exponent."""
     if num.is_zero():
         return num, {}
-    if len(num.terms) == 1 and not any(next(iter(num.terms))):
+    if len(num._terms) == 1 and 0 in num._terms:
         return num, {f: e for f, e in factors.items() if e}
     kept: Factors = {}
     for f, e in factors.items():
@@ -426,7 +484,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def __bool__(self) -> bool:
-        return bool(self.num.terms)
+        return bool(self.num._terms)
 
     def is_constant(self) -> bool:
         return not self.factors and self.num.is_constant()
@@ -695,7 +753,7 @@ def _fraction_bits(x: Scalar) -> Tuple[int, int]:
     """The largest bit lengths of a numerator and of a denominator among x's
     rational coefficients."""
     if isinstance(x, RationalFunction):
-        coefs = [c for p in (x.num, *x.factors) for c in p.terms.values()]
+        coefs = [c for p in (x.num, *x.factors) for c in p._terms.values()]
     else:
         coefs = [x]
     return (
@@ -732,7 +790,7 @@ def _sizes(x: Scalar) -> Tuple[int, int]:
     """The terms of x's numerator and a bound on those of its expanded denominator."""
     if not isinstance(x, RationalFunction):
         return 1, 1
-    return len(x.num.terms), prod(len(f.terms) ** e for f, e in x.factors.items())
+    return len(x.num._terms), prod(len(f._terms) ** e for f, e in x.factors.items())
 
 
 def _power_size(x: Scalar, k: int) -> int:
