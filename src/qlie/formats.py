@@ -1,7 +1,10 @@
 """JSON file formats: Lie algebras, tensor literals and Manin triples.
 
-Coefficients are decimal-free strings parsed as exact rationals, or as
-rational-function expressions in the declared variables.
+Coefficients are JSON integers or decimal-free strings, parsed as exact
+rationals or as rational-function expressions in the declared variables;
+any other JSON value (a boolean, null, a number with a fraction or an
+exponent) is malformed input.  Reports print every coefficient with
+`scalars.scalar_text`, exactly and at any size.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError
 from .lie import LieAlgebra
 from .manin import ManinTriple
-from .scalars import Polynomial, RationalFunction, is_zero, parse_scalar
+from .scalars import Polynomial, RationalFunction, Scalar, is_zero, parse_scalar, scalar_text
 from .tensors import CECochain, SparseTensor, SYM, WEDGE
 
 TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
@@ -71,13 +74,28 @@ def read_json(path: str, inputs: Dict[str, str]) -> dict:
     inputs[path] = hashlib.sha256(data).hexdigest()
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past int()'s digit limit
         raise InputError(f"cannot read JSON file {path}: {exc}") from None
     except RecursionError:  # the decoder recurses once per level of nesting
         raise InputError(f"cannot read JSON file {path}: nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"JSON file {path} must hold an object, not {type(doc).__name__}")
     return doc
+
+
+_JSON_KINDS = {bool: "a boolean", type(None): "null", float: "a number with a fraction or an exponent",
+               list: "a list", dict: "an object"}
+
+
+def _read_scalar(value, variables: Tuple[str, ...], where: str) -> Scalar:
+    """Parse a coefficient, a JSON string or integer; any other JSON value
+    is an InputError that names `where`."""
+    if type(value) is int:
+        value = str(value)
+    elif type(value) is not str:
+        kind = _JSON_KINDS.get(type(value), type(value).__name__)
+        raise InputError(f"{where} is {kind}, not a string or an integer")
+    return parse_scalar(value, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +168,7 @@ def lie_from_dict(doc: dict) -> LieAlgebra:
         for z, coef in comps:
             if z not in index:
                 raise InputError(f"bracket component uses unknown label {z!r}")
-            row[index[z]] = parse_scalar(str(coef), variables)
+            row[index[z]] = _read_scalar(coef, variables, f"the coefficient of {z!r} in [{x}, {y}]")
         if row:
             brackets[(i, j)] = row
     g = LieAlgebra(doc["name"], basis, brackets)
@@ -164,7 +182,7 @@ def lie_to_dict(g: LieAlgebra) -> dict:
     field = {"type": "rational"}
     for (i, j), comps in sorted(g.pairs()):
         brackets.append(
-            [g.basis[i], g.basis[j], [[g.basis[k], str(c)] for k, c in sorted(comps.items())]]
+            [g.basis[i], g.basis[j], [[g.basis[k], scalar_text(c)] for k, c in sorted(comps.items())]]
         )
         for c in comps.values():
             if isinstance(c, RationalFunction):
@@ -193,7 +211,8 @@ def _parse_entries(doc: dict, g: LieAlgebra, arity: int, variables: Tuple[str, .
         idx, coef = rec["idx"], rec["coef"]
         if len(idx) != arity:
             raise InputError(f"tensor entry {idx} has arity {len(idx)}, expected {arity}")
-        entries.append((tuple(g.index(lab) for lab in idx), parse_scalar(str(coef), variables)))
+        key = tuple(g.index(lab) for lab in idx)
+        entries.append((key, _read_scalar(coef, variables, f"the coefficient of tensor entry {idx}")))
     return entries
 
 
@@ -223,7 +242,7 @@ def tensor_from_dict(doc: dict, g: LieAlgebra, expect: Optional[str] = None):
 def tensor_to_entries(t: SparseTensor, g: LieAlgebra) -> List[dict]:
     """Entries of a plain tensor, keyed by index tuples."""
     return [
-        {"idx": [g.basis[i] for i in key], "coef": str(coef)}
+        {"idx": [g.basis[i] for i in key], "coef": scalar_text(coef)}
         for key, coef in sorted(t.data.items(), key=lambda kv: kv[0])
     ]
 
@@ -235,7 +254,7 @@ def cochain_to_entries(x: CECochain) -> List[dict]:
         out.append(
             {
                 "idx": [g.basis[i] for i in down] + [g.basis[i] for i in up],
-                "coef": str(coef),
+                "coef": scalar_text(coef),
             }
         )
     return out
@@ -249,18 +268,18 @@ def matrix_from_dict(doc: dict, dim: int) -> List[List[Fraction]]:
         or any(not isinstance(r, list) or len(r) != dim for r in rows)
     ):
         raise InputError(f"pairing file must hold a {dim} x {dim} 'matrix'")
-    out = []
-    for row in rows:
-        out.append([Fraction(parse_scalar(str(x), ())) for x in row])
-    return out
+    return [
+        [_read_scalar(x, (), f"pairing cell ({i}, {j})") for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
 
 
 def polynomials_from_strings(strings: Sequence[str], variables: Tuple[str, ...]) -> List[Polynomial]:
     if not isinstance(strings, list):
         raise InputError("locus is a list of polynomial strings")
     out = []
-    for s in strings:
-        val = parse_scalar(str(s), variables)
+    for i, s in enumerate(strings):
+        val = _read_scalar(s, variables, f"locus entry {i}")
         if is_zero(val):
             raise InputError(f"locus entry {s!r} is the zero polynomial")
         if isinstance(val, RationalFunction):
@@ -281,5 +300,5 @@ def triple_to_dict(t: ManinTriple) -> dict:
     doc = lie_to_dict(d)
     doc["g"] = [d.basis[i] for i in t.g_indices]
     doc["gstar"] = [d.basis[i] for i in t.gstar_indices]
-    doc["pairing"] = [[str(x) for x in row] for row in t.quad.pairing]
+    doc["pairing"] = [[scalar_text(x) for x in row] for row in t.quad.pairing]
     return doc

@@ -100,7 +100,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import linalg
 from .errors import InputError
 from .lie import LieAlgebra
-from .scalars import Scalar, add_term, common_denominator, over
+from .scalars import Scalar, add_term, common_denominator, over, scalar_text
 from .tensors import CECochain, SYM, WEDGE, multiplicity_factorial
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (dual indices, vector indices)
@@ -405,7 +405,7 @@ def check_lie(g: LieAlgebra) -> LieCheckReport:
         passed=False,
         failure_kind="jacobi",
         witness=tuple(g.basis[i] for i in ijk),
-        residual={g.basis[l]: str(v) for l, v in sorted(jacobiators[ijk].items())},
+        residual={g.basis[l]: scalar_text(v) for l, v in sorted(jacobiators[ijk].items())},
     )
 
 

@@ -22,8 +22,12 @@ forms a quotient key as ``((r | G) - d) ^ G`` over the guard mask G; a
 field that borrows clears its guard bit, and a guard bit left in the
 result means d does not divide r.  An exponent of 2^31 or more, given to
 the constructor or reached by a product, is an `InputError` (inputs are
-at most 1 MiB, so a parsed degree stays far below it).  `terms` shows the
-terms as {exponent tuple: coefficient}, a new dict on each read.
+at most 1 MiB, so a parsed degree stays far below it).  The guard mask of
+n fields is built once per n, on first use, into a table.  `terms` shows
+the terms as {exponent tuple: coefficient}, a new dict on each read.  No
+polynomial changes its terms once built, so each keeps its hash, that of
+its variables and its set of keys, in a slot once it is first taken:
+factor dicts hash their keys on every lookup.
 
 A rational function is a numerator polynomial over a multiset of
 normalised denominator factors, ``num / prod(f ** e)``.  A normalised
@@ -36,7 +40,8 @@ numerator, each variable of the monomial x^m becomes a factor and so does
 q.  The factors are not factored further and no multivariate gcd is
 taken.  Instead:
 
-* ``+`` brings both sides over the lcm of their exponent vectors, ``*``
+* ``+`` brings both sides over the lcm of their exponent vectors (one
+  walk over both factor dicts gives the lcm and both cofactors), ``*``
   adds the exponent vectors, and ``d(f^-e) = -e f' f^-(e+1)`` gives the
   derivative;
 * the reduction then exact-divides the numerator by each factor for as
@@ -58,6 +63,11 @@ both sides over the lcm and comparing numerators, never by sampling.  The
 expanded denominator ``den`` is primitive with a positive lex-leading
 coefficient; a value is constant exactly when it has no factors left,
 since the reduction cancels every factor of a constant quotient.
+
+`scalar_text` prints a scalar for a report, as ``str`` does, and prints
+an integer past the interpreter's digit limit for ``str`` (4300 by
+default) exactly too, in pieces; a polynomial prints its coefficients
+with it.
 """
 
 from __future__ import annotations
@@ -109,6 +119,34 @@ def _exact(c) -> Coef:
     return c.numerator if c.denominator == 1 else c
 
 
+# str() refuses an int of more digits than the interpreter's limit (4300 by
+# default, and never below 640), so `scalar_text` prints a longer one in
+# pieces of at most _SAFE_BITS bits, about 570 digits each
+_SAFE_BITS = 1900
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of n, exactly, at any size."""
+    if n.bit_length() <= _SAFE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = int(n.bit_length() * log10(2)) // 2
+    high, low = divmod(n, 10**k)
+    return _int_text(high) + _int_text(low).zfill(k)
+
+
+def scalar_text(x) -> str:
+    """A scalar as report text: what str(x) gives, also past the digit limit
+    of str(), where str() raises."""
+    if type(x) is int:
+        return _int_text(x)
+    if type(x) is Fraction:
+        num = _int_text(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
+    return str(x)  # a RationalFunction prints its coefficients with scalar_text
+
+
 # packed exponent keys (see the module docstring): variable i of n starts at
 # bit _FIELD * (n - 1 - i), and the top bit of each field is its guard bit
 _FIELD = 32
@@ -116,9 +154,15 @@ _FIELD_MASK = (1 << _FIELD) - 1
 _EXPONENT_LIMIT = 1 << (_FIELD - 1)
 
 
-def _guard(n: int) -> int:
-    """The guard bits of n fields."""
-    return ((1 << (_FIELD * n)) - 1) // _FIELD_MASK << (_FIELD - 1)
+class _GuardTable(dict):
+    """The guard bits of n fields, at n: each mask is built on first use."""
+
+    def __missing__(self, n: int) -> int:
+        self[n] = mask = ((1 << (_FIELD * n)) - 1) // _FIELD_MASK << (_FIELD - 1)
+        return mask
+
+
+_guard = _GuardTable().__getitem__
 
 
 def _shifts(n: int) -> range:
@@ -163,7 +207,7 @@ class Polynomial:
     """Multivariate polynomial over Q with a fixed variable tuple, its terms
     kept as {packed exponent key: coefficient}."""
 
-    __slots__ = ("vars", "_terms")
+    __slots__ = ("vars", "_terms", "_hash")
 
     def __init__(self, variables: Tuple[str, ...], terms: Dict[Exponents, Coef] | None = None):
         self.vars = tuple(variables)
@@ -275,8 +319,13 @@ class Polynomial:
         return self.vars == other.vars and self._terms == other._terms
 
     def __hash__(self):
-        # the support alone: cheap, and equal polynomials share it
-        return hash((self.vars, frozenset(self._terms)))
+        # the support alone, and equal polynomials share it; taken once,
+        # since no polynomial changes its terms once built
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.vars, frozenset(self._terms)))
+            return h
 
     def leading(self) -> Tuple[Exponents, Coef]:
         """Leading term in lex order on exponent tuples: the largest key."""
@@ -364,9 +413,9 @@ class Polynomial:
                 elif c == -1:
                     parts.append(f"-{mono}")
                 else:
-                    parts.append(f"{c}*{mono}")
+                    parts.append(f"{scalar_text(c)}*{mono}")
             else:
-                parts.append(str(c))
+                parts.append(scalar_text(c))
         out = parts[0]
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
@@ -430,18 +479,28 @@ def _reduce(num: Polynomial, factors: Factors) -> Tuple[Polynomial, Factors]:
 def _over_lcm(
     a: "RationalFunction", b: "RationalFunction"
 ) -> Tuple[Polynomial, Polynomial, Factors]:
-    """Numerators of a and b over the lcm of their exponent vectors, and that lcm."""
-    if a.factors == b.factors:
-        return a.num, b.num, a.factors
-    lcm = dict(a.factors)
-    for f, e in b.factors.items():
-        if e > lcm.get(f, 0):
-            lcm[f] = e
-    return (
-        _times(a.num, {f: e - a.factors.get(f, 0) for f, e in lcm.items()}),
-        _times(b.num, {f: e - b.factors.get(f, 0) for f, e in lcm.items()}),
-        lcm,
-    )
+    """Numerators of a and b over the lcm of their exponent vectors, and that lcm.
+    One walk over a's factors, then b's, forms the lcm and the cofactors
+    lcm / a and lcm / b, each in the lcm's order."""
+    fa, fb = a.factors, b.factors
+    if fa == fb:
+        return a.num, b.num, fa
+    lcm: Factors = {}
+    up_a: Factors = {}
+    up_b: Factors = {}
+    for f, ea in fa.items():
+        eb = fb.get(f, 0)
+        if eb > ea:
+            lcm[f] = eb
+            up_a[f] = eb - ea
+        else:
+            lcm[f] = ea
+            if ea > eb:
+                up_b[f] = ea - eb
+    for f, eb in fb.items():
+        if f not in fa:
+            lcm[f] = up_a[f] = eb
+    return _times(a.num, up_a), _times(b.num, up_b), lcm
 
 
 class RationalFunction:

@@ -76,6 +76,15 @@ QLB_PHI = ("check-qlb", SL2, "--delta", str(FIXTURES / "delta_std_sl2.json"), "-
 COEF = ("brackets", 0, 2, 0, 1)
 R_COEF = ("entries", 0, "coef")
 
+PAIRING4 = {"matrix": [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]}
+TRIPLE4 = ("triple-check", str(FIXTURES / "abelian4.json"), "--g", "x1,x2", "--gstar", "x3,x4", "--pairing", "{}")
+
+
+def with_cell(row, col, value):
+    matrix = [list(r) for r in PAIRING4["matrix"]]
+    matrix[row][col] = value
+    return {"matrix": matrix}
+
 
 class RawJSON(str):
     """A whole document given as its text, written as it is."""
@@ -114,6 +123,26 @@ class RawJSON(str):
         # int() refuses more than 4300 digits, and digits such as "²"
         ("sl2.json", COEF, "1" * 5000, LIE, "cannot be read"),
         ("sl2.json", COEF, "2\u00b2", LIE, "cannot be read"),
+        # json.loads refuses an integer literal of over 4300 digits with a
+        # plain ValueError, which used to exit 3
+        (
+            "sl2.json", (),
+            RawJSON('{"name": "x", "basis": ["e","f","h"], "brackets": [["e","f",[["h", 1' + "0" * 4400 + ']]]]}'),
+            LIE, "cannot read JSON file",
+        ),
+        # a coefficient is a JSON string or integer: a boolean was read as
+        # the variable True where one was declared, "unknown variable" elsewhere
+        (
+            "dynamical_r_sl2.json", (),
+            {"signature": "gg", "vars": ["True"], "entries": [{"idx": ["e", "f"], "coef": True}]},
+            ("dynamical", SL2, "--sub", "h", "--r", "{}", "--vars", "True"),
+            "the coefficient of tensor entry ['e', 'f'] is a boolean",
+        ),
+        ("sl2.json", COEF, True, LIE, "the coefficient of 'h' in [e, f] is a boolean"),
+        ("sl2.json", COEF, None, LIE, "the coefficient of 'h' in [e, f] is null"),
+        ("sl2.json", COEF, 1.5, LIE, "is a number with a fraction or an exponent"),
+        ("sl2.json", (), with_cell(0, 2, True), TRIPLE4, "pairing cell (0, 2) is a boolean"),
+        ("dynamical_r_sl2.json", ("locus",), ["x", False], DYNAMICAL, "locus entry 1 is a boolean"),
         # nesting far below the byte limit met the recursion limit (exit 3)
         ("sl2.json", (), RawJSON("[" * 1000 + "]" * 1000), LIE, "nested too deeply"),
         ("sl2.json", COEF, "(" * 250 + "1" + ")" * 250, LIE, "nested over 100 deep"),
@@ -195,7 +224,9 @@ class RawJSON(str):
         "number-tensor-vars", "non-string-tensor-vars", "number-rmatrix-vars",
         "string-rmatrix-vars", "repeated-field-vars", "repeated-tensor-vars", "repeated-option-vars",
         "huge-power", "huge-negative-power", "power-above-cap",
-        "5000-digit-literal", "superscript-digit", "json-nested-1000-deep",
+        "5000-digit-literal", "superscript-digit", "4400-digit-json-integer",
+        "true-as-variable", "true-coefficient", "null-coefficient", "float-coefficient",
+        "true-pairing-cell", "false-locus-entry", "json-nested-1000-deep",
         "coefficient-nested-250-deep", "nested-power",
         "nested-rational-power", "product-of-powers", "sum-of-powers",
         "product-term-limit", "power-term-limit", "number-brackets", "null-locus",
@@ -221,6 +252,35 @@ def test_malformed_document_exit_2(tmp_path, fixture, where, value, argv, messag
     assert report["checks"][0]["name"] == "input"
     assert report["checks"][0]["status"] == "error"
     assert message in report["checks"][0]["detail"]["message"]
+
+
+def test_integer_coefficients_read_as_their_strings(tmp_path):
+    doc = json.loads((FIXTURES / "sl2.json").read_text())
+    for _, _, comps in doc["brackets"]:
+        for comp in comps:
+            comp[1] = int(comp[1])
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(doc))
+    assert lie_from_dict(doc).same_structure(lie_from_dict(json.loads((FIXTURES / "sl2.json").read_text())))
+    assert invoke("check-lie", str(path))[1] == 0
+    pairing = tmp_path / "pairing.json"
+    pairing.write_text(json.dumps(with_cell(0, 2, 1)))
+    assert invoke(*(a.format(pairing) for a in TRIPLE4))[1] == 0
+
+
+def test_residual_past_the_digit_limit_prints_exactly(tmp_path, capsys):
+    # c has 4,001 digits, which a literal may have; the Jacobiator at
+    # (e, f, h) is -2 c^2 h, 8,001 digits, which str() refuses to print
+    c = "1" + "0" * 4000
+    doc = {"name": "big", "basis": ["e", "f", "h"],
+           "brackets": [["e", "f", [["h", c]]], ["e", "h", [["e", c]]], ["f", "h", [["f", c]]]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    report, code = invoke("check-lie", str(path))
+    assert code == 1
+    assert report["checks"][0]["detail"]["residual"] == {"h": "-2" + "0" * 8000}
+    assert main(["check-lie", str(path)]) == 1
+    assert "0" * 8000 in capsys.readouterr().out
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs a device that reports no size")

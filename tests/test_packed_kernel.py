@@ -14,7 +14,14 @@ wrong and compare with the tuple-keyed classes of tests/ratfun_reference.py:
   factor, or two factors of several terms);
 * the tuple-keyed `terms` view round-trips, and sums, products, powers,
   derivatives and exact quotients of seeded random polynomials equal the
-  reference's.
+  reference's;
+* the guard masks, read from a table built once per field count, are
+  the closed form, and a remainder that reaches a guard bit in
+  `exact_div` is refused too;
+* a polynomial keeps its hash once taken, and equal polynomials built by
+  different routes (the constructor, the parser, products, exact
+  quotients, derivatives) hash alike before and after, so a factor dict
+  keyed by one finds the others.
 """
 
 import random
@@ -24,7 +31,7 @@ import pytest
 
 import ratfun_reference as ref
 from qlie.errors import InputError
-from qlie.scalars import Polynomial
+from qlie.scalars import Polynomial, _guard, parse_scalar
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -144,3 +151,52 @@ def test_random_polynomials_match_the_tuple_keyed_reference(seed):
     assert (q is None) == (rq is None)
     if q is not None:
         assert q.terms == rq.terms
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_guard_masks_are_the_closed_form(n):
+    assert _guard(n) == ((1 << 32 * n) - 1) // (2**32 - 1) << 31
+    assert _guard(n) == sum(1 << 32 * i + 31 for i in range(n))
+
+
+def test_exact_div_refuses_a_remainder_at_the_limit():
+    # x y / (x + y^TOP): the quotient y times the divisor's y^TOP term
+    # leaves y^(TOP+1) in the remainder, which sets the y field's guard bit
+    with pytest.raises(InputError):
+        Polynomial(XY, {(1, 1): 1}).exact_div(Polynomial(XY, {(1, 0): 1, (0, TOP): 1}))
+
+
+def _routes(rng, variables):
+    """A random polynomial p, built five ways."""
+    terms = _random_terms(rng, variables)
+    p = Polynomial(variables, terms)
+    q = Polynomial(variables, _random_terms(rng, variables))
+    # integrate p in variable 0, so that its derivative is p again
+    up = Polynomial(variables, {(e[0] + 1, *e[1:]): Fraction(c) / (e[0] + 1) for e, c in terms.items()})
+    parsed = parse_scalar(str(p), variables)
+    assert not parsed.factors
+    return [
+        Polynomial(variables, terms),
+        parsed.num,
+        Polynomial.const(variables, 1) * p,
+        (p * q).exact_div(q),
+        up.derivative(0),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_equal_polynomials_hash_alike_by_every_route(seed):
+    rng = random.Random(seed)
+    variables = XYZ[: 1 + seed % 3]
+    first = _routes(rng, variables)
+    assert all(r == first[0] for r in first)
+    expected = hash((first[0].vars, frozenset(first[0]._terms)))
+    # the first hash of each, then a kept one: every value is the same
+    assert [hash(r) for r in first] == [expected] * len(first)
+    assert [hash(r) for r in first] == [expected] * len(first)
+    # a factor dict keyed by one route finds the keys of the others, each
+    # hashed for the first time by the lookup
+    for i, key in enumerate(first):
+        factors = {key: i}
+        for other in _routes(random.Random(seed), variables):
+            assert factors[other] == i

@@ -1,10 +1,12 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import evaluate
 from qlie.errors import InputError
-from qlie.scalars import Polynomial, RationalFunction, parse_scalar
+from qlie.scalars import Polynomial, RationalFunction, parse_scalar, scalar_text
 
 
 def test_parse_rationals():
@@ -210,3 +212,76 @@ def test_nesting_is_capped_by_depth_not_by_count():
     for text in ("(" * 101 + "3" + ")" * 101, "-" * 101 + "3", "-(" * 51 + "3" + ")" * 51):
         with pytest.raises(InputError, match="nested over 100 deep"):
             parse_scalar(text)
+
+
+# Sums, differences and products whose factors are shared, disjoint or not
+# coprime (x - 1 and x^2 - 1), printed as they were printed before
+# `_over_lcm` formed the lcm and both cofactors in one pass.  The reduced
+# form depends on the order of the operands and of the factors (the last
+# case swaps the operands of the third from last, and prints another
+# form), so these pin that order as well as the values.
+PRINTED = [
+    ('1/(x-1)', '+', '1/(x-1)', '(2)/(x-1)'),
+    ('1/(x-1)', '+', '1/(y+2)', '(x+y+1)/(x*y+2*x-y-2)'),
+    ('1/(x-1)', '+', '1/(x^2-1)', '(x+2)/(x^2-1)'),
+    ('x/(x-1)^2', '-', '1/(x^2-1)', '(x^3-x^2+x-1)/(x^4-2*x^3+2*x-1)'),
+    ('(x+1)/(x-1)', '*', '(x-1)/(x^2-1)', '(x+1)/(x^2-1)'),
+    ('(x-1)/(x^2-1)', '*', '(x+1)/(x-1)', '(1)/(x-1)'),
+    ('1/(x^2-1)', '+', '1/((x-1)*y)', '(x+y+1)/(x^2*y-y)'),
+    ('y/(x^2-1)^2', '+', 'x/((x-1)^3*(y+2))', '(x^5+x^3*y^2+2*x^3*y-3*x^2*y^2-2*x^3-6*x^2*y+3*x*y^2+6*x*y-y^2+x-2*y)/(x^7*y+2*x^7-3*x^6*y-6*x^6+x^5*y+2*x^5+5*x^4*y+10*x^4-5*x^3*y-10*x^3-x^2*y-2*x^2+3*x*y+6*x-y-2)'),
+    ('1/(x-1)', '*', '1/(x^2-1)', '(1)/(x^3-x^2-x+1)'),
+    ('(x^2-1)/(x-1)', '+', '1/(x+1)', '(x^2+2*x+2)/(x+1)'),
+    ('(x+1)/((x-1)*(x^2-1)^2)', '+', '(x-1)/((x^2-1)*(x-1)^3*y)', '(x*y+x-y-1)/(x^5*y-3*x^4*y+2*x^3*y+2*x^2*y-3*x*y+y)'),
+    ('(x+1)/((x-1)*(x^2-1)^2)', '-', '(x-1)/((x^2-1)*(x-1)^3*y)', '(x*y-x-y+1)/(x^5*y-3*x^4*y+2*x^3*y+2*x^2*y-3*x*y+y)'),
+    ('(x-1)/((x^2-1)*(x-1)^3*y)', '+', '(x+1)/((x-1)*(x^2-1)^2)', '(x*y+x+y+1)/(x^5*y-x^4*y-2*x^3*y+2*x^2*y+x*y-y)'),
+]
+
+
+@pytest.mark.parametrize("a, op, b, printed", PRINTED)
+def test_sums_and_products_print_as_before(a, op, b, printed):
+    variables = ("x", "y")
+    x, y = parse_scalar(a, variables), parse_scalar(b, variables)
+    value = x + y if op == "+" else x - y if op == "-" else x * y
+    assert str(value) == printed
+
+
+def _digits(n: int, limit: int) -> str:
+    """str(n) with the interpreter's digit limit set to limit (0: none)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit to test")
+@pytest.mark.parametrize("seed", range(6))
+def test_scalar_text_is_str_at_any_size(seed):
+    rng = random.Random(seed)
+    for digits in (1, 570, 572, 640, 641, 4300, 4301, 8001, rng.randrange(2, 20000)):
+        n = rng.choice([1, -1]) * rng.randrange(10 ** (digits - 1), 10**digits)
+        text = _digits(n, 0)
+        assert scalar_text(n) == text
+        # the pieces are printed under the lowest limit an interpreter allows
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert scalar_text(n) == text
+            f = Fraction(n, 7 * 10**digits + 1)
+            assert scalar_text(f) == f"{_digits(f.numerator, 0)}/{_digits(f.denominator, 0)}"
+            assert scalar_text(Fraction(n)) == text
+        finally:
+            sys.set_int_max_str_digits(old)
+        if digits <= 4300:
+            assert scalar_text(n) == str(n) and scalar_text(Fraction(n, 3)) == str(Fraction(n, 3))
+    for n in (0, 10**600, 10**4300, -(10**8000), 2**20000):
+        assert scalar_text(n) == _digits(n, 0)
+
+
+def test_rational_functions_print_coefficients_past_the_digit_limit():
+    big = 10**5000 + 1
+    x = RationalFunction.var(("x",), "x")
+    value = (x * big + 1) / (x - 1)
+    assert str(value) == f"({_digits(big, 0)}*x+1)/(x-1)"
+    assert scalar_text(value) == str(value)
