@@ -2,8 +2,8 @@
 
 Coefficients are JSON integers or decimal-free strings, parsed as exact
 rationals or as rational-function expressions in the declared variables;
-any other JSON value (a boolean, null, a number with a fraction or an
-exponent) is malformed input.  Reports print every coefficient with
+any other JSON value (a boolean, null, a float such as 1.0, 1e5 or NaN, a
+list or an object) is malformed input that names the entry.  Reports print every coefficient with
 `scalars.scalar_text`, exactly and at any size.
 """
 
@@ -83,8 +83,7 @@ def read_json(path: str, inputs: Dict[str, str]) -> dict:
     return doc
 
 
-_JSON_KINDS = {bool: "a boolean", type(None): "null", float: "a number with a fraction or an exponent",
-               list: "a list", dict: "an object"}
+_JSON_KINDS = {bool: "a boolean", type(None): "null", float: "a float", list: "a list", dict: "an object"}
 
 
 def _read_scalar(value, variables: Tuple[str, ...], where: str) -> Scalar:

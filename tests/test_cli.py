@@ -140,7 +140,7 @@ class RawJSON(str):
         ),
         ("sl2.json", COEF, True, LIE, "the coefficient of 'h' in [e, f] is a boolean"),
         ("sl2.json", COEF, None, LIE, "the coefficient of 'h' in [e, f] is null"),
-        ("sl2.json", COEF, 1.5, LIE, "is a number with a fraction or an exponent"),
+        ("sl2.json", COEF, 1.5, LIE, "is a float"),
         ("sl2.json", (), with_cell(0, 2, True), TRIPLE4, "pairing cell (0, 2) is a boolean"),
         ("dynamical_r_sl2.json", ("locus",), ["x", False], DYNAMICAL, "locus entry 1 is a boolean"),
         # nesting far below the byte limit met the recursion limit (exit 3)
