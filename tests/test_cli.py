@@ -142,6 +142,8 @@ class RawJSON(str):
         ("sl2.json", COEF, None, LIE, "the coefficient of 'h' in [e, f] is null"),
         ("sl2.json", COEF, 1.5, LIE, "is a float"),
         ("sl2.json", (), with_cell(0, 2, True), TRIPLE4, "pairing cell (0, 2) is a boolean"),
+        # the zero mirror of a nonzero cell: a check of the nonzero cells must still compare it
+        ("sl2.json", (), with_cell(2, 0, "0"), TRIPLE4, "pairing matrix must be symmetric"),
         ("dynamical_r_sl2.json", ("locus",), ["x", False], DYNAMICAL, "locus entry 1 is a boolean"),
         # nesting far below the byte limit met the recursion limit (exit 3)
         ("sl2.json", (), RawJSON("[" * 1000 + "]" * 1000), LIE, "nested too deeply"),
@@ -226,7 +228,7 @@ class RawJSON(str):
         "huge-power", "huge-negative-power", "power-above-cap",
         "5000-digit-literal", "superscript-digit", "4400-digit-json-integer",
         "true-as-variable", "true-coefficient", "null-coefficient", "float-coefficient",
-        "true-pairing-cell", "false-locus-entry", "json-nested-1000-deep",
+        "true-pairing-cell", "asymmetric-pairing", "false-locus-entry", "json-nested-1000-deep",
         "coefficient-nested-250-deep", "nested-power",
         "nested-rational-power", "product-of-powers", "sum-of-powers",
         "product-term-limit", "power-term-limit", "number-brackets", "null-locus",

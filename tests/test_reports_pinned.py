@@ -34,6 +34,7 @@ REPORTS = FIXTURES / "reports"
 SL2 = ("sl2.json",)
 SL3 = ("sl3.json",)
 KILLING = ("--casimir", "killing_sl2.json")
+ABELIAN4_HALVES = ("triple-check", "abelian4.json", "--g", "x1,x2", "--gstar", "x3,x4")
 
 # name -> argv, with every file named relative to the fixture directory
 CASES = {
@@ -108,6 +109,9 @@ CASES = {
     ),
     # all 56 phi entries nonzero: exit 1, cojacobi and compat fail
     "check-qlb-phi-dense-sl3": ("check-qlb", *SL3, "--delta", "delta_std_sl3.json", "--phi", "phi_dense_sl3.json"),
+    "triple-check-hyperbolic-abelian4": (*ABELIAN4_HALVES, "--pairing", "pairing_hyperbolic_abelian4.json"),
+    # invariant, but no coordinate plane is isotropic: exit 1, both Lagrangian checks fail
+    "triple-check-identity-abelian4": (*ABELIAN4_HALVES, "--pairing", "pairing_identity_abelian4.json"),
 }
 # the sl9 report has 61,414 lines, the dense sl3 twist 1,807 and check-qlb 4,250
 DIGEST_PINS = {"std-triple-sl9", "twist-lambda-dense-sl3", "check-qlb-phi-dense-sl3"}
