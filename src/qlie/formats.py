@@ -259,7 +259,8 @@ def cochain_to_entries(x: CECochain) -> List[dict]:
     return out
 
 
-def matrix_from_dict(doc: dict, dim: int) -> List[List[Fraction]]:
+def matrix_from_dict(doc: dict, dim: int) -> List[Dict[int, Fraction]]:
+    """The sparse rows {column: entry} of a pairing file's dense 'matrix'."""
     rows = doc.get("matrix")
     if (
         not isinstance(rows, list)
@@ -268,7 +269,7 @@ def matrix_from_dict(doc: dict, dim: int) -> List[List[Fraction]]:
     ):
         raise InputError(f"pairing file must hold a {dim} x {dim} 'matrix'")
     return [
-        [_read_scalar(x, (), f"pairing cell ({i}, {j})") for j, x in enumerate(row)]
+        {j: v for j, x in enumerate(row) if (v := _read_scalar(x, (), f"pairing cell ({i}, {j})"))}
         for i, row in enumerate(rows)
     ]
 
@@ -299,5 +300,5 @@ def triple_to_dict(t: ManinTriple) -> dict:
     doc = lie_to_dict(d)
     doc["g"] = [d.basis[i] for i in t.g_indices]
     doc["gstar"] = [d.basis[i] for i in t.gstar_indices]
-    doc["pairing"] = [[scalar_text(x) for x in row] for row in t.quad.pairing]
+    doc["pairing"] = [[scalar_text(row.get(j, 0)) for j in range(d.dim)] for row in t.quad.pairing]
     return doc

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
@@ -189,9 +189,9 @@ def sl(n: int) -> LieAlgebra:
     the indices: [h, E_rc] = (d_r - d_c) E_rc for the diagonal d of h, and
     [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, where a traceless
     diagonal such as E_ii - E_jj is sum_t (d_1 + ... + d_t) h_t.  `extra`
-    holds the trace form, tr(E_ij E_kl) = delta_jk delta_li with
-    tr(h_s h_t) = 2, -1 or 0 as |s - t| is 0, 1 or more, and the Cartan
-    and Borel indices.
+    holds the trace form as sparse rows, tr(E_ij E_kl) = delta_jk delta_li
+    with tr(h_s h_t) = 2, -1 or 0 as |s - t| is 0, 1 or more, and the
+    Cartan and Borel indices.
     """
     if not 2 <= n <= 9:
         raise InputError("sl(n) is built for 2 <= n <= 9")
@@ -222,14 +222,10 @@ def sl(n: int) -> LieAlgebra:
         elif c == i:
             brackets[(a, b)] = {position[(r, j)]: Fraction(-1)}
     g = LieAlgebra(f"sl{n}", labels, brackets)
-    zero, one = Fraction(0), Fraction(1)
-    trace = [[zero] * len(labels) for _ in labels]
-    for s in range(rank):
-        trace[s][s] = Fraction(2)
-        if s:
-            trace[s][s - 1] = trace[s - 1][s] = Fraction(-1)
-    for t, (i, j) in enumerate(units):
-        trace[rank + t][position[(j, i)]] = one
+    trace = [
+        {t: Fraction(2 if t == s else -1) for t in range(max(s - 1, 0), min(s + 2, rank))} for s in range(rank)
+    ]
+    trace += [{position[(j, i)]: Fraction(1)} for i, j in units]
     g.extra.update(
         {
             "type": "sl",
@@ -254,7 +250,7 @@ def sl2() -> LieAlgebra:
         brackets[tuple(sorted((pos[i], pos[j])))] = {pos[k]: sign * c for k, c in comps.items()}
     view = LieAlgebra("sl2", ["e", "f", "h"], dict(sorted(brackets.items())))
     view.extra.update(g.extra)
-    view.extra["pairing"] = [[g.extra["pairing"][i][j] for j in order] for i in order]
+    view.extra["pairing"] = [{pos[j]: x for j, x in g.extra["pairing"][i].items()} for i in order]
     for key in ("cartan", "positive", "negative"):
         view.extra[key] = [pos[i] for i in g.extra[key]]
     return view
@@ -276,17 +272,19 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra, name: Optional[str] = None) -> Li
     return LieAlgebra(name or f"{g1.name}(+){g2.name}", labels, brackets)
 
 
-def trace_pairing(g: LieAlgebra) -> List[List[Fraction]]:
+def trace_pairing(g: LieAlgebra) -> List[Dict[int, Fraction]]:
+    """The stored invariant pairing, as sparse rows {column: entry}."""
     pairing = g.extra.get("pairing")
     if pairing is None:
         raise InputError(f"{g.name} carries no pairing data")
-    return [[Fraction(x) for x in row] for row in pairing]
+    return [{j: Fraction(x) for j, x in row.items()} for row in pairing]
 
 
-def casimir_of(g: LieAlgebra, pairing: Sequence[Sequence[Fraction]]) -> CECochain:
-    """The inverse of a nondegenerate symmetric pairing on g, as an element of
-    Sym^2 g: the degree-0 cochain valued in SYM(2)."""
-    inv = linalg.invert(linalg.sparse_rows(pairing))
+def casimir_of(g: LieAlgebra, pairing: Sequence[Mapping[int, Fraction]]) -> CECochain:
+    """The inverse of a nondegenerate symmetric pairing on g, given by its
+    sparse rows, as an element of Sym^2 g: the degree-0 cochain valued in
+    SYM(2)."""
+    inv = linalg.invert(pairing)
     entries = [(((), (i, j)), x) for i, row in enumerate(inv) for j, x in row.items() if i <= j]
     return CECochain.build(g, 0, SYM(2), entries)
 

@@ -133,11 +133,6 @@ def invert(rows: Sequence[Mapping[int, Scalar]]) -> List[Row]:
     return [{j - n: x for j, x in sorted(pivots[i].items()) if j >= n} for i in range(n)]
 
 
-def sparse_rows(matrix: Sequence[Sequence[Scalar]]) -> List[Row]:
-    """The nonzero entries of each row of a dense matrix."""
-    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
-
-
 def change_basis(
     tensor: Mapping[Tuple[int, ...], Scalar],
     slots: str,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InputError
@@ -35,22 +35,24 @@ from .lie import LieAlgebra, casimir_of, split_subalgebra, trace_pairing
 from .qlb import QuasiLieBialgebra, induce_from_coisotropic
 from .scalars import Scalar, add_term, combine, common_denominator, over
 
-Matrix = List[List[Fraction]]
 Vector = Dict[int, Fraction]  # the nonzero coordinates of a vector
 
 
 class QuadraticLieAlgebra:
-    def __init__(self, lie: LieAlgebra, pairing: Matrix):
+    """A Lie algebra with a symmetric pairing, given by its sparse rows:
+    pairing[i] = {j: <x_i, x_j>} over the nonzero entries."""
+
+    def __init__(self, lie: LieAlgebra, pairing: Sequence[Mapping[int, Fraction]]):
         n = lie.dim
-        if len(pairing) != n or any(len(row) != n for row in pairing):
+        if len(pairing) != n or any(not 0 <= j < n for row in pairing for j in row):
             raise InputError("pairing matrix has the wrong shape")
         self.lie = lie
-        self.pairing = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in pairing]
-        # a zero entry (i, j) is checked from its mirror, where it is nonzero if (j, i) is
-        for i, row in enumerate(self.pairing):
-            for j, x in enumerate(row):
-                if x and x != self.pairing[j][i]:
-                    raise InputError("pairing matrix must be symmetric")
+        self.pairing = [
+            {j: x if type(x) is Fraction else Fraction(x) for j, x in row.items() if x} for row in pairing
+        ]
+        # the mirror of a nonzero entry may be a zero, absent from its row: get() gives None
+        if any(self.pairing[j].get(i) != x for i, row in enumerate(self.pairing) for j, x in row.items()):
+            raise InputError("pairing matrix must be symmetric")
 
 
 class QuadraticReport(NamedTuple):
@@ -67,15 +69,14 @@ def check_quadratic(d: QuadraticLieAlgebra) -> QuadraticReport:
     """Nondegeneracy by exact rank; invariance as the vanishing of the
     residual (`_invariance_residual`).  The witness is the least nonzero
     (i, j, k), the first one a scan in index order would meet."""
-    rows = linalg.sparse_rows(d.pairing)
-    nondeg = linalg.rank(rows) == d.lie.dim
-    residual = _invariance_residual(d.lie, rows)
+    nondeg = linalg.rank(d.pairing) == d.lie.dim
+    residual = _invariance_residual(d.lie, d.pairing)
     if residual:
         return QuadraticReport(nondeg, False, tuple(d.lie.basis[i] for i in min(residual)))
     return QuadraticReport(nondeg, True)
 
 
-def _invariance_residual(g: LieAlgebra, rows: List[Vector]) -> Dict[Tuple[int, int, int], Scalar]:
+def _invariance_residual(g: LieAlgebra, rows: Sequence[Vector]) -> Dict[Tuple[int, int, int], Scalar]:
     """The tensor <[x_i, x_j], x_k> + <x_j, [x_i, x_k]> of the pairing with
     the given sparse rows, summed over the nonzero brackets and pairing
     entries as integer numerators over L_c L_p, the common denominators of
@@ -125,9 +126,7 @@ def manin_pair_check(pair: ManinPair) -> ManinPairReport:
     if escaping:  # the least escaping pair
         i, j = min(escaping)
         offending = f"[{g.basis[i]}, {g.basis[j]}] leaves the subspace"
-    iso = all(
-        d.pairing[i][j] == 0 for i in pair.g_indices for j in pair.g_indices
-    )
+    iso = not any(j in idx for i in pair.g_indices for j in d.pairing[i])
     half = 2 * len(pair.g_indices) == g.dim
     return ManinPairReport(not escaping, iso, half, offending)
 
@@ -173,7 +172,7 @@ def _rebase(
     vectors: List[Vector],
     constants: Dict[Tuple[int, int, int], Scalar],
     pairing: Dict[Tuple[int, int], Fraction],
-) -> Tuple[LieAlgebra, Matrix]:
+) -> Tuple[LieAlgebra, List[Vector]]:
     """The Lie algebra and the pairing on new basis vectors, given as sparse
     old coordinates, from the old structure constants c^k_ij (i < j) and
     pairing entries: one change of basis each (`linalg.change_basis`)."""
@@ -186,10 +185,10 @@ def _rebase(
     new_constants = linalg.change_basis(constants, "llu", vectors, linalg.invert(rows), alternating=True)
     for (a, b, c), x in sorted(new_constants.items()):
         brackets.setdefault((a, b), {})[c] = x
-    new_pairing = linalg.change_basis(pairing, "ll", vectors)
-    zero = Fraction(0)  # one shared zero for the dense matrix, not one per cell
-    matrix = [[new_pairing.get((a, b), zero) for b in range(dim)] for a in range(dim)]
-    return LieAlgebra(name, labels, brackets), matrix
+    new_pairing: List[Vector] = [{} for _ in range(dim)]
+    for (a, b), x in linalg.change_basis(pairing, "ll", vectors).items():
+        new_pairing[a][b] = x
+    return LieAlgebra(name, labels, brackets), new_pairing
 
 
 def dual_subalgebra_bplus_bminus(g: LieAlgebra) -> ManinTriple:
@@ -211,7 +210,7 @@ def dual_subalgebra_bplus_bminus(g: LieAlgebra) -> ManinTriple:
     }
     pairing = {
         (o + i, o + j): sign * x
-        for i, row in enumerate(linalg.sparse_rows(trace_pairing(g)))
+        for i, row in enumerate(trace_pairing(g))
         for j, x in row.items()
         for o, sign in ((0, 1), (n, -1))
     }
@@ -276,9 +275,6 @@ def drinfeld_double(b: QuasiLieBialgebra) -> ManinTriple:
         rows[(n + i, n + j)].append((n + k, c))
     brackets = {key: dict(sorted(combine(terms).items())) for key, terms in sorted(rows.items())}
     lie = LieAlgebra(f"double({g.name})", labels, brackets)
-    pairing = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        pairing[i][n + i] = Fraction(1)
-        pairing[n + i][i] = Fraction(1)
+    pairing = [{n + i: Fraction(1)} for i in range(n)] + [{i: Fraction(1)} for i in range(n)]
     quad = QuadraticLieAlgebra(lie, pairing)
     return ManinTriple(quad, tuple(range(n)), tuple(range(n, 2 * n)))

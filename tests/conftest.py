@@ -76,6 +76,17 @@ def sym2_entries(c):
     return [((i, j), v) for ((), (a, b)), v in c.items() for i, j in {(a, b), (b, a)}]
 
 
+def sparse_rows(matrix):
+    """The nonzero entries {column: value} of each row of a dense matrix:
+    the library's form of a pairing."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def dense_matrix(rows):
+    """The dense square matrix of sparse rows, Fraction(0) off their support."""
+    return [[row.get(j, Fraction(0)) for j in range(len(rows))] for row in rows]
+
+
 def solve(rows, rhs, n_cols: int):
     """One exact solution of rows * x = rhs (rows as {column: value}) with
     the free columns 0, or None if inconsistent: read off the reduced

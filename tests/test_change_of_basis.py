@@ -25,7 +25,7 @@ from itertools import product
 
 import pytest
 
-from conftest import FIXTURES, sym2_entries
+from conftest import FIXTURES, sparse_rows, sym2_entries
 from qlie import linalg
 from qlie.formats import lie_from_dict
 from qlie.lie import LieAlgebra, casimir_of, direct_sum, heisenberg, sl2, sl3, trace_pairing
@@ -138,7 +138,7 @@ BASES = [(seed, scaled) for seed in (1, 2, 3) for scaled in (False, True)]
 def test_structure_constants_agree_with_the_dense_transform(name, seed, scaled):
     g = ALGEBRAS[name]()
     T, T_inv = unimodular(random.Random(seed), g.dim, scaled)
-    got = linalg.change_basis(sparse_constants(g), "llu", columns(T), linalg.sparse_rows(T_inv), True)
+    got = linalg.change_basis(sparse_constants(g), "llu", columns(T), sparse_rows(T_inv), True)
     expected = nonzero(dense_transform(dense_constants(g), "llu", T, T_inv, g.dim), alternating=True)
     assert got == expected
     assert all(type(v) is Fraction for v in got.values())
@@ -150,8 +150,8 @@ def test_pairing_and_casimir_agree_with_the_dense_transform(seed, scaled):
     g = sl3()
     n = g.dim
     T, T_inv = unimodular(random.Random(seed), n, scaled)
-    vectors, inverse = columns(T), linalg.sparse_rows(T_inv)
-    kappa = {(i, j): x for i, row in enumerate(linalg.sparse_rows(trace_pairing(g))) for j, x in row.items()}
+    vectors, inverse = columns(T), sparse_rows(T_inv)
+    kappa = {(i, j): x for i, row in enumerate(trace_pairing(g)) for j, x in row.items()}
     pairing = linalg.change_basis(kappa, "ll", vectors)
     assert pairing == nonzero(dense_transform(dense_matrix(kappa, n), "ll", T, T_inv, n))
     casimir = dict(sym2_entries(casimir_of(g, trace_pairing(g))))
@@ -159,10 +159,10 @@ def test_pairing_and_casimir_agree_with_the_dense_transform(seed, scaled):
     assert new_casimir == nonzero(dense_transform(dense_matrix(casimir, n), "uu", T, T_inv, n))
     # the Casimir of the new pairing is the new Casimir, and the pairing is
     # invariant for the new structure constants
-    matrix = [[pairing.get((a, b), F(0)) for b in range(n)] for a in range(n)]
+    rows = sparse_rows([[pairing.get((a, b), F(0)) for b in range(n)] for a in range(n)])
     new_g = rebuilt(g, linalg.change_basis(sparse_constants(g), "llu", vectors, inverse, True))
-    assert dict(sym2_entries(casimir_of(new_g, matrix))) == new_casimir
-    assert check_quadratic(QuadraticLieAlgebra(new_g, matrix)).passed
+    assert dict(sym2_entries(casimir_of(new_g, rows))) == new_casimir
+    assert check_quadratic(QuadraticLieAlgebra(new_g, rows)).passed
 
 
 @pytest.mark.parametrize("seed,scaled", BASES)
@@ -170,9 +170,9 @@ def test_t_then_t_inverse_gives_the_input_back(seed, scaled):
     g = sl3()
     n = g.dim
     T, T_inv = unimodular(random.Random(seed), n, scaled)
-    forward = (columns(T), linalg.sparse_rows(T_inv))
-    back = (columns(T_inv), linalg.sparse_rows(T))
-    kappa = {(i, j): x for i, row in enumerate(linalg.sparse_rows(trace_pairing(g))) for j, x in row.items()}
+    forward = (columns(T), sparse_rows(T_inv))
+    back = (columns(T_inv), sparse_rows(T))
+    kappa = {(i, j): x for i, row in enumerate(trace_pairing(g)) for j, x in row.items()}
     casimir = dict(sym2_entries(casimir_of(g, trace_pairing(g))))
     for tensor, slots, alternating in (
         (sparse_constants(g), "llu", True),
@@ -189,7 +189,7 @@ def test_rational_function_constants_take_the_same_loops():
     # stay RationalFunctions, T's entries through their common denominator
     g = lie_from_dict(json.loads((FIXTURES / "sl2x.json").read_text()))
     T, T_inv = unimodular(random.Random(5), g.dim, scaled=True)
-    got = linalg.change_basis(sparse_constants(g), "llu", columns(T), linalg.sparse_rows(T_inv), True)
+    got = linalg.change_basis(sparse_constants(g), "llu", columns(T), sparse_rows(T_inv), True)
     expected = nonzero(dense_transform(dense_constants(g), "llu", T, T_inv, g.dim), alternating=True)
     assert got == expected and got.keys() == expected.keys()
     assert any(isinstance(v, RationalFunction) and not v.is_constant() for v in got.values())

@@ -63,11 +63,10 @@ def sl2_plus_sl2_diagonal():
                 if comps and a < b:
                     brackets[(a, b)] = {k + shift: c for k, c in comps.items()}
     g = LieAlgebra("sl2+sl2", [x + "+" for x in s.basis] + [x + "-" for x in s.basis], brackets)
-    kappa = trace_pairing(s)
-    pairing = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            pairing[i][n + j] = pairing[n + j][i] = 2 * kappa[i][j]
+    pairing = [{} for _ in range(2 * n)]
+    for i, row in enumerate(trace_pairing(s)):
+        for j, x in row.items():
+            pairing[i][n + j] = pairing[n + j][i] = 2 * x
     return g, casimir_of(g, pairing)
 
 

@@ -34,13 +34,30 @@ def test_check_quadratic_trace_form():
 
 
 def test_check_quadratic_abelian_identity():
-    quad = QuadraticLieAlgebra(abelian(3), [[F(int(i == j)) for j in range(3)] for i in range(3)])
+    quad = QuadraticLieAlgebra(abelian(3), [{i: F(1)} for i in range(3)])
     assert check_quadratic(quad).passed
+
+
+@pytest.mark.parametrize(
+    "pairing, message",
+    [
+        ([{1: F(1)}, {0: F(2)}, {2: F(1)}], "must be symmetric"),
+        # the mirror of a nonzero entry is absent from its row
+        ([{2: F(1)}, {1: F(1)}, {}], "must be symmetric"),
+        ([{1: F(1)}, {0: F(1)}, {3: F(1)}], "wrong shape"),
+        ([{1: F(1)}, {0: F(1)}, {-1: F(1)}], "wrong shape"),
+        ([{1: F(1)}, {0: F(1)}], "wrong shape"),
+    ],
+    ids=["unequal-mirror", "absent-mirror", "column-past-the-end", "negative-column", "missing-row"],
+)
+def test_quadratic_lie_algebra_refuses_malformed_pairings(pairing, message):
+    with pytest.raises(InputError, match=message):
+        QuadraticLieAlgebra(abelian(3), pairing)
 
 
 def test_check_quadratic_non_invariant_witness():
     g = sl2()
-    quad = QuadraticLieAlgebra(g, [[F(int(i == j)) for j in range(3)] for i in range(3)])
+    quad = QuadraticLieAlgebra(g, [{i: F(1)} for i in range(3)])
     rep = check_quadratic(quad)
     assert rep.nondegenerate and not rep.invariant
     assert rep.witness is not None
@@ -78,7 +95,7 @@ def test_hyperbolic_plane_isotropic_line():
     pairing = linalg.change_basis({(0, 0): F(1), (1, 1): F(-1)}, "ll", vectors)
     assert pairing == {(0, 1): 1, (1, 0): 1}
     lie = LieAlgebra("hyperbolic", ["u", "v"], {})
-    quad = QuadraticLieAlgebra(lie, [[pairing.get((a, b), F(0)) for b in range(2)] for a in range(2)])
+    quad = QuadraticLieAlgebra(lie, [{1: F(1)}, {0: F(1)}])
     assert check_quadratic(quad).passed
     assert manin_pair_check(ManinPair(quad, (0,))).passed
 
@@ -128,10 +145,7 @@ def test_triple_to_bialgebra_sl2():
 
 def test_abelian_hyperbolic_triple_gives_zero_cobracket():
     d = abelian(4)
-    pairing = [[F(0)] * 4 for _ in range(4)]
-    for i in range(2):
-        pairing[i][2 + i] = F(1)
-        pairing[2 + i][i] = F(1)
+    pairing = [{2: F(1)}, {3: F(1)}, {0: F(1)}, {1: F(1)}]
     t = ManinTriple(QuadraticLieAlgebra(d, pairing), (0, 1), (2, 3))
     b = triple_to_bialgebra(t)
     assert b.delta.is_zero()

@@ -29,11 +29,13 @@ import pytest
 
 from conftest import (
     FIXTURES,
+    dense_matrix,
     multivector,
     rand_fraction,
     reassembled_brackets,
     ref_split_blocks,
     solve,
+    sparse_rows,
     sym2,
     sym2_entries,
 )
@@ -79,15 +81,16 @@ from qlie.tensors import CECochain, SYM, SparseTensor, WEDGE, _sort_with_sign, e
 def ref_check_quadratic(d):
     """(nondegenerate, invariant, witness) by the exhaustive i, j, k scan."""
     g = d.lie
-    nondeg = linalg.rank(dict(enumerate(row)) for row in d.pairing) == g.dim
+    pairing = dense_matrix(d.pairing)
+    nondeg = linalg.rank(dict(enumerate(row)) for row in pairing) == g.dim
     for i in range(g.dim):
         for j in range(g.dim):
             for k in range(g.dim):
                 total = Fraction(0)
                 for m, c in g.bracket(i, j).items():
-                    total += c * d.pairing[m][k]
+                    total += c * pairing[m][k]
                 for m, c in g.bracket(i, k).items():
-                    total += c * d.pairing[j][m]
+                    total += c * pairing[j][m]
                 if total != 0:
                     return nondeg, False, (g.basis[i], g.basis[j], g.basis[k])
     return nondeg, True, None
@@ -231,9 +234,8 @@ def ref_triple_to_bialgebra(t):
     d = t.quad.lie
     g_sub = ref_sub_algebra(d, t.g_indices, f"{d.name}|g")
     n = len(t.g_indices)
-    gram = [
-        [t.quad.pairing[t.gstar_indices[k]][t.g_indices[j]] for j in range(n)] for k in range(n)
-    ]
+    pairing = dense_matrix(t.quad.pairing)
+    gram = [[pairing[t.gstar_indices[k]][t.g_indices[j]] for j in range(n)] for k in range(n)]
     gram = [{j: c for j, c in enumerate(row) if c} for row in gram]
     m = linalg.invert(gram)  # xi^i = sum_k m[i][k] y_k pairs dually with the x_j
     spos = {v: k for k, v in enumerate(t.gstar_indices)}
@@ -388,12 +390,12 @@ def ref_sl3():
 # ---------------------------------------------------------------------------
 
 def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [{i: Fraction(1)} for i in range(n)]
 
 
 def block_diagonal(a, b):
-    n, m = len(a), len(b)
-    return [list(row) + [Fraction(0)] * m for row in a] + [[Fraction(0)] * n + list(row) for row in b]
+    """The sparse rows of the pairing a on the first summand and b on the second."""
+    return list(a) + [{len(a) + j: x for j, x in row.items()} for row in b]
 
 
 def quadratic_cases():
@@ -429,12 +431,12 @@ def test_check_quadratic_witness_on_perturbed_pairings(quad):
     failures = 0
     for _ in range(8):
         i, j = sorted(rng.sample(range(n), 2)) if rng.random() < 0.7 else (rng.randrange(n),) * 2
-        pairing = [list(row) for row in quad.pairing]
+        pairing = dense_matrix(quad.pairing)
         bump = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
         pairing[i][j] += bump
         if i != j:
             pairing[j][i] += bump
-        perturbed = QuadraticLieAlgebra(quad.lie, pairing)
+        perturbed = QuadraticLieAlgebra(quad.lie, sparse_rows(pairing))
         got = report_tuple(check_quadratic(perturbed))
         assert got == ref_check_quadratic(perturbed)
         failures += not got[1]
@@ -445,10 +447,11 @@ def test_check_quadratic_witness_on_perturbed_pairings(quad):
 def ref_invariance_residual(d):
     """The nonzero <[x_i, x_j], x_k> + <x_j, [x_i, x_k]> over every (i, j, k)."""
     g = d.lie
+    pairing = dense_matrix(d.pairing)
     out = {}
     for i, j, k in product(range(g.dim), repeat=3):
-        total = sum((c * d.pairing[m][k] for m, c in g.bracket(i, j).items()), Fraction(0))
-        total += sum((c * d.pairing[j][m] for m, c in g.bracket(i, k).items()), Fraction(0))
+        total = sum((c * pairing[m][k] for m, c in g.bracket(i, j).items()), Fraction(0))
+        total += sum((c * pairing[j][m] for m, c in g.bracket(i, k).items()), Fraction(0))
         if total:
             out[(i, j, k)] = total
     return out
@@ -471,10 +474,10 @@ def test_invariance_residual_matches_dense_sums(seed):
         for _ in range(n):
             i, j = rng.randrange(n), rng.randrange(n)
             pairing[i][j] = pairing[j][i] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
-        d = QuadraticLieAlgebra(g, pairing)
+        d = QuadraticLieAlgebra(g, sparse_rows(pairing))
         expected = ref_invariance_residual(d)
         assert expected
-        assert _invariance_residual(g, linalg.sparse_rows(pairing)) == expected
+        assert _invariance_residual(g, sparse_rows(pairing)) == expected
         assert check_quadratic(d).witness == tuple(g.basis[i] for i in min(expected))
 
 
@@ -562,6 +565,8 @@ def test_sl_views_match_old_constructors(new, ref):
         (key, list(row.items())) for key, row in expect.pairs()
     ]
     assert all(type(c) is Fraction for _, row in g.pairs() for c in row.values())
+    # the old constructors built the dense trace form
+    expect.extra["pairing"] = sparse_rows(expect.extra["pairing"])
     assert list(g.extra.items()) == list(expect.extra.items())
 
 
@@ -614,11 +619,9 @@ def relabelled(t, order, scale):
             if row:
                 brackets[(p, q)] = row
     lie = LieAlgebra(d.name + "'", [d.basis[i] for i in order], brackets)
-    pairing = [
-        [scale[p] * scale[q] * t.quad.pairing[order[p]][order[q]] for q in range(d.dim)]
-        for p in range(d.dim)
-    ]
-    quad = QuadraticLieAlgebra(lie, pairing)
+    old = dense_matrix(t.quad.pairing)
+    pairing = [[scale[p] * scale[q] * old[order[p]][order[q]] for q in range(d.dim)] for p in range(d.dim)]
+    quad = QuadraticLieAlgebra(lie, sparse_rows(pairing))
     return ManinTriple(quad, tuple(new[i] for i in t.g_indices), tuple(new[i] for i in t.gstar_indices))
 
 
@@ -641,7 +644,8 @@ def triple_cases():
     for k in range(3):
         for j in range(3):
             pairing[3 + k][j] = pairing[j][3 + k] = Fraction(gram[k][j])
-    yield "hyperbolic-abelian6", ManinTriple(QuadraticLieAlgebra(abelian(6), pairing), (0, 1, 2), (3, 4, 5))
+    quad = QuadraticLieAlgebra(abelian(6), sparse_rows(pairing))
+    yield "hyperbolic-abelian6", ManinTriple(quad, (0, 1, 2), (3, 4, 5))
     # the double of sl3's bialgebra with g and g* interleaved and g* rescaled
     t = drinfeld_double(ref_triple_to_bialgebra(standard[1][1]))
     n = len(t.g_indices)
