@@ -107,15 +107,22 @@ def _r_matrix_checks(rep: DynamicalReport, g: LieAlgebra, name: str) -> Tuple[Ch
     return residual, tail
 
 
-def _manin_checks(rep: ManinTripleReport) -> List[Check]:
-    """The four Manin-triple conditions, with the quadratic witness on failure."""
+def _manin_checks(t: ManinTriple, rep: ManinTripleReport) -> List[Check]:
+    """The four Manin-triple conditions.  A failure names what fails: the
+    witness of a residual or a subspace, and the rank of a degenerate
+    pairing or the dimension of a subspace that is not half of d."""
+    dim = t.quad.lie.dim
     quad = rep.quadratic
-    return [
-        _check("quadratic", quad.passed, None if quad.passed else {"witness": list(quad.witness or ())}),
-        _check("g-lagrangian", rep.g_pair.passed),
-        _check("gstar-lagrangian", rep.gstar_pair.passed),
-        _check("complementary", rep.complementary),
-    ]
+    detail = {"witness": list(quad.witness)} if quad.witness else {}
+    if not quad.nondegenerate:
+        detail.update(rank=quad.rank, dim=dim)
+    checks = [_check("quadratic", quad.passed, detail)]
+    for name, pair, indices in (("g", rep.g_pair, t.g_indices), ("gstar", rep.gstar_pair, t.gstar_indices)):
+        detail = {"witness": list(pair.witness)} if pair.witness else {}
+        if not pair.half_dimensional:
+            detail.update(subspace_dim=len(indices), dim=dim)
+        checks.append(_check(f"{name}-lagrangian", pair.passed, detail))
+    return checks + [_check("complementary", rep.complementary)]
 
 
 def _qlb_data(q: QuasiLieBialgebra) -> dict:
@@ -283,7 +290,7 @@ def cmd_triple_check(args, inputs):
     g_idx = _label_indices(d, args.g, "--g")
     s_idx = _label_indices(d, args.gstar, "--gstar")
     t = ManinTriple(QuadraticLieAlgebra(d, pairing), g_idx, s_idx)
-    return _manin_checks(manin_triple_check(t)), {}
+    return _manin_checks(t, manin_triple_check(t)), {}
 
 
 # sl2 and sl3 keep their hand-written bases; sl4..sl9 are lie.sl(n)
@@ -296,7 +303,7 @@ def cmd_std_triple(args, inputs):
     if not rep.passed:
         raise InputError("input is not a Manin triple")
     b = triple_to_bialgebra(t)
-    checks = _manin_checks(rep) + _residual_checks(b, prefix="bialgebra-")
+    checks = _manin_checks(t, rep) + _residual_checks(b, prefix="bialgebra-")
     return checks, {"triple": formats.triple_to_dict(t), "bialgebra": _qlb_data(b)}
 
 

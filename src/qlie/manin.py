@@ -58,6 +58,7 @@ class QuadraticLieAlgebra:
 class QuadraticReport(NamedTuple):
     nondegenerate: bool
     invariant: bool
+    rank: int  # of the pairing
     witness: Optional[Tuple[str, str, str]] = None
 
     @property
@@ -69,11 +70,11 @@ def check_quadratic(d: QuadraticLieAlgebra) -> QuadraticReport:
     """Nondegeneracy by exact rank; invariance as the vanishing of the
     residual (`_invariance_residual`).  The witness is the least nonzero
     (i, j, k), the first one a scan in index order would meet."""
-    nondeg = linalg.rank(d.pairing) == d.lie.dim
+    rank = linalg.rank(d.pairing)
     residual = _invariance_residual(d.lie, d.pairing)
     if residual:
-        return QuadraticReport(nondeg, False, tuple(d.lie.basis[i] for i in min(residual)))
-    return QuadraticReport(nondeg, True)
+        return QuadraticReport(rank == d.lie.dim, False, rank, tuple(d.lie.basis[i] for i in min(residual)))
+    return QuadraticReport(rank == d.lie.dim, True, rank)
 
 
 def _invariance_residual(g: LieAlgebra, rows: Sequence[Vector]) -> Dict[Tuple[int, int, int], Scalar]:
@@ -110,7 +111,9 @@ class ManinPairReport(NamedTuple):
     is_subalgebra: bool
     isotropic: bool
     half_dimensional: bool
-    offending: Optional[str] = None
+    # the least pair whose bracket leaves the subspace, or else the least
+    # pair of it with a nonzero pairing, by labels
+    witness: Optional[Tuple[str, str]] = None
 
     @property
     def passed(self) -> bool:
@@ -122,13 +125,10 @@ def manin_pair_check(pair: ManinPair) -> ManinPairReport:
     g = d.lie
     idx = set(pair.g_indices)
     escaping = [(i, j) for (i, j), comps in g.pairs() if i in idx and j in idx and not comps.keys() <= idx]
-    offending = None
-    if escaping:  # the least escaping pair
-        i, j = min(escaping)
-        offending = f"[{g.basis[i]}, {g.basis[j]}] leaves the subspace"
-    iso = not any(j in idx for i in pair.g_indices for j in d.pairing[i])
+    paired = [(i, j) for i in idx for j in d.pairing[i] if j in idx]
+    witness = min(escaping or paired, default=None)
     half = 2 * len(pair.g_indices) == g.dim
-    return ManinPairReport(not escaping, iso, half, offending)
+    return ManinPairReport(not escaping, not paired, half, witness and (g.basis[witness[0]], g.basis[witness[1]]))
 
 
 class ManinTriple(NamedTuple):

@@ -625,6 +625,25 @@ def test_std_triple_and_triple_check(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "matrix, g, gstar, details",
+    [
+        # a degenerate pairing used to fail with the empty witness []
+        ([["0"] * 4] * 4, "x1,x2", "x3,x4", {"quadratic": {"rank": 0, "dim": 4}}),
+        # an isotropic line is not half of d, and with x3, x4 it misses x2
+        (PAIRING4["matrix"], "x1", "x3,x4", {"g-lagrangian": {"subspace_dim": 1, "dim": 4}, "complementary": None}),
+    ],
+    ids=["zero-pairing", "line"],
+)
+def test_triple_check_failures_name_what_fails(tmp_path, matrix, g, gstar, details):
+    pairing = tmp_path / "pairing.json"
+    pairing.write_text(json.dumps({"matrix": matrix}))
+    argv = ("triple-check", str(FIXTURES / "abelian4.json"), "--g", g, "--gstar", gstar, "--pairing", str(pairing))
+    report, code = invoke(*argv)
+    assert code == 1
+    assert {c["name"]: c.get("detail") for c in report["checks"] if c["status"] == "fail"} == details
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_std_triple_on_sl_n(n):
     # sl4..sl9 are lie.sl(n); every check of the standard bialgebra passes

@@ -74,7 +74,7 @@ def test_manin_pair_diagonal_and_graph():
     assert not manin_pair_check(bad).passed
 
 
-def test_manin_pair_offending_is_the_least_escaping_pair():
+def test_manin_pair_witness_is_the_least_escaping_pair():
     g = sl3()
     quad = QuadraticLieAlgebra(g, trace_pairing(g))
     sub = tuple(g.index(x) for x in ("f2", "e1", "e2", "f1"))  # the order given does not matter
@@ -82,8 +82,26 @@ def test_manin_pair_offending_is_the_least_escaping_pair():
     escaping = [(i, j) for i, j in combinations(sorted(sub), 2) if set(g.bracket(i, j)) - set(sub)]
     assert len(escaping) > 1 and not rep.is_subalgebra
     i, j = escaping[0]
-    assert rep.offending == f"[{g.basis[i]}, {g.basis[j]}] leaves the subspace"
-    assert manin_pair_check(ManinPair(quad, tuple(g.extra["positive"]))).offending is None
+    assert rep.witness == (g.basis[i], g.basis[j])
+    assert manin_pair_check(ManinPair(quad, tuple(g.extra["positive"]))).witness is None
+
+
+def test_manin_pair_witness_is_else_the_least_paired_pair():
+    g = sl3()
+    quad = QuadraticLieAlgebra(g, trace_pairing(g))
+    # the Cartan is a subalgebra, and <h1, h1> = 2
+    rep = manin_pair_check(ManinPair(quad, (g.index("h2"), g.index("h1"))))
+    assert (rep.is_subalgebra, rep.isotropic, rep.witness) == (True, False, ("h1", "h1"))
+    # span{h2, e1, f1} is not closed ([e1, f1] = h1) and <h2, h2> != 0: the
+    # escaping pair is named, not the least paired pair (h2, h2)
+    rep = manin_pair_check(ManinPair(quad, tuple(g.index(x) for x in ("h2", "e1", "f1"))))
+    assert (rep.is_subalgebra, rep.isotropic, rep.witness) == (False, False, ("e1", "f1"))
+    assert quad.pairing[g.index("h2")][g.index("h2")] and g.index("h1") in g.bracket(g.index("e1"), g.index("f1"))
+
+
+def test_check_quadratic_keeps_the_rank_of_a_degenerate_pairing():
+    rep = check_quadratic(QuadraticLieAlgebra(abelian(3), [{0: F(1)}, {}, {}]))
+    assert (rep.nondegenerate, rep.invariant, rep.rank, rep.witness) == (False, True, 1, None)
 
 
 def test_hyperbolic_plane_isotropic_line():

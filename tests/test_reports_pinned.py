@@ -110,7 +110,8 @@ CASES = {
     # all 56 phi entries nonzero: exit 1, cojacobi and compat fail
     "check-qlb-phi-dense-sl3": ("check-qlb", *SL3, "--delta", "delta_std_sl3.json", "--phi", "phi_dense_sl3.json"),
     "triple-check-hyperbolic-abelian4": (*ABELIAN4_HALVES, "--pairing", "pairing_hyperbolic_abelian4.json"),
-    # invariant, but no coordinate plane is isotropic: exit 1, both Lagrangian checks fail
+    # invariant, but no coordinate plane is isotropic: exit 1, both Lagrangian
+    # checks fail and name a basis vector that pairs with itself
     "triple-check-identity-abelian4": (*ABELIAN4_HALVES, "--pairing", "pairing_identity_abelian4.json"),
 }
 # the sl9 report has 61,414 lines, the dense sl3 twist 1,807 and check-qlb 4,250
