@@ -72,9 +72,8 @@ def check_quadratic(d: QuadraticLieAlgebra) -> QuadraticReport:
     (i, j, k), the first one a scan in index order would meet."""
     rank = linalg.rank(d.pairing)
     residual = _invariance_residual(d.lie, d.pairing)
-    if residual:
-        return QuadraticReport(rank == d.lie.dim, False, rank, tuple(d.lie.basis[i] for i in min(residual)))
-    return QuadraticReport(rank == d.lie.dim, True, rank)
+    witness = tuple(d.lie.basis[i] for i in min(residual)) if residual else None
+    return QuadraticReport(rank == d.lie.dim, not residual, rank, witness)
 
 
 def _invariance_residual(g: LieAlgebra, rows: Sequence[Vector]) -> Dict[Tuple[int, int, int], Scalar]:
@@ -128,7 +127,7 @@ def manin_pair_check(pair: ManinPair) -> ManinPairReport:
     paired = [(i, j) for i in idx for j in d.pairing[i] if j in idx]
     witness = min(escaping or paired, default=None)
     half = 2 * len(pair.g_indices) == g.dim
-    return ManinPairReport(not escaping, not paired, half, witness and (g.basis[witness[0]], g.basis[witness[1]]))
+    return ManinPairReport(not escaping, not paired, half, witness and tuple(g.basis[k] for k in witness))
 
 
 class ManinTriple(NamedTuple):
