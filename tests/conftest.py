@@ -222,12 +222,17 @@ def sl3_plus_sl2():
     return g, multivector(g, 3, [((8, 9, 10), Fraction(2))])
 
 
-def ev_rmatrix(g, scale: int = 1):
+def ev_rmatrix(g, scale: int = 1, roots=None, gauge=()):
     """The rational Etingof-Varchenko r-matrix scale * sum_a 2/a(x) (e_a (x) f_a - f_a (x) e_a)
     on g with the labels of `lie.sl(n)`, over the coordinates x1, ..., x(n-1)
     dual to h1, ..., h(n-1): the root of e_a is the sum of the simple roots
     named by its digits, so a(x) is the sum of those coordinates (e12 has
-    x1 + x2).  The root hyperplanes also form the locus."""
+    x1 + x2).  The root hyperplanes also form the locus.
+
+    roots, the labels of the e_a to sum over, defaults to every positive
+    root.  Each (i, j, w) of gauge adds w (h_i (x) h_j - h_j (x) h_i), for
+    the i-th and j-th Cartan elements and w a polynomial string over the
+    coordinates."""
     from qlie.lie import split_subalgebra
     from qlie.rmatrix import DynamicalRMatrix
     from qlie.scalars import parse_scalar
@@ -237,13 +242,16 @@ def ev_rmatrix(g, scale: int = 1):
     variables = tuple(f"x{i + 1}" for i in range(len(cartan)))
     entries, locus = [], []
     for label in g.basis:
-        if label[0] != "e":
+        if label[0] != "e" or (roots is not None and label not in roots):
             continue
         alpha = "+".join(f"x{d}" for d in label[1:])
         coef = parse_scalar(f"{2 * scale}/({alpha})", variables)
         e, f = g.index(label), g.index("f" + label[1:])
         entries += [((e, f), coef), ((f, e), -coef)]
         locus.append(parse_scalar(alpha, variables).num)
+    for i, j, w in gauge:
+        coef = parse_scalar(w, variables)
+        entries += [((cartan[i], cartan[j]), coef), ((cartan[j], cartan[i]), -coef)]
     split = split_subalgebra(g, cartan, tuple(i for i in range(g.dim) if i not in cartan))
     return DynamicalRMatrix(split, variables, SparseTensor.build(g.dim, 2, entries), locus)
 

@@ -371,6 +371,25 @@ def test_malformed_tensor_document_exit_2(tmp_path, phi):
     assert report["checks"][0]["status"] == "error"
 
 
+@pytest.mark.parametrize("signature", [["gg"], {}, None], ids=["list", "object", "null"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cybe", SL2, "--r", "{}"),
+        ("check-qlb", SL2, "--delta", "{}", "--phi", str(FIXTURES / "phi_zero.json")),
+    ],
+    ids=["cybe-r", "check-qlb-delta"],
+)
+def test_non_string_tensor_signature_exit_2(tmp_path, argv, signature):
+    # an unhashable signature must not reach a lookup that raises TypeError
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps({"signature": signature, "entries": []}))
+    report, code = invoke(*(a.format(path) for a in argv))
+    assert code == 2
+    assert report["checks"][0]["name"] == "input"
+    assert "unknown tensor signature" in report["checks"][0]["detail"]["message"]
+
+
 def test_check_qlb_and_twist():
     report, code = invoke(
         "check-qlb",
