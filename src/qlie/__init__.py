@@ -52,11 +52,11 @@ from .tensors import (
     ADJOINT,
     LEDGER,
     SYM,
+    TENSOR,
     TRIVIAL,
     WEDGE,
     CECochain,
     ConventionLedger,
-    SparseTensor,
     embed_wedge,
 )
 

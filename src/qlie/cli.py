@@ -97,9 +97,7 @@ def _r_matrix_checks(rep: DynamicalReport, g: LieAlgebra, name: str) -> Tuple[Ch
     """The CYBE or CDYBE check, called name and carrying its residual when
     it fails, and the lambda-form checks, present when they were run."""
     holds = rep.cdybe_holds
-    residual = _check(
-        name, holds, None if holds else {"residual": formats.tensor_to_entries(rep.cdybe_residual, g)}
-    )
+    residual = _check(name, holds, None if holds else {"residual": formats.cochain_to_entries(rep.cdybe_residual)})
     tail = []
     if rep.lambda_form_holds is not None:
         tail.append(_check("lambda-form", rep.lambda_form_holds))

@@ -20,11 +20,17 @@ from .errors import InputError
 from .lie import LieAlgebra
 from .manin import ManinTriple
 from .scalars import Polynomial, RationalFunction, Scalar, is_zero, parse_scalar, scalar_text
-from .tensors import CECochain, SparseTensor, SYM, WEDGE
+from .tensors import CECochain, SYM, TENSOR, WEDGE
 
-TENSOR_SIGNATURES = ("wedge2", "wedge3", "sym2", "cobracket", "gg")
-# the signatures of degree-0 cochains, by module
-DEGREE_ZERO_MODULES = {"wedge2": WEDGE(2), "wedge3": WEDGE(3), "sym2": SYM(2)}
+# the tensor signatures of the input files: (CE degree, module) of each;
+# an entry's first `degree` labels are its down slots
+TENSOR_SIGNATURES = {
+    "wedge2": (0, WEDGE(2)),
+    "wedge3": (0, WEDGE(3)),
+    "sym2": (0, SYM(2)),
+    "cobracket": (1, WEDGE(2)),
+    "gg": (0, TENSOR(2)),
+}
 
 # Input bounds, checked before the work they bound.  An input file has at
 # most MAX_INPUT_BYTES bytes (the test fixtures and the generated benchmark
@@ -215,35 +221,19 @@ def _parse_entries(doc: dict, g: LieAlgebra, arity: int, variables: Tuple[str, .
     return entries
 
 
-def tensor_from_dict(doc: dict, g: LieAlgebra, expect: Optional[str] = None):
+def tensor_from_dict(doc: dict, g: LieAlgebra, expect: Optional[str] = None) -> CECochain:
+    """The cochain of a tensor file: one canonical key per entry, the other
+    orders of a wedge signed and of a sym summed."""
     sig = doc.get("signature")
-    if sig not in TENSOR_SIGNATURES:
-        raise InputError(f"unknown tensor signature {sig!r}; expected one of {TENSOR_SIGNATURES}")
+    # a list or an object is no signature, and must not reach the dict lookup
+    if not isinstance(sig, str) or sig not in TENSOR_SIGNATURES:
+        raise InputError(f"unknown tensor signature {sig!r}; expected one of {tuple(TENSOR_SIGNATURES)}")
     if expect is not None and sig != expect:
         raise InputError(f"tensor has signature {sig!r}, expected {expect!r}")
     variables = variable_names(doc.get("vars", []), "a tensor's 'vars'")
-    if sig in DEGREE_ZERO_MODULES:
-        # a multivector or an element of Sym^2 g: one canonical key per
-        # entry, the other orders signed (wedge) or summed (sym)
-        module = DEGREE_ZERO_MODULES[sig]
-        entries = [(((), idx), coef) for idx, coef in _parse_entries(doc, g, module[1], variables)]
-        return CECochain.build(g, 0, module, entries)
-    if sig == "gg":
-        return SparseTensor.build(g.dim, 2, _parse_entries(doc, g, 2, variables))
-    if sig == "cobracket":
-        entries = []
-        for (k, i, j), coef in _parse_entries(doc, g, 3, variables):
-            entries.append((((k,), (i, j)), coef))
-        return CECochain.build(g, 1, WEDGE(2), entries)
-    raise InputError(f"unhandled signature {sig!r}")
-
-
-def tensor_to_entries(t: SparseTensor, g: LieAlgebra) -> List[dict]:
-    """Entries of a plain tensor, keyed by index tuples."""
-    return [
-        {"idx": [g.basis[i] for i in key], "coef": scalar_text(coef)}
-        for key, coef in sorted(t.data.items(), key=lambda kv: kv[0])
-    ]
+    k, module = TENSOR_SIGNATURES[sig]
+    entries = _parse_entries(doc, g, k + module[1], variables)
+    return CECochain.build(g, k, module, [((idx[:k], idx[k:]), coef) for idx, coef in entries])
 
 
 def cochain_to_entries(x: CECochain) -> List[dict]:

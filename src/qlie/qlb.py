@@ -45,7 +45,7 @@ from .lie import LieAlgebra, SplitSubalgebra, split_subalgebra
 from .mc import mc_residual
 from .polyvectors import Element, PolyVectorAlgebra
 from .scalars import Scalar, combine, is_zero, vec_add
-from .tensors import CASIMIR_VS_INDUCED, CECochain, SparseTensor, SYM, WEDGE, embed_wedge
+from .tensors import CASIMIR_VS_INDUCED, CECochain, SYM, TENSOR, WEDGE, embed_wedge
 
 __all__ = [
     "QuasiLieBialgebra",
@@ -239,20 +239,20 @@ def induce_from_coisotropic(split: SplitSubalgebra, c: CECochain) -> QuasiLieBia
             for i, x in row.items():
                 for j, p in Prow[a].items():
                     for k, r in Prow[b].items():
-                        yield (i, j, k), quarter * x * p * r
+                        yield ((), (i, j, k)), quarter * x * p * r
         for block, left, scale in ((split.C, Qcol, half), (split.A, Prow, quarter)):
             # Q^{ia} C^k_{ab} Q^{jb} and P^{ia} A^k_{ab} Q^{jb}, minus j <-> k
             for (a, b), row in block.items():
                 for k, x in row.items():
                     for i, p in left[a].items():
                         for j, q in Qcol[b].items():
-                            yield (i, j, k), scale * p * x * q
-                            yield (i, k, j), -scale * p * x * q
+                            yield ((), (i, j, k)), scale * p * x * q
+                            yield ((), (i, k, j)), -scale * p * x * q
 
     delta = CECochain.build(h, 1, WEDGE(2), delta_terms())
-    tensor = SparseTensor.build(h.dim, 3, phi_terms())
+    tensor = CECochain.build(h, 0, TENSOR(3), phi_terms())
     phi = CECochain(
-        h, 0, WEDGE(3), {((), key): v for key, v in sorted(tensor.items()) if key[0] < key[1] < key[2]}
+        h, 0, WEDGE(3), {((), idx): v for ((), idx), v in sorted(tensor.items()) if idx[0] < idx[1] < idx[2]}
     )
     # the component array must be totally antisymmetric: the whole tensor
     # is the antisymmetric embedding of its increasing-key part

@@ -7,7 +7,7 @@ checks are empty, the derivative D below is zero and the CDYBE is the
 CYBE, so `dynamical_check` on DynamicalRMatrix(split_subalgebra(g, ()),
 (), r) is the check of a classical r-matrix.
 
-Each value of r (a plain 2-tensor) splits as r = 2 lambda + c with c in
+Each value of r (a plain 2-tensor, a degree-0 TENSOR(2) cochain) splits as r = 2 lambda + c with c in
 Sym^2 g the symmetric part, a degree-0 SYM(2) cochain, and lambda the
 2-multivector, a degree-0 WEDGE(2) cochain, with embed(2 lambda) = r - c.
 The derivative of r is taken once, as the 3-vector
@@ -37,7 +37,7 @@ from .lie import LieAlgebra, SplitSubalgebra
 from .polyvectors import PolyVectorAlgebra
 from .qlb import casimir_invariance_residual, casimir_to_phi
 from .scalars import Polynomial, RationalFunction, Scalar, combine
-from .tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, SYM, WEDGE, embed_wedge
+from .tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, SYM, TENSOR, WEDGE, embed_wedge
 
 
 class DynamicalRMatrix:
@@ -54,15 +54,15 @@ class DynamicalRMatrix:
         self,
         split: SplitSubalgebra,
         variables: Tuple[str, ...],
-        tensor: SparseTensor,
+        tensor: CECochain,
         locus: Sequence[Polynomial] = (),
     ):
         self.split, self.variables, self.tensor, self.locus = split, variables, tensor, locus
         if len(variables) != split.dim_h:
             raise InputError("one coordinate per basis vector of h is required")
-        if tensor.arity != 2:
+        if not _is_two_tensor_over(tensor, split.g):
             raise InputError("a dynamical r-matrix takes values in g (x) g")
-        for key, coef in tensor.items():
+        for ((), key), coef in tensor.items():
             if isinstance(coef, RationalFunction):
                 if coef.vars != self.variables:
                     raise InputError("coefficient over the wrong variable tuple")
@@ -88,36 +88,40 @@ class DynamicalRMatrix:
         return rem.is_constant()
 
 
-def cybe(g: LieAlgebra, r: SparseTensor) -> SparseTensor:
+def _is_two_tensor_over(r: CECochain, g: LieAlgebra) -> bool:
+    return r.k == 0 and r.module == TENSOR(2) and r.g.same_structure(g)
+
+
+def cybe(g: LieAlgebra, r: CECochain) -> CECochain:
     """[r12, r13] + [r12, r23] + [r13, r23] of a plain 2-tensor r over g,
     by structure constants.  Each ordered pair of entries (a1 b1, c1),
     (a2 b2, c2) forms c1 * c2 once, and only when one of [a1, a2],
     [b1, a2] and [b1, b2] is nonzero; the product is never reused for
     the swapped pair, since over non-coprime factors c2 * c1 may reduce to
     another form (scalars docstring)."""
-    if r.arity != 2 or r.dim != g.dim:
+    if not _is_two_tensor_over(r, g):
         raise InputError("r-matrix over the wrong space: a plain 2-tensor over g is required")
     entries = []
     terms = list(r.items())
-    for (a1, b1), c1 in terms:
-        for (a2, b2), c2 in terms:
+    for ((), (a1, b1)), c1 in terms:
+        for ((), (a2, b2)), c2 in terms:
             aa, ba, bb = g.bracket(a1, a2), g.bracket(b1, a2), g.bracket(b1, b2)
             if not (aa or ba or bb):
                 continue
             coef = c1 * c2
             for m, s in aa.items():
-                entries.append(((m, b1, b2), coef * s))  # [r12, r13]
+                entries.append((((), (m, b1, b2)), coef * s))  # [r12, r13]
             for m, s in ba.items():
-                entries.append(((a1, m, b2), coef * s))  # [r12, r23]
+                entries.append((((), (a1, m, b2)), coef * s))  # [r12, r23]
             for m, s in bb.items():
-                entries.append(((a1, a2, m), coef * s))  # [r13, r23]
-    return SparseTensor.build(g.dim, 3, entries)
+                entries.append((((), (a1, a2, m)), coef * s))  # [r13, r23]
+    return CECochain.build(g, 0, TENSOR(3), entries)
 
 
 def _symmetric_part_entries(r_items) -> Dict[Tuple[int, int], Scalar]:
     return combine(
         ((min(i, j), max(i, j)), coef if i == j else coef * Fraction(1, 2))
-        for (i, j), coef in r_items
+        for ((), (i, j)), coef in r_items
     )
 
 
@@ -128,7 +132,7 @@ def _antisymmetric_half(g: LieAlgebra, r_items) -> CECochain:
         g,
         0,
         WEDGE(2),
-        [(((), (i, j)), coef * Fraction(1, 4)) for (i, j), coef in r_items if i != j],
+        [(((), (i, j)), coef * Fraction(1, 4)) for ((), (i, j)), coef in r_items if i != j],
     )
 
 
@@ -147,7 +151,7 @@ def _h_derivative(dr: DynamicalRMatrix) -> CECochain:
     """D = sum over a and the entries (i, j) of r of (h_a, i, j) d r_ij / d x_a:
     the derivative of r along h*, its new slot pushed into g, as a 3-vector."""
     entries = []
-    for (i, j), coef in dr.tensor.items():
+    for ((), (i, j)), coef in dr.tensor.items():
         if not isinstance(coef, RationalFunction):
             continue
         for h_global, name in zip(dr.split.h_indices, dr.variables):
@@ -163,7 +167,7 @@ class DynamicalReport(NamedTuple):
     c: Optional[CECochain]  # degree 0, module SYM(2); None unless constant
     symmetric_part_constant: bool
     symmetric_part_invariant: bool
-    cdybe_residual: SparseTensor
+    cdybe_residual: CECochain  # degree 0, module TENSOR(3)
     lambda_form_residual: Optional[CECochain]
     criteria_agree: Optional[bool]
 
@@ -206,11 +210,11 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
     equivariance: Dict[str, bool] = {}
     for a, h_global in enumerate(split.h_indices):
         entries = []
-        for (i, j), coef in dr.tensor.items():
+        for ((), (i, j)), coef in dr.tensor.items():
             for m, s in g.bracket(h_global, i).items():
-                entries.append(((m, j), s * coef))
+                entries.append((((), (m, j)), s * coef))
             for m, s in g.bracket(h_global, j).items():
-                entries.append(((i, m), s * coef))
+                entries.append((((), (i, m)), s * coef))
         # coadjoint flow: X_j(x) = -sum_k x_k <e^k, [xi_a, h_j]>
         flow_entries = []
         for j_local in range(split.dim_h):
@@ -223,12 +227,12 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
                 term = RationalFunction.var(variables, variables[k_local]) * s
                 vel = term if vel is None else vel + term
             vel = -vel
-            for (i, j), coef in dr.tensor.items():
+            for key, coef in dr.tensor.items():
                 if isinstance(coef, RationalFunction):
                     dc = coef.derivative(variables[j_local])
                     if not dc.is_zero():
-                        flow_entries.append(((i, j), vel * dc))
-        total = SparseTensor.build(g.dim, 2, entries + [(k, -v) for k, v in flow_entries])
+                        flow_entries.append((key, vel * dc))
+        total = CECochain.build(g, 0, TENSOR(2), entries + [(k, -v) for k, v in flow_entries])
         equivariance[g.basis[h_global]] = total.is_zero()
 
     # (2) r = 2 lambda + c, with c constant and invariant

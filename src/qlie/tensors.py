@@ -1,12 +1,12 @@
-"""Sparse exact tensors and cochains on a fixed finite-dimensional space.
+"""Sparse exact cochains on a Lie algebra, and every tensor on it.
 
-Two containers: `SparseTensor`, a plain tensor keyed by index tuples with
-no symmetry, and `CECochain`, an element of C^k(g, M): k antisymmetric
-dual slots plus the slots of a module M built from the adjoint action
-(TRIVIAL, ADJOINT, WEDGE(p), SYM(p)).  Multivectors and symmetric tensors
-are the degree-0 cochains: a p-multivector is `CECochain(g, 0, WEDGE(p))`,
-stored on strictly increasing keys, and an element of Sym^p g is
-`CECochain(g, 0, SYM(p))`; (co)brackets are cochains of higher degree.
+One container, `CECochain`, an element of C^k(g, M): k antisymmetric dual
+slots plus the slots of a module M built from the adjoint action
+(TRIVIAL, ADJOINT, WEDGE(p), SYM(p), TENSOR(p)).  Tensors on g are the
+degree-0 cochains: a p-multivector is `CECochain(g, 0, WEDGE(p))`, stored
+on strictly increasing keys, an element of Sym^p g is
+`CECochain(g, 0, SYM(p))`, and a plain p-tensor, with no slot symmetry, is
+`CECochain(g, 0, TENSOR(p))`; (co)brackets are cochains of higher degree.
 A cochain reads its Lie algebra only through ``g.dim`` and
 ``g.same_structure``, so the algebras themselves live in `lie`.
 
@@ -101,90 +101,8 @@ def canonical_terms(
             continue
         res = canon(idx)
         if res is not None:
-            yield res[1], res[0] * coef
-
-
-class SparseVector:
-    """Linear structure shared by the sparse containers.
-
-    ``data`` maps canonical keys to nonzero coefficients.  Subclasses
-    supply ``same_shape(other)``, ``_from_terms(terms)`` (a vector of the
-    same shape summed from canonical terms) and the ``_mismatch`` message.
-    """
-
-    data: Dict[tuple, Scalar]
-    _mismatch = "shape mismatch"
-
-    def items(self):
-        return self.data.items()
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def support_size(self) -> int:
-        return len(self.data)
-
-    def _binary(self, other, flip: int):
-        if not self.same_shape(other):
-            raise InputError(self._mismatch)
-        return self._from_terms(
-            list(self.data.items()) + [(k, flip * v) for k, v in other.data.items()]
-        )
-
-    def __add__(self, other):
-        return self._binary(other, 1)
-
-    def __sub__(self, other):
-        return self._binary(other, -1)
-
-    def scale(self, c: Scalar):
-        return self._from_terms((k, c * v) for k, v in self.data.items())
-
-    def __neg__(self):
-        return self.scale(Fraction(-1))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.same_shape(other) and (self - other).is_zero()
-
-
-class SparseTensor(SparseVector):
-    """Plain tensor: ``arity`` slots over a space of dimension ``dim``, keyed
-    by index tuples, with exact coefficients.  Immutable by convention."""
-
-    _mismatch = "tensor shape mismatch"
-
-    def __init__(self, dim: int, arity: int, data: Optional[Dict[Tuple[int, ...], Scalar]] = None):
-        self.dim = dim
-        self.arity = arity
-        self.data = {self._key(idx): coef for idx, coef in (data or {}).items() if not is_zero(coef)}
-
-    @classmethod
-    def build(cls, dim: int, arity: int, entries: Iterable[Tuple[Sequence[int], Scalar]]) -> "SparseTensor":
-        """Accumulate arbitrary (index, coefficient) contributions."""
-        t = cls(dim, arity)
-        return t._from_terms((t._key(idx), coef) for idx, coef in entries if not is_zero(coef))
-
-    def _key(self, idx: Sequence[int]) -> Tuple[int, ...]:
-        if len(idx) != self.arity:
-            raise InputError("index tuple has wrong arity")
-        for i in idx:
-            if not 0 <= i < self.dim:
-                raise InputError("index out of range")
-        return tuple(idx)
-
-    def _from_terms(self, terms) -> "SparseTensor":
-        t = SparseTensor.__new__(SparseTensor)
-        t.dim, t.arity, t.data = self.dim, self.arity, combine(terms)
-        return t
-
-    def same_shape(self, other: "SparseTensor") -> bool:
-        return (self.dim, self.arity) == (other.dim, other.arity)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))
-        return f"SparseTensor({{{inner}}})"
+            # multiplying by +1 would rebuild a RationalFunction's numerator
+            yield res[1], coef if res[0] == 1 else res[0] * coef
 
 
 # module descriptors for coefficient systems built from the adjoint action
@@ -200,19 +118,26 @@ def SYM(p: int):
     return ("sym", p)
 
 
+def TENSOR(p: int):
+    return ("tensor", p)
+
+
 def multiplicity_factorial(key: Sequence[int]) -> int:
     """Product of the factorials of the multiplicities of the entries of key."""
     return prod(factorial(key.count(v)) for v in set(key))
 
 
-KNOWN_MODULES = ("triv", "adjoint", "wedge", "sym")
+KNOWN_MODULES = ("triv", "adjoint", "wedge", "sym", "tensor")
 
 
 def _cochain_canon(module, key) -> Optional[Tuple[int, Tuple[tuple, tuple]]]:
     """The signed canonical form of a (down, up) key of a cochain valued in
     module: the down slots and WEDGE(p) slots sorted with a sign, SYM(p)
-    slots sorted; None when a repeated antisymmetric index kills it."""
+    slots sorted, TENSOR(p) slots as they are; None when a repeated
+    antisymmetric index kills it."""
     down, up = key
+    if not down and module[0] == "tensor":
+        return 1, key
     res = _sort_with_sign(down)
     if res is None:
         return None
@@ -227,10 +152,11 @@ def _cochain_canon(module, key) -> Optional[Tuple[int, Tuple[tuple, tuple]]]:
     return sign, (down, tuple(up))
 
 
-class CECochain(SparseVector):
-    """Element of C^k(g, M): k antisymmetric dual slots plus module slots."""
+class CECochain:
+    """Element of C^k(g, M): k antisymmetric dual slots plus module slots.
 
-    _mismatch = "cochain shape mismatch"
+    ``data`` maps canonical (down, up) keys to nonzero coefficients.
+    Immutable by convention."""
 
     def __init__(self, g, k: int, module, data=None):
         if not module or module[0] not in KNOWN_MODULES:
@@ -266,24 +192,57 @@ class CECochain(SparseVector):
             and self.g.same_structure(other.g)
         )
 
+    def items(self):
+        return self.data.items()
+
+    def is_zero(self) -> bool:
+        return not self.data
+
+    def support_size(self) -> int:
+        return len(self.data)
+
+    def _binary(self, other: "CECochain", flip: int) -> "CECochain":
+        if not self.same_shape(other):
+            raise InputError("cochain shape mismatch")
+        return self._from_terms(
+            list(self.data.items()) + [(k, flip * v) for k, v in other.data.items()]
+        )
+
+    def __add__(self, other: "CECochain") -> "CECochain":
+        return self._binary(other, 1)
+
+    def __sub__(self, other: "CECochain") -> "CECochain":
+        return self._binary(other, -1)
+
+    def scale(self, c: Scalar) -> "CECochain":
+        return self._from_terms((k, c * v) for k, v in self.data.items())
+
+    def __neg__(self) -> "CECochain":
+        return self.scale(Fraction(-1))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CECochain):
+            return NotImplemented
+        return self.same_shape(other) and (self - other).is_zero()
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))
         return f"CECochain(k={self.k}, module={self.module}, {{{inner}}})"
 
 
-# the name the benchmark tracer reads for its tensors.max_support counter;
-# a p-multivector is the degree-0 cochain CECochain(g, 0, WEDGE(p))
-Multivector = CECochain
+# the names perfbench/tracer.py imports for its tensors.max_support counter;
+# they go when ROADMAP item 1 takes the tracer in hand
+Multivector = SparseTensor = CECochain
 
 
-def embed_wedge(x: CECochain) -> SparseTensor:
-    """A WEDGE(p) cochain x1^...^xp -> sum over permutations with signs,
-    no 1/p! factor."""
+def embed_wedge(x: CECochain) -> CECochain:
+    """A WEDGE(p) cochain x1^...^xp -> the TENSOR(p) cochain summed over
+    permutations with signs, no 1/p! factor."""
     p = x.module[1]
     entries = []
     for ((), key), coef in x.data.items():
         for perm in permutations(range(p)):
             res = _sort_with_sign(perm)
             sgn = res[0] if res else 1
-            entries.append((tuple(key[i] for i in perm), sgn * coef))
-    return SparseTensor.build(x.g.dim, p, entries)
+            entries.append((((), tuple(key[i] for i in perm)), sgn * coef))
+    return CECochain.build(x.g, 0, TENSOR(p), entries)

@@ -9,7 +9,7 @@ import pytest
 from qlie.errors import InputError
 from qlie.linalg import rref
 from qlie.scalars import Polynomial, combine
-from qlie.tensors import CECochain, SYM, WEDGE
+from qlie.tensors import CECochain, SYM, TENSOR, WEDGE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,6 +69,12 @@ def multivector(g, p: int, entries=()) -> CECochain:
     in any index order (a permuted key carries its sign, a repeated index
     vanishes), as the degree-0 cochain valued in WEDGE(p)."""
     return CECochain.build(g, 0, WEDGE(p), [(((), tuple(key)), c) for key, c in entries])
+
+
+def tensor(g, p: int, entries=()) -> CECochain:
+    """The plain p-tensor with the given (index tuple, coefficient) entries,
+    equal keys summed, as the degree-0 cochain valued in TENSOR(p)."""
+    return CECochain.build(g, 0, TENSOR(p), [(((), tuple(key)), c) for key, c in entries])
 
 
 def sym2_entries(c):
@@ -187,7 +193,7 @@ def reassembled_brackets(split):
 def permute_slots(t, perm):
     """The entries of the plain tensor t with its slots permuted: slot i of
     each key is slot perm[i] of the original key."""
-    return {tuple(key[p] for p in perm): c for key, c in t.data.items()}
+    return {((), tuple(key[p] for p in perm)): c for ((), key), c in t.data.items()}
 
 
 def window_slices(P):
@@ -236,7 +242,6 @@ def ev_rmatrix(g, scale: int = 1, roots=None, gauge=()):
     from qlie.lie import split_subalgebra
     from qlie.rmatrix import DynamicalRMatrix
     from qlie.scalars import parse_scalar
-    from qlie.tensors import SparseTensor
 
     cartan = [i for i, label in enumerate(g.basis) if label[0] == "h"]
     variables = tuple(f"x{i + 1}" for i in range(len(cartan)))
@@ -253,7 +258,7 @@ def ev_rmatrix(g, scale: int = 1, roots=None, gauge=()):
         coef = parse_scalar(w, variables)
         entries += [((cartan[i], cartan[j]), coef), ((cartan[j], cartan[i]), -coef)]
     split = split_subalgebra(g, cartan, tuple(i for i in range(g.dim) if i not in cartan))
-    return DynamicalRMatrix(split, variables, SparseTensor.build(g.dim, 2, entries), locus)
+    return DynamicalRMatrix(split, variables, tensor(g, 2, entries), locus)
 
 
 def ev_rmatrix_sl3(scale: int = 1):

@@ -15,10 +15,11 @@
 from fractions import Fraction
 from itertools import permutations
 
+from conftest import tensor
 from qlie.qlb import casimir_to_phi
 from qlie.rmatrix import cybe
 from qlie.scalars import RationalFunction
-from qlie.tensors import LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, WEDGE, _sort_with_sign
+from qlie.tensors import LAMBDA_FORM_PHI_COEFF, CECochain, WEDGE, _sort_with_sign
 
 
 def schouten(g, a: CECochain, b: CECochain) -> CECochain:
@@ -38,34 +39,36 @@ def schouten(g, a: CECochain, b: CECochain) -> CECochain:
     return CECochain.build(g, 0, WEDGE(p + q - 1), entries)
 
 
-def alt_tensor(t: SparseTensor) -> SparseTensor:
-    """Full signed antisymmetrization over all slots, no normalization."""
+def alt_tensor(t: CECochain) -> CECochain:
+    """Full signed antisymmetrization over all slots of a plain tensor (a
+    TENSOR(p) cochain), no normalization."""
+    p = t.module[1]
     entries = []
-    for key, coef in t.data.items():
-        for perm in permutations(range(t.arity)):
+    for ((), key), coef in t.data.items():
+        for perm in permutations(range(p)):
             entries.append((tuple(key[i] for i in perm), _sort_with_sign(perm)[0] * coef))
-    return SparseTensor.build(t.dim, t.arity, entries)
+    return tensor(t.g, p, entries)
 
 
-def d_dr(t: SparseTensor, variables) -> SparseTensor:
+def d_dr(t: CECochain, variables) -> CECochain:
     """Slot-wise exact derivative: a new leading slot indexed by h."""
     entries = []
-    for key, coef in t.data.items():
+    for ((), key), coef in t.data.items():
         if not isinstance(coef, RationalFunction):
             continue
         for a, name in enumerate(variables):
             dc = coef.derivative(name)
             if not dc.is_zero():
                 entries.append(((a,) + key, dc))
-    return SparseTensor.build(t.dim, t.arity + 1, entries)
+    return tensor(t.g, t.module[1] + 1, entries)
 
 
-def alt_ddr(split, t: SparseTensor) -> SparseTensor:
+def alt_ddr(split, t: CECochain) -> CECochain:
     """Push the leading h slot of an h (x) g (x) g tensor into g, then fully
     antisymmetrize (no 1/3!)."""
-    assert t.arity == 3
-    entries = [((split.h_indices[a], i, j), coef) for (a, i, j), coef in t.data.items()]
-    return alt_tensor(SparseTensor.build(split.g.dim, 3, entries))
+    assert t.module[1] == 3
+    entries = [((split.h_indices[a], i, j), coef) for ((), (a, i, j)), coef in t.data.items()]
+    return alt_tensor(tensor(split.g, 3, entries))
 
 
 def alt_mv_of_derivative(split, r_entries) -> CECochain:
@@ -73,7 +76,7 @@ def alt_mv_of_derivative(split, r_entries) -> CECochain:
     each r entry contributes a quarter, lambda_ij = (r_ij - r_ji) / 4, and
     the wedge kills the symmetric part."""
     entries = []
-    for (i, j), coef in r_entries:
+    for ((), (i, j)), coef in r_entries:
         if not isinstance(coef, RationalFunction):
             continue
         for a in range(split.dim_h):
@@ -91,6 +94,6 @@ def lambda_form_residual(g, lam: CECochain, c, alt_mv=None) -> CECochain:
     return res + casimir_to_phi(g, c).scale(LAMBDA_FORM_PHI_COEFF)
 
 
-def cdybe_residual(dr) -> SparseTensor:
+def cdybe_residual(dr) -> CECochain:
     """cybe(r) + Alt(d_dR r), the derivative pushed from h into g."""
     return cybe(dr.split.g, dr.tensor) + alt_ddr(dr.split, d_dr(dr.tensor, dr.variables))

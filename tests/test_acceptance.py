@@ -16,6 +16,7 @@ from conftest import (
     rand_multivector,
     solve,
     sym2_entries,
+    tensor,
     zero_cobracket,
 )
 from mc_oracle import GaugePath, check_qlb_by_weight, gauge_verify, twist_path
@@ -50,7 +51,7 @@ from qlie.qlb import (
 from test_manin_reference import casimir_commutator
 from qlie.rmatrix import DynamicalRMatrix, cybe, dynamical_check
 from qlie.scalars import Polynomial, parse_scalar
-from qlie.tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, SYM, SparseTensor, WEDGE, embed_wedge
+from qlie.tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, SYM, WEDGE, embed_wedge
 from rmatrix_oracle import schouten
 
 RNG_SEED = 416
@@ -128,7 +129,7 @@ def test_criterion_03_casimir_associator():
         (2, 1, 0): F(-1),
     }
     assert oracle == orbit
-    assert dict(casimir_commutator(g, c).data) == orbit
+    assert {key: v for ((), key), v in casimir_commutator(g, c).items()} == orbit
 
     phi = casimir_to_phi(g, c)
     assert phi == multivector(g, 3, [((0, 1, 2), F(-1, 6))])
@@ -232,7 +233,7 @@ def test_criterion_08_cybe_suite():
         # a constant r is the dynamical r-matrix over h = 0
         return dynamical_check(DynamicalRMatrix(split_subalgebra(gx, ()), (), r))
 
-    r_std = SparseTensor.build(3, 2, [((0, 1), F(1)), ((2, 2), F(1, 4))])
+    r_std = tensor(g, 2, [((0, 1), F(1)), ((2, 2), F(1, 4))])
     rep = constant_check(g, r_std)
     assert rep.passed and rep.lambda_form_holds and rep.criteria_agree
 
@@ -241,8 +242,7 @@ def test_criterion_08_cybe_suite():
         phi = casimir_to_phi(gx, c)
         for _ in range(trials):
             lam = rand_multivector(gx, 2, rng)
-            entries = list(embed_wedge(lam.scale(F(2))).data.items()) + sym2_entries(c)
-            r = SparseTensor.build(gx.dim, 2, entries)
+            r = embed_wedge(lam.scale(F(2))) + tensor(gx, 2, sym2_entries(c))
             lhs = cybe(gx, r)
             lf = schouten(gx, lam, lam).scale(F(1, 2)) + phi.scale(LAMBDA_FORM_PHI_COEFF)
             assert lhs == embed_wedge(lf).scale(KAPPA_CYBE)
@@ -260,8 +260,8 @@ def test_criterion_09_dynamical_suite():
 
     def family(expr):
         coef = parse_scalar(expr, variables)
-        tensor = SparseTensor.build(3, 2, [((0, 1), coef * 2), ((1, 0), coef * (-2))])
-        return DynamicalRMatrix(split, variables, tensor, locus)
+        r = tensor(g, 2, [((0, 1), coef * 2), ((1, 0), coef * (-2))])
+        return DynamicalRMatrix(split, variables, r, locus)
 
     rep = dynamical_check(family("1/x"))  # the ledger-determined kappa is 1
     assert rep.passed and rep.lambda_form_holds and rep.criteria_agree
@@ -271,8 +271,8 @@ def test_criterion_09_dynamical_suite():
 
     from qlie.scalars import RationalFunction
 
-    const = SparseTensor.build(
-        3,
+    const = tensor(
+        g,
         2,
         [
             ((0, 1), RationalFunction.const(variables, F(1))),

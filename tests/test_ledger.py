@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import FIXTURES, ev_rmatrix, multivector, rand_multivector, sym2_entries, zero_cobracket
+from conftest import FIXTURES, ev_rmatrix, multivector, rand_multivector, sym2_entries, tensor, zero_cobracket
 from qlie.lie import casimir_from_pairing, sl, sl2, sl3, split_subalgebra
 from qlie.manin import dual_subalgebra_bplus_bminus, triple_to_bialgebra
 from qlie.polyvectors import PolyVectorAlgebra, ce_differential
@@ -32,7 +32,6 @@ from qlie.tensors import (
     WEDGE,
     CECochain,
     ConventionLedger,
-    SparseTensor,
     _sort_with_sign,
     embed_wedge,
 )
@@ -46,9 +45,9 @@ def unit(i):
     return {((), (i,)): Fraction(1)}
 
 
-def casimir_tensor(c: CECochain) -> SparseTensor:
+def casimir_tensor(c: CECochain) -> CECochain:
     """The plain 2-tensor of c in Sym^2 g: each key in its distinct orders."""
-    return SparseTensor.build(c.g.dim, 2, sym2_entries(c))
+    return tensor(c.g, 2, sym2_entries(c))
 
 
 def test_every_entry_has_a_test():
@@ -73,7 +72,7 @@ def test_ledger_wedge_embedding(g):
     for p in (2, 3):
         x = multivector(g, p, [(key, Fraction(n + 1, 2)) for n, key in enumerate(combinations(range(g.dim), p))])
         expect = {
-            tuple(key[i] for i in perm): _sort_with_sign(perm)[0] * coef
+            ((), tuple(key[i] for i in perm)): _sort_with_sign(perm)[0] * coef
             for ((), key), coef in x.items()
             for perm in permutations(range(p))
         }
@@ -101,12 +100,10 @@ def test_ledger_alt_normalization(g):
     # summing a tensor onto increasing keys with signs and embedding the
     # result is the full signed S_3 sum, with no 1/3! factor
     rng = random.Random(3 * g.dim)
-    t = SparseTensor.build(
-        g.dim, 3, [(tuple(rng.randrange(g.dim) for _ in range(3)), Fraction(rng.randint(1, 5))) for _ in range(12)]
-    )
+    t = tensor(g, 3, [(tuple(rng.randrange(g.dim) for _ in range(3)), Fraction(rng.randint(1, 5))) for _ in range(12)])
     alt = alt_tensor(t)
     assert not alt.is_zero()
-    assert embed_wedge(CECochain.build(g, 0, WEDGE(3), [(((), key), v) for key, v in t.items()])) == alt
+    assert embed_wedge(CECochain.build(g, 0, WEDGE(3), t.items())) == alt
     # which is what the derivative term D of the CDYBE relies on
     dr = ev_rmatrix(sl(len(g.extra["cartan"]) + 1))
     D = _h_derivative(dr)

@@ -38,6 +38,7 @@ from conftest import (
     sparse_rows,
     sym2,
     sym2_entries,
+    tensor,
 )
 from test_coisotropic import CASES, families
 from qlie import linalg
@@ -75,7 +76,7 @@ from qlie.qlb import (
     induce_from_coisotropic,
 )
 from qlie.scalars import is_zero
-from qlie.tensors import CECochain, SYM, SparseTensor, WEDGE, _sort_with_sign, embed_wedge
+from qlie.tensors import CECochain, SYM, WEDGE, _sort_with_sign, embed_wedge
 
 
 def ref_check_quadratic(d):
@@ -272,7 +273,7 @@ def casimir_commutator(g, c):
         for (a2, b2), c2 in pairs:
             for m, coef in g.bracket(b1, a2).items():
                 entries.append(((a1, m, b2), c1 * c2 * coef))
-    return SparseTensor.build(g.dim, 3, entries)
+    return tensor(g, 3, entries)
 
 
 def ref_casimir_to_phi(g, c):
@@ -284,14 +285,14 @@ def ref_casimir_to_phi(g, c):
             f"Casimir element is not invariant; residual has {residual.support_size()} "
             f"nonzero components, first: {first}"
         )
-    tensor = casimir_commutator(g, c)
+    commutator = casimir_commutator(g, c)
     entries = {}
-    for key, coef in tensor.items():
+    for ((), key), coef in commutator.items():
         if list(key) == sorted(set(key)):
             entries[key] = Fraction(-1, 6) * coef
     phi = multivector(g, 3, entries.items())
     # total antisymmetry of [c12, c23] holds exactly when c is invariant
-    if embed_wedge(phi) != tensor.scale(Fraction(-1, 6)):
+    if embed_wedge(phi) != commutator.scale(Fraction(-1, 6)):
         raise InputError("commutator of an invariant Casimir must be antisymmetric")
     return phi
 

@@ -151,7 +151,7 @@ def test_casimir_commutator_is_signed_orbit():
         (2, 0, 1): F(1),
         (2, 1, 0): F(-1),
     }
-    assert dict(tensor.data) == orbit
+    assert {key: v for ((), key), v in tensor.items()} == orbit
 
 
 def test_casimir_to_phi_values_and_validity():

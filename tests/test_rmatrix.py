@@ -5,13 +5,22 @@ from fractions import Fraction
 import pytest
 
 import rmatrix_oracle
-from conftest import FIXTURES, ev_rmatrix, ev_rmatrix_sl3, multivector, permute_slots, rand_multivector, sym2_entries
+from conftest import (
+    FIXTURES,
+    ev_rmatrix,
+    ev_rmatrix_sl3,
+    multivector,
+    permute_slots,
+    rand_multivector,
+    sym2_entries,
+    tensor,
+)
 from qlie.errors import InputError
 from qlie.lie import abelian, casimir_from_pairing, sl, sl2, sl3, split_subalgebra
 from qlie.qlb import casimir_to_phi
 from qlie.rmatrix import DynamicalRMatrix, cybe, dynamical_check, lambda_form_residual
 from qlie.scalars import Polynomial, RationalFunction, parse_scalar
-from qlie.tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, SparseTensor, WEDGE, embed_wedge
+from qlie.tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, WEDGE, embed_wedge
 from rmatrix_oracle import alt_ddr, d_dr, schouten
 
 
@@ -19,8 +28,8 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
-def rmat(dim, entries):
-    return SparseTensor.build(dim, 2, entries)
+def rmat(g, entries):
+    return tensor(g, 2, entries)
 
 
 def constant(g, r):
@@ -33,13 +42,13 @@ def constant_check(g, r):
 
 
 def std_r():
-    return rmat(3, [((0, 1), F(1)), ((2, 2), F(1, 4))])
+    return rmat(sl2(), [((0, 1), F(1)), ((2, 2), F(1, 4))])
 
 
 def brute_force_cybe(g, r):
     """Independent oracle: dense triple loop over all index combinations."""
     n = g.dim
-    rt = dict(r.data)
+    rt = {key: c for ((), key), c in r.items()}
 
     def rr(i, j):
         return rt.get((i, j), F(0))
@@ -58,15 +67,15 @@ def brute_force_cybe(g, r):
                         # [r13, r23]: sum r_{a i} r_{b j} f^c_{ij}
                         total += rr(a, i) * rr(b, j) * g.bracket(i, j).get(c, 0)
                 if total:
-                    out[(a, b, c)] = total
+                    out[((), (a, b, c))] = total
     return out
 
 
 def test_cybe_zero_cases(rng):
     g = sl2()
-    assert cybe(g, rmat(3, [])).is_zero()
+    assert cybe(g, rmat(g, [])).is_zero()
     ga = abelian(3)
-    r = rmat(3, [((0, 1), F(2)), ((2, 0), F(-1))])
+    r = rmat(ga, [((0, 1), F(2)), ((2, 0), F(-1))])
     assert cybe(ga, r).is_zero()
 
 
@@ -86,7 +95,7 @@ def test_cybe_matches_brute_force_on_randoms(rng):
                 c = F(rng.randint(-2, 2), rng.randint(1, 2))
                 if c:
                     entries.append(((i, j), c))
-        r = rmat(3, entries)
+        r = rmat(g, entries)
         assert dict(cybe(g, r).data) == brute_force_cybe(g, r)
 
 
@@ -94,7 +103,7 @@ def test_cybe_is_quadratic(rng):
     g = sl2()
     for _ in range(10):
         entries = [((i, j), F(rng.randint(-2, 2))) for i in range(3) for j in range(3)]
-        r = rmat(3, [e for e in entries if e[1]])
+        r = rmat(g, [e for e in entries if e[1]])
         s = F(rng.randint(1, 5), rng.randint(1, 3))
         scaled = r.scale(s)
         assert cybe(g, scaled) == cybe(g, r).scale(s * s)
@@ -107,10 +116,10 @@ def test_split_r_cases():
     assert dict(rep.c.data) == {((), (0, 1)): F(1, 2), ((), (2, 2)): F(1, 4)}
     assert rep.symmetric_part_constant and rep.symmetric_part_invariant
     # symmetric input: lambda = 0
-    sym = rmat(3, [((0, 1), F(1)), ((1, 0), F(1))])
+    sym = rmat(g, [((0, 1), F(1)), ((1, 0), F(1))])
     assert constant_check(g, sym).lam.is_zero()
     # antisymmetric input: c = 0
-    anti = rmat(3, [((0, 1), F(1)), ((1, 0), F(-1))])
+    anti = rmat(g, [((0, 1), F(1)), ((1, 0), F(-1))])
     assert constant_check(g, anti).c.is_zero()
 
 
@@ -125,13 +134,13 @@ def test_quasitriangular_standard_r():
 
 def test_quasitriangular_zero_r():
     g = sl2()
-    rep = constant_check(g, rmat(3, []))
+    rep = constant_check(g, rmat(g, []))
     assert rep.passed
 
 
 def test_quasitriangular_ef_fails():
     g = sl2()
-    rep = constant_check(g, rmat(3, [((0, 1), F(1))]))
+    rep = constant_check(g, rmat(g, [((0, 1), F(1))]))
     assert not rep.cdybe_holds
     assert not rep.symmetric_part_invariant and rep.lambda_form_residual is None
     assert not rep.passed
@@ -139,9 +148,13 @@ def test_quasitriangular_ef_fails():
 
 def test_cybe_rejects_a_tensor_over_another_space():
     with pytest.raises(InputError, match="wrong space"):
-        cybe(sl2(), rmat(4, []))
+        cybe(sl2(), rmat(abelian(4), []))
     with pytest.raises(InputError, match="wrong space"):
-        cybe(sl2(), SparseTensor(3, 3))
+        cybe(sl2(), rmat(abelian(3), []))
+    with pytest.raises(InputError, match="wrong space"):
+        cybe(sl2(), tensor(sl2(), 3))
+    with pytest.raises(InputError, match="wrong space"):
+        cybe(sl2(), multivector(sl2(), 2))
 
 
 def test_kappa_identity_on_sl2_and_sl3(rng):
@@ -151,7 +164,7 @@ def test_kappa_identity_on_sl2_and_sl3(rng):
         phi = casimir_to_phi(g, c)
         for _ in range(trials):
             lam = rand_multivector(g, 2, rng)
-            r = rmat(g.dim, [*embed_wedge(lam.scale(F(2))).data.items(), *sym2_entries(c)])
+            r = embed_wedge(lam.scale(F(2))) + rmat(g, sym2_entries(c))
             lhs = cybe(g, r)
             lf = schouten(g, lam, lam).scale(F(1, 2)) + phi.scale(LAMBDA_FORM_PHI_COEFF)
             assert lhs == embed_wedge(lf).scale(KAPPA_CYBE)
@@ -165,7 +178,7 @@ def test_cybe_antisymmetric_for_invariant_c(rng):
     for g in (sl2(), sl3()):
         c = casimir_from_pairing(g)
         lam = rand_multivector(g, 2, rng)
-        t = cybe(g, rmat(g.dim, [*embed_wedge(lam.scale(F(2))).data.items(), *sym2_entries(c)]))
+        t = cybe(g, embed_wedge(lam.scale(F(2))) + rmat(g, sym2_entries(c)))
         for perm in ((1, 0, 2), (0, 2, 1)):
             assert permute_slots(t, perm) == (-t).data
 
@@ -173,14 +186,15 @@ def test_cybe_antisymmetric_for_invariant_c(rng):
 def test_d_dr_basics():
     variables = ("x",)
     x2 = parse_scalar("x^2", variables)
-    t = SparseTensor.build(3, 0, [((), x2)])
+    g = sl2()
+    t = tensor(g, 0, [((), x2)])
     dt = d_dr(t, variables)
-    assert dict(dt.data) == {(0,): parse_scalar("2*x", variables)}
+    assert dict(dt.data) == {((), (0,)): parse_scalar("2*x", variables)}
     inv = parse_scalar("1/x", variables)
-    t2 = SparseTensor.build(3, 1, [((1,), inv)])
+    t2 = tensor(g, 1, [((1,), inv)])
     dt2 = d_dr(t2, variables)
-    assert dict(dt2.data) == {(0, 1): parse_scalar("-1/x^2", variables)}
-    const = SparseTensor.build(3, 1, [((1,), F(5))])
+    assert dict(dt2.data) == {((), (0, 1)): parse_scalar("-1/x^2", variables)}
+    const = tensor(g, 1, [((1,), F(5))])
     assert d_dr(const, variables).is_zero()
 
 
@@ -188,12 +202,12 @@ def test_alt_ddr_definition():
     g = sl2()
     split = split_subalgebra(g, (2,), (0, 1))
     # push h (index 0 of h) into g and antisymmetrize without normalization
-    t = SparseTensor.build(3, 3, [((0, 0, 1), F(1))])
+    t = tensor(g, 3, [((0, 0, 1), F(1))])
     out = alt_ddr(split, t)
     # h (x) e (x) f fully antisymmetrized = embed(h ^ e ^ f) = embed(e ^ f ^ h)
     expect = embed_wedge(multivector(g, 3, [((0, 1, 2), F(1))]))
     assert out == expect
-    assert alt_ddr(split, SparseTensor.build(3, 3, [])).is_zero()
+    assert alt_ddr(split, tensor(g, 3)).is_zero()
 
 
 def make_dynamical(gfun: str):
@@ -201,8 +215,8 @@ def make_dynamical(gfun: str):
     split = split_subalgebra(g, (2,), (0, 1))
     variables = ("x",)
     coef = parse_scalar(gfun, variables)
-    tensor = SparseTensor.build(3, 2, [((0, 1), coef * 2), ((1, 0), coef * (-2))])
-    return DynamicalRMatrix(split, variables, tensor, [Polynomial.var(variables, "x")])
+    r = rmat(g, [((0, 1), coef * 2), ((1, 0), coef * (-2))])
+    return DynamicalRMatrix(split, variables, r, [Polynomial.var(variables, "x")])
 
 
 def test_dynamical_rational_family():
@@ -221,8 +235,8 @@ def test_dynamical_family_scale_is_pinned():
         split = split_subalgebra(g, (2,), (0, 1))
         variables = ("x",)
         coef = parse_scalar("1/x", variables) * kappa
-        tensor = SparseTensor.build(3, 2, [((0, 1), coef * 2), ((1, 0), coef * (-2))])
-        dr = DynamicalRMatrix(split, variables, tensor, [Polynomial.var(variables, "x")])
+        r = rmat(g, [((0, 1), coef * 2), ((1, 0), coef * (-2))])
+        dr = DynamicalRMatrix(split, variables, r, [Polynomial.var(variables, "x")])
         assert dynamical_check(dr).passed is expect
 
 
@@ -239,8 +253,8 @@ def test_dynamical_constant_r_reduces_to_quasitriangular():
     variables = ("x",)
     one = RationalFunction.const(variables, F(1))
     quarter = RationalFunction.const(variables, F(1, 4))
-    tensor = SparseTensor.build(3, 2, [((0, 1), one), ((2, 2), quarter)])
-    dr = DynamicalRMatrix(split, variables, tensor, [])
+    r = rmat(g, [((0, 1), one), ((2, 2), quarter)])
+    dr = DynamicalRMatrix(split, variables, r, [])
     rep = dynamical_check(dr)
     assert rep.passed
     assert rep.cdybe_holds and rep.lambda_form_holds
@@ -260,9 +274,9 @@ def test_dynamical_agrees_with_quasitriangular_on_random_constants(rng):
                 c = F(rng.randint(-1, 1), rng.randint(1, 2))
                 if c:
                     entries.append(((i, j), RationalFunction.const(variables, c)))
-        tensor = SparseTensor.build(3, 2, entries)
-        dr = DynamicalRMatrix(split, variables, tensor, [])
-        plain = SparseTensor.build(3, 2, [(k, v.constant_value()) for k, v in tensor.items()])
+        r = rmat(g, entries)
+        dr = DynamicalRMatrix(split, variables, r, [])
+        plain = rmat(g, [(k, v.constant_value()) for ((), k), v in r.items()])
         dyn = dynamical_check(dr)
         qt = constant_check(g, plain)
         expected = qt.passed and dyn.symmetric_part_constant and all(dyn.equivariance.values())
@@ -277,8 +291,8 @@ def test_dynamical_agrees_with_quasitriangular_on_random_constants(rng):
 def test_dynamical_empty_base():
     g = sl2()
     split = split_subalgebra(g, (), (0, 1, 2))
-    tensor = SparseTensor.build(3, 2, [((0, 1), F(1)), ((2, 2), F(1, 4))])
-    dr = DynamicalRMatrix(split, (), tensor, [])
+    r = rmat(g, [((0, 1), F(1)), ((2, 2), F(1, 4))])
+    dr = DynamicalRMatrix(split, (), r, [])
     assert dynamical_check(dr).passed
 
 
@@ -287,12 +301,12 @@ def test_dynamical_locus_validation():
     split = split_subalgebra(g, (2,), (0, 1))
     variables = ("x",)
     coef = parse_scalar("1/(x+1)", variables)
-    tensor = SparseTensor.build(3, 2, [((0, 1), coef)])
+    r = rmat(g, [((0, 1), coef)])
     with pytest.raises(InputError):
-        DynamicalRMatrix(split, variables, tensor, [Polynomial.var(variables, "x")])
+        DynamicalRMatrix(split, variables, r, [Polynomial.var(variables, "x")])
     # declaring the right locus polynomial makes it acceptable
     ok_locus = [Polynomial(variables, {(1,): F(1), (0,): F(1)})]
-    DynamicalRMatrix(split, variables, tensor, ok_locus)
+    DynamicalRMatrix(split, variables, r, ok_locus)
 
 
 def test_ev_rmatrix_on_sl3_passes_and_scaled_residual_is_pinned():
@@ -300,7 +314,7 @@ def test_ev_rmatrix_on_sl3_passes_and_scaled_residual_is_pinned():
     # the CDYBE; twice it does not, and its residual is the one recorded
     # (tests/fixtures/ev_sl3_scaled_residual.json) by the earlier
     # cross-multiplying rational functions: same keys, equal coefficients
-    from qlie.formats import tensor_to_entries
+    from qlie.formats import cochain_to_entries
 
     rep = dynamical_check(ev_rmatrix_sl3(1))
     assert rep.passed and rep.lambda_form_holds and rep.criteria_agree
@@ -311,7 +325,7 @@ def test_ev_rmatrix_on_sl3_passes_and_scaled_residual_is_pinned():
     expected = json.loads((FIXTURES / "ev_sl3_scaled_residual.json").read_text())
     variables = tuple(expected["vars"])
     assert variables == dr.variables
-    got = tensor_to_entries(rep.cdybe_residual, dr.split.g)
+    got = cochain_to_entries(rep.cdybe_residual)
     assert [e["idx"] for e in got] == [e["idx"] for e in expected["residual"]]
     for mine, theirs in zip(got, expected["residual"]):
         assert parse_scalar(mine["coef"], variables) == parse_scalar(theirs["coef"], variables)
@@ -340,7 +354,7 @@ def random_constant_sl3():
     g = sl3()
     lam = rand_multivector(g, 2, rng)
     c = casimir_from_pairing(g).scale(F(rng.randint(1, 3), 2))
-    return constant(g, rmat(g.dim, [*embed_wedge(lam.scale(F(2))).data.items(), *sym2_entries(c)]))
+    return constant(g, embed_wedge(lam.scale(F(2))) + rmat(g, sym2_entries(c)))
 
 
 # the sl2 dynamical fixtures and the Etingof-Varchenko r-matrices of sl3,
@@ -371,7 +385,7 @@ def test_residuals_equal_the_slot_wise_oracles(name):
     rep = dynamical_check(dr)
     assert rep.cdybe_residual == rmatrix_oracle.cdybe_residual(dr)
     # r = 2 lambda + c, with lambda and c read from the report
-    assert rmat(g.dim, [*embed_wedge(rep.lam.scale(F(2))).data.items(), *sym2_entries(rep.c)]) == dr.tensor
+    assert embed_wedge(rep.lam.scale(F(2))) + rmat(g, sym2_entries(rep.c)) == dr.tensor
     assert rep.symmetric_part_invariant is (name not in NONINVARIANT)
     if name in NONINVARIANT:
         assert rep.lambda_form_residual is None
