@@ -130,6 +130,12 @@ def multiplicity_factorial(key: Sequence[int]) -> int:
 KNOWN_MODULES = ("triv", "adjoint", "wedge", "sym", "tensor")
 
 
+def module_slots(module) -> int:
+    """The number of module slots of a cochain's key: 0 for TRIVIAL, 1 for
+    ADJOINT, p for WEDGE(p), SYM(p) and TENSOR(p)."""
+    return module[1] if len(module) > 1 else int(module == ADJOINT)
+
+
 def _cochain_canon(module, key) -> Optional[Tuple[int, Tuple[tuple, tuple]]]:
     """The signed canonical form of a (down, up) key of a cochain valued in
     module: the down slots and WEDGE(p) slots sorted with a sign, SYM(p)
@@ -166,8 +172,13 @@ class CECochain:
         self.module = module
         clean: Dict[Tuple[tuple, tuple], Scalar] = {}
         if data:
+            slots = module_slots(module)
             for (down, up), coef in data.items():
                 down, up = tuple(down), tuple(up)
+                if len(up) != slots:
+                    raise InputError(f"key {(down, up)} has {len(up)} module indices, {module} takes {slots}")
+                if not all(0 <= i < g.dim for i in down + up):
+                    raise InputError(f"key {(down, up)} has an index outside 0..{g.dim - 1}")
                 if len(down) != k or list(down) != sorted(set(down)):
                     raise InputError("down indices must be strictly increasing")
                 if _cochain_canon(module, (down, up)) != (1, (down, up)):

@@ -36,6 +36,7 @@ def tensor_case():
         "other": CECochain(g, 0, TENSOR(2)),
         "repeated": ((), (1, 1, 2)),
         "swap": None,
+        "misshapen": [((), (0, 1)), ((), (0, 1, 2, 3)), ((), (0, 4, 1)), ((), (-1, 0, 0))],
     }
 
 
@@ -49,6 +50,7 @@ def multivector_case():
         "other": CECochain(abelian(5), 0, WEDGE(2)),
         "repeated": ((), (3, 3)),
         "swap": lambda key: ((), (key[1][1], key[1][0])),
+        "misshapen": [((), (0, 1, 2)), ((), (0,)), ((), (0, 6)), ((), (-1, 0))],
     }
 
 
@@ -61,6 +63,7 @@ def cochain_case():
         "other": CECochain(g, 1, ADJOINT),
         "repeated": ((2, 2), (0,)),
         "swap": lambda key: ((key[0][1], key[0][0]), key[1]),
+        "misshapen": [((0, 1), (0, 1)), ((0, 1), ()), ((0, 8), (0,)), ((-1, 0), (0,)), ((0, 1), (8,))],
     }
 
 
@@ -138,6 +141,16 @@ def test_build_signs_and_cancellation(case, ratfun):
     assert build([(key, v), (swap(key), v)]).is_zero()
     x = build([(k, rand_scalar(rng, ratfun)) for k in rng.sample(c["keys"], 10)])
     assert build(list(x.items()) + [(swap(k), w) for k, w in x.items()]).is_zero()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_key_of_the_wrong_shape_is_refused(case):
+    # a key with the wrong number of module slots, or an index outside
+    # 0..dim-1, in the down or the up slots
+    c = CASES[case]()
+    for bad in c["misshapen"]:
+        with pytest.raises(InputError):
+            c["make"]({bad: Fraction(1)})
 
 
 def test_combine_sums_and_drops_zeros():
