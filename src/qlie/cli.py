@@ -48,6 +48,7 @@ from .qlb import (
     verify_coisotropic_morphism,
 )
 from .rmatrix import DynamicalRMatrix, DynamicalReport, dynamical_check
+from .scalars import scalar_text
 from .tensors import LEDGER, CECochain, SYM, WEDGE
 
 Check = Dict[str, object]
@@ -93,16 +94,40 @@ def _residual_checks(q: QuasiLieBialgebra, prefix: str = "") -> List[Check]:
     return out
 
 
-def _r_matrix_checks(rep: DynamicalReport, g: LieAlgebra, name: str) -> Tuple[Check, List[Check]]:
+def _witness(g: LieAlgebra, idx, coef) -> dict:
+    """The detail of a failing check: the basis labels of a key and the coefficient there."""
+    return {"witness": [g.basis[i] for i in idx], "residual": scalar_text(coef)}
+
+
+def _vanishing_check(name: str, x: CECochain) -> Check:
+    """The check that x is zero, naming its least key when it fails."""
+    if x.is_zero():
+        return _check(name, True)
+    down, up = key = min(x.data)
+    return _check(name, False, _witness(x.g, down + up, x.data[key]))
+
+
+def _r_matrix_checks(rep: DynamicalReport, name: str) -> Tuple[Check, List[Check]]:
     """The CYBE or CDYBE check, called name and carrying its residual when
     it fails, and the lambda-form checks, present when they were run."""
     holds = rep.cdybe_holds
     residual = _check(name, holds, None if holds else {"residual": formats.cochain_to_entries(rep.cdybe_residual)})
     tail = []
     if rep.lambda_form_holds is not None:
-        tail.append(_check("lambda-form", rep.lambda_form_holds))
+        tail.append(_vanishing_check("lambda-form", rep.lambda_form_residual))
         tail.append(_check("criteria-agree", bool(rep.criteria_agree)))
     return residual, tail
+
+
+def _symmetric_part_checks(rep: DynamicalReport, g: LieAlgebra) -> Tuple[Check, Check]:
+    """symmetric-part-constant and symmetric-part-invariant.  A symmetric
+    part that is not constant is not invariant either, and both checks name
+    its least pair that varies."""
+    if rep.nonconstant is None:
+        invariant = _vanishing_check("symmetric-part-invariant", rep.invariance_residual)
+        return _check("symmetric-part-constant", True), invariant
+    detail = _witness(g, *rep.nonconstant)
+    return _check("symmetric-part-constant", False, detail), _check("symmetric-part-invariant", False, detail)
 
 
 def _manin_checks(t: ManinTriple, rep: ManinTripleReport) -> List[Check]:
@@ -223,8 +248,10 @@ def cmd_cybe(args, inputs):
     # a constant r is the dynamical r-matrix over h = 0
     r = DynamicalRMatrix(split_subalgebra(g, ()), (), _load_tensor(args.r, g, "gg", inputs))
     rep = dynamical_check(r)
-    residual, tail = _r_matrix_checks(rep, g, "cybe")
-    checks = [residual, _check("symmetric-part-invariant", rep.symmetric_part_invariant), *tail]
+    residual, tail = _r_matrix_checks(rep, "cybe")
+    # the entries of a constant r are constant: only the invariance is checked
+    _, invariant = _symmetric_part_checks(rep, g)
+    checks = [residual, invariant, *tail]
     data = {"lambda": formats.cochain_to_entries(rep.lam), "c": formats.cochain_to_entries(rep.c)}
     return checks, data
 
@@ -241,11 +268,10 @@ def cmd_dynamical(args, inputs):
     locus = formats.polynomials_from_strings(doc.get("locus", []), variables)
     dr = DynamicalRMatrix(split, variables, tensor, locus)
     rep = dynamical_check(dr)
-    residual, tail = _r_matrix_checks(rep, g, "cdybe")
+    residual, tail = _r_matrix_checks(rep, "cdybe")
     checks = [
-        *(_check(f"equivariance-{name}", ok) for name, ok in sorted(rep.equivariance.items())),
-        _check("symmetric-part-constant", rep.symmetric_part_constant),
-        _check("symmetric-part-invariant", rep.symmetric_part_invariant),
+        *(_vanishing_check(f"equivariance-{name}", t) for name, t in sorted(rep.equivariance_defects.items())),
+        *_symmetric_part_checks(rep, g),
         residual,
         *tail,
     ]

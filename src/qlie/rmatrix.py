@@ -162,14 +162,26 @@ def _h_derivative(dr: DynamicalRMatrix) -> CECochain:
 
 
 class DynamicalReport(NamedTuple):
-    equivariance: Dict[str, bool]  # one entry per basis vector of h
+    # per basis vector of h, the TENSOR(2) sum that vanishes when r is
+    # equivariant along it
+    equivariance_defects: Dict[str, CECochain]
     lam: CECochain  # degree 0, module WEDGE(2)
     c: Optional[CECochain]  # degree 0, module SYM(2); None unless constant
-    symmetric_part_constant: bool
-    symmetric_part_invariant: bool
+    # the least pair (i, j), i <= j, at which the symmetric part is not
+    # constant, and its value there; None when it is constant
+    nonconstant: Optional[Tuple[Tuple[int, int], Scalar]]
+    invariance_residual: Optional[CECochain]  # d c; None unless c is constant
     cdybe_residual: CECochain  # degree 0, module TENSOR(3)
     lambda_form_residual: Optional[CECochain]
     criteria_agree: Optional[bool]
+
+    @property
+    def symmetric_part_constant(self) -> bool:
+        return self.nonconstant is None
+
+    @property
+    def symmetric_part_invariant(self) -> bool:
+        return self.invariance_residual is not None and self.invariance_residual.is_zero()
 
     @property
     def cdybe_holds(self) -> bool:
@@ -184,7 +196,7 @@ class DynamicalReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return (
-            all(self.equivariance.values())
+            all(t.is_zero() for t in self.equivariance_defects.values())
             and self.symmetric_part_constant
             and self.symmetric_part_invariant
             and self.cdybe_holds
@@ -207,7 +219,7 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
 
     # (1) h-equivariance: total adjoint action matches the derivative term
     # along the coadjoint vector field of h* (zero for abelian h)
-    equivariance: Dict[str, bool] = {}
+    defects: Dict[str, CECochain] = {}
     for a, h_global in enumerate(split.h_indices):
         entries = []
         for ((), (i, j)), coef in dr.tensor.items():
@@ -232,15 +244,21 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
                     dc = coef.derivative(variables[j_local])
                     if not dc.is_zero():
                         flow_entries.append((key, vel * dc))
-        total = CECochain.build(g, 0, TENSOR(2), entries + [(k, -v) for k, v in flow_entries])
-        equivariance[g.basis[h_global]] = total.is_zero()
+        defects[g.basis[h_global]] = CECochain.build(
+            g, 0, TENSOR(2), entries + [(k, -v) for k, v in flow_entries]
+        )
 
     # (2) r = 2 lambda + c, with c constant and invariant
     lam = _antisymmetric_half(g, dr.tensor.items())
-    values = {key: _constant_value(coef) for key, coef in _symmetric_part_entries(dr.tensor.items()).items()}
-    constant = None not in values.values()
-    c = CECochain(g, 0, SYM(2), {((), key): v for key, v in values.items()}) if constant else None
-    invariant = constant and casimir_invariance_residual(g, c).is_zero()
+    sym = _symmetric_part_entries(dr.tensor.items())
+    values = {key: _constant_value(coef) for key, coef in sym.items()}
+    varying = min((key for key, v in values.items() if v is None), default=None)
+    nonconstant = c = dc = None
+    if varying is not None:
+        nonconstant = (varying, sym[varying])
+    else:
+        c = CECochain(g, 0, SYM(2), {((), key): v for key, v in values.items()})
+        dc = casimir_invariance_residual(g, c)
 
     # (3) CDYBE residual, with the derivative of r taken once
     D = _h_derivative(dr)
@@ -249,7 +267,7 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
     # (4) lambda-form, when the symmetric part qualifies
     lf = None
     agree = None
-    if invariant:
+    if dc is not None and dc.is_zero():
         lf = lambda_form_residual(g, lam, c, D)
         agree = residual == embed_wedge(lf).scale(KAPPA_CYBE)
-    return DynamicalReport(equivariance, lam, c, constant, invariant, residual, lf, agree)
+    return DynamicalReport(defects, lam, c, nonconstant, dc, residual, lf, agree)

@@ -10,6 +10,9 @@
   differentiates r once, into the 3-vector D = sum_a h_a ^ d r / d x_a.
 * `lambda_form_residual` and `cdybe_residual` are the library's two
   residuals on those formulas.
+* `dense`, `equivariance_defect`, `symmetric_part` and `invariance_defect`
+  recompute the other r-matrix checks on dense matrices, for the
+  witnesses that the failing checks name.
 """
 
 from fractions import Fraction
@@ -92,6 +95,48 @@ def lambda_form_residual(g, lam: CECochain, c, alt_mv=None) -> CECochain:
     if alt_mv is not None:
         res = res + alt_mv
     return res + casimir_to_phi(g, c).scale(LAMBDA_FORM_PHI_COEFF)
+
+
+def dense(g, r: CECochain):
+    """The n x n matrix of a plain 2-tensor."""
+    m = [[0] * g.dim for _ in range(g.dim)]
+    for ((), (i, j)), coef in r.items():
+        m[i][j] = coef
+    return m
+
+
+def ad(g, x: int):
+    """The matrix of ad e_x: column i holds [e_x, e_i]."""
+    m = [[0] * g.dim for _ in range(g.dim)]
+    for i in range(g.dim):
+        for k, s in g.bracket(x, i).items():
+            m[k][i] = s
+    return m
+
+
+def _sandwich(g, a, m):
+    """A M + M A^T: the action of ad e_a on both slots of a 2-tensor M."""
+    A = ad(g, a)
+    n = range(g.dim)
+    return [[sum(A[i][k] * m[k][j] + m[i][k] * A[j][k] for k in n) for j in n] for i in n]
+
+
+def equivariance_defect(g, h: int, r: CECochain):
+    """(ad h (x) 1 + 1 (x) ad h) r as a matrix, for h in an abelian base,
+    whose coadjoint flow on h* is zero."""
+    return _sandwich(g, h, dense(g, r))
+
+
+def symmetric_part(g, r: CECochain):
+    """(r + r^T) / 2 as a matrix."""
+    m = dense(g, r)
+    return [[(m[i][j] + m[j][i]) * Fraction(1, 2) for j in range(g.dim)] for i in range(g.dim)]
+
+
+def invariance_defect(g, a: int, sym):
+    """ad e_a applied to both slots of a symmetric matrix: zero for every a
+    exactly when it is invariant."""
+    return _sandwich(g, a, sym)
 
 
 def cdybe_residual(dr) -> CECochain:

@@ -65,7 +65,8 @@ def verdict(g, X, scale=1, gauge=()):
     rep = dynamical_check(ev_rmatrix(g, scale, roots=X, gauge=gauge))
     # the symmetric part is zero and every term has weight 0, so a failure
     # can only be the CDYBE's
-    assert all(rep.equivariance.values()) and rep.symmetric_part_constant and rep.symmetric_part_invariant
+    assert all(t.is_zero() for t in rep.equivariance_defects.values())
+    assert rep.symmetric_part_constant and rep.symmetric_part_invariant
     assert rep.passed == rep.cdybe_holds
     return rep.passed
 

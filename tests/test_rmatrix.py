@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import rmatrix_oracle
+import test_reports_pinned
 from conftest import (
     FIXTURES,
     ev_rmatrix,
@@ -15,6 +16,7 @@ from conftest import (
     sym2_entries,
     tensor,
 )
+from qlie.cli import run
 from qlie.errors import InputError
 from qlie.lie import abelian, casimir_from_pairing, sl, sl2, sl3, split_subalgebra
 from qlie.qlb import casimir_to_phi
@@ -126,7 +128,7 @@ def test_split_r_cases():
 def test_quasitriangular_standard_r():
     g = sl2()
     rep = constant_check(g, std_r())
-    assert rep.equivariance == {}
+    assert rep.equivariance_defects == {}
     assert rep.passed
     assert rep.lambda_form_holds
     assert rep.criteria_agree
@@ -223,7 +225,7 @@ def test_dynamical_rational_family():
     dr = make_dynamical("1/x")
     rep = dynamical_check(dr)
     assert rep.passed
-    assert rep.equivariance == {"h": True}
+    assert list(rep.equivariance_defects) == ["h"] and rep.equivariance_defects["h"].is_zero()
     assert rep.lambda_form_holds
     assert rep.criteria_agree
 
@@ -279,7 +281,8 @@ def test_dynamical_agrees_with_quasitriangular_on_random_constants(rng):
         plain = rmat(g, [(k, v.constant_value()) for ((), k), v in r.items()])
         dyn = dynamical_check(dr)
         qt = constant_check(g, plain)
-        expected = qt.passed and dyn.symmetric_part_constant and all(dyn.equivariance.values())
+        equivariant = all(t.is_zero() for t in dyn.equivariance_defects.values())
+        expected = qt.passed and dyn.symmetric_part_constant and equivariant
         # the dynamical verdict adds equivariance on top of the static checks
         assert dyn.cdybe_holds == qt.cdybe_holds
         assert dyn.symmetric_part_invariant == qt.symmetric_part_invariant
@@ -321,7 +324,7 @@ def test_ev_rmatrix_on_sl3_passes_and_scaled_residual_is_pinned():
     dr = ev_rmatrix_sl3(2)
     rep = dynamical_check(dr)
     assert not rep.passed and not rep.cdybe_holds
-    assert all(rep.equivariance.values()) and rep.criteria_agree
+    assert all(t.is_zero() for t in rep.equivariance_defects.values()) and rep.criteria_agree
     expected = json.loads((FIXTURES / "ev_sl3_scaled_residual.json").read_text())
     variables = tuple(expected["vars"])
     assert variables == dr.variables
@@ -402,3 +405,59 @@ def test_static_lambda_form_equals_the_schouten_oracle(rng):
                 lam = rand_multivector(g, 2, rng)
                 expected = rmatrix_oracle.lambda_form_residual(g, lam, c)
                 assert lambda_form_residual(g, lam, c, zero_d) == expected
+
+
+# the pinned cybe and dynamical reports; their cybe and cdybe checks carry
+# the whole residual, every other failing check a witness
+WITNESS_CASES = sorted(n for n in test_reports_pinned.CASES if n.startswith(("cybe-", "dynamical-")))
+
+
+def dynamical_from_argv(argv):
+    """The DynamicalRMatrix that a cybe or dynamical argv of the pinned
+    cases reads, from the same fixture files."""
+    from qlie.formats import lie_from_dict, polynomials_from_strings, tensor_from_dict
+
+    _, algebra, *options = argv
+    opts = dict(zip(options[::2], options[1::2]))
+    g = lie_from_dict(json.loads((FIXTURES / algebra).read_text()))
+    variables = tuple(v for v in opts.get("--vars", "").split(",") if v)
+    doc = json.loads((FIXTURES / opts["--r"]).read_text())
+    r = tensor_from_dict({**doc, "vars": list(variables)}, g, "gg")
+    h = tuple(g.index(label) for label in opts.get("--sub", "").split(",") if label)
+    return DynamicalRMatrix(split_subalgebra(g, h), variables, r, polynomials_from_strings(doc.get("locus", []), variables))
+
+
+@pytest.mark.parametrize("name", WITNESS_CASES)
+def test_each_witness_is_nonzero_in_the_oracles(name):
+    argv = test_reports_pinned.CASES[name]
+    report, _ = run(test_reports_pinned._absolute(argv))
+    dr = dynamical_from_argv(argv)
+    g, variables = dr.split.g, dr.variables
+    rep = dynamical_check(dr)
+    sym = rmatrix_oracle.symmetric_part(g, dr.tensor)
+    checks = {c["name"]: c for c in report["checks"]}
+    constant = checks.get("symmetric-part-constant", {"status": "pass"})["status"] == "pass"
+    for check in checks.values():
+        if check["status"] == "pass" or check["name"] in ("cybe", "cdybe"):
+            continue
+        kind, idx = check["name"], [g.index(label) for label in check["detail"]["witness"]]
+        value = parse_scalar(check["detail"]["residual"], variables)
+        if kind.startswith("equivariance-"):
+            i, j = idx
+            expect = rmatrix_oracle.equivariance_defect(g, g.index(kind[len("equivariance-") :]), dr.tensor)[i][j]
+        elif kind == "symmetric-part-constant" or (kind == "symmetric-part-invariant" and not constant):
+            # the witness pair varies over h*
+            i, j = idx
+            expect = sym[i][j]
+            assert isinstance(expect, RationalFunction) and not expect.is_constant()
+        elif kind == "symmetric-part-invariant":
+            # the sign and scale of d c on Sym^2 g are the library's own
+            a, i, j = idx
+            assert rmatrix_oracle.invariance_defect(g, a, sym)[i][j] != 0
+            continue
+        else:
+            assert kind == "lambda-form"
+            alt_mv = rmatrix_oracle.alt_mv_of_derivative(dr.split, list(dr.tensor.items()))
+            oracle = rmatrix_oracle.lambda_form_residual(g, rep.lam, rep.c, alt_mv)
+            expect = oracle.data.get(((), tuple(idx)), 0)
+        assert expect != 0 and value == expect, kind
