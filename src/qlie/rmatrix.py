@@ -7,9 +7,10 @@ checks are empty, the derivative D below is zero and the CDYBE is the
 CYBE, so `dynamical_check` on DynamicalRMatrix(split_subalgebra(g, ()),
 (), r) is the check of a classical r-matrix.
 
-Each value of r (a plain 2-tensor, a degree-0 TENSOR(2) cochain) splits as r = 2 lambda + c with c in
-Sym^2 g the symmetric part, a degree-0 SYM(2) cochain, and lambda the
-2-multivector, a degree-0 WEDGE(2) cochain, with embed(2 lambda) = r - c.
+Each value of r (a plain 2-tensor, a degree-0 TENSOR(2) cochain) splits
+as r = 2 lambda + c with c in Sym^2 g the symmetric part, a degree-0
+SYM(2) cochain, and lambda the 2-multivector, a degree-0 WEDGE(2)
+cochain, with embed(2 lambda) = r - c.
 The derivative of r is taken once, as the 3-vector
 D = sum_a h_a ^ d r / d x_a.  Under the ledger conventions the exact
 identity

@@ -424,7 +424,8 @@ def dynamical_from_argv(argv):
     doc = json.loads((FIXTURES / opts["--r"]).read_text())
     r = tensor_from_dict({**doc, "vars": list(variables)}, g, "gg")
     h = tuple(g.index(label) for label in opts.get("--sub", "").split(",") if label)
-    return DynamicalRMatrix(split_subalgebra(g, h), variables, r, polynomials_from_strings(doc.get("locus", []), variables))
+    locus = polynomials_from_strings(doc.get("locus", []), variables)
+    return DynamicalRMatrix(split_subalgebra(g, h), variables, r, locus)
 
 
 @pytest.mark.parametrize("name", WITNESS_CASES)
