@@ -192,10 +192,14 @@ class PolyVectorAlgebra:
                         add_term(acc, (rc[0], rv[0]), -c if odd % 2 else c)
 
     def bracket(self, a: Element, b: Element) -> Element:
-        """The bracket as the contraction events of both kinds."""
+        """The bracket as the contraction events of both kinds; b is indexed
+        only by the kinds that a's terms meet: by its e_i when a has an e^,
+        by its e^i when a has an e_."""
         (la, na), (lb, nb) = numerators(a), numerators(b)
         acc: Dict[Mono, Scalar] = {}
-        self.contract(acc, na, contraction_index(nb, 1, self.n), contraction_index(nb, 0, self.n))
+        vec_index = contraction_index(nb, 1, self.n) if any(cov for (cov, _), _ in na) else {}
+        cov_index = contraction_index(nb, 0, self.n) if any(vec for (_, vec), _ in na) else {}
+        self.contract(acc, na, vec_index, cov_index)
         return over(acc, la * lb)
 
     # -- encodings -------------------------------------------------------------

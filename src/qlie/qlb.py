@@ -146,8 +146,11 @@ def _check_sym2(g: LieAlgebra, c: CECochain) -> None:
 
 
 def casimir_invariance_residual(g: LieAlgebra, c: CECochain) -> CECochain:
-    """d c, the weight-2 Maurer-Cartan residual of c in Pol(BG, 2)."""
+    """d c, the weight-2 Maurer-Cartan residual of c in Pol(BG, 2); for
+    c = 0 the zero cochain, with no algebra to build."""
     _check_sym2(g, c)
+    if c.is_zero():
+        return CECochain(g, 1, SYM(2))
     P = PolyVectorAlgebra(g, 2)
     return mc_residual(P, P.from_cochain(c)).get(2) or P.to_cochain({}, 1, 2)
 

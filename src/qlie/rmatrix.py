@@ -102,21 +102,28 @@ def cybe(g: LieAlgebra, r: CECochain) -> CECochain:
     another form (scalars docstring)."""
     if not _is_two_tensor_over(r, g):
         raise InputError("r-matrix over the wrong space: a plain 2-tensor over g is required")
+    # [e_i, e_j] for both orders of each nonzero pair, shared by every
+    # lookup of this call: g.bracket would copy or negate a row each time
+    rows = {}
+    for (i, j), row in g.pairs():
+        rows[i, j], rows[j, i] = row, {k: -c for k, c in row.items()}
+    empty: Dict[int, Scalar] = {}
     entries = []
     terms = list(r.items())
     for ((), (a1, b1)), c1 in terms:
         for ((), (a2, b2)), c2 in terms:
-            aa, ba, bb = g.bracket(a1, a2), g.bracket(b1, a2), g.bracket(b1, b2)
+            aa, ba, bb = rows.get((a1, a2), empty), rows.get((b1, a2), empty), rows.get((b1, b2), empty)
             if not (aa or ba or bb):
                 continue
             coef = c1 * c2
             for m, s in aa.items():
-                entries.append((((), (m, b1, b2)), coef * s))  # [r12, r13]
+                entries.append((((), (m, b1, b2)), coef if s == 1 else coef * s))  # [r12, r13]
             for m, s in ba.items():
-                entries.append((((), (a1, m, b2)), coef * s))  # [r12, r23]
+                entries.append((((), (a1, m, b2)), coef if s == 1 else coef * s))  # [r12, r23]
             for m, s in bb.items():
-                entries.append((((), (a1, a2, m)), coef * s))  # [r13, r23]
-    return CECochain.build(g, 0, TENSOR(3), entries)
+                entries.append((((), (a1, a2, m)), coef if s == 1 else coef * s))  # [r13, r23]
+    # TENSOR(3) keys with no down slot are canonical, and no term is zero
+    return CECochain(g, 0, TENSOR(3))._from_terms(entries)
 
 
 def _symmetric_part_entries(r_items) -> Dict[Tuple[int, int], Scalar]:

@@ -459,20 +459,22 @@ def _times(p: Polynomial, factors: Factors) -> Polynomial:
 
 def _reduce(num: Polynomial, factors: Factors) -> Tuple[Polynomial, Factors]:
     """Exact-divide num by each factor for as long as it divides.  No
-    non-constant factor divides a nonzero constant, so a constant num keeps
-    every factor with a positive exponent."""
+    non-constant factor divides a nonzero constant, so once num is constant
+    it keeps every factor left with a positive exponent, undivided."""
     if num.is_zero():
         return num, {}
-    if len(num._terms) == 1 and 0 in num._terms:
-        return num, {f: e for f, e in factors.items() if e}
     kept: Factors = {}
+    constant = num.is_constant()
     for f, e in factors.items():
-        while e:
+        # once num is constant no further division is tried
+        while e and not constant:
             q = num.exact_div(f)
             if q is None:
-                kept[f] = e
                 break
             num, e = q, e - 1
+            constant = num.is_constant()
+        if e:
+            kept[f] = e
     return num, kept
 
 
@@ -584,7 +586,12 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)):
-            # a nonzero constant changes no divisibility
+            # a nonzero constant changes no divisibility; 1 changes nothing
+            # and -1 only the signs of the numerator
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             if not other:
                 return RationalFunction.const(self.vars, 0)
             return RationalFunction._of(self.num.scale(other), self.factors)
@@ -641,10 +648,12 @@ class RationalFunction:
             df = f.derivative(i)
             if not df.is_zero():
                 moving.append((f, e, df))
+        if not moving and self.num.is_constant():
+            return RationalFunction.const(self.vars, 0)
         total = _times(self.num.derivative(i), {f: 1 for f, _, _ in moving})
         for k, (_, e, df) in enumerate(moving):
             others = {g: 1 for j, (g, _, _) in enumerate(moving) if j != k}
-            total = total - _times(self.num * df.scale(e), others)
+            total = total - _times(self.num * (df if e == 1 else df.scale(e)), others)
         factors = dict(self.factors)
         for f, _, _ in moving:
             factors[f] += 1

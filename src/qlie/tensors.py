@@ -212,18 +212,18 @@ class CECochain:
     def support_size(self) -> int:
         return len(self.data)
 
-    def _binary(self, other: "CECochain", flip: int) -> "CECochain":
+    def _binary(self, other: "CECochain", terms) -> "CECochain":
         if not self.same_shape(other):
             raise InputError("cochain shape mismatch")
-        return self._from_terms(
-            list(self.data.items()) + [(k, flip * v) for k, v in other.data.items()]
-        )
+        return self._from_terms(list(self.data.items()) + list(terms))
 
     def __add__(self, other: "CECochain") -> "CECochain":
-        return self._binary(other, 1)
+        # other's coefficients as they are: 1 * v would rebuild a
+        # RationalFunction's numerator
+        return self._binary(other, other.data.items())
 
     def __sub__(self, other: "CECochain") -> "CECochain":
-        return self._binary(other, -1)
+        return self._binary(other, ((k, -v) for k, v in other.data.items()))
 
     def scale(self, c: Scalar) -> "CECochain":
         return self._from_terms((k, c * v) for k, v in self.data.items())
@@ -250,10 +250,10 @@ def embed_wedge(x: CECochain) -> CECochain:
     """A WEDGE(p) cochain x1^...^xp -> the TENSOR(p) cochain summed over
     permutations with signs, no 1/p! factor."""
     p = x.module[1]
+    # each permutation with the sign of its sort, found once per call
+    signed = [(perm, _sort_with_sign(perm)[0] == -1) for perm in permutations(range(p))]
     entries = []
     for ((), key), coef in x.data.items():
-        for perm in permutations(range(p)):
-            res = _sort_with_sign(perm)
-            sgn = res[0] if res else 1
-            entries.append((((), tuple(key[i] for i in perm)), sgn * coef))
+        for perm, odd in signed:
+            entries.append((((), tuple(key[i] for i in perm)), -coef if odd else coef))
     return CECochain.build(x.g, 0, TENSOR(p), entries)
