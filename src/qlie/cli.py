@@ -109,13 +109,16 @@ def _vanishing_check(name: str, x: CECochain) -> Check:
 
 def _r_matrix_checks(rep: DynamicalReport, name: str) -> Tuple[Check, List[Check]]:
     """The CYBE or CDYBE check, called name and carrying its residual when
-    it fails, and the lambda-form checks, present when they were run."""
+    it fails, and the lambda-form checks, each present when it was run: a
+    failing criteria-agree names the least key of cdybe_residual -
+    kappa_cybe embed(lambda_form_residual)."""
     holds = rep.cdybe_holds
     residual = _check(name, holds, None if holds else {"residual": formats.cochain_to_entries(rep.cdybe_residual)})
     tail = []
     if rep.lambda_form_holds is not None:
         tail.append(_vanishing_check("lambda-form", rep.lambda_form_residual))
-        tail.append(_check("criteria-agree", bool(rep.criteria_agree)))
+    if rep.criteria_agree is not None:
+        tail.append(_vanishing_check("criteria-agree", rep.criteria_defect))
     return residual, tail
 
 

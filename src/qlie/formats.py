@@ -250,7 +250,10 @@ def cochain_to_entries(x: CECochain) -> List[dict]:
 
 
 def matrix_from_dict(doc: dict, dim: int) -> List[Dict[int, Fraction]]:
-    """The sparse rows {column: entry} of a pairing file's dense 'matrix'."""
+    """The sparse rows {column: entry} of a pairing file's dense 'matrix'.
+    Each distinct str or int literal is parsed once per call, keyed by its
+    type too, since True == 1 hash alike and a boolean cell is malformed;
+    any other cell goes to `_read_scalar`, which names the first bad one."""
     rows = doc.get("matrix")
     if (
         not isinstance(rows, list)
@@ -258,10 +261,17 @@ def matrix_from_dict(doc: dict, dim: int) -> List[Dict[int, Fraction]]:
         or any(not isinstance(r, list) or len(r) != dim for r in rows)
     ):
         raise InputError(f"pairing file must hold a {dim} x {dim} 'matrix'")
-    return [
-        {j: v for j, x in enumerate(row) if (v := _read_scalar(x, (), f"pairing cell ({i}, {j})"))}
-        for i, row in enumerate(rows)
-    ]
+    read: Dict[tuple, Fraction] = {}
+
+    def cell(i: int, j: int, x) -> Fraction:
+        if type(x) not in (str, int):
+            return _read_scalar(x, (), f"pairing cell ({i}, {j})")
+        v = read.get((type(x), x))
+        if v is None:
+            v = read[type(x), x] = _read_scalar(x, (), f"pairing cell ({i}, {j})")
+        return v
+
+    return [{j: v for j, x in enumerate(row) if (v := cell(i, j, x))} for i, row in enumerate(rows)]
 
 
 def polynomials_from_strings(strings: Sequence[str], variables: Tuple[str, ...]) -> List[Polynomial]:

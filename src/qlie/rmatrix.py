@@ -47,8 +47,15 @@ class DynamicalRMatrix:
 
     split is the base subalgebra h inside g, variables the coordinates
     dual to the h basis, tensor the g (x) g valued map.  The open locus U
-    is described implicitly by the denominator polynomials of locus; every
-    coefficient denominator must divide a product of powers of these.
+    is described implicitly by the denominator polynomials of locus, where
+    none of them vanishes.  A coefficient is accepted when dividing its
+    expanded denominator by locus entries, each time by the first that
+    divides, ends in a constant (`_divides_out`), or when each of its
+    normalised factors divides a locus entry or divides out so itself:
+    either way its denominator has no zero on U.  Neither rule covers the
+    other: 1/(x-1) over x^2-1 needs the second, and 1/(x y (x+1) (y+1))
+    over x (y+1) and y (x+1), whose factor x y + x + y + 1 divides
+    neither entry, the first.
     """
 
     def __init__(
@@ -67,26 +74,34 @@ class DynamicalRMatrix:
             if isinstance(coef, RationalFunction):
                 if coef.vars != self.variables:
                     raise InputError("coefficient over the wrong variable tuple")
-                if not self._denominator_allowed(coef.den):
+                if not self._denominator_allowed(coef):
                     raise InputError(
                         f"denominator {coef.den} at {key} is not supported on the declared locus"
                     )
 
-    def _denominator_allowed(self, den: Polynomial) -> bool:
+    def _denominator_allowed(self, coef: RationalFunction) -> bool:
         # a constant locus entry removes no pole, and dividing by it again
         # and again would never make rem constant
-        factors = [p for p in self.locus if not p.is_constant()]
-        rem = den
-        progress = True
-        while progress and not rem.is_constant():
-            progress = False
-            for p in factors:
-                q = rem.exact_div(p)
-                if q is not None:
-                    rem = q
-                    progress = True
-                    break
-        return rem.is_constant()
+        entries = [p for p in self.locus if not p.is_constant()]
+        return _divides_out(coef.den, entries) or all(
+            _divides_out(f, entries) or any(p.exact_div(f) is not None for p in entries) for f in coef.factors
+        )
+
+
+def _divides_out(den: Polynomial, entries: Sequence[Polynomial]) -> bool:
+    """Whether dividing den by the first entry that divides it, again and
+    again, leaves a constant."""
+    rem = den
+    progress = True
+    while progress and not rem.is_constant():
+        progress = False
+        for p in entries:
+            q = rem.exact_div(p)
+            if q is not None:
+                rem = q
+                progress = True
+                break
+    return rem.is_constant()
 
 
 def _is_two_tensor_over(r: CECochain, g: LieAlgebra) -> bool:
@@ -181,7 +196,13 @@ class DynamicalReport(NamedTuple):
     invariance_residual: Optional[CECochain]  # d c; None unless c is constant
     cdybe_residual: CECochain  # degree 0, module TENSOR(3)
     lambda_form_residual: Optional[CECochain]
-    criteria_agree: Optional[bool]
+    # cdybe_residual - kappa_cybe embed(lambda_form_residual), zero when the
+    # two criteria agree; None with lambda_form_residual
+    criteria_defect: Optional[CECochain]
+
+    @property
+    def criteria_agree(self) -> Optional[bool]:
+        return None if self.criteria_defect is None else self.criteria_defect.is_zero()
 
     @property
     def symmetric_part_constant(self) -> bool:
@@ -273,9 +294,8 @@ def dynamical_check(dr: DynamicalRMatrix) -> DynamicalReport:
     residual = cybe(g, dr.tensor) + embed_wedge(D)
 
     # (4) lambda-form, when the symmetric part qualifies
-    lf = None
-    agree = None
+    lf = defect = None
     if dc is not None and dc.is_zero():
         lf = lambda_form_residual(g, lam, c, D)
-        agree = residual == embed_wedge(lf).scale(KAPPA_CYBE)
-    return DynamicalReport(defects, lam, c, nonconstant, dc, residual, lf, agree)
+        defect = residual - embed_wedge(lf).scale(KAPPA_CYBE)
+    return DynamicalReport(defects, lam, c, nonconstant, dc, residual, lf, defect)

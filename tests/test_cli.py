@@ -563,6 +563,33 @@ def test_constant_locus_entries(tmp_path, locus, code, message):
         assert message in report["checks"][0]["detail"]["message"]
 
 
+@pytest.mark.parametrize(
+    "coef, refused",
+    [
+        # x - 1 divides the locus entry x^2 - 1, though x^2 - 1 does not divide x - 1
+        ("1/(x-1)", False),
+        # the factor x - 1 with exponent 2 (an expanded (x-1)^2 would be the
+        # one factor x^2 - 2x + 1, which the factors are not split into)
+        ("(1/(x-1))^2", False),
+        ("1/(x-1)/(x-1)", False),
+        ("1/(x^2-1)", False),
+        ("1/(x-2)", True),
+        ("1/((x-1)*(x-2))", True),
+    ],
+    ids=["x-minus-1", "x-minus-1-squared", "x-minus-1-twice", "the-entry", "x-minus-2", "one-factor-outside"],
+)
+def test_a_factor_of_a_locus_entry_is_supported(tmp_path, coef, refused):
+    doc = {"signature": "gg", "vars": ["x"], "locus": ["x^2-1"], "entries": [{"idx": ["e", "f"], "coef": coef}]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    report, code = invoke("dynamical", SL2, "--sub", "h", "--r", str(path), "--vars", "x")
+    if refused:
+        assert code == 2
+        assert "not supported on the declared locus" in report["checks"][0]["detail"]["message"]
+    else:
+        assert code in (0, 1) and report["checks"][0]["name"] != "input"
+
+
 def test_double_command():
     report, code = invoke("double", SL2, "--delta", str(FIXTURES / "delta_std_sl2.json"))
     assert code == 0

@@ -312,6 +312,23 @@ def test_dynamical_locus_validation():
     DynamicalRMatrix(split, variables, r, ok_locus)
 
 
+def test_a_product_of_locus_entries_is_supported():
+    # x y (x+1) (y+1) is the product of the two entries, but its normalised
+    # factor x y + x + y + 1 divides neither: the whole denominator divides
+    # out, one entry at a time, while the factor-by-factor rule alone would
+    # refuse it
+    g = sl3()
+    split = split_subalgebra(g, (0, 1))
+    variables = ("x", "y")
+    coef = parse_scalar("1/(x*y*(x+1)*(y+1))", variables)
+    assert len(coef.factors) == 3
+    r = rmat(g, [((2, 5), coef)])
+    locus = [parse_scalar(p, variables).num for p in ("x*(y+1)", "y*(x+1)")]
+    DynamicalRMatrix(split, variables, r, locus)
+    with pytest.raises(InputError, match="not supported on the declared locus"):
+        DynamicalRMatrix(split, variables, r, locus[:1])
+
+
 def test_ev_rmatrix_on_sl3_passes_and_scaled_residual_is_pinned():
     # 2/a(x) (e_a (x) f_a - f_a (x) e_a) over the positive roots of sl3 solves
     # the CDYBE; twice it does not, and its residual is the one recorded
@@ -462,3 +479,43 @@ def test_each_witness_is_nonzero_in_the_oracles(name):
             oracle = rmatrix_oracle.lambda_form_residual(g, rep.lam, rep.c, alt_mv)
             expect = oracle.data.get(((), tuple(idx)), 0)
         assert expect != 0 and value == expect, kind
+
+
+@pytest.mark.parametrize("name", ["cybe-doubled-antisym-sl2", "dynamical-r-sl2", "dynamical-ev-sl3-scaled"])
+def test_criteria_agree_names_a_witness(monkeypatch, name):
+    # the two criteria agree on every pinned report; a lambda-form residual
+    # perturbed at its least key makes them disagree, and the failing
+    # check names a key of cdybe_residual - kappa embed(lambda-form)
+    import qlie.rmatrix
+
+    argv = test_reports_pinned.CASES[name]
+    real = qlie.rmatrix.lambda_form_residual
+
+    def perturbed(g, lam, c, D):
+        return real(g, lam, c, D) + CECochain(g, 0, WEDGE(3), {((), (0, 1, 2)): Fraction(1, 3)})
+
+    report, _ = run(test_reports_pinned._absolute(argv))
+    assert {c["name"]: c["status"] for c in report["checks"]}["criteria-agree"] == "pass"
+    monkeypatch.setattr(qlie.rmatrix, "lambda_form_residual", perturbed)
+    report, _ = run(test_reports_pinned._absolute(argv))
+    check = {c["name"]: c for c in report["checks"]}["criteria-agree"]
+    assert check["status"] == "fail"
+
+    dr = dynamical_from_argv(argv)
+    g, variables = dr.split.g, dr.variables
+    rep = dynamical_check(dr)
+    D = CECochain.build(
+        g,
+        0,
+        WEDGE(3),
+        [
+            (((), (h, i, j)), coef.derivative(x))
+            for ((), (i, j)), coef in dr.tensor.items()
+            if isinstance(coef, RationalFunction)
+            for h, x in zip(dr.split.h_indices, variables)
+        ],
+    )
+    difference = rep.cdybe_residual - embed_wedge(perturbed(g, rep.lam, rep.c, D)).scale(KAPPA_CYBE)
+    key = ((), tuple(g.index(label) for label in check["detail"]["witness"]))
+    assert key == min(difference.data)
+    assert difference.data[key] == parse_scalar(check["detail"]["residual"], variables) != 0
