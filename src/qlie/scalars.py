@@ -466,7 +466,6 @@ def _reduce(num: Polynomial, factors: Factors) -> Tuple[Polynomial, Factors]:
     kept: Factors = {}
     constant = num.is_constant()
     for f, e in factors.items():
-        # once num is constant no further division is tried
         while e and not constant:
             q = num.exact_div(f)
             if q is None:
