@@ -15,7 +15,9 @@ and each slot is contracted with T (lower) or with the transpose of T^-1
   Casimir ((2, 0)), which stays the inverse of the new pairing;
 * T followed by T^-1 gives each input back;
 * `check_lie` and `check_quadratic` pass on the transformed algebras;
-* structure constants over Q(x) take the L = 1 path and keep their type.
+* structure constants over Q(x) take the L = 1 path and keep their type;
+* the general-basis fixtures sl3_unimodular.json and sl4_unimodular.json
+  are lie.sl(3) and lie.sl(4) rebased by unimodular(random.Random(1), dim).
 """
 
 import json
@@ -27,8 +29,8 @@ import pytest
 
 from conftest import FIXTURES, sparse_rows, sym2_entries
 from qlie import linalg
-from qlie.formats import lie_from_dict
-from qlie.lie import LieAlgebra, casimir_of, direct_sum, heisenberg, sl2, sl3, trace_pairing
+from qlie.formats import lie_from_dict, lie_to_dict
+from qlie.lie import LieAlgebra, casimir_of, direct_sum, heisenberg, sl, sl2, sl3, trace_pairing
 from qlie.manin import QuadraticLieAlgebra, check_quadratic
 from qlie.polyvectors import check_lie
 from qlie.scalars import RationalFunction
@@ -117,12 +119,22 @@ def sparse_constants(g):
     return {(i, j, k): c for (i, j), comps in g.pairs() for k, c in comps.items()}
 
 
-def rebuilt(g, constants):
+def rebuilt(g, constants, name="rebased"):
     """The Lie algebra on the new basis with the given structure constants."""
     brackets = {}
     for (a, b, c), x in sorted(constants.items()):
         brackets.setdefault((a, b), {})[c] = x
-    return LieAlgebra("rebased", [f"v{a}" for a in range(g.dim)], brackets)
+    return LieAlgebra(name, [f"v{a}" for a in range(g.dim)], brackets)
+
+
+def unimodular_sl(n):
+    """lie.sl(n) on the basis of unimodular(random.Random(1), dim): the
+    algebra of the fixture sl<n>_unimodular.json, where no basis element
+    acts diagonally, so `invariants` works on the whole slice."""
+    g = sl(n)
+    T, T_inv = unimodular(random.Random(1), g.dim)
+    constants = linalg.change_basis(sparse_constants(g), "llu", columns(T), sparse_rows(T_inv), True)
+    return rebuilt(g, constants, f"sl{n}-unimodular")
 
 
 def sl2_plus_heisenberg():
@@ -194,3 +206,11 @@ def test_rational_function_constants_take_the_same_loops():
     assert got == expected and got.keys() == expected.keys()
     assert any(isinstance(v, RationalFunction) and not v.is_constant() for v in got.values())
     assert check_lie(rebuilt(g, got)).passed
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_general_basis_fixtures_are_sl_rebased(n):
+    # the inputs of the pinned general-basis invariants reports
+    doc = json.loads((FIXTURES / f"sl{n}_unimodular.json").read_text())
+    assert doc == lie_to_dict(unimodular_sl(n))
+    assert check_lie(lie_from_dict(doc)).passed

@@ -84,6 +84,10 @@ CASES = {
     "invariants-sym2-sl3": ("invariants", *SL3, "--module", "sym2"),
     # sl2 on e/2, f, h: structure constants with denominator 2
     "invariants-sym2-sl2-half-e": ("invariants", "sl2_half_e.json", "--module", "sym2"),
+    # lie.sl(3) and lie.sl(4) rebased by a seeded unimodular T (tests/test_change_of_basis.py):
+    # no basis element acts diagonally, so d is taken on the whole slice
+    "invariants-wedge3-sl3-unimodular": ("invariants", "sl3_unimodular.json", "--module", "wedge3"),
+    "invariants-sym2-sl4-unimodular": ("invariants", "sl4_unimodular.json", "--module", "sym2"),
     "check-qlb-phi-efh-sl2": ("check-qlb", *SL2, "--delta", "delta_std_sl2.json", "--phi", "phi_efh.json"),
     "check-qlb-bad-delta-sl2": ("check-qlb", *SL2, "--delta", "delta_bad_sl2.json", "--phi", "phi_zero.json"),
     "twist-lambda-ef-sl2": (
