@@ -47,11 +47,12 @@ TENSOR_SIGNATURES = {
 # the best of 5 in-process runs of `double` on 2 vCPUs.  `invariants` reduces
 # only the weight-0 block of the module (see polyvectors) and refuses a
 # block of over MAX_MODULE_DIM = C(26, 3) keys; counting it takes at most
-# 0.06 s at 80 labels.  On the abelian algebra the block, and the kernel,
-# is the whole module (0.07 s for wedge3 at 26 labels, 0.05 s for sym2 at
+# 0.04 s at 80 labels.  On the abelian algebra the block, and the kernel,
+# is the whole module (0.02 s for wedge3 at 26 labels, 0.02 s for sym2 at
 # 71), so that is the case the bound is for; on sl9 the block has 512 of
-# the 82,160 keys of wedge3 (1.1 s) and 72 of the 3,240 of sym2 (0.16 s);
-# times are the best of 3 in-process runs of `invariants` on 2 vCPUs.  The
+# the 82,160 keys of wedge3 (0.12-0.14 s) and 72 of the 3,240 of sym2
+# (0.015 s); times are the best of 3 in-process runs of `invariants` on 2
+# vCPUs, Python 3.11.  The
 # support of a tensor read over an algebra is bounded where it costs:
 # `mc.MAX_PAIRS` caps the contraction events that the Maurer-Cartan
 # residual of `check-qlb`, `twist` and `mc-residual` forms.

@@ -8,9 +8,10 @@ its pivot rows.  `change_basis` takes a sparse tensor to a new basis, its
 lower slots through T and its upper slots through the inverse's rows.
 
 Over Q the elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
-each row is put over its common denominator and kept as a primitive
-integer row, a row is cleared against a pivot by cross-multiplication, and
-a Fraction is formed only when each pivot row is finally divided by its
+a row of ints goes in as it is, any other row over its common denominator
+as a primitive integer row; a row is cleared against a pivot by
+cross-multiplication and made primitive once its pivot is found, and a
+Fraction is formed only when each pivot row is finally divided by its
 pivot.  The rows go in sparsest first; the reduced echelon form of a span
 is unique, so their order cannot change the answer.  Over Q(vars), whose
 `/` is exact too, the rows are reduced in their own scalars, in the order
@@ -36,8 +37,8 @@ def rref(rows: Iterable[Mapping[int, Scalar]]) -> Dict[int, Row]:
 
     Each row in turn is cleared against the pivots so far; its lowest column
     becomes a new pivot and is cleared from the older pivot rows.  Over Q
-    the rows are primitive integer rows, taken sparsest first, and each
-    pivot row is divided by its pivot only at the end (module docstring).
+    the rows are integer rows, taken sparsest first, and each pivot row is
+    divided by its pivot only at the end (module docstring).
     """
     rows = [{c: x for c, x in row.items() if x} for row in rows]
     if any(isinstance(x, RationalFunction) for row in rows for x in row.values()):
@@ -72,8 +73,12 @@ def rref(rows: Iterable[Mapping[int, Scalar]]) -> Dict[int, Row]:
     return {p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in sorted(pivots.items())}
 
 
-def _integer_row(row: Mapping[int, Fraction]) -> IntRow:
-    """The row over its common denominator, made primitive."""
+def _integer_row(row: Dict[int, Scalar]) -> IntRow:
+    """The row as integers: a row of ints as it is, which elimination makes
+    primitive once its pivot is found; else over its common denominator,
+    made primitive."""
+    if all(type(x) is int for x in row.values()):
+        return row
     den = lcm(*(x.denominator for x in row.values()))
     return _primitive({c: x.numerator * (den // x.denominator) for c, x in row.items()}, False)
 

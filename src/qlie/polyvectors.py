@@ -49,7 +49,9 @@ summed per key in a plain dict; each output key is then divided once, by
 L L_g for d and by L_a L_b for a product or a bracket, so a Fraction is
 formed only there.  A RationalFunction coefficient or structure constant
 takes the same loops with L = 1 (or L_g = 1), and what comes out has the
-types that went in.
+types that went in.  The columns of the Chevalley-Eilenberg blocks below
+skip even that division: they stay integer sums, all scaled by one
+positive integer, from `contract` into `linalg.rref`.
 
 The differential d is the library's one Chevalley-Eilenberg differential.
 A cochain valued in TRIVIAL, ADJOINT or WEDGE(p) is the slice of
@@ -57,7 +59,12 @@ polyvector weight 0, 1 or p at shift 1; one valued in SYM(p) is the
 weight-p slice at shift 2.  `ce_differential`, `cohomology_dim` and
 `invariants` work through that embedding: the first encodes, applies d
 and decodes; the other two take d of each unit cochain of a slice as one
-column, and read off its rank or, on C^0, its kernel.  `check_lie` is
+column, and read off its rank or, on C^0, its kernel.  Each unit key is
+contracted against mu_g alone, with an integer coefficient, and every
+column comes out times the same positive integer (`_unit_differentials`),
+which changes neither the rank nor the reduced kernel basis; mu_g's index
+of each kind is built on first use, and the C^0 keys of `invariants`,
+which have no e^, need only one kind.  `check_lie` is
 the Jacobi identity as d^2 = 0 (Chevalley-Eilenberg): for i < j < k the
 coefficient of e^i e^j e^k in d d e^l is, with factor +1, the l-component
 of the Jacobiator J(e_i, e_j, e_k), so no bracket is composed by hand.
@@ -120,8 +127,16 @@ class PolyVectorAlgebra:
         # c as an integer numerator over _d_den; its index is the right factor of d
         pairs = sorted(g.pairs())
         self._d_den, numerator = common_denominator([c for _, comps in pairs for c in comps.values()])
-        mu = [(((j, k), (i,)), numerator(c)) for (j, k), comps in pairs for i, c in comps.items()]
-        self._mu_index = (contraction_index(mu, 1, shift), contraction_index(mu, 0, shift))
+        self._mu = [(((j, k), (i,)), numerator(c)) for (j, k), comps in pairs for i, c in comps.items()]
+        self._mu_indices: List[Optional[Dict[int, List[tuple]]]] = [None, None]
+
+    def mu_index(self, kind: int) -> Dict[int, List[tuple]]:
+        """`contraction_index` of mu_g of that kind, built on first use: a
+        left factor with no e^ (a C^0 key) never walks the kind-1 index."""
+        index = self._mu_indices[kind]
+        if index is None:
+            index = self._mu_indices[kind] = contraction_index(self._mu, kind, self.n)
+        return index
 
     def mono_degree(self, mono: Mono) -> int:
         return len(mono[0]) + self.n * len(mono[1])
@@ -148,7 +163,8 @@ class PolyVectorAlgebra:
         n = self.n
         L, nums = numerators(a)
         acc: Dict[Mono, Scalar] = {}
-        self.contract(acc, [(m, c if (len(m[0]) + n * len(m[1])) % 2 else -c) for m, c in nums], *self._mu_index)
+        terms = [(m, c if (len(m[0]) + n * len(m[1])) % 2 else -c) for m, c in nums]
+        self.contract(acc, terms, self.mu_index(1), self.mu_index(0))
         return over(acc, L * self._d_den)
 
     # -- the big bracket -------------------------------------------------------
@@ -413,10 +429,32 @@ def check_lie(g: LieAlgebra) -> LieCheckReport:
     )
 
 
-def _unit_differentials(P: PolyVectorAlgebra, module, k: int, keys: List[Mono]) -> List[Element]:
-    """The columns of d on keys of C^k(g, module): d of the unit orbit-basis
-    cochain on each key, in key order."""
-    return [P.d(P.from_cochain(CECochain(P.g, k, module, {key: Fraction(1)}))) for key in keys]
+def _unit_differentials(P: PolyVectorAlgebra, module, k: int, keys: List[Mono]) -> Tuple[int, List[Element]]:
+    """(s, columns): the columns of d on keys of C^k(g, module), in key
+    order, column j being s times d of the unit orbit-basis cochain on
+    keys[j], for one positive integer s.
+
+    That cochain is the monomial of its key over the multiplicity factorial
+    f of the key's vector block at shift 2 (f = 1 at shift 1; see
+    `from_cochain`), and d takes it over f L_g (`d`).  So each key goes
+    into `contract` alone, against mu_g, with the integer F / f and the
+    sign d gives it, for F the lcm of the keys' f, and its sums are the
+    column over no denominator: s = F L_g.  A positive scale common to
+    every column changes neither the rank of d nor the reduced kernel
+    basis read off by `rref`, so no Fraction is formed before it.  Over
+    RationalFunction structure constants L_g = 1 and the sums are
+    RationalFunctions, for rref's field path."""
+    n, w = P.n, _module_slice(module)[1]
+    factorials = [multiplicity_factorial(vec) for _, vec in keys] if n == 2 else [1] * len(keys)
+    scale = lcm(*factorials)
+    sign = 1 if (k + n * w) % 2 else -1
+    vec_index, cov_index = P.mu_index(1) if k else {}, P.mu_index(0) if w else {}
+    columns = []
+    for key, f in zip(keys, factorials):
+        acc: Element = {}
+        P.contract(acc, [(key, sign * (scale // f))], vec_index, cov_index)
+        columns.append(acc)
+    return scale * P._d_den, columns
 
 
 def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
@@ -432,7 +470,7 @@ def cohomology_dim(g: LieAlgebra, module, degree: int) -> int:
         # numbered in sorted order, the order of the slice basis, they keep
         # rref's pivot order (numbered as they first occur, they make it
         # pick worse pivots: twice the time on sl6, ADJOINT, degree 2)
-        columns = _unit_differentials(P, module, k, keys)
+        _, columns = _unit_differentials(P, module, k, keys)
         number = {m: i for i, m in enumerate(sorted({m for col in columns for m in col}))}
         return linalg.rank({number[m]: c for m, c in col.items()} for col in columns)
 
@@ -456,7 +494,7 @@ def _invariants(P: PolyVectorAlgebra, module, keys: List[Mono]) -> List[CECochai
     """invariants(P.g, module), given P at the module's shift and the
     weight-0 keys of C^0(g, module) that P gives."""
     rows: Dict[Mono, Dict[int, Scalar]] = {}
-    for j, col in enumerate(_unit_differentials(P, module, 0, keys)):
+    for j, col in enumerate(_unit_differentials(P, module, 0, keys)[1]):
         for m, c in col.items():
             rows.setdefault(m, {})[j] = c
     return [
