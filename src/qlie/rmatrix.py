@@ -37,7 +37,7 @@ from .errors import InputError
 from .lie import LieAlgebra, SplitSubalgebra
 from .polyvectors import PolyVectorAlgebra
 from .qlb import casimir_invariance_residual, casimir_to_phi
-from .scalars import Polynomial, RationalFunction, Scalar, combine
+from .scalars import Polynomial, RationalFunction, Scalar, check_power, combine
 from .tensors import KAPPA_CYBE, LAMBDA_FORM_PHI_COEFF, CECochain, SYM, TENSOR, WEDGE, embed_wedge
 
 
@@ -51,11 +51,12 @@ class DynamicalRMatrix:
     none of them vanishes.  A coefficient is accepted when dividing its
     expanded denominator by locus entries, each time by the first that
     divides, ends in a constant (`_divides_out`), or when each of its
-    normalised factors divides a locus entry or divides out so itself:
-    either way its denominator has no zero on U.  Neither rule covers the
-    other: 1/(x-1) over x^2-1 needs the second, and 1/(x y (x+1) (y+1))
-    over x (y+1) and y (x+1), whose factor x y + x + y + 1 divides
-    neither entry, the first.
+    normalised factors divides a power of a locus entry or divides out so
+    itself: either way its denominator has no zero on U.  Neither rule
+    covers the other: 1/(x-1) over x^2-1 needs the second, and so does
+    1/(x-1)^2, whose one factor x^2-2x+1 divides (x^2-1)^2; 1/(x y (x+1)
+    (y+1)) over x (y+1) and y (x+1), whose factor x y + x + y + 1 divides
+    neither entry, needs the first.
     """
 
     def __init__(
@@ -84,7 +85,7 @@ class DynamicalRMatrix:
         # and again would never make rem constant
         entries = [p for p in self.locus if not p.is_constant()]
         return _divides_out(coef.den, entries) or all(
-            _divides_out(f, entries) or any(p.exact_div(f) is not None for p in entries) for f in coef.factors
+            _divides_out(f, entries) or any(_divides_a_power(f, p) for p in entries) for f in coef.factors
         )
 
 
@@ -102,6 +103,21 @@ def _divides_out(den: Polynomial, entries: Sequence[Polynomial]) -> bool:
                 progress = True
                 break
     return rem.is_constant()
+
+
+def _divides_a_power(f: Polynomial, p: Polynomial) -> bool:
+    """Whether f divides p^k for some k <= deg f, so that every zero of f is
+    a zero of p.  That k suffices: an irreducible factor of f to the power
+    a divides p^a once it divides p, and a <= deg f.  The powers past p
+    itself are refused past the bounds on a parsed power."""
+    power = p
+    for k in range(1, f.total_degree() + 1):
+        if k > 1:
+            check_power(RationalFunction._of(p, {}), k, f"the power {k} of the locus entry {p}")
+            power = power * p
+        if power.exact_div(f) is not None:
+            return True
+    return False
 
 
 def _is_two_tensor_over(r: CECochain, g: LieAlgebra) -> bool:

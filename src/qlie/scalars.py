@@ -237,6 +237,9 @@ class Polynomial:
         n = len(self.vars)
         return {_unpack(k, n): c for k, c in self._terms.items()}
 
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
     @classmethod
     def const(cls, variables: Tuple[str, ...], value) -> "Polynomial":
         value = _exact(value)
@@ -809,11 +812,7 @@ def _total_degree(x: Scalar) -> int:
     """The larger total degree of numerator and denominator; 0 for a Fraction."""
     if not isinstance(x, RationalFunction):
         return 0
-
-    def deg(p: Polynomial) -> int:
-        return max((sum(e) for e in p.terms), default=0)
-
-    return max(deg(x.num), sum(deg(f) * e for f, e in x.factors.items()))
+    return max(x.num.total_degree(), sum(f.total_degree() * e for f, e in x.factors.items()))
 
 
 def _fraction_bits(x: Scalar) -> Tuple[int, int]:
@@ -883,6 +882,16 @@ def _power_terms_formed(x: Scalar, k: int) -> int:
     return formed
 
 
+def check_power(x: Scalar, k: int, what: str = "a power") -> None:
+    """Refuse x^k (k >= 0) past the bounds on a power: its total degree,
+    the digits of its coefficients and the terms it forms."""
+    degree = k * _total_degree(x)
+    if degree > MAX_POWER_DEGREE:
+        raise InputError(f"{what} of total degree {degree} is above {MAX_POWER_DEGREE}")
+    _check_digits(what, k * _coefficient_bits(x))
+    _check_terms(what, _power_terms_formed(x, k))
+
+
 def _check_terms(what: str, formed: int) -> None:
     if formed > MAX_TERMS_FORMED:
         raise InputError(
@@ -947,11 +956,7 @@ def parse_scalar(text: str, variables: Tuple[str, ...] = ()) -> Scalar:
                 raise InputError(
                     f"exponent {sign * tok[1]} is above {MAX_EXPONENT} in absolute value"
                 )
-            degree = tok[1] * _total_degree(base)
-            if degree > MAX_POWER_DEGREE:
-                raise InputError(f"a power of total degree {degree} is above {MAX_POWER_DEGREE}")
-            _check_digits("a power", tok[1] * _coefficient_bits(base))
-            _check_terms("a power", _power_terms_formed(base, tok[1]))
+            check_power(base, tok[1])
             return base ** (sign * tok[1])
         return base
 

@@ -568,15 +568,21 @@ def test_constant_locus_entries(tmp_path, locus, code, message):
     [
         # x - 1 divides the locus entry x^2 - 1, though x^2 - 1 does not divide x - 1
         ("1/(x-1)", False),
-        # the factor x - 1 with exponent 2 (an expanded (x-1)^2 would be the
-        # one factor x^2 - 2x + 1, which the factors are not split into)
+        # the factor x - 1 with exponent 2
         ("(1/(x-1))^2", False),
         ("1/(x-1)/(x-1)", False),
+        # the one factor x^2 - 2x + 1, which the factors are not split into:
+        # it divides (x^2 - 1)^2
+        ("1/(x-1)^2", False),
         ("1/(x^2-1)", False),
         ("1/(x-2)", True),
+        ("1/(x-2)^2", True),
         ("1/((x-1)*(x-2))", True),
     ],
-    ids=["x-minus-1", "x-minus-1-squared", "x-minus-1-twice", "the-entry", "x-minus-2", "one-factor-outside"],
+    ids=[
+        "x-minus-1", "x-minus-1-squared", "x-minus-1-twice", "x-minus-1-squared-inside",
+        "the-entry", "x-minus-2", "x-minus-2-squared", "one-factor-outside",
+    ],
 )
 def test_a_factor_of_a_locus_entry_is_supported(tmp_path, coef, refused):
     doc = {"signature": "gg", "vars": ["x"], "locus": ["x^2-1"], "entries": [{"idx": ["e", "f"], "coef": coef}]}
@@ -588,6 +594,29 @@ def test_a_factor_of_a_locus_entry_is_supported(tmp_path, coef, refused):
         assert "not supported on the declared locus" in report["checks"][0]["detail"]["message"]
     else:
         assert code in (0, 1) and report["checks"][0]["name"] != "input"
+
+
+def test_a_squared_denominator_has_one_verdict_in_either_spelling(tmp_path):
+    # the residuals print their denominators as the factors were written
+    # (one factor x^2-2*x+1, or x-1 twice), so the statuses are compared
+    verdicts = []
+    for coef in ("1/(x-1)^2", "(1/(x-1))^2"):
+        doc = {"signature": "gg", "vars": ["x"], "locus": ["x^2-1"], "entries": [{"idx": ["e", "f"], "coef": coef}]}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        report, code = invoke("dynamical", SL2, "--sub", "h", "--r", str(path), "--vars", "x")
+        verdicts.append((code, [(c["name"], c["status"]) for c in report["checks"]]))
+    assert verdicts[0] == verdicts[1] and verdicts[0][0] == 1
+
+
+def test_the_locus_powers_are_bounded(tmp_path):
+    # (x-1)^20 divides (x^2-1)^20 only, a power of degree 40
+    doc = {"signature": "gg", "vars": ["x"], "locus": ["x^2-1"], "entries": [{"idx": ["e", "f"], "coef": "1/(x-1)^20"}]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    report, code = invoke("dynamical", SL2, "--sub", "h", "--r", str(path), "--vars", "x")
+    assert code == 2
+    assert "the power 17 of the locus entry x^2-1 of total degree 34 is above 32" in report["checks"][0]["detail"]["message"]
 
 
 def test_double_command():
@@ -917,6 +946,25 @@ def test_argument_error_gives_input_report_exit_2(argv, message, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert "input: ERROR" in out and message in out and err == ""
+
+
+def test_malformed_argv_leaves_the_next_job_of_the_process_as_it_was():
+    # one process, as a batch runs its jobs: a valid argv, two that do not
+    # parse, then the valid argv again, whose report must not change
+    valid = ["invariants", SL3, "--module", "sym2"]
+    first, code = run(valid)
+    assert code == 0
+    for argv, message in (
+        (["check-lie", SL2, "--bogus"], "unrecognized arguments: --bogus"),
+        (["check-qlb", SL2, "--delta", SL2], "required: --phi"),
+    ):
+        report, code = run(argv)
+        assert code == 2 and message in report["checks"][0]["detail"]["message"]
+    again, code = run(valid)
+    assert code == 0
+    first.pop("timing_ms")
+    again.pop("timing_ms")
+    assert json.dumps(again, sort_keys=True, default=str) == json.dumps(first, sort_keys=True, default=str)
 
 
 def test_help_still_exits_0(capsys):
