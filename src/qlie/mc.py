@@ -71,7 +71,7 @@ def mc_residual(P: PolyVectorAlgebra, x: Element) -> Dict[int, CECochain]:
     # d x + 1/2 [x, x] over 2 L^2 L_g, summed over integer numerators (module docstring)
     L, nums = numerators(x)
     Lg, acc = P._d_den, {}
-    P.contract(acc, [(m, 2 * L * c if n % 2 else -2 * L * c) for m, c in nums], P.mu_index(1), P.mu_index(0))
+    P.contract(acc, [(m, 2 * L * c if n % 2 else -2 * L * c) for m, c in nums], P._mu_index(1), P._mu_index(0))
     P.contract(acc, [(m, 2 * Lg * c) for m, c in nums], contraction_index(nums, 1, n), {})
     by_weight: Dict[int, Element] = {}
     for mono, coef in over(acc, 2 * L * L * Lg).items():

@@ -130,7 +130,7 @@ class PolyVectorAlgebra:
         self._mu = [(((j, k), (i,)), numerator(c)) for (j, k), comps in pairs for i, c in comps.items()]
         self._mu_indices: List[Optional[Dict[int, List[tuple]]]] = [None, None]
 
-    def mu_index(self, kind: int) -> Dict[int, List[tuple]]:
+    def _mu_index(self, kind: int) -> Dict[int, List[tuple]]:
         """`contraction_index` of mu_g of that kind, built on first use: a
         left factor with no e^ (a C^0 key) never walks the kind-1 index."""
         index = self._mu_indices[kind]
@@ -164,7 +164,7 @@ class PolyVectorAlgebra:
         L, nums = numerators(a)
         acc: Dict[Mono, Scalar] = {}
         terms = [(m, c if (len(m[0]) + n * len(m[1])) % 2 else -c) for m, c in nums]
-        self.contract(acc, terms, self.mu_index(1), self.mu_index(0))
+        self.contract(acc, terms, self._mu_index(1), self._mu_index(0))
         return over(acc, L * self._d_den)
 
     # -- the big bracket -------------------------------------------------------
@@ -448,7 +448,7 @@ def _unit_differentials(P: PolyVectorAlgebra, module, k: int, keys: List[Mono]) 
     factorials = [multiplicity_factorial(vec) for _, vec in keys] if n == 2 else [1] * len(keys)
     scale = lcm(*factorials)
     sign = 1 if (k + n * w) % 2 else -1
-    vec_index, cov_index = P.mu_index(1) if k else {}, P.mu_index(0) if w else {}
+    vec_index, cov_index = P._mu_index(1) if k else {}, P._mu_index(0) if w else {}
     columns = []
     for key, f in zip(keys, factorials):
         acc: Element = {}
