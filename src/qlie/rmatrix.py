@@ -108,8 +108,8 @@ def _divides_out(den: Polynomial, entries: Sequence[Polynomial]) -> bool:
 def _divides_a_power(f: Polynomial, p: Polynomial) -> bool:
     """Whether f divides p^k for some k <= deg f, so that every zero of f is
     a zero of p.  That k suffices: an irreducible factor of f to the power
-    a divides p^a once it divides p, and a <= deg f.  The powers past p
-    itself are refused past the bounds on a parsed power."""
+    a divides p^a once it divides p, and a <= deg f.  Each power past p
+    itself is held to the bounds on a parsed power first (exit 2)."""
     power = p
     for k in range(1, f.total_degree() + 1):
         if k > 1:
